@@ -18,9 +18,9 @@
 //! while reporting the wall-clock speedup. `--json` writes the same
 //! measurements for BENCH_*.json trajectory tracking.
 
-use softsku_bench::json::Json;
 use softsku_cluster::ChaosConfig;
 use softsku_rollout::{demo_campaign, CoordinatorConfig, CoordinatorReport, FleetCoordinator};
+use softsku_telemetry::Json;
 use std::num::NonZeroUsize;
 use std::time::Instant;
 

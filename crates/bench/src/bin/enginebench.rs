@@ -23,9 +23,9 @@
 //! BENCH_*.json trajectory tracking.
 
 use softsku_archsim::engine::{Engine, WindowReport};
-use softsku_bench::json::Json;
 use softsku_cluster::{AbEnvironment, EnvConfig};
 use softsku_knobs::{Knob, KnobSpace};
+use softsku_telemetry::Json;
 use softsku_workloads::{Microservice, PlatformKind};
 use std::time::Instant;
 use usku::metric::PerformanceMetric;

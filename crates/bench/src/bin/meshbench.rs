@@ -18,11 +18,11 @@
 //! mesh determinism contract. `--json` writes the same measurements for
 //! BENCH_*.json trajectory tracking.
 
-use softsku_bench::json::Json;
 use softsku_mesh::{
     colocation_mix, media, social_network, MeshConfig, MeshObjective, MeshSim, MeshTuner,
     ServiceGraph,
 };
+use softsku_telemetry::Json;
 use std::time::Instant;
 
 const BASE_SEED: u64 = 21;

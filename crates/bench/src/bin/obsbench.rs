@@ -11,17 +11,17 @@
 //! time, after asserting both runs produced bit-identical reports (the
 //! observability contract: a disabled-or-enabled sink never perturbs
 //! results). Part 2 measures raw [`TraceSink`] span throughput, the cost
-//! floor for instrumenting hotter loops. Part 3 races [`TieredOds`]
-//! against the flat [`Ods`] on a long append stream whose horizon forces
+//! floor for instrumenting hotter loops. Part 3 races an [`Ods`] with
+//! retention tiers against [`Ods::unbounded`] on a long append stream whose horizon forces
 //! continuous eviction and tier cascades — the retention tax, paid to keep
 //! a fleet-lifetime ledger on bounded memory. `--json` writes the same
 //! measurements for BENCH_*.json trajectory tracking.
 
-use softsku_bench::json::Json;
 use softsku_knobs::Knob;
 use softsku_rollout::{PipelineConfig, RolloutPipeline};
 use softsku_telemetry::trace::TraceSink;
-use softsku_telemetry::{Ods, SeriesKey, TierSpec, TieredOds};
+use softsku_telemetry::Json;
+use softsku_telemetry::{Ods, SeriesKey, TierSpec};
 use softsku_workloads::{Microservice, PlatformKind};
 use std::time::Instant;
 
@@ -133,7 +133,7 @@ fn span_throughput(spans: usize) -> Json {
         .set("spans_per_s", Json::Num(rate))
 }
 
-/// Part 3: tiered-retention append throughput vs the flat ledger, on a
+/// Part 3: tiered-retention append throughput vs an unbounded store, on a
 /// stream long enough that every append evicts and cascades.
 fn retention_throughput(appends: usize) -> Result<Json, BoxError> {
     // A bench-local series name, deliberately outside every registered
@@ -152,7 +152,7 @@ fn retention_throughput(appends: usize) -> Result<Json, BoxError> {
         },
     ];
 
-    let mut flat = Ods::new();
+    let mut flat = Ods::unbounded();
     // detlint::allow(wall_clock): benchmark harness measures its own speed.
     let t0 = Instant::now();
     for i in 0..appends {
@@ -160,7 +160,7 @@ fn retention_throughput(appends: usize) -> Result<Json, BoxError> {
     }
     let flat_s = t0.elapsed().as_secs_f64();
 
-    let mut tiered = TieredOds::with_tiers(3_600.0, tiers.to_vec())?;
+    let mut tiered = Ods::with_tiers(3_600.0, tiers.to_vec())?;
     // detlint::allow(wall_clock): benchmark harness measures its own speed.
     let t0 = Instant::now();
     for i in 0..appends {

@@ -15,10 +15,10 @@
 //! width, the scheduler-replica speedup the composer inherits. `--json`
 //! writes the same measurements for BENCH_*.json trajectory tracking.
 
-use softsku_bench::json::Json;
 use softsku_cluster::{StagedFleet, StagedFleetConfig};
 use softsku_knobs::Knob;
 use softsku_rollout::{ComposerConfig, PipelineConfig, RolloutPipeline, SkuComposer};
+use softsku_telemetry::Json;
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 use std::time::Instant;

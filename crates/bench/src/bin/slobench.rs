@@ -20,12 +20,12 @@
 //! channel; it must not perturb a healthy rollout). `--json` writes the
 //! same measurements for BENCH_*.json trajectory tracking.
 
-use softsku_bench::json::Json;
 use softsku_knobs::Knob;
 use softsku_rollout::{PipelineConfig, RolloutPipeline};
 use softsku_telemetry::trace::TraceSink;
+use softsku_telemetry::Json;
 use softsku_telemetry::{
-    nearest_rank, LedgerKey, QuantileSketch, SeriesKey, SloEvaluator, SloSpec, TieredOds,
+    nearest_rank, LedgerKey, Ods, QuantileSketch, SeriesKey, SloEvaluator, SloSpec,
 };
 use softsku_workloads::{Microservice, PlatformKind};
 use std::time::Instant;
@@ -133,7 +133,7 @@ fn sketch_throughput(appends: usize) -> Json {
 fn slo_eval_throughput(evals: usize) -> Result<Json, BoxError> {
     let spec = SloSpec::new("bench", 0.040, 0.99, 5.0, 20.0)?;
     let mut slo = SloEvaluator::new(spec);
-    let mut ods = TieredOds::unbounded();
+    let mut ods = Ods::unbounded();
     let mut sink = TraceSink::new();
 
     // detlint::allow(wall_clock): benchmark harness measures its own speed.

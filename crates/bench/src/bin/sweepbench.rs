@@ -16,9 +16,9 @@
 //! the EXPERIMENTS.md scheduler row; `--json <path>` writes the same
 //! measurements as a machine-readable summary for trajectory tracking.
 
-use softsku_bench::json::Json;
 use softsku_cluster::{AbEnvironment, EnvConfig};
 use softsku_knobs::{Knob, KnobSpace};
+use softsku_telemetry::Json;
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 use std::time::Instant;

@@ -13,7 +13,6 @@
 pub mod ablation;
 pub mod characterization;
 pub mod common;
-pub mod json;
 pub mod knobsweeps;
 
 /// Every experiment id in paper order.

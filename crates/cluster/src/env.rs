@@ -217,7 +217,7 @@ impl AbEnvironment {
             sampler_a,
             sampler_b,
             hazards: HazardSchedule::new(config.hazards, streams.derive(StreamFamily::EnvHazards)),
-            ods: Ods::new(),
+            ods: Ods::unbounded(),
             last_load: 1.0,
         }
     }

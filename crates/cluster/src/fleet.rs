@@ -90,7 +90,7 @@ impl ValidationFleet {
                 streams.derive(StreamFamily::FleetLoad),
             ),
             evolution: CodeEvolution::new(0.25, 0.01, streams.derive(StreamFamily::FleetCodePush)),
-            ods: Ods::new(),
+            ods: Ods::unbounded(),
             time_s: 0.0,
             tick_s: tick_s.max(1.0),
         })

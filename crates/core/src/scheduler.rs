@@ -833,7 +833,7 @@ impl FleetTuner {
 
         // Reassemble per target in canonical order and lay down the ODS
         // tuning counters (one point per test, indexed by plan position).
-        let mut ods = Ods::new();
+        let mut ods = Ods::unbounded();
         let mut maps: Vec<DesignSpaceMap> =
             (0..prepared.len()).map(|_| DesignSpaceMap::new()).collect();
         let mut sim_time: Vec<f64> = vec![0.0; prepared.len()];

@@ -26,7 +26,7 @@ use crate::sim::{MeshConfig, MeshReport, MeshSim};
 use crate::tune::{MeshObjective, MeshTuner, TierSelection, TunedMesh};
 use softsku_telemetry::slo::{Exemplar, SloEvaluator, SloSpec};
 use softsku_telemetry::trace::{AttrValue, TraceSink};
-use softsku_telemetry::{LedgerKey, SeriesKey, TieredOds};
+use softsku_telemetry::{LedgerKey, Ods, SeriesKey};
 
 /// Gate parameters for one mesh canary campaign.
 #[derive(Debug, Clone, Copy)]
@@ -163,7 +163,7 @@ impl<'a> MeshCanary<'a> {
     pub fn run(
         &self,
         workers: usize,
-        ods: &mut TieredOds,
+        ods: &mut Ods,
         sink: &mut TraceSink,
     ) -> Result<MeshCanaryReport, MeshError> {
         let mut clean = self.config;
@@ -287,11 +287,11 @@ mod tests {
         }
     }
 
-    fn run(cfg: MeshConfig, workers: usize) -> (MeshCanaryReport, TieredOds, TraceSink) {
+    fn run(cfg: MeshConfig, workers: usize) -> (MeshCanaryReport, Ods, TraceSink) {
         let graph = colocation_mix().unwrap();
         let gate = MeshCanaryConfig::default();
         let canary = MeshCanary::new(&graph, cfg, gate).unwrap();
-        let mut ods = TieredOds::unbounded();
+        let mut ods = Ods::unbounded();
         let mut sink = TraceSink::new();
         let report = canary.run(workers, &mut ods, &mut sink).unwrap();
         (report, ods, sink)

@@ -38,11 +38,11 @@ use rand::{Rng, SeedableRng};
 use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::SimServer;
 use softsku_telemetry::keys::LedgerKey;
+use softsku_telemetry::nearest_rank;
 use softsku_telemetry::ods::{Ods, SeriesKey};
 use softsku_telemetry::streams::{IdentitySeed, StreamFamily, StreamRegistry};
 use softsku_telemetry::trace::{AttrValue, TraceSink};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use softsku_workloads::queuesim::{FcfsServers, ServiceDist};
 
 /// Simulation inputs beyond the graph and the per-tier SKUs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -481,17 +481,15 @@ impl<'a> MeshSim<'a> {
             // f64 agrees with the numeric ordering.
             let mut order = by_tier[tier_idx].clone();
             order.sort_by_key(|&j| (jobs[j].arrival.to_bits(), jobs[j].req, j));
-            let mut free: BinaryHeap<Reverse<u64>> = (0..tier.concurrency.max(1))
-                .map(|_| Reverse(0u64))
-                .collect();
+            let mut servers = FcfsServers::new(tier.concurrency);
+            let service_dist = ServiceDist::LogNormal {
+                mean: cal.service_s,
+                cv2: cfg.service_cv2,
+            };
             for &j in &order {
-                let avail = match free.pop() {
-                    Some(Reverse(bits)) => f64::from_bits(bits),
-                    None => 0.0,
-                };
-                let start = avail.max(jobs[j].arrival);
-                let mut service =
-                    sample_lognormal(&mut service_rng, cal.service_s, cfg.service_cv2);
+                // The service draw never depends on the start time, so it
+                // is drawn before the job is admitted.
+                let mut service = service_dist.sample(&mut service_rng);
                 if cal.retention < 1.0 {
                     // Interference jitter: neighbors on the shared socket
                     // occasionally stall this tier, in proportion to the
@@ -502,8 +500,8 @@ impl<'a> MeshSim<'a> {
                 if slowed[jobs[j].req] {
                     service *= cfg.regress_scale;
                 }
+                let start = servers.admit(jobs[j].arrival, service);
                 let finish = start + service;
-                free.push(Reverse(finish.to_bits()));
                 jobs[j].wait = start - jobs[j].arrival;
                 jobs[j].service = service;
                 jobs[j].finish = finish;
@@ -549,10 +547,8 @@ impl<'a> MeshSim<'a> {
         let mut order: Vec<usize> = (0..n_req).collect();
         order.sort_by_key(|&r| (latencies[r].to_bits(), r));
         latencies.sort_by(f64::total_cmp);
-        let pick = |q: f64| -> f64 {
-            let rank = ((q * n_req as f64).ceil() as usize).clamp(1, n_req);
-            latencies[rank - 1]
-        };
+        // `requests > 0` is validated, so every rank exists.
+        let pick = |q: f64| nearest_rank(&latencies, q).unwrap_or(f64::NAN);
         let mean_s = latencies.iter().sum::<f64>() / n_req as f64;
 
         let completed = (0..n_req).filter(|&r| response[r] <= horizon).count() as u64;
@@ -635,14 +631,14 @@ impl<'a> MeshSim<'a> {
 }
 
 /// Start index, into a latency-sorted order, of the slow-tail
-/// attribution set for quantile `q`: the nearest-rank boundary
-/// (`rank = ceil(q·n)` clamped to `[1, n]`, matching the percentile
-/// code), widened left to include every value tied with the boundary.
+/// attribution set for quantile `q`: the [`nearest_rank`] boundary (the
+/// same one the percentiles use), widened left to include every value
+/// tied with the boundary.
 fn tail_start(sorted_latencies: &[f64], q: f64) -> usize {
-    let n = sorted_latencies.len();
-    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-    let cut = sorted_latencies[rank - 1];
-    sorted_latencies.partition_point(|&l| l < cut)
+    match nearest_rank(sorted_latencies, q) {
+        Some(cut) => sorted_latencies.partition_point(|&l| l < cut),
+        None => 0,
+    }
 }
 
 /// The backward response pass: `response[j]` is `finish[j]` joined with
@@ -660,21 +656,6 @@ fn backward_pass(jobs: &[Job]) -> Vec<f64> {
         }
     }
     response
-}
-
-/// Log-normal draw with the queue simulator's parameterization
-/// (`E[X] = mean`, `Var[X]/E[X]² = cv2`); `cv2 = 0` degenerates to the
-/// deterministic service time.
-fn sample_lognormal(rng: &mut SmallRng, mean: f64, cv2: f64) -> f64 {
-    if cv2 <= 0.0 {
-        return mean;
-    }
-    let sigma2 = (1.0 + cv2).ln();
-    let mu = mean.ln() - sigma2 / 2.0;
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen();
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    (mu + sigma2.sqrt() * z).exp()
 }
 
 /// Records the trace: one span per request on the `requests` track, one
@@ -877,7 +858,7 @@ mod tests {
         assert_eq!(hop_spans as u64, total_jobs);
         assert!(sink.chrome_trace().render().contains("traceEvents"));
 
-        let mut ods = Ods::new();
+        let mut ods = Ods::unbounded();
         report.record(&mut ods, 0.0).unwrap();
         let _ = Microservice::Web;
     }

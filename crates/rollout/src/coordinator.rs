@@ -29,7 +29,7 @@
 //!   configuration and pause observation until the pool recovers.
 //!
 //! Every injected fault and every coordinator reaction lands in a
-//! [`TieredOds::chaos_ledger`] as `chaos.*` / `coordinator.*` entries and,
+//! [`Ods::chaos_ledger`] as `chaos.*` / `coordinator.*` entries and,
 //! when a [`TraceSink`] is supplied, as spans on the `coordinator` track.
 //!
 //! **Determinism.** Chaos arrives from [`ChaosSchedule`] (pure in
@@ -47,7 +47,7 @@ use softsku_cluster::{
     ChaosConfig, ChaosEvent, ChaosSchedule, FailureDomain, FleetTopology, StagedFleet,
 };
 use softsku_telemetry::trace::{AttrValue, TraceSink};
-use softsku_telemetry::{LedgerKey, SeriesKey, TieredOds};
+use softsku_telemetry::{LedgerKey, Ods, SeriesKey};
 use std::num::NonZeroUsize;
 use usku::scheduler::run_tasks;
 
@@ -239,7 +239,7 @@ pub struct CoordinatorReport {
     /// when none completed).
     pub mttr_s: f64,
     /// The `chaos.*` / `coordinator.*` ledger, tiered retention.
-    pub ledger: TieredOds,
+    pub ledger: Ods,
 }
 
 impl CoordinatorReport {
@@ -391,7 +391,7 @@ impl FleetCoordinator {
         sink: &mut TraceSink,
     ) -> Result<CoordinatorReport, RolloutError> {
         let cfg = &self.config;
-        let mut ledger = TieredOds::chaos_ledger();
+        let mut ledger = Ods::chaos_ledger();
         let mut schedule = ChaosSchedule::new(topology, chaos, seed);
         let track = sink.track("coordinator");
         sink.set_track(track);
@@ -897,7 +897,7 @@ const NO_POISON: &str = "no worker panics hold a runtime lock";
 /// trace leaf. `lift` is when the pool came back; `start` when the fault
 /// was injected.
 fn record_brownout_recovery(
-    ledger: &mut TieredOds,
+    ledger: &mut Ods,
     sink: &mut TraceSink,
     recoveries: &mut Vec<f64>,
     pool_name: &str,

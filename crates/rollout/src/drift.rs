@@ -14,7 +14,7 @@ use softsku_knobs::Knob;
 use softsku_telemetry::stats::{welch_test, RunningStats};
 use softsku_telemetry::streams::{stream_seed, IdentitySeed, StreamFamily};
 use softsku_telemetry::trace::{AttrValue, TraceSink};
-use softsku_telemetry::{LedgerKey, SeriesKey, SloEvaluator, SloSpec, TieredOds};
+use softsku_telemetry::{LedgerKey, Ods, SeriesKey, SloEvaluator, SloSpec};
 use softsku_workloads::{Microservice, PlatformKind};
 
 /// Drift-detection parameters.
@@ -215,7 +215,7 @@ impl DriftMonitor {
         &self,
         fleet: &mut StagedFleet,
         sku: &DeployedSku,
-        ods: &mut TieredOds,
+        ods: &mut Ods,
     ) -> Result<DriftOutcome, RolloutError> {
         self.watch_traced(fleet, sku, ods, &mut TraceSink::disabled())
     }
@@ -237,7 +237,7 @@ impl DriftMonitor {
         &self,
         fleet: &mut StagedFleet,
         sku: &DeployedSku,
-        ods: &mut TieredOds,
+        ods: &mut Ods,
         sink: &mut TraceSink,
     ) -> Result<DriftOutcome, RolloutError> {
         let service = sku.service.name();
@@ -498,7 +498,7 @@ mod tests {
         // the healthy p99: the fast window burns ~100x budget and the
         // alert sustains within the first gain window.
         let mut fleet = staged_fleet(47, 3.0);
-        let mut ods = TieredOds::rollout_ledger();
+        let mut ods = Ods::rollout_ledger();
         let out = monitor
             .watch(&mut fleet, &deployed_sku(47), &mut ods)
             .unwrap();
@@ -541,7 +541,7 @@ mod tests {
         cfg.slo_threshold_s = threshold;
         let monitor = DriftMonitor::new(cfg);
         let mut fleet = staged_fleet(47, 1.0);
-        let mut ods = TieredOds::rollout_ledger();
+        let mut ods = Ods::rollout_ledger();
         let out = monitor
             .watch(&mut fleet, &deployed_sku(47), &mut ods)
             .unwrap();
@@ -568,7 +568,7 @@ mod tests {
             }
             let monitor = DriftMonitor::new(cfg);
             let mut fleet = staged_fleet(53, 1.0);
-            let mut ods = TieredOds::rollout_ledger();
+            let mut ods = Ods::rollout_ledger();
             let out = monitor
                 .watch(&mut fleet, &deployed_sku(53), &mut ods)
                 .unwrap();

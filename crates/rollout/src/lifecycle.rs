@@ -20,7 +20,7 @@ use softsku_cluster::{AbEnvironment, EnvConfig, StagedFleet, StagedFleetConfig};
 use softsku_knobs::Knob;
 use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, TraceSink};
-use softsku_telemetry::{Ods, TieredOds};
+use softsku_telemetry::Ods;
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 use usku::abtest::AbTestConfig;
@@ -118,9 +118,9 @@ pub struct LifecycleReport {
     /// because each campaign restarts its plan-indexed time axis.
     pub tuning: Vec<Ods>,
     /// The `rollout.*` transition ledger, one continuous fleet-time axis,
-    /// stored with tiered retention ([`TieredOds::rollout_ledger`]) so a
+    /// stored with tiered retention ([`Ods::rollout_ledger`]) so a
     /// long-lived fleet runs on bounded memory.
-    pub rollout_ods: TieredOds,
+    pub rollout_ods: Ods,
 }
 
 impl LifecycleReport {
@@ -277,7 +277,7 @@ impl RolloutPipeline {
         let profile = service.profile(platform)?;
         let baseline = profile.production_config.clone();
         let mut tuning = Vec::new();
-        let mut rollout_ods = TieredOds::rollout_ledger();
+        let mut rollout_ods = Ods::rollout_ledger();
 
         // 1. Tune: the core fleet tuner sweeps the knob subset.
         let ph = sink.open("phase", "tune", *phases);

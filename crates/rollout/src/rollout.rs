@@ -13,7 +13,7 @@ use crate::error::RolloutError;
 use softsku_cluster::{StagedFleet, StagedSample};
 use softsku_telemetry::stats::{welch_test, MadFilter, QuantileSketch, RunningStats};
 use softsku_telemetry::trace::{AttrValue, TraceSink};
-use softsku_telemetry::{LedgerKey, SeriesKey, TieredOds};
+use softsku_telemetry::{LedgerKey, Ods, SeriesKey};
 
 /// Latency-percentile guardrail parameters: canary promotion requires
 /// the candidate's stage p99 to stay within `p99_tolerance` of the
@@ -470,7 +470,7 @@ impl StagedRollout {
         &mut self,
         fleet: &mut StagedFleet,
         service: &str,
-        ods: &mut TieredOds,
+        ods: &mut Ods,
     ) -> Result<RolloutReport, RolloutError> {
         self.execute_traced(fleet, service, ods, &mut TraceSink::disabled())
     }
@@ -492,7 +492,7 @@ impl StagedRollout {
         &mut self,
         fleet: &mut StagedFleet,
         service: &str,
-        ods: &mut TieredOds,
+        ods: &mut Ods,
         sink: &mut TraceSink,
     ) -> Result<RolloutReport, RolloutError> {
         let root = sink.open("rollout", &format!("rollout {service}"), fleet.time_s());
@@ -659,7 +659,7 @@ mod tests {
     fn healthy_candidate_promotes_through_the_tail_guard() {
         let mut fleet = staged_fleet(31, 1.0);
         let mut rollout = StagedRollout::new(RolloutConfig::fast_test());
-        let mut ods = TieredOds::rollout_ledger();
+        let mut ods = Ods::rollout_ledger();
         let report = rollout.execute(&mut fleet, "web", &mut ods).unwrap();
         assert!(
             report.deployed(),
@@ -681,7 +681,7 @@ mod tests {
     fn injected_tail_regression_blocks_promotion_and_rolls_back() {
         let mut fleet = staged_fleet(31, 2.0);
         let mut rollout = StagedRollout::new(RolloutConfig::fast_test());
-        let mut ods = TieredOds::rollout_ledger();
+        let mut ods = Ods::rollout_ledger();
         let report = rollout.execute(&mut fleet, "web", &mut ods).unwrap();
         assert!(!report.deployed(), "2x tail regression must not deploy");
         let last = report.stages.last().unwrap();
@@ -698,7 +698,7 @@ mod tests {
         let mut fleet = staged_fleet(31, 2.0);
         let mut cfg = RolloutConfig::fast_test();
         cfg.tail_guard = None;
-        let mut ods = TieredOds::rollout_ledger();
+        let mut ods = Ods::rollout_ledger();
         let report = StagedRollout::new(cfg)
             .execute(&mut fleet, "web", &mut ods)
             .unwrap();

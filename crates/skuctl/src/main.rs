@@ -1,11 +1,15 @@
-//! `skuctl` — inspect a deterministic traced soft-SKU lifecycle run.
+//! `skuctl` — the soft-SKU command line.
 //!
-//! Runs the full tune → compose → staged rollout → drift → re-tune
-//! lifecycle with tracing enabled (everything is a pure function of
-//! `(config, seed)`, so two invocations with the same flags print the same
-//! bytes), then answers questions about it:
+//! `skuctl tune` runs the µSKU pipeline on a paper-style input file. The
+//! other subcommands run a deterministic traced scenario (everything is a
+//! pure function of `(config, seed)`, so two invocations with the same
+//! flags print the same bytes) and answer questions about it; `spans`,
+//! `cpi`, `ledger` and `export` inspect the full tune → compose → staged
+//! rollout → drift → re-tune lifecycle:
 //!
 //! ```text
+//! skuctl tune <file.usku> [--fast] [--render-map]
+//!                         # µSKU: tune one service, print the soft-SKU report
 //! skuctl spans  [flags]   # render the sim-time span tree
 //! skuctl cpi    [flags]   # per-arm CPI stacks: which TMAM bound each knob win relieved
 //! skuctl ledger [flags]   # the tiered-retention rollout.* ODS ledger
@@ -13,12 +17,26 @@
 //! skuctl chaos  [flags]   # replay the seeded chaos campaign: faults vs reactions
 //! skuctl mesh   [flags]   # request-graph tuning: critical-path tiers, mesh.* ledger
 //! skuctl slo    [flags]   # SLO-gated mesh canary: burn-rate timeline, exemplar spans
+//! skuctl keys             # dump the ledger-key registry
 //!
 //! flags: --service <name>  microservice to tune          [web]
 //!        --seed <u64>      base seed                     [21]
 //!        --workers <n>     scheduler workers             [machine width]
 //!        --out <path>      export path                   [trace.json]
+//!        --fast            tune: small A/B budgets, one validation day
+//!        --render-map      tune: also print the design-space map
 //!        --smoke           print a trailing "smoke ok" marker for CI
+//! ```
+//!
+//! The `tune` input file format (paper Sec. 4):
+//!
+//! ```text
+//! microservice = web          # web|feed1|feed2|ads1|ads2|cache1|cache2
+//! platform     = skylake18    # skylake18|skylake20|broadwell16
+//! sweep        = independent  # independent|exhaustive|hill_climbing
+//! knobs        = cdp, thp     # optional subset
+//! metric       = mips         # mips|qps
+//! seed         = 42
 //! ```
 
 use softsku_knobs::Knob;
@@ -27,34 +45,49 @@ use softsku_rollout::{
     RolloutPipeline,
 };
 use softsku_telemetry::trace::{AttrValue, TraceSink, TraceSpan};
-use softsku_telemetry::{KeyKind, LedgerDomain, LedgerKey};
+use softsku_telemetry::{KeyKind, LedgerDomain, LedgerKey, Ods, SeriesKey};
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
+use usku::{InputFile, Usku, UskuConfig};
 
 type BoxError = Box<dyn std::error::Error>;
 
 const USAGE: &str = "usage: skuctl <spans|cpi|ledger|export|chaos|mesh|slo|keys> \
-[--service <name>] [--seed <u64>] [--workers <n>] [--out <path>] [--smoke]";
+[--service <name>] [--seed <u64>] [--workers <n>] [--out <path>] [--smoke]\n       \
+skuctl tune <file.usku> [--fast] [--render-map] [--smoke]";
 
 /// Parsed command line.
 struct Args {
     command: String,
+    /// The `tune` input file (empty for every other command).
+    input: String,
     service: Microservice,
     seed: u64,
     workers: NonZeroUsize,
     out: String,
+    fast: bool,
+    render_map: bool,
     smoke: bool,
 }
 
 fn parse_args() -> Result<Args, BoxError> {
     let mut args = std::env::args().skip(1);
     let command = args.next().ok_or(USAGE)?;
+    let input = if command == "tune" {
+        args.next()
+            .ok_or_else(|| format!("tune needs an input file\n{USAGE}"))?
+    } else {
+        String::new()
+    };
     let mut parsed = Args {
         command,
+        input,
         service: Microservice::Web,
         seed: 21,
         workers: usku::scheduler::default_workers(),
         out: "trace.json".to_string(),
+        fast: false,
+        render_map: false,
         smoke: false,
     };
     while let Some(flag) = args.next() {
@@ -70,6 +103,8 @@ fn parse_args() -> Result<Args, BoxError> {
                     .ok_or("--workers must be positive")?;
             }
             "--out" => parsed.out = value("--out")?,
+            "--fast" => parsed.fast = true,
+            "--render-map" => parsed.render_map = true,
             "--smoke" => parsed.smoke = true,
             other => return Err(format!("unknown flag {other}\n{USAGE}").into()),
         }
@@ -77,10 +112,11 @@ fn parse_args() -> Result<Args, BoxError> {
     Ok(parsed)
 }
 
-/// The deterministic lifecycle run every subcommand inspects: small A/B
-/// budgets (the same shape the integration tests replay) with code churn
-/// hot enough that the drift monitor fires, so the trace exercises the
-/// whole tune → compose → rollout → drift → re-tune story.
+/// The deterministic lifecycle run `spans`, `cpi`, `ledger` and `export`
+/// inspect: small A/B budgets (the same shape the integration tests
+/// replay) with code churn hot enough that the drift monitor fires, so the
+/// trace exercises the whole tune → compose → rollout → drift → re-tune
+/// story.
 fn traced_run(args: &Args) -> Result<(LifecycleReport, TraceSink), BoxError> {
     let mut config = PipelineConfig::fast_test(args.seed);
     config.abtest.min_samples = 24;
@@ -106,6 +142,34 @@ fn traced_run(args: &Args) -> Result<(LifecycleReport, TraceSink), BoxError> {
         &mut sink,
     )?;
     Ok((report, sink))
+}
+
+/// `skuctl tune`: run the µSKU pipeline (A/B sweep, design-space map, soft
+/// SKU, validation) on a paper-style input file and print its report.
+fn cmd_tune(args: &Args) -> Result<(), BoxError> {
+    let path = &args.input;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let input = InputFile::parse(&text)?;
+    let config = if args.fast {
+        let mut c = UskuConfig::fast_test();
+        c.validate_days = 1.0;
+        c
+    } else {
+        UskuConfig::default()
+    };
+    eprintln!(
+        "skuctl: tuning {} on {} ({} sweep){}",
+        input.microservice,
+        input.platform,
+        input.sweep,
+        if args.fast { " [fast budgets]" } else { "" }
+    );
+    let report = Usku::with_config(input, config).run()?;
+    println!("{}", report.render());
+    if args.render_map {
+        println!("{}", report.map.render());
+    }
+    Ok(())
 }
 
 fn attr<'a>(span: &'a TraceSpan, key: &str) -> Option<&'a AttrValue> {
@@ -222,7 +286,7 @@ fn cmd_export(sink: &TraceSink, out: &str) -> Result<(), BoxError> {
 /// `coordinator.*` ledger series. Deterministic: same seed, same bytes.
 fn cmd_chaos(args: &Args) -> Result<(), BoxError> {
     let (topology, chaos, plans) = demo_campaign(args.seed)?;
-    let mut sink = softsku_telemetry::trace::TraceSink::new();
+    let mut sink = TraceSink::new();
     let report = FleetCoordinator::new(CoordinatorConfig::fast_test())
         .with_workers(args.workers)
         .run_traced(&topology, chaos, plans, args.seed, &mut sink)?;
@@ -340,7 +404,7 @@ fn cmd_mesh(args: &Args) -> Result<(), BoxError> {
     // Record the winning run into the ODS ledger and read the mesh.*
     // domain back — the rendering below is driven entirely by what the
     // ledger holds, never by hard-coded key spellings.
-    let mut ods = softsku_telemetry::ods::Ods::new();
+    let mut ods = Ods::unbounded();
     joint.report.record(&mut ods, 0.0)?;
     println!("\nmesh.* ledger:");
     let keys: Vec<_> = ods.keys().cloned().collect();
@@ -389,7 +453,7 @@ fn cmd_slo(args: &Args) -> Result<(), BoxError> {
             config,
             softsku_mesh::MeshCanaryConfig::default(),
         )?;
-        let mut ods = softsku_telemetry::TieredOds::unbounded();
+        let mut ods = Ods::unbounded();
         let mut sink = TraceSink::new();
         let report = canary.run(workers, &mut ods, &mut sink)?;
 
@@ -417,18 +481,9 @@ fn cmd_slo(args: &Args) -> Result<(), BoxError> {
         // evaluator appended (never recomputed here): max burn per time
         // bucket, with the alert count on the right.
         let entity = graph.name();
-        let fast = ods.raw_points(&softsku_telemetry::SeriesKey::keyed(
-            entity,
-            LedgerKey::SloBurnFast,
-        ));
-        let slow = ods.raw_points(&softsku_telemetry::SeriesKey::keyed(
-            entity,
-            LedgerKey::SloBurnSlow,
-        ));
-        let alerts = ods.raw_points(&softsku_telemetry::SeriesKey::keyed(
-            entity,
-            LedgerKey::SloAlert,
-        ));
+        let fast = ods.raw_points(&SeriesKey::keyed(entity, LedgerKey::SloBurnFast));
+        let slow = ods.raw_points(&SeriesKey::keyed(entity, LedgerKey::SloBurnSlow));
+        let alerts = ods.raw_points(&SeriesKey::keyed(entity, LedgerKey::SloAlert));
         if let (Some(&(t0, _)), Some(&(t1, _))) = (fast.first(), fast.last()) {
             const BUCKETS: usize = 12;
             let width = ((t1 - t0) / BUCKETS as f64).max(1e-9);
@@ -458,10 +513,7 @@ fn cmd_slo(args: &Args) -> Result<(), BoxError> {
                 );
             }
         }
-        let guard = ods.raw_points(&softsku_telemetry::SeriesKey::keyed(
-            entity,
-            LedgerKey::SloGuardP99,
-        ));
+        let guard = ods.raw_points(&SeriesKey::keyed(entity, LedgerKey::SloGuardP99));
         if let Some(&(_, margin)) = guard.last() {
             println!("  guarded p99 margin: {:+.1}% vs baseline", margin * 100.0);
         }
@@ -474,10 +526,7 @@ fn cmd_slo(args: &Args) -> Result<(), BoxError> {
                 report.max_sustained,
             ),
             Some(t) => {
-                let retunes = ods.raw_points(&softsku_telemetry::SeriesKey::keyed(
-                    entity,
-                    LedgerKey::SloRetune,
-                ));
+                let retunes = ods.raw_points(&SeriesKey::keyed(entity, LedgerKey::SloRetune));
                 println!(
                     "  verdict: BLOCKED at t={:.1} ms — rollback to {:?}, \
                      re-tune enqueued (burn {:.1})",
@@ -520,11 +569,10 @@ fn cmd_slo(args: &Args) -> Result<(), BoxError> {
         // rows against `skuctl keys`, so spellings can never drift): every
         // ledger-kind slo.* key this campaign appended, with point counts.
         for key in LedgerKey::ALL {
-            if key.kind() != KeyKind::Ledger || key.domain() != softsku_telemetry::LedgerDomain::Slo
-            {
+            if key.kind() != KeyKind::Ledger || key.domain() != LedgerDomain::Slo {
                 continue;
             }
-            let n = ods.len(&softsku_telemetry::SeriesKey::keyed(entity, key));
+            let n = ods.len(&SeriesKey::keyed(entity, key));
             println!("  ledger {} {entity} {n}", key.name());
         }
         println!();
@@ -555,44 +603,16 @@ fn main() -> Result<(), BoxError> {
         }
     };
 
-    if args.command == "keys" {
-        cmd_keys();
-        if args.smoke {
-            println!("smoke ok");
-        }
-        return Ok(());
-    }
-
-    if args.command == "chaos" {
-        cmd_chaos(&args)?;
-        if args.smoke {
-            println!("smoke ok");
-        }
-        return Ok(());
-    }
-
-    if args.command == "mesh" {
-        cmd_mesh(&args)?;
-        if args.smoke {
-            println!("smoke ok");
-        }
-        return Ok(());
-    }
-
-    if args.command == "slo" {
-        cmd_slo(&args)?;
-        if args.smoke {
-            println!("smoke ok");
-        }
-        return Ok(());
-    }
-
-    let (report, sink) = traced_run(&args)?;
     match args.command.as_str() {
-        "spans" => cmd_spans(&sink),
-        "cpi" => cmd_cpi(&sink),
-        "ledger" => cmd_ledger(&report),
-        "export" => cmd_export(&sink, &args.out)?,
+        "tune" => cmd_tune(&args)?,
+        "spans" => cmd_spans(&traced_run(&args)?.1),
+        "cpi" => cmd_cpi(&traced_run(&args)?.1),
+        "ledger" => cmd_ledger(&traced_run(&args)?.0),
+        "export" => cmd_export(&traced_run(&args)?.1, &args.out)?,
+        "chaos" => cmd_chaos(&args)?,
+        "mesh" => cmd_mesh(&args)?,
+        "slo" => cmd_slo(&args)?,
+        "keys" => cmd_keys(),
         other => {
             eprintln!("unknown command {other}\n{USAGE}");
             std::process::exit(2);

@@ -8,7 +8,8 @@
 //!   included).
 //! * **ODS** — Facebook's Operational Data Store, a fleet-wide time-series
 //!   system used for long-horizon QPS validation ([`ods`] reproduces the
-//!   append/query/downsample surface the experiments need).
+//!   append/query/downsample surface the experiments need, as one store
+//!   with optional raw → downsampled retention tiers).
 //!
 //! µSKU's A/B tester decides significance with 95 % confidence intervals over
 //! tens of thousands of counter samples; the [`stats`] module provides the
@@ -27,10 +28,10 @@
 //!
 //! The observability layer lives here too: [`trace`] records deterministic
 //! sim-time spans and counters (exported as Chrome trace-event JSON through
-//! the dep-free [`json`] emitter), and [`tiered`] bounds ledger memory with
-//! raw → downsampled retention tiers. On top of both sits the [`slo`]
-//! engine: Google-SRE-style multi-window burn-rate alerting over
-//! [`TieredOds`]-backed series, with tail exemplars linking every alert to
+//! the dep-free [`json`] emitter), and an [`Ods`] with retention tiers
+//! bounds ledger memory. On top of both sits the [`slo`] engine:
+//! Google-SRE-style multi-window burn-rate alerting over
+//! [`Ods`]-backed series, with tail exemplars linking every alert to
 //! the slowest requests' trace spans, backed by the deterministic
 //! mergeable quantile sketch in [`stats`].
 //!
@@ -58,16 +59,18 @@ pub mod ods;
 pub mod slo;
 pub mod stats;
 pub mod streams;
-pub mod tiered;
 pub mod trace;
 
 pub use emon::{EventSet, MultiplexedSampler, SamplerConfig};
 pub use error::TelemetryError;
 pub use json::Json;
 pub use keys::{KeyKind, LedgerDomain, LedgerKey};
-pub use ods::{Ods, SeriesKey};
+pub use ods::{Ods, SeriesKey, TierPoint, TierSpec};
 pub use slo::{Exemplar, SloEvaluator, SloSpec, SloStatus};
 pub use stats::{nearest_rank, welch_test, QuantileSketch, RunningStats, Summary, WelchResult};
 pub use streams::{stream_seed, IdentitySeed, StreamFamily, StreamRegistry};
-pub use tiered::{TierPoint, TierSpec, TieredOds};
 pub use trace::{AttrValue, SpanHandle, TraceCounter, TraceSink, TraceSpan};
+
+/// Former name of [`Ods`], kept only because the `perfbench/` harness
+/// imports it; workspace code uses [`Ods`].
+pub type TieredOds = Ods;

@@ -12,7 +12,7 @@
 //!   evaluation window pair;
 //! * an [`SloEvaluator`] ingests per-request observations (sim-time,
 //!   latency, optional trace span id), stores the good/bad series in a
-//!   [`TieredOds`] so long campaigns run on bounded memory, and on each
+//!   tiered [`Ods`] so long campaigns run on bounded memory, and on each
 //!   [`SloEvaluator::evaluate`] computes the **error-budget burn rate**
 //!   over both windows: `(bad fraction in window) / (1 − target)`;
 //! * an alert fires only when *both* windows burn over their thresholds —
@@ -33,11 +33,11 @@
 //!
 //! ```
 //! use softsku_telemetry::slo::{SloEvaluator, SloSpec};
-//! use softsku_telemetry::{TieredOds, TraceSink};
+//! use softsku_telemetry::{Ods, TraceSink};
 //!
 //! let spec = SloSpec::new("web", 0.050, 0.99, 30.0, 120.0).unwrap();
 //! let mut slo = SloEvaluator::new(spec);
-//! let mut ledger = TieredOds::unbounded();
+//! let mut ledger = Ods::unbounded();
 //! let mut sink = TraceSink::new();
 //! for i in 0..600 {
 //!     let t = i as f64 * 0.5;
@@ -52,8 +52,7 @@
 
 use crate::error::TelemetryError;
 use crate::keys::LedgerKey;
-use crate::ods::SeriesKey;
-use crate::tiered::{TierSpec, TieredOds};
+use crate::ods::{Ods, SeriesKey, TierSpec};
 use crate::trace::{AttrValue, TraceSink};
 
 /// How many tail exemplars an evaluator retains (the slowest
@@ -195,13 +194,13 @@ pub struct SloStatus {
     pub exemplars: Vec<Exemplar>,
 }
 
-/// Streaming SLO evaluator over a [`TieredOds`]-backed good/bad series.
+/// Streaming SLO evaluator over an [`Ods`]-backed good/bad series.
 /// See the module docs for the full shape.
 #[derive(Debug, Clone)]
 pub struct SloEvaluator {
     spec: SloSpec,
     /// Good/bad observations (value 1.0 = bad), raw for ≥ the slow window.
-    samples: TieredOds,
+    samples: Ods,
     sample_key: SeriesKey,
     exemplars: Vec<Exemplar>,
     sustained: u32,
@@ -215,7 +214,7 @@ impl SloEvaluator {
     /// arbitrarily long campaigns run on bounded memory.
     pub fn new(spec: SloSpec) -> Self {
         let raw_window = spec.slow_window_s * 2.0;
-        let samples = TieredOds::with_tiers(
+        let samples = Ods::with_tiers(
             raw_window,
             vec![TierSpec {
                 bucket_s: spec.slow_window_s,
@@ -326,7 +325,7 @@ impl SloEvaluator {
     pub fn evaluate(
         &mut self,
         t_s: f64,
-        ledger: &mut TieredOds,
+        ledger: &mut Ods,
         sink: &mut TraceSink,
     ) -> Result<SloStatus, TelemetryError> {
         let burn_fast = self.burn_rate(t_s, self.spec.fast_window_s);
@@ -405,7 +404,7 @@ mod tests {
     #[test]
     fn alert_requires_both_windows() {
         let mut slo = SloEvaluator::new(spec());
-        let mut ledger = TieredOds::unbounded();
+        let mut ledger = Ods::unbounded();
         let mut sink = TraceSink::new();
         // Seed 100 s of healthy traffic so the slow window is diluted...
         let mut t = 0.0;
@@ -435,7 +434,7 @@ mod tests {
             calm.observe(t2, 0.500, None).unwrap();
             t2 += 0.1;
         }
-        let mut calm_ledger = TieredOds::unbounded();
+        let mut calm_ledger = Ods::unbounded();
         let s2 = calm.evaluate(t2, &mut calm_ledger, &mut sink).unwrap();
         assert!(!s2.alerting, "a blip must not page: {s2:?}");
     }
@@ -443,7 +442,7 @@ mod tests {
     #[test]
     fn alerts_land_in_ledger_and_trace_with_exemplars() {
         let mut slo = SloEvaluator::new(spec());
-        let mut ledger = TieredOds::unbounded();
+        let mut ledger = Ods::unbounded();
         let mut sink = TraceSink::new();
         for i in 0..200 {
             let t = i as f64 * 0.2;
@@ -481,7 +480,7 @@ mod tests {
     #[test]
     fn sustained_counts_consecutive_alerts_and_resets() {
         let mut slo = SloEvaluator::new(spec());
-        let mut ledger = TieredOds::unbounded();
+        let mut ledger = Ods::unbounded();
         let mut sink = TraceSink::disabled();
         let mut t = 0.0;
         for _ in 0..500 {
@@ -509,7 +508,7 @@ mod tests {
     fn evaluator_is_deterministic() {
         let run = || {
             let mut slo = SloEvaluator::new(spec());
-            let mut ledger = TieredOds::unbounded();
+            let mut ledger = Ods::unbounded();
             let mut sink = TraceSink::new();
             let mut out = Vec::new();
             for i in 0..2000u64 {

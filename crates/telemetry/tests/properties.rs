@@ -73,7 +73,7 @@ proptest! {
     /// one bucket of a covering set of windows.
     #[test]
     fn ods_windows_partition(values in proptest::collection::vec(0.0f64..100.0, 1..200)) {
-        let mut ods = Ods::new();
+        let mut ods = Ods::unbounded();
         let key = SeriesKey::new("prop", "v");
         for (i, &v) in values.iter().enumerate() {
             ods.append(&key, i as f64, v).unwrap();
@@ -92,7 +92,7 @@ proptest! {
     /// the max.
     #[test]
     fn ods_percentiles_are_ordered(values in proptest::collection::vec(-50.0f64..50.0, 1..150)) {
-        let mut ods = Ods::new();
+        let mut ods = Ods::unbounded();
         let key = SeriesKey::new("prop", "q");
         for (i, &v) in values.iter().enumerate() {
             ods.append(&key, i as f64, v).unwrap();

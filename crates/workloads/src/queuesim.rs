@@ -9,10 +9,13 @@
 //!
 //! The simulation is exact for M/G/c-FCFS: jobs arrive as a Poisson process,
 //! each job takes a sampled service time, and the earliest-available server
-//! runs it. A binary heap of server-free times makes it O(n log c).
+//! runs it. A binary heap of server-free times ([`FcfsServers`]) makes it
+//! O(n log c). The same queue core and [`ServiceDist`] sampler drive every
+//! tier of the request-graph mesh simulator.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use softsku_telemetry::nearest_rank;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -47,13 +50,16 @@ pub enum ServiceDist {
     LogNormal {
         /// Mean service time in seconds.
         mean: f64,
-        /// Squared coefficient of variation (variance / mean²), > 0.
+        /// Squared coefficient of variation (variance / mean²); `cv2 ≤ 0`
+        /// degenerates to the deterministic `mean`.
         cv2: f64,
     },
 }
 
 impl ServiceDist {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    /// Draws one service time. The deterministic cases (including a
+    /// log-normal with `cv2 ≤ 0`) return without touching `rng`.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
             ServiceDist::Exponential { mean } => {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -61,6 +67,9 @@ impl ServiceDist {
             }
             ServiceDist::Deterministic { time } => time,
             ServiceDist::LogNormal { mean, cv2 } => {
+                if cv2 <= 0.0 {
+                    return mean;
+                }
                 // Parameterize so that E[X] = mean and Var[X]/E[X]^2 = cv2.
                 let sigma2 = (1.0 + cv2).ln();
                 let mu = mean.ln() - sigma2 / 2.0;
@@ -83,6 +92,36 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// A `c`-server FCFS queue core: the earliest-free server takes the next
+/// job, which starts at `max(server free, arrival)`.
+#[derive(Debug, Clone)]
+pub struct FcfsServers {
+    /// Min-heap of server-free timestamps, ordered via their bits: every
+    /// time is nonnegative and finite, where bit order is numeric order.
+    free: BinaryHeap<Reverse<u64>>,
+}
+
+impl FcfsServers {
+    /// `servers` idle servers (at least one) at time zero.
+    pub fn new(servers: u32) -> Self {
+        FcfsServers {
+            free: (0..servers.max(1)).map(|_| Reverse(0u64)).collect(),
+        }
+    }
+
+    /// Admits the next job in FCFS order, arriving at `arrival` and holding
+    /// a server for `service` seconds; returns its start time.
+    pub fn admit(&mut self, arrival: f64, service: f64) -> f64 {
+        let avail = self
+            .free
+            .pop()
+            .map_or(0.0, |Reverse(bits)| f64::from_bits(bits));
+        let start = avail.max(arrival);
+        self.free.push(Reverse((start + service).to_bits()));
+        start
+    }
 }
 
 /// Simulates a FCFS queue with `servers` parallel servers at utilization
@@ -111,32 +150,24 @@ pub fn simulate_queue(
     let mut rng = SmallRng::seed_from_u64(seed);
     let arrival_rate = rho * servers as f64 / service.mean();
 
-    // Min-heap of server-free timestamps (f64 ordered via bits; all values
-    // are nonnegative finite, so the ordering is correct).
-    let mut free: BinaryHeap<Reverse<u64>> = (0..servers).map(|_| Reverse(0u64)).collect();
-    let to_bits = |x: f64| x.to_bits();
-    let from_bits = f64::from_bits;
-
+    let mut queue = FcfsServers::new(servers);
     let mut t = 0.0f64;
     let warmup = jobs / 10;
     let mut sojourns = Vec::with_capacity(jobs - warmup);
     for i in 0..jobs {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         t += -u.ln() / arrival_rate;
-        let Reverse(avail_bits) = free.pop().expect("heap holds `servers` entries");
-        let avail = from_bits(avail_bits);
-        let start = avail.max(t);
-        let finish = start + service.sample(&mut rng);
-        free.push(Reverse(to_bits(finish)));
+        let s = service.sample(&mut rng);
+        let finish = queue.admit(t, s) + s;
         if i >= warmup {
             sojourns.push(finish - t);
         }
     }
-    sojourns.sort_by(|a, b| a.partial_cmp(b).expect("finite sojourns"));
-    let n = sojourns.len();
-    let pick = |q: f64| sojourns[((n - 1) as f64 * q).round() as usize];
+    sojourns.sort_by(f64::total_cmp);
+    // `jobs >= 100` keeps at least 90 sojourns, so every rank exists.
+    let pick = |q: f64| nearest_rank(&sojourns, q).unwrap_or(f64::NAN);
     TailLatency {
-        mean: sojourns.iter().sum::<f64>() / n as f64,
+        mean: sojourns.iter().sum::<f64>() / sojourns.len() as f64,
         p50: pick(0.50),
         p95: pick(0.95),
         p99: pick(0.99),
@@ -239,6 +270,33 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 2.5).abs() < 0.05, "mean {mean}");
+    }
+
+    #[test]
+    fn fcfs_core_waits_for_the_earliest_free_server() {
+        let mut q = FcfsServers::new(2);
+        assert_eq!(q.admit(0.0, 5.0), 0.0);
+        assert_eq!(q.admit(1.0, 2.0), 1.0);
+        // Both busy: the server freed at 3.0 takes the next job.
+        assert_eq!(q.admit(2.0, 1.0), 3.0);
+        // An idle server starts a late arrival on arrival.
+        assert_eq!(q.admit(10.0, 1.0), 10.0);
+        // Zero servers still means one.
+        let mut one = FcfsServers::new(0);
+        assert_eq!(one.admit(0.0, 1.0), 0.0);
+        assert_eq!(one.admit(0.5, 1.0), 1.0);
+    }
+
+    #[test]
+    fn zero_cv2_lognormal_is_the_mean_without_a_draw() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut twin = rng.clone();
+        let d = ServiceDist::LogNormal {
+            mean: 0.25,
+            cv2: 0.0,
+        };
+        assert_eq!(d.sample(&mut rng), 0.25);
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "stream untouched");
     }
 
     #[test]

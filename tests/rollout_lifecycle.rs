@@ -13,7 +13,7 @@ use softsku::rollout::{
     RolloutState, StageViolation, StagedRollout,
 };
 use softsku::telemetry::trace::TraceSink;
-use softsku::telemetry::{LedgerKey, SeriesKey, TieredOds};
+use softsku::telemetry::{LedgerKey, Ods, SeriesKey};
 use softsku::workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 
@@ -66,7 +66,7 @@ fn deterministic_view(r: &LifecycleReport) -> String {
     )
 }
 
-fn series_len(ods: &TieredOds, service: &str, metric: &str) -> usize {
+fn series_len(ods: &Ods, service: &str, metric: &str) -> usize {
     ods.len(&SeriesKey::new(service, metric))
 }
 
@@ -221,7 +221,7 @@ fn guardrail_violation_rolls_the_candidate_back() {
     let mut config = RolloutConfig::fast_test();
     config.ticks_per_stage = 12;
     config.mad_window = 8;
-    let mut ods = TieredOds::rollout_ledger();
+    let mut ods = Ods::rollout_ledger();
     let report = StagedRollout::new(config)
         .execute(&mut fleet, "web", &mut ods)
         .expect("the rollout executes");

@@ -7,6 +7,7 @@
 //! ```
 
 use softsku_bench::{run_experiment, EXPERIMENTS};
+use softsku_telemetry::Stopwatch;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,16 +35,11 @@ fn main() {
         out
     };
     for id in selected {
-        // detlint::allow(wall_clock): harness-side timing of each experiment;
-        // printed as a progress note, never fed into a simulated result.
-        let start = std::time::Instant::now();
+        let clock = Stopwatch::start();
         let output = run_experiment(id, full);
         println!("==================== {id} ====================");
         println!("{output}");
-        println!(
-            "  [{id} regenerated in {:.1}s]",
-            start.elapsed().as_secs_f64()
-        );
+        println!("  [{id} regenerated in {:.1}s]", clock.elapsed_s());
         println!();
     }
 }

@@ -3,9 +3,8 @@
 //! Every table and figure from the paper's evaluation has a function here
 //! that regenerates it against the simulator and prints the measured series
 //! next to the paper's reference values. The `repro` binary dispatches on
-//! experiment ids (`table1`, `fig1` … `fig19`, `all`); the Criterion benches
-//! in `benches/` exercise the same entry points plus the simulator's hot
-//! components.
+//! experiment ids (`table1`, `fig1` … `fig19`, `all`). The `bench` binary
+//! runs the timed [`suites`] that measure the simulator's own speed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,6 +13,7 @@ pub mod ablation;
 pub mod characterization;
 pub mod common;
 pub mod knobsweeps;
+pub mod suites;
 
 /// Every experiment id in paper order.
 pub const EXPERIMENTS: [&str; 23] = [

@@ -1,10 +1,4 @@
-//! Robustness benchmark: the fleet coordinator under a chaos campaign.
-//!
-//! ```text
-//! cargo run --release -p softsku-bench --bin chaosbench            # full
-//! cargo run --release -p softsku-bench --bin chaosbench -- --smoke # CI
-//! cargo run --release -p softsku-bench --bin chaosbench -- --json BENCH_robustness.json
-//! ```
+//! Robustness: the fleet coordinator under a chaos campaign.
 //!
 //! Part 1 replays the shared demo campaign (four services, two pools, all
 //! four fault families) and reports the injected-fault counts, the
@@ -14,19 +8,14 @@
 //! dark (`blackout_prob = 1`) so degrade → recover episodes dominate and
 //! MTTR measures the graceful-degradation path. Part 3 (full mode) re-runs
 //! the campaign at 1 worker vs the machine width and asserts the reports
-//! are bit-identical — the robustness layer's determinism contract —
-//! while reporting the wall-clock speedup. `--json` writes the same
-//! measurements for BENCH_*.json trajectory tracking.
+//! are bit-identical — the robustness layer's determinism contract — while
+//! reporting the wall-clock speedup.
 
+use super::{BoxError, BASE_SEED};
 use softsku_cluster::ChaosConfig;
 use softsku_rollout::{demo_campaign, CoordinatorConfig, CoordinatorReport, FleetCoordinator};
-use softsku_telemetry::Json;
+use softsku_telemetry::{Json, Stopwatch};
 use std::num::NonZeroUsize;
-use std::time::Instant;
-
-const BASE_SEED: u64 = 21;
-
-type BoxError = Box<dyn std::error::Error>;
 
 /// Runs the demo campaign under `chaos` (falling back to the campaign's
 /// own chaos when `None`) and packages the report plus wall metrics.
@@ -40,11 +29,9 @@ fn campaign_run(
     let chaos = chaos.unwrap_or(default_chaos);
     let coordinator = FleetCoordinator::new(CoordinatorConfig::fast_test())
         .with_workers(NonZeroUsize::new(workers.max(1)).unwrap_or(NonZeroUsize::MIN));
-    // detlint::allow(wall_clock): benchmark harness measures its own speed;
-    // wall time is the quantity under test, not a simulated result.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     let report = coordinator.run(&topology, chaos, plans, BASE_SEED)?;
-    let wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = clock.elapsed_s();
     let service_ticks = report.ticks as f64 * services as f64;
     let rate = service_ticks / wall_s.max(1e-9);
     println!("== {label} ({workers} workers) ==");
@@ -96,22 +83,13 @@ fn worker_sweep(hw: usize) -> Result<Json, BoxError> {
         .set("runs", Json::Arr(runs)))
 }
 
-/// Parses `--json <path>` out of the argument list.
-fn json_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn main() -> Result<(), BoxError> {
-    let hw = usku::scheduler::default_workers().get();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!("hardware threads: {hw}");
-
+/// Runs the suite: the campaign and its forced-blackout variant at `hw`
+/// workers, plus the 1-vs-`hw` worker sweep when not `smoke`.
+///
+/// # Errors
+///
+/// Returns the first campaign or coordinator error.
+pub fn run(smoke: bool, hw: usize) -> Result<Json, BoxError> {
     let (_, campaign) = campaign_run("chaos campaign", None, hw)?;
 
     // Graceful degradation under forced blackouts: every brownout goes
@@ -125,23 +103,11 @@ fn main() -> Result<(), BoxError> {
         "forced blackouts must produce degrade→recover episodes"
     );
 
-    let mut summary = Json::obj()
-        .set("bench", Json::Str("chaosbench".into()))
-        .set("smoke", Json::Bool(smoke))
-        .set("hardware_threads", Json::Int(hw as i64))
-        .set("base_seed", Json::Int(BASE_SEED as i64))
+    let mut payload = Json::obj()
         .set("campaign", campaign)
         .set("blackout", blackout);
     if !smoke {
-        summary = summary.set("workers", worker_sweep(hw)?);
+        payload = payload.set("workers", worker_sweep(hw)?);
     }
-
-    if let Some(path) = json_path() {
-        std::fs::write(&path, summary.render_pretty())?;
-        println!("wrote {path}");
-    }
-    if smoke {
-        println!("smoke ok");
-    }
-    Ok(())
+    Ok(payload)
 }

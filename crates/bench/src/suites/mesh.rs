@@ -1,33 +1,23 @@
-//! Request-graph benchmark: the mesh simulator and joint soft-SKU tuner.
+//! Request graphs: the mesh simulator and joint soft-SKU tuner.
 //!
-//! ```text
-//! cargo run --release -p softsku-bench --bin meshbench            # full
-//! cargo run --release -p softsku-bench --bin meshbench -- --smoke # CI
-//! cargo run --release -p softsku-bench --bin meshbench -- --json BENCH_mesh.json
-//! ```
-//!
-//! Part 1 runs every graph preset (social_network, media,
-//! colocation_mix) under production SKUs and reports the end-to-end
-//! latency distribution, the conservation ledger, and the simulator's
-//! wall-clock throughput in simulated requests per second. Part 2 tunes
-//! the colocation-mix graph under both objectives — the paper's
-//! per-tier-MIPS rule vs joint graph-p99 — and asserts the joint winner
-//! is at least as good on the tail (it is strictly better: the two rules
-//! pick different SKUs). Part 3 (full mode) re-runs the joint tune at
-//! 1, 2, and 8 workers and asserts the verdicts are bit-identical — the
-//! mesh determinism contract. `--json` writes the same measurements for
-//! BENCH_*.json trajectory tracking.
+//! Part 1 runs every graph preset (social_network, media, colocation_mix)
+//! under production SKUs and reports the end-to-end latency distribution,
+//! the conservation ledger, and two walls: the cold run, which is almost
+//! entirely per-tier engine calibration, and a warm re-run whose
+//! calibration is served from the engine's report memo, leaving the
+//! request loop — the simulated-requests-per-second rate is taken from it.
+//! Part 2 tunes the colocation-mix graph under both objectives — the
+//! paper's per-tier-MIPS rule vs joint graph-p99 — and asserts the joint
+//! winner is at least as good on the tail. Part 3 (full mode) re-runs the
+//! joint tune at 1, 2, and 8 workers and asserts the verdicts are
+//! bit-identical — the mesh determinism contract.
 
+use super::{BoxError, BASE_SEED};
 use softsku_mesh::{
     colocation_mix, media, social_network, MeshConfig, MeshObjective, MeshSim, MeshTuner,
-    ServiceGraph,
+    ServiceGraph, TunedMesh,
 };
-use softsku_telemetry::Json;
-use std::time::Instant;
-
-const BASE_SEED: u64 = 21;
-
-type BoxError = Box<dyn std::error::Error>;
+use softsku_telemetry::{Json, Stopwatch};
 
 fn bench_config(smoke: bool) -> MeshConfig {
     MeshConfig {
@@ -42,7 +32,7 @@ fn bench_config(smoke: bool) -> MeshConfig {
     }
 }
 
-/// Part 1: one preset under production SKUs.
+/// Part 1: one preset under production SKUs, cold and then warm.
 fn preset_run(graph: &ServiceGraph, config: MeshConfig) -> Result<Json, BoxError> {
     let skus: Vec<_> = graph
         .tiers()
@@ -50,17 +40,24 @@ fn preset_run(graph: &ServiceGraph, config: MeshConfig) -> Result<Json, BoxError
         .map(|t| t.service.production_config(t.service.default_platform()))
         .collect::<Result<_, _>>()?;
     let sim = MeshSim::new(graph, config)?;
-    // detlint::allow(wall_clock): benchmark harness measures its own speed;
-    // wall time is the quantity under test, not a simulated result.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     let report = sim.run(&skus)?;
-    let wall_s = t0.elapsed().as_secs_f64();
-    let rate = report.injected as f64 / wall_s.max(1e-9);
+    let cold_s = clock.elapsed_s();
+    let clock = Stopwatch::start();
+    let warm = sim.run(&skus)?;
+    let loop_s = clock.elapsed_s();
+    assert_eq!(
+        format!("{report:?}"),
+        format!("{warm:?}"),
+        "a warm re-run must reproduce the cold report bit for bit"
+    );
+    let rate = report.injected as f64 / loop_s.max(1e-9);
     assert_eq!(
         report.injected,
         report.completed + report.in_flight,
         "request conservation must hold"
     );
+    let hops: u64 = report.tiers.iter().map(|t| t.jobs).sum();
     println!(
         "== {} == p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  mean {:.3} ms",
         report.graph,
@@ -70,18 +67,14 @@ fn preset_run(graph: &ServiceGraph, config: MeshConfig) -> Result<Json, BoxError
         report.mean_s * 1e3
     );
     println!(
-        "  {} requests, {} hops, wall {:.3} s ({rate:.0} requests/s)",
+        "  {} requests, {hops} hops, cold {cold_s:.3} s, request loop {loop_s:.4} s \
+         ({rate:.0} requests/s)",
         report.injected,
-        report.tiers.iter().map(|t| t.jobs).sum::<u64>(),
-        wall_s
     );
     Ok(Json::obj()
         .set("graph", Json::Str(report.graph.clone()))
         .set("requests", Json::Int(report.injected as i64))
-        .set("hops", {
-            let n: u64 = report.tiers.iter().map(|t| t.jobs).sum();
-            Json::Int(n as i64)
-        })
+        .set("hops", Json::Int(hops as i64))
         .set("p50_ms", Json::Num(report.p50_s * 1e3))
         .set("p95_ms", Json::Num(report.p95_s * 1e3))
         .set("p99_ms", Json::Num(report.p99_s * 1e3))
@@ -90,7 +83,9 @@ fn preset_run(graph: &ServiceGraph, config: MeshConfig) -> Result<Json, BoxError
             "net_critical_share",
             Json::Num(report.network_critical_share),
         )
-        .set("wall_s", Json::Num(wall_s))
+        .set("wall_s", Json::Num(cold_s))
+        .set("cold_wall_s", Json::Num(cold_s))
+        .set("request_loop_s", Json::Num(loop_s))
         .set("requests_per_s", Json::Num(rate)))
 }
 
@@ -117,7 +112,7 @@ fn tuner_comparison(config: MeshConfig, workers: usize) -> Result<Json, BoxError
         joint.report.p99_s * 1e3,
         joint.evaluated
     );
-    let labels = |t: &softsku_mesh::TunedMesh| {
+    let labels = |t: &TunedMesh| {
         Json::Arr(
             t.labels()
                 .iter()
@@ -148,11 +143,9 @@ fn worker_sweep(config: MeshConfig) -> Result<Json, BoxError> {
     let mut runs = Vec::new();
     let mut reference: Option<String> = None;
     for workers in [1usize, 2, 8] {
-        // detlint::allow(wall_clock): benchmark harness measures its own
-        // speed; the verdict itself is asserted identical across workers.
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let tuned = tuner.tune(MeshObjective::GraphP99, workers)?;
-        let wall_s = t0.elapsed().as_secs_f64();
+        let wall_s = clock.elapsed_s();
         let view = format!("{:?}|{:?}", tuned.labels(), tuned.report);
         match &reference {
             None => reference = Some(view),
@@ -178,48 +171,26 @@ fn worker_sweep(config: MeshConfig) -> Result<Json, BoxError> {
         .set("runs", Json::Arr(runs)))
 }
 
-/// Parses `--json <path>` out of the argument list.
-fn json_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn main() -> Result<(), BoxError> {
-    let hw = usku::scheduler::default_workers().get();
-    let smoke = std::env::args().any(|a| a == "--smoke");
+/// Runs the suite: 400-request presets and the tuner comparison at `hw`
+/// workers when `smoke`; 2 000-request presets plus the worker sweep
+/// otherwise.
+///
+/// # Errors
+///
+/// Returns the first graph, calibration, or tuner error.
+pub fn run(smoke: bool, hw: usize) -> Result<Json, BoxError> {
     let config = bench_config(smoke);
-    println!("hardware threads: {hw}");
-
     let presets = Json::Arr(vec![
         preset_run(&social_network()?, config)?,
         preset_run(&media()?, config)?,
         preset_run(&colocation_mix()?, config)?,
     ]);
-    let tuner = tuner_comparison(config, hw)?;
-
-    let mut summary = Json::obj()
-        .set("bench", Json::Str("meshbench".into()))
-        .set("smoke", Json::Bool(smoke))
-        .set("hardware_threads", Json::Int(hw as i64))
-        .set("base_seed", Json::Int(BASE_SEED as i64))
+    let mut payload = Json::obj()
         .set("requests", Json::Int(config.requests as i64))
         .set("presets", presets)
-        .set("tuner", tuner);
+        .set("tuner", tuner_comparison(config, hw)?);
     if !smoke {
-        summary = summary.set("workers", worker_sweep(config)?);
+        payload = payload.set("workers", worker_sweep(config)?);
     }
-
-    if let Some(path) = json_path() {
-        std::fs::write(&path, summary.render_pretty())?;
-        println!("wrote {path}");
-    }
-    if smoke {
-        println!("smoke ok");
-    }
-    Ok(())
+    Ok(payload)
 }

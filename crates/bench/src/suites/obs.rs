@@ -1,41 +1,21 @@
-//! Observability-layer benchmark: tracing overhead and retention throughput.
+//! Observability layer: tracing overhead and retention throughput.
 //!
-//! ```text
-//! cargo run --release -p softsku-bench --bin obsbench            # full
-//! cargo run --release -p softsku-bench --bin obsbench -- --smoke # CI
-//! cargo run --release -p softsku-bench --bin obsbench -- --json out.json
-//! ```
-//!
-//! Part 1 runs the full rollout lifecycle twice — untraced and traced —
-//! and reports the tracing overhead as a percentage of lifecycle wall
-//! time, after asserting both runs produced bit-identical reports (the
+//! Part 1 (full mode) runs the full rollout lifecycle twice — untraced and
+//! traced — and reports the tracing overhead as a percentage of lifecycle
+//! wall time, after asserting both runs produced bit-identical reports (the
 //! observability contract: a disabled-or-enabled sink never perturbs
 //! results). Part 2 measures raw [`TraceSink`] span throughput, the cost
 //! floor for instrumenting hotter loops. Part 3 races an [`Ods`] with
-//! retention tiers against [`Ods::unbounded`] on a long append stream whose horizon forces
-//! continuous eviction and tier cascades — the retention tax, paid to keep
-//! a fleet-lifetime ledger on bounded memory. `--json` writes the same
-//! measurements for BENCH_*.json trajectory tracking.
+//! retention tiers against [`Ods::unbounded`] on a long append stream whose
+//! horizon forces continuous eviction and tier cascades — the retention
+//! tax, paid to keep a fleet-lifetime ledger on bounded memory.
 
+use super::{drifting_config, BoxError, BASE_SEED};
 use softsku_knobs::Knob;
-use softsku_rollout::{PipelineConfig, RolloutPipeline};
+use softsku_rollout::RolloutPipeline;
 use softsku_telemetry::trace::TraceSink;
-use softsku_telemetry::Json;
-use softsku_telemetry::{Ods, SeriesKey, TierSpec};
+use softsku_telemetry::{Json, Ods, SeriesKey, Stopwatch, TierSpec};
 use softsku_workloads::{Microservice, PlatformKind};
-use std::time::Instant;
-
-const BASE_SEED: u64 = 21;
-
-type BoxError = Box<dyn std::error::Error>;
-
-fn drifting_config(seed: u64) -> PipelineConfig {
-    let mut config = PipelineConfig::fast_test(seed);
-    config.staged.pushes_per_hour = 2.0;
-    config.staged.push_magnitude = 0.005;
-    config.staged.drift_per_push = 0.0005;
-    config
-}
 
 /// Measured untraced/traced repetitions per mode (the reported wall is the
 /// minimum over these, the standard noise floor estimator).
@@ -62,20 +42,16 @@ fn trace_overhead() -> Result<Json, BoxError> {
     let mut traced_s = f64::INFINITY;
     let mut sink = TraceSink::new();
     for _ in 0..LIFECYCLE_REPS {
-        // detlint::allow(wall_clock): benchmark harness measures its own
-        // speed; wall time is the quantity under test, not a simulated
-        // result.
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let untraced =
             RolloutPipeline::new(drifting_config(BASE_SEED)).run(service, platform, &knobs)?;
-        untraced_s = untraced_s.min(t0.elapsed().as_secs_f64());
+        untraced_s = untraced_s.min(clock.elapsed_s());
 
         sink = TraceSink::new();
-        // detlint::allow(wall_clock): benchmark harness measures its own speed.
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let traced = RolloutPipeline::new(drifting_config(BASE_SEED))
             .run_traced(service, platform, &knobs, &mut sink)?;
-        traced_s = traced_s.min(t0.elapsed().as_secs_f64());
+        traced_s = traced_s.min(clock.elapsed_s());
 
         assert_eq!(
             untraced.render(),
@@ -113,15 +89,14 @@ fn trace_overhead() -> Result<Json, BoxError> {
 /// Part 2: raw span-recording throughput.
 fn span_throughput(spans: usize) -> Json {
     let mut sink = TraceSink::new();
-    // detlint::allow(wall_clock): benchmark harness measures its own speed.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     for i in 0..spans {
         let t = i as f64;
         let h = sink.open("bench", "span", t);
         sink.leaf("bench", "leaf", t, 0.5);
         sink.close(h, t + 1.0);
     }
-    let wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = clock.elapsed_s();
     let rate = (2 * spans) as f64 / wall_s.max(1e-9);
     println!(
         "== trace sink: {} spans in {wall_s:.3} s ({rate:.0} spans/s) ==",
@@ -153,20 +128,18 @@ fn retention_throughput(appends: usize) -> Result<Json, BoxError> {
     ];
 
     let mut flat = Ods::unbounded();
-    // detlint::allow(wall_clock): benchmark harness measures its own speed.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     for i in 0..appends {
         flat.append(&key, 60.0 * i as f64, (i % 7) as f64)?;
     }
-    let flat_s = t0.elapsed().as_secs_f64();
+    let flat_s = clock.elapsed_s();
 
     let mut tiered = Ods::with_tiers(3_600.0, tiers.to_vec())?;
-    // detlint::allow(wall_clock): benchmark harness measures its own speed.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     for i in 0..appends {
         tiered.append(&key, 60.0 * i as f64, (i % 7) as f64)?;
     }
-    let tiered_s = t0.elapsed().as_secs_f64();
+    let tiered_s = clock.elapsed_s();
 
     assert_eq!(
         tiered.len(&key),
@@ -194,24 +167,14 @@ fn retention_throughput(appends: usize) -> Result<Json, BoxError> {
         ))
 }
 
-/// Parses `--json <path>` out of the argument list.
-fn json_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn main() -> Result<(), BoxError> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
-    let mut summary = Json::obj()
-        .set("bench", Json::Str("obsbench".into()))
-        .set("smoke", Json::Bool(smoke))
-        .set("base_seed", Json::Int(BASE_SEED as i64))
+/// Runs the suite: span and retention throughput at a tenth of full size
+/// when `smoke`; full size plus the lifecycle tracing overhead otherwise.
+///
+/// # Errors
+///
+/// Returns the first store or pipeline error.
+pub fn run(smoke: bool, _hw: usize) -> Result<Json, BoxError> {
+    let mut payload = Json::obj()
         .set(
             "span_throughput",
             span_throughput(if smoke { 50_000 } else { 500_000 }),
@@ -221,15 +184,7 @@ fn main() -> Result<(), BoxError> {
             retention_throughput(if smoke { 100_000 } else { 1_000_000 })?,
         );
     if !smoke {
-        summary = summary.set("lifecycle", trace_overhead()?);
+        payload = payload.set("lifecycle", trace_overhead()?);
     }
-
-    if let Some(path) = json_path() {
-        std::fs::write(&path, summary.render_pretty())?;
-        println!("wrote {path}");
-    }
-    if smoke {
-        println!("smoke ok");
-    }
-    Ok(())
+    Ok(payload)
 }

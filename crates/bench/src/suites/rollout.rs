@@ -1,10 +1,4 @@
-//! Rollout-lifecycle benchmark: composition, staged deployment, drift.
-//!
-//! ```text
-//! cargo run --release -p softsku-bench --bin rolloutbench            # full
-//! cargo run --release -p softsku-bench --bin rolloutbench -- --smoke # CI
-//! cargo run --release -p softsku-bench --bin rolloutbench -- --json out.json
-//! ```
+//! Rollout lifecycle: composition, staged deployment, drift.
 //!
 //! Part 1 runs the closed tune → compose → rollout → drift → re-tune
 //! lifecycle for one service under drift-inducing code churn and reports
@@ -12,30 +6,18 @@
 //! staged fleet's raw sampling throughput (ticks per second), the quantity
 //! that bounds how much monitoring horizon a simulation budget buys. Part 3
 //! (full mode) times composed-SKU validation at 1 worker vs the machine
-//! width, the scheduler-replica speedup the composer inherits. `--json`
-//! writes the same measurements for BENCH_*.json trajectory tracking.
+//! width, the scheduler-replica speedup the composer inherits.
 
-use softsku_cluster::{StagedFleet, StagedFleetConfig};
-use softsku_knobs::Knob;
-use softsku_rollout::{ComposerConfig, PipelineConfig, RolloutPipeline, SkuComposer};
-use softsku_telemetry::Json;
+use super::{drifting_config, BoxError, BASE_SEED};
+use softsku_archsim::ThpMode;
+use softsku_cluster::{AbEnvironment, EnvConfig, StagedFleet, StagedFleetConfig};
+use softsku_knobs::{Knob, KnobSetting};
+use softsku_rollout::{ComposerConfig, RolloutPipeline, SkuComposer};
+use softsku_telemetry::{Json, Stopwatch};
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
-use std::time::Instant;
 use usku::metric::PerformanceMetric;
-use usku::{AbTestConfig, DesignSpaceMap};
-
-const BASE_SEED: u64 = 21;
-
-type BoxError = Box<dyn std::error::Error>;
-
-fn drifting_config(seed: u64) -> PipelineConfig {
-    let mut config = PipelineConfig::fast_test(seed);
-    config.staged.pushes_per_hour = 2.0;
-    config.staged.push_magnitude = 0.005;
-    config.staged.drift_per_push = 0.0005;
-    config
-}
+use usku::{AbTestConfig, AbTestResult, DesignSpaceMap, Verdict};
 
 /// Part 1: the full lifecycle, timed end to end.
 fn lifecycle() -> Result<Json, BoxError> {
@@ -44,11 +26,9 @@ fn lifecycle() -> Result<Json, BoxError> {
     let knobs = [Knob::Thp, Knob::Shp];
     println!("== lifecycle: {service} on {platform}, knobs {knobs:?} ==");
     let pipeline = RolloutPipeline::new(drifting_config(BASE_SEED));
-    // detlint::allow(wall_clock): benchmark harness measures its own speed;
-    // wall time is the quantity under test, not a simulated result.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     let report = pipeline.run(service, platform, &knobs)?;
-    let wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = clock.elapsed_s();
     println!("{}", report.render());
     println!("  lifecycle wall: {wall_s:.2} s");
     Ok(Json::obj()
@@ -85,12 +65,11 @@ fn fleet_throughput(ticks: usize) -> Result<Json, BoxError> {
         BASE_SEED,
     )?;
     fleet.stage_to(1.0);
-    // detlint::allow(wall_clock): benchmark harness measures its own speed.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     for _ in 0..ticks {
         fleet.tick()?;
     }
-    let wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = clock.elapsed_s();
     let rate = ticks as f64 / wall_s.max(1e-9);
     println!("== staged fleet: {ticks} ticks in {wall_s:.3} s ({rate:.0} ticks/s) ==");
     Ok(Json::obj()
@@ -110,15 +89,15 @@ fn composer_speedup(hw: usize) -> Result<Json, BoxError> {
     // benchmark isolates validation cost from tuning cost.
     let mut map = DesignSpaceMap::new();
     for setting in [
-        softsku_knobs::KnobSetting::Thp(softsku_archsim::ThpMode::AlwaysOn),
-        softsku_knobs::KnobSetting::ShpPages(300),
+        KnobSetting::Thp(ThpMode::AlwaysOn),
+        KnobSetting::ShpPages(300),
     ] {
-        map.record(usku::AbTestResult {
+        map.record(AbTestResult {
             setting,
             baseline: None,
             candidate: None,
             welch: None,
-            verdict: usku::Verdict::Better { gain: 0.02 },
+            verdict: Verdict::Better { gain: 0.02 },
             samples: 100,
             attempts: 100,
             rejected_outliers: 0,
@@ -138,15 +117,14 @@ fn composer_speedup(hw: usize) -> Result<Json, BoxError> {
             BASE_SEED,
         )
         .with_workers(NonZeroUsize::new(workers.max(1)).unwrap_or(NonZeroUsize::MIN));
-        let mut proto = softsku_cluster::AbEnvironment::new(
+        let mut proto = AbEnvironment::new(
             service.profile(platform)?,
-            softsku_cluster::EnvConfig::fast_test(),
+            EnvConfig::fast_test(),
             BASE_SEED,
         )?;
-        // detlint::allow(wall_clock): benchmark harness measures its own speed.
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let composition = composer.compose(&mut proto, &baseline, &map)?;
-        let wall_s = t0.elapsed().as_secs_f64();
+        let wall_s = clock.elapsed_s();
         println!(
             "== composer ({workers:>2} workers): {:?} in {wall_s:.2} s ==",
             composition.decision
@@ -168,39 +146,18 @@ fn composer_speedup(hw: usize) -> Result<Json, BoxError> {
     Ok(Json::obj().set("runs", Json::Arr(runs)))
 }
 
-/// Parses `--json <path>` out of the argument list.
-fn json_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn main() -> Result<(), BoxError> {
-    let hw = usku::scheduler::default_workers().get();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!("hardware threads: {hw}");
-
-    let mut summary = Json::obj()
-        .set("bench", Json::Str("rolloutbench".into()))
-        .set("smoke", Json::Bool(smoke))
-        .set("hardware_threads", Json::Int(hw as i64))
-        .set("base_seed", Json::Int(BASE_SEED as i64))
+/// Runs the suite: the lifecycle and 500 staged ticks when `smoke`; 20 000
+/// ticks plus the composer worker sweep otherwise.
+///
+/// # Errors
+///
+/// Returns the first pipeline, fleet, or composer error.
+pub fn run(smoke: bool, hw: usize) -> Result<Json, BoxError> {
+    let mut payload = Json::obj()
         .set("lifecycle", lifecycle()?)
         .set("fleet", fleet_throughput(if smoke { 500 } else { 20_000 })?);
     if !smoke {
-        summary = summary.set("composer", composer_speedup(hw)?);
+        payload = payload.set("composer", composer_speedup(hw)?);
     }
-
-    if let Some(path) = json_path() {
-        std::fs::write(&path, summary.render_pretty())?;
-        println!("wrote {path}");
-    }
-    if smoke {
-        println!("smoke ok");
-    }
-    Ok(())
+    Ok(payload)
 }

@@ -1,38 +1,26 @@
-//! SLO-engine benchmark: sketch appends, burn-rate evaluation, guardrail tax.
-//!
-//! ```text
-//! cargo run --release -p softsku-bench --bin slobench            # full
-//! cargo run --release -p softsku-bench --bin slobench -- --smoke # CI
-//! cargo run --release -p softsku-bench --bin slobench -- --json out.json
-//! ```
+//! SLO engine: sketch appends, burn-rate evaluation, guardrail tax.
 //!
 //! Part 1 measures raw [`QuantileSketch`] append throughput — the cost
-//! floor for latency observation on the rollout hot path — and asserts
-//! the merge contract: per-chunk sketches over canonical contiguous
-//! chunks, merged in chunk order, give a repeat-bit-identical estimate
-//! that stays within the guaranteed rank-error band of exact
-//! nearest-rank. Part 2 measures [`SloEvaluator`] observe+evaluate
-//! throughput with the ledger and trace sink attached, the per-tick tax
-//! a monitored fleet pays for multi-window burn-rate alerting. Part 3
-//! runs the full rollout lifecycle with the latency tail guard enabled
-//! and disabled and reports the guardrail overhead, after asserting both
-//! runs produce bit-identical reports (the guard observes the latency
-//! channel; it must not perturb a healthy rollout). `--json` writes the
-//! same measurements for BENCH_*.json trajectory tracking.
+//! floor for latency observation on the rollout hot path — and asserts the
+//! merge contract: per-chunk sketches over canonical contiguous chunks,
+//! merged in chunk order, give a repeat-bit-identical estimate that stays
+//! within the guaranteed rank-error band of exact nearest-rank. Part 2
+//! measures [`SloEvaluator`] observe+evaluate throughput with the ledger
+//! and trace sink attached, the per-tick tax a monitored fleet pays for
+//! multi-window burn-rate alerting. Part 3 (full mode) runs the full
+//! rollout lifecycle with the latency tail guard enabled and disabled and
+//! reports the guardrail overhead, after asserting both runs produce
+//! bit-identical reports (the guard observes the latency channel; it must
+//! not perturb a healthy rollout).
 
+use super::{BoxError, BASE_SEED};
 use softsku_knobs::Knob;
 use softsku_rollout::{PipelineConfig, RolloutPipeline};
 use softsku_telemetry::trace::TraceSink;
-use softsku_telemetry::Json;
 use softsku_telemetry::{
-    nearest_rank, LedgerKey, Ods, QuantileSketch, SeriesKey, SloEvaluator, SloSpec,
+    nearest_rank, Json, LedgerKey, Ods, QuantileSketch, SeriesKey, SloEvaluator, SloSpec, Stopwatch,
 };
 use softsku_workloads::{Microservice, PlatformKind};
-use std::time::Instant;
-
-const BASE_SEED: u64 = 21;
-
-type BoxError = Box<dyn std::error::Error>;
 
 /// Measured repetitions per lifecycle mode (the reported wall is the
 /// minimum over these, the standard noise floor estimator).
@@ -59,12 +47,11 @@ fn synthetic_latency(i: u64) -> f64 {
 /// Part 1: sketch append throughput plus the fixed-merge-order contract.
 fn sketch_throughput(appends: usize) -> Json {
     let mut single = QuantileSketch::new();
-    // detlint::allow(wall_clock): benchmark harness measures its own speed.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     for i in 0..appends {
         single.push(synthetic_latency(i as u64));
     }
-    let wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = clock.elapsed_s();
     let rate = appends as f64 / wall_s.max(1e-9);
 
     // Merge contract: shard the stream into a fixed set of canonical
@@ -136,14 +123,13 @@ fn slo_eval_throughput(evals: usize) -> Result<Json, BoxError> {
     let mut ods = Ods::unbounded();
     let mut sink = TraceSink::new();
 
-    // detlint::allow(wall_clock): benchmark harness measures its own speed.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     for i in 0..evals {
         let t_s = 0.1 * i as f64;
         slo.observe(t_s, synthetic_latency(i as u64), Some(i as u64))?;
         slo.evaluate(t_s, &mut ods, &mut sink)?;
     }
-    let wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = clock.elapsed_s();
     let rate = evals as f64 / wall_s.max(1e-9);
 
     let burn_key = SeriesKey::new("bench", LedgerKey::SloBurnFast.name());
@@ -192,15 +178,13 @@ fn guardrail_overhead() -> Result<Json, BoxError> {
     let mut guarded_s = f64::INFINITY;
     let mut unguarded_s = f64::INFINITY;
     for _ in 0..LIFECYCLE_REPS {
-        // detlint::allow(wall_clock): benchmark harness measures its own speed.
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let unguarded = RolloutPipeline::new(unguarded_config()).run(service, platform, &knobs)?;
-        unguarded_s = unguarded_s.min(t0.elapsed().as_secs_f64());
+        unguarded_s = unguarded_s.min(clock.elapsed_s());
 
-        // detlint::allow(wall_clock): benchmark harness measures its own speed.
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let guarded = RolloutPipeline::new(guarded_config()).run(service, platform, &knobs)?;
-        guarded_s = guarded_s.min(t0.elapsed().as_secs_f64());
+        guarded_s = guarded_s.min(clock.elapsed_s());
 
         assert_eq!(
             unguarded.render(),
@@ -226,24 +210,14 @@ fn guardrail_overhead() -> Result<Json, BoxError> {
         .set("reps", Json::Int(LIFECYCLE_REPS as i64)))
 }
 
-/// Parses `--json <path>` out of the argument list.
-fn json_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn main() -> Result<(), BoxError> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
-    let mut summary = Json::obj()
-        .set("bench", Json::Str("slobench".into()))
-        .set("smoke", Json::Bool(smoke))
-        .set("base_seed", Json::Int(BASE_SEED as i64))
+/// Runs the suite: sketch and evaluator throughput at a tenth of full size
+/// when `smoke`; full size plus the guardrail overhead otherwise.
+///
+/// # Errors
+///
+/// Returns the first SLO-spec, ledger, or pipeline error.
+pub fn run(smoke: bool, _hw: usize) -> Result<Json, BoxError> {
+    let mut payload = Json::obj()
         .set(
             "sketch",
             sketch_throughput(if smoke { 100_000 } else { 1_000_000 }),
@@ -253,15 +227,7 @@ fn main() -> Result<(), BoxError> {
             slo_eval_throughput(if smoke { 20_000 } else { 200_000 })?,
         );
     if !smoke {
-        summary = summary.set("guardrail", guardrail_overhead()?);
+        payload = payload.set("guardrail", guardrail_overhead()?);
     }
-
-    if let Some(path) = json_path() {
-        std::fs::write(&path, summary.render_pretty())?;
-        println!("wrote {path}");
-    }
-    if smoke {
-        println!("smoke ok");
-    }
-    Ok(())
+    Ok(payload)
 }

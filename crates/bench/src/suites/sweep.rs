@@ -1,10 +1,4 @@
-//! Sweep-throughput benchmark: serial vs parallel tuning schedulers.
-//!
-//! ```text
-//! cargo run --release -p softsku-bench --bin sweepbench            # full
-//! cargo run --release -p softsku-bench --bin sweepbench -- --smoke # CI
-//! cargo run --release -p softsku-bench --bin sweepbench -- --json out.json
-//! ```
+//! Sweep throughput: serial vs parallel tuning schedulers.
 //!
 //! Part 1 times one service's independent sweep executed serially
 //! (`independent_sweep`, one shared environment) against the deterministic
@@ -13,21 +7,18 @@
 //! with the serial ones. Part 2 times a multi-service fleet campaign:
 //! per-service sweeps run back-to-back on one worker vs the `FleetTuner`
 //! interleaving every service's tests on a shared pool. The numbers feed
-//! the EXPERIMENTS.md scheduler row; `--json <path>` writes the same
-//! measurements as a machine-readable summary for trajectory tracking.
+//! the EXPERIMENTS.md scheduler row.
 
+use super::{BoxError, BASE_SEED};
 use softsku_cluster::{AbEnvironment, EnvConfig};
 use softsku_knobs::{Knob, KnobSpace};
-use softsku_telemetry::Json;
+use softsku_telemetry::{Json, Stopwatch};
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
-use std::time::Instant;
 use usku::metric::PerformanceMetric;
 use usku::scheduler::{parallel_independent_sweep, FleetTuner, Schedule};
 use usku::search::independent_sweep;
 use usku::{AbTestConfig, AbTester, UskuError};
-
-const BASE_SEED: u64 = 21;
 
 fn workers(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).expect("worker counts are positive")
@@ -55,11 +46,9 @@ fn single_service(knobs: &[Knob], worker_counts: &[usize]) -> Result<Json, UskuE
 
     let (tester, mut env, space) = setup(service, platform)?;
     let baseline = env.profile().production_config.clone();
-    // detlint::allow(wall_clock): benchmark harness measures its own speed;
-    // wall time is the quantity under test, not a simulated result.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     let serial = independent_sweep(&tester, &mut env, &baseline, &space, knobs)?;
-    let serial_s = t0.elapsed().as_secs_f64();
+    let serial_s = clock.elapsed_s();
     println!(
         "  serial                 {:>6.2} s   {:>3} tests   {:>6.1} tests/s",
         serial_s,
@@ -74,8 +63,7 @@ fn single_service(knobs: &[Knob], worker_counts: &[usize]) -> Result<Json, UskuE
 
     for &n in worker_counts {
         let (tester, mut env, space) = setup(service, platform)?;
-        // detlint::allow(wall_clock): benchmark harness measures its own speed.
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let par = parallel_independent_sweep(
             &tester,
             &mut env,
@@ -84,7 +72,7 @@ fn single_service(knobs: &[Knob], worker_counts: &[usize]) -> Result<Json, UskuE
             knobs,
             Schedule::new(BASE_SEED).with_workers(workers(n)),
         )?;
-        let par_s = t0.elapsed().as_secs_f64();
+        let par_s = clock.elapsed_s();
         println!(
             "  parallel ({n:>2} workers)  {:>6.2} s   {:>3} tests   {:>6.1} tests/s   {:.2}x vs serial",
             par_s,
@@ -130,13 +118,12 @@ fn fleet(
     let sequential = FleetTuner::new(AbTestConfig::fast_test(), EnvConfig::fast_test(), BASE_SEED)
         .with_knobs(knobs.to_vec())
         .with_workers(workers(1));
-    // detlint::allow(wall_clock): benchmark harness measures its own speed.
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     let mut seq_tests = 0usize;
     for &target in targets {
         seq_tests += sequential.tune(&[target])?.test_count();
     }
-    let seq_s = t0.elapsed().as_secs_f64();
+    let seq_s = clock.elapsed_s();
     println!(
         "  sequential (1 worker)   {:>6.2} s   {:>3} tests   {:>6.1} tests/s",
         seq_s,
@@ -147,10 +134,9 @@ fn fleet(
     let tuner = FleetTuner::new(AbTestConfig::fast_test(), EnvConfig::fast_test(), BASE_SEED)
         .with_knobs(knobs.to_vec())
         .with_workers(workers(pool));
-    // detlint::allow(wall_clock): benchmark harness measures its own speed.
-    let t1 = Instant::now();
+    let clock = Stopwatch::start();
     let fleet = tuner.tune(targets)?;
-    let par_s = t1.elapsed().as_secs_f64();
+    let par_s = clock.elapsed_s();
     println!(
         "  fleet ({pool:>2} workers)     {:>6.2} s   {:>3} tests   {:>6.1} tests/s   {:.2}x vs sequential",
         par_s,
@@ -173,23 +159,14 @@ fn fleet(
         .set("speedup_vs_sequential", Json::Num(seq_s / par_s.max(1e-9))))
 }
 
-/// Parses `--json <path>` out of the argument list.
-fn json_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn main() -> Result<(), UskuError> {
-    let hw = usku::scheduler::default_workers().get();
-    println!("hardware threads: {hw} (speedups are bounded by this; determinism is not)");
-    let smoke = std::env::args().any(|a| a == "--smoke");
+/// Runs the suite: a one-knob sweep and a two-service fleet when `smoke`,
+/// three knobs up to `hw` workers and the default fleet otherwise.
+///
+/// # Errors
+///
+/// Returns the first tuning error.
+pub fn run(smoke: bool, hw: usize) -> Result<Json, BoxError> {
     let (single, campaign) = if smoke {
-        // CI-sized: one short sweep, two worker counts, a two-service fleet.
         (
             single_service(&[Knob::Thp], &[1, 2])?,
             fleet(
@@ -202,32 +179,13 @@ fn main() -> Result<(), UskuError> {
             )?,
         )
     } else {
+        let knobs = [Knob::Thp, Knob::Shp, Knob::CoreFrequency];
         (
-            single_service(&[Knob::Thp, Knob::Shp, Knob::CoreFrequency], &[1, 2, hw])?,
-            fleet(
-                &FleetTuner::default_targets(),
-                &[Knob::Thp, Knob::Shp, Knob::CoreFrequency],
-                hw,
-            )?,
+            single_service(&knobs, &[1, 2, hw])?,
+            fleet(&FleetTuner::default_targets(), &knobs, hw)?,
         )
     };
-
-    if let Some(path) = json_path() {
-        let summary = Json::obj()
-            .set("bench", Json::Str("sweepbench".into()))
-            .set("smoke", Json::Bool(smoke))
-            .set("hardware_threads", Json::Int(hw as i64))
-            .set("base_seed", Json::Int(BASE_SEED as i64))
-            .set("single_service", single)
-            .set("fleet", campaign);
-        std::fs::write(&path, summary.render_pretty()).map_err(|e| UskuError::InputParse {
-            line: 0,
-            detail: format!("writing {path}: {e}"),
-        })?;
-        println!("wrote {path}");
-    }
-    if smoke {
-        println!("smoke ok");
-    }
-    Ok(())
+    Ok(Json::obj()
+        .set("single_service", single)
+        .set("fleet", campaign))
 }

@@ -36,12 +36,11 @@ use softsku_cluster::{AbEnvironment, Arm, EnvConfig};
 use softsku_knobs::{Knob, KnobSetting, KnobSpace};
 use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, SpanHandle, TraceSink};
-use softsku_telemetry::{LedgerKey, Ods, SeriesKey};
+use softsku_telemetry::{LedgerKey, Ods, SeriesKey, Stopwatch};
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Derives the replica seed for one scheduled A/B test from the tuning base
 /// seed and the test's identity `(service, knob, setting)`.
@@ -365,13 +364,13 @@ where
     F: Fn(&T) -> Result<ReplicaOutput, UskuError> + Sync,
 {
     run_tasks(units, workers, |unit| {
-        // detlint::allow(wall_clock): tune.wall_s telemetry only —
-        // wall time is reported to ODS, never fed into a result.
-        let t0 = Instant::now();
+        // tune.wall_s telemetry only: reported to ODS, never fed into a
+        // result.
+        let clock = Stopwatch::start();
         run_one(unit).map(|out| ReplicaRun {
             result: out.result,
             sim_time_s: out.sim_time_s,
-            wall_s: t0.elapsed().as_secs_f64(),
+            wall_s: clock.elapsed_s(),
             cpi: out.cpi,
         })
     })
@@ -778,9 +777,9 @@ impl FleetTuner {
             unit: TestUnit,
         }
 
-        // detlint::allow(wall_clock): tune.wall_s telemetry only — reported
-        // to ODS for operators, never fed into a simulated result.
-        let t0 = Instant::now();
+        // tune.wall_s telemetry only: reported to ODS for operators, never
+        // fed into a simulated result.
+        let clock = Stopwatch::start();
         let mut prepared = Vec::with_capacity(targets.len());
         let mut plan: Vec<FleetUnit> = Vec::new();
         for (target_idx, &(service, platform)) in targets.iter().enumerate() {
@@ -924,7 +923,7 @@ impl FleetTuner {
         Ok(FleetOutcome {
             services,
             ods,
-            wall_s: t0.elapsed().as_secs_f64(),
+            wall_s: clock.elapsed_s(),
         })
     }
 }

@@ -3,7 +3,7 @@
 //! workspace must lint clean (the same invariant CI's `lint-determinism`
 //! job enforces).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use detlint::{lint_paths, lint_source, Finding};
@@ -285,6 +285,45 @@ fn workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Every wall-clock read in the workspace goes through
+/// `softsku_telemetry::Stopwatch`, so exactly one `wall_clock` allow
+/// escape exists outside detlint's own sources and fixtures. A second one
+/// means someone bypassed the stopwatch.
+#[test]
+fn stopwatch_is_the_only_wall_clock_escape() {
+    fn escapes(dir: &Path, skip: &Path, found: &mut Vec<(PathBuf, usize)>) {
+        for entry in std::fs::read_dir(dir).expect("workspace readable") {
+            let path = entry.expect("dir entry").path();
+            if path == skip {
+                continue;
+            }
+            if path.is_dir() {
+                escapes(&path, skip, found);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).expect("source readable");
+                let n = src.matches("detlint::allow(wall_clock)").count();
+                if n > 0 {
+                    found.push((path, n));
+                }
+            }
+        }
+    }
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..");
+    let skip = root.join("crates").join("detlint");
+    let mut found = Vec::new();
+    for dir in ["crates", "src", "examples", "tests"] {
+        escapes(&root.join(dir), &skip, &mut found);
+    }
+    let total: usize = found.iter().map(|(_, n)| n).sum();
+    assert_eq!(
+        total, 1,
+        "expected one wall-clock escape (the Stopwatch), found {found:?}"
+    );
+    assert!(found[0].0.ends_with("crates/telemetry/src/clock.rs"));
 }
 
 /// `--deny` must exit nonzero on every fixture (each contains at least one

@@ -929,7 +929,7 @@ fn plan_domain_error(plan: &ServicePlan) -> RolloutError {
     })
 }
 
-/// The shared demo campaign `skuctl chaos`, `chaosbench`, and the E2E
+/// The shared demo campaign `skuctl chaos`, `bench chaos`, and the E2E
 /// suite replay: four services across the paper-shaped two-pool topology
 /// ([`FleetTopology::paper_pools`]), candidates identical to their
 /// baselines (so every guardrail trip is attributable to injected chaos,

@@ -35,6 +35,9 @@
 //! the slowest requests' trace spans, backed by the deterministic
 //! mergeable quantile sketch in [`stats`].
 //!
+//! The simulator's own wall time is measured by [`Stopwatch`] ([`clock`]),
+//! the one place in the workspace that reads the wall clock.
+//!
 //! # Example
 //!
 //! ```
@@ -51,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod emon;
 pub mod error;
 pub mod json;
@@ -61,6 +65,7 @@ pub mod stats;
 pub mod streams;
 pub mod trace;
 
+pub use clock::Stopwatch;
 pub use emon::{EventSet, MultiplexedSampler, SamplerConfig};
 pub use error::TelemetryError;
 pub use json::Json;

@@ -19,6 +19,12 @@
 //! Slots vacated by removals are reclaimed lazily: when the front of the
 //! array is exhausted, the live elements are compacted into a fresh array
 //! with headroom proportional to the length (amortized O(1) per push).
+//!
+//! A pre-warmed stack `[n-1, …, 0]` ([`RankList::descending`]) is never
+//! materialized up front: its slots form an implicit arithmetic run whose
+//! values are computed from the slot index, so building one costs O(n/64)
+//! (the presence bitmap and Fenwick tree) instead of an O(n) fill. The
+//! first compaction materializes whatever of the run is still live.
 
 /// Capacity of the hot front buffer. Reuse-distance distributions are
 /// heavily weighted toward shallow ranks (L1-scale distances dominate), so
@@ -27,7 +33,7 @@
 /// far cheaper than two O(log n) Fenwick walks over a million-slot array.
 /// Past this depth the memmove would cost more than the Fenwick walk, so
 /// deeper ranks fall through to the flat structure.
-const HOT_CAP: usize = 512;
+pub const HOT_CAP: usize = 512;
 
 /// A sequence of `u64` values supporting rank-addressed operations in
 /// O(log n) — O(rank) and Fenwick-free for ranks inside the hot front
@@ -38,13 +44,14 @@ const HOT_CAP: usize = 512;
 /// ```
 /// use softsku_archsim::ranklist::RankList;
 ///
-/// let mut list = RankList::new(42);
+/// let mut list = RankList::new();
 /// list.push_front(10);
 /// list.push_front(20);
 /// list.push_front(30); // sequence: [30, 20, 10]
 /// assert_eq!(list.len(), 3);
 /// assert_eq!(list.remove_at(1), Some(20));
 /// assert_eq!(list.len(), 2);
+/// assert_eq!(RankList::descending(4).to_vec(), [3, 2, 1, 0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RankList {
@@ -53,17 +60,24 @@ pub struct RankList {
     /// stays entirely in this buffer: the remove frees a slot, so the
     /// following push triggers no spill and no Fenwick traffic at all.
     hot: std::collections::VecDeque<u64>,
-    /// Value slots in recency order: lower index = more recently pushed.
-    /// Only slots whose presence bit is set are live. Holds the sequence
-    /// *after* the hot buffer.
+    /// Values of the materialized slots `front..run_lo`, deepest first:
+    /// slot `s` lives at `vals[run_lo - 1 - s]`, so a push to the backing
+    /// front is an append and the push headroom is never allocated zeroed.
+    /// Only slots whose presence bit is set are live; together the slots
+    /// hold the sequence *after* the hot buffer, lower slot = more recent.
     vals: Vec<u64>,
-    /// Presence bitmap over `vals` (one bit per slot).
+    /// Slots `run_lo..run_end` are the untouched pre-warmed run: slot `s`
+    /// holds `run_end - 1 - s`. Empty (`run_lo == run_end`) unless the
+    /// list was built by [`RankList::descending`] and not yet compacted.
+    run_lo: usize,
+    /// End (exclusive) of the implicit run; also the backing capacity.
+    run_end: usize,
+    /// Presence bitmap over the slots (one bit per slot).
     bits: Vec<u64>,
     /// Fenwick tree (1-indexed) over the *words* of `bits`: entry `i`
     /// covers the popcounts of a power-of-two run of 64-slot words. Keeping
     /// the tree at word granularity makes it 64x smaller than a per-slot
-    /// tree — it stays cache-resident at multi-million-entry footprints,
-    /// and cloning a pre-warmed template costs a third less memcpy.
+    /// tree, so it stays cache-resident at multi-million-entry footprints.
     fen: Vec<u32>,
     /// First slot that may be live; slots below `front` are unused headroom.
     front: usize,
@@ -71,14 +85,20 @@ pub struct RankList {
     back_len: usize,
 }
 
+impl Default for RankList {
+    fn default() -> Self {
+        RankList::new()
+    }
+}
+
 impl RankList {
-    /// Creates an empty list. The `seed` parameter is retained from the
-    /// treap-based revision (whose internal priorities it drove); the flat
-    /// representation has no randomness, so it is unused.
-    pub fn new(_seed: u64) -> Self {
+    /// Creates an empty list.
+    pub fn new() -> Self {
         RankList {
             hot: std::collections::VecDeque::with_capacity(HOT_CAP + 1),
             vals: Vec::new(),
+            run_lo: 0,
+            run_end: 0,
             bits: Vec::new(),
             fen: Vec::new(),
             front: 0,
@@ -86,22 +106,27 @@ impl RankList {
         }
     }
 
-    /// Builds a list containing `values` (front to back) in O(n) — used to
-    /// pre-warm multi-million entry LRU stacks cheaply.
-    pub fn with_sequence<I>(seed: u64, values: I) -> Self
+    /// Builds a list containing `values` (front to back) in O(n).
+    pub fn with_sequence<I>(values: I) -> Self
     where
         I: IntoIterator<Item = u64>,
     {
-        let mut list = RankList::new(seed);
+        let mut list = RankList::new();
         let vals: Vec<u64> = values.into_iter().collect();
         list.rebuild_back(vals);
         list
     }
 
-    /// Retained from the treap-based revision (re-seeded the priority
-    /// stream after cloning a shared template); the flat representation has
-    /// no per-instance randomness, so this is a no-op.
-    pub fn reseed(&mut self, _seed: u64) {}
+    /// Builds the pre-warmed stack `[n-1, n-2, …, 0]` in O(n/64): the same
+    /// sequence as `with_sequence((0..n).rev())`, held as an implicit run
+    /// that is never written out until the first compaction.
+    pub fn descending(n: u64) -> Self {
+        let n = usize::try_from(n).expect("stack length fits in usize");
+        let mut list = RankList::new();
+        list.reset_index(n);
+        list.run_lo = list.front;
+        list
+    }
 
     /// Number of stored elements.
     pub fn len(&self) -> usize {
@@ -150,8 +175,7 @@ impl RankList {
         if back >= self.back_len {
             return None;
         }
-        let slot = self.select_slot(back as u32 + 1);
-        Some(self.vals[slot])
+        Some(self.slot_value(self.select_slot(back as u32 + 1)))
     }
 
     /// Collects the sequence front-to-back (O(n); for tests and debugging).
@@ -162,6 +186,16 @@ impl RankList {
         out
     }
 
+    /// The value held by backing `slot`: materialized below `run_lo`,
+    /// computed inside the implicit run.
+    fn slot_value(&self, slot: usize) -> u64 {
+        if slot < self.run_lo {
+            self.vals[self.run_lo - 1 - slot]
+        } else {
+            (self.run_end - 1 - slot) as u64
+        }
+    }
+
     /// Inserts `value` at the front of the backing array.
     fn back_push_front(&mut self, value: u64) {
         if self.front == 0 {
@@ -170,7 +204,8 @@ impl RankList {
         }
         self.front -= 1;
         let slot = self.front;
-        self.vals[slot] = value;
+        self.vals.push(value);
+        debug_assert_eq!(self.vals.len(), self.run_lo - slot);
         self.bits[slot >> 6] |= 1u64 << (slot & 63);
         self.fen_add((slot >> 6) + 1, 1);
         self.back_len += 1;
@@ -186,47 +221,67 @@ impl RankList {
         self.bits[slot >> 6] &= !(1u64 << (slot & 63));
         self.fen_add((slot >> 6) + 1, -1);
         self.back_len -= 1;
-        Some(self.vals[slot])
+        Some(self.slot_value(slot))
     }
 
-    /// Live backing values in recency order.
+    /// Live backing values in recency order, read off the presence bitmap
+    /// (which covers the implicit run as well as the materialized slots).
     fn collect_back(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.back_len);
-        for slot in self.front..self.vals.len() {
-            if self.bits[slot >> 6] & (1u64 << (slot & 63)) != 0 {
-                out.push(self.vals[slot]);
+        for (w, &word) in self.bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                out.push(self.slot_value((w << 6) + word.trailing_zeros() as usize));
+                word &= word - 1;
             }
         }
         out
     }
 
-    /// Re-lays `live` (front-to-back order) into a fresh array with push
-    /// headroom below it, and rebuilds the Fenwick tree in O(n).
+    /// Re-lays `live` (front-to-back order) into a fresh materialized
+    /// array with push headroom below it, dropping any implicit run.
     fn rebuild_back(&mut self, live: Vec<u64>) {
-        let n = live.len();
+        self.reset_index(live.len());
+        let mut vals = Vec::with_capacity(self.run_end);
+        vals.extend(live.iter().rev());
+        self.vals = vals;
+    }
+
+    /// Lays out `n` live slots above `(n / 2).max(64)` slots of push
+    /// headroom: the presence bitmap is filled a word at a time and the
+    /// Fenwick tree built from its popcounts, both O(n/64). Leaves no
+    /// implicit run (`run_lo == run_end ==` capacity); the caller supplies
+    /// `vals` or re-opens the run.
+    fn reset_index(&mut self, n: usize) {
         // Headroom sized to the live set: compaction then costs O(cap) per
         // ~n/2 pushes — amortized O(1) per push.
         let slack = (n / 2).max(64);
         let cap = n + slack;
         let words = cap.div_ceil(64);
-        self.vals = vec![0; cap];
-        self.bits = vec![0; words];
-        self.fen = vec![0; words + 1];
-        self.front = slack;
-        self.back_len = n;
-        for (i, v) in live.into_iter().enumerate() {
-            let slot = slack + i;
-            self.vals[slot] = v;
-            self.bits[slot >> 6] |= 1u64 << (slot & 63);
-        }
-        // O(n) Fenwick construction from per-word popcounts.
+        self.bits = (0..words)
+            .map(|w| {
+                let base = w << 6;
+                let lo = slack.clamp(base, base + 64) - base;
+                let hi = cap.clamp(base, base + 64) - base;
+                match hi - lo {
+                    0 => 0,
+                    span => (u64::MAX >> (64 - span)) << lo,
+                }
+            })
+            .collect();
+        let mut fen = vec![0u32; words + 1];
         for i in 1..=words {
-            self.fen[i] += self.bits[i - 1].count_ones();
+            fen[i] += self.bits[i - 1].count_ones();
             let j = i + (i & i.wrapping_neg());
             if j <= words {
-                self.fen[j] += self.fen[i];
+                fen[j] += fen[i];
             }
         }
+        self.fen = fen;
+        self.run_lo = cap;
+        self.run_end = cap;
+        self.front = slack;
+        self.back_len = n;
     }
 
     fn fen_add(&mut self, mut pos: usize, delta: i32) {
@@ -271,7 +326,7 @@ mod tests {
 
     #[test]
     fn push_and_order() {
-        let mut list = RankList::new(1);
+        let mut list = RankList::new();
         for i in 0..10 {
             list.push_front(i);
         }
@@ -281,7 +336,7 @@ mod tests {
 
     #[test]
     fn remove_at_matches_vec_model() {
-        let mut list = RankList::new(7);
+        let mut list = RankList::new();
         let mut model: Vec<u64> = Vec::new();
         // Deterministic pseudo-random operation sequence.
         let mut state = 12345u64;
@@ -308,7 +363,7 @@ mod tests {
 
     #[test]
     fn get_does_not_mutate() {
-        let mut list = RankList::new(3);
+        let mut list = RankList::new();
         for i in 0..100 {
             list.push_front(i);
         }
@@ -322,7 +377,7 @@ mod tests {
 
     #[test]
     fn pop_back_drains_in_reverse() {
-        let mut list = RankList::new(5);
+        let mut list = RankList::new();
         for i in 0..50 {
             list.push_front(i);
         }
@@ -335,7 +390,7 @@ mod tests {
 
     #[test]
     fn out_of_range_removal_is_none() {
-        let mut list = RankList::new(0);
+        let mut list = RankList::new();
         assert_eq!(list.remove_at(0), None);
         list.push_front(9);
         assert_eq!(list.remove_at(1), None);
@@ -344,7 +399,7 @@ mod tests {
 
     #[test]
     fn node_reuse_keeps_len_consistent() {
-        let mut list = RankList::new(11);
+        let mut list = RankList::new();
         for round in 0..20u64 {
             for i in 0..100 {
                 list.push_front(round * 100 + i);
@@ -358,8 +413,8 @@ mod tests {
 
     #[test]
     fn with_sequence_matches_pushes() {
-        let built = RankList::with_sequence(9, (0..1000u64).rev());
-        let mut pushed = RankList::new(9);
+        let built = RankList::with_sequence((0..1000u64).rev());
+        let mut pushed = RankList::new();
         for i in 0..1000u64 {
             pushed.push_front(i);
         }
@@ -371,7 +426,7 @@ mod tests {
     fn compaction_preserves_order_under_churn() {
         // Force many compaction cycles: small initial headroom, heavy
         // interleaved push/remove traffic against a model.
-        let mut list = RankList::with_sequence(1, (0..100u64).rev());
+        let mut list = RankList::with_sequence((0..100u64).rev());
         let mut model: Vec<u64> = (0..100u64).rev().collect();
         let mut state = 99u64;
         for i in 100..20_000u64 {
@@ -392,7 +447,7 @@ mod tests {
     #[test]
     fn large_scale_move_to_front() {
         // The exact access pattern the trace generator performs.
-        let mut list = RankList::new(99);
+        let mut list = RankList::new();
         for i in 0..100_000u64 {
             list.push_front(i);
         }

@@ -31,18 +31,6 @@ pub struct StackMapper {
 /// every structure of interest anyway).
 const PREWARM_CAP: u64 = 1 << 20;
 
-/// Stacks at least this large are cloned from the shared template cache.
-const TEMPLATE_MIN: u64 = 1 << 17;
-/// Seed for cached templates. The flat [`RankList`] has no internal
-/// randomness, so this is shape-sharing bookkeeping only.
-const TEMPLATE_SEED: u64 = 0x7E3A_11CE;
-
-fn template_cache() -> &'static std::sync::Mutex<std::collections::HashMap<u64, RankList>> {
-    static CACHE: std::sync::OnceLock<std::sync::Mutex<std::collections::HashMap<u64, RankList>>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| std::sync::Mutex::new(std::collections::HashMap::new()))
-}
-
 /// Number of ids a mapper for `dist` starts with (its steady-state stack),
 /// and therefore the id range `[prewarm_len - k, prewarm_len)` that holds
 /// the `k` most-recently-used ids at construction time. The engine uses
@@ -53,44 +41,22 @@ pub fn prewarm_len(dist: &ReuseDistanceDist) -> u64 {
 
 impl StackMapper {
     /// Creates a mapper for one reuse-distance distribution. Sampling
-    /// randomness is supplied per access; `seed` is threaded to the stack
-    /// for interface stability (the flat stack itself is deterministic).
+    /// randomness is supplied per access and the stack is deterministic,
+    /// so the seed argument is unused (kept for interface stability).
     ///
     /// The stack is pre-warmed to the distribution's footprint (capped at
-    /// ~2M ids) so that long reuse distances resolve to real "old" ids from
-    /// the first access instead of being clamped into a short history —
-    /// without this, short measurement windows would systematically
-    /// under-report large-capacity misses.
-    pub fn new(dist: ReuseDistanceDist, seed: u64) -> Self {
+    /// `PREWARM_CAP`, ~1M ids) so that long reuse distances resolve to real
+    /// "old" ids from the first access instead of being clamped into a
+    /// short history — without this, short measurement windows would
+    /// systematically under-report large-capacity misses. The pre-warmed
+    /// ids are an implicit descending run ([`RankList::descending`]), so
+    /// construction costs O(footprint / 64) rather than an O(footprint) fill.
+    pub fn new(dist: ReuseDistanceDist, _seed: u64) -> Self {
         let prewarm = prewarm_len(&dist);
         // Front of the stack = most recently used; ids descend so that the
-        // next cold id continues the sequence. Large stacks are cloned from
-        // a process-wide template cache: the pre-warmed contents depend only
-        // on the footprint, and a memcpy is several times cheaper than
-        // rebuilding a multi-million-entry stack per engine evaluation.
-        let stack = if prewarm >= TEMPLATE_MIN {
-            let template = {
-                let cache = template_cache().lock().expect("template cache poisoned");
-                cache.get(&prewarm).cloned()
-            };
-            let mut stack = match template {
-                Some(stack) => stack,
-                None => {
-                    // Build outside the lock: the template depends only on
-                    // the footprint, so a racing builder produces identical
-                    // contents and the first one back wins the cache slot.
-                    let built = RankList::with_sequence(TEMPLATE_SEED, (0..prewarm).rev());
-                    let mut cache = template_cache().lock().expect("template cache poisoned");
-                    cache.entry(prewarm).or_insert(built).clone()
-                }
-            };
-            stack.reseed(seed);
-            stack
-        } else {
-            RankList::with_sequence(seed, (0..prewarm).rev())
-        };
+        // next cold id continues the sequence.
         StackMapper {
-            stack,
+            stack: RankList::descending(prewarm),
             dist,
             next_id: prewarm,
         }

@@ -118,7 +118,7 @@ proptest! {
     /// through the stack).
     #[test]
     fn ranklist_fifo_roundtrip(values in proptest::collection::vec(any::<u64>(), 0..200)) {
-        let mut list = RankList::new(3);
+        let mut list = RankList::new();
         for &v in &values {
             list.push_front(v);
         }
@@ -132,7 +132,7 @@ proptest! {
     /// with_sequence builds exactly the given order for any input.
     #[test]
     fn ranklist_with_sequence_preserves_order(values in proptest::collection::vec(any::<u64>(), 0..300)) {
-        let list = RankList::with_sequence(11, values.clone());
+        let list = RankList::with_sequence(values.clone());
         prop_assert_eq!(list.to_vec(), values);
     }
 }

@@ -1,16 +1,17 @@
 //! Engine hot path: batched tick throughput, the report memo, and the
 //! simulator's component loops.
 //!
-//! Part 1 measures raw window-simulation throughput with the memo off —
-//! every run is a genuine evaluation — across batch sizes, and asserts at
-//! runtime that every batch size produces bit-identical reports (the
-//! batched tick is a pure performance control). Part 2 measures the report
-//! memo: the cost of a cold evaluation against a memo hit, which is the
-//! price `AbEnvironment::fork` replicas pay (or skip) when they re-measure
-//! their parent's operating points. Part 3 (full mode) times the
-//! memo-independent components the engine is built from — rank list,
-//! caches, TLB, stack mapper, trace generator, A/B statistics — as
-//! fixed-iteration ns/op loops.
+//! Part 0 times `TraceGenerator::new`, the fixed cost every cold window
+//! pays before its first event. Part 1 measures raw window-simulation
+//! throughput with the memo off — every run is a genuine evaluation —
+//! across batch sizes, and asserts at runtime that every batch size
+//! produces bit-identical reports (the batched tick is a pure performance
+//! control). Part 2 measures the report memo: the cost of a cold
+//! evaluation against a memo hit, which is the price `AbEnvironment::fork`
+//! replicas pay (or skip) when they re-measure their parent's operating
+//! points. Part 3 (full mode) times the memo-independent components the
+//! engine is built from — rank list, caches, TLB, stack mapper, trace
+//! generator, A/B statistics — as fixed-iteration ns/op loops.
 
 use super::{BoxError, BASE_SEED};
 use rand::rngs::SmallRng;
@@ -166,6 +167,27 @@ fn memo_economics(window: u64, hits: usize) -> Result<Json, BoxError> {
         .set("bit_identical", Json::Bool(true)))
 }
 
+/// The per-window fixed cost of `TraceGenerator::new` on Web/Skylake18's
+/// production stream — building (and dropping) its six pre-warmed LRU
+/// stacks — in µs per construction, averaged over `reps` seeds.
+fn tracegen_new_us(reps: u64) -> Result<f64, BoxError> {
+    let profile = Microservice::Web.profile(PlatformKind::Skylake18)?;
+    let clock = Stopwatch::start();
+    for seed in 0..reps {
+        black_box(TraceGenerator::new(
+            &profile.stream,
+            HugePageMix::default(),
+            BASE_SEED + seed,
+        ));
+    }
+    let us = clock.elapsed_s() * 1e6 / reps.max(1) as f64;
+    println!(
+        "== TraceGenerator::new ({}): {us:.1} µs over {reps} seeds ==",
+        Microservice::Web
+    );
+    Ok(us)
+}
+
 /// Times `iterations` calls of `op` and returns one result row.
 fn ns_per_op(name: &str, iterations: u64, mut op: impl FnMut()) -> Json {
     let clock = Stopwatch::start();
@@ -188,7 +210,7 @@ fn components() -> Result<Json, BoxError> {
     println!("== components: ns/op over fixed iteration counts ==");
     let mut rows = Vec::new();
 
-    let mut list = RankList::with_sequence(7, 0..1_000_000u64);
+    let mut list = RankList::with_sequence(0..1_000_000u64);
     let mut state = 1u64;
     rows.push(ns_per_op("ranklist/move_to_front_1M", iterations, || {
         state = state
@@ -241,9 +263,9 @@ fn components() -> Result<Json, BoxError> {
     Ok(Json::Arr(rows))
 }
 
-/// Runs the suite: a 60k-instruction window at three batch sizes when
-/// `smoke`; a 200k window at five batch sizes plus the component loops
-/// otherwise.
+/// Runs the suite: `TraceGenerator::new` timed over 20 seeds, then a
+/// 60k-instruction window at three batch sizes when `smoke`; 200 seeds, a
+/// 200k window at five batch sizes plus the component loops otherwise.
 ///
 /// # Errors
 ///
@@ -255,6 +277,10 @@ pub fn run(smoke: bool, _hw: usize) -> Result<Json, BoxError> {
         (200_000, 8, &[1, 16, 64, 512, 4096])
     };
     let mut payload = Json::obj()
+        .set(
+            "tracegen_new_us",
+            Json::Num(tracegen_new_us(if smoke { 20 } else { 200 })?),
+        )
         .set("throughput", throughput(window, evals, batch_sizes)?)
         .set(
             "memo",

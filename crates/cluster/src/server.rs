@@ -474,14 +474,13 @@ mod tests {
     fn curve_is_cached() {
         let mut s = web_server();
         let _ = s.mips(1.0).unwrap();
-        let t0 = std::time::Instant::now();
+        let first = s.mips(0.8).unwrap();
         for _ in 0..1000 {
-            let _ = s.mips(0.8).unwrap();
+            assert_eq!(s.mips(0.8).unwrap().to_bits(), first.to_bits());
         }
-        assert!(
-            t0.elapsed().as_millis() < 200,
-            "cached samples must be cheap"
-        );
+        // One configuration, one evaluated load curve: every repeat query
+        // was served from the cache rather than re-running the engine.
+        assert_eq!(s.cache.len(), 1);
     }
 
     #[test]

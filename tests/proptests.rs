@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use softsku::archsim::cache::{CdpPartition, SetAssocCache};
-use softsku::archsim::ranklist::RankList;
+use softsku::archsim::ranklist::{RankList, HOT_CAP};
 use softsku::archsim::reuse::ReuseDistanceDist;
 use softsku::cluster::{HazardConfig, HazardSchedule};
 use softsku::telemetry::stats::{t_cdf, t_quantile, welch_test, MadFilter, RunningStats, Summary};
@@ -79,7 +79,7 @@ proptest! {
     /// remove-at-rank sequences.
     #[test]
     fn ranklist_matches_vec_model(ops in proptest::collection::vec((any::<bool>(), 0usize..64), 1..200)) {
-        let mut list = RankList::new(9);
+        let mut list = RankList::new();
         let mut model: Vec<u64> = Vec::new();
         let mut next = 0u64;
         for (push, rank) in ops {
@@ -93,6 +93,51 @@ proptest! {
             }
         }
         prop_assert_eq!(list.to_vec(), model);
+    }
+
+    /// The implicit pre-warmed run (`RankList::descending`) is the same
+    /// sequence as the materialized `[n-1, …, 0]` under arbitrary push /
+    /// remove / pop / get traffic, before and after the compaction that
+    /// materializes it: the trailing pushes spill more than the initial
+    /// headroom (`max(n/2, 64)` slots) past the hot buffer.
+    #[test]
+    fn ranklist_descending_matches_materialized(
+        n in prop_oneof![
+            Just(0u64), Just(1), Just(63), Just(64), Just(65),
+            Just(127), Just(128), Just(129), 0u64..4000,
+        ],
+        ops in proptest::collection::vec((0u8..4, any::<usize>()), 0..300),
+    ) {
+        let mut implicit = RankList::descending(n);
+        let mut built = RankList::with_sequence((0..n).rev());
+        prop_assert_eq!(implicit.to_vec(), built.to_vec());
+        let mut next = n;
+        let mut step = |op: u8, r: usize, a: &mut RankList, b: &mut RankList| {
+            // `r % (len + 2)` also probes one and two past the end.
+            let rank = r % (b.len() + 2);
+            match op {
+                0 => {
+                    a.push_front(next);
+                    b.push_front(next);
+                    next += 1;
+                }
+                1 => prop_assert_eq!(a.remove_at(rank), b.remove_at(rank)),
+                2 => prop_assert_eq!(a.pop_back(), b.pop_back()),
+                _ => prop_assert_eq!(a.get(rank), b.get(rank)),
+            }
+        };
+        for &(op, r) in &ops {
+            step(op, r, &mut implicit, &mut built);
+        }
+        prop_assert_eq!(implicit.to_vec(), built.to_vec());
+        for _ in 0..HOT_CAP as u64 + (n / 2).max(64) + 1 {
+            step(0, 0, &mut implicit, &mut built);
+        }
+        for &(op, r) in &ops {
+            step(op, r, &mut implicit, &mut built);
+        }
+        prop_assert_eq!(implicit.len(), built.len());
+        prop_assert_eq!(implicit.to_vec(), built.to_vec());
     }
 
     /// Welford accumulation matches two-pass statistics.

@@ -6,16 +6,21 @@ use crate::branch::BranchPredictor;
 use crate::cache::{CdpPartition, SetAssocCache, SharedLlc};
 use crate::counters::Counters;
 use crate::error::ArchSimError;
+use crate::fingerprint::Fnv128;
 use crate::memory::MemoryModel;
 use crate::pagemap::{PagePolicy, ThpMode, ThpPlatformTraits};
-use crate::platform::{PlatformKind, PlatformSpec, CACHE_LINE_BYTES};
+use crate::platform::{CacheGeometry, PlatformKind, PlatformSpec, TlbGeometry, CACHE_LINE_BYTES};
 use crate::prefetch::{PrefetchEffect, PrefetcherConfig};
-use crate::stream::StreamSpec;
+use crate::stream::{
+    BranchProfile, ContextSwitchProfile, InstructionMix, PageProfile, PrefetchAffinity, StreamSpec,
+};
 use crate::tlb::TlbHierarchy;
 use crate::tmam::TmamBreakdown;
-use crate::trace::{EventBatch, TraceGenerator};
+use crate::trace::{
+    EventBatch, EventChunk, HugePageMix, TraceGenerator, TraceKey, TAPE_BYTES_PER_EVENT,
+};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything the seven µSKU knobs can change about a server, plus the
 /// platform it runs on.
@@ -248,38 +253,33 @@ struct WarmStructures {
 /// cache/TLB geometry untouched (THP, SHP, frequencies) share one entry.
 static STRUCT_MEMO: OnceLock<Mutex<HashMap<u128, WarmStructures>>> = OnceLock::new();
 
-/// Incremental 128-bit FNV-1a hasher fed 64-bit words (little-endian).
-struct Fnv128(u128);
+/// Byte bound for [`TRACE_MEMO`], counted as each tape's full buffer
+/// allocation (`events * TAPE_BYTES_PER_EVENT`). A tape larger than the
+/// bound is never kept; at the bound the map clears wholesale, as the other
+/// two memos do.
+const TRACE_MEMO_BYTES: usize = 256 << 20;
 
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+/// One recorded trace, shared by every window that replays it. The cell is
+/// filled once, by the first window to claim it, while that window
+/// simulates; concurrent windows with the same key wait on it instead of
+/// generating copies.
+type TapeCell = Arc<OnceLock<EventBatch>>;
 
-    fn new() -> Self {
-        Fnv128(Self::OFFSET)
-    }
-
-    fn push(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.0 = (self.0 ^ u128::from(b)).wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn push_bytes(&mut self, bytes: &[u8]) {
-        self.push(bytes.len() as u64);
-        for &b in bytes {
-            self.0 = (self.0 ^ u128::from(b)).wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn push_f64(&mut self, value: f64) {
-        self.push(value.to_bits());
-    }
-
-    fn finish(&self) -> u128 {
-        self.0
-    }
+/// Recorded traces and the bytes their buffers hold.
+#[derive(Default)]
+struct TraceMemo {
+    tapes: HashMap<TraceKey, TapeCell>,
+    bytes: usize,
 }
+
+/// Process-wide memo of whole-window traces, keyed by [`TraceKey`]: the
+/// stream spec's generator inputs, the resolved huge-page mix, the seed and
+/// the event count. The A/B arms of µSKU share one engine seed, so every
+/// knob setting that leaves the huge-page mix alone, every point of a load
+/// curve and every code push replays one trace; [`REPORT_MEMO`] cannot
+/// serve them because their reports differ. The map's mutex is held only to
+/// claim a [`TapeCell`]; generation runs outside it.
+static TRACE_MEMO: OnceLock<Mutex<TraceMemo>> = OnceLock::new();
 
 /// The window-level simulator for one (platform config, workload) pair.
 #[derive(Debug)]
@@ -312,10 +312,12 @@ impl Engine {
         })
     }
 
-    /// Enables or disables the process-wide report memo for this engine
-    /// (default on). Identity tests and throughput benchmarks turn it off to
-    /// force a full evaluation; memo hits are bit-identical to evaluation,
-    /// so production callers never need to.
+    /// Enables or disables the process-wide memos for this engine (default
+    /// on): the report memo, the warm-structure snapshots and the trace
+    /// memo. Identity tests and throughput benchmarks turn them off to force
+    /// a full evaluation — structures built and trace generated; memo hits
+    /// are bit-identical to evaluation, so production callers never need
+    /// to.
     pub fn with_memo(mut self, enabled: bool) -> Self {
         self.use_memo = enabled;
         self
@@ -359,6 +361,10 @@ impl Engine {
     /// bit-identical at every batch size, so including it would only split
     /// the memo. Collisions at 128 bits are negligible against the ~1e5
     /// distinct tuples a long sweep evaluates.
+    ///
+    /// Every input struct is destructured without `..`, so a field added to
+    /// any of them fails to compile here until it is keyed or excluded with
+    /// a reason; the memo cannot silently serve a stale report.
     fn fingerprint(
         &self,
         instructions: u64,
@@ -367,115 +373,226 @@ impl Engine {
         llc_share: Option<f64>,
     ) -> u128 {
         let mut h = Fnv128::new();
-        let cfg = &self.config;
-        let p = &cfg.platform;
+        let Engine {
+            config,
+            spec,
+            seed,
+            warmup_override,
+            // Pure performance controls: reports are bit-identical at every
+            // batch size and with the memos on or off.
+            batch_events: _,
+            use_memo: _,
+        } = self;
+        let ServerConfig {
+            platform,
+            core_freq_ghz,
+            uncore_freq_ghz,
+            active_cores,
+            llc_ways_enabled,
+            cdp,
+            prefetchers,
+            thp,
+            shp_pages,
+            machine_memory_bytes,
+        } = config;
+        let PlatformSpec {
+            kind,
+            // A display label, fixed by `kind`.
+            microarchitecture: _,
+            sockets,
+            cores_per_socket,
+            smt,
+            l1i,
+            l1d,
+            l2,
+            llc,
+            itlb,
+            dtlb,
+            stlb_entries,
+            page_walk_cycles,
+            issue_width,
+            mispredict_penalty_cycles,
+            btb_entries,
+            core_freq_range_ghz,
+            uncore_freq_range_ghz,
+            avx_freq_tax_ghz,
+            avx_fp_threshold,
+            mem_unloaded_latency_ns,
+            mem_peak_bw_gbps,
+            supports_rdt,
+        } = platform;
 
         // Platform.
-        h.push(match p.kind {
+        h.push(match kind {
             PlatformKind::Skylake18 => 0,
             PlatformKind::Skylake20 => 1,
             PlatformKind::Broadwell16 => 2,
         });
-        h.push(u64::from(p.sockets));
-        h.push(u64::from(p.cores_per_socket));
-        h.push(u64::from(p.smt));
-        for g in [&p.l1i, &p.l1d, &p.l2, &p.llc] {
-            h.push(g.capacity_bytes);
-            h.push(u64::from(g.ways));
-            h.push(u64::from(g.latency_cycles));
+        h.push(u64::from(*sockets));
+        h.push(u64::from(*cores_per_socket));
+        h.push(u64::from(*smt));
+        for g in [l1i, l1d, l2, llc] {
+            let CacheGeometry {
+                capacity_bytes,
+                ways,
+                latency_cycles,
+            } = *g;
+            h.push(capacity_bytes);
+            h.push(u64::from(ways));
+            h.push(u64::from(latency_cycles));
         }
-        for t in [&p.itlb, &p.dtlb] {
-            h.push(u64::from(t.entries_4k));
-            h.push(u64::from(t.entries_2m));
+        for t in [itlb, dtlb] {
+            let TlbGeometry {
+                entries_4k,
+                entries_2m,
+            } = *t;
+            h.push(u64::from(entries_4k));
+            h.push(u64::from(entries_2m));
         }
-        h.push(u64::from(p.stlb_entries));
-        h.push(u64::from(p.page_walk_cycles));
-        h.push(u64::from(p.issue_width));
-        h.push(u64::from(p.mispredict_penalty_cycles));
-        h.push(u64::from(p.btb_entries));
-        h.push_f64(p.core_freq_range_ghz.0);
-        h.push_f64(p.core_freq_range_ghz.1);
-        h.push_f64(p.uncore_freq_range_ghz.0);
-        h.push_f64(p.uncore_freq_range_ghz.1);
-        h.push_f64(p.avx_freq_tax_ghz);
-        h.push_f64(p.avx_fp_threshold);
-        h.push_f64(p.mem_unloaded_latency_ns);
-        h.push_f64(p.mem_peak_bw_gbps);
-        h.push(u64::from(p.supports_rdt));
+        h.push(u64::from(*stlb_entries));
+        h.push(u64::from(*page_walk_cycles));
+        h.push(u64::from(*issue_width));
+        h.push(u64::from(*mispredict_penalty_cycles));
+        h.push(u64::from(*btb_entries));
+        h.push_f64(core_freq_range_ghz.0);
+        h.push_f64(core_freq_range_ghz.1);
+        h.push_f64(uncore_freq_range_ghz.0);
+        h.push_f64(uncore_freq_range_ghz.1);
+        h.push_f64(*avx_freq_tax_ghz);
+        h.push_f64(*avx_fp_threshold);
+        h.push_f64(*mem_unloaded_latency_ns);
+        h.push_f64(*mem_peak_bw_gbps);
+        h.push(u64::from(*supports_rdt));
 
         // Knob settings.
-        h.push_f64(cfg.core_freq_ghz);
-        h.push_f64(cfg.uncore_freq_ghz);
-        h.push(u64::from(cfg.active_cores));
-        h.push(u64::from(cfg.llc_ways_enabled));
-        match cfg.cdp {
-            Some(part) => {
+        h.push_f64(*core_freq_ghz);
+        h.push_f64(*uncore_freq_ghz);
+        h.push(u64::from(*active_cores));
+        h.push(u64::from(*llc_ways_enabled));
+        match *cdp {
+            Some(CdpPartition {
+                data_ways,
+                code_ways,
+            }) => {
                 h.push(1);
-                h.push(u64::from(part.data_ways));
-                h.push(u64::from(part.code_ways));
+                h.push(u64::from(data_ways));
+                h.push(u64::from(code_ways));
             }
             None => h.push(0),
         }
-        let pfc = cfg.prefetchers;
+        let PrefetcherConfig {
+            l2_stream,
+            l2_adjacent,
+            dcu,
+            dcu_ip,
+        } = *prefetchers;
         h.push(
-            u64::from(pfc.l2_stream)
-                | u64::from(pfc.l2_adjacent) << 1
-                | u64::from(pfc.dcu) << 2
-                | u64::from(pfc.dcu_ip) << 3,
+            u64::from(l2_stream)
+                | u64::from(l2_adjacent) << 1
+                | u64::from(dcu) << 2
+                | u64::from(dcu_ip) << 3,
         );
-        h.push(match cfg.thp {
+        h.push(match thp {
             ThpMode::Madvise => 0,
             ThpMode::AlwaysOn => 1,
             ThpMode::NeverOn => 2,
         });
-        h.push(u64::from(cfg.shp_pages));
-        h.push(cfg.machine_memory_bytes);
+        h.push(u64::from(*shp_pages));
+        h.push(*machine_memory_bytes);
 
         // Stream spec.
-        let s = &self.spec;
-        h.push_bytes(s.name.as_bytes());
-        h.push_f64(s.mix.branch);
-        h.push_f64(s.mix.fp);
-        h.push_f64(s.mix.arith);
-        h.push_f64(s.mix.load);
-        h.push_f64(s.mix.store);
-        for dist in [
-            &s.code_reuse,
-            &s.data_reuse,
-            &s.code_page_reuse,
-            &s.data_page_reuse,
-        ] {
+        let StreamSpec {
+            name,
+            mix,
+            code_reuse,
+            data_reuse,
+            code_page_reuse,
+            data_page_reuse,
+            branch,
+            prefetch,
+            pages,
+            context_switch,
+            mlp,
+            smt_gain,
+            base_cpi_scale,
+            writeback_factor,
+            burstiness,
+            llc_contention,
+            natural_code_llc_share,
+            extra_mem_lines_per_ki,
+            extra_traffic_prefetch_fraction,
+            frontend_exposure,
+        } = spec;
+        h.push_bytes(name.as_bytes());
+        let InstructionMix {
+            branch: branch_share,
+            fp,
+            arith,
+            load,
+            store,
+        } = *mix;
+        for share in [branch_share, fp, arith, load, store] {
+            h.push_f64(share);
+        }
+        for dist in [code_reuse, data_reuse, code_page_reuse, data_page_reuse] {
             dist.fingerprint_words(&mut |w| h.push(w));
         }
-        h.push_f64(s.branch.taken_rate);
-        h.push_f64(s.branch.base_mispredict);
-        h.push(u64::from(s.branch.branch_working_set));
-        h.push_f64(s.prefetch.sequential);
-        h.push_f64(s.prefetch.ip_stride);
-        h.push_f64(s.prefetch.accuracy);
-        h.push_f64(s.pages.data_compaction);
-        h.push_f64(s.pages.code_compaction);
-        h.push_f64(s.pages.madvise_fraction);
-        h.push(u64::from(s.pages.uses_shp));
-        h.push(s.pages.shp_target_bytes);
-        h.push_f64(s.context_switch.rate_per_sec);
-        h.push_f64(s.context_switch.direct_cost_us_low);
-        h.push_f64(s.context_switch.direct_cost_us_high);
-        h.push_f64(s.context_switch.pollution_fraction);
-        h.push_f64(s.mlp);
-        h.push_f64(s.smt_gain);
-        h.push_f64(s.base_cpi_scale);
-        h.push_f64(s.writeback_factor);
-        h.push_f64(s.burstiness);
-        h.push_f64(s.llc_contention);
-        h.push_f64(s.natural_code_llc_share);
-        h.push_f64(s.extra_mem_lines_per_ki);
-        h.push_f64(s.extra_traffic_prefetch_fraction);
-        h.push_f64(s.frontend_exposure);
+        let BranchProfile {
+            taken_rate,
+            base_mispredict,
+            branch_working_set,
+        } = *branch;
+        h.push_f64(taken_rate);
+        h.push_f64(base_mispredict);
+        h.push(u64::from(branch_working_set));
+        let PrefetchAffinity {
+            sequential,
+            ip_stride,
+            accuracy,
+        } = *prefetch;
+        h.push_f64(sequential);
+        h.push_f64(ip_stride);
+        h.push_f64(accuracy);
+        let PageProfile {
+            data_compaction,
+            code_compaction,
+            madvise_fraction,
+            uses_shp,
+            shp_target_bytes,
+        } = *pages;
+        h.push_f64(data_compaction);
+        h.push_f64(code_compaction);
+        h.push_f64(madvise_fraction);
+        h.push(u64::from(uses_shp));
+        h.push(shp_target_bytes);
+        let ContextSwitchProfile {
+            rate_per_sec,
+            direct_cost_us_low,
+            direct_cost_us_high,
+            pollution_fraction,
+        } = *context_switch;
+        h.push_f64(rate_per_sec);
+        h.push_f64(direct_cost_us_low);
+        h.push_f64(direct_cost_us_high);
+        h.push_f64(pollution_fraction);
+        for v in [
+            mlp,
+            smt_gain,
+            base_cpi_scale,
+            writeback_factor,
+            burstiness,
+            llc_contention,
+            natural_code_llc_share,
+            extra_mem_lines_per_ki,
+            extra_traffic_prefetch_fraction,
+            frontend_exposure,
+        ] {
+            h.push_f64(*v);
+        }
 
         // Seed, warm-up override, and call arguments.
-        h.push(self.seed);
-        match self.warmup_override {
+        h.push(*seed);
+        match *warmup_override {
             Some(w) => {
                 h.push(1);
                 h.push(w);
@@ -500,45 +617,145 @@ impl Engine {
     /// the natural code share), the resolved LLC share, and the four reuse
     /// distributions (whose footprints set the pre-fill depths). Knobs that
     /// leave the hierarchy untouched — THP, SHP, frequencies, the seed —
-    /// are deliberately absent so their settings share one snapshot.
+    /// are deliberately absent so their settings share one snapshot. As in
+    /// [`Engine::fingerprint`], the inputs are destructured without `..`
+    /// and each omitted field is named with its reason.
     fn structure_key(&self, share: f64) -> u128 {
         let mut h = Fnv128::new();
         // Domain separator against REPORT_MEMO keys (different maps, but
         // cheap insurance against cross-use).
         h.push(0x5741_524d); // "WARM"
-        let cfg = &self.config;
-        let p = &cfg.platform;
-        for g in [&p.l1i, &p.l1d, &p.l2, &p.llc] {
-            h.push(g.capacity_bytes);
-            h.push(u64::from(g.ways));
+        let ServerConfig {
+            platform,
+            llc_ways_enabled,
+            cdp,
+            // Clocks and prefetchers act on a window, not on the pre-filled
+            // contents; the core count enters only through `share`.
+            core_freq_ghz: _,
+            uncore_freq_ghz: _,
+            active_cores: _,
+            prefetchers: _,
+            // Page policy routes translations during a window; the pre-fill
+            // seeds the 4 KiB sides whatever the huge-page mix.
+            thp: _,
+            shp_pages: _,
+            machine_memory_bytes: _,
+        } = &self.config;
+        let PlatformSpec {
+            l1i,
+            l1d,
+            l2,
+            llc,
+            itlb,
+            dtlb,
+            stlb_entries,
+            // The hierarchy is shaped by its geometry alone; core counts,
+            // latencies, clocks and the memory system price what it does.
+            kind: _,
+            microarchitecture: _,
+            sockets: _,
+            cores_per_socket: _,
+            smt: _,
+            page_walk_cycles: _,
+            issue_width: _,
+            mispredict_penalty_cycles: _,
+            btb_entries: _,
+            core_freq_range_ghz: _,
+            uncore_freq_range_ghz: _,
+            avx_freq_tax_ghz: _,
+            avx_fp_threshold: _,
+            mem_unloaded_latency_ns: _,
+            mem_peak_bw_gbps: _,
+            supports_rdt: _,
+        } = platform;
+        for g in [l1i, l1d, l2, llc] {
+            let CacheGeometry {
+                capacity_bytes,
+                ways,
+                // Hit latency prices an access; it does not shape contents.
+                latency_cycles: _,
+            } = *g;
+            h.push(capacity_bytes);
+            h.push(u64::from(ways));
         }
-        for t in [&p.itlb, &p.dtlb] {
-            h.push(u64::from(t.entries_4k));
-            h.push(u64::from(t.entries_2m));
+        for t in [itlb, dtlb] {
+            let TlbGeometry {
+                entries_4k,
+                entries_2m,
+            } = *t;
+            h.push(u64::from(entries_4k));
+            h.push(u64::from(entries_2m));
         }
-        h.push(u64::from(p.stlb_entries));
-        h.push(u64::from(cfg.llc_ways_enabled));
-        match cfg.cdp {
-            Some(part) => {
+        h.push(u64::from(*stlb_entries));
+        h.push(u64::from(*llc_ways_enabled));
+        let StreamSpec {
+            code_reuse,
+            data_reuse,
+            code_page_reuse,
+            data_page_reuse,
+            natural_code_llc_share,
+            // The pre-fill replays each stream's deepest ids by footprint
+            // alone; the remaining traits drive windows, not the snapshot.
+            // (`llc_contention` enters through `share`.)
+            name: _,
+            mix: _,
+            branch: _,
+            prefetch: _,
+            pages: _,
+            context_switch: _,
+            mlp: _,
+            smt_gain: _,
+            base_cpi_scale: _,
+            writeback_factor: _,
+            burstiness: _,
+            llc_contention: _,
+            extra_mem_lines_per_ki: _,
+            extra_traffic_prefetch_fraction: _,
+            frontend_exposure: _,
+        } = &self.spec;
+        match *cdp {
+            Some(CdpPartition {
+                data_ways,
+                code_ways,
+            }) => {
                 h.push(1);
-                h.push(u64::from(part.data_ways));
-                h.push(u64::from(part.code_ways));
+                h.push(u64::from(data_ways));
+                h.push(u64::from(code_ways));
             }
             None => {
                 h.push(0);
-                h.push_f64(self.spec.natural_code_llc_share);
+                h.push_f64(*natural_code_llc_share);
             }
         }
         h.push_f64(share);
-        for dist in [
-            &self.spec.code_reuse,
-            &self.spec.data_reuse,
-            &self.spec.code_page_reuse,
-            &self.spec.data_page_reuse,
-        ] {
+        for dist in [code_reuse, data_reuse, code_page_reuse, data_page_reuse] {
             dist.fingerprint_words(&mut |w| h.push(w));
         }
         h.finish()
+    }
+
+    /// Claims this engine's trace for windows of `events` events in
+    /// [`TRACE_MEMO`]. `None` — generate privately, keep nothing — when the
+    /// memo is off, the tape would exceed [`TRACE_MEMO_BYTES`] on its own,
+    /// or the lock is poisoned. Only the claim runs under the lock.
+    fn trace_cell(&self, huge: HugePageMix, events: u64) -> Option<TapeCell> {
+        let bytes = usize::try_from(events)
+            .ok()?
+            .checked_mul(TAPE_BYTES_PER_EVENT)?;
+        if !self.use_memo || bytes > TRACE_MEMO_BYTES {
+            return None;
+        }
+        let key = TraceKey::new(&self.spec, huge, self.seed, events);
+        let memo = TRACE_MEMO.get_or_init(Mutex::default);
+        let mut guard = memo.lock().ok()?;
+        if !guard.tapes.contains_key(&key) {
+            if guard.bytes + bytes > TRACE_MEMO_BYTES {
+                guard.tapes.clear();
+                guard.bytes = 0;
+            }
+            guard.bytes += bytes;
+        }
+        Some(Arc::clone(guard.tapes.entry(key).or_default()))
     }
 
     /// Returns the pre-filled structure hierarchy for this engine's config
@@ -677,27 +894,22 @@ impl Engine {
         // ------------------------------------------------------------------
         // 2. Build structures (or restore a pre-filled snapshot).
         // ------------------------------------------------------------------
-        let WarmStructures {
-            mut l1i,
-            mut l1d,
-            mut l2,
-            mut llc,
-            mut tlb,
-        } = self.structures_for(share)?;
-        let mut bpu = BranchPredictor::new(
-            spec.branch.base_mispredict,
-            spec.branch.branch_working_set,
-            plat.btb_entries,
-        );
-        let huge_mix = crate::trace::HugePageMix {
+        let mut sim = WindowSim {
+            warm: self.structures_for(share)?,
+            bpu: BranchPredictor::new(
+                spec.branch.base_mispredict,
+                spec.branch.branch_working_set,
+                plat.btb_entries,
+            ),
+            rng: rand_for(softsku_telemetry::stream_seed(
+                self.seed,
+                softsku_telemetry::StreamFamily::EngineSampling,
+            )),
+        };
+        let huge = HugePageMix {
             code_huge_fraction: policy.huge_code_fraction,
             data_huge_fraction: policy.huge_data_fraction,
         };
-        let mut gen = TraceGenerator::new(spec, huge_mix, self.seed);
-        let mut rng = rand_for(softsku_telemetry::stream_seed(
-            self.seed,
-            softsku_telemetry::StreamFamily::EngineSampling,
-        ));
 
         // Context-switch injection interval (instructions); uses a nominal
         // IPC guess of 1 — only the *pollution placement* depends on it, the
@@ -708,202 +920,57 @@ impl Engine {
         } else {
             u64::MAX
         };
-
-        // ------------------------------------------------------------------
-        // 4. Drive the structures (batched tick).
-        //
-        // The per-event probe chain is restructured into per-structure
-        // passes over an SoA event batch. Bit-identity with the per-event
-        // loop holds because (a) `fill_batch` consumes the trace RNG in the
-        // exact per-event draw order, (b) the independent structures (L1i,
-        // L1d, first-level ITLB/DTLB, partitioned LLC sides, BPU) each see
-        // their exact per-event access subsequence, and (c) the *shared*
-        // structures (unified L2, unified STLB) are driven by an
-        // event-ordered merge of the first-level misses, code before data
-        // within an event — the per-event probe order. Chunk boundaries are
-        // clamped so the warm-up reset and context-switch flushes land
-        // between the same events as in the per-event loop.
-        // ------------------------------------------------------------------
         // The pre-fill above supplies steady-state contents; the warm-up
         // only needs to mix the interleaved structures.
         let warmup = self.warmup_override.unwrap_or_else(|| {
             ((instructions as f64 * WARMUP_FRACTION) as u64).clamp(50_000, 400_000)
         });
-        let mut c = Counters::default();
-        let total = instructions + warmup;
-        let poll = spec.context_switch.pollution_fraction;
-
-        let batch_events = self.batch_events as u64;
-        let mut batch = EventBatch::with_capacity(self.batch_events.min(total as usize));
-        // Miss lists reused across chunks: event indices for the code side,
-        // data-slot indices for the data side.
-        let mut i1_miss: Vec<u32> = Vec::new();
-        let mut d1_miss: Vec<u32> = Vec::new();
-        let mut itlb_miss: Vec<u32> = Vec::new();
-        let mut dtlb_miss: Vec<u32> = Vec::new();
-
-        let mut i: u64 = 0;
-        while i < total {
-            if i == warmup {
-                l1i.reset_stats();
-                l1d.reset_stats();
-                l2.reset_stats();
-                llc.reset_stats();
-                tlb.reset_stats();
-                bpu.reset_stats();
-                c = Counters::default();
-            }
-            // Chunk end: never cross the warm-up reset, and end exactly at a
-            // context-switch point (the flush lands after that event).
-            let mut end = total.min(i.saturating_add(batch_events));
-            if i < warmup {
-                end = end.min(warmup);
-            }
-            if insns_per_switch != u64::MAX {
-                let next_switch = if i == 0 {
-                    insns_per_switch
-                } else {
-                    i.div_ceil(insns_per_switch) * insns_per_switch
-                };
-                end = end.min(next_switch.saturating_add(1));
-            }
-            let n = (end - i) as usize;
-            gen.fill_batch(&mut batch, n);
-
-            // Whole-batch class tallies (no per-event dispatch).
-            c.instructions += n as u64;
-            c.code_accesses += n as u64;
-            c.branches += batch.branches;
-            c.fp_ops += batch.fp_ops;
-            c.loads += batch.loads;
-            c.stores += batch.stores;
-            c.data_accesses += batch.loads + batch.stores;
-
-            // Independent first-level passes: one array sweep per structure.
-            // The LLC is probed (and its recency updated) on every L1 miss —
-            // mostly-inclusive behaviour; without the recency refresh, lines
-            // hot in L2 would go LLC-stale and the capacity between L2 and
-            // LLC would be invisible.
-            i1_miss.clear();
-            for (k, &line) in batch.code_lines.iter().enumerate() {
-                if !l1i.access(line) {
-                    i1_miss.push(k as u32);
-                }
-            }
-            c.l1i_misses += i1_miss.len() as u64;
-
-            itlb_miss.clear();
-            for (k, &page) in batch.code_pages.iter().enumerate() {
-                if !tlb.probe_code_l1(page, batch.code_huge[k]) {
-                    itlb_miss.push(k as u32);
-                }
-            }
-
-            d1_miss.clear();
-            for (s, &line) in batch.data_lines.iter().enumerate() {
-                if !l1d.access(line) {
-                    d1_miss.push(s as u32);
-                }
-            }
-            c.l1d_misses += d1_miss.len() as u64;
-
-            dtlb_miss.clear();
-            for (s, &page) in batch.data_pages.iter().enumerate() {
-                if !tlb.probe_data_l1(page, batch.data_huge[s]) {
-                    dtlb_miss.push(s as u32);
-                    if batch.data_is_store[s] {
-                        c.dtlb_store_misses += 1;
-                    } else {
-                        c.dtlb_load_misses += 1;
-                    }
-                }
-            }
-
-            // Ordered fix-up over the shared L2 (and the LLC, probed right
-            // after it per missing event): event-ordered merge of the
-            // first-level misses, code before data within an event.
-            let (mut ci, mut di) = (0usize, 0usize);
-            while ci < i1_miss.len() || di < d1_miss.len() {
-                let ce = i1_miss.get(ci).copied().unwrap_or(u32::MAX);
-                let de = d1_miss
-                    .get(di)
-                    .map_or(u32::MAX, |&s| batch.data_event[s as usize]);
-                if ce <= de {
-                    let line = batch.code_lines[ce as usize];
-                    let l2_hit = l2.access(line | CODE_TAG);
-                    let llc_hit = llc.access_code(line);
-                    if !l2_hit {
-                        c.l2_code_misses += 1;
-                        if !llc_hit {
-                            c.llc_code_misses += 1;
-                        }
-                    }
-                    ci += 1;
-                } else {
-                    let s = d1_miss[di] as usize;
-                    let line = batch.data_lines[s];
-                    let l2_hit = l2.access(line);
-                    let llc_hit = llc.access_data(line);
-                    if !l2_hit {
-                        c.l2_data_misses += 1;
-                        if !llc_hit {
-                            c.llc_data_misses += 1;
-                        }
-                    }
-                    di += 1;
-                }
-            }
-
-            // Same event-ordered merge for the shared STLB.
-            let (mut ci, mut di) = (0usize, 0usize);
-            while ci < itlb_miss.len() || di < dtlb_miss.len() {
-                let ce = itlb_miss.get(ci).copied().unwrap_or(u32::MAX);
-                let de = dtlb_miss
-                    .get(di)
-                    .map_or(u32::MAX, |&s| batch.data_event[s as usize]);
-                if ce <= de {
-                    let k = ce as usize;
-                    let _ = tlb.probe_stlb_code(batch.code_pages[k], batch.code_huge[k]);
-                    ci += 1;
-                } else {
-                    let s = dtlb_miss[di] as usize;
-                    let _ = tlb.probe_stlb_data(batch.data_pages[s], batch.data_huge[s]);
-                    di += 1;
-                }
-            }
-
-            // Branch pass: the BPU carries no state between draws, so
-            // replaying the batch's branch count consumes the engine
-            // sampling stream in exactly the per-event order.
-            for _ in 0..batch.branches {
-                if bpu.predict(&mut rng) {
-                    c.branch_mispredicts += 1;
-                }
-            }
-
-            // Context-switch pollution after the event at the switch point.
-            let last = end - 1;
-            if last > 0 && insns_per_switch != u64::MAX && last.is_multiple_of(insns_per_switch) {
-                l1i.flush_fraction(poll);
-                l1d.flush_fraction(poll);
-                l2.flush_fraction(poll * 0.5);
-                tlb.flush_fraction(poll);
-            }
-            i = end;
-        }
-
-        // Fill TLB/branch aggregate stats into counters.
-        let (_, itlb_miss, itlb_walk) = tlb.itlb_stats();
-        let (_, dtlb_miss, dtlb_walk) = tlb.dtlb_stats();
-        c.itlb_misses = itlb_miss;
-        c.itlb_walks = itlb_walk;
-        c.dtlb_misses = dtlb_miss;
-        c.dtlb_walks = dtlb_walk;
-        let (_, _, btb) = bpu.stats();
-        c.btb_misses = btb;
+        let schedule = Schedule {
+            warmup,
+            total: instructions + warmup,
+            batch_events: self.batch_events as u64,
+            insns_per_switch,
+            pollution: spec.context_switch.pollution_fraction,
+        };
 
         // ------------------------------------------------------------------
-        // 5. Prefetch coverage + SHP pressure transforms (aggregate).
+        // 3. Drive the structures over the window's trace: replayed from
+        //    the trace memo when another window already recorded it,
+        //    otherwise generated — and recorded for later windows — chunk
+        //    by chunk as the passes consume it.
+        // ------------------------------------------------------------------
+        let mut generate = |batch: &mut EventBatch, keep: bool| {
+            let mut gen = TraceGenerator::new(spec, huge, self.seed);
+            sim.run(
+                &schedule,
+                Tape::Generate {
+                    gen: &mut gen,
+                    batch,
+                    keep,
+                },
+            )
+        };
+        let mut c = match self.trace_cell(huge, schedule.total) {
+            None => generate(
+                &mut EventBatch::with_capacity(self.batch_events.min(schedule.total as usize)),
+                false,
+            ),
+            Some(cell) => {
+                let mut recorded = None;
+                let tape = cell.get_or_init(|| {
+                    let mut tape = EventBatch::with_capacity(schedule.total as usize);
+                    recorded = Some(generate(&mut tape, true));
+                    tape
+                });
+                match recorded {
+                    Some(c) => c,
+                    None => sim.run(&schedule, Tape::Replay(tape)),
+                }
+            }
+        };
+
+        // ------------------------------------------------------------------
+        // 4. Prefetch coverage + SHP pressure transforms (aggregate).
         // ------------------------------------------------------------------
         let ins = c.instructions as f64;
         let shp_bump = 1.0 + policy.shp_pressure_penalty * SHP_PRESSURE_GAIN;
@@ -939,7 +1006,7 @@ impl Engine {
         c.mem_extra_lines = spec.extra_mem_lines_per_ki * extra_scale * ins / 1000.0;
 
         // ------------------------------------------------------------------
-        // 6. CPI fixed point (memory latency <-> bandwidth).
+        // 5. CPI fixed point (memory latency <-> bandwidth).
         // ------------------------------------------------------------------
         // Latencies in core cycles at frequency `freq`.
         let l2_lat = plat.l2.latency_cycles as f64;
@@ -1053,6 +1120,266 @@ impl Engine {
         report.ok_or(ArchSimError::FixedPointDiverged {
             iterations: max_iter,
         })
+    }
+}
+
+/// Where a window's chunk boundaries fall.
+struct Schedule {
+    /// Warm-up events; statistics reset before event `warmup`.
+    warmup: u64,
+    /// Warm-up plus measured events.
+    total: u64,
+    /// Largest chunk.
+    batch_events: u64,
+    /// Context-switch period in events (`u64::MAX`: none).
+    insns_per_switch: u64,
+    /// Fraction of L1/L2/TLB state each switch flushes.
+    pollution: f64,
+}
+
+/// Where a window's events come from.
+enum Tape<'a> {
+    /// Generated chunk by chunk, each chunk just before the passes read it
+    /// (still in cache). With `keep`, the chunks accumulate into the tape
+    /// recorded for the trace memo; without, each overwrites the last (the
+    /// memo is off, or the trace is too large to keep).
+    Generate {
+        gen: &'a mut TraceGenerator,
+        batch: &'a mut EventBatch,
+        keep: bool,
+    },
+    /// A finished tape, recorded by an earlier window.
+    Replay(&'a EventBatch),
+}
+
+impl Tape<'_> {
+    /// Events `start..start + n` of the window.
+    fn chunk(&mut self, start: usize, n: usize) -> EventChunk<'_> {
+        match self {
+            Tape::Generate { gen, batch, keep } => {
+                if !*keep {
+                    batch.clear();
+                }
+                let first = batch.len();
+                gen.extend_batch(batch, n);
+                batch.chunk(first..first + n)
+            }
+            Tape::Replay(tape) => tape.chunk(start..start + n),
+        }
+    }
+}
+
+/// One window's mutable state: the pre-filled structures, the branch
+/// predictor, and the engine sampling stream it draws from.
+struct WindowSim {
+    warm: WarmStructures,
+    bpu: BranchPredictor,
+    rng: rand::rngs::SmallRng,
+}
+
+impl WindowSim {
+    /// Drives every structure over the window's events and returns the
+    /// measured counters.
+    ///
+    /// The per-event probe chain is restructured into per-structure passes
+    /// over an SoA event chunk. Bit-identity with the per-event loop holds
+    /// because (a) the trace is the exact per-event draw sequence, whether
+    /// generated now or replayed, (b) the independent structures (L1i,
+    /// L1d, first-level ITLB/DTLB, partitioned LLC sides, BPU) each see
+    /// their exact per-event access subsequence, and (c) the *shared*
+    /// structures (unified L2, unified STLB) are driven by an event-ordered
+    /// merge of the first-level misses, code before data within an event —
+    /// the per-event probe order. Chunk boundaries are clamped so the
+    /// warm-up reset and context-switch flushes land between the same
+    /// events as in the per-event loop.
+    fn run(&mut self, schedule: &Schedule, mut tape: Tape<'_>) -> Counters {
+        let WindowSim {
+            warm:
+                WarmStructures {
+                    l1i,
+                    l1d,
+                    l2,
+                    llc,
+                    tlb,
+                },
+            bpu,
+            rng,
+        } = self;
+        let &Schedule {
+            warmup,
+            total,
+            batch_events,
+            insns_per_switch,
+            pollution: poll,
+        } = schedule;
+        let mut c = Counters::default();
+        // Miss lists reused across chunks: chunk-relative event indices for
+        // the code side, chunk-relative slot indices for the data side.
+        let mut i1_miss: Vec<u32> = Vec::new();
+        let mut d1_miss: Vec<u32> = Vec::new();
+        let mut itlb_miss: Vec<u32> = Vec::new();
+        let mut dtlb_miss: Vec<u32> = Vec::new();
+
+        let mut i: u64 = 0;
+        while i < total {
+            if i == warmup {
+                l1i.reset_stats();
+                l1d.reset_stats();
+                l2.reset_stats();
+                llc.reset_stats();
+                tlb.reset_stats();
+                bpu.reset_stats();
+                c = Counters::default();
+            }
+            // Chunk end: never cross the warm-up reset, and end exactly at a
+            // context-switch point (the flush lands after that event).
+            let mut end = total.min(i.saturating_add(batch_events));
+            if i < warmup {
+                end = end.min(warmup);
+            }
+            if insns_per_switch != u64::MAX {
+                let next_switch = if i == 0 {
+                    insns_per_switch
+                } else {
+                    i.div_ceil(insns_per_switch) * insns_per_switch
+                };
+                end = end.min(next_switch.saturating_add(1));
+            }
+            let n = (end - i) as usize;
+            let ch = tape.chunk(i as usize, n);
+
+            // Whole-chunk class tallies (no per-event dispatch).
+            c.instructions += n as u64;
+            c.code_accesses += n as u64;
+            c.branches += ch.branches;
+            c.fp_ops += ch.fp_ops;
+            c.loads += ch.loads;
+            c.stores += ch.stores;
+            c.data_accesses += ch.loads + ch.stores;
+
+            // Independent first-level passes: one array sweep per structure.
+            // The LLC is probed (and its recency updated) on every L1 miss —
+            // mostly-inclusive behaviour; without the recency refresh, lines
+            // hot in L2 would go LLC-stale and the capacity between L2 and
+            // LLC would be invisible.
+            i1_miss.clear();
+            for (k, &line) in ch.code_lines.iter().enumerate() {
+                if !l1i.access(line) {
+                    i1_miss.push(k as u32);
+                }
+            }
+            c.l1i_misses += i1_miss.len() as u64;
+
+            itlb_miss.clear();
+            for (k, &page) in ch.code_pages.iter().enumerate() {
+                if !tlb.probe_code_l1(page, ch.code_huge[k]) {
+                    itlb_miss.push(k as u32);
+                }
+            }
+
+            d1_miss.clear();
+            for (s, &line) in ch.data_lines.iter().enumerate() {
+                if !l1d.access(line) {
+                    d1_miss.push(s as u32);
+                }
+            }
+            c.l1d_misses += d1_miss.len() as u64;
+
+            dtlb_miss.clear();
+            for (s, &page) in ch.data_pages.iter().enumerate() {
+                if !tlb.probe_data_l1(page, ch.data_huge[s]) {
+                    dtlb_miss.push(s as u32);
+                    if ch.data_is_store[s] {
+                        c.dtlb_store_misses += 1;
+                    } else {
+                        c.dtlb_load_misses += 1;
+                    }
+                }
+            }
+
+            // Ordered fix-up over the shared L2 (and the LLC, probed right
+            // after it per missing event): event-ordered merge of the
+            // first-level misses, code before data within an event.
+            let (mut ci, mut di) = (0usize, 0usize);
+            while ci < i1_miss.len() || di < d1_miss.len() {
+                let ce = i1_miss.get(ci).copied().unwrap_or(u32::MAX);
+                let de = d1_miss
+                    .get(di)
+                    .map_or(u32::MAX, |&s| ch.data_event[s as usize] - ch.first);
+                if ce <= de {
+                    let line = ch.code_lines[ce as usize];
+                    let l2_hit = l2.access(line | CODE_TAG);
+                    let llc_hit = llc.access_code(line);
+                    if !l2_hit {
+                        c.l2_code_misses += 1;
+                        if !llc_hit {
+                            c.llc_code_misses += 1;
+                        }
+                    }
+                    ci += 1;
+                } else {
+                    let s = d1_miss[di] as usize;
+                    let line = ch.data_lines[s];
+                    let l2_hit = l2.access(line);
+                    let llc_hit = llc.access_data(line);
+                    if !l2_hit {
+                        c.l2_data_misses += 1;
+                        if !llc_hit {
+                            c.llc_data_misses += 1;
+                        }
+                    }
+                    di += 1;
+                }
+            }
+
+            // Same event-ordered merge for the shared STLB.
+            let (mut ci, mut di) = (0usize, 0usize);
+            while ci < itlb_miss.len() || di < dtlb_miss.len() {
+                let ce = itlb_miss.get(ci).copied().unwrap_or(u32::MAX);
+                let de = dtlb_miss
+                    .get(di)
+                    .map_or(u32::MAX, |&s| ch.data_event[s as usize] - ch.first);
+                if ce <= de {
+                    let k = ce as usize;
+                    let _ = tlb.probe_stlb_code(ch.code_pages[k], ch.code_huge[k]);
+                    ci += 1;
+                } else {
+                    let s = dtlb_miss[di] as usize;
+                    let _ = tlb.probe_stlb_data(ch.data_pages[s], ch.data_huge[s]);
+                    di += 1;
+                }
+            }
+
+            // Branch pass: the BPU carries no state between draws, so
+            // replaying the chunk's branch count consumes the engine
+            // sampling stream in exactly the per-event order.
+            for _ in 0..ch.branches {
+                if bpu.predict(rng) {
+                    c.branch_mispredicts += 1;
+                }
+            }
+
+            // Context-switch pollution after the event at the switch point.
+            let last = end - 1;
+            if last > 0 && insns_per_switch != u64::MAX && last.is_multiple_of(insns_per_switch) {
+                l1i.flush_fraction(poll);
+                l1d.flush_fraction(poll);
+                l2.flush_fraction(poll * 0.5);
+                tlb.flush_fraction(poll);
+            }
+            i = end;
+        }
+
+        // Fill TLB/branch aggregate stats into counters.
+        let (_, itlb_miss, itlb_walk) = tlb.itlb_stats();
+        let (_, dtlb_miss, dtlb_walk) = tlb.dtlb_stats();
+        c.itlb_misses = itlb_miss;
+        c.itlb_walks = itlb_walk;
+        c.dtlb_misses = dtlb_miss;
+        c.dtlb_walks = dtlb_walk;
+        let (_, _, btb) = bpu.stats();
+        c.btb_misses = btb;
+        c
     }
 }
 
@@ -1344,6 +1671,61 @@ mod tests {
         let half = e.run_window(WINDOW, 0.5).unwrap();
         assert!(half.mips_total < full.mips_total);
         assert!(half.bandwidth_gbps < full.bandwidth_gbps);
+    }
+
+    /// The trace key an engine's windows of `events` events replay.
+    fn trace_key(e: &Engine, events: u64) -> TraceKey {
+        let cfg = e.config();
+        let policy = PagePolicy::resolve(
+            &e.spec().pages,
+            cfg.thp,
+            cfg.shp_pages,
+            cfg.thp_traits(),
+            cfg.machine_memory_bytes,
+        );
+        let huge = HugePageMix {
+            code_huge_fraction: policy.huge_code_fraction,
+            data_huge_fraction: policy.huge_data_fraction,
+        };
+        TraceKey::new(e.spec(), huge, 7, events)
+    }
+
+    /// One named knob setting.
+    type Knob = (&'static str, fn(&mut ServerConfig));
+
+    #[test]
+    fn only_page_knobs_change_the_trace_key() {
+        let stock = ServerConfig::stock(PlatformSpec::skylake18());
+        let base = trace_key(&engine_with(stock.clone()), 1000);
+        let shares: [Knob; 6] = [
+            ("core_freq", |c| c.core_freq_ghz = 1.6),
+            ("uncore_freq", |c| c.uncore_freq_ghz = 1.4),
+            ("active_cores", |c| c.active_cores = 8),
+            ("llc_ways", |c| c.llc_ways_enabled = 6),
+            ("cdp", |c| {
+                c.cdp = Some(CdpPartition {
+                    data_ways: 8,
+                    code_ways: 3,
+                })
+            }),
+            ("prefetchers", |c| {
+                c.prefetchers = PrefetcherConfig::all_off()
+            }),
+        ];
+        for (name, knob) in shares {
+            let mut cfg = stock.clone();
+            knob(&mut cfg);
+            assert_eq!(trace_key(&engine_with(cfg), 1000), base, "{name}");
+        }
+        let splits: [Knob; 2] = [
+            ("thp", |c| c.thp = ThpMode::NeverOn),
+            ("shp", |c| c.shp_pages = 200),
+        ];
+        for (name, knob) in splits {
+            let mut cfg = stock.clone();
+            knob(&mut cfg);
+            assert_ne!(trace_key(&engine_with(cfg), 1000), base, "{name}");
+        }
     }
 
     #[test]

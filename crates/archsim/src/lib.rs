@@ -72,6 +72,7 @@ pub mod cache;
 pub mod counters;
 pub mod engine;
 pub mod error;
+mod fingerprint;
 pub mod memory;
 pub mod pagemap;
 pub mod platform;

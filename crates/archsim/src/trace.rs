@@ -9,14 +9,17 @@
 //! mix to emit per-instruction events for the cache/TLB/branch simulators —
 //! one at a time via [`TraceGenerator::next_event`], or into reusable
 //! structure-of-arrays buffers via [`TraceGenerator::fill_batch`] for the
-//! engine's batched tick.
+//! engine's batched tick. The engine also records whole traces as tapes,
+//! keyed by everything the generator reads, so one trace serves every
+//! window that would regenerate it.
 
+use crate::fingerprint::Fnv128;
 use crate::ranklist::RankList;
 use crate::reuse::ReuseDistanceDist;
-use crate::stream::StreamSpec;
+use crate::stream::{InstructionMix, PageProfile, StreamSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use softsku_telemetry::streams::{StreamFamily, StreamRegistry};
+use std::ops::Range;
 
 /// Maps sampled reuse distances to concrete line/page ids via an LRU stack.
 #[derive(Debug, Clone)]
@@ -42,7 +45,7 @@ pub fn prewarm_len(dist: &ReuseDistanceDist) -> u64 {
 impl StackMapper {
     /// Creates a mapper for one reuse-distance distribution. Sampling
     /// randomness is supplied per access and the stack is deterministic,
-    /// so the seed argument is unused (kept for interface stability).
+    /// so the mapper takes no seed.
     ///
     /// The stack is pre-warmed to the distribution's footprint (capped at
     /// `PREWARM_CAP`, ~1M ids) so that long reuse distances resolve to real
@@ -51,7 +54,7 @@ impl StackMapper {
     /// systematically under-report large-capacity misses. The pre-warmed
     /// ids are an implicit descending run ([`RankList::descending`]), so
     /// construction costs O(footprint / 64) rather than an O(footprint) fill.
-    pub fn new(dist: ReuseDistanceDist, _seed: u64) -> Self {
+    pub fn new(dist: ReuseDistanceDist) -> Self {
         let prewarm = prewarm_len(&dist);
         // Front of the stack = most recently used; ids descend so that the
         // next cold id continues the sequence.
@@ -180,9 +183,13 @@ pub struct HugePageMix {
 /// order, with `data_event[k]` giving the owning event index. The engine
 /// drives each simulated structure over a whole batch (one array sweep per
 /// structure) instead of interleaving six structure probes per event, and
-/// uses the precomputed class tallies instead of per-event `match`
+/// counts each chunk's classes from its slices instead of per-event `match`
 /// dispatch. Buffers are reused across [`TraceGenerator::fill_batch`]
 /// calls, so steady-state filling does not allocate.
+///
+/// The engine also grows one batch over a whole window (a *tape*, with
+/// `data_event` holding absolute event indices) and reads it back chunk by
+/// chunk.
 #[derive(Debug, Clone, Default)]
 pub struct EventBatch {
     /// Instruction class per event.
@@ -203,14 +210,6 @@ pub struct EventBatch {
     pub data_pages: Vec<u64>,
     /// True where the data page is 2 MiB-backed.
     pub data_huge: Vec<bool>,
-    /// Branch events in the batch.
-    pub branches: u64,
-    /// Floating-point events in the batch.
-    pub fp_ops: u64,
-    /// Load events in the batch.
-    pub loads: u64,
-    /// Store events in the batch.
-    pub stores: u64,
 }
 
 impl EventBatch {
@@ -226,10 +225,6 @@ impl EventBatch {
             data_lines: Vec::with_capacity(n),
             data_pages: Vec::with_capacity(n),
             data_huge: Vec::with_capacity(n),
-            branches: 0,
-            fp_ops: 0,
-            loads: 0,
-            stores: 0,
         }
     }
 
@@ -243,6 +238,38 @@ impl EventBatch {
         self.classes.is_empty()
     }
 
+    /// The events `events` of the batch (absolute indices) with their data
+    /// slots, found by bisecting `data_event`, and class tallies counted
+    /// from the slices.
+    pub(crate) fn chunk(&self, events: Range<usize>) -> EventChunk<'_> {
+        let first = events.start as u32;
+        let lo = self.data_event.partition_point(|&e| e < first);
+        let hi = self
+            .data_event
+            .partition_point(|&e| (e as usize) < events.end);
+        let slots = lo..hi;
+        let classes = &self.classes[events.clone()];
+        let data_is_store = &self.data_is_store[slots.clone()];
+        let branches = classes.iter().filter(|&&c| c == InsnClass::Branch).count() as u64;
+        let fp_ops = classes.iter().filter(|&&c| c == InsnClass::Fp).count() as u64;
+        let stores = data_is_store.iter().filter(|&&s| s).count() as u64;
+        EventChunk {
+            first,
+            code_lines: &self.code_lines[events.clone()],
+            code_pages: &self.code_pages[events.clone()],
+            code_huge: &self.code_huge[events],
+            data_event: &self.data_event[slots.clone()],
+            data_is_store,
+            data_lines: &self.data_lines[slots.clone()],
+            data_pages: &self.data_pages[slots.clone()],
+            data_huge: &self.data_huge[slots],
+            branches,
+            fp_ops,
+            loads: data_is_store.len() as u64 - stores,
+            stores,
+        }
+    }
+
     /// Empties the batch, retaining buffer capacity.
     pub fn clear(&mut self) {
         self.classes.clear();
@@ -254,10 +281,96 @@ impl EventBatch {
         self.data_lines.clear();
         self.data_pages.clear();
         self.data_huge.clear();
-        self.branches = 0;
-        self.fp_ops = 0;
-        self.loads = 0;
-        self.stores = 0;
+    }
+}
+
+/// A read-only window onto a contiguous run of an [`EventBatch`]: the
+/// engine's passes read one of these per tick, whether the batch was just
+/// filled or is a recorded tape being replayed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EventChunk<'a> {
+    /// Absolute index of the first event; `data_event` entries are offset
+    /// by it.
+    pub(crate) first: u32,
+    pub(crate) code_lines: &'a [u64],
+    pub(crate) code_pages: &'a [u64],
+    pub(crate) code_huge: &'a [bool],
+    pub(crate) data_event: &'a [u32],
+    pub(crate) data_is_store: &'a [bool],
+    pub(crate) data_lines: &'a [u64],
+    pub(crate) data_pages: &'a [u64],
+    pub(crate) data_huge: &'a [bool],
+    pub(crate) branches: u64,
+    pub(crate) fp_ops: u64,
+    pub(crate) loads: u64,
+    pub(crate) stores: u64,
+}
+
+/// Heap bytes one event can occupy in an [`EventBatch`]: its per-event
+/// entries plus, for a load or store, one data slot. A tape of `n` events
+/// allocated with [`EventBatch::with_capacity`]`(n)` holds exactly
+/// `n * TAPE_BYTES_PER_EVENT` bytes of buffers.
+pub(crate) const TAPE_BYTES_PER_EVENT: usize = std::mem::size_of::<InsnClass>()
+    + 2 * std::mem::size_of::<u64>()
+    + std::mem::size_of::<bool>()
+    + std::mem::size_of::<u32>()
+    + 2 * std::mem::size_of::<bool>()
+    + 2 * std::mem::size_of::<u64>();
+
+/// Content key of a generator's output: everything [`TraceGenerator::new`]
+/// reads, plus the event count. Two windows with equal keys consume the
+/// identical event sequence, whatever load, frequencies, core count, LLC
+/// ways, CDP split or prefetchers they simulate it under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct TraceKey(u128);
+
+impl TraceKey {
+    /// Keys the first `events` events of `TraceGenerator::new(spec, huge,
+    /// seed)`. The mix, page profile and huge-page mix are destructured
+    /// without `..`, so a field added to any of them fails to compile here
+    /// until it is keyed or excluded with a reason.
+    pub(crate) fn new(spec: &StreamSpec, huge: HugePageMix, seed: u64, events: u64) -> Self {
+        let mut h = Fnv128::new();
+        // Domain separator against the engine's other memo keys.
+        h.push(0x5452_4345); // "TRCE"
+        let InstructionMix {
+            branch,
+            fp,
+            arith,
+            load,
+            store,
+        } = spec.mix;
+        for share in [branch, fp, arith, load, store] {
+            h.push_f64(share);
+        }
+        for dist in [
+            &spec.code_reuse,
+            &spec.data_reuse,
+            &spec.code_page_reuse,
+            &spec.data_page_reuse,
+        ] {
+            dist.fingerprint_words(&mut |w| h.push(w));
+        }
+        let PageProfile {
+            data_compaction,
+            code_compaction,
+            // The remaining page traits shape the trace only through the
+            // resolved `huge` mix, which is keyed below.
+            madvise_fraction: _,
+            uses_shp: _,
+            shp_target_bytes: _,
+        } = spec.pages;
+        h.push_f64(code_compaction);
+        h.push_f64(data_compaction);
+        let HugePageMix {
+            code_huge_fraction,
+            data_huge_fraction,
+        } = huge;
+        h.push_f64(code_huge_fraction);
+        h.push_f64(data_huge_fraction);
+        h.push(seed);
+        h.push(events);
+        TraceKey(h.finish())
     }
 }
 
@@ -291,32 +404,13 @@ impl TraceGenerator {
         let data_2m = spec
             .data_page_reuse
             .compacted(spec.pages.data_compaction.max(1.0));
-        let mut streams = StreamRegistry::new(seed);
         TraceGenerator {
-            code_lines: StackMapper::new(
-                spec.code_reuse.clone(),
-                streams.derive(StreamFamily::TraceCodeLines),
-            ),
-            data_lines: StackMapper::new(
-                spec.data_reuse.clone(),
-                streams.derive(StreamFamily::TraceDataLines),
-            ),
-            code_pages_4k: StackMapper::new(
-                spec.code_page_reuse.clone(),
-                streams.derive(StreamFamily::TraceCodePages4k),
-            ),
-            data_pages_4k: StackMapper::new(
-                spec.data_page_reuse.clone(),
-                streams.derive(StreamFamily::TraceDataPages4k),
-            ),
-            code_pages_2m: StackMapper::new(
-                code_2m,
-                streams.derive(StreamFamily::TraceCodePages2m),
-            ),
-            data_pages_2m: StackMapper::new(
-                data_2m,
-                streams.derive(StreamFamily::TraceDataPages2m),
-            ),
+            code_lines: StackMapper::new(spec.code_reuse.clone()),
+            data_lines: StackMapper::new(spec.data_reuse.clone()),
+            code_pages_4k: StackMapper::new(spec.code_page_reuse.clone()),
+            data_pages_4k: StackMapper::new(spec.data_page_reuse.clone()),
+            code_pages_2m: StackMapper::new(code_2m),
+            data_pages_2m: StackMapper::new(data_2m),
             huge,
             thresholds: [t1, t2, t3, t4],
             rng: SmallRng::seed_from_u64(seed),
@@ -389,7 +483,16 @@ impl TraceGenerator {
     /// matches the per-event path exactly for every `n`.
     pub fn fill_batch(&mut self, batch: &mut EventBatch, n: usize) {
         batch.clear();
-        for i in 0..n {
+        self.extend_batch(batch, n);
+    }
+
+    /// Appends the next `n` events to `batch`, keeping what it holds: the
+    /// new data slots' `data_event` entries continue the batch's event
+    /// numbering. Successive calls on one batch record a tape bit-identical
+    /// to a single larger fill.
+    pub(crate) fn extend_batch(&mut self, batch: &mut EventBatch, n: usize) {
+        let first = batch.len();
+        for i in first..first + n {
             let u: f64 = self.rng.gen();
             let class = if u < self.thresholds[0] {
                 InsnClass::Branch
@@ -412,29 +515,18 @@ impl TraceGenerator {
             };
             batch.code_pages.push(code_page);
             batch.code_huge.push(code_huge);
-            match class {
-                InsnClass::Branch => batch.branches += 1,
-                InsnClass::Fp => batch.fp_ops += 1,
-                InsnClass::Load | InsnClass::Store => {
-                    let is_store = class == InsnClass::Store;
-                    if is_store {
-                        batch.stores += 1;
-                    } else {
-                        batch.loads += 1;
-                    }
-                    let data_huge = self.rng.gen::<f64>() < self.huge.data_huge_fraction;
-                    let page = if data_huge {
-                        self.data_pages_2m.access(&mut self.rng)
-                    } else {
-                        self.data_pages_4k.access(&mut self.rng)
-                    };
-                    batch.data_event.push(i as u32);
-                    batch.data_is_store.push(is_store);
-                    batch.data_pages.push(page);
-                    batch.data_huge.push(data_huge);
-                    batch.data_lines.push(self.data_lines.access(&mut self.rng));
-                }
-                InsnClass::Arith => {}
+            if matches!(class, InsnClass::Load | InsnClass::Store) {
+                let data_huge = self.rng.gen::<f64>() < self.huge.data_huge_fraction;
+                let page = if data_huge {
+                    self.data_pages_2m.access(&mut self.rng)
+                } else {
+                    self.data_pages_4k.access(&mut self.rng)
+                };
+                batch.data_event.push(i as u32);
+                batch.data_is_store.push(class == InsnClass::Store);
+                batch.data_pages.push(page);
+                batch.data_huge.push(data_huge);
+                batch.data_lines.push(self.data_lines.access(&mut self.rng));
             }
         }
     }
@@ -495,7 +587,7 @@ mod tests {
         let dist =
             ReuseDistanceDist::from_survival_points(&[(128, 0.3), (4096, 0.05)], 0.02, 100_000)
                 .unwrap();
-        let mut mapper = StackMapper::new(dist.clone(), 7);
+        let mut mapper = StackMapper::new(dist.clone());
         let mut rng = SmallRng::seed_from_u64(42);
         // Model LRU cache of capacity 128 as a recency list.
         let mut recency: Vec<u64> = Vec::new();
@@ -523,7 +615,7 @@ mod tests {
     #[test]
     fn mapper_footprint_is_bounded() {
         let dist = ReuseDistanceDist::single_knee(16, 0.5, 0.4, 64).unwrap();
-        let mut mapper = StackMapper::new(dist, 1);
+        let mut mapper = StackMapper::new(dist);
         let mut rng = SmallRng::seed_from_u64(5);
         for _ in 0..10_000 {
             mapper.access(&mut rng);
@@ -630,8 +722,16 @@ mod tests {
             batched.fill_batch(&mut batch, chunk);
             assert_eq!(batch.len(), chunk);
             let mut data_cursor = 0usize;
+            let mut tallies = [0u64; 4];
             for i in 0..chunk {
                 let e = per_event.next_event();
+                match e.class {
+                    InsnClass::Branch => tallies[0] += 1,
+                    InsnClass::Fp => tallies[1] += 1,
+                    InsnClass::Load => tallies[2] += 1,
+                    InsnClass::Store => tallies[3] += 1,
+                    InsnClass::Arith => {}
+                }
                 assert_eq!(batch.classes[i], e.class);
                 assert_eq!(batch.code_lines[i], e.code_line);
                 assert_eq!(batch.code_pages[i], e.code_page.page);
@@ -646,14 +746,8 @@ mod tests {
                 }
             }
             assert_eq!(data_cursor, batch.data_event.len());
-            assert_eq!(
-                batch.branches + batch.fp_ops + batch.loads + batch.stores,
-                batch
-                    .classes
-                    .iter()
-                    .filter(|c| !matches!(c, InsnClass::Arith))
-                    .count() as u64
-            );
+            let c = batch.chunk(0..chunk);
+            assert_eq!([c.branches, c.fp_ops, c.loads, c.stores], tallies);
         }
         // Generator states converged: the next events still agree.
         for _ in 0..100 {
@@ -669,5 +763,125 @@ mod tests {
             .filter(|_| a.next_event() == b.next_event())
             .count();
         assert!(same < 100);
+    }
+
+    /// Everything a [`TraceKey`] is built from.
+    struct KeyInputs {
+        spec: StreamSpec,
+        huge: HugePageMix,
+        seed: u64,
+        events: u64,
+    }
+
+    /// One named change to the key inputs.
+    type Perturb = (&'static str, fn(&mut KeyInputs));
+
+    /// The key of the base inputs after `perturb`.
+    fn key_after(perturb: fn(&mut KeyInputs)) -> TraceKey {
+        let mut k = KeyInputs {
+            spec: spec(),
+            huge: HugePageMix {
+                code_huge_fraction: 0.1,
+                data_huge_fraction: 0.6,
+            },
+            seed: 5,
+            events: 1000,
+        };
+        perturb(&mut k);
+        TraceKey::new(&k.spec, k.huge, k.seed, k.events)
+    }
+
+    fn other_dist() -> ReuseDistanceDist {
+        ReuseDistanceDist::single_knee(32, 0.1, 0.01, 5_000).unwrap()
+    }
+
+    #[test]
+    fn trace_key_covers_exactly_what_new_reads() {
+        let base = key_after(|_| {});
+        let keyed: [Perturb; 15] = [
+            ("mix.branch", |k| k.spec.mix.branch += 0.01),
+            ("mix.fp", |k| k.spec.mix.fp += 0.01),
+            ("mix.arith", |k| k.spec.mix.arith += 0.01),
+            ("mix.load", |k| k.spec.mix.load += 0.01),
+            ("mix.store", |k| k.spec.mix.store += 0.01),
+            ("code_reuse", |k| k.spec.code_reuse = other_dist()),
+            ("data_reuse", |k| k.spec.data_reuse = other_dist()),
+            ("code_page_reuse", |k| k.spec.code_page_reuse = other_dist()),
+            ("data_page_reuse", |k| k.spec.data_page_reuse = other_dist()),
+            ("code_compaction", |k| k.spec.pages.code_compaction = 32.0),
+            ("data_compaction", |k| k.spec.pages.data_compaction = 8.0),
+            ("code_huge_fraction", |k| k.huge.code_huge_fraction = 0.2),
+            ("data_huge_fraction", |k| k.huge.data_huge_fraction = 0.5),
+            ("seed", |k| k.seed = 6),
+            ("events", |k| k.events = 1001),
+        ];
+        for (name, perturb) in keyed {
+            assert_ne!(key_after(perturb), base, "{name} must change the trace key");
+        }
+        // Inputs `new` never reads — CPI calibration, branch/prefetch/
+        // context-switch profiles, and the page traits that act only
+        // through the resolved huge-page mix — must share the trace. (The
+        // engine's knobs reach the trace only through that mix; see
+        // `engine::tests::only_page_knobs_change_the_trace_key`.)
+        let unkeyed: [Perturb; 7] = [
+            ("base_cpi_scale", |k| k.spec.base_cpi_scale = 1.1),
+            ("name", |k| k.spec.name = "other".to_string()),
+            ("mlp", |k| k.spec.mlp = 5.0),
+            ("branch", |k| k.spec.branch.base_mispredict = 0.05),
+            ("prefetch", |k| k.spec.prefetch.accuracy = 0.9),
+            ("context_switch", |k| {
+                k.spec.context_switch.rate_per_sec = 9e4
+            }),
+            ("madvise_fraction", |k| k.spec.pages.madvise_fraction = 0.9),
+        ];
+        for (name, perturb) in unkeyed {
+            assert_eq!(
+                key_after(perturb),
+                base,
+                "{name} must not change the trace key"
+            );
+        }
+    }
+
+    #[test]
+    fn extended_tape_matches_one_fill_and_chunks_slice_it() {
+        // Recording chunk by chunk yields the tape a single fill would,
+        // and `chunk` recovers each recorded piece.
+        let mix = HugePageMix {
+            code_huge_fraction: 0.3,
+            data_huge_fraction: 0.5,
+        };
+        let sizes = [5usize, 64, 1, 300];
+        let total: usize = sizes.iter().sum();
+        let mut whole = EventBatch::default();
+        TraceGenerator::new(&spec(), mix, 11).fill_batch(&mut whole, total);
+        let mut gen = TraceGenerator::new(&spec(), mix, 11);
+        let mut tape = EventBatch::with_capacity(total);
+        let mut piece = EventBatch::default();
+        let mut piece_gen = TraceGenerator::new(&spec(), mix, 11);
+        for n in sizes {
+            let start = tape.len();
+            gen.extend_batch(&mut tape, n);
+            piece_gen.fill_batch(&mut piece, n);
+            let c = tape.chunk(start..start + n);
+            assert_eq!(c.code_lines, &piece.code_lines[..]);
+            assert_eq!(c.code_pages, &piece.code_pages[..]);
+            assert_eq!(c.code_huge, &piece.code_huge[..]);
+            assert_eq!(c.data_lines, &piece.data_lines[..]);
+            assert_eq!(c.data_pages, &piece.data_pages[..]);
+            assert_eq!(c.data_huge, &piece.data_huge[..]);
+            assert_eq!(c.data_is_store, &piece.data_is_store[..]);
+            let relative: Vec<u32> = c.data_event.iter().map(|&e| e - c.first).collect();
+            assert_eq!(relative, piece.data_event);
+            let p = piece.chunk(0..n);
+            assert_eq!(
+                [c.branches, c.fp_ops, c.loads, c.stores],
+                [p.branches, p.fp_ops, p.loads, p.stores]
+            );
+        }
+        assert_eq!(tape.classes, whole.classes);
+        assert_eq!(tape.code_lines, whole.code_lines);
+        assert_eq!(tape.data_event, whole.data_event);
+        assert_eq!(tape.data_lines, whole.data_lines);
     }
 }

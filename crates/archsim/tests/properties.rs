@@ -69,7 +69,7 @@ proptest! {
             footprint,
         )
         .unwrap();
-        let mut mapper = StackMapper::new(dist, seed);
+        let mut mapper = StackMapper::new(dist);
         let mut rng = SmallRng::seed_from_u64(seed ^ 1);
         for _ in 0..2000 {
             let _ = mapper.access(&mut rng);

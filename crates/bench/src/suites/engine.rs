@@ -6,10 +6,11 @@
 //! throughput with the memo off — every run is a genuine evaluation —
 //! across batch sizes, and asserts at runtime that every batch size
 //! produces bit-identical reports (the batched tick is a pure performance
-//! control). Part 2 measures the report memo: the cost of a cold
-//! evaluation against a memo hit, which is the price `AbEnvironment::fork`
+//! control). Part 2 measures the memos: the cost of a cold evaluation
+//! against a report-memo hit, which is the price `AbEnvironment::fork`
 //! replicas pay (or skip) when they re-measure their parent's operating
-//! points. Part 3 (full mode) times the memo-independent components the
+//! points, and against a window at another load, which replays the cold
+//! window's trace from the trace memo. Part 3 (full mode) times the memo-independent components the
 //! engine is built from — rank list, caches, TLB, stack mapper, trace
 //! generator, A/B statistics — as fixed-iteration ns/op loops.
 
@@ -128,7 +129,10 @@ fn throughput(window: u64, evals: u64, batch_sizes: &[usize]) -> Result<Json, Bo
 
 /// Part 2: memo economics — one cold evaluation vs memo hits, the exact
 /// cost difference between an `AbEnvironment::fork` replica re-warming a
-/// measurement and snapshotting its parent's finished report.
+/// measurement and snapshotting its parent's finished report; then the
+/// same engine at another load, a report-memo miss that replays the cold
+/// evaluation's trace (every point of a load curve, every page-neutral
+/// knob setting).
 fn memo_economics(window: u64, hits: usize) -> Result<Json, BoxError> {
     // A tuple no other part of this process evaluates, so the first call is
     // guaranteed cold.
@@ -152,16 +156,31 @@ fn memo_economics(window: u64, hits: usize) -> Result<Json, BoxError> {
         );
     }
 
+    let clock = Stopwatch::start();
+    let shared = engine.run_colocated(window, 0.6, 3.0, Some(0.7))?;
+    let shared_s = clock.elapsed_s();
+    let generated = engine_for(Microservice::Feed2, BASE_SEED + 9001)?
+        .with_memo(false)
+        .run_colocated(window, 0.6, 3.0, Some(0.7))?;
+    assert_eq!(
+        signature(&shared),
+        signature(&generated),
+        "a replayed trace must be bit-identical to a generated one"
+    );
+
     let speedup = cold_s / hit_s.max(1e-12);
     println!(
-        "== report memo: cold {:.1} ms, hit {:.4} ms ({speedup:.0}x; fork replicas skip re-warm-up) ==",
+        "== report memo: cold {:.1} ms, hit {:.4} ms ({speedup:.0}x; fork replicas skip re-warm-up); \
+         shared trace {:.1} ms ==",
         cold_s * 1e3,
-        hit_s * 1e3
+        hit_s * 1e3,
+        shared_s * 1e3
     );
     Ok(Json::obj()
         .set("window_instructions", Json::Int(window as i64))
         .set("cold_eval_ms", Json::Num(cold_s * 1e3))
         .set("memo_hit_ms", Json::Num(hit_s * 1e3))
+        .set("trace_shared_ms", Json::Num(shared_s * 1e3))
         .set("hit_reps", Json::Int(hits as i64))
         .set("speedup", Json::Num(speedup))
         .set("bit_identical", Json::Bool(true)))
@@ -239,7 +258,7 @@ fn components() -> Result<Json, BoxError> {
 
     let dist =
         ReuseDistanceDist::from_survival_points(&[(512, 0.1), (65_536, 0.01)], 0.001, 1 << 20)?;
-    let mut mapper = StackMapper::new(dist, 3);
+    let mut mapper = StackMapper::new(dist);
     let mut rng = SmallRng::seed_from_u64(BASE_SEED);
     rows.push(ns_per_op("trace/stack_mapper_access", iterations, || {
         black_box(mapper.access(&mut rng));

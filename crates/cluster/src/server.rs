@@ -273,7 +273,8 @@ impl SimServer {
         let key = config_key(&config, self.push_cpi_scale);
         if !self.cache.contains_key(&key) {
             // The three load-grid evaluations are independent; run them in
-            // parallel (they dominate the cost of every reconfiguration).
+            // parallel. They share one trace: the first to reach the engine's
+            // trace memo records it while the other two wait, then replay it.
             let profile = &self.profile;
             let push_scale = self.push_cpi_scale;
             let seed = self.seed;

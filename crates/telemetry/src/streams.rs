@@ -82,7 +82,8 @@ pub enum StreamFamily {
     /// Engine sampling jitter — pollution placement and window sampling
     /// (`archsim::engine`).
     EngineSampling,
-    /// Code cache-line reuse stack (`archsim::trace`).
+    /// Code cache-line reuse stack (`archsim::trace`). No longer derived
+    /// (the stacks are deterministic); the six `Trace*` masks stay reserved.
     TraceCodeLines,
     /// Data cache-line reuse stack (`archsim::trace`).
     TraceDataLines,

@@ -11,10 +11,17 @@
 //!    the snapshot path) draws the same measurement sequence as a fork of
 //!    a *cold* one (everything re-simulated — the re-warm path), so the
 //!    stream registry is consumed identically either way.
+//! 4. A window served from the trace memo — replaying a trace an earlier
+//!    window with the same stream, page mix and seed recorded — is
+//!    bit-identical to one that generates its own trace.
+//!
+//! The process-wide memos are shared by every test in this binary, so each
+//! trace-memo test uses its own seed.
 
 use proptest::prelude::*;
-use softsku::archsim::engine::{Engine, WindowReport};
-use softsku::cluster::{AbEnvironment, EnvConfig};
+use softsku::archsim::engine::{Engine, ServerConfig, WindowReport};
+use softsku::archsim::{PrefetcherConfig, ThpMode};
+use softsku::cluster::{AbEnvironment, EnvConfig, SimServer};
 use softsku::workloads::{Microservice, PlatformKind};
 
 /// Every field of a report as exact bits: `u64` counters verbatim, `f64`
@@ -158,5 +165,95 @@ fn fork_of_warmed_env_matches_fork_of_cold_env() {
             ),
             "fork draw sequences diverged at step {step}"
         );
+    }
+}
+
+/// Window length of the trace-memo tests.
+const SHARED_WINDOW: u64 = 60_000;
+
+/// Runs `config` on Web/Skylake18 at `load` with the memos on and off.
+fn memo_on_and_off(config: &ServerConfig, seed: u64, load: f64) -> (WindowReport, WindowReport) {
+    let profile = Microservice::Web.profile(PlatformKind::Skylake18).unwrap();
+    let engine = |memo: bool| {
+        Engine::new(config.clone(), profile.stream.clone(), seed)
+            .unwrap()
+            .with_memo(memo)
+            .run_window(SHARED_WINDOW, load)
+            .unwrap()
+    };
+    (engine(true), engine(false))
+}
+
+fn stock_web() -> ServerConfig {
+    Microservice::Web
+        .profile(PlatformKind::Skylake18)
+        .unwrap()
+        .stock_config
+}
+
+/// A second load point misses the report memo but replays the trace the
+/// first one recorded.
+#[test]
+fn trace_memo_window_at_a_second_load_matches_generation() {
+    let seed = 5101;
+    let (recorded, recorded_off) = memo_on_and_off(&stock_web(), seed, 0.9);
+    assert_eq!(signature(&recorded), signature(&recorded_off));
+    let (replayed, generated) = memo_on_and_off(&stock_web(), seed, 0.6);
+    assert_eq!(signature(&replayed), signature(&generated));
+    assert_ne!(signature(&replayed), signature(&recorded), "loads differ");
+}
+
+/// Knobs that leave the huge-page mix alone replay the stock trace.
+#[test]
+fn trace_memo_window_under_a_page_neutral_knob_matches_generation() {
+    let seed = 5102;
+    let _ = memo_on_and_off(&stock_web(), seed, 0.8);
+    let mut no_prefetch = stock_web();
+    no_prefetch.prefetchers = PrefetcherConfig::all_off();
+    let mut slow_core = stock_web();
+    slow_core.core_freq_ghz = slow_core.platform.core_freq_range_ghz.0;
+    for config in [no_prefetch, slow_core] {
+        let (replayed, generated) = memo_on_and_off(&config, seed, 0.8);
+        assert_eq!(signature(&replayed), signature(&generated));
+    }
+}
+
+/// A THP change alters the huge-page mix, so it keys a different trace:
+/// it must miss the trace memo, record its own, and still match.
+#[test]
+fn trace_memo_thp_change_records_its_own_trace() {
+    let seed = 5103;
+    let (stock, _) = memo_on_and_off(&stock_web(), seed, 0.8);
+    let mut never = stock_web();
+    never.thp = ThpMode::NeverOn;
+    let (recorded, generated) = memo_on_and_off(&never, seed, 0.8);
+    assert_eq!(signature(&recorded), signature(&generated));
+    assert_ne!(
+        recorded.counters.dtlb_misses, stock.counters.dtlb_misses,
+        "THP never must not replay the THP-always trace"
+    );
+}
+
+/// A fresh `SimServer` curve evaluates its three load points on three
+/// threads: one records the shared trace while the other two wait for it
+/// and replay it. Every point matches a memo-off evaluation.
+#[test]
+fn trace_memo_concurrent_curve_points_match_generation() {
+    let seed = 5104;
+    let profile = Microservice::Web.profile(PlatformKind::Skylake18).unwrap();
+    // Stock Web reserves no SHPs, unlike the production config the server
+    // calibrates against, so the curve's trace is not yet recorded.
+    let config = stock_web();
+    let mut server =
+        SimServer::with_window(profile.clone(), config.clone(), seed, SHARED_WINDOW).unwrap();
+    let peak = server.peak_report().unwrap();
+    for grid in [0.5, 0.75, 1.0] {
+        let load = grid * profile.peak_utilization;
+        // Memo on: the report the concurrent curve evaluation stored.
+        let (served, generated) = memo_on_and_off(&config, seed, load);
+        assert_eq!(signature(&served), signature(&generated), "grid {grid}");
+        if grid == 1.0 {
+            assert_eq!(signature(&peak), signature(&generated));
+        }
     }
 }

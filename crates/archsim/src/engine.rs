@@ -11,14 +11,10 @@ use crate::memory::MemoryModel;
 use crate::pagemap::{PagePolicy, ThpMode, ThpPlatformTraits};
 use crate::platform::{CacheGeometry, PlatformKind, PlatformSpec, TlbGeometry, CACHE_LINE_BYTES};
 use crate::prefetch::{PrefetchEffect, PrefetcherConfig};
-use crate::stream::{
-    BranchProfile, ContextSwitchProfile, InstructionMix, PageProfile, PrefetchAffinity, StreamSpec,
-};
+use crate::stream::{BranchProfile, StreamSpec};
 use crate::tlb::TlbHierarchy;
 use crate::tmam::TmamBreakdown;
-use crate::trace::{
-    EventBatch, EventChunk, HugePageMix, TraceGenerator, TraceKey, TAPE_BYTES_PER_EVENT,
-};
+use crate::trace::{EventBatch, HugePageMix, TraceGenerator, TraceKey};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -202,31 +198,35 @@ const FP_PRESSURE_CPI: f64 = 0.15;
 /// to amortize per-chunk pass setup, small enough that the SoA buffers and
 /// miss lists stay L2-resident.
 const DEFAULT_BATCH_EVENTS: usize = 4096;
-/// Entry bound for the process-wide report memo. At the bound the map is
+/// Entry bound for the process-wide pass memo. At the bound the map is
 /// cleared wholesale rather than evicted piecemeal: LRU bookkeeping would
 /// cost more than re-simulating the handful of live entries, and a sweep
 /// repopulates its working set within one round.
-const REPORT_MEMO_CAP: usize = 1 << 16;
+const PASS_MEMO_CAP: usize = 1 << 16;
 
-/// Process-wide memo of completed window evaluations, keyed by a 128-bit
-/// content fingerprint of every input that determines the report (config,
-/// stream spec, seed, window length, load, co-location terms, warm-up
-/// override). This is the snapshot/restore path for warmed structures:
-/// forked replicas (`AbEnvironment::fork`) evaluate the *same* engine
-/// tuples as their parent, so instead of re-running the 50k–400k-instruction
-/// warm-up per replica they get the finished report back as a lookup. Safe
-/// because `run_colocated` is a pure function of the fingerprinted inputs —
-/// all RNG streams are derived from the seed, and results are bit-identical
-/// across batch sizes (which is why `batch_events` is *excluded* from the
-/// key).
-static REPORT_MEMO: OnceLock<Mutex<HashMap<u128, WindowReport>>> = OnceLock::new();
+/// One pass-memo entry: empty until the first window with its key finishes
+/// its passes. That window holds the slot's lock while it simulates, so
+/// concurrent windows with the same key wait for its counters instead of
+/// simulating copies.
+type PassSlot = Arc<Mutex<Option<Counters>>>;
+
+/// Process-wide memo of [`WindowSim::run`]'s counters, keyed by
+/// [`Engine::pass_key`]: everything the structure passes read. µSKU's A/B
+/// arms run one workload on identical hardware with one engine seed (paper
+/// Sec. 5), and most knobs change timing, not the access stream, so the
+/// passes of every load point, every prefetcher or uncore setting and every
+/// co-runner's bandwidth repeat a window the process already simulated.
+/// A hit skips building structures and generating the trace; only the
+/// analytic steps 4–5 of [`Engine::evaluate`] run. The map's mutex is held
+/// only to claim a [`PassSlot`].
+static PASS_MEMO: OnceLock<Mutex<HashMap<u128, PassSlot>>> = OnceLock::new();
 
 /// Code ids share the unified L2/LLC with data ids; tag them apart.
 const CODE_TAG: u64 = 1 << 62;
 
 /// Entry bound for the warm-structure snapshot cache. Entries are a few
 /// megabytes each (the LLC array dominates), so the bound is small; as
-/// with [`REPORT_MEMO`], the map clears wholesale at the bound.
+/// with [`PASS_MEMO`], the map clears wholesale at the bound.
 const STRUCT_MEMO_CAP: usize = 32;
 
 /// Cache/TLB hierarchy in its pre-filled steady state, ready to simulate a
@@ -245,41 +245,11 @@ struct WarmStructures {
 }
 
 /// Process-wide snapshot cache of pre-filled structure hierarchies, keyed
-/// by a content fingerprint of everything that shapes them. This is the
-/// *cold-evaluation* half of snapshot/restore: [`REPORT_MEMO`] short-cuts
-/// evaluations that repeat verbatim, while this cache accelerates genuinely
-/// new tuples that reuse a hierarchy shape — every point of a load curve,
-/// every A/B window of an arm, and every knob setting that leaves the
-/// cache/TLB geometry untouched (THP, SHP, frequencies) share one entry.
+/// by a content fingerprint of everything that shapes them. It serves the
+/// pass-memo misses: a new trace (THP, SHP, a fresh seed) or a switch
+/// schedule inside the window on a hierarchy shape the process has already
+/// built restores a clone instead of replaying the pre-fill.
 static STRUCT_MEMO: OnceLock<Mutex<HashMap<u128, WarmStructures>>> = OnceLock::new();
-
-/// Byte bound for [`TRACE_MEMO`], counted as each tape's full buffer
-/// allocation (`events * TAPE_BYTES_PER_EVENT`). A tape larger than the
-/// bound is never kept; at the bound the map clears wholesale, as the other
-/// two memos do.
-const TRACE_MEMO_BYTES: usize = 256 << 20;
-
-/// One recorded trace, shared by every window that replays it. The cell is
-/// filled once, by the first window to claim it, while that window
-/// simulates; concurrent windows with the same key wait on it instead of
-/// generating copies.
-type TapeCell = Arc<OnceLock<EventBatch>>;
-
-/// Recorded traces and the bytes their buffers hold.
-#[derive(Default)]
-struct TraceMemo {
-    tapes: HashMap<TraceKey, TapeCell>,
-    bytes: usize,
-}
-
-/// Process-wide memo of whole-window traces, keyed by [`TraceKey`]: the
-/// stream spec's generator inputs, the resolved huge-page mix, the seed and
-/// the event count. The A/B arms of µSKU share one engine seed, so every
-/// knob setting that leaves the huge-page mix alone, every point of a load
-/// curve and every code push replays one trace; [`REPORT_MEMO`] cannot
-/// serve them because their reports differ. The map's mutex is held only to
-/// claim a [`TapeCell`]; generation runs outside it.
-static TRACE_MEMO: OnceLock<Mutex<TraceMemo>> = OnceLock::new();
 
 /// The window-level simulator for one (platform config, workload) pair.
 #[derive(Debug)]
@@ -313,11 +283,10 @@ impl Engine {
     }
 
     /// Enables or disables the process-wide memos for this engine (default
-    /// on): the report memo, the warm-structure snapshots and the trace
-    /// memo. Identity tests and throughput benchmarks turn them off to force
-    /// a full evaluation — structures built and trace generated; memo hits
-    /// are bit-identical to evaluation, so production callers never need
-    /// to.
+    /// on): the pass memo and the warm-structure snapshots. Identity tests
+    /// and throughput benchmarks turn them off to force a full evaluation —
+    /// structures built, trace generated and passes run; memo hits are
+    /// bit-identical to evaluation, so production callers never need to.
     pub fn with_memo(mut self, enabled: bool) -> Self {
         self.use_memo = enabled;
         self
@@ -355,260 +324,138 @@ impl Engine {
         &self.spec
     }
 
-    /// 128-bit content fingerprint of one window evaluation: every field of
-    /// the config and spec the simulation reads, the seed, and the call
-    /// arguments. `batch_events` is deliberately excluded — results are
-    /// bit-identical at every batch size, so including it would only split
-    /// the memo. Collisions at 128 bits are negligible against the ~1e5
-    /// distinct tuples a long sweep evaluates.
+    /// 128-bit content key of one window's structure passes: everything
+    /// [`WindowSim::run`] reads. That is the structure key at the resolved
+    /// LLC `share`, the trace key (generator inputs, the resolved `huge`
+    /// mix, the seed, warm-up plus window events), the branch predictor's
+    /// inputs, and the `schedule`. The schedule's switch period is already
+    /// clipped to the window, so a window with no switch inside it keys no
+    /// core frequency or load. `batch_events` is excluded: results are
+    /// bit-identical at every batch size. Collisions at 128 bits are
+    /// negligible against the ~1e5 distinct windows a long sweep evaluates.
     ///
     /// Every input struct is destructured without `..`, so a field added to
     /// any of them fails to compile here until it is keyed or excluded with
-    /// a reason; the memo cannot silently serve a stale report.
-    fn fingerprint(
-        &self,
-        instructions: u64,
-        load_fraction: f64,
-        background_bw_gbps: f64,
-        llc_share: Option<f64>,
-    ) -> u128 {
+    /// a reason; the memo cannot silently serve stale counters.
+    fn pass_key(&self, schedule: &Schedule, share: f64, huge: HugePageMix) -> u128 {
         let mut h = Fnv128::new();
+        // Domain separator against the structure and trace keys hashed in.
+        h.push(0x5041_5353); // "PASS"
         let Engine {
             config,
             spec,
             seed,
-            warmup_override,
-            // Pure performance controls: reports are bit-identical at every
+            // Enters through `schedule.warmup`.
+            warmup_override: _,
+            // Pure performance controls: counters are bit-identical at every
             // batch size and with the memos on or off.
             batch_events: _,
             use_memo: _,
         } = self;
         let ServerConfig {
             platform,
-            core_freq_ghz,
-            uncore_freq_ghz,
-            active_cores,
-            llc_ways_enabled,
-            cdp,
-            prefetchers,
-            thp,
-            shp_pages,
-            machine_memory_bytes,
+            // Enabled ways and the CDP split shape the warm structures:
+            // keyed by `structure_key`.
+            llc_ways_enabled: _,
+            cdp: _,
+            // Core frequency reaches the passes only through the switch
+            // period in `schedule`; the core count only through `share`.
+            core_freq_ghz: _,
+            active_cores: _,
+            // Prefetchers and uncore frequency act only in steps 4–5.
+            uncore_freq_ghz: _,
+            prefetchers: _,
+            // Page knobs reach the passes only through `huge` (keyed by the
+            // trace key); SHP pressure acts in step 4.
+            thp: _,
+            shp_pages: _,
+            machine_memory_bytes: _,
         } = config;
         let PlatformSpec {
-            kind,
-            // A display label, fixed by `kind`.
-            microarchitecture: _,
-            sockets,
-            cores_per_socket,
-            smt,
-            l1i,
-            l1d,
-            l2,
-            llc,
-            itlb,
-            dtlb,
-            stlb_entries,
-            page_walk_cycles,
-            issue_width,
-            mispredict_penalty_cycles,
             btb_entries,
-            core_freq_range_ghz,
-            uncore_freq_range_ghz,
-            avx_freq_tax_ghz,
-            avx_fp_threshold,
-            mem_unloaded_latency_ns,
-            mem_peak_bw_gbps,
-            supports_rdt,
+            // Geometries shape the warm structures: keyed by
+            // `structure_key`.
+            l1i: _,
+            l1d: _,
+            l2: _,
+            llc: _,
+            itlb: _,
+            dtlb: _,
+            stlb_entries: _,
+            // Core counts reach the passes only through `share`.
+            sockets: _,
+            cores_per_socket: _,
+            // Latencies, widths, clocks and the memory system price the
+            // counters in steps 4–5.
+            kind: _,
+            microarchitecture: _,
+            smt: _,
+            page_walk_cycles: _,
+            issue_width: _,
+            mispredict_penalty_cycles: _,
+            core_freq_range_ghz: _,
+            uncore_freq_range_ghz: _,
+            avx_freq_tax_ghz: _,
+            avx_fp_threshold: _,
+            mem_unloaded_latency_ns: _,
+            mem_peak_bw_gbps: _,
+            supports_rdt: _,
         } = platform;
-
-        // Platform.
-        h.push(match kind {
-            PlatformKind::Skylake18 => 0,
-            PlatformKind::Skylake20 => 1,
-            PlatformKind::Broadwell16 => 2,
-        });
-        h.push(u64::from(*sockets));
-        h.push(u64::from(*cores_per_socket));
-        h.push(u64::from(*smt));
-        for g in [l1i, l1d, l2, llc] {
-            let CacheGeometry {
-                capacity_bytes,
-                ways,
-                latency_cycles,
-            } = *g;
-            h.push(capacity_bytes);
-            h.push(u64::from(ways));
-            h.push(u64::from(latency_cycles));
-        }
-        for t in [itlb, dtlb] {
-            let TlbGeometry {
-                entries_4k,
-                entries_2m,
-            } = *t;
-            h.push(u64::from(entries_4k));
-            h.push(u64::from(entries_2m));
-        }
-        h.push(u64::from(*stlb_entries));
-        h.push(u64::from(*page_walk_cycles));
-        h.push(u64::from(*issue_width));
-        h.push(u64::from(*mispredict_penalty_cycles));
-        h.push(u64::from(*btb_entries));
-        h.push_f64(core_freq_range_ghz.0);
-        h.push_f64(core_freq_range_ghz.1);
-        h.push_f64(uncore_freq_range_ghz.0);
-        h.push_f64(uncore_freq_range_ghz.1);
-        h.push_f64(*avx_freq_tax_ghz);
-        h.push_f64(*avx_fp_threshold);
-        h.push_f64(*mem_unloaded_latency_ns);
-        h.push_f64(*mem_peak_bw_gbps);
-        h.push(u64::from(*supports_rdt));
-
-        // Knob settings.
-        h.push_f64(*core_freq_ghz);
-        h.push_f64(*uncore_freq_ghz);
-        h.push(u64::from(*active_cores));
-        h.push(u64::from(*llc_ways_enabled));
-        match *cdp {
-            Some(CdpPartition {
-                data_ways,
-                code_ways,
-            }) => {
-                h.push(1);
-                h.push(u64::from(data_ways));
-                h.push(u64::from(code_ways));
-            }
-            None => h.push(0),
-        }
-        let PrefetcherConfig {
-            l2_stream,
-            l2_adjacent,
-            dcu,
-            dcu_ip,
-        } = *prefetchers;
-        h.push(
-            u64::from(l2_stream)
-                | u64::from(l2_adjacent) << 1
-                | u64::from(dcu) << 2
-                | u64::from(dcu_ip) << 3,
-        );
-        h.push(match thp {
-            ThpMode::Madvise => 0,
-            ThpMode::AlwaysOn => 1,
-            ThpMode::NeverOn => 2,
-        });
-        h.push(u64::from(*shp_pages));
-        h.push(*machine_memory_bytes);
-
-        // Stream spec.
         let StreamSpec {
-            name,
-            mix,
-            code_reuse,
-            data_reuse,
-            code_page_reuse,
-            data_page_reuse,
             branch,
-            prefetch,
-            pages,
-            context_switch,
-            mlp,
-            smt_gain,
-            base_cpi_scale,
-            writeback_factor,
-            burstiness,
-            llc_contention,
-            natural_code_llc_share,
-            extra_mem_lines_per_ki,
-            extra_traffic_prefetch_fraction,
-            frontend_exposure,
+            // The generator inputs (mix, reuse distributions, page
+            // compaction) are keyed by the trace key; the reuse
+            // distributions and the natural code share also by
+            // `structure_key`.
+            mix: _,
+            code_reuse: _,
+            data_reuse: _,
+            code_page_reuse: _,
+            data_page_reuse: _,
+            pages: _,
+            natural_code_llc_share: _,
+            // The switch rate and pollution enter through `schedule`; its
+            // direct cost is priced in step 5.
+            context_switch: _,
+            // Contention enters through `share`.
+            llc_contention: _,
+            // A display label, and traits that price the counters in steps
+            // 4–5.
+            name: _,
+            prefetch: _,
+            mlp: _,
+            smt_gain: _,
+            base_cpi_scale: _,
+            writeback_factor: _,
+            burstiness: _,
+            extra_mem_lines_per_ki: _,
+            extra_traffic_prefetch_fraction: _,
+            frontend_exposure: _,
         } = spec;
-        h.push_bytes(name.as_bytes());
-        let InstructionMix {
-            branch: branch_share,
-            fp,
-            arith,
-            load,
-            store,
-        } = *mix;
-        for share in [branch_share, fp, arith, load, store] {
-            h.push_f64(share);
-        }
-        for dist in [code_reuse, data_reuse, code_page_reuse, data_page_reuse] {
-            dist.fingerprint_words(&mut |w| h.push(w));
-        }
         let BranchProfile {
-            taken_rate,
             base_mispredict,
             branch_working_set,
+            // Taken branches cost nothing beyond the mix's branch share.
+            taken_rate: _,
         } = *branch;
-        h.push_f64(taken_rate);
+        let Schedule {
+            warmup,
+            total,
+            insns_per_switch,
+            pollution,
+            // Chunking is a pure performance control.
+            batch_events: _,
+        } = *schedule;
+        h.push_u128(self.structure_key(share));
+        h.push_u128(TraceKey::new(spec, huge, *seed, total).0);
+        // The seed also seeds the branch predictor's sampling stream.
+        h.push(*seed);
         h.push_f64(base_mispredict);
         h.push(u64::from(branch_working_set));
-        let PrefetchAffinity {
-            sequential,
-            ip_stride,
-            accuracy,
-        } = *prefetch;
-        h.push_f64(sequential);
-        h.push_f64(ip_stride);
-        h.push_f64(accuracy);
-        let PageProfile {
-            data_compaction,
-            code_compaction,
-            madvise_fraction,
-            uses_shp,
-            shp_target_bytes,
-        } = *pages;
-        h.push_f64(data_compaction);
-        h.push_f64(code_compaction);
-        h.push_f64(madvise_fraction);
-        h.push(u64::from(uses_shp));
-        h.push(shp_target_bytes);
-        let ContextSwitchProfile {
-            rate_per_sec,
-            direct_cost_us_low,
-            direct_cost_us_high,
-            pollution_fraction,
-        } = *context_switch;
-        h.push_f64(rate_per_sec);
-        h.push_f64(direct_cost_us_low);
-        h.push_f64(direct_cost_us_high);
-        h.push_f64(pollution_fraction);
-        for v in [
-            mlp,
-            smt_gain,
-            base_cpi_scale,
-            writeback_factor,
-            burstiness,
-            llc_contention,
-            natural_code_llc_share,
-            extra_mem_lines_per_ki,
-            extra_traffic_prefetch_fraction,
-            frontend_exposure,
-        ] {
-            h.push_f64(*v);
-        }
-
-        // Seed, warm-up override, and call arguments.
-        h.push(*seed);
-        match *warmup_override {
-            Some(w) => {
-                h.push(1);
-                h.push(w);
-            }
-            None => h.push(0),
-        }
-        h.push(instructions);
-        h.push_f64(load_fraction);
-        h.push_f64(background_bw_gbps);
-        match llc_share {
-            Some(share) => {
-                h.push(1);
-                h.push_f64(share);
-            }
-            None => h.push(0),
-        }
+        h.push(u64::from(*btb_entries));
+        h.push(warmup);
+        h.push(insns_per_switch);
+        h.push_f64(pollution);
         h.finish()
     }
 
@@ -618,12 +465,11 @@ impl Engine {
     /// distributions (whose footprints set the pre-fill depths). Knobs that
     /// leave the hierarchy untouched — THP, SHP, frequencies, the seed —
     /// are deliberately absent so their settings share one snapshot. As in
-    /// [`Engine::fingerprint`], the inputs are destructured without `..`
-    /// and each omitted field is named with its reason.
+    /// [`Engine::pass_key`], the inputs are destructured without `..` and
+    /// each omitted field is named with its reason.
     fn structure_key(&self, share: f64) -> u128 {
         let mut h = Fnv128::new();
-        // Domain separator against REPORT_MEMO keys (different maps, but
-        // cheap insurance against cross-use).
+        // Domain separator against the pass and trace keys.
         h.push(0x5741_524d); // "WARM"
         let ServerConfig {
             platform,
@@ -734,30 +580,6 @@ impl Engine {
         h.finish()
     }
 
-    /// Claims this engine's trace for windows of `events` events in
-    /// [`TRACE_MEMO`]. `None` — generate privately, keep nothing — when the
-    /// memo is off, the tape would exceed [`TRACE_MEMO_BYTES`] on its own,
-    /// or the lock is poisoned. Only the claim runs under the lock.
-    fn trace_cell(&self, huge: HugePageMix, events: u64) -> Option<TapeCell> {
-        let bytes = usize::try_from(events)
-            .ok()?
-            .checked_mul(TAPE_BYTES_PER_EVENT)?;
-        if !self.use_memo || bytes > TRACE_MEMO_BYTES {
-            return None;
-        }
-        let key = TraceKey::new(&self.spec, huge, self.seed, events);
-        let memo = TRACE_MEMO.get_or_init(Mutex::default);
-        let mut guard = memo.lock().ok()?;
-        if !guard.tapes.contains_key(&key) {
-            if guard.bytes + bytes > TRACE_MEMO_BYTES {
-                guard.tapes.clear();
-                guard.bytes = 0;
-            }
-            guard.bytes += bytes;
-        }
-        Some(Arc::clone(guard.tapes.entry(key).or_default()))
-    }
-
     /// Returns the pre-filled structure hierarchy for this engine's config
     /// at the given LLC share — from the process-wide snapshot cache when
     /// the memo is enabled, built from scratch otherwise. A restored
@@ -784,11 +606,64 @@ impl Engine {
         Ok(warm)
     }
 
+    /// The counters of this window's structure passes: from [`PASS_MEMO`]
+    /// when an earlier window with the same [`Engine::pass_key`] ran them,
+    /// otherwise simulated — structures restored or built, trace generated
+    /// chunk by chunk — and, with the memo on, kept for later windows. A
+    /// poisoned map or slot (a thread panicked mid-simulation) only
+    /// bypasses the memo; a failed build leaves the slot empty.
+    fn window_counters(
+        &self,
+        schedule: &Schedule,
+        share: f64,
+        huge: HugePageMix,
+    ) -> Result<Counters, ArchSimError> {
+        let simulate = || -> Result<Counters, ArchSimError> {
+            let mut sim = WindowSim {
+                warm: self.structures_for(share)?,
+                bpu: BranchPredictor::new(
+                    self.spec.branch.base_mispredict,
+                    self.spec.branch.branch_working_set,
+                    self.config.platform.btb_entries,
+                ),
+                rng: rand_for(softsku_telemetry::stream_seed(
+                    self.seed,
+                    softsku_telemetry::StreamFamily::EngineSampling,
+                )),
+            };
+            let mut gen = TraceGenerator::new(&self.spec, huge, self.seed);
+            Ok(sim.run(schedule, &mut gen))
+        };
+        if !self.use_memo {
+            return simulate();
+        }
+        let key = self.pass_key(schedule, share, huge);
+        let Ok(mut map) = PASS_MEMO.get_or_init(Mutex::default).lock() else {
+            return simulate();
+        };
+        if map.len() >= PASS_MEMO_CAP && !map.contains_key(&key) {
+            map.clear();
+        }
+        let slot = Arc::clone(map.entry(key).or_default());
+        drop(map);
+        let Ok(mut counters) = slot.lock() else {
+            return simulate();
+        };
+        if let Some(c) = *counters {
+            return Ok(c);
+        }
+        let c = simulate()?;
+        *counters = Some(c);
+        Ok(c)
+    }
+
     /// Simulates `instructions` instructions at `load_fraction` of peak
     /// offered load and returns the full report.
     ///
     /// # Errors
     ///
+    /// [`ArchSimError::InvalidWindowArgument`] for a zero-length window or
+    /// a non-finite `load_fraction`;
     /// [`ArchSimError::FixedPointDiverged`] if the bandwidth/latency
     /// iteration fails to settle (does not happen for valid configs; the
     /// queueing curve is a contraction under damping).
@@ -806,16 +681,20 @@ impl Engine {
     /// workload's effective LLC fraction (paper Sec. 7: "µSKU and
     /// co-location"). `run_window` is the dedicated-server special case.
     ///
-    /// Repeated evaluations of the same tuple — the common case when
-    /// `AbEnvironment::fork` spins up replicas that re-measure their
-    /// parent's operating points — are served from a process-wide memo
-    /// (see `REPORT_MEMO` in this module) instead of re-running the warm-up
-    /// and window.
+    /// Windows that differ only in inputs the structure passes never see —
+    /// load and core frequency (when no context switch lands inside the
+    /// window), uncore frequency, prefetchers, the co-runner's bandwidth —
+    /// share one run of the passes through a process-wide memo (see
+    /// `PASS_MEMO` in this module); so do `AbEnvironment::fork` replicas
+    /// re-measuring their parent's operating points.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::run_window`], plus
-    /// [`ArchSimError::InvalidFraction`] for an out-of-range `llc_share`.
+    /// [`ArchSimError::InvalidFraction`] for an out-of-range `llc_share`
+    /// and [`ArchSimError::InvalidWindowArgument`] for a non-finite
+    /// `background_bw_gbps`. All arguments are checked before anything is
+    /// keyed or simulated.
     pub fn run_colocated(
         &self,
         instructions: u64,
@@ -831,30 +710,28 @@ impl Engine {
                 });
             }
         }
-        if !self.use_memo {
-            return self.evaluate(instructions, load_fraction, background_bw_gbps, llc_share);
+        if instructions == 0 {
+            return Err(ArchSimError::InvalidWindowArgument {
+                name: "instructions".to_string(),
+                value: 0.0,
+            });
         }
-        let key = self.fingerprint(instructions, load_fraction, background_bw_gbps, llc_share);
-        let memo = REPORT_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-        // A poisoned lock only disables the memo (another thread panicked
-        // mid-simulation elsewhere); correctness never depends on it.
-        if let Ok(guard) = memo.lock() {
-            if let Some(report) = guard.get(&key) {
-                return Ok(report.clone());
+        for (name, value) in [
+            ("load_fraction", load_fraction),
+            ("background_bw_gbps", background_bw_gbps),
+        ] {
+            if !value.is_finite() {
+                return Err(ArchSimError::InvalidWindowArgument {
+                    name: name.to_string(),
+                    value,
+                });
             }
         }
-        let report = self.evaluate(instructions, load_fraction, background_bw_gbps, llc_share)?;
-        if let Ok(mut guard) = memo.lock() {
-            if guard.len() >= REPORT_MEMO_CAP {
-                guard.clear();
-            }
-            guard.insert(key, report.clone());
-        }
-        Ok(report)
+        self.evaluate(instructions, load_fraction, background_bw_gbps, llc_share)
     }
 
-    /// The actual window simulation behind [`Engine::run_colocated`]; a pure
-    /// function of the fingerprinted inputs.
+    /// The window simulation behind [`Engine::run_colocated`]; a pure
+    /// function of its inputs.
     fn evaluate(
         &self,
         instructions: u64,
@@ -890,22 +767,6 @@ impl Engine {
             Some(s) => s,
             None => 1.0 / (1.0 + (contending - 1.0) * spec.llc_contention),
         };
-
-        // ------------------------------------------------------------------
-        // 2. Build structures (or restore a pre-filled snapshot).
-        // ------------------------------------------------------------------
-        let mut sim = WindowSim {
-            warm: self.structures_for(share)?,
-            bpu: BranchPredictor::new(
-                spec.branch.base_mispredict,
-                spec.branch.branch_working_set,
-                plat.btb_entries,
-            ),
-            rng: rand_for(softsku_telemetry::stream_seed(
-                self.seed,
-                softsku_telemetry::StreamFamily::EngineSampling,
-            )),
-        };
         let huge = HugePageMix {
             code_huge_fraction: policy.huge_code_fraction,
             data_huge_fraction: policy.huge_data_fraction,
@@ -920,54 +781,32 @@ impl Engine {
         } else {
             u64::MAX
         };
-        // The pre-fill above supplies steady-state contents; the warm-up
-        // only needs to mix the interleaved structures.
+        // The pre-fill supplies steady-state contents; the warm-up only
+        // needs to mix the interleaved structures.
         let warmup = self.warmup_override.unwrap_or_else(|| {
             ((instructions as f64 * WARMUP_FRACTION) as u64).clamp(50_000, 400_000)
         });
+        let total = instructions + warmup;
         let schedule = Schedule {
             warmup,
-            total: instructions + warmup,
+            total,
             batch_events: self.batch_events as u64,
-            insns_per_switch,
+            // A period of at least the whole window places no switch inside
+            // it, exactly as no switches at all; clipping it keeps core
+            // frequency and load out of the pass key.
+            insns_per_switch: if insns_per_switch < total {
+                insns_per_switch
+            } else {
+                u64::MAX
+            },
             pollution: spec.context_switch.pollution_fraction,
         };
 
         // ------------------------------------------------------------------
-        // 3. Drive the structures over the window's trace: replayed from
-        //    the trace memo when another window already recorded it,
-        //    otherwise generated — and recorded for later windows — chunk
-        //    by chunk as the passes consume it.
+        // 2–3. Drive the pre-filled structures over the window's trace — or
+        //      take the counters of an earlier window with the same passes.
         // ------------------------------------------------------------------
-        let mut generate = |batch: &mut EventBatch, keep: bool| {
-            let mut gen = TraceGenerator::new(spec, huge, self.seed);
-            sim.run(
-                &schedule,
-                Tape::Generate {
-                    gen: &mut gen,
-                    batch,
-                    keep,
-                },
-            )
-        };
-        let mut c = match self.trace_cell(huge, schedule.total) {
-            None => generate(
-                &mut EventBatch::with_capacity(self.batch_events.min(schedule.total as usize)),
-                false,
-            ),
-            Some(cell) => {
-                let mut recorded = None;
-                let tape = cell.get_or_init(|| {
-                    let mut tape = EventBatch::with_capacity(schedule.total as usize);
-                    recorded = Some(generate(&mut tape, true));
-                    tape
-                });
-                match recorded {
-                    Some(c) => c,
-                    None => sim.run(&schedule, Tape::Replay(tape)),
-                }
-            }
-        };
+        let mut c = self.window_counters(&schedule, share, huge)?;
 
         // ------------------------------------------------------------------
         // 4. Prefetch coverage + SHP pressure transforms (aggregate).
@@ -1131,42 +970,11 @@ struct Schedule {
     total: u64,
     /// Largest chunk.
     batch_events: u64,
-    /// Context-switch period in events (`u64::MAX`: none).
+    /// Context-switch period in events (`u64::MAX`: no switch inside the
+    /// window).
     insns_per_switch: u64,
     /// Fraction of L1/L2/TLB state each switch flushes.
     pollution: f64,
-}
-
-/// Where a window's events come from.
-enum Tape<'a> {
-    /// Generated chunk by chunk, each chunk just before the passes read it
-    /// (still in cache). With `keep`, the chunks accumulate into the tape
-    /// recorded for the trace memo; without, each overwrites the last (the
-    /// memo is off, or the trace is too large to keep).
-    Generate {
-        gen: &'a mut TraceGenerator,
-        batch: &'a mut EventBatch,
-        keep: bool,
-    },
-    /// A finished tape, recorded by an earlier window.
-    Replay(&'a EventBatch),
-}
-
-impl Tape<'_> {
-    /// Events `start..start + n` of the window.
-    fn chunk(&mut self, start: usize, n: usize) -> EventChunk<'_> {
-        match self {
-            Tape::Generate { gen, batch, keep } => {
-                if !*keep {
-                    batch.clear();
-                }
-                let first = batch.len();
-                gen.extend_batch(batch, n);
-                batch.chunk(first..first + n)
-            }
-            Tape::Replay(tape) => tape.chunk(start..start + n),
-        }
-    }
 }
 
 /// One window's mutable state: the pre-filled structures, the branch
@@ -1183,8 +991,8 @@ impl WindowSim {
     ///
     /// The per-event probe chain is restructured into per-structure passes
     /// over an SoA event chunk. Bit-identity with the per-event loop holds
-    /// because (a) the trace is the exact per-event draw sequence, whether
-    /// generated now or replayed, (b) the independent structures (L1i,
+    /// because (a) each chunk is filled with the exact per-event draw
+    /// sequence, (b) the independent structures (L1i,
     /// L1d, first-level ITLB/DTLB, partitioned LLC sides, BPU) each see
     /// their exact per-event access subsequence, and (c) the *shared*
     /// structures (unified L2, unified STLB) are driven by an event-ordered
@@ -1192,7 +1000,7 @@ impl WindowSim {
     /// the per-event probe order. Chunk boundaries are clamped so the
     /// warm-up reset and context-switch flushes land between the same
     /// events as in the per-event loop.
-    fn run(&mut self, schedule: &Schedule, mut tape: Tape<'_>) -> Counters {
+    fn run(&mut self, schedule: &Schedule, gen: &mut TraceGenerator) -> Counters {
         let WindowSim {
             warm:
                 WarmStructures {
@@ -1213,6 +1021,7 @@ impl WindowSim {
             pollution: poll,
         } = schedule;
         let mut c = Counters::default();
+        let mut ch = EventBatch::with_capacity(batch_events.min(total) as usize);
         // Miss lists reused across chunks: chunk-relative event indices for
         // the code side, chunk-relative slot indices for the data side.
         let mut i1_miss: Vec<u32> = Vec::new();
@@ -1246,16 +1055,17 @@ impl WindowSim {
                 end = end.min(next_switch.saturating_add(1));
             }
             let n = (end - i) as usize;
-            let ch = tape.chunk(i as usize, n);
+            gen.fill_batch(&mut ch, n);
 
             // Whole-chunk class tallies (no per-event dispatch).
+            let [branches, fp_ops, loads, stores] = ch.tallies();
             c.instructions += n as u64;
             c.code_accesses += n as u64;
-            c.branches += ch.branches;
-            c.fp_ops += ch.fp_ops;
-            c.loads += ch.loads;
-            c.stores += ch.stores;
-            c.data_accesses += ch.loads + ch.stores;
+            c.branches += branches;
+            c.fp_ops += fp_ops;
+            c.loads += loads;
+            c.stores += stores;
+            c.data_accesses += loads + stores;
 
             // Independent first-level passes: one array sweep per structure.
             // The LLC is probed (and its recency updated) on every L1 miss —
@@ -1305,7 +1115,7 @@ impl WindowSim {
                 let ce = i1_miss.get(ci).copied().unwrap_or(u32::MAX);
                 let de = d1_miss
                     .get(di)
-                    .map_or(u32::MAX, |&s| ch.data_event[s as usize] - ch.first);
+                    .map_or(u32::MAX, |&s| ch.data_event[s as usize]);
                 if ce <= de {
                     let line = ch.code_lines[ce as usize];
                     let l2_hit = l2.access(line | CODE_TAG);
@@ -1338,7 +1148,7 @@ impl WindowSim {
                 let ce = itlb_miss.get(ci).copied().unwrap_or(u32::MAX);
                 let de = dtlb_miss
                     .get(di)
-                    .map_or(u32::MAX, |&s| ch.data_event[s as usize] - ch.first);
+                    .map_or(u32::MAX, |&s| ch.data_event[s as usize]);
                 if ce <= de {
                     let k = ce as usize;
                     let _ = tlb.probe_stlb_code(ch.code_pages[k], ch.code_huge[k]);
@@ -1353,7 +1163,7 @@ impl WindowSim {
             // Branch pass: the BPU carries no state between draws, so
             // replaying the chunk's branch count consumes the engine
             // sampling stream in exactly the per-event order.
-            for _ in 0..ch.branches {
+            for _ in 0..branches {
                 if bpu.predict(rng) {
                     c.branch_mispredicts += 1;
                 }
@@ -1673,7 +1483,7 @@ mod tests {
         assert!(half.bandwidth_gbps < full.bandwidth_gbps);
     }
 
-    /// The trace key an engine's windows of `events` events replay.
+    /// The trace key of an engine's windows of `events` events.
     fn trace_key(e: &Engine, events: u64) -> TraceKey {
         let cfg = e.config();
         let policy = PagePolicy::resolve(

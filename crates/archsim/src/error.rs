@@ -42,6 +42,14 @@ pub enum ArchSimError {
         /// Offending value.
         value: f64,
     },
+    /// A window argument was unusable: an empty window, or a non-finite
+    /// load or co-runner bandwidth.
+    InvalidWindowArgument {
+        /// Name of the offending argument.
+        name: String,
+        /// Offending value.
+        value: f64,
+    },
     /// A reuse-distance distribution had no components or bad weights.
     InvalidDistribution(String),
     /// The engine's bandwidth/latency fixed point failed to converge.
@@ -77,6 +85,9 @@ impl fmt::Display for ArchSimError {
             ),
             ArchSimError::InvalidFraction { name, value } => {
                 write!(f, "parameter {name} = {value} outside [0, 1]")
+            }
+            ArchSimError::InvalidWindowArgument { name, value } => {
+                write!(f, "window argument {name} = {value} is empty or non-finite")
             }
             ArchSimError::InvalidDistribution(why) => {
                 write!(f, "invalid reuse-distance distribution: {why}")
@@ -116,6 +127,10 @@ mod tests {
             ArchSimError::InvalidFraction {
                 name: "taken_rate".into(),
                 value: 1.5,
+            },
+            ArchSimError::InvalidWindowArgument {
+                name: "load_fraction".into(),
+                value: f64::NAN,
             },
             ArchSimError::InvalidDistribution("empty mixture".into()),
             ArchSimError::FixedPointDiverged { iterations: 64 },

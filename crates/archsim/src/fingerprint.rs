@@ -17,11 +17,9 @@ impl Fnv128 {
         }
     }
 
-    pub(crate) fn push_bytes(&mut self, bytes: &[u8]) {
-        self.push(bytes.len() as u64);
-        for &b in bytes {
-            self.0 = (self.0 ^ u128::from(b)).wrapping_mul(Self::PRIME);
-        }
+    pub(crate) fn push_u128(&mut self, word: u128) {
+        self.push(word as u64);
+        self.push((word >> 64) as u64);
     }
 
     pub(crate) fn push_f64(&mut self, value: f64) {

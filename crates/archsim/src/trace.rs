@@ -9,9 +9,8 @@
 //! mix to emit per-instruction events for the cache/TLB/branch simulators —
 //! one at a time via [`TraceGenerator::next_event`], or into reusable
 //! structure-of-arrays buffers via [`TraceGenerator::fill_batch`] for the
-//! engine's batched tick. The engine also records whole traces as tapes,
-//! keyed by everything the generator reads, so one trace serves every
-//! window that would regenerate it.
+//! engine's batched tick. `TraceKey` hashes everything the generator
+//! reads, so the engine can key a window's trace without generating it.
 
 use crate::fingerprint::Fnv128;
 use crate::ranklist::RankList;
@@ -19,7 +18,6 @@ use crate::reuse::ReuseDistanceDist;
 use crate::stream::{InstructionMix, PageProfile, StreamSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::ops::Range;
 
 /// Maps sampled reuse distances to concrete line/page ids via an LRU stack.
 #[derive(Debug, Clone)]
@@ -186,10 +184,6 @@ pub struct HugePageMix {
 /// counts each chunk's classes from its slices instead of per-event `match`
 /// dispatch. Buffers are reused across [`TraceGenerator::fill_batch`]
 /// calls, so steady-state filling does not allocate.
-///
-/// The engine also grows one batch over a whole window (a *tape*, with
-/// `data_event` holding absolute event indices) and reads it back chunk by
-/// chunk.
 #[derive(Debug, Clone, Default)]
 pub struct EventBatch {
     /// Instruction class per event.
@@ -238,36 +232,17 @@ impl EventBatch {
         self.classes.is_empty()
     }
 
-    /// The events `events` of the batch (absolute indices) with their data
-    /// slots, found by bisecting `data_event`, and class tallies counted
-    /// from the slices.
-    pub(crate) fn chunk(&self, events: Range<usize>) -> EventChunk<'_> {
-        let first = events.start as u32;
-        let lo = self.data_event.partition_point(|&e| e < first);
-        let hi = self
-            .data_event
-            .partition_point(|&e| (e as usize) < events.end);
-        let slots = lo..hi;
-        let classes = &self.classes[events.clone()];
-        let data_is_store = &self.data_is_store[slots.clone()];
-        let branches = classes.iter().filter(|&&c| c == InsnClass::Branch).count() as u64;
-        let fp_ops = classes.iter().filter(|&&c| c == InsnClass::Fp).count() as u64;
-        let stores = data_is_store.iter().filter(|&&s| s).count() as u64;
-        EventChunk {
-            first,
-            code_lines: &self.code_lines[events.clone()],
-            code_pages: &self.code_pages[events.clone()],
-            code_huge: &self.code_huge[events],
-            data_event: &self.data_event[slots.clone()],
-            data_is_store,
-            data_lines: &self.data_lines[slots.clone()],
-            data_pages: &self.data_pages[slots.clone()],
-            data_huge: &self.data_huge[slots],
-            branches,
-            fp_ops,
-            loads: data_is_store.len() as u64 - stores,
+    /// The batch's `[branches, fp_ops, loads, stores]`, counted from its
+    /// slices.
+    pub(crate) fn tallies(&self) -> [u64; 4] {
+        let count = |class| self.classes.iter().filter(|&&c| c == class).count() as u64;
+        let stores = self.data_is_store.iter().filter(|&&s| s).count() as u64;
+        [
+            count(InsnClass::Branch),
+            count(InsnClass::Fp),
+            self.data_is_store.len() as u64 - stores,
             stores,
-        }
+        ]
     }
 
     /// Empties the batch, retaining buffer capacity.
@@ -284,45 +259,13 @@ impl EventBatch {
     }
 }
 
-/// A read-only window onto a contiguous run of an [`EventBatch`]: the
-/// engine's passes read one of these per tick, whether the batch was just
-/// filled or is a recorded tape being replayed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EventChunk<'a> {
-    /// Absolute index of the first event; `data_event` entries are offset
-    /// by it.
-    pub(crate) first: u32,
-    pub(crate) code_lines: &'a [u64],
-    pub(crate) code_pages: &'a [u64],
-    pub(crate) code_huge: &'a [bool],
-    pub(crate) data_event: &'a [u32],
-    pub(crate) data_is_store: &'a [bool],
-    pub(crate) data_lines: &'a [u64],
-    pub(crate) data_pages: &'a [u64],
-    pub(crate) data_huge: &'a [bool],
-    pub(crate) branches: u64,
-    pub(crate) fp_ops: u64,
-    pub(crate) loads: u64,
-    pub(crate) stores: u64,
-}
-
-/// Heap bytes one event can occupy in an [`EventBatch`]: its per-event
-/// entries plus, for a load or store, one data slot. A tape of `n` events
-/// allocated with [`EventBatch::with_capacity`]`(n)` holds exactly
-/// `n * TAPE_BYTES_PER_EVENT` bytes of buffers.
-pub(crate) const TAPE_BYTES_PER_EVENT: usize = std::mem::size_of::<InsnClass>()
-    + 2 * std::mem::size_of::<u64>()
-    + std::mem::size_of::<bool>()
-    + std::mem::size_of::<u32>()
-    + 2 * std::mem::size_of::<bool>()
-    + 2 * std::mem::size_of::<u64>();
-
 /// Content key of a generator's output: everything [`TraceGenerator::new`]
 /// reads, plus the event count. Two windows with equal keys consume the
 /// identical event sequence, whatever load, frequencies, core count, LLC
-/// ways, CDP split or prefetchers they simulate it under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct TraceKey(u128);
+/// ways, CDP split or prefetchers they simulate it under. The engine's
+/// pass key hashes it in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TraceKey(pub(crate) u128);
 
 impl TraceKey {
     /// Keys the first `events` events of `TraceGenerator::new(spec, huge,
@@ -483,16 +426,7 @@ impl TraceGenerator {
     /// matches the per-event path exactly for every `n`.
     pub fn fill_batch(&mut self, batch: &mut EventBatch, n: usize) {
         batch.clear();
-        self.extend_batch(batch, n);
-    }
-
-    /// Appends the next `n` events to `batch`, keeping what it holds: the
-    /// new data slots' `data_event` entries continue the batch's event
-    /// numbering. Successive calls on one batch record a tape bit-identical
-    /// to a single larger fill.
-    pub(crate) fn extend_batch(&mut self, batch: &mut EventBatch, n: usize) {
-        let first = batch.len();
-        for i in first..first + n {
+        for i in 0..n {
             let u: f64 = self.rng.gen();
             let class = if u < self.thresholds[0] {
                 InsnClass::Branch
@@ -746,8 +680,7 @@ mod tests {
                 }
             }
             assert_eq!(data_cursor, batch.data_event.len());
-            let c = batch.chunk(0..chunk);
-            assert_eq!([c.branches, c.fp_ops, c.loads, c.stores], tallies);
+            assert_eq!(batch.tallies(), tallies);
         }
         // Generator states converged: the next events still agree.
         for _ in 0..100 {
@@ -841,47 +774,5 @@ mod tests {
                 "{name} must not change the trace key"
             );
         }
-    }
-
-    #[test]
-    fn extended_tape_matches_one_fill_and_chunks_slice_it() {
-        // Recording chunk by chunk yields the tape a single fill would,
-        // and `chunk` recovers each recorded piece.
-        let mix = HugePageMix {
-            code_huge_fraction: 0.3,
-            data_huge_fraction: 0.5,
-        };
-        let sizes = [5usize, 64, 1, 300];
-        let total: usize = sizes.iter().sum();
-        let mut whole = EventBatch::default();
-        TraceGenerator::new(&spec(), mix, 11).fill_batch(&mut whole, total);
-        let mut gen = TraceGenerator::new(&spec(), mix, 11);
-        let mut tape = EventBatch::with_capacity(total);
-        let mut piece = EventBatch::default();
-        let mut piece_gen = TraceGenerator::new(&spec(), mix, 11);
-        for n in sizes {
-            let start = tape.len();
-            gen.extend_batch(&mut tape, n);
-            piece_gen.fill_batch(&mut piece, n);
-            let c = tape.chunk(start..start + n);
-            assert_eq!(c.code_lines, &piece.code_lines[..]);
-            assert_eq!(c.code_pages, &piece.code_pages[..]);
-            assert_eq!(c.code_huge, &piece.code_huge[..]);
-            assert_eq!(c.data_lines, &piece.data_lines[..]);
-            assert_eq!(c.data_pages, &piece.data_pages[..]);
-            assert_eq!(c.data_huge, &piece.data_huge[..]);
-            assert_eq!(c.data_is_store, &piece.data_is_store[..]);
-            let relative: Vec<u32> = c.data_event.iter().map(|&e| e - c.first).collect();
-            assert_eq!(relative, piece.data_event);
-            let p = piece.chunk(0..n);
-            assert_eq!(
-                [c.branches, c.fp_ops, c.loads, c.stores],
-                [p.branches, p.fp_ops, p.loads, p.stores]
-            );
-        }
-        assert_eq!(tape.classes, whole.classes);
-        assert_eq!(tape.code_lines, whole.code_lines);
-        assert_eq!(tape.data_event, whole.data_event);
-        assert_eq!(tape.data_lines, whole.data_lines);
     }
 }

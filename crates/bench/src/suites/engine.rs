@@ -1,4 +1,4 @@
-//! Engine hot path: batched tick throughput, the report memo, and the
+//! Engine hot path: batched tick throughput, the pass memo, and the
 //! simulator's component loops.
 //!
 //! Part 0 times `TraceGenerator::new`, the fixed cost every cold window
@@ -6,13 +6,14 @@
 //! throughput with the memo off — every run is a genuine evaluation —
 //! across batch sizes, and asserts at runtime that every batch size
 //! produces bit-identical reports (the batched tick is a pure performance
-//! control). Part 2 measures the memos: the cost of a cold evaluation
-//! against a report-memo hit, which is the price `AbEnvironment::fork`
+//! control). Part 2 measures the pass memo: the cost of a cold evaluation
+//! against a repeat of it, which is the price `AbEnvironment::fork`
 //! replicas pay (or skip) when they re-measure their parent's operating
-//! points, and against a window at another load, which replays the cold
-//! window's trace from the trace memo. Part 3 (full mode) times the memo-independent components the
-//! engine is built from — rank list, caches, TLB, stack mapper, trace
-//! generator, A/B statistics — as fixed-iteration ns/op loops.
+//! points, and against a window at another load, which takes the cold
+//! window's counters from the pass memo. Part 3 (full mode) times the
+//! memo-independent components the engine is built from — rank list,
+//! caches, TLB, stack mapper, trace generator, A/B statistics — as
+//! fixed-iteration ns/op loops.
 
 use super::{BoxError, BASE_SEED};
 use rand::rngs::SmallRng;
@@ -129,10 +130,9 @@ fn throughput(window: u64, evals: u64, batch_sizes: &[usize]) -> Result<Json, Bo
 
 /// Part 2: memo economics — one cold evaluation vs memo hits, the exact
 /// cost difference between an `AbEnvironment::fork` replica re-warming a
-/// measurement and snapshotting its parent's finished report; then the
-/// same engine at another load, a report-memo miss that replays the cold
-/// evaluation's trace (every point of a load curve, every page-neutral
-/// knob setting).
+/// measurement and re-using its parent's structure passes; then the same
+/// engine at another load, which re-uses them too (every point of a load
+/// curve, every prefetcher or uncore setting).
 fn memo_economics(window: u64, hits: usize) -> Result<Json, BoxError> {
     // A tuple no other part of this process evaluates, so the first call is
     // guaranteed cold.
@@ -157,30 +157,30 @@ fn memo_economics(window: u64, hits: usize) -> Result<Json, BoxError> {
     }
 
     let clock = Stopwatch::start();
-    let shared = engine.run_colocated(window, 0.6, 3.0, Some(0.7))?;
-    let shared_s = clock.elapsed_s();
-    let generated = engine_for(Microservice::Feed2, BASE_SEED + 9001)?
+    let second_load = engine.run_colocated(window, 0.6, 3.0, Some(0.7))?;
+    let pass_hit_s = clock.elapsed_s();
+    let evaluated = engine_for(Microservice::Feed2, BASE_SEED + 9001)?
         .with_memo(false)
         .run_colocated(window, 0.6, 3.0, Some(0.7))?;
     assert_eq!(
-        signature(&shared),
-        signature(&generated),
-        "a replayed trace must be bit-identical to a generated one"
+        signature(&second_load),
+        signature(&evaluated),
+        "a pass-memo hit at another load must be bit-identical to a full evaluation"
     );
 
     let speedup = cold_s / hit_s.max(1e-12);
     println!(
-        "== report memo: cold {:.1} ms, hit {:.4} ms ({speedup:.0}x; fork replicas skip re-warm-up); \
-         shared trace {:.1} ms ==",
+        "== pass memo: cold {:.1} ms, hit {:.4} ms ({speedup:.0}x; fork replicas skip re-warm-up); \
+         hit at another load {:.4} ms ==",
         cold_s * 1e3,
         hit_s * 1e3,
-        shared_s * 1e3
+        pass_hit_s * 1e3
     );
     Ok(Json::obj()
         .set("window_instructions", Json::Int(window as i64))
         .set("cold_eval_ms", Json::Num(cold_s * 1e3))
         .set("memo_hit_ms", Json::Num(hit_s * 1e3))
-        .set("trace_shared_ms", Json::Num(shared_s * 1e3))
+        .set("pass_hit_ms", Json::Num(pass_hit_s * 1e3))
         .set("hit_reps", Json::Int(hits as i64))
         .set("speedup", Json::Num(speedup))
         .set("bit_identical", Json::Bool(true)))
@@ -223,7 +223,7 @@ fn ns_per_op(name: &str, iterations: u64, mut op: impl FnMut()) -> Json {
 
 /// Part 3: the engine's building blocks, each in a fixed-iteration loop
 /// (fewer for the ~50 µs `t_quantile` inversion). None of these touch the
-/// report memo, so every iteration is real work.
+/// pass memo, so every iteration is real work.
 fn components() -> Result<Json, BoxError> {
     let iterations = 1_000_000;
     println!("== components: ns/op over fixed iteration counts ==");

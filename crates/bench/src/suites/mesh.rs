@@ -4,7 +4,7 @@
 //! under production SKUs and reports the end-to-end latency distribution,
 //! the conservation ledger, and two walls: the cold run, which is almost
 //! entirely per-tier engine calibration, and a warm re-run whose
-//! calibration is served from the engine's report memo, leaving the
+//! calibration is served from the engine's pass memo, leaving the
 //! request loop — the simulated-requests-per-second rate is taken from it.
 //! Part 2 tunes the colocation-mix graph under both objectives — the
 //! paper's per-tier-MIPS rule vs joint graph-p99 — and asserts the joint

@@ -37,7 +37,7 @@ pub enum Suite {
     Rollout,
     /// Tracing overhead and retention throughput ([`obs`]).
     Obs,
-    /// Batched engine throughput, the report memo, and component loops
+    /// Batched engine throughput, the pass memo, and component loops
     /// ([`engine`]).
     Engine,
     /// The fleet coordinator under a chaos campaign ([`chaos`]).

@@ -273,8 +273,9 @@ impl SimServer {
         let key = config_key(&config, self.push_cpi_scale);
         if !self.cache.contains_key(&key) {
             // The three load-grid evaluations are independent; run them in
-            // parallel. They share one trace: the first to reach the engine's
-            // trace memo records it while the other two wait, then replay it.
+            // parallel. Unless a context switch lands inside the window they
+            // share one run of the structure passes: the first to reach the
+            // engine's pass memo runs them while the other two wait.
             let profile = &self.profile;
             let push_scale = self.push_cpi_scale;
             let seed = self.seed;

@@ -4,25 +4,28 @@
 //!    bit-identical counters and reports at every batch size, because
 //!    chunking never moves a warm-up reset or context-switch flush and
 //!    every structure sees its exact per-event access subsequence.
-//! 2. The report memo (the snapshot/restore path behind cheap
+//! 2. The pass memo (the snapshot/restore path behind cheap
 //!    `AbEnvironment::fork`) serves results bit-identical to a full
 //!    re-warmed evaluation.
 //! 3. A fork of a *warmed* environment (memo and load-curve caches hot —
 //!    the snapshot path) draws the same measurement sequence as a fork of
 //!    a *cold* one (everything re-simulated — the re-warm path), so the
 //!    stream registry is consumed identically either way.
-//! 4. A window served from the trace memo — replaying a trace an earlier
-//!    window with the same stream, page mix and seed recorded — is
-//!    bit-identical to one that generates its own trace.
+//! 4. A window served from the pass memo — taking the counters of an
+//!    earlier window whose structure passes read the same inputs, at
+//!    another load, uncore frequency, prefetcher setting or co-runner
+//!    bandwidth — is bit-identical to one that runs its own passes; and a
+//!    window whose passes differ (a context switch placed by the core
+//!    frequency, another LLC share, another huge-page mix) misses it.
 //!
 //! The process-wide memos are shared by every test in this binary, so each
-//! trace-memo test uses its own seed.
+//! pass-memo test uses its own seed.
 
 use proptest::prelude::*;
 use softsku::archsim::engine::{Engine, ServerConfig, WindowReport};
-use softsku::archsim::{PrefetcherConfig, ThpMode};
+use softsku::archsim::{PrefetcherConfig, StreamSpec, ThpMode};
 use softsku::cluster::{AbEnvironment, EnvConfig, SimServer};
-use softsku::workloads::{Microservice, PlatformKind};
+use softsku::workloads::{Microservice, PlatformKind, WorkloadProfile};
 
 /// Every field of a report as exact bits: `u64` counters verbatim, `f64`
 /// fields as raw IEEE-754 patterns. Equality of signatures is bit-identity
@@ -141,7 +144,7 @@ fn fork_of_warmed_env_matches_fork_of_cold_env() {
 
     let mut warmed = AbEnvironment::new(profile.clone(), cfg, 31).unwrap();
     for _ in 0..5 {
-        warmed.sample_pair().unwrap(); // warm load curves + report memo
+        warmed.sample_pair().unwrap(); // warm load curves + pass memo
     }
     let cold = AbEnvironment::new(profile, cfg, 31).unwrap();
 
@@ -168,92 +171,150 @@ fn fork_of_warmed_env_matches_fork_of_cold_env() {
     }
 }
 
-/// Window length of the trace-memo tests.
+/// Window length of the pass-memo tests.
 const SHARED_WINDOW: u64 = 60_000;
 
-/// Runs `config` on Web/Skylake18 at `load` with the memos on and off.
-fn memo_on_and_off(config: &ServerConfig, seed: u64, load: f64) -> (WindowReport, WindowReport) {
-    let profile = Microservice::Web.profile(PlatformKind::Skylake18).unwrap();
+fn web() -> WorkloadProfile {
+    Microservice::Web.profile(PlatformKind::Skylake18).unwrap()
+}
+
+/// Runs `config` on `stream` with the memos on and off.
+fn colocated_on_and_off(
+    config: &ServerConfig,
+    stream: &StreamSpec,
+    seed: u64,
+    load: f64,
+    background_bw_gbps: f64,
+    llc_share: Option<f64>,
+) -> (WindowReport, WindowReport) {
     let engine = |memo: bool| {
-        Engine::new(config.clone(), profile.stream.clone(), seed)
+        Engine::new(config.clone(), stream.clone(), seed)
             .unwrap()
             .with_memo(memo)
-            .run_window(SHARED_WINDOW, load)
+            .run_colocated(SHARED_WINDOW, load, background_bw_gbps, llc_share)
             .unwrap()
     };
     (engine(true), engine(false))
 }
 
+/// Runs `config` on Web/Skylake18 at `load` with the memos on and off.
+fn memo_on_and_off(config: &ServerConfig, seed: u64, load: f64) -> (WindowReport, WindowReport) {
+    colocated_on_and_off(config, &web().stream, seed, load, 0.0, None)
+}
+
 fn stock_web() -> ServerConfig {
-    Microservice::Web
-        .profile(PlatformKind::Skylake18)
-        .unwrap()
-        .stock_config
+    web().stock_config
 }
 
-/// A second load point misses the report memo but replays the trace the
-/// first one recorded.
+/// A second load point places no context switch inside the window, so it
+/// takes the first one's counters from the pass memo.
 #[test]
-fn trace_memo_window_at_a_second_load_matches_generation() {
+fn pass_memo_window_at_a_second_load_matches_evaluation() {
     let seed = 5101;
-    let (recorded, recorded_off) = memo_on_and_off(&stock_web(), seed, 0.9);
-    assert_eq!(signature(&recorded), signature(&recorded_off));
-    let (replayed, generated) = memo_on_and_off(&stock_web(), seed, 0.6);
-    assert_eq!(signature(&replayed), signature(&generated));
-    assert_ne!(signature(&replayed), signature(&recorded), "loads differ");
+    let (first, first_off) = memo_on_and_off(&stock_web(), seed, 0.9);
+    assert_eq!(signature(&first), signature(&first_off));
+    let (hit, evaluated) = memo_on_and_off(&stock_web(), seed, 0.6);
+    assert_eq!(signature(&hit), signature(&evaluated));
+    assert_ne!(signature(&hit), signature(&first), "loads differ");
 }
 
-/// Knobs that leave the huge-page mix alone replay the stock trace.
+/// Knobs that act only on the analytic steps, or only through the switch
+/// period when no switch lands inside the window, hit the pass memo. (At
+/// load 0.5, Web's switch period exceeds the window at every core
+/// frequency.)
 #[test]
-fn trace_memo_window_under_a_page_neutral_knob_matches_generation() {
+fn pass_memo_window_under_a_timing_knob_matches_evaluation() {
     let seed = 5102;
-    let _ = memo_on_and_off(&stock_web(), seed, 0.8);
+    let _ = memo_on_and_off(&stock_web(), seed, 0.5);
     let mut no_prefetch = stock_web();
     no_prefetch.prefetchers = PrefetcherConfig::all_off();
     let mut slow_core = stock_web();
     slow_core.core_freq_ghz = slow_core.platform.core_freq_range_ghz.0;
-    for config in [no_prefetch, slow_core] {
-        let (replayed, generated) = memo_on_and_off(&config, seed, 0.8);
-        assert_eq!(signature(&replayed), signature(&generated));
+    let mut slow_uncore = stock_web();
+    slow_uncore.uncore_freq_ghz = slow_uncore.platform.uncore_freq_range_ghz.0;
+    for config in [no_prefetch, slow_core, slow_uncore] {
+        let (hit, evaluated) = memo_on_and_off(&config, seed, 0.5);
+        assert_eq!(signature(&hit), signature(&evaluated));
     }
 }
 
-/// A THP change alters the huge-page mix, so it keys a different trace:
-/// it must miss the trace memo, record its own, and still match.
+/// A co-runner's bandwidth acts only on the loaded latency, so it hits the
+/// pass memo; an LLC-share override reshapes the warm structures, so it
+/// misses and runs its own passes.
 #[test]
-fn trace_memo_thp_change_records_its_own_trace() {
+fn pass_memo_colocated_window_matches_evaluation() {
+    let seed = 5105;
+    let stream = web().stream;
+    let (alone, _) = colocated_on_and_off(&stock_web(), &stream, seed, 0.8, 0.0, None);
+    let (loud, loud_off) = colocated_on_and_off(&stock_web(), &stream, seed, 0.8, 12.0, None);
+    assert_eq!(signature(&loud), signature(&loud_off));
+    assert_eq!(alone.counters.l1d_misses, loud.counters.l1d_misses);
+    let (squeezed, squeezed_off) =
+        colocated_on_and_off(&stock_web(), &stream, seed, 0.8, 12.0, Some(0.2));
+    assert_eq!(signature(&squeezed), signature(&squeezed_off));
+    assert_ne!(
+        squeezed.counters.llc_data_misses, loud.counters.llc_data_misses,
+        "a smaller LLC share must not reuse the full share's counters"
+    );
+}
+
+/// With context switches frequent enough to land inside the window, the
+/// core frequency places them, so a slower core must miss the pass memo
+/// and run its own passes.
+#[test]
+fn pass_memo_core_frequency_with_switches_inside_the_window_matches_evaluation() {
+    let seed = 5106;
+    let mut stream = web().stream;
+    stream.context_switch.rate_per_sec = 150_000.0;
+    stream.context_switch.pollution_fraction = 0.3;
+    let mut slow_core = stock_web();
+    slow_core.core_freq_ghz = slow_core.platform.core_freq_range_ghz.0;
+    let (fast, fast_off) = colocated_on_and_off(&stock_web(), &stream, seed, 0.8, 0.0, None);
+    assert_eq!(signature(&fast), signature(&fast_off));
+    let (slow, slow_off) = colocated_on_and_off(&slow_core, &stream, seed, 0.8, 0.0, None);
+    assert_eq!(signature(&slow), signature(&slow_off));
+    assert_ne!(
+        slow.counters.l1i_misses, fast.counters.l1i_misses,
+        "switches at another period must flush at other events"
+    );
+}
+
+/// A THP change alters the huge-page mix, so it keys a different trace:
+/// it must miss the pass memo, run its own passes, and still match.
+#[test]
+fn pass_memo_thp_change_runs_its_own_passes() {
     let seed = 5103;
     let (stock, _) = memo_on_and_off(&stock_web(), seed, 0.8);
     let mut never = stock_web();
     never.thp = ThpMode::NeverOn;
-    let (recorded, generated) = memo_on_and_off(&never, seed, 0.8);
-    assert_eq!(signature(&recorded), signature(&generated));
+    let (evaluated_on, evaluated_off) = memo_on_and_off(&never, seed, 0.8);
+    assert_eq!(signature(&evaluated_on), signature(&evaluated_off));
     assert_ne!(
-        recorded.counters.dtlb_misses, stock.counters.dtlb_misses,
-        "THP never must not replay the THP-always trace"
+        evaluated_on.counters.dtlb_misses, stock.counters.dtlb_misses,
+        "THP never must not reuse the THP-always counters"
     );
 }
 
 /// A fresh `SimServer` curve evaluates its three load points on three
-/// threads: one records the shared trace while the other two wait for it
-/// and replay it. Every point matches a memo-off evaluation.
+/// threads: one runs the shared structure passes while the other two wait
+/// for its counters. Every point matches a memo-off evaluation.
 #[test]
-fn trace_memo_concurrent_curve_points_match_generation() {
+fn pass_memo_concurrent_curve_points_match_evaluation() {
     let seed = 5104;
-    let profile = Microservice::Web.profile(PlatformKind::Skylake18).unwrap();
+    let profile = web();
     // Stock Web reserves no SHPs, unlike the production config the server
-    // calibrates against, so the curve's trace is not yet recorded.
+    // calibrates against, so the curve's passes are not yet memoized.
     let config = stock_web();
     let mut server =
         SimServer::with_window(profile.clone(), config.clone(), seed, SHARED_WINDOW).unwrap();
     let peak = server.peak_report().unwrap();
     for grid in [0.5, 0.75, 1.0] {
         let load = grid * profile.peak_utilization;
-        // Memo on: the report the concurrent curve evaluation stored.
-        let (served, generated) = memo_on_and_off(&config, seed, load);
-        assert_eq!(signature(&served), signature(&generated), "grid {grid}");
+        // Memo on: the counters the concurrent curve evaluation stored.
+        let (served, evaluated) = memo_on_and_off(&config, seed, load);
+        assert_eq!(signature(&served), signature(&evaluated), "grid {grid}");
         if grid == 1.0 {
-            assert_eq!(signature(&peak), signature(&generated));
+            assert_eq!(signature(&peak), signature(&evaluated));
         }
     }
 }

@@ -1,0 +1,49 @@
+//! Hostile window arguments get typed errors from `Engine::run_colocated`,
+//! before anything is simulated or memoized: a NaN load would otherwise
+//! pass `clamp` and report NaN MIPS, and a zero-length window would report
+//! its warm-up events as a measured window.
+
+use softsku::archsim::engine::Engine;
+use softsku::archsim::ArchSimError;
+use softsku::workloads::{Microservice, PlatformKind};
+
+fn engine() -> Engine {
+    let profile = Microservice::Web.profile(PlatformKind::Skylake18).unwrap();
+    Engine::new(profile.stock_config, profile.stream, 77).unwrap()
+}
+
+/// The argument name `run_colocated` rejected, memo on and off alike.
+fn rejected(instructions: u64, load: f64, background_bw_gbps: f64) -> String {
+    let mut names = Vec::new();
+    for memo in [true, false] {
+        match engine()
+            .with_memo(memo)
+            .run_colocated(instructions, load, background_bw_gbps, None)
+        {
+            Err(ArchSimError::InvalidWindowArgument { name, .. }) => names.push(name),
+            other => panic!("expected InvalidWindowArgument, got {other:?}"),
+        }
+    }
+    assert_eq!(names[0], names[1]);
+    names.swap_remove(0)
+}
+
+#[test]
+fn non_finite_load_fraction_is_rejected() {
+    for load in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(rejected(60_000, load, 0.0), "load_fraction");
+    }
+}
+
+#[test]
+fn non_finite_background_bandwidth_is_rejected() {
+    for bw in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(rejected(60_000, 0.8, bw), "background_bw_gbps");
+    }
+}
+
+#[test]
+fn zero_instruction_window_is_rejected() {
+    assert_eq!(rejected(0, 0.8, 0.0), "instructions");
+    assert!(engine().run_window(0, 0.8).is_err());
+}

@@ -12,9 +12,10 @@ use crate::error::ClusterError;
 use crate::hazards::{HazardConfig, HazardSchedule};
 use crate::server::SimServer;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use softsku_archsim::engine::ServerConfig;
 use softsku_telemetry::emon::{EventSample, EventSet, MultiplexedSampler, SamplerConfig};
+use softsku_telemetry::stats::standard_normal;
 use softsku_telemetry::streams::{StreamFamily, StreamRegistry};
 use softsku_telemetry::{Ods, SeriesKey};
 use softsku_workloads::loadgen::{CodeEvolution, LoadGenerator};
@@ -344,8 +345,10 @@ impl AbEnvironment {
         }
         let load = (self.load.load_at(self.time_s) * tick.load_multiplier).clamp(0.05, 1.2);
         self.last_load = load;
-        let la = (load * (1.0 + self.config.arm_imbalance * self.gaussian())).clamp(0.05, 1.2);
-        let lb = (load * (1.0 + self.config.arm_imbalance * self.gaussian())).clamp(0.05, 1.2);
+        let la = (load * (1.0 + self.config.arm_imbalance * standard_normal(&mut self.rng)))
+            .clamp(0.05, 1.2);
+        let lb = (load * (1.0 + self.config.arm_imbalance * standard_normal(&mut self.rng)))
+            .clamp(0.05, 1.2);
         // The MIPS channel reads the fixed "instructions" counter through
         // the EMON-like sampler (measurement noise lives there).
         let true_a = self.arm_a.mips(la)?;
@@ -453,12 +456,6 @@ impl AbEnvironment {
             .keys()
             .map(|k| (k.to_string(), self.ods.len(k) as u64))
             .collect()
-    }
-
-    fn gaussian(&mut self) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 }
 

@@ -19,8 +19,9 @@ use crate::domains::FailureDomain;
 use crate::error::ClusterError;
 use crate::server::SimServer;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use softsku_archsim::engine::ServerConfig;
+use softsku_telemetry::stats::standard_normal;
 use softsku_telemetry::streams::{StreamFamily, StreamRegistry};
 use softsku_telemetry::{Ods, SeriesKey};
 use softsku_workloads::loadgen::{CodeEvolution, LoadGenerator};
@@ -546,17 +547,13 @@ impl StagedFleet {
     /// (p99 ≈ 2.6× at σ = 0.45) and a percentile guardrail has a real
     /// tail to watch.
     fn latency_draw(&mut self) -> f64 {
-        let u1: f64 = self.lat_noise.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.lat_noise.gen();
-        let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        let g = standard_normal(&mut self.lat_noise);
         const SIGMA: f64 = 0.45;
         (SIGMA * g - 0.5 * SIGMA * SIGMA).exp()
     }
 
     fn group_noise(&mut self, group: usize) -> f64 {
-        let u1: f64 = self.noise.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.noise.gen();
-        let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        let g = standard_normal(&mut self.noise);
         1.0 + self.config.noise_rel * g / (group.max(1) as f64).sqrt()
     }
 }

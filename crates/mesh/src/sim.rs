@@ -285,28 +285,15 @@ impl<'a> MeshSim<'a> {
     /// [`MeshError::Config`] when the SKU count mismatches the tier
     /// count; calibration errors otherwise.
     pub fn run(&self, skus: &[ServerConfig]) -> Result<MeshReport, MeshError> {
-        let mut sink = TraceSink::disabled();
-        self.run_traced(skus, &mut sink)
+        self.run_instrumented(skus, &mut TraceSink::disabled())
+            .map(|(report, _)| report)
     }
 
-    /// Runs the simulation, recording one span per request and one span
-    /// per hop into `sink` (post-simulation, in canonical request/job
-    /// order, so the trace is bit-identical across replays).
-    ///
-    /// # Errors
-    ///
-    /// As [`MeshSim::run`].
-    pub fn run_traced(
-        &self,
-        skus: &[ServerConfig],
-        sink: &mut TraceSink,
-    ) -> Result<MeshReport, MeshError> {
-        self.run_instrumented(skus, sink).map(|(report, _)| report)
-    }
-
-    /// Runs the simulation like [`MeshSim::run_traced`] and additionally
-    /// returns one [`RequestSample`] per root request, sorted by
-    /// completion time (ties broken by request index) — the canonical
+    /// Runs the simulation like [`MeshSim::run`], recording one span per
+    /// request and one span per hop into `sink` (post-simulation, in
+    /// canonical request/job order, so the trace is bit-identical across
+    /// replays), and also returns one [`RequestSample`] per root request,
+    /// sorted by completion time (ties broken by request index) — the canonical
     /// monotone ingestion order for
     /// [`SloEvaluator::observe`](softsku_telemetry::SloEvaluator). Each
     /// sample carries the span id of the request's root trace span when
@@ -330,12 +317,12 @@ impl<'a> MeshSim<'a> {
             )));
         }
         let cals = self.calibrate(skus)?;
-        let jobs = self.forward_pass(&cals);
-        let response = backward_pass(&jobs);
-        let report = self.summarize(&jobs, &response, &cals);
+        let jobs = self.forward_pass(&cals)?;
+        let (response, critical) = backward_pass(&jobs);
+        let report = self.summarize(&jobs, &response, &critical, &cals);
         let n_req = self.config.requests;
         let span_ids = if sink.is_enabled() {
-            record_trace(self.graph, &jobs, &response, sink)
+            record_trace(self.graph, &jobs, &response, n_req, sink)
         } else {
             vec![None; n_req]
         };
@@ -380,20 +367,7 @@ impl<'a> MeshSim<'a> {
         }
         let mut cals = Vec::with_capacity(tiers.len());
         for (i, tier) in tiers.iter().enumerate() {
-            let profile = tier.service.profile(tier.service.default_platform())?;
-            let seed = IdentitySeed::new(self.config.seed)
-                .field(self.graph.name())
-                .field(&tier.name)
-                .finish();
-            let mut server = SimServer::with_window(
-                profile.clone(),
-                profile.production_config.clone(),
-                seed,
-                self.config.window_insns,
-            )?;
-            let prod_mips = server.mips(1.0)?;
-            server.reconfigure(skus[i].clone(), false)?;
-            let cand_mips = server.mips(1.0)?;
+            let (prod_mips, cand_mips) = tier_mips(self.graph, &self.config, i, &skus[i])?;
             let speed = (cand_mips / prod_mips.max(1e-9)).max(1e-3);
             let service_s = tier.base_service_s / speed / retention[i];
             cals.push(TierCal {
@@ -405,8 +379,9 @@ impl<'a> MeshSim<'a> {
     }
 
     /// The forward pass: Poisson root arrivals, per-tier FCFS queues in
-    /// topological order, edge firing with cache short-circuits.
-    fn forward_pass(&self, cals: &[TierCal]) -> Vec<Job> {
+    /// topological order, edge firing with cache short-circuits. Root
+    /// arrivals that overflow to infinity are a [`MeshError::Config`].
+    fn forward_pass(&self, cals: &[TierCal]) -> Result<Vec<Job>, MeshError> {
         let graph = self.graph;
         let tiers = graph.tiers();
         let cfg = &self.config;
@@ -436,14 +411,17 @@ impl<'a> MeshSim<'a> {
         };
 
         let mut jobs: Vec<Job> = Vec::with_capacity(cfg.requests * tiers.len());
-        let mut by_tier: Vec<Vec<usize>> = vec![Vec::new(); tiers.len()];
+        // Each tier's jobs as FCFS keys `(arrival bits, request, job)`.
+        // All times are nonnegative finite, so the bit ordering of f64
+        // agrees with the numeric ordering, and the job index is unique.
+        let mut by_tier: Vec<Vec<(u64, usize, usize)>> = vec![Vec::new(); tiers.len()];
 
         // Root arrivals, in request order.
         let mut t = 0.0f64;
         for req in 0..cfg.requests {
             let u: f64 = arrival_rng.gen_range(f64::EPSILON..1.0);
             t += -u.ln() / cfg.arrival_rate_hz;
-            by_tier[0].push(jobs.len());
+            by_tier[0].push((t.to_bits(), req, jobs.len()));
             jobs.push(Job {
                 req,
                 tier: 0,
@@ -454,6 +432,10 @@ impl<'a> MeshSim<'a> {
                 service: 0.0,
                 finish: 0.0,
             });
+        }
+        if !t.is_finite() {
+            let msg = format!("arrival rate {} Hz overflows time", cfg.arrival_rate_hz);
+            return Err(MeshError::Config(msg));
         }
 
         for &tier_idx in graph.topo_order() {
@@ -476,17 +458,16 @@ impl<'a> MeshSim<'a> {
                 })
                 .collect();
 
-            // FCFS: serve jobs in (arrival, request, creation) order.
-            // All times are nonnegative finite, so the bit ordering of
-            // f64 agrees with the numeric ordering.
-            let mut order = by_tier[tier_idx].clone();
-            order.sort_by_key(|&j| (jobs[j].arrival.to_bits(), jobs[j].req, j));
+            // FCFS: serve jobs in (arrival, request, creation) order. Only
+            // upstream tiers feed this one, so its key list is complete.
+            let mut order = std::mem::take(&mut by_tier[tier_idx]);
+            order.sort_unstable();
             let mut servers = FcfsServers::new(tier.concurrency);
             let service_dist = ServiceDist::LogNormal {
                 mean: cal.service_s,
                 cv2: cfg.service_cv2,
             };
-            for &j in &order {
+            for &(_, req, j) in &order {
                 // The service draw never depends on the start time, so it
                 // is drawn before the job is admitted.
                 let mut service = service_dist.sample(&mut service_rng);
@@ -497,7 +478,7 @@ impl<'a> MeshSim<'a> {
                     let e: f64 = jitter_rng.gen_range(f64::EPSILON..1.0);
                     service *= 1.0 + (1.0 - cal.retention) * (-e.ln());
                 }
-                if slowed[jobs[j].req] {
+                if slowed[req] {
                     service *= cfg.regress_scale;
                 }
                 let start = servers.admit(jobs[j].arrival, service);
@@ -517,9 +498,9 @@ impl<'a> MeshSim<'a> {
                     let u: f64 = edge_rngs[k].gen_range(f64::EPSILON..1.0);
                     let rtt = -edge.rtt_s * u.ln();
                     let child_arrival = finish + rtt / 2.0;
-                    by_tier[edge.to].push(jobs.len());
+                    by_tier[edge.to].push((child_arrival.to_bits(), req, jobs.len()));
                     jobs.push(Job {
-                        req: jobs[j].req,
+                        req,
                         tier: edge.to,
                         parent: Some(j),
                         rtt_back_s: rtt / 2.0,
@@ -531,13 +512,19 @@ impl<'a> MeshSim<'a> {
                 }
             }
         }
-        jobs
+        Ok(jobs)
     }
 
     /// Builds the report: exact percentiles from the full latency
     /// reservoir, conservation counters against the horizon, and
     /// critical-path attribution over the slowest 1 %.
-    fn summarize(&self, jobs: &[Job], response: &[f64], cals: &[TierCal]) -> MeshReport {
+    fn summarize(
+        &self,
+        jobs: &[Job],
+        response: &[f64],
+        critical: &[usize],
+        cals: &[TierCal],
+    ) -> MeshReport {
         let tiers = self.graph.tiers();
         let horizon = self.config.horizon_s;
         let n_req = self.config.requests;
@@ -561,53 +548,45 @@ impl<'a> MeshSim<'a> {
         // tied with the boundary latency, instead of slicing a fixed
         // count that drops ties arbitrarily.
         let slowest = &order[tail_start(&latencies, 0.99)..];
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
-        for (j, job) in jobs.iter().enumerate() {
-            if let Some(p) = job.parent {
-                children[p].push(j);
-            }
-        }
         let mut tier_time = vec![0.0f64; tiers.len()];
         let mut net_time = 0.0f64;
         for &root in slowest {
             let mut j = root;
             loop {
                 tier_time[jobs[j].tier] += jobs[j].finish - jobs[j].arrival;
-                let mut next: Option<usize> = None;
-                let mut best = jobs[j].finish;
-                for &c in &children[j] {
-                    let via = response[c] + jobs[c].rtt_back_s;
-                    if via > best {
-                        best = via;
-                        next = Some(c);
-                    }
+                let c = critical[j];
+                if c == NO_CHILD {
+                    break;
                 }
-                match next {
-                    Some(c) => {
-                        net_time += 2.0 * jobs[c].rtt_back_s;
-                        j = c;
-                    }
-                    None => break,
-                }
+                net_time += 2.0 * jobs[c].rtt_back_s;
+                j = c;
             }
         }
         let total_attr = (tier_time.iter().sum::<f64>() + net_time).max(1e-12);
 
+        // Per-tier (jobs, done, wait sum, service sum) in job order; sums
+        // start at -0.0 like `Iterator::sum`, so empty tiers stay -0.0.
+        let mut acc = vec![(0u64, 0u64, -0.0f64, -0.0f64); tiers.len()];
+        for job in jobs {
+            let a = &mut acc[job.tier];
+            a.0 += 1;
+            a.1 += u64::from(job.finish <= horizon);
+            a.2 += job.wait;
+            a.3 += job.service;
+        }
         let tier_stats: Vec<TierStats> = tiers
             .iter()
+            .zip(acc)
             .enumerate()
-            .map(|(i, tier)| {
-                let mine: Vec<&Job> = jobs.iter().filter(|j| j.tier == i).collect();
-                let jobs_n = mine.len() as u64;
-                let done = mine.iter().filter(|j| j.finish <= horizon).count() as u64;
+            .map(|(i, (tier, (jobs_n, done, wait, service)))| {
                 let inv = 1.0 / (jobs_n as f64).max(1.0);
                 TierStats {
                     name: tier.name.clone(),
                     jobs: jobs_n,
                     jobs_done_by_horizon: done,
                     jobs_pending_at_horizon: jobs_n - done,
-                    mean_wait_s: mine.iter().map(|j| j.wait).sum::<f64>() * inv,
-                    mean_service_s: mine.iter().map(|j| j.service).sum::<f64>() * inv,
+                    mean_wait_s: wait * inv,
+                    mean_service_s: service * inv,
                     calibrated_service_s: cals[i].service_s,
                     retention: cals[i].retention,
                     critical_share: tier_time[i] / total_attr,
@@ -630,6 +609,32 @@ impl<'a> MeshSim<'a> {
     }
 }
 
+/// Solo MIPS of a tier at peak load under production and under `sku`:
+/// the one place a tier's server is built. Calibration takes the ratio;
+/// the paper's per-service rule (SoftSKU Sec. 4) ranks by the second.
+pub(crate) fn tier_mips(
+    graph: &ServiceGraph,
+    config: &MeshConfig,
+    tier: usize,
+    sku: &ServerConfig,
+) -> Result<(f64, f64), MeshError> {
+    let tier = &graph.tiers()[tier];
+    let profile = tier.service.profile(tier.service.default_platform())?;
+    let seed = IdentitySeed::new(config.seed)
+        .field(graph.name())
+        .field(&tier.name)
+        .finish();
+    let mut server = SimServer::with_window(
+        profile.clone(),
+        profile.production_config.clone(),
+        seed,
+        config.window_insns,
+    )?;
+    let prod_mips = server.mips(1.0)?;
+    server.reconfigure(sku.clone(), false)?;
+    Ok((prod_mips, server.mips(1.0)?))
+}
+
 /// Start index, into a latency-sorted order, of the slow-tail
 /// attribution set for quantile `q`: the [`nearest_rank`] boundary (the
 /// same one the percentiles use), widened left to include every value
@@ -641,21 +646,29 @@ fn tail_start(sorted_latencies: &[f64], q: f64) -> usize {
     }
 }
 
+/// Critical child of a job no child beat; job 0 is a root, never a child.
+const NO_CHILD: usize = 0;
+
 /// The backward response pass: `response[j]` is `finish[j]` joined with
 /// every child's response plus its return leg. Children always have
 /// higher indices than their parents (jobs are created parent-first), so
-/// one reverse sweep suffices.
-fn backward_pass(jobs: &[Job]) -> Vec<f64> {
+/// one reverse sweep suffices. `critical[j]` is the *first* child, in
+/// creation order, to strictly beat the running best from `finish[j]`;
+/// the sweep meets siblings last-first, so a tie with an already-chosen
+/// sibling moves the pick earlier, and a tie with the finish never picks.
+fn backward_pass(jobs: &[Job]) -> (Vec<f64>, Vec<usize>) {
     let mut response: Vec<f64> = jobs.iter().map(|j| j.finish).collect();
+    let mut critical = vec![NO_CHILD; jobs.len()];
     for j in (0..jobs.len()).rev() {
         if let Some(p) = jobs[j].parent {
             let via = response[j] + jobs[j].rtt_back_s;
-            if via > response[p] {
+            if via > response[p] || (via == response[p] && critical[p] != NO_CHILD) {
                 response[p] = via;
+                critical[p] = j;
             }
         }
     }
-    response
+    (response, critical)
 }
 
 /// Records the trace: one span per request on the `requests` track, one
@@ -666,9 +679,9 @@ fn record_trace(
     graph: &ServiceGraph,
     jobs: &[Job],
     response: &[f64],
+    n_req: usize,
     sink: &mut TraceSink,
 ) -> Vec<Option<u64>> {
-    let n_req = jobs.iter().filter(|j| j.parent.is_none()).count();
     let req_track = sink.track("requests");
     sink.set_track(req_track);
     let mut req_ids: Vec<Option<u64>> = vec![None; n_req];
@@ -842,7 +855,7 @@ mod tests {
         cfg.requests = 50;
         let sim = MeshSim::new(&graph, cfg).unwrap();
         let mut sink = TraceSink::new();
-        let report = sim.run_traced(&skus, &mut sink).unwrap();
+        let report = sim.run_instrumented(&skus, &mut sink).unwrap().0;
         let req_spans = sink
             .spans()
             .iter()
@@ -946,6 +959,80 @@ mod tests {
             assert_eq!(span.name, format!("r{}", s.req));
             assert!((span.dur_s - s.latency_s).abs() < 1e-12);
         }
+    }
+
+    /// The reference critical-child rule: scan each job's children in
+    /// creation order and keep the first whose response plus return leg
+    /// strictly beats the running best, starting from the job's finish.
+    fn children_scan(jobs: &[Job], response: &[f64]) -> Vec<usize> {
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
+        for (j, job) in jobs.iter().enumerate() {
+            if let Some(p) = job.parent {
+                children[p].push(j);
+            }
+        }
+        (0..jobs.len())
+            .map(|j| {
+                let mut next = NO_CHILD;
+                let mut best = jobs[j].finish;
+                for &c in &children[j] {
+                    let via = response[c] + jobs[c].rtt_back_s;
+                    if via > best {
+                        best = via;
+                        next = c;
+                    }
+                }
+                next
+            })
+            .collect()
+    }
+
+    #[test]
+    fn backward_pass_critical_child_matches_the_children_scan_on_ties() {
+        let job = |req: usize, parent: Option<usize>, rtt_back_s: f64, finish: f64| Job {
+            req,
+            tier: usize::from(parent.is_some()),
+            parent,
+            rtt_back_s,
+            arrival: 0.0,
+            wait: 0.0,
+            service: finish,
+            finish,
+        };
+        let jobs = [
+            job(0, None, 0.0, 3.0),
+            job(1, None, 0.0, 4.0),
+            job(2, None, 0.0, 1.0),
+            // Two siblings of job 0 with equal `via` (5.0): the first wins.
+            job(0, Some(0), 0.5, 4.5),
+            job(0, Some(0), 1.0, 4.0),
+            // A child of job 1 whose `via` equals job 1's own finish.
+            job(1, Some(1), 0.5, 3.5),
+            job(1, Some(1), 0.25, 3.0),
+            // Job 2's first child wins through its own child; the later
+            // equal pair (3.5) loses to it.
+            job(2, Some(2), 0.5, 2.0),
+            job(2, Some(2), 0.5, 3.0),
+            job(2, Some(2), 0.5, 3.0),
+            job(2, Some(7), 0.5, 3.0),
+        ];
+        let (response, critical) = backward_pass(&jobs);
+        assert_eq!(critical, children_scan(&jobs, &response));
+        assert_eq!(critical[0], 3, "equal siblings keep the first");
+        assert_eq!(critical[1], NO_CHILD, "a tie with the finish is no child");
+        assert_eq!(critical[2], 7);
+        assert_eq!(critical[7], 10);
+        assert_eq!(response[0], 5.0);
+        assert_eq!(response[1], 4.0);
+        assert_eq!(response[2], 4.0);
+
+        // And on a simulated job table.
+        let graph = social_network().unwrap();
+        let sim = MeshSim::new(&graph, small_config()).unwrap();
+        let cals = sim.calibrate(&production_skus(&graph)).unwrap();
+        let jobs = sim.forward_pass(&cals).unwrap();
+        let (response, critical) = backward_pass(&jobs);
+        assert_eq!(critical, children_scan(&jobs, &response));
     }
 
     #[test]

@@ -24,10 +24,8 @@
 
 use crate::error::MeshError;
 use crate::graph::ServiceGraph;
-use crate::sim::{MeshConfig, MeshReport, MeshSim};
+use crate::sim::{tier_mips, MeshConfig, MeshReport, MeshSim};
 use softsku_archsim::engine::ServerConfig;
-use softsku_cluster::SimServer;
-use softsku_telemetry::streams::IdentitySeed;
 use usku::{plan_assignments, run_tasks, UskuError};
 
 /// One candidate soft SKU for a tier: a label (the assignment-plan
@@ -247,10 +245,7 @@ impl<'a> MeshTuner<'a> {
     }
 
     fn tune_per_tier_mips(&self, workers: usize) -> Result<TunedMesh, MeshError> {
-        // Flatten (tier, candidate) into solo-MIPS measurement units,
-        // each with an identity-derived seed (unused by the measurement
-        // itself — the engine seed is tier-identity-derived — but kept
-        // so the unit list matches the scheduler's conventions).
+        // Flatten (tier, candidate) into solo-MIPS measurement units.
         let units: Vec<(usize, usize)> = self
             .candidates
             .iter()
@@ -258,7 +253,9 @@ impl<'a> MeshTuner<'a> {
             .flat_map(|(t, cands)| (0..cands.len()).map(move |c| (t, c)))
             .collect();
         let mips = run_tasks(&units, workers, |&(t, c)| {
-            self.solo_mips(t, c).map_err(to_usku)
+            tier_mips(self.graph, &self.config, t, &self.candidates[t][c].config)
+                .map(|(_, cand)| cand)
+                .map_err(to_usku)
         })?;
 
         let tiers = self.graph.tiers();
@@ -281,27 +278,6 @@ impl<'a> MeshTuner<'a> {
             report,
             evaluated: units.len(),
         })
-    }
-
-    /// Solo MIPS of one tier under one candidate: the tier's engine at
-    /// peak load, nobody else on the socket — the measurement the
-    /// paper's per-service tuning would make.
-    fn solo_mips(&self, tier_idx: usize, cand_idx: usize) -> Result<f64, MeshError> {
-        let tier = &self.graph.tiers()[tier_idx];
-        let cand = &self.candidates[tier_idx][cand_idx];
-        let profile = tier.service.profile(tier.service.default_platform())?;
-        let seed = IdentitySeed::new(self.config.seed)
-            .field(self.graph.name())
-            .field(&tier.name)
-            .finish();
-        let mut server = SimServer::with_window(
-            profile.clone(),
-            profile.production_config.clone(),
-            seed,
-            self.config.window_insns,
-        )?;
-        server.reconfigure(cand.config.clone(), false)?;
-        Ok(server.mips(1.0)?)
     }
 
     fn assignment_configs(&self, choice: &[usize]) -> Vec<ServerConfig> {

@@ -329,23 +329,23 @@ fn cmd_chaos(args: &Args) -> Result<(), BoxError> {
     Ok(())
 }
 
+/// The frozen configuration `mesh` and `slo` share (and the acceptance
+/// test pins): at seed 21 the two rules provably part ways.
+fn mesh_config(seed: u64) -> softsku_mesh::MeshConfig {
+    softsku_mesh::MeshConfig {
+        requests: 600,
+        window_insns: 60_000,
+        seed,
+        ..softsku_mesh::MeshConfig::default()
+    }
+}
+
 /// `skuctl mesh`: tune the colocation-mix request graph under both
 /// objectives — the paper's per-tier MIPS rule vs joint end-to-end p99 —
 /// then render the critical-path tier attribution and the `mesh.*`
 /// ledger the winning run recorded. Deterministic: same seed, same bytes.
 fn cmd_mesh(args: &Args) -> Result<(), BoxError> {
-    // The same frozen configuration the acceptance test pins: at seed 21
-    // the two rules provably part ways on this graph.
-    let config = softsku_mesh::MeshConfig {
-        requests: 600,
-        arrival_rate_hz: 900.0,
-        horizon_s: f64::INFINITY,
-        window_insns: 60_000,
-        service_cv2: 2.0,
-        regress_frac: 0.0,
-        regress_scale: 1.0,
-        seed: args.seed,
-    };
+    let config = mesh_config(args.seed);
     let graph = softsku_mesh::colocation_mix()?;
     let tuner = softsku_mesh::MeshTuner::with_default_candidates(&graph, config)?;
     let workers = args.workers.get();
@@ -431,16 +431,7 @@ fn cmd_mesh(args: &Args) -> Result<(), BoxError> {
 /// export written to `--out`. Deterministic: same seed, same bytes, for
 /// any `--workers`.
 fn cmd_slo(args: &Args) -> Result<(), BoxError> {
-    let clean = softsku_mesh::MeshConfig {
-        requests: 600,
-        arrival_rate_hz: 900.0,
-        horizon_s: f64::INFINITY,
-        window_insns: 60_000,
-        service_cv2: 2.0,
-        regress_frac: 0.0,
-        regress_scale: 1.0,
-        seed: args.seed,
-    };
+    let clean = mesh_config(args.seed);
     let mut regressed = clean;
     regressed.regress_frac = 0.2;
     regressed.regress_scale = 4.0;

@@ -14,8 +14,9 @@
 //! which is what forces its statistical machinery to exist.
 
 use crate::error::TelemetryError;
+use crate::stats::standard_normal;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// An ordered collection of event names, split into fixed and programmable
 /// events, mirroring the fixed/programmable counter split of a real PMU.
@@ -210,14 +211,7 @@ impl MultiplexedSampler {
             return value;
         }
         let sd = self.config.base_noise_rel / dwell.sqrt();
-        value * (1.0 + sd * self.gaussian())
-    }
-
-    /// Box–Muller standard normal draw.
-    fn gaussian(&mut self) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.rng.gen::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        value * (1.0 + sd * standard_normal(&mut self.rng))
     }
 }
 

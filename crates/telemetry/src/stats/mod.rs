@@ -12,12 +12,15 @@
 //! * [`bootstrap_mean_ci`] — percentile bootstrap intervals for non-normal metrics.
 //! * [`MadFilter`] — rolling median-absolute-deviation outlier rejection,
 //!   screening corrupted telemetry before it reaches the accumulators.
+//! * [`standard_normal`] — the one Box–Muller normal draw every seeded
+//!   noise model shares.
 //! * [`autocorrelation`] / [`effective_sample_size`] — used to pick the
 //!   sample spacing that makes the independence assumption honest.
 
 mod autocorr;
 mod bootstrap;
 mod mad;
+mod normal;
 mod sketch;
 mod student_t;
 mod summary;
@@ -26,6 +29,7 @@ mod welch;
 pub use autocorr::{autocorrelation, effective_sample_size};
 pub use bootstrap::{bootstrap_mean_ci, BootstrapCi};
 pub use mad::MadFilter;
+pub use normal::standard_normal;
 pub use sketch::{nearest_rank, QuantileSketch, DEFAULT_SKETCH_K};
 pub use student_t::{t_cdf, t_quantile};
 pub use summary::{RunningStats, Summary};

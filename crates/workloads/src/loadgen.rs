@@ -7,6 +7,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use softsku_telemetry::stats::standard_normal;
 
 /// Diurnal load curve plus AR(1) noise, producing a load fraction in
 /// `(0, 1]` of the service's peak.
@@ -61,14 +62,9 @@ impl LoadGenerator {
             * (1.0 + self.amplitude * (2.0 * std::f64::consts::PI * t / self.period_s).sin());
         // AR(1) step with innovation scaled for a stationary sd of noise_sd.
         let innovation_sd = self.noise_sd * (1.0 - Self::AR_PHI * Self::AR_PHI).sqrt();
-        self.ar_state = Self::AR_PHI * self.ar_state + innovation_sd * self.gaussian();
+        self.ar_state =
+            Self::AR_PHI * self.ar_state + innovation_sd * standard_normal(&mut self.rng);
         (diurnal + self.ar_state).clamp(0.05, 1.0)
-    }
-
-    fn gaussian(&mut self) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 }
 

@@ -16,6 +16,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softsku_telemetry::nearest_rank;
+use softsku_telemetry::stats::standard_normal;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -73,7 +74,7 @@ impl ServiceDist {
                 // Parameterize so that E[X] = mean and Var[X]/E[X]^2 = cv2.
                 let sigma2 = (1.0 + cv2).ln();
                 let mu = mean.ln() - sigma2 / 2.0;
-                let z = gaussian(rng);
+                let z = standard_normal(rng);
                 (mu + sigma2.sqrt() * z).exp()
             }
         }
@@ -86,12 +87,6 @@ impl ServiceDist {
             ServiceDist::LogNormal { mean, .. } => mean,
         }
     }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// A `c`-server FCFS queue core: the earliest-free server takes the next

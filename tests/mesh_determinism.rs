@@ -71,7 +71,7 @@ fn chrome_trace_export_is_replay_stable() {
     let mut renders = Vec::new();
     for _ in 0..2 {
         let mut sink = TraceSink::new();
-        let report = sim.run_traced(&skus, &mut sink).unwrap();
+        let report = sim.run_instrumented(&skus, &mut sink).unwrap().0;
         let json = sink.chrome_trace().render_pretty();
         assert!(json.contains("traceEvents"));
         let hops: u64 = report.tiers.iter().map(|t| t.jobs).sum();

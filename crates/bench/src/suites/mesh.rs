@@ -8,7 +8,10 @@
 //! request loop — the simulated-requests-per-second rate is taken from it.
 //! Part 2 tunes the colocation-mix graph under both objectives — the
 //! paper's per-tier-MIPS rule vs joint graph-p99 — and asserts the joint
-//! winner is at least as good on the tail. Part 3 (full mode) re-runs the
+//! winner is at least as good on the tail; it also reports how many tier
+//! segments the joint tune simulated (each distinct cone of upstream
+//! calibrations once) against the assignments × tiers a per-assignment
+//! simulation would run. Part 3 (full mode) re-runs the
 //! joint tune at 1, 2, and 8 workers and asserts the verdicts are
 //! bit-identical — the mesh determinism contract.
 
@@ -107,10 +110,12 @@ fn tuner_comparison(config: MeshConfig, workers: usize) -> Result<Json, BoxError
         private.evaluated
     );
     println!(
-        "  joint    {:?} p99 {:.3} ms ({} evals)",
+        "  joint    {:?} p99 {:.3} ms ({} evals, {} of {} tier passes)",
         joint.labels(),
         joint.report.p99_s * 1e3,
-        joint.evaluated
+        joint.evaluated,
+        joint.tier_passes,
+        joint.evaluated * graph.tiers().len()
     );
     let labels = |t: &TunedMesh| {
         Json::Arr(
@@ -129,6 +134,7 @@ fn tuner_comparison(config: MeshConfig, workers: usize) -> Result<Json, BoxError
             "evaluations",
             Json::Int((private.evaluated + joint.evaluated) as i64),
         )
+        .set("tier_passes", Json::Int(joint.tier_passes as i64))
         .set(
             "objectives_diverge",
             Json::Bool(joint.labels() != private.labels()),
@@ -146,12 +152,17 @@ fn worker_sweep(config: MeshConfig) -> Result<Json, BoxError> {
         let clock = Stopwatch::start();
         let tuned = tuner.tune(MeshObjective::GraphP99, workers)?;
         let wall_s = clock.elapsed_s();
-        let view = format!("{:?}|{:?}", tuned.labels(), tuned.report);
+        let view = format!(
+            "{:?}|{:?}|{}",
+            tuned.labels(),
+            tuned.report,
+            tuned.tier_passes
+        );
         match &reference {
             None => reference = Some(view),
             Some(first) => assert!(
                 *first == view,
-                "mesh tuning verdicts must not depend on worker count"
+                "mesh tuning verdicts and tier passes must not depend on worker count"
             ),
         }
         println!(

@@ -42,6 +42,7 @@
 pub mod canary;
 pub mod error;
 pub mod graph;
+mod segment;
 pub mod sim;
 pub mod tune;
 

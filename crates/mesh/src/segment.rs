@@ -1,0 +1,595 @@
+//! The forward pass one tier at a time, in shareable *tier segments*.
+//!
+//! A tier's forward work — its FCFS queue, its service, jitter, cache and
+//! RTT draws, and the child jobs it fires downstream — reads only its own
+//! calibration and its ancestors' (the tiers that feed it, transitively).
+//! A [`Segment`] is that work's output: the served jobs' wait, service and
+//! finish in job order, the spawned child jobs in creation order, and the
+//! tier's job-order stats sums. Its *cone key* is the tier index plus the
+//! [`TierCal`] bits of the tier and every ancestor, so two assignments
+//! that agree on a cone agree on the segment, bit for bit:
+//!
+//! * Cache hits are drawn by FCFS position, so a tier serves the same
+//!   number of jobs — and fires the same number of children — in every
+//!   assignment, and each tier's child block sits at the same job-index
+//!   offset.
+//! * Hence job indices are assignment-invariant, and so are everything
+//!   keyed on them: the `(arrival bits, request, job)` FCFS tie-break, the
+//!   parent links, the sibling order the critical-child rule scans, and
+//!   the job-order stats sums.
+//!
+//! Job indices: the roots are jobs `0..requests` (tier 0's served jobs),
+//! followed by each tier's child block in topological order. Tier `t`'s
+//! child `p` rides out-edge `p % out-degree(t)`.
+//!
+//! A [`SegmentTable`] holds one claim-then-compute slot per cone key: the
+//! first assignment to need a segment simulates it while later ones wait
+//! on the slot, so each distinct segment is simulated exactly once for
+//! any worker count. [`MeshSim::run`](crate::MeshSim::run) uses a fresh
+//! table per run; the graph-p99 tuner shares one across its assignments
+//! and drops it when the tune returns.
+
+use crate::graph::ServiceGraph;
+use crate::sim::{MeshConfig, TierCal};
+use crate::MeshError;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use softsku_telemetry::streams::{IdentitySeed, StreamFamily, StreamRegistry};
+use softsku_workloads::queuesim::{FcfsServers, ServiceDist};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Critical child of a job no child beat; job 0 is a root, never a child.
+pub(crate) const NO_CHILD: u32 = 0;
+
+/// Per-tier wiring the passes index by tier.
+#[derive(Debug, Clone)]
+pub(crate) struct TierWiring {
+    /// Out-edge indices, in declaration order.
+    out: Vec<usize>,
+    /// Callers in job order (topological): the caller tier and the
+    /// position of its edge to this tier among its out-edges.
+    feeds: Vec<(usize, usize)>,
+    /// The tier and its ancestors, ascending: every calibration it reads.
+    cone: Vec<usize>,
+}
+
+/// Wires every tier of `graph`, and bounds its job table: each request
+/// puts at most one job on each root-to-tier path, so `requests × paths`
+/// jobs must be indexable by `u32`.
+///
+/// # Errors
+///
+/// [`MeshError::Config`] when the job table could outgrow `u32`.
+pub(crate) fn wire(graph: &ServiceGraph, requests: usize) -> Result<Vec<TierWiring>, MeshError> {
+    let n = graph.tiers().len();
+    let topo = graph.topo_order();
+    let mut rank = vec![0usize; n];
+    for (i, &t) in topo.iter().enumerate() {
+        rank[t] = i;
+    }
+    let mut wiring: Vec<TierWiring> = (0..n)
+        .map(|t| TierWiring {
+            out: graph.edges_from(t),
+            feeds: Vec::new(),
+            cone: vec![t],
+        })
+        .collect();
+    let mut paths = vec![0u128; n];
+    paths[0] = 1;
+    for &t in topo {
+        let mut feeds: Vec<(usize, usize)> = (0..n)
+            .filter_map(|c| {
+                let out = &wiring[c].out;
+                let e = out.iter().position(|&e| graph.edges()[e].to == t)?;
+                Some((c, e))
+            })
+            .collect();
+        feeds.sort_by_key(|&(c, _)| rank[c]);
+        let mut cone = vec![t];
+        for &(c, _) in &feeds {
+            cone.extend_from_slice(&wiring[c].cone);
+            paths[t] = paths[t].saturating_add(paths[c]);
+        }
+        cone.sort_unstable();
+        cone.dedup();
+        wiring[t].feeds = feeds;
+        wiring[t].cone = cone;
+    }
+    let total = paths.iter().fold(0u128, |acc, &p| acc.saturating_add(p));
+    if total.saturating_mul(requests as u128) > u128::from(u32::MAX) {
+        return Err(MeshError::Config(format!(
+            "{requests} requests over {total} root-to-tier paths overflow the u32 job table"
+        )));
+    }
+    Ok(wiring)
+}
+
+/// What the forward pass draws independently of every calibration: root
+/// arrivals, regression fates, and the per-family stream bases.
+#[derive(Debug)]
+pub(crate) struct Roots {
+    /// Root arrival times, in request order.
+    pub(crate) arrival: Vec<f64>,
+    slowed: Vec<bool>,
+    service_base: u64,
+    cache_base: u64,
+    rtt_base: u64,
+    jitter_base: u64,
+}
+
+impl Roots {
+    /// Draws the root arrivals (Poisson at `arrival_rate_hz`) and the
+    /// regression fates. A last arrival that overflows to infinity is a
+    /// [`MeshError::Config`].
+    pub(crate) fn draw(cfg: &MeshConfig) -> Result<Roots, MeshError> {
+        let mut streams = StreamRegistry::new(cfg.seed);
+        let mut arrival_rng = SmallRng::seed_from_u64(streams.derive(StreamFamily::MeshArrivals));
+        let service_base = streams.derive(StreamFamily::MeshService);
+        let cache_base = streams.derive(StreamFamily::MeshCacheHit);
+        let rtt_base = streams.derive(StreamFamily::MeshRtt);
+        let jitter_base = streams.derive(StreamFamily::MeshInterference);
+        let regress_seed = streams.derive(StreamFamily::MeshRegression);
+
+        // Injected tail-regression fates, one per request in arrival
+        // order, from their own stream — drawing them (or not) never
+        // moves any other stream's position, so a disabled injection is
+        // bit-identical to a build without the feature.
+        let slowed: Vec<bool> = if cfg.regress_frac > 0.0 && cfg.regress_scale > 1.0 {
+            let mut rng = SmallRng::seed_from_u64(regress_seed);
+            (0..cfg.requests)
+                .map(|_| rng.gen_range(0.0..1.0) < cfg.regress_frac)
+                .collect()
+        } else {
+            vec![false; cfg.requests]
+        };
+
+        let mut t = 0.0f64;
+        let arrival: Vec<f64> = (0..cfg.requests)
+            .map(|_| {
+                let u: f64 = arrival_rng.gen_range(f64::EPSILON..1.0);
+                t += -u.ln() / cfg.arrival_rate_hz;
+                t
+            })
+            .collect();
+        if !t.is_finite() {
+            let msg = format!("arrival rate {} Hz overflows time", cfg.arrival_rate_hz);
+            return Err(MeshError::Config(msg));
+        }
+        Ok(Roots {
+            arrival,
+            slowed,
+            service_base,
+            cache_base,
+            rtt_base,
+            jitter_base,
+        })
+    }
+}
+
+/// Job-order sums of one tier: jobs, jobs finished by the horizon, wait
+/// and service. The float sums start at `-0.0` like `Iterator::sum`, so
+/// an empty tier reports `-0.0`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TierSums {
+    pub(crate) jobs: u64,
+    pub(crate) done: u64,
+    pub(crate) wait_s: f64,
+    pub(crate) service_s: f64,
+}
+
+/// One tier's forward work under one cone of calibrations.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    /// Served jobs, in job order.
+    wait: Vec<f64>,
+    service: Vec<f64>,
+    finish: Vec<f64>,
+    /// Child jobs, in creation order.
+    parent: Vec<u32>,
+    req: Vec<u32>,
+    arrival: Vec<f64>,
+    rtt_back: Vec<f64>,
+    sums: TierSums,
+}
+
+/// The cone key of tier `t`: the tier index, then the [`TierCal`] bits
+/// of every tier in its cone.
+fn cone_key(t: usize, cone: &[usize], cals: &[TierCal]) -> Vec<u64> {
+    let mut key = Vec::with_capacity(1 + 2 * cone.len());
+    key.push(t as u64);
+    for &a in cone {
+        let TierCal {
+            service_s,
+            retention,
+        } = cals[a];
+        key.extend([service_s.to_bits(), retention.to_bits()]);
+    }
+    key
+}
+
+/// One segment slot: empty until the first assignment with its cone key
+/// simulates it; concurrent assignments wait in `get_or_init`.
+type SegmentSlot = Arc<OnceLock<Arc<Segment>>>;
+
+/// Segments by cone key for one `(graph, config)`, plus the calibration-
+/// free [`Roots`] every assignment shares.
+#[derive(Debug)]
+pub(crate) struct SegmentTable {
+    roots: Roots,
+    slots: Mutex<HashMap<Vec<u64>, SegmentSlot>>,
+    passes: AtomicUsize,
+}
+
+impl SegmentTable {
+    /// An empty table over freshly drawn roots.
+    ///
+    /// # Errors
+    ///
+    /// As [`Roots::draw`].
+    pub(crate) fn new(cfg: &MeshConfig) -> Result<SegmentTable, MeshError> {
+        Ok(SegmentTable {
+            roots: Roots::draw(cfg)?,
+            slots: Mutex::default(),
+            passes: AtomicUsize::new(0),
+        })
+    }
+
+    /// How many segments this table simulated.
+    pub(crate) fn passes(&self) -> usize {
+        self.passes.load(Ordering::Relaxed)
+    }
+
+    /// The segment for `key`, simulated by `compute` on first use. The
+    /// map's lock is held only to claim the slot.
+    fn segment(&self, key: Vec<u64>, compute: impl FnOnce() -> Segment) -> Arc<Segment> {
+        let counted = || {
+            self.passes.fetch_add(1, Ordering::Relaxed);
+            Arc::new(compute())
+        };
+        let Ok(mut map) = self.slots.lock() else {
+            return counted();
+        };
+        let slot = Arc::clone(map.entry(key).or_default());
+        drop(map);
+        Arc::clone(slot.get_or_init(counted))
+    }
+
+    /// One assignment's forward pass: every tier's segment, in
+    /// topological order, taken from the table or simulated into it.
+    pub(crate) fn forward<'a>(
+        &'a self,
+        graph: &'a ServiceGraph,
+        wiring: &'a [TierWiring],
+        cfg: &MeshConfig,
+        cals: &[TierCal],
+    ) -> Forward<'a> {
+        let n = graph.tiers().len();
+        let mut segs: Vec<Option<Arc<Segment>>> = vec![None; n];
+        let mut offset = vec![0usize; n];
+        let mut next = cfg.requests;
+        for &t in graph.topo_order() {
+            let key = cone_key(t, &wiring[t].cone, cals);
+            let seg = self.segment(key, || {
+                let step = Step {
+                    graph,
+                    wiring,
+                    cfg,
+                    roots: &self.roots,
+                };
+                step.run(t, cals[t], &segs, &offset)
+            });
+            offset[t] = next;
+            next += seg.parent.len();
+            segs[t] = Some(seg);
+        }
+        Forward {
+            roots: &self.roots,
+            graph,
+            wiring,
+            segs: segs.into_iter().flatten().collect(),
+            offset,
+            jobs: next,
+        }
+    }
+}
+
+/// Everything one tier step reads besides its calibration and its
+/// callers' segments.
+struct Step<'a> {
+    graph: &'a ServiceGraph,
+    wiring: &'a [TierWiring],
+    cfg: &'a MeshConfig,
+    roots: &'a Roots,
+}
+
+impl Step<'_> {
+    /// Simulates tier `t`: rebuilds its FCFS keys from its callers'
+    /// segments, serves them through a `c`-server queue, and fires the
+    /// out-edges of every job whose cache draw misses.
+    fn run(
+        &self,
+        t: usize,
+        cal: TierCal,
+        segs: &[Option<Arc<Segment>>],
+        offset: &[usize],
+    ) -> Segment {
+        let graph = self.graph;
+        let tier = &graph.tiers()[t];
+        let roots = self.roots;
+
+        // Served jobs in job order: arrival, request, job index.
+        let (arrival, req, job): (Vec<f64>, Vec<u32>, Vec<u32>) = if t == 0 {
+            let n = roots.arrival.len();
+            (
+                roots.arrival.clone(),
+                (0..n as u32).collect(),
+                (0..n as u32).collect(),
+            )
+        } else {
+            let mut cols = (Vec::new(), Vec::new(), Vec::new());
+            for &(c, e) in &self.wiring[t].feeds {
+                let Some(caller) = &segs[c] else { continue };
+                let degree = self.wiring[c].out.len();
+                for p in (e..caller.parent.len()).step_by(degree) {
+                    cols.0.push(caller.arrival[p]);
+                    cols.1.push(caller.req[p]);
+                    cols.2.push((offset[c] + p) as u32);
+                }
+            }
+            cols
+        };
+        let n = arrival.len();
+
+        // FCFS: serve jobs in (arrival, request, job) order. Positions
+        // are in job order, so they break ties exactly as job indices do;
+        // all times are nonnegative finite, so bit order is numeric order.
+        let mut order: Vec<(u64, u32, u32)> = (0..n)
+            .map(|k| (arrival[k].to_bits(), req[k], k as u32))
+            .collect();
+        order.sort_unstable();
+
+        let tier_stream =
+            |base: u64| SmallRng::seed_from_u64(IdentitySeed::new(base).field(&tier.name).finish());
+        let mut service_rng = tier_stream(roots.service_base);
+        let mut cache_rng = tier_stream(roots.cache_base);
+        let mut jitter_rng = tier_stream(roots.jitter_base);
+        let out = &self.wiring[t].out;
+        let mut edge_rngs: Vec<SmallRng> = out
+            .iter()
+            .map(|&e| {
+                let edge = graph.edges()[e];
+                SmallRng::seed_from_u64(
+                    IdentitySeed::new(roots.rtt_base)
+                        .field(&graph.tiers()[edge.from].name)
+                        .field(&graph.tiers()[edge.to].name)
+                        .finish(),
+                )
+            })
+            .collect();
+        let mut servers = FcfsServers::new(tier.concurrency);
+        let service_dist = ServiceDist::LogNormal {
+            mean: cal.service_s,
+            cv2: self.cfg.service_cv2,
+        };
+
+        let children = if tier.hit_rate > 0.0 {
+            0
+        } else {
+            n * out.len()
+        };
+        let mut seg = Segment {
+            wait: vec![0.0; n],
+            service: vec![0.0; n],
+            finish: vec![0.0; n],
+            parent: Vec::with_capacity(children),
+            req: Vec::with_capacity(children),
+            arrival: Vec::with_capacity(children),
+            rtt_back: Vec::with_capacity(children),
+            sums: TierSums {
+                jobs: n as u64,
+                done: 0,
+                wait_s: -0.0,
+                service_s: -0.0,
+            },
+        };
+        for &(_, r, k) in &order {
+            let k = k as usize;
+            // The service draw never depends on the start time, so it is
+            // drawn before the job is admitted.
+            let mut service = service_dist.sample(&mut service_rng);
+            if cal.retention < 1.0 {
+                // Interference jitter: neighbors on the shared socket
+                // occasionally stall this tier, in proportion to the
+                // throughput the pair measurement says it loses.
+                let e: f64 = jitter_rng.gen_range(f64::EPSILON..1.0);
+                service *= 1.0 + (1.0 - cal.retention) * (-e.ln());
+            }
+            if roots.slowed[r as usize] {
+                service *= self.cfg.regress_scale;
+            }
+            let start = servers.admit(arrival[k], service);
+            let finish = start + service;
+            seg.wait[k] = start - arrival[k];
+            seg.service[k] = service;
+            seg.finish[k] = finish;
+
+            // Cache short-circuit: on a hit, downstream edges stay silent
+            // for this request.
+            let hit = tier.hit_rate > 0.0 && cache_rng.gen_range(0.0..1.0) < tier.hit_rate;
+            if hit {
+                continue;
+            }
+            for (rng, &e) in edge_rngs.iter_mut().zip(out) {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let rtt = -graph.edges()[e].rtt_s * u.ln();
+                seg.parent.push(job[k]);
+                seg.req.push(r);
+                seg.arrival.push(finish + rtt / 2.0);
+                seg.rtt_back.push(rtt / 2.0);
+            }
+        }
+        for k in 0..n {
+            seg.sums.done += u64::from(seg.finish[k] <= self.cfg.horizon_s);
+            seg.sums.wait_s += seg.wait[k];
+            seg.sums.service_s += seg.service[k];
+        }
+        seg
+    }
+}
+
+/// One assignment's forward pass: a reference to every tier's segment and
+/// the job-index offset of each tier's child block.
+pub(crate) struct Forward<'a> {
+    /// The roots the segments were simulated from.
+    pub(crate) roots: &'a Roots,
+    graph: &'a ServiceGraph,
+    wiring: &'a [TierWiring],
+    segs: Vec<Arc<Segment>>,
+    offset: Vec<usize>,
+    jobs: usize,
+}
+
+/// One job's creation facts.
+pub(crate) struct JobFacts {
+    pub(crate) tier: usize,
+    pub(crate) req: usize,
+    pub(crate) arrival: f64,
+    pub(crate) rtt_back_s: f64,
+}
+
+impl Forward<'_> {
+    /// Tier `t`'s job-order stats sums.
+    pub(crate) fn sums(&self, t: usize) -> TierSums {
+        self.segs[t].sums
+    }
+
+    /// Scatters a served-job field of every segment into job order.
+    pub(crate) fn scatter(&self, field: fn(&Segment) -> &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0f64; self.jobs];
+        for &t in self.graph.topo_order() {
+            let values = field(&self.segs[t]);
+            if t == 0 {
+                out[..values.len()].copy_from_slice(values);
+                continue;
+            }
+            let mut k = 0;
+            for &(c, e) in &self.wiring[t].feeds {
+                let degree = self.wiring[c].out.len();
+                let block = self.offset[c]..self.offset[c] + self.segs[c].parent.len();
+                for j in (block.start + e..block.end).step_by(degree) {
+                    out[j] = values[k];
+                    k += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// Every job's finish time, in job order.
+    pub(crate) fn finish(&self) -> Vec<f64> {
+        self.scatter(|s| &s.finish)
+    }
+
+    /// Every job's queue wait and service time, in job order.
+    pub(crate) fn wait_and_service(&self) -> (Vec<f64>, Vec<f64>) {
+        (self.scatter(|s| &s.wait), self.scatter(|s| &s.service))
+    }
+
+    /// The backward response pass over the child blocks, last job first.
+    pub(crate) fn backward(&self, finish: &[f64]) -> (Vec<f64>, Vec<u32>) {
+        let blocks = self.graph.topo_order().iter().rev().map(|&t| {
+            let seg = &self.segs[t];
+            (self.offset[t], &seg.parent[..], &seg.rtt_back[..])
+        });
+        backward_pass(finish.to_vec(), blocks)
+    }
+
+    /// Creation facts of job `j`: its tier, request, arrival and return
+    /// leg (roots have no return leg).
+    pub(crate) fn job(&self, j: usize) -> JobFacts {
+        if j < self.roots.arrival.len() {
+            return JobFacts {
+                tier: 0,
+                req: j,
+                arrival: self.roots.arrival[j],
+                rtt_back_s: 0.0,
+            };
+        }
+        let c = self
+            .graph
+            .topo_order()
+            .iter()
+            .copied()
+            .rfind(|&c| self.offset[c] <= j && !self.segs[c].parent.is_empty())
+            .unwrap_or(0);
+        self.child(c, j - self.offset[c])
+    }
+
+    fn child(&self, c: usize, p: usize) -> JobFacts {
+        let seg = &self.segs[c];
+        let out = &self.wiring[c].out;
+        JobFacts {
+            tier: self.graph.edges()[out[p % out.len()]].to,
+            req: seg.req[p] as usize,
+            arrival: seg.arrival[p],
+            rtt_back_s: seg.rtt_back[p],
+        }
+    }
+
+    /// Every job's parent and return leg, in job order.
+    #[cfg(test)]
+    pub(crate) fn links(&self) -> (Vec<Option<usize>>, Vec<f64>) {
+        let mut parent = vec![None; self.jobs];
+        let mut rtt_back = vec![0.0; self.jobs];
+        for &c in self.graph.topo_order() {
+            let seg = &self.segs[c];
+            for p in 0..seg.parent.len() {
+                parent[self.offset[c] + p] = Some(seg.parent[p] as usize);
+                rtt_back[self.offset[c] + p] = seg.rtt_back[p];
+            }
+        }
+        (parent, rtt_back)
+    }
+
+    /// Creation facts of every job, in job order.
+    pub(crate) fn all_jobs(&self) -> impl Iterator<Item = JobFacts> + '_ {
+        let roots = (0..self.roots.arrival.len()).map(|j| self.job(j));
+        let children = self
+            .graph
+            .topo_order()
+            .iter()
+            .flat_map(move |&c| (0..self.segs[c].parent.len()).map(move |p| self.child(c, p)));
+        roots.chain(children)
+    }
+}
+
+/// The backward response pass: `response[j]` is `finish[j]` joined with
+/// every child's response plus its return leg. `blocks` holds each child
+/// block as `(offset, parent, rtt_back)` in descending offset order;
+/// children always have higher indices than their parents (jobs are
+/// created parent-first), so one reverse sweep suffices. `critical[j]` is
+/// the *first* child, in creation order, to strictly beat the running
+/// best from `finish[j]`; the sweep meets siblings last-first, so a tie
+/// with an already-chosen sibling moves the pick earlier, and a tie with
+/// the finish never picks.
+pub(crate) fn backward_pass<'b>(
+    finish: Vec<f64>,
+    blocks: impl Iterator<Item = (usize, &'b [u32], &'b [f64])>,
+) -> (Vec<f64>, Vec<u32>) {
+    let mut response = finish;
+    let mut critical = vec![NO_CHILD; response.len()];
+    for (offset, parent, rtt_back) in blocks {
+        for p in (0..parent.len()).rev() {
+            let j = offset + p;
+            let q = parent[p] as usize;
+            let via = response[j] + rtt_back[p];
+            if via > response[q] || (via == response[q] && critical[q] != NO_CHILD) {
+                response[q] = via;
+                critical[q] = j as u32;
+            }
+        }
+    }
+    (response, critical)
+}

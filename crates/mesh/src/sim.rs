@@ -19,30 +19,30 @@
 //!    processed in topological order, each as a `c`-server FCFS queue
 //!    (heap of server-free times). A finished parent fires its outgoing
 //!    edges (unless its cache draw short-circuits them), and each fired
-//!    edge delivers a child job after half the drawn RTT.
+//!    edge delivers a child job after half the drawn RTT. Each tier's
+//!    step is one tier segment (`segment.rs`), which assignments with the
+//!    same upstream calibrations can share.
 //! 3. **Backward pass** — a request's response at a tier is the max of
 //!    its own finish and every fired child's response plus the return
 //!    leg; the end-to-end latency is the root response minus arrival.
 //!
 //! Every random draw flows through an append-only
-//! [`StreamFamily`] variant, with per-tier and per-edge sub-streams
-//! derived by [`IdentitySeed`] over the element names — so adding a tier
-//! never perturbs another tier's draws, and the whole report is
-//! bit-identical for a fixed `(graph, SKUs, config)` regardless of who
-//! evaluates it.
+//! [`StreamFamily`](softsku_telemetry::streams::StreamFamily) variant,
+//! with per-tier and per-edge sub-streams derived by [`IdentitySeed`]
+//! over the element names — so adding a tier never perturbs another
+//! tier's draws, and the whole report is bit-identical for a fixed
+//! `(graph, SKUs, config)` regardless of who evaluates it.
 
 use crate::error::MeshError;
 use crate::graph::ServiceGraph;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::segment::{wire, Forward, SegmentTable, TierWiring, NO_CHILD};
 use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::SimServer;
 use softsku_telemetry::keys::LedgerKey;
 use softsku_telemetry::nearest_rank;
 use softsku_telemetry::ods::{Ods, SeriesKey};
-use softsku_telemetry::streams::{IdentitySeed, StreamFamily, StreamRegistry};
+use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, TraceSink};
-use softsku_workloads::queuesim::{FcfsServers, ServiceDist};
 
 /// Simulation inputs beyond the graph and the per-tier SKUs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,8 +62,9 @@ pub struct MeshConfig {
     /// Fraction of requests hit by the injected tail regression; `0.0`
     /// disables the injection and leaves every draw bit-identical to a
     /// config without it. Fates come from their own seeded stream
-    /// ([`StreamFamily::MeshRegression`]), so enabling the injection
-    /// never perturbs arrival, service, cache, or RTT draws.
+    /// ([`MeshRegression`](softsku_telemetry::streams::StreamFamily::MeshRegression)),
+    /// so enabling the injection never perturbs arrival, service, cache,
+    /// or RTT draws.
     pub regress_frac: f64,
     /// Service-time multiplier applied at every tier to a regressed
     /// request's jobs; `1.0` is inert.
@@ -234,24 +235,11 @@ pub struct RequestSample {
     pub span_id: Option<u64>,
 }
 
-/// One job: a request's visit to one tier.
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    req: usize,
-    tier: usize,
-    parent: Option<usize>,
-    rtt_back_s: f64,
-    arrival: f64,
-    wait: f64,
-    service: f64,
-    finish: f64,
-}
-
 /// Per-tier calibration: the service-time center and its provenance.
 #[derive(Debug, Clone, Copy)]
-struct TierCal {
-    service_s: f64,
-    retention: f64,
+pub(crate) struct TierCal {
+    pub(crate) service_s: f64,
+    pub(crate) retention: f64,
 }
 
 /// The request-graph simulator: a graph plus a [`MeshConfig`].
@@ -259,6 +247,7 @@ struct TierCal {
 pub struct MeshSim<'a> {
     graph: &'a ServiceGraph,
     config: MeshConfig,
+    wiring: Vec<TierWiring>,
 }
 
 impl<'a> MeshSim<'a> {
@@ -266,10 +255,17 @@ impl<'a> MeshSim<'a> {
     ///
     /// # Errors
     ///
-    /// [`MeshError::Config`] for out-of-range configuration values.
+    /// [`MeshError::Config`] for out-of-range configuration values,
+    /// including more requests than a `u32` job index can cover on this
+    /// graph.
     pub fn new(graph: &'a ServiceGraph, config: MeshConfig) -> Result<Self, MeshError> {
         config.validate()?;
-        Ok(MeshSim { graph, config })
+        let wiring = wire(graph, config.requests)?;
+        Ok(MeshSim {
+            graph,
+            config,
+            wiring,
+        })
     }
 
     /// The bound configuration.
@@ -308,27 +304,19 @@ impl<'a> MeshSim<'a> {
         skus: &[ServerConfig],
         sink: &mut TraceSink,
     ) -> Result<(MeshReport, Vec<RequestSample>), MeshError> {
-        let tiers = self.graph.tiers();
-        if skus.len() != tiers.len() {
-            return Err(MeshError::Config(format!(
-                "{} SKUs supplied for {} tiers",
-                skus.len(),
-                tiers.len()
-            )));
-        }
         let cals = self.calibrate(skus)?;
-        let jobs = self.forward_pass(&cals)?;
-        let (response, critical) = backward_pass(&jobs);
-        let report = self.summarize(&jobs, &response, &critical, &cals);
-        let n_req = self.config.requests;
+        let table = SegmentTable::new(&self.config)?;
+        let (fwd, response, report) = self.run_calibrated(&cals, &table);
+        let arrival = &fwd.roots.arrival;
         let span_ids = if sink.is_enabled() {
-            record_trace(self.graph, &jobs, &response, n_req, sink)
+            record_trace(self.graph, &fwd, &response, sink)
         } else {
-            vec![None; n_req]
+            vec![None; arrival.len()]
         };
-        let mut samples: Vec<RequestSample> = (0..n_req)
-            .map(|r| {
-                let start_s = jobs[r].arrival;
+        let mut samples: Vec<RequestSample> = arrival
+            .iter()
+            .enumerate()
+            .map(|(r, &start_s)| {
                 let latency_s = response[r] - start_s;
                 RequestSample {
                     req: r,
@@ -345,29 +333,65 @@ impl<'a> MeshSim<'a> {
         Ok((report, samples))
     }
 
+    /// Runs one calibrated assignment against a segment table shared with
+    /// other assignments of the same `(graph, config)`: the tiers whose
+    /// cone of calibrations the table has already seen reuse its segments.
+    pub(crate) fn run_shared(&self, cals: &[TierCal], table: &SegmentTable) -> MeshReport {
+        self.run_calibrated(cals, table).2
+    }
+
+    /// The forward pass through `table`, the backward pass, and the
+    /// report; also returns the forward pass and every job's response for
+    /// the trace and the request samples.
+    fn run_calibrated<'t>(
+        &'t self,
+        cals: &[TierCal],
+        table: &'t SegmentTable,
+    ) -> (Forward<'t>, Vec<f64>, MeshReport) {
+        let fwd = table.forward(self.graph, &self.wiring, &self.config, cals);
+        let finish = fwd.finish();
+        let (response, critical) = fwd.backward(&finish);
+        let report = self.summarize(&fwd, &finish, &response, &critical, cals);
+        (fwd, response, report)
+    }
+
     /// Calibrates each tier's mean service time from the cluster
     /// simulator, folding in colocation retention for paired tiers.
-    fn calibrate(&self, skus: &[ServerConfig]) -> Result<Vec<TierCal>, MeshError> {
+    pub(crate) fn calibrate(&self, skus: &[ServerConfig]) -> Result<Vec<TierCal>, MeshError> {
         let tiers = self.graph.tiers();
-        // Engine-coupled retention for colocated pairs, under the pair's
-        // *candidate* configurations — a bandwidth-hungry SKU on one side
-        // of the socket shows up as lost retention on the other.
+        if skus.len() != tiers.len() {
+            return Err(MeshError::Config(format!(
+                "{} SKUs supplied for {} tiers",
+                skus.len(),
+                tiers.len()
+            )));
+        }
+        self.calibrate_with(
+            |t| tier_mips(self.graph, &self.config, t, &skus[t]),
+            |_, (a, b)| pair_retention(self.graph, (a, b), (&skus[a], &skus[b])),
+        )
+    }
+
+    /// Calibrates from measurements: `mips(t)` is tier `t`'s
+    /// [`tier_mips`] and `pair(p, (a, b))` the [`pair_retention`] of
+    /// colocated pair `p`, both under the assignment's SKUs.
+    pub(crate) fn calibrate_with(
+        &self,
+        mips: impl Fn(usize) -> Result<(f64, f64), MeshError>,
+        pair: impl Fn(usize, (usize, usize)) -> Result<(f64, f64), MeshError>,
+    ) -> Result<Vec<TierCal>, MeshError> {
+        let tiers = self.graph.tiers();
         let mut retention = vec![1.0f64; tiers.len()];
         if let Some(coloc) = self.graph.colocation() {
-            for &(a, b) in &coloc.pairs {
-                let outcome = coloc.scenario.evaluate_with(
-                    tiers[a].service,
-                    tiers[b].service,
-                    &skus[a],
-                    &skus[b],
-                )?;
-                retention[a] = outcome.retention_a.clamp(0.05, 1.0);
-                retention[b] = outcome.retention_b.clamp(0.05, 1.0);
+            for (p, &(a, b)) in coloc.pairs.iter().enumerate() {
+                let (ra, rb) = pair(p, (a, b))?;
+                retention[a] = ra.clamp(0.05, 1.0);
+                retention[b] = rb.clamp(0.05, 1.0);
             }
         }
         let mut cals = Vec::with_capacity(tiers.len());
         for (i, tier) in tiers.iter().enumerate() {
-            let (prod_mips, cand_mips) = tier_mips(self.graph, &self.config, i, &skus[i])?;
+            let (prod_mips, cand_mips) = mips(i)?;
             let speed = (cand_mips / prod_mips.max(1e-9)).max(1e-3);
             let service_s = tier.base_service_s / speed / retention[i];
             cals.push(TierCal {
@@ -378,151 +402,15 @@ impl<'a> MeshSim<'a> {
         Ok(cals)
     }
 
-    /// The forward pass: Poisson root arrivals, per-tier FCFS queues in
-    /// topological order, edge firing with cache short-circuits. Root
-    /// arrivals that overflow to infinity are a [`MeshError::Config`].
-    fn forward_pass(&self, cals: &[TierCal]) -> Result<Vec<Job>, MeshError> {
-        let graph = self.graph;
-        let tiers = graph.tiers();
-        let cfg = &self.config;
-        let mut streams = StreamRegistry::new(cfg.seed);
-
-        let mut arrival_rng = SmallRng::seed_from_u64(streams.derive(StreamFamily::MeshArrivals));
-        let service_base = streams.derive(StreamFamily::MeshService);
-        let cache_base = streams.derive(StreamFamily::MeshCacheHit);
-        let rtt_base = streams.derive(StreamFamily::MeshRtt);
-        let jitter_base = streams.derive(StreamFamily::MeshInterference);
-        let regress_seed = streams.derive(StreamFamily::MeshRegression);
-        let tier_stream = |base: u64, name: &str| {
-            SmallRng::seed_from_u64(IdentitySeed::new(base).field(name).finish())
-        };
-
-        // Injected tail-regression fates, one per request in arrival
-        // order, from their own stream — drawing them (or not) never
-        // moves any other stream's position, so a disabled injection is
-        // bit-identical to a build without the feature.
-        let slowed: Vec<bool> = if cfg.regress_frac > 0.0 && cfg.regress_scale > 1.0 {
-            let mut rng = SmallRng::seed_from_u64(regress_seed);
-            (0..cfg.requests)
-                .map(|_| rng.gen_range(0.0..1.0) < cfg.regress_frac)
-                .collect()
-        } else {
-            vec![false; cfg.requests]
-        };
-
-        let mut jobs: Vec<Job> = Vec::with_capacity(cfg.requests * tiers.len());
-        // Each tier's jobs as FCFS keys `(arrival bits, request, job)`.
-        // All times are nonnegative finite, so the bit ordering of f64
-        // agrees with the numeric ordering, and the job index is unique.
-        let mut by_tier: Vec<Vec<(u64, usize, usize)>> = vec![Vec::new(); tiers.len()];
-
-        // Root arrivals, in request order.
-        let mut t = 0.0f64;
-        for req in 0..cfg.requests {
-            let u: f64 = arrival_rng.gen_range(f64::EPSILON..1.0);
-            t += -u.ln() / cfg.arrival_rate_hz;
-            by_tier[0].push((t.to_bits(), req, jobs.len()));
-            jobs.push(Job {
-                req,
-                tier: 0,
-                parent: None,
-                rtt_back_s: 0.0,
-                arrival: t,
-                wait: 0.0,
-                service: 0.0,
-                finish: 0.0,
-            });
-        }
-        if !t.is_finite() {
-            let msg = format!("arrival rate {} Hz overflows time", cfg.arrival_rate_hz);
-            return Err(MeshError::Config(msg));
-        }
-
-        for &tier_idx in graph.topo_order() {
-            let tier = &tiers[tier_idx];
-            let cal = cals[tier_idx];
-            let mut service_rng = tier_stream(service_base, &tier.name);
-            let mut cache_rng = tier_stream(cache_base, &tier.name);
-            let mut jitter_rng = tier_stream(jitter_base, &tier.name);
-            let out_edges = graph.edges_from(tier_idx);
-            let mut edge_rngs: Vec<SmallRng> = out_edges
-                .iter()
-                .map(|&e| {
-                    let edge = graph.edges()[e];
-                    SmallRng::seed_from_u64(
-                        IdentitySeed::new(rtt_base)
-                            .field(&tiers[edge.from].name)
-                            .field(&tiers[edge.to].name)
-                            .finish(),
-                    )
-                })
-                .collect();
-
-            // FCFS: serve jobs in (arrival, request, creation) order. Only
-            // upstream tiers feed this one, so its key list is complete.
-            let mut order = std::mem::take(&mut by_tier[tier_idx]);
-            order.sort_unstable();
-            let mut servers = FcfsServers::new(tier.concurrency);
-            let service_dist = ServiceDist::LogNormal {
-                mean: cal.service_s,
-                cv2: cfg.service_cv2,
-            };
-            for &(_, req, j) in &order {
-                // The service draw never depends on the start time, so it
-                // is drawn before the job is admitted.
-                let mut service = service_dist.sample(&mut service_rng);
-                if cal.retention < 1.0 {
-                    // Interference jitter: neighbors on the shared socket
-                    // occasionally stall this tier, in proportion to the
-                    // throughput the pair measurement says it loses.
-                    let e: f64 = jitter_rng.gen_range(f64::EPSILON..1.0);
-                    service *= 1.0 + (1.0 - cal.retention) * (-e.ln());
-                }
-                if slowed[req] {
-                    service *= cfg.regress_scale;
-                }
-                let start = servers.admit(jobs[j].arrival, service);
-                let finish = start + service;
-                jobs[j].wait = start - jobs[j].arrival;
-                jobs[j].service = service;
-                jobs[j].finish = finish;
-
-                // Cache short-circuit: on a hit, downstream edges stay
-                // silent for this request.
-                let hit = tier.hit_rate > 0.0 && cache_rng.gen_range(0.0..1.0) < tier.hit_rate;
-                if hit {
-                    continue;
-                }
-                for (k, &e) in out_edges.iter().enumerate() {
-                    let edge = graph.edges()[e];
-                    let u: f64 = edge_rngs[k].gen_range(f64::EPSILON..1.0);
-                    let rtt = -edge.rtt_s * u.ln();
-                    let child_arrival = finish + rtt / 2.0;
-                    by_tier[edge.to].push((child_arrival.to_bits(), req, jobs.len()));
-                    jobs.push(Job {
-                        req,
-                        tier: edge.to,
-                        parent: Some(j),
-                        rtt_back_s: rtt / 2.0,
-                        arrival: child_arrival,
-                        wait: 0.0,
-                        service: 0.0,
-                        finish: 0.0,
-                    });
-                }
-            }
-        }
-        Ok(jobs)
-    }
-
     /// Builds the report: exact percentiles from the full latency
     /// reservoir, conservation counters against the horizon, and
     /// critical-path attribution over the slowest 1 %.
     fn summarize(
         &self,
-        jobs: &[Job],
+        fwd: &Forward<'_>,
+        finish: &[f64],
         response: &[f64],
-        critical: &[usize],
+        critical: &[u32],
         cals: &[TierCal],
     ) -> MeshReport {
         let tiers = self.graph.tiers();
@@ -530,10 +418,16 @@ impl<'a> MeshSim<'a> {
         let n_req = self.config.requests;
 
         // Root jobs are the first `n_req` jobs, in request order.
-        let mut latencies: Vec<f64> = (0..n_req).map(|r| response[r] - jobs[r].arrival).collect();
-        let mut order: Vec<usize> = (0..n_req).collect();
-        order.sort_by_key(|&r| (latencies[r].to_bits(), r));
-        latencies.sort_by(f64::total_cmp);
+        let arrival = &fwd.roots.arrival;
+        // Latencies are nonnegative (a response never precedes its
+        // arrival), so bit order is numeric order and equal latencies have
+        // equal bits: one sort by `(bits, request)` yields both the sorted
+        // reservoir and the slowest requests.
+        let mut order: Vec<(u64, u32)> = (0..n_req)
+            .map(|r| ((response[r] - arrival[r]).to_bits(), r as u32))
+            .collect();
+        order.sort_unstable();
+        let latencies: Vec<f64> = order.iter().map(|&(l, _)| f64::from_bits(l)).collect();
         // `requests > 0` is validated, so every rank exists.
         let pick = |q: f64| nearest_rank(&latencies, q).unwrap_or(f64::NAN);
         let mean_s = latencies.iter().sum::<f64>() / n_req as f64;
@@ -550,43 +444,34 @@ impl<'a> MeshSim<'a> {
         let slowest = &order[tail_start(&latencies, 0.99)..];
         let mut tier_time = vec![0.0f64; tiers.len()];
         let mut net_time = 0.0f64;
-        for &root in slowest {
-            let mut j = root;
+        for &(_, root) in slowest {
+            let mut j = root as usize;
             loop {
-                tier_time[jobs[j].tier] += jobs[j].finish - jobs[j].arrival;
+                let job = fwd.job(j);
+                tier_time[job.tier] += finish[j] - job.arrival;
                 let c = critical[j];
                 if c == NO_CHILD {
                     break;
                 }
-                net_time += 2.0 * jobs[c].rtt_back_s;
-                j = c;
+                j = c as usize;
+                net_time += 2.0 * fwd.job(j).rtt_back_s;
             }
         }
         let total_attr = (tier_time.iter().sum::<f64>() + net_time).max(1e-12);
 
-        // Per-tier (jobs, done, wait sum, service sum) in job order; sums
-        // start at -0.0 like `Iterator::sum`, so empty tiers stay -0.0.
-        let mut acc = vec![(0u64, 0u64, -0.0f64, -0.0f64); tiers.len()];
-        for job in jobs {
-            let a = &mut acc[job.tier];
-            a.0 += 1;
-            a.1 += u64::from(job.finish <= horizon);
-            a.2 += job.wait;
-            a.3 += job.service;
-        }
         let tier_stats: Vec<TierStats> = tiers
             .iter()
-            .zip(acc)
             .enumerate()
-            .map(|(i, (tier, (jobs_n, done, wait, service)))| {
-                let inv = 1.0 / (jobs_n as f64).max(1.0);
+            .map(|(i, tier)| {
+                let sums = fwd.sums(i);
+                let inv = 1.0 / (sums.jobs as f64).max(1.0);
                 TierStats {
                     name: tier.name.clone(),
-                    jobs: jobs_n,
-                    jobs_done_by_horizon: done,
-                    jobs_pending_at_horizon: jobs_n - done,
-                    mean_wait_s: wait * inv,
-                    mean_service_s: service * inv,
+                    jobs: sums.jobs,
+                    jobs_done_by_horizon: sums.done,
+                    jobs_pending_at_horizon: sums.jobs - sums.done,
+                    mean_wait_s: sums.wait_s * inv,
+                    mean_service_s: sums.service_s * inv,
                     calibrated_service_s: cals[i].service_s,
                     retention: cals[i].retention,
                     critical_share: tier_time[i] / total_attr,
@@ -635,6 +520,25 @@ pub(crate) fn tier_mips(
     Ok((prod_mips, server.mips(1.0)?))
 }
 
+/// Engine-coupled throughput retention of the colocated tiers `(a, b)`
+/// under their candidate SKUs — a bandwidth-hungry SKU on one side of the
+/// socket shows up as lost retention on the other. `(1.0, 1.0)` when the
+/// graph has no colocation.
+pub(crate) fn pair_retention(
+    graph: &ServiceGraph,
+    (a, b): (usize, usize),
+    (sku_a, sku_b): (&ServerConfig, &ServerConfig),
+) -> Result<(f64, f64), MeshError> {
+    let Some(coloc) = graph.colocation() else {
+        return Ok((1.0, 1.0));
+    };
+    let tiers = graph.tiers();
+    let outcome = coloc
+        .scenario
+        .evaluate_with(tiers[a].service, tiers[b].service, sku_a, sku_b)?;
+    Ok((outcome.retention_a, outcome.retention_b))
+}
+
 /// Start index, into a latency-sorted order, of the slow-tail
 /// attribution set for quantile `q`: the [`nearest_rank`] boundary (the
 /// same one the percentiles use), widened left to include every value
@@ -646,65 +550,37 @@ fn tail_start(sorted_latencies: &[f64], q: f64) -> usize {
     }
 }
 
-/// Critical child of a job no child beat; job 0 is a root, never a child.
-const NO_CHILD: usize = 0;
-
-/// The backward response pass: `response[j]` is `finish[j]` joined with
-/// every child's response plus its return leg. Children always have
-/// higher indices than their parents (jobs are created parent-first), so
-/// one reverse sweep suffices. `critical[j]` is the *first* child, in
-/// creation order, to strictly beat the running best from `finish[j]`;
-/// the sweep meets siblings last-first, so a tie with an already-chosen
-/// sibling moves the pick earlier, and a tie with the finish never picks.
-fn backward_pass(jobs: &[Job]) -> (Vec<f64>, Vec<usize>) {
-    let mut response: Vec<f64> = jobs.iter().map(|j| j.finish).collect();
-    let mut critical = vec![NO_CHILD; jobs.len()];
-    for j in (0..jobs.len()).rev() {
-        if let Some(p) = jobs[j].parent {
-            let via = response[j] + jobs[j].rtt_back_s;
-            if via > response[p] || (via == response[p] && critical[p] != NO_CHILD) {
-                response[p] = via;
-                critical[p] = j;
-            }
-        }
-    }
-    (response, critical)
-}
-
 /// Records the trace: one span per request on the `requests` track, one
 /// span per hop on the `hops` track, in canonical order (requests by
 /// index, hops by job creation order). Returns the span id recorded for
 /// each root request (`None` when sampling dropped its span).
 fn record_trace(
     graph: &ServiceGraph,
-    jobs: &[Job],
+    fwd: &Forward<'_>,
     response: &[f64],
-    n_req: usize,
     sink: &mut TraceSink,
 ) -> Vec<Option<u64>> {
+    let arrival = &fwd.roots.arrival;
     let req_track = sink.track("requests");
     sink.set_track(req_track);
-    let mut req_ids: Vec<Option<u64>> = vec![None; n_req];
-    for r in 0..n_req {
+    let mut req_ids: Vec<Option<u64>> = vec![None; arrival.len()];
+    for (r, &start) in arrival.iter().enumerate() {
         let before = sink.spans().len();
         let h = sink.leaf(
             LedgerKey::MeshRequest.name(),
             &format!("r{r}"),
-            jobs[r].arrival,
-            response[r] - jobs[r].arrival,
+            start,
+            response[r] - start,
         );
         if sink.spans().len() > before {
             req_ids[r] = sink.spans().last().map(|s| s.id);
         }
-        sink.attr(
-            h,
-            "latency_s",
-            AttrValue::F64(response[r] - jobs[r].arrival),
-        );
+        sink.attr(h, "latency_s", AttrValue::F64(response[r] - start));
     }
     let hop_track = sink.track("hops");
     sink.set_track(hop_track);
-    for (j, job) in jobs.iter().enumerate() {
+    let (wait, service) = fwd.wait_and_service();
+    for (j, job) in fwd.all_jobs().enumerate() {
         let h = sink.leaf(
             LedgerKey::MeshHop.name(),
             &graph.tiers()[job.tier].name,
@@ -712,8 +588,8 @@ fn record_trace(
             response[j] - job.arrival,
         );
         sink.attr(h, "req", AttrValue::Int(job.req as i64));
-        sink.attr(h, "wait_s", AttrValue::F64(job.wait));
-        sink.attr(h, "service_s", AttrValue::F64(job.service));
+        sink.attr(h, "wait_s", AttrValue::F64(wait[j]));
+        sink.attr(h, "service_s", AttrValue::F64(service[j]));
     }
     req_ids
 }
@@ -722,6 +598,7 @@ fn record_trace(
 mod tests {
     use super::*;
     use crate::graph::{colocation_mix, media, social_network};
+    use crate::segment::backward_pass;
     use softsku_workloads::Microservice;
 
     fn small_config() -> MeshConfig {
@@ -964,22 +841,27 @@ mod tests {
     /// The reference critical-child rule: scan each job's children in
     /// creation order and keep the first whose response plus return leg
     /// strictly beats the running best, starting from the job's finish.
-    fn children_scan(jobs: &[Job], response: &[f64]) -> Vec<usize> {
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
-        for (j, job) in jobs.iter().enumerate() {
-            if let Some(p) = job.parent {
+    fn children_scan(
+        parent: &[Option<usize>],
+        rtt_back: &[f64],
+        finish: &[f64],
+        response: &[f64],
+    ) -> Vec<u32> {
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); parent.len()];
+        for (j, p) in parent.iter().enumerate() {
+            if let Some(p) = *p {
                 children[p].push(j);
             }
         }
-        (0..jobs.len())
+        (0..parent.len())
             .map(|j| {
                 let mut next = NO_CHILD;
-                let mut best = jobs[j].finish;
+                let mut best = finish[j];
                 for &c in &children[j] {
-                    let via = response[c] + jobs[c].rtt_back_s;
+                    let via = response[c] + rtt_back[c];
                     if via > best {
                         best = via;
-                        next = c;
+                        next = c as u32;
                     }
                 }
                 next
@@ -989,35 +871,41 @@ mod tests {
 
     #[test]
     fn backward_pass_critical_child_matches_the_children_scan_on_ties() {
-        let job = |req: usize, parent: Option<usize>, rtt_back_s: f64, finish: f64| Job {
-            req,
-            tier: usize::from(parent.is_some()),
-            parent,
-            rtt_back_s,
-            arrival: 0.0,
-            wait: 0.0,
-            service: finish,
-            finish,
-        };
-        let jobs = [
-            job(0, None, 0.0, 3.0),
-            job(1, None, 0.0, 4.0),
-            job(2, None, 0.0, 1.0),
+        // Jobs 0..3 are roots; the rest form one child block at offset 3,
+        // as `(parent, rtt_back, finish)`.
+        let roots = [3.0, 4.0, 1.0];
+        let children: [(u32, f64, f64); 8] = [
             // Two siblings of job 0 with equal `via` (5.0): the first wins.
-            job(0, Some(0), 0.5, 4.5),
-            job(0, Some(0), 1.0, 4.0),
+            (0, 0.5, 4.5),
+            (0, 1.0, 4.0),
             // A child of job 1 whose `via` equals job 1's own finish.
-            job(1, Some(1), 0.5, 3.5),
-            job(1, Some(1), 0.25, 3.0),
+            (1, 0.5, 3.5),
+            (1, 0.25, 3.0),
             // Job 2's first child wins through its own child; the later
             // equal pair (3.5) loses to it.
-            job(2, Some(2), 0.5, 2.0),
-            job(2, Some(2), 0.5, 3.0),
-            job(2, Some(2), 0.5, 3.0),
-            job(2, Some(7), 0.5, 3.0),
+            (2, 0.5, 2.0),
+            (2, 0.5, 3.0),
+            (2, 0.5, 3.0),
+            (7, 0.5, 3.0),
         ];
-        let (response, critical) = backward_pass(&jobs);
-        assert_eq!(critical, children_scan(&jobs, &response));
+        let parent: Vec<u32> = children.iter().map(|c| c.0).collect();
+        let rtt: Vec<f64> = children.iter().map(|c| c.1).collect();
+        let finish: Vec<f64> = roots
+            .iter()
+            .copied()
+            .chain(children.iter().map(|c| c.2))
+            .collect();
+        let (response, critical) =
+            backward_pass(finish.clone(), std::iter::once((3, &parent[..], &rtt[..])));
+        let flat_parent: Vec<Option<usize>> = [None; 3]
+            .into_iter()
+            .chain(parent.iter().map(|&p| Some(p as usize)))
+            .collect();
+        let flat_rtt: Vec<f64> = [0.0; 3].into_iter().chain(rtt.iter().copied()).collect();
+        assert_eq!(
+            critical,
+            children_scan(&flat_parent, &flat_rtt, &finish, &response)
+        );
         assert_eq!(critical[0], 3, "equal siblings keep the first");
         assert_eq!(critical[1], NO_CHILD, "a tie with the finish is no child");
         assert_eq!(critical[2], 7);
@@ -1030,9 +918,12 @@ mod tests {
         let graph = social_network().unwrap();
         let sim = MeshSim::new(&graph, small_config()).unwrap();
         let cals = sim.calibrate(&production_skus(&graph)).unwrap();
-        let jobs = sim.forward_pass(&cals).unwrap();
-        let (response, critical) = backward_pass(&jobs);
-        assert_eq!(critical, children_scan(&jobs, &response));
+        let table = SegmentTable::new(sim.config()).unwrap();
+        let fwd = table.forward(&graph, &sim.wiring, sim.config(), &cals);
+        let finish = fwd.finish();
+        let (response, critical) = fwd.backward(&finish);
+        let (parent, rtt) = fwd.links();
+        assert_eq!(critical, children_scan(&parent, &rtt, &finish, &response));
     }
 
     #[test]

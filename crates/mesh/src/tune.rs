@@ -24,9 +24,10 @@
 
 use crate::error::MeshError;
 use crate::graph::ServiceGraph;
-use crate::sim::{tier_mips, MeshConfig, MeshReport, MeshSim};
+use crate::segment::SegmentTable;
+use crate::sim::{pair_retention, tier_mips, MeshConfig, MeshReport, MeshSim, TierCal};
 use softsku_archsim::engine::ServerConfig;
-use usku::{plan_assignments, run_tasks, UskuError};
+use usku::{plan_assignments, run_tasks, AssignmentUnit, UskuError};
 
 /// One candidate soft SKU for a tier: a label (the assignment-plan
 /// identity) and the configuration it denotes.
@@ -70,6 +71,10 @@ pub struct TunedMesh {
     pub report: MeshReport,
     /// How many candidate evaluations the objective required.
     pub evaluated: usize,
+    /// How many tier segments (one tier's forward pass under one cone of
+    /// upstream calibrations) were simulated: every tier once for a
+    /// single simulation, each distinct segment once across a joint tune.
+    pub tier_passes: usize,
 }
 
 impl TunedMesh {
@@ -207,23 +212,20 @@ impl<'a> MeshTuner<'a> {
     }
 
     fn tune_graph_p99(&self, workers: usize) -> Result<TunedMesh, MeshError> {
-        let dims: Vec<(String, Vec<String>)> = self
-            .graph
-            .tiers()
-            .iter()
-            .zip(&self.candidates)
-            .map(|(tier, cands)| {
-                (
-                    tier.name.clone(),
-                    cands.iter().map(|c| c.label.clone()).collect(),
-                )
-            })
-            .collect();
-        let plan = plan_assignments(self.config.seed, self.graph.name(), &dims);
+        let sim = MeshSim::new(self.graph, self.config)?;
+        // One table for the whole tune: an assignment re-simulates only
+        // the tiers whose cone of calibrations no earlier one has seen.
+        let table = SegmentTable::new(&self.config)?;
+        // Calibration inputs depend on one tier's (or one colocated
+        // pair's) candidates, not on the whole assignment.
+        let mips = self.candidate_mips(workers)?;
+        let retention = self.pair_retention(workers)?;
+        let plan = self.plan();
         let reports = run_tasks(&plan, workers, |unit| {
-            let skus = self.assignment_configs(&unit.choice);
-            let sim = MeshSim::new(self.graph, self.config).map_err(to_usku)?;
-            sim.run(&skus).map_err(to_usku)
+            let cals = self
+                .measured_cals(&sim, &mips, &retention, &unit.choice)
+                .map_err(to_usku)?;
+            Ok(sim.run_shared(&cals, &table))
         })?;
 
         // Lowest p99 wins; ties resolve to the earliest plan index, so
@@ -241,43 +243,112 @@ impl<'a> MeshTuner<'a> {
             selections,
             report: reports[best].clone(),
             evaluated: plan.len(),
+            tier_passes: table.passes(),
         })
     }
 
+    /// Every cross-tier assignment, in the scheduler's canonical order.
+    fn plan(&self) -> Vec<AssignmentUnit> {
+        let dims: Vec<(String, Vec<String>)> = self
+            .graph
+            .tiers()
+            .iter()
+            .zip(&self.candidates)
+            .map(|(tier, cands)| {
+                (
+                    tier.name.clone(),
+                    cands.iter().map(|c| c.label.clone()).collect(),
+                )
+            })
+            .collect();
+        plan_assignments(self.config.seed, self.graph.name(), &dims)
+    }
+
     fn tune_per_tier_mips(&self, workers: usize) -> Result<TunedMesh, MeshError> {
-        // Flatten (tier, candidate) into solo-MIPS measurement units.
+        let sim = MeshSim::new(self.graph, self.config)?;
+        let mips = self.candidate_mips(workers)?;
+        // Strictly-greater wins, in candidate order, so ties keep the
+        // earliest candidate.
+        let choice: Vec<usize> = mips
+            .iter()
+            .map(|row| {
+                let mut best = 0;
+                for (c, &(_, cand)) in row.iter().enumerate() {
+                    if cand > row[best].1 {
+                        best = c;
+                    }
+                }
+                best
+            })
+            .collect();
+        let selections = self.selections_for(&choice);
+        let skus = self.assignment_configs(&choice);
+        let report = sim.run(&skus)?;
+        Ok(TunedMesh {
+            objective: MeshObjective::PerTierMips,
+            selections,
+            report,
+            evaluated: mips.iter().map(Vec::len).sum(),
+            tier_passes: mips.len(),
+        })
+    }
+
+    /// An assignment's calibration from [`Self::candidate_mips`] and
+    /// [`Self::pair_retention`].
+    fn measured_cals(
+        &self,
+        sim: &MeshSim<'_>,
+        mips: &[Vec<(f64, f64)>],
+        retention: &[Vec<(f64, f64)>],
+        choice: &[usize],
+    ) -> Result<Vec<TierCal>, MeshError> {
+        sim.calibrate_with(
+            |t| Ok(mips[t][choice[t]]),
+            |p, (a, b)| Ok(retention[p][choice[a] * self.candidates[b].len() + choice[b]]),
+        )
+    }
+
+    /// [`tier_mips`] of every (tier, candidate), as `[tier][candidate]`.
+    fn candidate_mips(&self, workers: usize) -> Result<Vec<Vec<(f64, f64)>>, MeshError> {
         let units: Vec<(usize, usize)> = self
             .candidates
             .iter()
             .enumerate()
             .flat_map(|(t, cands)| (0..cands.len()).map(move |c| (t, c)))
             .collect();
-        let mips = run_tasks(&units, workers, |&(t, c)| {
-            tier_mips(self.graph, &self.config, t, &self.candidates[t][c].config)
-                .map(|(_, cand)| cand)
-                .map_err(to_usku)
-        })?;
+        let mut flat = run_tasks(&units, workers, |&(t, c)| {
+            tier_mips(self.graph, &self.config, t, &self.candidates[t][c].config).map_err(to_usku)
+        })?
+        .into_iter();
+        Ok(self
+            .candidates
+            .iter()
+            .map(|cands| flat.by_ref().take(cands.len()).collect())
+            .collect())
+    }
 
-        let tiers = self.graph.tiers();
-        let mut choice = vec![0usize; tiers.len()];
-        let mut best_mips = vec![f64::NEG_INFINITY; tiers.len()];
-        for (u, &(t, c)) in units.iter().enumerate() {
-            // Strictly-greater wins; units run in candidate order, so
-            // ties keep the earliest candidate.
-            if mips[u] > best_mips[t] {
-                best_mips[t] = mips[u];
-                choice[t] = c;
-            }
-        }
-        let selections = self.selections_for(&choice);
-        let skus = self.assignment_configs(&choice);
-        let report = MeshSim::new(self.graph, self.config)?.run(&skus)?;
-        Ok(TunedMesh {
-            objective: MeshObjective::PerTierMips,
-            selections,
-            report,
-            evaluated: units.len(),
-        })
+    /// [`pair_retention`] of every colocated pair `(a, b)`, in placement
+    /// order, under every candidate pairing, row-major by `a`'s candidate.
+    fn pair_retention(&self, workers: usize) -> Result<Vec<Vec<(f64, f64)>>, MeshError> {
+        let Some(coloc) = self.graph.colocation() else {
+            return Ok(Vec::new());
+        };
+        coloc
+            .pairs
+            .iter()
+            .map(|&(a, b)| {
+                let units: Vec<(usize, usize)> = (0..self.candidates[a].len())
+                    .flat_map(|ca| (0..self.candidates[b].len()).map(move |cb| (ca, cb)))
+                    .collect();
+                Ok(run_tasks(&units, workers, |&(ca, cb)| {
+                    let skus = (
+                        &self.candidates[a][ca].config,
+                        &self.candidates[b][cb].config,
+                    );
+                    pair_retention(self.graph, (a, b), skus).map_err(to_usku)
+                })?)
+            })
+            .collect()
     }
 
     fn assignment_configs(&self, choice: &[usize]) -> Vec<ServerConfig> {
@@ -321,7 +392,7 @@ fn to_usku(e: MeshError) -> UskuError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::colocation_mix;
+    use crate::graph::{colocation_mix, media, social_network};
 
     fn tuner_config() -> MeshConfig {
         MeshConfig {
@@ -385,6 +456,42 @@ mod tests {
             joint.report.p99_s,
             private.report.p99_s
         );
+    }
+
+    #[test]
+    fn shared_segments_reproduce_every_assignment_bit_for_bit() {
+        // Every plan unit of every preset, calibrated from per-candidate
+        // measurements and run in plan order through one table, against a
+        // fresh simulation of the same assignment. A cone key missing an
+        // ancestor's calibration (social_network's store reads five) or
+        // keyed on labels rather than calibrations (colocation_mix's web
+        // reads feed's SKU through retention) hands some unit another
+        // assignment's segment.
+        let mut config = tuner_config();
+        config.requests = 300;
+        for graph in [social_network(), media(), colocation_mix()] {
+            let graph = graph.unwrap();
+            let tuner = MeshTuner::with_default_candidates(&graph, config).unwrap();
+            let sim = MeshSim::new(&graph, config).unwrap();
+            let table = SegmentTable::new(&config).unwrap();
+            let mips = tuner.candidate_mips(2).unwrap();
+            let retention = tuner.pair_retention(2).unwrap();
+            for unit in tuner.plan() {
+                let skus = tuner.assignment_configs(&unit.choice);
+                let cals = tuner
+                    .measured_cals(&sim, &mips, &retention, &unit.choice)
+                    .unwrap();
+                let shared = sim.run_shared(&cals, &table);
+                let fresh = sim.run(&skus).unwrap();
+                assert_eq!(
+                    format!("{shared:?}"),
+                    format!("{fresh:?}"),
+                    "{} assignment {:?}",
+                    graph.name(),
+                    unit.choice
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::tlb::TlbHierarchy;
 use crate::tmam::TmamBreakdown;
 use crate::trace::{EventBatch, HugePageMix, TraceGenerator, TraceKey};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::ops::Range;
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
 /// Everything the seven µSKU knobs can change about a server, plus the
 /// platform it runs on.
@@ -662,7 +663,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`ArchSimError::InvalidWindowArgument`] for a zero-length window or
+    /// [`ArchSimError::InvalidWindowArgument`] for a zero-length window, a
+    /// window whose warm-up plus measured instructions overflow a `u64`, or
     /// a non-finite `load_fraction`;
     /// [`ArchSimError::FixedPointDiverged`] if the bandwidth/latency
     /// iteration fails to settle (does not happen for valid configs; the
@@ -710,10 +712,16 @@ impl Engine {
                 });
             }
         }
-        if instructions == 0 {
+        // A window must measure something, and its warm-up plus measured
+        // events must count in a `u64`.
+        if instructions == 0
+            || instructions
+                .checked_add(self.warmup(instructions))
+                .is_none()
+        {
             return Err(ArchSimError::InvalidWindowArgument {
                 name: "instructions".to_string(),
-                value: 0.0,
+                value: instructions as f64,
             });
         }
         for (name, value) in [
@@ -728,6 +736,15 @@ impl Engine {
             }
         }
         self.evaluate(instructions, load_fraction, background_bw_gbps, llc_share)
+    }
+
+    /// Warm-up instructions before a window of `instructions`. The pre-fill
+    /// supplies steady-state contents; the warm-up only needs to mix the
+    /// interleaved structures.
+    fn warmup(&self, instructions: u64) -> u64 {
+        self.warmup_override.unwrap_or_else(|| {
+            ((instructions as f64 * WARMUP_FRACTION) as u64).clamp(50_000, 400_000)
+        })
     }
 
     /// The window simulation behind [`Engine::run_colocated`]; a pure
@@ -781,11 +798,7 @@ impl Engine {
         } else {
             u64::MAX
         };
-        // The pre-fill supplies steady-state contents; the warm-up only
-        // needs to mix the interleaved structures.
-        let warmup = self.warmup_override.unwrap_or_else(|| {
-            ((instructions as f64 * WARMUP_FRACTION) as u64).clamp(50_000, 400_000)
-        });
+        let warmup = self.warmup(instructions);
         let total = instructions + warmup;
         let schedule = Schedule {
             warmup,
@@ -977,6 +990,101 @@ struct Schedule {
     pollution: f64,
 }
 
+impl Schedule {
+    /// The window's chunks as event ranges, in order, computed lazily.
+    /// A chunk never crosses the warm-up reset, and ends exactly at a
+    /// context-switch point (the flush lands after that event).
+    fn chunks(&self) -> impl Iterator<Item = Range<u64>> + Send + '_ {
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            if i >= self.total {
+                return None;
+            }
+            let mut end = self.total.min(i.saturating_add(self.batch_events));
+            if i < self.warmup {
+                end = end.min(self.warmup);
+            }
+            if self.insns_per_switch != u64::MAX {
+                let next_switch = if i == 0 {
+                    self.insns_per_switch
+                } else {
+                    i.div_ceil(self.insns_per_switch) * self.insns_per_switch
+                };
+                end = end.min(next_switch.saturating_add(1));
+            }
+            let chunk = i..end;
+            i = end;
+            Some(chunk)
+        })
+    }
+
+    /// True when a context switch lands on the chunk's last event, so its
+    /// pollution flush follows the chunk.
+    fn switches_after(&self, chunk: &Range<u64>) -> bool {
+        let last = chunk.end - 1;
+        last > 0 && self.insns_per_switch != u64::MAX && last.is_multiple_of(self.insns_per_switch)
+    }
+}
+
+/// Batches alive in a pipelined window: one being simulated while the
+/// generator thread fills the next.
+const BATCHES_IN_FLIGHT: usize = 2;
+
+/// Runs `produce` on a scoped thread one chunk ahead of `consume` on the
+/// caller's thread, over the chunks of `chunks` in order. The producer
+/// reads the chunk bounds and sends each with its filled batch through a
+/// bounded channel; the consumer hands each batch back for reuse, so only
+/// [`BATCHES_IN_FLIGHT`] batches of `capacity` events are ever allocated.
+///
+/// A panic on either side propagates to the caller with its payload and
+/// never leaves the other side blocked: a panicking producer drops its
+/// sender, which ends the consumer's loop before the join re-raises; a
+/// panicking consumer drops its channel ends, which ends the producer's.
+fn pipeline<I, P, C>(chunks: I, capacity: usize, mut produce: P, mut consume: C)
+where
+    I: Iterator<Item = Range<u64>> + Send,
+    P: FnMut(&mut EventBatch, usize) + Send,
+    C: FnMut(Range<u64>, &mut EventBatch),
+{
+    std::thread::scope(|s| {
+        let (full_tx, full_rx) = mpsc::sync_channel::<(Range<u64>, EventBatch)>(BATCHES_IN_FLIGHT);
+        let (empty_tx, empty_rx) = mpsc::sync_channel::<EventBatch>(BATCHES_IN_FLIGHT);
+        for _ in 0..BATCHES_IN_FLIGHT {
+            let _ = empty_tx.send(EventBatch::with_capacity(capacity));
+        }
+        let producer = s.spawn(move || {
+            for chunk in chunks {
+                let Ok(mut batch) = empty_rx.recv() else {
+                    return;
+                };
+                produce(&mut batch, (chunk.end - chunk.start) as usize);
+                if full_tx.send((chunk, batch)).is_err() {
+                    return;
+                }
+            }
+        });
+        for (chunk, mut batch) in full_rx.iter() {
+            consume(chunk, &mut batch);
+            // The producer may already be done; the batch is then dropped.
+            let _ = empty_tx.send(batch);
+        }
+        if let Err(panic) = producer.join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// Miss lists reused across a window's chunks: chunk-relative event
+/// indices for the code side, chunk-relative slot indices for the data
+/// side.
+#[derive(Default)]
+struct MissLists {
+    l1i: Vec<u32>,
+    l1d: Vec<u32>,
+    itlb: Vec<u32>,
+    dtlb: Vec<u32>,
+}
+
 /// One window's mutable state: the pre-filled structures, the branch
 /// predictor, and the engine sampling stream it draws from.
 struct WindowSim {
@@ -989,18 +1097,59 @@ impl WindowSim {
     /// Drives every structure over the window's events and returns the
     /// measured counters.
     ///
-    /// The per-event probe chain is restructured into per-structure passes
-    /// over an SoA event chunk. Bit-identity with the per-event loop holds
-    /// because (a) each chunk is filled with the exact per-event draw
-    /// sequence, (b) the independent structures (L1i,
-    /// L1d, first-level ITLB/DTLB, partitioned LLC sides, BPU) each see
-    /// their exact per-event access subsequence, and (c) the *shared*
-    /// structures (unified L2, unified STLB) are driven by an event-ordered
-    /// merge of the first-level misses, code before data within an event —
-    /// the per-event probe order. Chunk boundaries are clamped so the
-    /// warm-up reset and context-switch flushes land between the same
-    /// events as in the per-event loop.
+    /// The window runs on two threads (see [`pipeline`]): a scoped thread
+    /// runs the generator's code half one chunk ahead, while this thread
+    /// maps each chunk's data half and then runs the structure passes over
+    /// it. The code half alone consumes the generator's RNG, in per-event
+    /// order, and each half's mappers see their accesses in order, so the
+    /// batches are exactly [`TraceGenerator::fill_batch`]'s.
     fn run(&mut self, schedule: &Schedule, gen: &mut TraceGenerator) -> Counters {
+        let (code, data) = gen.halves();
+        let mut c = Counters::default();
+        let mut misses = MissLists::default();
+        pipeline(
+            schedule.chunks(),
+            schedule.batch_events.min(schedule.total) as usize,
+            |batch, n| code.fill(batch, n),
+            |chunk, batch| {
+                data.fill(batch);
+                self.pass(schedule, chunk, batch, &mut c, &mut misses);
+            },
+        );
+        // Fill TLB/branch aggregate stats into counters.
+        let (_, itlb_miss, itlb_walk) = self.warm.tlb.itlb_stats();
+        let (_, dtlb_miss, dtlb_walk) = self.warm.tlb.dtlb_stats();
+        c.itlb_misses = itlb_miss;
+        c.itlb_walks = itlb_walk;
+        c.dtlb_misses = dtlb_miss;
+        c.dtlb_walks = dtlb_walk;
+        let (_, _, btb) = self.bpu.stats();
+        c.btb_misses = btb;
+        c
+    }
+
+    /// Runs the structure passes over one chunk's events, `chunk` of the
+    /// window, adding to `c`.
+    ///
+    /// The per-event probe chain is restructured into per-structure passes
+    /// over the SoA chunk. Bit-identity with the per-event loop holds
+    /// because (a) each chunk is filled with the exact per-event draw
+    /// sequence, (b) the independent structures (L1i, L1d, first-level
+    /// ITLB/DTLB, partitioned LLC sides, BPU) each see their exact
+    /// per-event access subsequence, and (c) the *shared* structures
+    /// (unified L2, unified STLB) are driven by an event-ordered merge of
+    /// the first-level misses, code before data within an event — the
+    /// per-event probe order. [`Schedule::chunks`] clamps chunk bounds so
+    /// the warm-up reset and context-switch flushes land between the same
+    /// events as in the per-event loop.
+    fn pass(
+        &mut self,
+        schedule: &Schedule,
+        chunk: Range<u64>,
+        ch: &EventBatch,
+        c: &mut Counters,
+        misses: &mut MissLists,
+    ) {
         let WindowSim {
             warm:
                 WarmStructures {
@@ -1013,186 +1162,145 @@ impl WindowSim {
             bpu,
             rng,
         } = self;
-        let &Schedule {
-            warmup,
-            total,
-            batch_events,
-            insns_per_switch,
-            pollution: poll,
-        } = schedule;
-        let mut c = Counters::default();
-        let mut ch = EventBatch::with_capacity(batch_events.min(total) as usize);
-        // Miss lists reused across chunks: chunk-relative event indices for
-        // the code side, chunk-relative slot indices for the data side.
-        let mut i1_miss: Vec<u32> = Vec::new();
-        let mut d1_miss: Vec<u32> = Vec::new();
-        let mut itlb_miss: Vec<u32> = Vec::new();
-        let mut dtlb_miss: Vec<u32> = Vec::new();
+        let MissLists {
+            l1i: i1_miss,
+            l1d: d1_miss,
+            itlb: itlb_miss,
+            dtlb: dtlb_miss,
+        } = misses;
+        if chunk.start == schedule.warmup {
+            l1i.reset_stats();
+            l1d.reset_stats();
+            l2.reset_stats();
+            llc.reset_stats();
+            tlb.reset_stats();
+            bpu.reset_stats();
+            *c = Counters::default();
+        }
+        let n = ch.len() as u64;
 
-        let mut i: u64 = 0;
-        while i < total {
-            if i == warmup {
-                l1i.reset_stats();
-                l1d.reset_stats();
-                l2.reset_stats();
-                llc.reset_stats();
-                tlb.reset_stats();
-                bpu.reset_stats();
-                c = Counters::default();
-            }
-            // Chunk end: never cross the warm-up reset, and end exactly at a
-            // context-switch point (the flush lands after that event).
-            let mut end = total.min(i.saturating_add(batch_events));
-            if i < warmup {
-                end = end.min(warmup);
-            }
-            if insns_per_switch != u64::MAX {
-                let next_switch = if i == 0 {
-                    insns_per_switch
-                } else {
-                    i.div_ceil(insns_per_switch) * insns_per_switch
-                };
-                end = end.min(next_switch.saturating_add(1));
-            }
-            let n = (end - i) as usize;
-            gen.fill_batch(&mut ch, n);
+        // Whole-chunk class tallies (no per-event dispatch).
+        let [branches, fp_ops, loads, stores] = ch.tallies();
+        c.instructions += n;
+        c.code_accesses += n;
+        c.branches += branches;
+        c.fp_ops += fp_ops;
+        c.loads += loads;
+        c.stores += stores;
+        c.data_accesses += loads + stores;
 
-            // Whole-chunk class tallies (no per-event dispatch).
-            let [branches, fp_ops, loads, stores] = ch.tallies();
-            c.instructions += n as u64;
-            c.code_accesses += n as u64;
-            c.branches += branches;
-            c.fp_ops += fp_ops;
-            c.loads += loads;
-            c.stores += stores;
-            c.data_accesses += loads + stores;
-
-            // Independent first-level passes: one array sweep per structure.
-            // The LLC is probed (and its recency updated) on every L1 miss —
-            // mostly-inclusive behaviour; without the recency refresh, lines
-            // hot in L2 would go LLC-stale and the capacity between L2 and
-            // LLC would be invisible.
-            i1_miss.clear();
-            for (k, &line) in ch.code_lines.iter().enumerate() {
-                if !l1i.access(line) {
-                    i1_miss.push(k as u32);
-                }
+        // Independent first-level passes: one array sweep per structure.
+        // The LLC is probed (and its recency updated) on every L1 miss —
+        // mostly-inclusive behaviour; without the recency refresh, lines
+        // hot in L2 would go LLC-stale and the capacity between L2 and
+        // LLC would be invisible.
+        i1_miss.clear();
+        for (k, &line) in ch.code_lines.iter().enumerate() {
+            if !l1i.access(line) {
+                i1_miss.push(k as u32);
             }
-            c.l1i_misses += i1_miss.len() as u64;
+        }
+        c.l1i_misses += i1_miss.len() as u64;
 
-            itlb_miss.clear();
-            for (k, &page) in ch.code_pages.iter().enumerate() {
-                if !tlb.probe_code_l1(page, ch.code_huge[k]) {
-                    itlb_miss.push(k as u32);
-                }
+        itlb_miss.clear();
+        for (k, &page) in ch.code_pages.iter().enumerate() {
+            if !tlb.probe_code_l1(page, ch.code_huge[k]) {
+                itlb_miss.push(k as u32);
             }
-
-            d1_miss.clear();
-            for (s, &line) in ch.data_lines.iter().enumerate() {
-                if !l1d.access(line) {
-                    d1_miss.push(s as u32);
-                }
-            }
-            c.l1d_misses += d1_miss.len() as u64;
-
-            dtlb_miss.clear();
-            for (s, &page) in ch.data_pages.iter().enumerate() {
-                if !tlb.probe_data_l1(page, ch.data_huge[s]) {
-                    dtlb_miss.push(s as u32);
-                    if ch.data_is_store[s] {
-                        c.dtlb_store_misses += 1;
-                    } else {
-                        c.dtlb_load_misses += 1;
-                    }
-                }
-            }
-
-            // Ordered fix-up over the shared L2 (and the LLC, probed right
-            // after it per missing event): event-ordered merge of the
-            // first-level misses, code before data within an event.
-            let (mut ci, mut di) = (0usize, 0usize);
-            while ci < i1_miss.len() || di < d1_miss.len() {
-                let ce = i1_miss.get(ci).copied().unwrap_or(u32::MAX);
-                let de = d1_miss
-                    .get(di)
-                    .map_or(u32::MAX, |&s| ch.data_event[s as usize]);
-                if ce <= de {
-                    let line = ch.code_lines[ce as usize];
-                    let l2_hit = l2.access(line | CODE_TAG);
-                    let llc_hit = llc.access_code(line);
-                    if !l2_hit {
-                        c.l2_code_misses += 1;
-                        if !llc_hit {
-                            c.llc_code_misses += 1;
-                        }
-                    }
-                    ci += 1;
-                } else {
-                    let s = d1_miss[di] as usize;
-                    let line = ch.data_lines[s];
-                    let l2_hit = l2.access(line);
-                    let llc_hit = llc.access_data(line);
-                    if !l2_hit {
-                        c.l2_data_misses += 1;
-                        if !llc_hit {
-                            c.llc_data_misses += 1;
-                        }
-                    }
-                    di += 1;
-                }
-            }
-
-            // Same event-ordered merge for the shared STLB.
-            let (mut ci, mut di) = (0usize, 0usize);
-            while ci < itlb_miss.len() || di < dtlb_miss.len() {
-                let ce = itlb_miss.get(ci).copied().unwrap_or(u32::MAX);
-                let de = dtlb_miss
-                    .get(di)
-                    .map_or(u32::MAX, |&s| ch.data_event[s as usize]);
-                if ce <= de {
-                    let k = ce as usize;
-                    let _ = tlb.probe_stlb_code(ch.code_pages[k], ch.code_huge[k]);
-                    ci += 1;
-                } else {
-                    let s = dtlb_miss[di] as usize;
-                    let _ = tlb.probe_stlb_data(ch.data_pages[s], ch.data_huge[s]);
-                    di += 1;
-                }
-            }
-
-            // Branch pass: the BPU carries no state between draws, so
-            // replaying the chunk's branch count consumes the engine
-            // sampling stream in exactly the per-event order.
-            for _ in 0..branches {
-                if bpu.predict(rng) {
-                    c.branch_mispredicts += 1;
-                }
-            }
-
-            // Context-switch pollution after the event at the switch point.
-            let last = end - 1;
-            if last > 0 && insns_per_switch != u64::MAX && last.is_multiple_of(insns_per_switch) {
-                l1i.flush_fraction(poll);
-                l1d.flush_fraction(poll);
-                l2.flush_fraction(poll * 0.5);
-                tlb.flush_fraction(poll);
-            }
-            i = end;
         }
 
-        // Fill TLB/branch aggregate stats into counters.
-        let (_, itlb_miss, itlb_walk) = tlb.itlb_stats();
-        let (_, dtlb_miss, dtlb_walk) = tlb.dtlb_stats();
-        c.itlb_misses = itlb_miss;
-        c.itlb_walks = itlb_walk;
-        c.dtlb_misses = dtlb_miss;
-        c.dtlb_walks = dtlb_walk;
-        let (_, _, btb) = bpu.stats();
-        c.btb_misses = btb;
-        c
+        d1_miss.clear();
+        for (s, &line) in ch.data_lines.iter().enumerate() {
+            if !l1d.access(line) {
+                d1_miss.push(s as u32);
+            }
+        }
+        c.l1d_misses += d1_miss.len() as u64;
+
+        dtlb_miss.clear();
+        for (s, &page) in ch.data_pages.iter().enumerate() {
+            if !tlb.probe_data_l1(page, ch.data_huge[s]) {
+                dtlb_miss.push(s as u32);
+                if ch.data_is_store[s] {
+                    c.dtlb_store_misses += 1;
+                } else {
+                    c.dtlb_load_misses += 1;
+                }
+            }
+        }
+
+        // Ordered fix-up over the shared L2 (and the LLC, probed right
+        // after it per missing event): event-ordered merge of the
+        // first-level misses, code before data within an event.
+        let (mut ci, mut di) = (0usize, 0usize);
+        while ci < i1_miss.len() || di < d1_miss.len() {
+            let ce = i1_miss.get(ci).copied().unwrap_or(u32::MAX);
+            let de = d1_miss
+                .get(di)
+                .map_or(u32::MAX, |&s| ch.data_event[s as usize]);
+            if ce <= de {
+                let line = ch.code_lines[ce as usize];
+                let l2_hit = l2.access(line | CODE_TAG);
+                let llc_hit = llc.access_code(line);
+                if !l2_hit {
+                    c.l2_code_misses += 1;
+                    if !llc_hit {
+                        c.llc_code_misses += 1;
+                    }
+                }
+                ci += 1;
+            } else {
+                let s = d1_miss[di] as usize;
+                let line = ch.data_lines[s];
+                let l2_hit = l2.access(line);
+                let llc_hit = llc.access_data(line);
+                if !l2_hit {
+                    c.l2_data_misses += 1;
+                    if !llc_hit {
+                        c.llc_data_misses += 1;
+                    }
+                }
+                di += 1;
+            }
+        }
+
+        // Same event-ordered merge for the shared STLB.
+        let (mut ci, mut di) = (0usize, 0usize);
+        while ci < itlb_miss.len() || di < dtlb_miss.len() {
+            let ce = itlb_miss.get(ci).copied().unwrap_or(u32::MAX);
+            let de = dtlb_miss
+                .get(di)
+                .map_or(u32::MAX, |&s| ch.data_event[s as usize]);
+            if ce <= de {
+                let k = ce as usize;
+                let _ = tlb.probe_stlb_code(ch.code_pages[k], ch.code_huge[k]);
+                ci += 1;
+            } else {
+                let s = dtlb_miss[di] as usize;
+                let _ = tlb.probe_stlb_data(ch.data_pages[s], ch.data_huge[s]);
+                di += 1;
+            }
+        }
+
+        // Branch pass: the BPU carries no state between draws, so
+        // replaying the chunk's branch count consumes the engine
+        // sampling stream in exactly the per-event order.
+        for _ in 0..branches {
+            if bpu.predict(rng) {
+                c.branch_mispredicts += 1;
+            }
+        }
+
+        // Context-switch pollution after the event at the switch point.
+        if schedule.switches_after(&chunk) {
+            let poll = schedule.pollution;
+            l1i.flush_fraction(poll);
+            l1d.flush_fraction(poll);
+            l2.flush_fraction(poll * 0.5);
+            tlb.flush_fraction(poll);
+        }
     }
 }
-
 /// Builds the cache/TLB hierarchy and pre-fills it with steady-state MRU
 /// contents.
 ///
@@ -1551,5 +1659,99 @@ mod tests {
             always.counters.dtlb_misses,
             never.counters.dtlb_misses
         );
+    }
+
+    /// A schedule with warm-up 10 of 100 events, chunks of at most 7, and a
+    /// switch every 25 events.
+    fn small_schedule() -> Schedule {
+        Schedule {
+            warmup: 10,
+            total: 100,
+            batch_events: 7,
+            insns_per_switch: 25,
+            pollution: 0.5,
+        }
+    }
+
+    #[test]
+    fn chunks_stop_at_the_warmup_reset_and_after_each_switch() {
+        let schedule = small_schedule();
+        let chunks: Vec<_> = schedule.chunks().collect();
+        let mut next = 0;
+        for chunk in &chunks {
+            assert_eq!(chunk.start, next, "chunks tile the window");
+            assert!(chunk.end > chunk.start && chunk.end - chunk.start <= 7);
+            next = chunk.end;
+        }
+        assert_eq!(next, 100);
+        let starts: Vec<u64> = chunks.iter().map(|c| c.start).collect();
+        assert!(starts.contains(&10), "a chunk starts at the warm-up reset");
+        let flushed: Vec<u64> = chunks
+            .iter()
+            .filter(|c| schedule.switches_after(c))
+            .map(|c| c.end - 1)
+            .collect();
+        assert_eq!(flushed, [25, 50, 75]);
+    }
+
+    #[test]
+    fn pipeline_delivers_every_chunk_in_order_on_recycled_batches() {
+        let schedule = small_schedule();
+        let mut seen = Vec::new();
+        pipeline(
+            schedule.chunks(),
+            7,
+            |batch, n| {
+                batch.clear();
+                batch.code_lines.extend(std::iter::repeat_n(n as u64, n));
+            },
+            |chunk, batch| {
+                assert_eq!(batch.code_lines.len() as u64, chunk.end - chunk.start);
+                seen.push(chunk);
+            },
+        );
+        assert_eq!(seen, schedule.chunks().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pipeline_propagates_a_producer_panic() {
+        let schedule = small_schedule();
+        let mut filled = 0;
+        let mut consumed = 0;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pipeline(
+                schedule.chunks(),
+                7,
+                |_, _| {
+                    filled += 1;
+                    if filled == 3 {
+                        panic!("generator failed");
+                    }
+                },
+                |_, _| consumed += 1,
+            )
+        }));
+        let payload = result.expect_err("the producer's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"generator failed"));
+        assert_eq!(consumed, 2, "chunks filled before the panic are consumed");
+    }
+
+    #[test]
+    fn pipeline_propagates_a_consumer_panic() {
+        let schedule = small_schedule();
+        let result = std::panic::catch_unwind(|| {
+            pipeline(
+                schedule.chunks(),
+                7,
+                |_, _| {},
+                |chunk, _| {
+                    if chunk.start > 0 {
+                        panic!("pass failed");
+                    }
+                },
+            )
+        });
+        let payload = result.expect_err("the consumer's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"pass failed"));
     }
 }

@@ -9,8 +9,13 @@
 //! mix to emit per-instruction events for the cache/TLB/branch simulators —
 //! one at a time via [`TraceGenerator::next_event`], or into reusable
 //! structure-of-arrays buffers via [`TraceGenerator::fill_batch`] for the
-//! engine's batched tick. `TraceKey` hashes everything the generator
-//! reads, so the engine can key a window's trace without generating it.
+//! engine's batched tick. A batch is filled column-wise: one loop decodes
+//! the chunk's RNG draws in per-event order into per-mapper columns, then
+//! each mapper samples its column's distances and applies them. The
+//! generator splits into a code half, which owns the RNG, and a data half,
+//! so the engine can run them on two threads. `TraceKey` hashes everything
+//! the generator reads, so the engine can key a window's trace without
+//! generating it.
 
 use crate::fingerprint::Fnv128;
 use crate::ranklist::RankList;
@@ -26,6 +31,10 @@ pub struct StackMapper {
     dist: ReuseDistanceDist,
     next_id: u64,
 }
+
+/// The distance [`StackMapper::sample_column`] records for a cold access.
+/// Sampled distances are at least 1, so 0 is free.
+pub const COLD: u64 = 0;
 
 /// Pre-warm ceiling: stacks larger than this start truncated; sampled
 /// distances beyond the live stack are treated as cold (they would miss
@@ -65,26 +74,57 @@ impl StackMapper {
 
     /// Performs one access: samples a distance, returns the touched id.
     pub fn access<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        match self.dist.sample(rng) {
-            None => self.touch_new(),
-            Some(d) => {
-                let len = self.stack.len();
-                // Distance d means "d-th most recently used distinct id",
-                // with d = 1 the most recent. A distance beyond the live
-                // history refers to an id we no longer track — equivalent to
-                // a cold access for every downstream structure.
-                if len == 0 || d as usize > len {
-                    return self.touch_new();
-                }
-                let rank = (d - 1) as usize;
-                let id = self
-                    .stack
-                    .remove_at(rank)
-                    .expect("rank < len by construction");
-                self.stack.push_front(id);
-                id
-            }
+        self.touch(self.dist.sample(rng).unwrap_or(COLD))
+    }
+
+    /// Resolves each survival draw to its reuse distance, in order, into
+    /// `distances` ([`COLD`] for a cold access). The first phase of
+    /// [`StackMapper::map_column`]: each inversion is independent of the
+    /// others, so their `ln`/`exp` calls overlap.
+    pub fn sample_column(&self, draws: &[f64], distances: &mut Vec<u64>) {
+        distances.clear();
+        distances.extend(
+            draws
+                .iter()
+                .map(|&u| self.dist.distance_at_survival(u).unwrap_or(COLD)),
+        );
+    }
+
+    /// Moves each distance's id to the front of the stack, in order,
+    /// replacing the distance with the touched id. The second phase of
+    /// [`StackMapper::map_column`].
+    pub fn touch_column(&mut self, column: &mut [u64]) {
+        for slot in column {
+            *slot = self.touch(*slot);
         }
+    }
+
+    /// Maps a column of survival draws to touched ids: bit-identical to
+    /// one [`StackMapper::access`] per draw whose RNG yielded those draws,
+    /// since a distance depends only on its draw and the stack only on the
+    /// distance sequence.
+    pub fn map_column(&mut self, draws: &[f64], ids: &mut Vec<u64>) {
+        self.sample_column(draws, ids);
+        self.touch_column(ids);
+    }
+
+    /// Touches the id at reuse distance `distance`, or a new id for
+    /// [`COLD`], and returns it.
+    fn touch(&mut self, distance: u64) -> u64 {
+        let len = self.stack.len();
+        // Distance d means "d-th most recently used distinct id", with
+        // d = 1 the most recent. A distance beyond the live history refers
+        // to an id we no longer track — equivalent to a cold access for
+        // every downstream structure.
+        if distance == COLD || distance as usize > len {
+            return self.touch_new();
+        }
+        let id = self
+            .stack
+            .remove_at((distance - 1) as usize)
+            .expect("rank < len by construction");
+        self.stack.push_front(id);
+        id
     }
 
     fn touch_new(&mut self) -> u64 {
@@ -183,7 +223,9 @@ pub struct HugePageMix {
 /// structure) instead of interleaving six structure probes per event, and
 /// counts each chunk's classes from its slices instead of per-event `match`
 /// dispatch. Buffers are reused across [`TraceGenerator::fill_batch`]
-/// calls, so steady-state filling does not allocate.
+/// calls, so steady-state filling does not allocate. Private columns carry
+/// the data side's decoded survival draws from the generator's code half
+/// to its data half, which may run on another thread.
 #[derive(Debug, Clone, Default)]
 pub struct EventBatch {
     /// Instruction class per event.
@@ -204,6 +246,11 @@ pub struct EventBatch {
     pub data_pages: Vec<u64>,
     /// True where the data page is 2 MiB-backed.
     pub data_huge: Vec<bool>,
+    /// Data-line survival draws, one per data access, decoded by the code
+    /// half for the data half.
+    data_line_draws: Vec<f64>,
+    /// Data-page survival draws, routed by `data_huge`.
+    data_page_draws: PageDraws,
 }
 
 impl EventBatch {
@@ -219,6 +266,8 @@ impl EventBatch {
             data_lines: Vec::with_capacity(n),
             data_pages: Vec::with_capacity(n),
             data_huge: Vec::with_capacity(n),
+            data_line_draws: Vec::with_capacity(n),
+            data_page_draws: PageDraws::with_capacity(n),
         }
     }
 
@@ -256,6 +305,8 @@ impl EventBatch {
         self.data_lines.clear();
         self.data_pages.clear();
         self.data_huge.clear();
+        self.data_line_draws.clear();
+        self.data_page_draws.clear();
     }
 }
 
@@ -317,19 +368,180 @@ impl TraceKey {
     }
 }
 
-/// Per-instruction event generator for one workload.
+/// One translation stream's pair of page mappers: 4 KiB pages and their
+/// compacted 2 MiB counterparts, routed per access by the huge-page coin.
 #[derive(Debug, Clone)]
-pub struct TraceGenerator {
-    code_lines: StackMapper,
-    data_lines: StackMapper,
-    code_pages_4k: StackMapper,
-    data_pages_4k: StackMapper,
-    code_pages_2m: StackMapper,
-    data_pages_2m: StackMapper,
-    huge: HugePageMix,
+struct PageMappers {
+    small: StackMapper,
+    huge: StackMapper,
+    // Id columns reused across chunks.
+    small_ids: Vec<u64>,
+    huge_ids: Vec<u64>,
+}
+
+impl PageMappers {
+    fn new(dist: &ReuseDistanceDist, compaction: f64) -> Self {
+        PageMappers {
+            small: StackMapper::new(dist.clone()),
+            huge: StackMapper::new(dist.compacted(compaction.max(1.0))),
+            small_ids: Vec::new(),
+            huge_ids: Vec::new(),
+        }
+    }
+
+    /// One access on the mapper the coin `huge` picks.
+    fn access<R: Rng + ?Sized>(&mut self, huge: bool, rng: &mut R) -> u64 {
+        if huge {
+            self.huge.access(rng)
+        } else {
+            self.small.access(rng)
+        }
+    }
+
+    /// Maps a chunk's page draws, each already routed to its mapper's
+    /// column, and writes the ids into `pages` in access order: access `k`
+    /// takes the next id of the mapper `flags[k]` picks.
+    fn map(&mut self, flags: &[bool], draws: &PageDraws, pages: &mut Vec<u64>) {
+        self.small.map_column(&draws.small, &mut self.small_ids);
+        self.huge.map_column(&draws.huge, &mut self.huge_ids);
+        let (mut small, mut huge) = (self.small_ids.iter(), self.huge_ids.iter());
+        pages.clear();
+        pages.extend(flags.iter().map(|&h| {
+            let id = if h { huge.next() } else { small.next() };
+            *id.expect("one routed draw per page access")
+        }));
+    }
+}
+
+/// A chunk's page survival draws, split by the huge-page coin into the
+/// columns of the two mappers that consume them.
+#[derive(Debug, Clone, Default)]
+struct PageDraws {
+    small: Vec<f64>,
+    huge: Vec<f64>,
+}
+
+impl PageDraws {
+    fn with_capacity(n: usize) -> Self {
+        PageDraws {
+            small: Vec::with_capacity(n),
+            huge: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, huge: bool, draw: f64) {
+        if huge {
+            self.huge.push(draw);
+        } else {
+            self.small.push(draw);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.small.clear();
+        self.huge.clear();
+    }
+}
+
+/// The half of a [`TraceGenerator`] that owns its RNG: the mix thresholds,
+/// the huge-page mix, and the code-line and code-page mappers. It consumes
+/// every draw of a chunk in per-event order, maps the code side, and leaves
+/// the data side's draws decoded in the batch for [`DataHalf`].
+#[derive(Debug, Clone)]
+pub(crate) struct CodeHalf {
+    rng: SmallRng,
     // Cumulative mix thresholds, ordered branch/fp/arith/load/store.
     thresholds: [f64; 4],
-    rng: SmallRng,
+    huge: HugePageMix,
+    lines: StackMapper,
+    pages: PageMappers,
+    // Decoded draw columns reused across chunks.
+    line_draws: Vec<f64>,
+    page_draws: PageDraws,
+}
+
+/// The half of a [`TraceGenerator`] that maps data accesses: the data-line
+/// and data-page mappers. It draws nothing itself; it maps the draws
+/// [`CodeHalf::fill`] decoded into the batch.
+#[derive(Debug, Clone)]
+pub(crate) struct DataHalf {
+    lines: StackMapper,
+    pages: PageMappers,
+}
+
+impl CodeHalf {
+    /// Draws the next event's class from the mix.
+    fn next_class(&mut self) -> InsnClass {
+        let u: f64 = self.rng.gen();
+        if u < self.thresholds[0] {
+            InsnClass::Branch
+        } else if u < self.thresholds[1] {
+            InsnClass::Fp
+        } else if u < self.thresholds[2] {
+            InsnClass::Arith
+        } else if u < self.thresholds[3] {
+            InsnClass::Load
+        } else {
+            InsnClass::Store
+        }
+    }
+
+    /// Fills `batch` with the code side of the next `n` events and the
+    /// data side's decoded draws, reusing its buffers.
+    ///
+    /// Each `gen::<f64>()` is one RNG step, and an event's class and coins
+    /// fix how many steps it takes, so one decode loop consumes the draws
+    /// in per-event order (class, code line, code-huge coin, code page,
+    /// then for loads/stores data-huge coin, data page, data line) and
+    /// routes each survival draw to its mapper's column. The mappers then
+    /// run over their columns.
+    pub(crate) fn fill(&mut self, batch: &mut EventBatch, n: usize) {
+        batch.clear();
+        self.line_draws.clear();
+        self.page_draws.clear();
+        for i in 0..n {
+            let class = self.next_class();
+            batch.classes.push(class);
+            self.line_draws.push(self.rng.gen());
+            let code_huge = self.rng.gen::<f64>() < self.huge.code_huge_fraction;
+            batch.code_huge.push(code_huge);
+            self.page_draws.push(code_huge, self.rng.gen());
+            if matches!(class, InsnClass::Load | InsnClass::Store) {
+                let data_huge = self.rng.gen::<f64>() < self.huge.data_huge_fraction;
+                batch.data_event.push(i as u32);
+                batch.data_is_store.push(class == InsnClass::Store);
+                batch.data_huge.push(data_huge);
+                batch.data_page_draws.push(data_huge, self.rng.gen());
+                batch.data_line_draws.push(self.rng.gen());
+            }
+        }
+        self.lines
+            .map_column(&self.line_draws, &mut batch.code_lines);
+        self.pages
+            .map(&batch.code_huge, &self.page_draws, &mut batch.code_pages);
+    }
+}
+
+impl DataHalf {
+    /// Maps the data-side draws [`CodeHalf::fill`] left in `batch` to data
+    /// lines and pages.
+    pub(crate) fn fill(&mut self, batch: &mut EventBatch) {
+        self.lines
+            .map_column(&batch.data_line_draws, &mut batch.data_lines);
+        self.pages.map(
+            &batch.data_huge,
+            &batch.data_page_draws,
+            &mut batch.data_pages,
+        );
+    }
+}
+
+/// Per-instruction event generator for one workload: a code half that owns
+/// the RNG and maps code accesses, and a data half that maps data accesses.
+#[derive(Debug, Clone)]
+pub struct TraceGenerator {
+    code: CodeHalf,
+    data: DataHalf,
 }
 
 impl TraceGenerator {
@@ -341,69 +553,51 @@ impl TraceGenerator {
         let t2 = t1 + m.fp;
         let t3 = t2 + m.arith;
         let t4 = t3 + m.load;
-        let code_2m = spec
-            .code_page_reuse
-            .compacted(spec.pages.code_compaction.max(1.0));
-        let data_2m = spec
-            .data_page_reuse
-            .compacted(spec.pages.data_compaction.max(1.0));
         TraceGenerator {
-            code_lines: StackMapper::new(spec.code_reuse.clone()),
-            data_lines: StackMapper::new(spec.data_reuse.clone()),
-            code_pages_4k: StackMapper::new(spec.code_page_reuse.clone()),
-            data_pages_4k: StackMapper::new(spec.data_page_reuse.clone()),
-            code_pages_2m: StackMapper::new(code_2m),
-            data_pages_2m: StackMapper::new(data_2m),
-            huge,
-            thresholds: [t1, t2, t3, t4],
-            rng: SmallRng::seed_from_u64(seed),
+            code: CodeHalf {
+                rng: SmallRng::seed_from_u64(seed),
+                thresholds: [t1, t2, t3, t4],
+                huge,
+                lines: StackMapper::new(spec.code_reuse.clone()),
+                pages: PageMappers::new(&spec.code_page_reuse, spec.pages.code_compaction),
+                line_draws: Vec::new(),
+                page_draws: PageDraws::default(),
+            },
+            data: DataHalf {
+                lines: StackMapper::new(spec.data_reuse.clone()),
+                pages: PageMappers::new(&spec.data_page_reuse, spec.pages.data_compaction),
+            },
         }
     }
 
-    /// Generates the next instruction event.
+    /// The generator's two halves, for callers that run them on separate
+    /// threads: [`CodeHalf::fill`] then [`DataHalf::fill`] on each batch,
+    /// in batch order, is [`TraceGenerator::fill_batch`].
+    pub(crate) fn halves(&mut self) -> (&mut CodeHalf, &mut DataHalf) {
+        (&mut self.code, &mut self.data)
+    }
+
+    /// Generates the next instruction event: the per-event oracle that
+    /// [`TraceGenerator::fill_batch`] reproduces.
     pub fn next_event(&mut self) -> InsnEvent {
-        let u: f64 = self.rng.gen();
-        let class = if u < self.thresholds[0] {
-            InsnClass::Branch
-        } else if u < self.thresholds[1] {
-            InsnClass::Fp
-        } else if u < self.thresholds[2] {
-            InsnClass::Arith
-        } else if u < self.thresholds[3] {
-            InsnClass::Load
-        } else {
-            InsnClass::Store
-        };
-        let code_line = self.code_lines.access(&mut self.rng);
-        let code_huge = self.rng.gen::<f64>() < self.huge.code_huge_fraction;
-        let code_page = if code_huge {
-            PageAccess {
-                page: self.code_pages_2m.access(&mut self.rng),
-                is_huge: true,
-            }
-        } else {
-            PageAccess {
-                page: self.code_pages_4k.access(&mut self.rng),
-                is_huge: false,
-            }
+        let TraceGenerator { code, data } = self;
+        let class = code.next_class();
+        let code_line = code.lines.access(&mut code.rng);
+        let code_huge = code.rng.gen::<f64>() < code.huge.code_huge_fraction;
+        let code_page = PageAccess {
+            page: code.pages.access(code_huge, &mut code.rng),
+            is_huge: code_huge,
         };
         let data = match class {
             InsnClass::Load | InsnClass::Store => {
-                let data_huge = self.rng.gen::<f64>() < self.huge.data_huge_fraction;
-                let page = if data_huge {
-                    PageAccess {
-                        page: self.data_pages_2m.access(&mut self.rng),
-                        is_huge: true,
-                    }
-                } else {
-                    PageAccess {
-                        page: self.data_pages_4k.access(&mut self.rng),
-                        is_huge: false,
-                    }
+                let data_huge = code.rng.gen::<f64>() < code.huge.data_huge_fraction;
+                let page = PageAccess {
+                    page: data.pages.access(data_huge, &mut code.rng),
+                    is_huge: data_huge,
                 };
                 Some(DataAccess {
                     is_store: class == InsnClass::Store,
-                    line: self.data_lines.access(&mut self.rng),
+                    line: data.lines.access(&mut code.rng),
                     page,
                 })
             }
@@ -420,49 +614,13 @@ impl TraceGenerator {
     /// Fills `batch` with exactly `n` events, reusing its buffers.
     ///
     /// Bit-identical to `n` successive [`TraceGenerator::next_event`] calls:
-    /// the RNG draw order per event (class, code line, code-huge coin, code
-    /// page, then for loads/stores data-huge coin, data page, data line) is
-    /// the same statement sequence, so the generator state after the call
-    /// matches the per-event path exactly for every `n`.
+    /// the code half consumes the RNG in the same per-event order, and each
+    /// mapper touches its stack with the same distance sequence, so the
+    /// generator state after the call matches the per-event path exactly
+    /// for every `n`.
     pub fn fill_batch(&mut self, batch: &mut EventBatch, n: usize) {
-        batch.clear();
-        for i in 0..n {
-            let u: f64 = self.rng.gen();
-            let class = if u < self.thresholds[0] {
-                InsnClass::Branch
-            } else if u < self.thresholds[1] {
-                InsnClass::Fp
-            } else if u < self.thresholds[2] {
-                InsnClass::Arith
-            } else if u < self.thresholds[3] {
-                InsnClass::Load
-            } else {
-                InsnClass::Store
-            };
-            batch.classes.push(class);
-            batch.code_lines.push(self.code_lines.access(&mut self.rng));
-            let code_huge = self.rng.gen::<f64>() < self.huge.code_huge_fraction;
-            let code_page = if code_huge {
-                self.code_pages_2m.access(&mut self.rng)
-            } else {
-                self.code_pages_4k.access(&mut self.rng)
-            };
-            batch.code_pages.push(code_page);
-            batch.code_huge.push(code_huge);
-            if matches!(class, InsnClass::Load | InsnClass::Store) {
-                let data_huge = self.rng.gen::<f64>() < self.huge.data_huge_fraction;
-                let page = if data_huge {
-                    self.data_pages_2m.access(&mut self.rng)
-                } else {
-                    self.data_pages_4k.access(&mut self.rng)
-                };
-                batch.data_event.push(i as u32);
-                batch.data_is_store.push(class == InsnClass::Store);
-                batch.data_pages.push(page);
-                batch.data_huge.push(data_huge);
-                batch.data_lines.push(self.data_lines.access(&mut self.rng));
-            }
-        }
+        self.code.fill(batch, n);
+        self.data.fill(batch);
     }
 }
 

@@ -2,7 +2,8 @@
 //! simulator's component loops.
 //!
 //! Part 0 times `TraceGenerator::new`, the fixed cost every cold window
-//! pays before its first event. Part 1 measures raw window-simulation
+//! pays before its first event, and splits trace generation into reuse-
+//! distance sampling, move-to-front and the whole batch fill. Part 1 measures raw window-simulation
 //! throughput with the memo off — every run is a genuine evaluation —
 //! across batch sizes, and asserts at runtime that every batch size
 //! produces bit-identical reports (the batched tick is a pure performance
@@ -17,14 +18,14 @@
 
 use super::{BoxError, BASE_SEED};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use softsku_archsim::cache::SetAssocCache;
 use softsku_archsim::engine::{Engine, WindowReport};
 use softsku_archsim::platform::PlatformSpec;
 use softsku_archsim::ranklist::RankList;
 use softsku_archsim::reuse::ReuseDistanceDist;
 use softsku_archsim::tlb::LruSet;
-use softsku_archsim::trace::{HugePageMix, StackMapper, TraceGenerator};
+use softsku_archsim::trace::{EventBatch, HugePageMix, StackMapper, TraceGenerator};
 use softsku_telemetry::stats::{t_quantile, welch_test, Summary};
 use softsku_telemetry::{Json, Stopwatch};
 use softsku_workloads::{Microservice, PlatformKind};
@@ -207,6 +208,66 @@ fn tracegen_new_us(reps: u64) -> Result<f64, BoxError> {
     Ok(us)
 }
 
+/// Splits Web/Skylake18's trace-generation cost into its two mapper
+/// phases and the whole fill. Each of the stream's four reuse
+/// distributions maps `accesses` uniform draws in 4096-draw columns:
+/// `StackMapper::sample_column` (distance inversion) and
+/// `StackMapper::touch_column` (move-to-front) are timed apart and reported
+/// per access. `fill_ns_per_event` times `TraceGenerator::fill_batch`, which
+/// adds the RNG decode loop, over `accesses` events.
+fn tracegen_split(accesses: usize) -> Result<Json, BoxError> {
+    const COLUMN: usize = 4096;
+    let stream = Microservice::Web.profile(PlatformKind::Skylake18)?.stream;
+    let mut rng = SmallRng::seed_from_u64(BASE_SEED);
+    let draws: Vec<f64> = (0..accesses).map(|_| rng.gen()).collect();
+    let (mut sample_s, mut mtf_s) = (0.0, 0.0);
+    let dists = [
+        &stream.code_reuse,
+        &stream.data_reuse,
+        &stream.code_page_reuse,
+        &stream.data_page_reuse,
+    ];
+    for dist in dists {
+        let mut mapper = StackMapper::new(dist.clone());
+        let mut column = Vec::with_capacity(COLUMN);
+        for chunk in draws.chunks(COLUMN) {
+            let clock = Stopwatch::start();
+            mapper.sample_column(chunk, &mut column);
+            sample_s += clock.elapsed_s();
+            let clock = Stopwatch::start();
+            mapper.touch_column(&mut column);
+            mtf_s += clock.elapsed_s();
+            black_box(&column);
+        }
+    }
+    let mapped = (accesses * dists.len()) as f64;
+    let sample_ns = sample_s * 1e9 / mapped;
+    let mtf_ns = mtf_s * 1e9 / mapped;
+
+    let mut gen = TraceGenerator::new(&stream, HugePageMix::default(), BASE_SEED);
+    let mut batch = EventBatch::with_capacity(COLUMN);
+    let clock = Stopwatch::start();
+    let mut left = accesses;
+    while left > 0 {
+        let n = left.min(COLUMN);
+        gen.fill_batch(&mut batch, n);
+        left -= n;
+    }
+    black_box(&batch);
+    let fill_ns = clock.elapsed_s() * 1e9 / accesses.max(1) as f64;
+    println!(
+        "== trace generation ({}): sample {sample_ns:.1} ns/access, move-to-front \
+         {mtf_ns:.1} ns/access, fill {fill_ns:.1} ns/event ==",
+        Microservice::Web
+    );
+    Ok(Json::obj()
+        .set("service", Json::Str(Microservice::Web.to_string()))
+        .set("accesses_per_stream", Json::Int(accesses as i64))
+        .set("sample_ns_per_access", Json::Num(sample_ns))
+        .set("mtf_ns_per_access", Json::Num(mtf_ns))
+        .set("fill_ns_per_event", Json::Num(fill_ns)))
+}
+
 /// Times `iterations` calls of `op` and returns one result row.
 fn ns_per_op(name: &str, iterations: u64, mut op: impl FnMut()) -> Json {
     let clock = Stopwatch::start();
@@ -282,9 +343,10 @@ fn components() -> Result<Json, BoxError> {
     Ok(Json::Arr(rows))
 }
 
-/// Runs the suite: `TraceGenerator::new` timed over 20 seeds, then a
-/// 60k-instruction window at three batch sizes when `smoke`; 200 seeds, a
-/// 200k window at five batch sizes plus the component loops otherwise.
+/// Runs the suite: `TraceGenerator::new` timed over 20 seeds, the
+/// generation split over 100k accesses per stream, then a 60k-instruction
+/// window at three batch sizes when `smoke`; 200 seeds, 1M accesses, a 200k
+/// window at five batch sizes plus the component loops otherwise.
 ///
 /// # Errors
 ///
@@ -299,6 +361,10 @@ pub fn run(smoke: bool, _hw: usize) -> Result<Json, BoxError> {
         .set(
             "tracegen_new_us",
             Json::Num(tracegen_new_us(if smoke { 20 } else { 200 })?),
+        )
+        .set(
+            "tracegen_split",
+            tracegen_split(if smoke { 100_000 } else { 1_000_000 })?,
         )
         .set("throughput", throughput(window, evals, batch_sizes)?)
         .set(

@@ -1,7 +1,8 @@
 //! Hostile window arguments get typed errors from `Engine::run_colocated`,
 //! before anything is simulated or memoized: a NaN load would otherwise
-//! pass `clamp` and report NaN MIPS, and a zero-length window would report
-//! its warm-up events as a measured window.
+//! pass `clamp` and report NaN MIPS, a zero-length window would report
+//! its warm-up events as a measured window, and a window whose warm-up
+//! plus measured events overflow a `u64` would wrap to a short one.
 
 use softsku::archsim::engine::Engine;
 use softsku::archsim::ArchSimError;
@@ -46,4 +47,18 @@ fn non_finite_background_bandwidth_is_rejected() {
 fn zero_instruction_window_is_rejected() {
     assert_eq!(rejected(0, 0.8, 0.0), "instructions");
     assert!(engine().run_window(0, 0.8).is_err());
+}
+
+#[test]
+fn window_whose_warmup_overflows_is_rejected() {
+    // Windows this long take the 400k-instruction warm-up cap, so the
+    // first of these overflows by one event.
+    for instructions in [u64::MAX - 399_999, u64::MAX] {
+        assert_eq!(rejected(instructions, 0.8, 0.0), "instructions");
+    }
+    let overridden = engine().with_warmup_instructions(u64::MAX);
+    assert!(matches!(
+        overridden.run_window(1, 0.8),
+        Err(ArchSimError::InvalidWindowArgument { name, .. }) if name == "instructions"
+    ));
 }

@@ -17,14 +17,16 @@ use softsku_knobs::{Knob, KnobSetting};
 use softsku_workloads::{Microservice, PlatformKind};
 use usku::{
     exhaustive_sweep, hill_climb, independent_sweep, AbTestConfig, AbTester, InputFile,
-    PerformanceMetric, SweepConfig, Usku, UskuConfig,
+    PerformanceMetric, Schedule, SweepConfig, Usku, UskuConfig,
 };
 
-fn env(service: Microservice, platform: PlatformKind, seed: u64) -> AbEnvironment {
+/// A proto environment and a search schedule, both seeded from `seed`.
+fn env(service: Microservice, platform: PlatformKind, seed: u64) -> (AbEnvironment, Schedule) {
     let profile = service.profile(platform).expect("supported");
     let mut cfg = EnvConfig::fast_test();
     cfg.window_insns = 120_000;
-    AbEnvironment::new(profile, cfg, seed).expect("environment builds")
+    let proto = AbEnvironment::new(profile, cfg, seed).expect("environment builds");
+    (proto, Schedule::new(seed))
 }
 
 /// Search-strategy ablation on the {THP, SHP} subspace of Web-Skylake.
@@ -41,20 +43,21 @@ pub fn search_strategies() -> String {
 
     let mut rows = Vec::new();
     {
-        let mut e = env(Microservice::Web, PlatformKind::Skylake18, 301);
-        let r =
-            independent_sweep(&tester, &mut e, &production, &space, &knobs).expect("sweep runs");
+        let (mut e, sched) = env(Microservice::Web, PlatformKind::Skylake18, 301);
+        let r = independent_sweep(&tester, &mut e, &production, &space, &knobs, sched)
+            .expect("sweep runs");
         rows.push(("independent", r));
     }
     {
-        let mut e = env(Microservice::Web, PlatformKind::Skylake18, 302);
-        let r = exhaustive_sweep(&tester, &mut e, &production, &space, &knobs, 100)
+        let (mut e, sched) = env(Microservice::Web, PlatformKind::Skylake18, 302);
+        let r = exhaustive_sweep(&tester, &mut e, &production, &space, &knobs, 100, sched)
             .expect("sweep runs");
         rows.push(("exhaustive", r));
     }
     {
-        let mut e = env(Microservice::Web, PlatformKind::Skylake18, 303);
-        let r = hill_climb(&tester, &mut e, &production, &space, &knobs, 2).expect("sweep runs");
+        let (mut e, sched) = env(Microservice::Web, PlatformKind::Skylake18, 303);
+        let r =
+            hill_climb(&tester, &mut e, &production, &space, &knobs, 2, sched).expect("sweep runs");
         rows.push(("hill_climbing", r));
     }
 
@@ -175,8 +178,9 @@ pub fn knob_interactions() -> String {
     let knobs = [Knob::Cdp, Knob::Prefetcher];
     let tester = AbTester::new(AbTestConfig::fast_test(), PerformanceMetric::Mips);
 
-    let mut e = env(Microservice::Web, PlatformKind::Broadwell16, 401);
-    let ind = independent_sweep(&tester, &mut e, &production, &space, &knobs).expect("sweep runs");
+    let (mut e, sched) = env(Microservice::Web, PlatformKind::Broadwell16, 401);
+    let ind =
+        independent_sweep(&tester, &mut e, &production, &space, &knobs, sched).expect("sweep runs");
     let additive: f64 = ind.selected.iter().map(|(_, _, g)| g).sum();
 
     // Measure the independent composition jointly.
@@ -186,9 +190,9 @@ pub fn knob_interactions() -> String {
         .expect("joint measurement runs");
     let composed_gain = composed.relative_diff().unwrap_or(0.0);
 
-    let mut e2 = env(Microservice::Web, PlatformKind::Broadwell16, 402);
-    let exh =
-        exhaustive_sweep(&tester, &mut e2, &production, &space, &knobs, 80).expect("sweep runs");
+    let (mut e2, sched) = env(Microservice::Web, PlatformKind::Broadwell16, 402);
+    let exh = exhaustive_sweep(&tester, &mut e2, &production, &space, &knobs, 80, sched)
+        .expect("sweep runs");
     let exh_gain = exh.selected.first().map(|(_, _, g)| *g).unwrap_or(0.0);
 
     out.push_str(&format!(

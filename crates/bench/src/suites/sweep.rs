@@ -1,13 +1,12 @@
-//! Sweep throughput: serial vs parallel tuning schedulers.
+//! Sweep throughput of the deterministic scheduler.
 //!
-//! Part 1 times one service's independent sweep executed serially
-//! (`independent_sweep`, one shared environment) against the deterministic
-//! parallel scheduler (`parallel_independent_sweep`, one forked replica per
-//! test) at increasing worker counts, and checks the parallel winners agree
-//! with the serial ones. Part 2 times a multi-service fleet campaign:
-//! per-service sweeps run back-to-back on one worker vs the `FleetTuner`
-//! interleaving every service's tests on a shared pool. The numbers feed
-//! the EXPERIMENTS.md scheduler row.
+//! Part 1 times one service's `independent_sweep` (one forked replica per
+//! test) at one worker and at more, and asserts that every worker count
+//! renders a byte-identical design-space map (`"maps_identical": true`).
+//! Part 2 times a multi-service fleet campaign: per-service sweeps run
+//! back-to-back on one worker vs the `FleetTuner` interleaving every
+//! service's tests on a shared pool. The numbers feed the EXPERIMENTS.md
+//! scheduler row.
 
 use super::{BoxError, BASE_SEED};
 use softsku_cluster::{AbEnvironment, EnvConfig};
@@ -16,8 +15,8 @@ use softsku_telemetry::{Json, Stopwatch};
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 use usku::metric::PerformanceMetric;
-use usku::scheduler::{parallel_independent_sweep, FleetTuner, Schedule};
-use usku::search::independent_sweep;
+use usku::scheduler::{FleetTuner, Schedule};
+use usku::search::{independent_sweep, SearchOutcome};
 use usku::{AbTestConfig, AbTester, UskuError};
 
 fn workers(n: usize) -> NonZeroUsize {
@@ -44,53 +43,41 @@ fn single_service(knobs: &[Knob], worker_counts: &[usize]) -> Result<Json, UskuE
     let platform = PlatformKind::Skylake18;
     println!("== {service} on {platform}: independent sweep, {knobs:?} ==");
 
-    let (tester, mut env, space) = setup(service, platform)?;
-    let baseline = env.profile().production_config.clone();
-    let clock = Stopwatch::start();
-    let serial = independent_sweep(&tester, &mut env, &baseline, &space, knobs)?;
-    let serial_s = clock.elapsed_s();
-    println!(
-        "  serial                 {:>6.2} s   {:>3} tests   {:>6.1} tests/s",
-        serial_s,
-        serial.map.test_count(),
-        serial.map.test_count() as f64 / serial_s.max(1e-9)
-    );
-    let mut runs = vec![Json::obj()
-        .set("mode", Json::Str("serial".into()))
-        .set("workers", Json::Int(1))
-        .set("tests", Json::Int(serial.map.test_count() as i64))
-        .set("wall_s", Json::Num(serial_s))];
-
-    for &n in worker_counts {
+    let sweep = |n: usize| -> Result<(SearchOutcome, f64), UskuError> {
         let (tester, mut env, space) = setup(service, platform)?;
+        let baseline = env.profile().production_config.clone();
+        let schedule = Schedule::new(BASE_SEED).with_workers(workers(n));
         let clock = Stopwatch::start();
-        let par = parallel_independent_sweep(
-            &tester,
-            &mut env,
-            &baseline,
-            &space,
-            knobs,
-            Schedule::new(BASE_SEED).with_workers(workers(n)),
-        )?;
-        let par_s = clock.elapsed_s();
+        let out = independent_sweep(&tester, &mut env, &baseline, &space, knobs, schedule)?;
+        Ok((out, clock.elapsed_s()))
+    };
+    let (reference, reference_s) = sweep(1)?;
+    let reference_map = reference.map.render();
+    let tests = reference.map.test_count();
+    let mut timings = vec![(1, reference_s)];
+    let mut maps_identical = true;
+    for &n in worker_counts {
+        let (out, wall_s) = sweep(n)?;
+        maps_identical &= out.map.render() == reference_map;
+        timings.push((n, wall_s));
+    }
+    assert!(
+        maps_identical,
+        "every worker count must render the 1-worker map byte for byte"
+    );
+    let mut runs = Vec::new();
+    for (n, wall_s) in timings {
+        let speedup = reference_s / wall_s.max(1e-9);
         println!(
-            "  parallel ({n:>2} workers)  {:>6.2} s   {:>3} tests   {:>6.1} tests/s   {:.2}x vs serial",
-            par_s,
-            par.map.test_count(),
-            par.map.test_count() as f64 / par_s.max(1e-9),
-            serial_s / par_s.max(1e-9)
-        );
-        assert_eq!(
-            par.best_config, serial.best_config,
-            "parallel sweep must find the serial winners"
+            "  {n:>2} worker(s)  {wall_s:>6.2} s   {tests:>3} tests   {:>6.1} tests/s   {speedup:.2}x vs 1 worker",
+            tests as f64 / wall_s.max(1e-9),
         );
         runs.push(
             Json::obj()
-                .set("mode", Json::Str("parallel".into()))
                 .set("workers", Json::Int(n as i64))
-                .set("tests", Json::Int(par.map.test_count() as i64))
-                .set("wall_s", Json::Num(par_s))
-                .set("speedup_vs_serial", Json::Num(serial_s / par_s.max(1e-9))),
+                .set("tests", Json::Int(tests as i64))
+                .set("wall_s", Json::Num(wall_s))
+                .set("speedup_vs_1_worker", Json::Num(speedup)),
         );
     }
     Ok(Json::obj()
@@ -100,6 +87,7 @@ fn single_service(knobs: &[Knob], worker_counts: &[usize]) -> Result<Json, UskuE
             "knobs",
             Json::Arr(knobs.iter().map(|k| Json::Str(k.to_string())).collect()),
         )
+        .set("maps_identical", Json::Bool(maps_identical))
         .set("runs", Json::Arr(runs)))
 }
 
@@ -168,7 +156,7 @@ fn fleet(
 pub fn run(smoke: bool, hw: usize) -> Result<Json, BoxError> {
     let (single, campaign) = if smoke {
         (
-            single_service(&[Knob::Thp], &[1, 2])?,
+            single_service(&[Knob::Thp], &[2])?,
             fleet(
                 &[
                     (Microservice::Web, PlatformKind::Skylake18),
@@ -181,7 +169,7 @@ pub fn run(smoke: bool, hw: usize) -> Result<Json, BoxError> {
     } else {
         let knobs = [Knob::Thp, Knob::Shp, Knob::CoreFrequency];
         (
-            single_service(&knobs, &[1, 2, hw])?,
+            single_service(&knobs, &[2, hw])?,
             fleet(&FleetTuner::default_targets(), &knobs, hw)?,
         )
     };

@@ -129,6 +129,7 @@ mod tests {
     use super::*;
     use crate::abtest::AbTestConfig;
     use crate::metric::PerformanceMetric;
+    use crate::scheduler::Schedule;
     use crate::search::independent_sweep;
     use softsku_cluster::EnvConfig;
     use softsku_knobs::{KnobSpace, WorkloadConstraints};
@@ -152,6 +153,7 @@ mod tests {
             &production,
             &space,
             &[Knob::Thp, Knob::Shp],
+            Schedule::new(31),
         )
         .unwrap();
         let generator = SoftSkuGenerator::new(&tester);

@@ -93,7 +93,8 @@ impl InputFile {
     /// # Errors
     ///
     /// [`UskuError::InputParse`] with the offending line for unknown keys,
-    /// bad values, missing required keys, or duplicates.
+    /// bad values, missing required keys, a repeated key, or a knob listed
+    /// twice.
     ///
     /// # Example
     ///
@@ -111,8 +112,8 @@ impl InputFile {
         let mut platform = None;
         let mut sweep = None;
         let mut knobs = None;
-        let mut metric = PerformanceMetric::Mips;
-        let mut seed = 42u64;
+        let mut metric = None;
+        let mut seed = None;
 
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx + 1;
@@ -168,6 +169,9 @@ impl InputFile {
                     })?);
                 }
                 "knobs" => {
+                    if knobs.is_some() {
+                        return Err(dup("knobs"));
+                    }
                     let mut list = Vec::new();
                     for item in value.split(',') {
                         let name = item.trim().to_lowercase();
@@ -178,6 +182,12 @@ impl InputFile {
                             line: line_no,
                             detail: format!("unknown knob {name:?}"),
                         })?;
+                        if list.contains(&knob) {
+                            return Err(UskuError::InputParse {
+                                line: line_no,
+                                detail: format!("knob {name:?} listed twice"),
+                            });
+                        }
                         list.push(knob);
                     }
                     if list.is_empty() {
@@ -189,7 +199,10 @@ impl InputFile {
                     knobs = Some(list);
                 }
                 "metric" => {
-                    metric =
+                    if metric.is_some() {
+                        return Err(dup("metric"));
+                    }
+                    metric = Some(
                         PerformanceMetric::from_name(&value.to_lowercase()).ok_or_else(|| {
                             UskuError::InputParse {
                                 line: line_no,
@@ -197,13 +210,17 @@ impl InputFile {
                                     "unknown metric {value:?} (mips | qps | mips_per_watt)"
                                 ),
                             }
-                        })?;
+                        })?,
+                    );
                 }
                 "seed" => {
-                    seed = value.parse().map_err(|_| UskuError::InputParse {
+                    if seed.is_some() {
+                        return Err(dup("seed"));
+                    }
+                    seed = Some(value.parse().map_err(|_| UskuError::InputParse {
                         line: line_no,
                         detail: format!("seed must be an unsigned integer, got {value:?}"),
-                    })?;
+                    })?);
                 }
                 other => {
                     return Err(UskuError::InputParse {
@@ -227,8 +244,8 @@ impl InputFile {
             platform,
             sweep,
             knobs,
-            metric,
-            seed,
+            metric: metric.unwrap_or(PerformanceMetric::Mips),
+            seed: seed.unwrap_or(42),
         })
     }
 }

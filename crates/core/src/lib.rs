@@ -26,11 +26,11 @@
 //! MIPS is invalid ([`metric`]), and a perf-per-watt objective
 //! ([`objective`]).
 //!
-//! For fleet-scale tuning, [`scheduler`] shards the A/B tests of a sweep
-//! across a worker pool — each test on its own forked environment replica
-//! with a seed derived from the test's identity — so parallel sweeps are
-//! bit-identical to serial ones regardless of worker count, and a
-//! [`scheduler::FleetTuner`] can tune all seven services concurrently.
+//! Every search shards its A/B tests across a worker pool ([`scheduler`])
+//! — each test on its own forked environment replica with a seed derived
+//! from the test's identity — so results are bit-identical regardless of
+//! worker count, and a [`scheduler::FleetTuner`] can tune all seven
+//! services concurrently.
 //!
 //! # Example
 //!
@@ -69,10 +69,10 @@ pub use metric::PerformanceMetric;
 pub use objective::{Objective, PowerModel};
 pub use profile::{ArmCpiStacks, CpiStack, TmamBound, ALL_BOUNDS};
 pub use scheduler::{
-    default_workers, derive_assignment_seed, derive_joint_seed, derive_seed,
-    parallel_exhaustive_sweep, parallel_independent_sweep, plan_assignments, plan_exhaustive,
-    plan_independent, run_replicas, run_tasks, trace_test_span, AssignmentUnit, FleetOutcome,
-    FleetTuner, JointUnit, ReplicaOutput, ReplicaRun, Schedule, ServiceTuning, TestUnit,
+    default_workers, derive_assignment_seed, derive_joint_seed, derive_seed, plan_assignments,
+    plan_exhaustive, plan_independent, run_replicas, run_tasks, trace_test_span, AssignmentUnit,
+    FleetOutcome, FleetTuner, JointUnit, ReplicaOutput, ReplicaRun, Schedule, ServiceTuning,
+    TestUnit,
 };
 pub use search::{exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome};
 pub use usku::{AbTestConfigurator, Usku, UskuConfig, UskuReport};

@@ -3,22 +3,22 @@
 //! The paper's prototype tunes one service at a time, one A/B test at a
 //! time, and Sec. 7 concedes that the exhaustive design space "requires an
 //! impractically large number of A/B tests" — serial execution is the
-//! bottleneck. But every test of an independent sweep is, by construction,
-//! independent: it compares one candidate setting against the production
-//! baseline on its own server pair. Real fleets have thousands of such
-//! pairs; this module simulates exactly that scale-out by sharding the
-//! tests of a sweep across a [`std::thread::scope`] worker pool, one forked
-//! [`AbEnvironment`] replica per test.
+//! bottleneck. But every test of a sweep is, by construction, independent:
+//! it compares one candidate against a baseline on its own server pair.
+//! Real fleets have thousands of such pairs; this module simulates exactly
+//! that scale-out. It plans a sweep's tests, seeds each one's forked
+//! [`AbEnvironment`] replica from the test's identity, and shards the
+//! replicas across a [`std::thread::scope`] worker pool. The strategies in
+//! [`crate::search`] are built from these pieces.
 //!
 //! **Determinism is the contract.** Each test's replica is seeded from
 //! [`derive_seed`]`(base, service, knob, setting)` — a pure function of the
 //! test's *identity*, not of scheduling. Workers pull tests from a shared
-//! queue in whatever order the OS runs them, record results into
-//! plan-indexed slots, and the scheduler merges those slots back into the
-//! [`DesignSpaceMap`] in canonical plan order. Verdicts, maps, and composed
-//! configurations are therefore bit-identical for 1, 2, or 64 workers,
-//! with or without injected hazards — the property pinned down by
-//! `tests/parallel_determinism.rs`.
+//! queue in whatever order the OS runs them and record results into
+//! plan-indexed slots, which the caller merges in canonical plan order.
+//! Verdicts, maps, and composed configurations are therefore bit-identical
+//! for 1, 2, or 64 workers, with or without injected hazards — the property
+//! pinned down by `tests/parallel_determinism.rs`.
 //!
 //! [`FleetTuner`] stacks a second axis on top: all services × platforms
 //! tuned concurrently on one worker pool (the fleet-wide µSKU deployment
@@ -27,7 +27,6 @@
 
 use crate::abtest::{AbTestConfig, AbTestResult, AbTester};
 use crate::error::UskuError;
-use crate::map::DesignSpaceMap;
 use crate::metric::PerformanceMetric;
 use crate::profile::{ArmCpiStacks, ALL_BOUNDS};
 use crate::search::{compose, SearchOutcome};
@@ -39,6 +38,7 @@ use softsku_telemetry::trace::{AttrValue, SpanHandle, TraceSink};
 use softsku_telemetry::{LedgerKey, Ods, SeriesKey, Stopwatch};
 use softsku_workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -91,8 +91,7 @@ pub struct JointUnit {
 
 /// Plans the independent sweep in canonical order: knobs in the order
 /// given, candidates in knob-space order, skipping the baseline's own value
-/// of each knob (it is the control) — exactly the tests
-/// [`crate::search::independent_sweep`] would run serially.
+/// of each knob (it is the control).
 pub fn plan_independent(
     baseline: &ServerConfig,
     space: &KnobSpace,
@@ -116,8 +115,8 @@ pub fn plan_independent(
 }
 
 /// Plans the exhaustive cross-product sweep in canonical (mixed-radix)
-/// order, bounded by `budget` — the same enumeration, validity gating, and
-/// budget accounting as the serial [`crate::search::exhaustive_sweep`].
+/// order, bounded by `budget`: joint configurations that fail to apply, and
+/// the all-baseline point, are skipped without spending budget.
 pub fn plan_exhaustive(
     baseline: &ServerConfig,
     space: &KnobSpace,
@@ -127,49 +126,59 @@ pub fn plan_exhaustive(
     base_seed: u64,
 ) -> Vec<JointUnit> {
     let candidate_lists: Vec<&[KnobSetting]> = knobs.iter().map(|&k| space.candidates(k)).collect();
+    let radices: Vec<usize> = candidate_lists.iter().map(|list| list.len()).collect();
     let mut plan = Vec::new();
-    let mut indices = vec![0usize; knobs.len()];
-    'outer: loop {
+    odometer(&radices, |indices| {
         let mut config = baseline.clone();
         let mut settings = Vec::with_capacity(knobs.len());
-        let mut valid = true;
-        for (i, list) in candidate_lists.iter().enumerate() {
-            if list.is_empty() {
-                valid = false;
-                break;
+        for (list, &i) in candidate_lists.iter().zip(indices) {
+            if list[i].apply(&mut config).is_err() {
+                return ControlFlow::Continue(());
             }
-            let setting = list[indices[i]];
-            if setting.apply(&mut config).is_err() {
-                valid = false;
-                break;
-            }
-            settings.push(setting);
+            settings.push(list[i]);
         }
-        if valid && config != *baseline {
-            if plan.len() >= budget {
-                break 'outer;
-            }
-            let seed = derive_joint_seed(base_seed, service, &settings);
-            plan.push(JointUnit {
-                config,
-                settings,
-                seed,
-            });
+        if config == *baseline {
+            return ControlFlow::Continue(());
         }
-        let mut i = 0;
+        if plan.len() >= budget {
+            return ControlFlow::Break(());
+        }
+        let seed = derive_joint_seed(base_seed, service, &settings);
+        plan.push(JointUnit {
+            config,
+            settings,
+            seed,
+        });
+        ControlFlow::Continue(())
+    });
+    plan
+}
+
+/// Visits every index vector of the mixed-radix space `radices` in canonical
+/// order, first dimension fastest, until `visit` breaks. A zero radix
+/// empties the space; no dimensions yield the one empty index vector.
+fn odometer(radices: &[usize], mut visit: impl FnMut(&[usize]) -> ControlFlow<()>) {
+    if radices.contains(&0) {
+        return;
+    }
+    let mut indices = vec![0usize; radices.len()];
+    loop {
+        if visit(&indices).is_break() {
+            return;
+        }
+        let mut d = 0;
         loop {
-            if i == knobs.len() {
-                break 'outer;
+            if d == radices.len() {
+                return;
             }
-            indices[i] += 1;
-            if indices[i] < candidate_lists[i].len().max(1) {
+            indices[d] += 1;
+            if indices[d] < radices[d] {
                 break;
             }
-            indices[i] = 0;
-            i += 1;
+            indices[d] = 0;
+            d += 1;
         }
     }
-    plan
 }
 
 /// One planned joint assignment across several named dimensions (tiers of a
@@ -210,45 +219,38 @@ pub fn plan_assignments(
     scope: &str,
     dims: &[(String, Vec<String>)],
 ) -> Vec<AssignmentUnit> {
-    if dims.iter().any(|(_, candidates)| candidates.is_empty()) {
-        return Vec::new();
-    }
+    let radices: Vec<usize> = dims
+        .iter()
+        .map(|(_, candidates)| candidates.len())
+        .collect();
     let mut plan = Vec::new();
-    let mut indices = vec![0usize; dims.len()];
-    loop {
+    odometer(&radices, |choice| {
         let labels: Vec<(&str, &str)> = dims
             .iter()
-            .zip(&indices)
+            .zip(choice)
             .map(|((name, candidates), &i)| (name.as_str(), candidates[i].as_str()))
             .collect();
         plan.push(AssignmentUnit {
-            choice: indices.clone(),
+            choice: choice.to_vec(),
             seed: derive_assignment_seed(base, scope, &labels),
         });
-        let mut d = 0;
-        loop {
-            if d == dims.len() {
-                return plan;
-            }
-            indices[d] += 1;
-            if indices[d] < dims[d].1.len() {
-                break;
-            }
-            indices[d] = 0;
-            d += 1;
-        }
-    }
+        ControlFlow::Continue(())
+    });
+    plan
 }
 
 /// What a replica closure hands back to the scheduler: the A/B verdict,
-/// the simulated time consumed, and (when tracing asked for it) the
-/// per-arm CPI stacks captured after the test.
+/// the simulated time and hazard events the replica consumed, and (when
+/// tracing asked for it) the per-arm CPI stacks captured after the test.
 #[derive(Debug)]
 pub struct ReplicaOutput {
     /// The A/B verdict the replica produced.
     pub result: AbTestResult,
     /// Simulated machine-seconds the replica consumed.
     pub sim_time_s: f64,
+    /// The replica's injected-hazard and recovery event counts
+    /// ([`AbEnvironment::hazard_counts`]).
+    pub hazard_counts: Vec<(String, u64)>,
     /// Per-arm CPI stacks ([`ArmCpiStacks::capture`]), probed only when a
     /// trace consumer wants them — results are identical either way since
     /// the probe is a read-only cache lookup.
@@ -256,11 +258,13 @@ pub struct ReplicaOutput {
 }
 
 impl ReplicaOutput {
-    /// An output with no CPI profile attached.
-    pub fn new(result: AbTestResult, sim_time_s: f64) -> Self {
+    /// An output with no CPI profile attached, charged with the replica's
+    /// clock and hazard ledger as they stand after the test.
+    pub fn new(result: AbTestResult, env: &AbEnvironment) -> Self {
         ReplicaOutput {
             result,
-            sim_time_s,
+            sim_time_s: env.time_s(),
+            hazard_counts: env.hazard_counts(),
             cpi: None,
         }
     }
@@ -273,6 +277,8 @@ pub struct ReplicaRun {
     pub result: AbTestResult,
     /// Simulated machine-seconds the replica consumed.
     pub sim_time_s: f64,
+    /// The replica's injected-hazard and recovery event counts.
+    pub hazard_counts: Vec<(String, u64)>,
     /// Real wall-clock seconds the test took on its worker.
     pub wall_s: f64,
     /// Per-arm CPI stacks, when the closure probed them.
@@ -370,6 +376,7 @@ where
         run_one(unit).map(|out| ReplicaRun {
             result: out.result,
             sim_time_s: out.sim_time_s,
+            hazard_counts: out.hazard_counts,
             wall_s: clock.elapsed_s(),
             cpi: out.cpi,
         })
@@ -452,7 +459,9 @@ pub fn trace_test_span(
 /// Pre-evaluates the baseline load curve on the proto environment so every
 /// fork inherits it from the cloned arm instead of re-running the engine.
 /// Best-effort: a replica that misses the warm cache just evaluates lazily.
-fn warm_baseline(proto: &mut AbEnvironment, baseline: &ServerConfig) {
+/// The search strategies, the [`FleetTuner`] and the rollout composer warm
+/// their protos through this one routine.
+pub fn warm_baseline(proto: &mut AbEnvironment, baseline: &ServerConfig) {
     let arm = proto.arm_mut(Arm::A);
     if arm.reconfigure(baseline.clone(), false).is_ok() {
         let _ = arm.mips(1.0);
@@ -469,7 +478,7 @@ pub fn default_workers() -> NonZeroUsize {
     std::thread::available_parallelism().unwrap_or(FALLBACK)
 }
 
-/// Scheduling parameters shared by the parallel sweeps: the base seed the
+/// Scheduling parameters of a search ([`crate::search`]): the base seed the
 /// per-test replica seeds derive from, and the worker-pool size. Only the
 /// seed affects results; workers affect wall-clock alone.
 #[derive(Debug, Clone, Copy)]
@@ -497,111 +506,6 @@ impl Schedule {
     }
 }
 
-/// Parallel independent per-knob sweep.
-///
-/// Runs the same test plan as [`crate::search::independent_sweep`], but
-/// each test executes on its own [`AbEnvironment::fork`] replica seeded by
-/// [`derive_seed`], sharded across the schedule's worker pool. Results are
-/// merged into the [`DesignSpaceMap`] in canonical plan order, so the
-/// outcome — every verdict, the map, and the composed `best_config` — is
-/// bit-identical for any worker count. With one worker this *is* the
-/// serial sweep under the derived-seed scheme (the reference the
-/// determinism suite compares against).
-///
-/// # Errors
-///
-/// Propagates tester/environment errors (deterministically: the failing
-/// unit at the lowest plan index wins).
-pub fn parallel_independent_sweep(
-    tester: &AbTester,
-    proto: &mut AbEnvironment,
-    baseline: &ServerConfig,
-    space: &KnobSpace,
-    knobs: &[Knob],
-    schedule: Schedule,
-) -> Result<SearchOutcome, UskuError> {
-    let service = proto.profile().service.name().to_string();
-    let plan = plan_independent(baseline, space, knobs, &service, schedule.base_seed);
-    warm_baseline(proto, baseline);
-    let proto = &*proto;
-    let runs = run_replicas(&plan, schedule.workers.get(), |unit: &TestUnit| {
-        let mut env = proto.fork(unit.seed);
-        let result = tester.run(&mut env, baseline, unit.setting)?;
-        let sim_time_s = env.time_s();
-        Ok(ReplicaOutput::new(result, sim_time_s))
-    })?;
-    let mut map = DesignSpaceMap::new();
-    for run in runs {
-        map.record(run.result);
-    }
-    let (best_config, selected) = compose(baseline, &map, knobs);
-    Ok(SearchOutcome {
-        map,
-        best_config,
-        selected,
-    })
-}
-
-/// Parallel exhaustive cross-product sweep over a (small) knob subset.
-///
-/// Same enumeration and budget as [`crate::search::exhaustive_sweep`], with
-/// each joint configuration measured on its own forked replica. Joint
-/// results land in the map's joint ledger in canonical order; the winner is
-/// the earliest-planned maximum gain, so it cannot depend on which worker
-/// finished first.
-///
-/// # Errors
-///
-/// Propagates tester/environment errors.
-pub fn parallel_exhaustive_sweep(
-    tester: &AbTester,
-    proto: &mut AbEnvironment,
-    baseline: &ServerConfig,
-    space: &KnobSpace,
-    knobs: &[Knob],
-    budget: usize,
-    schedule: Schedule,
-) -> Result<SearchOutcome, UskuError> {
-    let service = proto.profile().service.name().to_string();
-    let plan = plan_exhaustive(baseline, space, knobs, budget, &service, schedule.base_seed);
-    warm_baseline(proto, baseline);
-    let proto = &*proto;
-    let runs = run_replicas(&plan, schedule.workers.get(), |unit: &JointUnit| {
-        let mut env = proto.fork(unit.seed);
-        let needs_reboot = unit.config.active_cores != baseline.active_cores
-            || unit.config.shp_pages != baseline.shp_pages;
-        // detlint::allow(panic_path): plan_exhaustive emits only non-empty
-        // joint units; an empty one is a planner bug worth aborting on.
-        let label = *unit.settings.last().expect("joint units are non-empty");
-        let result = tester.run_config(&mut env, baseline, &unit.config, needs_reboot, label)?;
-        let sim_time_s = env.time_s();
-        Ok(ReplicaOutput::new(result, sim_time_s))
-    })?;
-    let mut map = DesignSpaceMap::new();
-    for (unit, run) in plan.iter().zip(runs) {
-        map.record_joint(unit.settings.clone(), run.result);
-    }
-    let (best_config, selected) = match map.best_joint() {
-        Some((joint, gain)) => {
-            let mut config = baseline.clone();
-            let mut selected = Vec::with_capacity(joint.settings.len());
-            for s in &joint.settings {
-                // detlint::allow(panic_path): every planned setting was
-                // validated against the same baseline when the plan was built.
-                s.apply(&mut config).expect("planned settings are valid");
-                selected.push((s.knob(), *s, gain));
-            }
-            (config, selected)
-        }
-        None => (baseline.clone(), Vec::new()),
-    };
-    Ok(SearchOutcome {
-        map,
-        best_config,
-        selected,
-    })
-}
-
 /// The tuning outcome for one (service, platform) fleet target.
 #[derive(Debug)]
 pub struct ServiceTuning {
@@ -609,11 +513,10 @@ pub struct ServiceTuning {
     pub service: Microservice,
     /// The platform it was tuned on.
     pub platform: PlatformKind,
-    /// The sweep outcome (map, best config, selections).
+    /// The sweep outcome (map, best config, selections, and the simulated
+    /// machine-seconds its replicas consumed — the fleet "cost" of the
+    /// tuning campaign).
     pub outcome: SearchOutcome,
-    /// Simulated machine-seconds consumed across this service's replicas
-    /// (the fleet "cost" of the tuning campaign).
-    pub sim_time_s: f64,
     /// Real wall-clock seconds spent on this service's tests, summed over
     /// workers.
     pub wall_s: f64,
@@ -661,7 +564,7 @@ impl FleetOutcome {
                 s.platform.to_string(),
                 s.outcome.map.test_count(),
                 s.outcome.map.sample_count(),
-                s.sim_time_s / 3600.0,
+                s.outcome.sim_time_s / 3600.0,
                 s.wall_s,
                 s.outcome.selected.len()
             ));
@@ -820,10 +723,9 @@ impl FleetTuner {
             let result = target
                 .tester
                 .run(&mut env, &target.baseline, fu.unit.setting)?;
-            // Read sim time before the (read-only) CPI probe so traced and
-            // untraced runs report identical numbers.
-            let sim_time_s = env.time_s();
-            let mut out = ReplicaOutput::new(result, sim_time_s);
+            // Charge the replica before the (read-only) CPI probe so traced
+            // and untraced runs report identical numbers.
+            let mut out = ReplicaOutput::new(result, &env);
             if probe_cpi {
                 out.cpi = ArmCpiStacks::capture(&mut env);
             }
@@ -833,9 +735,10 @@ impl FleetTuner {
         // Reassemble per target in canonical order and lay down the ODS
         // tuning counters (one point per test, indexed by plan position).
         let mut ods = Ods::unbounded();
-        let mut maps: Vec<DesignSpaceMap> =
-            (0..prepared.len()).map(|_| DesignSpaceMap::new()).collect();
-        let mut sim_time: Vec<f64> = vec![0.0; prepared.len()];
+        let mut outcomes: Vec<SearchOutcome> = prepared
+            .iter()
+            .map(|target| SearchOutcome::start(&target.baseline))
+            .collect();
         let mut wall: Vec<f64> = vec![0.0; prepared.len()];
         let mut per_target_idx: Vec<usize> = vec![0; prepared.len()];
         for (fu, run) in plan.iter().zip(&runs) {
@@ -858,9 +761,10 @@ impl FleetTuner {
             )
             // detlint::allow(panic_path): same monotone index as above.
             .expect("plan index is monotone per series");
-            sim_time[fu.target_idx] += run.sim_time_s;
             wall[fu.target_idx] += run.wall_s;
-            maps[fu.target_idx].record(run.result.clone());
+            let outcome = &mut outcomes[fu.target_idx];
+            outcome.charge(run);
+            outcome.map.record(run.result.clone());
         }
 
         // Lay down the trace: one campaign span per target on its own
@@ -872,7 +776,7 @@ impl FleetTuner {
             for (fu, run) in plan.iter().zip(&runs) {
                 if open.map(|(t, _)| t) != Some(fu.target_idx) {
                     if let Some((t, h)) = open.take() {
-                        sink.close(h, sim_time[t]);
+                        sink.close(h, outcomes[t].sim_time_s);
                     }
                     let target = &prepared[fu.target_idx];
                     let entity = format!("{}@{}", target.service.name(), target.platform);
@@ -900,24 +804,19 @@ impl FleetTuner {
                 cursor[fu.target_idx] += run.sim_time_s;
             }
             if let Some((t, h)) = open.take() {
-                sink.close(h, sim_time[t]);
+                sink.close(h, outcomes[t].sim_time_s);
             }
         }
 
         let mut services = Vec::with_capacity(prepared.len());
-        for (i, target) in prepared.into_iter().enumerate() {
-            let map = std::mem::take(&mut maps[i]);
-            let (best_config, selected) = compose(&target.baseline, &map, &target.knobs);
+        for ((target, mut outcome), wall_s) in prepared.into_iter().zip(outcomes).zip(wall) {
+            (outcome.best_config, outcome.selected) =
+                compose(&target.baseline, &outcome.map, &target.knobs);
             services.push(ServiceTuning {
                 service: target.service,
                 platform: target.platform,
-                outcome: SearchOutcome {
-                    map,
-                    best_config,
-                    selected,
-                },
-                sim_time_s: sim_time[i],
-                wall_s: wall[i],
+                outcome,
+                wall_s,
             });
         }
         Ok(FleetOutcome {
@@ -1040,24 +939,24 @@ mod tests {
             assert_eq!(unit.settings.len(), 1);
             assert_ne!(unit.config, baseline);
         }
-    }
-
-    #[test]
-    fn parallel_sweep_finds_the_same_winners_as_the_serial_strategy() {
-        let (tester, mut env, baseline, space) = setup();
-        let out = parallel_independent_sweep(
-            &tester,
-            &mut env,
-            &baseline,
-            &space,
-            &[Knob::Thp, Knob::Shp],
-            Schedule::new(21).with_workers(NonZeroUsize::new(4).unwrap()),
-        )
-        .unwrap();
-        // Same winners the serial independent_sweep test pins down.
-        assert_eq!(out.best_config.shp_pages, 300);
-        assert_eq!(out.best_config.thp, softsku_archsim::ThpMode::AlwaysOn);
-        assert!(out.map.test_count() >= 7);
+        // Unbudgeted, THP's cross product is every candidate but the
+        // baseline's own (the all-baseline point is skipped), first knob
+        // fastest.
+        let thp = space.candidates(Knob::Thp);
+        let full = plan_exhaustive(&baseline, &space, &[Knob::Thp], 100, service, 5);
+        assert_eq!(full.len(), thp.len() - 1);
+        // A knob with no candidates empties the whole cross product.
+        let gated = KnobSpace::for_platform(
+            &baseline.platform,
+            WorkloadConstraints {
+                uses_shp: false,
+                ..WorkloadConstraints::permissive()
+            },
+        );
+        assert!(gated.candidates(Knob::Shp).is_empty());
+        assert!(
+            plan_exhaustive(&baseline, &gated, &[Knob::Thp, Knob::Shp], 100, service, 5).is_empty()
+        );
     }
 
     #[test]
@@ -1075,7 +974,7 @@ mod tests {
         assert!(fleet.wall_s > 0.0);
         for s in &fleet.services {
             assert!(s.outcome.map.test_count() > 0, "{}", s.service);
-            assert!(s.sim_time_s > 0.0);
+            assert!(s.outcome.sim_time_s > 0.0);
             let entity = format!("{}@{}", s.service, s.platform);
             let key = SeriesKey::keyed(&entity, LedgerKey::TuneWallS);
             assert_eq!(fleet.ods.len(&key), s.outcome.map.test_count());

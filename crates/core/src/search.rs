@@ -6,13 +6,24 @@
 //! (Sec. 4). Sec. 7 suggests better heuristics such as hill climbing for
 //! capturing non-additive knob interactions; both extensions are implemented
 //! here with explicit test budgets.
+//!
+//! Every strategy works the same way: it plans its tests
+//! ([`crate::scheduler`]), runs each on its own fork of the proto
+//! environment seeded from the test's identity, spread over the
+//! [`Schedule`]'s workers, and merges the results in plan order. An outcome
+//! is therefore bit-identical for any worker count.
 
-use crate::abtest::{AbTestResult, AbTester, Verdict};
+use crate::abtest::{AbTester, Verdict};
 use crate::error::UskuError;
 use crate::map::DesignSpaceMap;
+use crate::scheduler::{
+    plan_exhaustive, plan_independent, run_replicas, warm_baseline, JointUnit, ReplicaOutput,
+    ReplicaRun, Schedule, TestUnit,
+};
 use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::AbEnvironment;
 use softsku_knobs::{Knob, KnobSetting, KnobSpace};
+use softsku_telemetry::streams::IdentitySeed;
 
 /// Outcome of a search: the design-space map plus the selected composite
 /// configuration.
@@ -30,6 +41,45 @@ pub struct SearchOutcome {
     /// then-current config; the cumulative product is reported so the three
     /// strategies' numbers are comparable).
     pub selected: Vec<(Knob, KnobSetting, f64)>,
+    /// Simulated machine-seconds the search's replicas consumed, summed in
+    /// plan order.
+    pub sim_time_s: f64,
+    /// Injected-hazard and recovery event counts summed over the replicas
+    /// (`"hazards/injected.spike"` → n), sorted by series name; empty for
+    /// hazard-free runs.
+    pub hazard_counts: Vec<(String, u64)>,
+}
+
+impl SearchOutcome {
+    /// An outcome with nothing run yet: an empty map and the baseline as the
+    /// best configuration.
+    pub(crate) fn start(baseline: &ServerConfig) -> Self {
+        SearchOutcome {
+            map: DesignSpaceMap::new(),
+            best_config: baseline.clone(),
+            selected: Vec::new(),
+            sim_time_s: 0.0,
+            hazard_counts: Vec::new(),
+        }
+    }
+
+    /// Charges one replica's simulated time and hazard counts; callers
+    /// charge runs in plan order.
+    pub(crate) fn charge(&mut self, run: &ReplicaRun) {
+        self.sim_time_s += run.sim_time_s;
+        add_counts(&mut self.hazard_counts, &run.hazard_counts);
+    }
+}
+
+/// Adds `from`'s per-series event counts into `into`, keeping `into` sorted
+/// by series name.
+pub(crate) fn add_counts(into: &mut Vec<(String, u64)>, from: &[(String, u64)]) {
+    for (series, n) in from {
+        match into.binary_search_by(|(s, _)| s.as_str().cmp(series)) {
+            Ok(i) => into[i].1 += n,
+            Err(i) => into.insert(i, (series.clone(), *n)),
+        }
+    }
 }
 
 /// Independent per-knob sweep (the paper's deployed strategy).
@@ -40,31 +90,24 @@ pub struct SearchOutcome {
 ///
 /// # Errors
 ///
-/// Propagates tester/environment errors.
+/// Propagates tester/environment errors (deterministically: the failing
+/// unit at the lowest plan index wins).
 pub fn independent_sweep(
     tester: &AbTester,
-    env: &mut AbEnvironment,
+    proto: &mut AbEnvironment,
     baseline: &ServerConfig,
     space: &KnobSpace,
     knobs: &[Knob],
+    schedule: Schedule,
 ) -> Result<SearchOutcome, UskuError> {
-    let mut map = DesignSpaceMap::new();
-    for &knob in knobs {
-        for &setting in space.candidates(knob) {
-            // Skip re-testing the exact baseline value: it is the control.
-            if KnobSetting::read_from(knob, baseline) == setting {
-                continue;
-            }
-            let result = tester.run(env, baseline, setting)?;
-            map.record(result);
-        }
+    let runs = sweep_against(tester, proto, baseline, space, knobs, schedule)?;
+    let mut out = SearchOutcome::start(baseline);
+    for run in runs {
+        out.charge(&run);
+        out.map.record(run.result);
     }
-    let (best_config, selected) = compose(baseline, &map, knobs);
-    Ok(SearchOutcome {
-        map,
-        best_config,
-        selected,
-    })
+    (out.best_config, out.selected) = compose(baseline, &out.map, knobs);
+    Ok(out)
 }
 
 /// Exhaustive cross-product sweep over a (small) knob subset, bounded by
@@ -72,164 +115,144 @@ pub fn independent_sweep(
 /// capturing interactions the independent sweep misses, at a cost that
 /// explodes combinatorially (which is the paper's point).
 ///
+/// Joint results land in the map's joint ledger in plan order, so no single
+/// knob is credited with a joint gain; the winner is the earliest-planned
+/// maximum gain.
+///
 /// # Errors
 ///
 /// Propagates tester/environment errors.
 pub fn exhaustive_sweep(
     tester: &AbTester,
-    env: &mut AbEnvironment,
+    proto: &mut AbEnvironment,
     baseline: &ServerConfig,
     space: &KnobSpace,
     knobs: &[Knob],
     budget: usize,
+    schedule: Schedule,
 ) -> Result<SearchOutcome, UskuError> {
-    let mut map = DesignSpaceMap::new();
-    let candidate_lists: Vec<&[KnobSetting]> = knobs.iter().map(|&k| space.candidates(k)).collect();
-    type JointBest = (ServerConfig, Vec<(Knob, KnobSetting, f64)>, f64);
-    let mut best: Option<JointBest> = None;
-    let mut tested = 0usize;
-
-    let mut indices = vec![0usize; knobs.len()];
-    'outer: loop {
-        // Build the joint configuration for the current index vector.
-        let mut config = baseline.clone();
-        let mut settings = Vec::with_capacity(knobs.len());
-        let mut valid = true;
-        for (i, list) in candidate_lists.iter().enumerate() {
-            if list.is_empty() {
-                valid = false;
-                break;
-            }
-            let setting = list[indices[i]];
-            if setting.apply(&mut config).is_err() {
-                valid = false;
-                break;
-            }
-            settings.push(setting);
-        }
-        if valid && config != *baseline {
-            if tested >= budget {
-                break 'outer;
-            }
-            tested += 1;
-            // Measure the joint configuration: apply it wholesale to arm B,
-            // labelled by the last knob's setting for display. The result is
-            // recorded in the map's dedicated joint ledger with *all*
-            // constituent settings, so no single knob is credited with the
-            // joint gain (per-knob `best_setting` stays honest).
-            let result = run_joint(
-                tester,
-                env,
-                baseline,
-                &config,
-                // detlint::allow(panic_path): the caller pushes a setting
-                // before every recursive call, so the slice is non-empty.
-                *settings.last().expect("non-empty"),
-            )?;
-            if let Verdict::Better { gain } = result.verdict {
-                let is_better = best.as_ref().is_none_or(|(_, _, g)| gain > *g);
-                if is_better {
-                    let sel = knobs
-                        .iter()
-                        .zip(&settings)
-                        .map(|(&k, &s)| (k, s, gain))
-                        .collect();
-                    best = Some((config.clone(), sel, gain));
-                }
-            }
-            map.record_joint(settings.clone(), result);
-        }
-        // Advance the mixed-radix counter.
-        let mut i = 0;
-        loop {
-            if i == knobs.len() {
-                break 'outer;
-            }
-            indices[i] += 1;
-            if indices[i] < candidate_lists[i].len().max(1) {
-                break;
-            }
-            indices[i] = 0;
-            i += 1;
-        }
+    let service = proto.profile().service.name().to_string();
+    let plan = plan_exhaustive(baseline, space, knobs, budget, &service, schedule.base_seed);
+    warm_baseline(proto, baseline);
+    let proto = &*proto;
+    let runs = run_replicas(&plan, schedule.workers.get(), |unit: &JointUnit| {
+        let mut env = proto.fork(unit.seed);
+        let needs_reboot = unit.config.active_cores != baseline.active_cores
+            || unit.config.shp_pages != baseline.shp_pages;
+        // detlint::allow(panic_path): plan_exhaustive emits only non-empty
+        // joint units; an empty one is a planner bug worth aborting on.
+        let label = *unit.settings.last().expect("joint units are non-empty");
+        let result = tester.run_config(&mut env, baseline, &unit.config, needs_reboot, label)?;
+        Ok(ReplicaOutput::new(result, &env))
+    })?;
+    let mut out = SearchOutcome::start(baseline);
+    for (unit, run) in plan.iter().zip(runs) {
+        out.charge(&run);
+        out.map.record_joint(unit.settings.clone(), run.result);
     }
-
-    let (best_config, selected) = match best {
-        Some((cfg, sel, _)) => (cfg, sel),
-        None => (baseline.clone(), Vec::new()),
-    };
-    Ok(SearchOutcome {
-        map,
-        best_config,
-        selected,
-    })
+    if let Some((joint, gain)) = out.map.best_joint() {
+        let mut config = baseline.clone();
+        let mut selected = Vec::with_capacity(joint.settings.len());
+        for s in &joint.settings {
+            // detlint::allow(panic_path): every planned setting was
+            // validated against the same baseline when the plan was built.
+            s.apply(&mut config).expect("planned settings are valid");
+            selected.push((s.knob(), *s, gain));
+        }
+        (out.best_config, out.selected) = (config, selected);
+    }
+    Ok(out)
 }
 
 /// Hill climbing: start from the baseline and greedily accept the best
 /// significant single-knob move until no move improves or `max_steps` is
 /// reached (the Sec. 7 heuristic for non-additive interactions).
 ///
+/// Each step is a planned independent sweep against the current
+/// configuration, its replica seeds derived under the step's own base seed
+/// `IdentitySeed(base).field("hill_climb").field(step)`. The accepted move
+/// is the first `Better` verdict with the strictly largest gain, in plan
+/// order.
+///
 /// # Errors
 ///
 /// Propagates tester/environment errors.
 pub fn hill_climb(
     tester: &AbTester,
-    env: &mut AbEnvironment,
+    proto: &mut AbEnvironment,
     baseline: &ServerConfig,
     space: &KnobSpace,
     knobs: &[Knob],
     max_steps: usize,
+    schedule: Schedule,
 ) -> Result<SearchOutcome, UskuError> {
-    let mut map = DesignSpaceMap::new();
-    let mut current = baseline.clone();
-    let mut selected: Vec<(Knob, KnobSetting, f64)> = Vec::new();
+    let mut out = SearchOutcome::start(baseline);
     // Each step's A/B test measures against the *current* config; the
     // cumulative product converts step gains into gains vs. the original
     // baseline, matching the `selected` semantics of the other strategies.
     let mut cumulative_factor = 1.0f64;
 
-    for _ in 0..max_steps {
+    for step in 0..max_steps {
+        let step_schedule = Schedule {
+            base_seed: IdentitySeed::new(schedule.base_seed)
+                .field("hill_climb")
+                .field(&step.to_string())
+                .finish(),
+            ..schedule
+        };
+        let runs = sweep_against(tester, proto, &out.best_config, space, knobs, step_schedule)?;
         let mut best_move: Option<(KnobSetting, f64)> = None;
-        for &knob in knobs {
-            for &setting in space.candidates(knob) {
-                if KnobSetting::read_from(knob, &current) == setting {
-                    continue;
+        for run in runs {
+            out.charge(&run);
+            if let Verdict::Better { gain } = run.result.verdict {
+                if best_move.is_none_or(|(_, g)| gain > g) {
+                    best_move = Some((run.result.setting, gain));
                 }
-                let result = tester.run(env, &current, setting)?;
-                if let Verdict::Better { gain } = result.verdict {
-                    if best_move.is_none_or(|(_, g)| gain > g) {
-                        best_move = Some((setting, gain));
-                    }
-                }
-                map.record(result);
             }
+            out.map.record(run.result);
         }
-        match best_move {
-            Some((setting, gain)) => {
-                // detlint::allow(panic_path): the move was applied to a clone
-                // of this very config when it was scored; apply cannot fail.
-                setting
-                    .apply(&mut current)
-                    .expect("previously validated move");
-                cumulative_factor *= 1.0 + gain;
-                // Replace any earlier selection of the same knob; the stored
-                // gain is the cumulative gain vs. the original baseline at
-                // the time this move was accepted.
-                selected.retain(|(k, _, _)| *k != setting.knob());
-                selected.push((setting.knob(), setting, cumulative_factor - 1.0));
-            }
-            None => break,
-        }
+        let Some((setting, gain)) = best_move else {
+            break;
+        };
+        // detlint::allow(panic_path): the move was applied to a clone of
+        // this very config when it was planned; apply cannot fail.
+        setting
+            .apply(&mut out.best_config)
+            .expect("previously validated move");
+        cumulative_factor *= 1.0 + gain;
+        // Replace any earlier selection of the same knob; the stored gain is
+        // the cumulative gain vs. the original baseline at the time this
+        // move was accepted.
+        out.selected.retain(|(k, _, _)| *k != setting.knob());
+        out.selected
+            .push((setting.knob(), setting, cumulative_factor - 1.0));
     }
-    Ok(SearchOutcome {
-        map,
-        best_config: current,
-        selected,
+    Ok(out)
+}
+
+/// Runs one planned independent sweep against `base`: every candidate on
+/// its own fork of `proto`, results in plan order.
+fn sweep_against(
+    tester: &AbTester,
+    proto: &mut AbEnvironment,
+    base: &ServerConfig,
+    space: &KnobSpace,
+    knobs: &[Knob],
+    schedule: Schedule,
+) -> Result<Vec<ReplicaRun>, UskuError> {
+    let service = proto.profile().service.name().to_string();
+    let plan = plan_independent(base, space, knobs, &service, schedule.base_seed);
+    warm_baseline(proto, base);
+    let proto = &*proto;
+    run_replicas(&plan, schedule.workers.get(), |unit: &TestUnit| {
+        let mut env = proto.fork(unit.seed);
+        let result = tester.run(&mut env, base, unit.setting)?;
+        Ok(ReplicaOutput::new(result, &env))
     })
 }
 
 /// Composes per-knob winners onto the baseline (the independent strategy's
-/// additive assumption). Shared with the parallel scheduler.
+/// additive assumption). Shared with the [`crate::scheduler::FleetTuner`].
 pub(crate) fn compose(
     baseline: &ServerConfig,
     map: &DesignSpaceMap,
@@ -245,20 +268,6 @@ pub(crate) fn compose(
         }
     }
     (config, selected)
-}
-
-/// Runs one joint-configuration comparison; the map entry is labelled with
-/// `label_setting` (the exhaustive sweep's bookkeeping).
-fn run_joint(
-    tester: &AbTester,
-    env: &mut AbEnvironment,
-    baseline: &ServerConfig,
-    joint: &ServerConfig,
-    label_setting: KnobSetting,
-) -> Result<AbTestResult, UskuError> {
-    let needs_reboot =
-        joint.active_cores != baseline.active_cores || joint.shp_pages != baseline.shp_pages;
-    tester.run_config(env, baseline, joint, needs_reboot, label_setting)
 }
 
 #[cfg(test)]
@@ -291,6 +300,7 @@ mod tests {
             &baseline,
             &space,
             &[Knob::Thp, Knob::Shp],
+            Schedule::new(21),
         )
         .unwrap();
         let knobs: Vec<Knob> = out.selected.iter().map(|(k, _, _)| *k).collect();
@@ -312,6 +322,7 @@ mod tests {
             &space,
             &[Knob::Thp, Knob::Shp],
             2,
+            Schedule::new(21),
         )
         .unwrap();
         assert!(
@@ -324,7 +335,16 @@ mod tests {
     #[test]
     fn exhaustive_respects_budget() {
         let (tester, mut env, baseline, space) = setup();
-        let out = exhaustive_sweep(&tester, &mut env, &baseline, &space, &[Knob::Thp], 2).unwrap();
+        let out = exhaustive_sweep(
+            &tester,
+            &mut env,
+            &baseline,
+            &space,
+            &[Knob::Thp],
+            2,
+            Schedule::new(21),
+        )
+        .unwrap();
         assert!(out.map.test_count() <= 2);
     }
 
@@ -338,6 +358,7 @@ mod tests {
             &space,
             &[Knob::Thp, Knob::Shp],
             8,
+            Schedule::new(21),
         )
         .unwrap();
         let joints = out.map.joint_results();
@@ -379,6 +400,7 @@ mod tests {
             &space,
             &[Knob::Thp, Knob::Shp],
             2,
+            Schedule::new(21),
         )
         .unwrap();
         assert_eq!(

@@ -6,7 +6,8 @@ use crate::error::UskuError;
 use crate::generator::{SoftSku, SoftSkuGenerator};
 use crate::input::{InputFile, SweepConfig};
 use crate::map::DesignSpaceMap;
-use crate::search::{exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome};
+use crate::scheduler::Schedule;
+use crate::search::{add_counts, exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome};
 use softsku_cluster::{AbEnvironment, EnvConfig, ValidationOutcome};
 use softsku_knobs::{Knob, KnobSpace};
 use softsku_telemetry::streams::{stream_seed, StreamFamily};
@@ -69,10 +70,12 @@ pub struct UskuReport {
     pub soft_sku: SoftSku,
     /// Long-horizon deployment validation vs hand-tuned production.
     pub validation: Option<ValidationOutcome>,
-    /// Simulated wall-clock the search consumed, seconds (the paper's
-    /// prototype takes "5-10 hours" per service).
+    /// Simulated machine-seconds the search consumed: its replicas' time
+    /// plus the composite measurements (the paper's prototype takes "5-10
+    /// hours" per service).
     pub search_time_s: f64,
-    /// Injected-hazard and recovery event counts from the A/B environment
+    /// Injected-hazard and recovery event counts summed over the search's
+    /// replicas and the composite measurements
     /// (`"hazards/injected.spike"` → n), empty for hazard-free runs.
     pub hazard_counts: Vec<(String, u64)>,
 }
@@ -150,12 +153,15 @@ impl Usku {
         let space = configurator.knob_space()?;
         let knobs = configurator.knobs()?;
 
+        // The proto environment: the search runs every test on a fork of
+        // it, and the generator measures the composite on it directly.
         let mut env = AbEnvironment::new(profile.clone(), self.config.env, self.input.seed)?;
         let tester = AbTester::new(self.config.abtest, self.input.metric);
+        let schedule = Schedule::new(self.input.seed);
 
         let outcome: SearchOutcome = match self.input.sweep {
             SweepConfig::Independent => {
-                independent_sweep(&tester, &mut env, &production, &space, &knobs)?
+                independent_sweep(&tester, &mut env, &production, &space, &knobs, schedule)?
             }
             SweepConfig::Exhaustive => exhaustive_sweep(
                 &tester,
@@ -164,6 +170,7 @@ impl Usku {
                 &space,
                 &knobs,
                 self.config.exhaustive_budget,
+                schedule,
             )?,
             SweepConfig::HillClimbing => hill_climb(
                 &tester,
@@ -172,13 +179,15 @@ impl Usku {
                 &space,
                 &knobs,
                 self.config.hill_climb_steps,
+                schedule,
             )?,
         };
 
         let generator = SoftSkuGenerator::new(&tester);
         let soft_sku = generator.generate(&mut env, &outcome, &production, &stock)?;
-        let search_time_s = env.time_s();
-        let hazard_counts = env.hazard_counts();
+        let search_time_s = outcome.sim_time_s + env.time_s();
+        let mut hazard_counts = outcome.hazard_counts;
+        add_counts(&mut hazard_counts, &env.hazard_counts());
 
         let validation = if self.config.validate_days > 0.0 {
             Some(generator.validate(

@@ -20,7 +20,7 @@ use usku::abtest::{AbTestConfig, AbTestResult, AbTester};
 use usku::map::DesignSpaceMap;
 use usku::metric::PerformanceMetric;
 use usku::profile::ArmCpiStacks;
-use usku::scheduler::{run_replicas, trace_test_span, ReplicaOutput};
+use usku::scheduler::{run_replicas, trace_test_span, warm_baseline, ReplicaOutput};
 
 /// Validation parameters of the composer.
 #[derive(Debug, Clone, Copy)]
@@ -454,10 +454,9 @@ impl SkuComposer {
             let result =
                 self.tester
                     .run_config(&mut env, baseline, candidate, needs_reboot, label)?;
-            // Sim time read before the (read-only) CPI probe, so traced and
-            // untraced runs report identical numbers.
-            let sim_time_s = env.time_s();
-            let mut out = ReplicaOutput::new(result, sim_time_s);
+            // The replica is charged before the (read-only) CPI probe, so
+            // traced and untraced runs report identical numbers.
+            let mut out = ReplicaOutput::new(result, &env);
             if probe_cpi {
                 out.cpi = ArmCpiStacks::capture(&mut env);
             }
@@ -515,15 +514,5 @@ impl SkuComposer {
             results,
             sim_time_s,
         })
-    }
-}
-
-/// Pre-evaluates the baseline load curve on the proto environment so every
-/// validation fork inherits it from the cloned arm (same warm-up the core
-/// scheduler performs).
-fn warm_baseline(proto: &mut AbEnvironment, baseline: &ServerConfig) {
-    let arm = proto.arm_mut(softsku_cluster::Arm::A);
-    if arm.reconfigure(baseline.clone(), false).is_ok() {
-        let _ = arm.mips(1.0);
     }
 }

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {entity:<24} tune.wall_s[{wall}]  tune.sim_s[{sim}]  total {:.2} s wall / {:.1} sim-h",
             s.wall_s,
-            s.sim_time_s / 3600.0
+            s.outcome.sim_time_s / 3600.0
         );
     }
     Ok(())

@@ -1,15 +1,15 @@
-//! Determinism suite for the parallel tuning scheduler (ISSUE satellite):
-//! the same sweep must produce verdict-for-verdict identical design-space
-//! maps — and the same composed configuration — for any worker count,
-//! because each test's replica seed derives from the test's identity, not
-//! from scheduling. Also pins the parallel sweep to the serial strategy's
-//! winners, with and without injected production hazards.
+//! Determinism suite for the search strategies: the same search must
+//! produce verdict-for-verdict identical design-space maps — and the same
+//! composed configuration, simulated time and hazard ledger — for any worker
+//! count, because each test's replica seed derives from the test's
+//! identity, not from scheduling. Covers all three strategies, with and
+//! without injected production hazards.
 
 use softsku::cluster::{AbEnvironment, EnvConfig, HazardConfig};
 use softsku::knobs::{Knob, KnobSpace};
 use softsku::usku::metric::PerformanceMetric;
-use softsku::usku::scheduler::{parallel_exhaustive_sweep, parallel_independent_sweep, Schedule};
-use softsku::usku::search::{independent_sweep, SearchOutcome};
+use softsku::usku::scheduler::Schedule;
+use softsku::usku::search::{exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome};
 use softsku::usku::{AbTestConfig, AbTester};
 use softsku::workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
@@ -28,7 +28,7 @@ fn setup(env_config: EnvConfig) -> (AbTester, AbEnvironment, KnobSpace) {
 fn independent_with(workers: usize, env_config: EnvConfig) -> SearchOutcome {
     let (tester, mut env, space) = setup(env_config);
     let baseline = env.profile().production_config.clone();
-    parallel_independent_sweep(
+    independent_sweep(
         &tester,
         &mut env,
         &baseline,
@@ -42,7 +42,7 @@ fn independent_with(workers: usize, env_config: EnvConfig) -> SearchOutcome {
 fn exhaustive_with(workers: usize, env_config: EnvConfig) -> SearchOutcome {
     let (tester, mut env, space) = setup(env_config);
     let baseline = env.profile().production_config.clone();
-    parallel_exhaustive_sweep(
+    exhaustive_sweep(
         &tester,
         &mut env,
         &baseline,
@@ -54,12 +54,36 @@ fn exhaustive_with(workers: usize, env_config: EnvConfig) -> SearchOutcome {
     .unwrap()
 }
 
+fn hill_climb_with(workers: usize) -> SearchOutcome {
+    let (tester, mut env, space) = setup(EnvConfig::fast_test());
+    let baseline = env.profile().production_config.clone();
+    hill_climb(
+        &tester,
+        &mut env,
+        &baseline,
+        &space,
+        &KNOBS,
+        2,
+        Schedule::new(SEED).with_workers(NonZeroUsize::new(workers).unwrap()),
+    )
+    .unwrap()
+}
+
 /// Bit-level equality of two outcomes: every verdict and sample count (via
-/// the rendered map), every selection (knob, setting, exact gain), and the
-/// composed configuration.
+/// the rendered map), every selection (knob, setting, exact gain), the
+/// composed configuration, the simulated time, and the hazard ledger.
 fn assert_identical(a: &SearchOutcome, b: &SearchOutcome, what: &str) {
     assert_eq!(a.map.render(), b.map.render(), "{what}: maps diverged");
     assert_eq!(a.best_config, b.best_config, "{what}: best_config diverged");
+    assert_eq!(
+        a.sim_time_s.to_bits(),
+        b.sim_time_s.to_bits(),
+        "{what}: simulated time not bit-identical"
+    );
+    assert_eq!(
+        a.hazard_counts, b.hazard_counts,
+        "{what}: hazard ledgers diverged"
+    );
     assert_eq!(
         a.selected.len(),
         b.selected.len(),
@@ -95,21 +119,13 @@ fn independent_sweep_stays_deterministic_under_hazards() {
     let eight = independent_with(8, config);
     assert_identical(&one, &two, "hazards, 1 vs 2 workers");
     assert_identical(&one, &eight, "hazards, 1 vs 8 workers");
-}
-
-#[test]
-fn parallel_sweep_matches_the_serial_strategy_winners() {
-    let (tester, mut env, space) = setup(EnvConfig::fast_test());
-    let baseline = env.profile().production_config.clone();
-    let serial = independent_sweep(&tester, &mut env, &baseline, &space, &KNOBS).unwrap();
-    let parallel = independent_with(4, EnvConfig::fast_test());
-    // The serial sweep samples one shared environment, so bit-level maps
-    // differ; the *decisions* — composed config and chosen settings — must
-    // agree.
-    assert_eq!(serial.best_config, parallel.best_config);
-    let serial_picks: Vec<_> = serial.selected.iter().map(|s| (s.0, s.1)).collect();
-    let parallel_picks: Vec<_> = parallel.selected.iter().map(|s| (s.0, s.1)).collect();
-    assert_eq!(serial_picks, parallel_picks);
+    assert!(
+        one.hazard_counts
+            .iter()
+            .any(|(series, n)| series.starts_with("hazards/") && *n > 0),
+        "moderate weather injected hazards: {:?}",
+        one.hazard_counts
+    );
 }
 
 #[test]
@@ -121,4 +137,14 @@ fn exhaustive_sweep_is_bit_identical_across_worker_counts() {
         !one.map.joint_results().is_empty(),
         "exhaustive sweep recorded joint configurations"
     );
+}
+
+#[test]
+fn hill_climb_is_bit_identical_across_worker_counts() {
+    let one = hill_climb_with(1);
+    let two = hill_climb_with(2);
+    let eight = hill_climb_with(8);
+    assert_identical(&one, &two, "hill climb, 1 vs 2 workers");
+    assert_identical(&one, &eight, "hill climb, 1 vs 8 workers");
+    assert!(!one.selected.is_empty(), "the climb accepted a move");
 }

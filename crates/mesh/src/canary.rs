@@ -8,7 +8,14 @@
 //! the production baseline's own end-to-end p99, then replays the
 //! candidate assignment through the instrumented simulator and feeds
 //! every completed request — in canonical completion order — into an
-//! [`SloEvaluator`]. Promotion requires the multi-window burn-rate alert
+//! [`SloEvaluator`].
+//!
+//! The campaign computes each fact once. It tunes first, on one segment
+//! table for the clean configuration; the baseline is the all-production
+//! assignment read from that table (the tune already simulated its
+//! segments), and a clean canary is the winner read from it too. A canary
+//! with an injected regression draws different roots, so it simulates on
+//! a fresh table. Promotion requires the multi-window burn-rate alert
 //! to never sustain past the configured trip count; a sustained burn
 //! blocks promotion, rolls the deployment back to the production SKUs,
 //! and enqueues a `slo.retune` ledger point, with the blocking alert's
@@ -22,6 +29,7 @@
 
 use crate::error::MeshError;
 use crate::graph::ServiceGraph;
+use crate::segment::SegmentTable;
 use crate::sim::{MeshConfig, MeshReport, MeshSim};
 use crate::tune::{MeshObjective, MeshTuner, TierSelection, TunedMesh};
 use softsku_telemetry::slo::{Exemplar, SloEvaluator, SloSpec};
@@ -153,9 +161,11 @@ impl<'a> MeshCanary<'a> {
         })
     }
 
-    /// Runs the campaign: baseline → tune → instrumented canary → burn
-    /// gate. Appends `slo.*` points to `ods` under the graph entity and
-    /// records the canary's request spans plus alert windows into `sink`.
+    /// Runs the campaign: tune → baseline from the tune's segment table →
+    /// instrumented canary → burn gate. The result equals the baseline →
+    /// tune → canary composition of the public calls, bit for bit. Appends
+    /// `slo.*` points to `ods` under the graph entity and records the
+    /// canary's request spans plus alert windows into `sink`.
     ///
     /// # Errors
     ///
@@ -166,16 +176,34 @@ impl<'a> MeshCanary<'a> {
         ods: &mut Ods,
         sink: &mut TraceSink,
     ) -> Result<MeshCanaryReport, MeshError> {
-        let mut clean = self.config;
-        clean.regress_frac = 0.0;
-        clean.regress_scale = 1.0;
+        let sim = MeshSim::new(self.graph, self.clean_config())?;
+        self.run_in(workers, ods, sink, &sim, &sim.segment_table()?)
+    }
+
+    /// [`MeshCanary::run`] on `sim`, the clean scenario's simulator, and
+    /// `table`, an empty table of `sim`'s. One table for the campaign: the
+    /// tune fills it, and the baseline's production windows and segments
+    /// are then hits, as are a clean canary's.
+    pub(crate) fn run_in(
+        &self,
+        workers: usize,
+        ods: &mut Ods,
+        sink: &mut TraceSink,
+        sim: &MeshSim<'_>,
+        table: &SegmentTable,
+    ) -> Result<MeshCanaryReport, MeshError> {
+        let clean = *sim.config();
         let prod = self.production_selections()?;
         let prod_skus: Vec<_> = prod.iter().map(|s| s.config.clone()).collect();
-        let baseline = MeshSim::new(self.graph, clean)?.run(&prod_skus)?;
 
         let tuner = MeshTuner::with_default_candidates(self.graph, clean)?;
-        let tuned = tuner.tune(self.gate.objective, workers)?;
+        let tuned = tuner.tune_in(self.gate.objective, workers, sim, table)?;
         let cand_skus: Vec<_> = tuned.selections.iter().map(|s| s.config.clone()).collect();
+        let prod_cals = sim.calibrate(&prod_skus)?;
+        // Past the tune only the baseline's and the winner's segments are
+        // read again; the rest would sit beside the canary's trace.
+        sim.retain_segments(table, &[&prod_cals, &sim.calibrate(&cand_skus)?]);
+        let baseline = sim.run_shared(&prod_cals, table);
 
         let threshold_s = self.gate.threshold_margin * baseline.p99_s;
         let fast_w = self.gate.fast_requests / self.config.arrival_rate_hz;
@@ -189,8 +217,13 @@ impl<'a> MeshCanary<'a> {
         )?;
         let mut slo = SloEvaluator::new(spec);
 
-        let (canary, samples) =
-            MeshSim::new(self.graph, self.config)?.run_instrumented(&cand_skus, sink)?;
+        // A clean canary is the tune's winner, segments and all; a
+        // regressed one draws other roots.
+        let (canary, samples) = if self.config == clean {
+            sim.run_instrumented_in(&cand_skus, sink, table)?
+        } else {
+            MeshSim::new(self.graph, self.config)?.run_instrumented(&cand_skus, sink)?
+        };
 
         let mut max_sustained = 0u32;
         let mut blocked_at_s = None;
@@ -250,6 +283,16 @@ impl<'a> MeshCanary<'a> {
             exemplars,
             deployed,
         })
+    }
+
+    /// The scenario without its injected regression: what the baseline
+    /// and the tuner run.
+    fn clean_config(&self) -> MeshConfig {
+        MeshConfig {
+            regress_frac: 0.0,
+            regress_scale: 1.0,
+            ..self.config
+        }
     }
 
     /// The production SKU per tier — the holdback the gate rolls back to.
@@ -362,6 +405,31 @@ mod tests {
                 .any(|e| e.span_id != u64::MAX && ids.contains(&e.span_id)),
             "at least one exemplar resolves to a recorded span"
         );
+    }
+
+    #[test]
+    fn a_clean_campaign_simulates_only_the_tunes_segments() {
+        // The baseline is the all-production assignment and a clean canary
+        // the winner: both are in the tune's table, so the campaign adds no
+        // segment to it. A regressed canary runs on a fresh table.
+        let graph = crate::graph::social_network().unwrap();
+        for (cfg, promoted) in [(scenario(0.0, 1.0), true), (scenario(0.2, 4.0), false)] {
+            let canary = MeshCanary::new(&graph, cfg, MeshCanaryConfig::default()).unwrap();
+            let sim = MeshSim::new(&graph, canary.clean_config()).unwrap();
+            let table = sim.segment_table().unwrap();
+            let report = canary
+                .run_in(
+                    2,
+                    &mut Ods::unbounded(),
+                    &mut TraceSink::new(),
+                    &sim,
+                    &table,
+                )
+                .unwrap();
+            assert_eq!(report.promoted, promoted);
+            assert_eq!(report.tuned.tier_passes, 62);
+            assert_eq!(table.passes(), 62, "baseline and canary reuse the tune's");
+        }
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //! first assignment to need a segment simulates it while later ones wait
 //! on the slot, so each distinct segment is simulated exactly once for
 //! any worker count. [`MeshSim::run`](crate::MeshSim::run) uses a fresh
-//! table per run; the graph-p99 tuner shares one across its assignments
-//! and drops it when the tune returns.
+//! table per run; the graph-p99 tuner shares one across its assignments,
+//! and a canary campaign shares one across its tune, its baseline and a
+//! clean canary, keeping only those two assignments' segments past the
+//! tune.
 
 use crate::graph::ServiceGraph;
 use crate::sim::{MeshConfig, TierCal};
@@ -36,7 +38,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softsku_telemetry::streams::{IdentitySeed, StreamFamily, StreamRegistry};
 use softsku_workloads::queuesim::{FcfsServers, ServiceDist};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -217,6 +219,7 @@ type SegmentSlot = Arc<OnceLock<Arc<Segment>>>;
 /// free [`Roots`] every assignment shares.
 #[derive(Debug)]
 pub(crate) struct SegmentTable {
+    config: MeshConfig,
     roots: Roots,
     slots: Mutex<HashMap<Vec<u64>, SegmentSlot>>,
     passes: AtomicUsize,
@@ -230,15 +233,34 @@ impl SegmentTable {
     /// As [`Roots::draw`].
     pub(crate) fn new(cfg: &MeshConfig) -> Result<SegmentTable, MeshError> {
         Ok(SegmentTable {
+            config: *cfg,
             roots: Roots::draw(cfg)?,
             slots: Mutex::default(),
             passes: AtomicUsize::new(0),
         })
     }
 
+    /// The configuration the table's roots and segments were drawn for.
+    pub(crate) fn config(&self) -> &MeshConfig {
+        &self.config
+    }
+
     /// How many segments this table simulated.
     pub(crate) fn passes(&self) -> usize {
         self.passes.load(Ordering::Relaxed)
+    }
+
+    /// Drops every segment outside the cones of `assignments` (one
+    /// calibration per tier each). Later runs of those assignments still
+    /// hit; any other simulates afresh.
+    pub(crate) fn keep_only(&self, wiring: &[TierWiring], assignments: &[&[TierCal]]) {
+        let keep: HashSet<Vec<u64>> = assignments
+            .iter()
+            .flat_map(|cals| (0..wiring.len()).map(move |t| cone_key(t, &wiring[t].cone, cals)))
+            .collect();
+        if let Ok(mut map) = self.slots.lock() {
+            map.retain(|key, _| keep.contains(key));
+        }
     }
 
     /// The segment for `key`, simulated by `compute` on first use. The
@@ -262,20 +284,19 @@ impl SegmentTable {
         &'a self,
         graph: &'a ServiceGraph,
         wiring: &'a [TierWiring],
-        cfg: &MeshConfig,
         cals: &[TierCal],
     ) -> Forward<'a> {
         let n = graph.tiers().len();
         let mut segs: Vec<Option<Arc<Segment>>> = vec![None; n];
         let mut offset = vec![0usize; n];
-        let mut next = cfg.requests;
+        let mut next = self.config.requests;
         for &t in graph.topo_order() {
             let key = cone_key(t, &wiring[t].cone, cals);
             let seg = self.segment(key, || {
                 let step = Step {
                     graph,
                     wiring,
-                    cfg,
+                    cfg: &self.config,
                     roots: &self.roots,
                 };
                 step.run(t, cals[t], &segs, &offset)

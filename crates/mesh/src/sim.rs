@@ -39,10 +39,10 @@ use crate::segment::{wire, Forward, SegmentTable, TierWiring, NO_CHILD};
 use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::SimServer;
 use softsku_telemetry::keys::LedgerKey;
-use softsku_telemetry::nearest_rank;
 use softsku_telemetry::ods::{Ods, SeriesKey};
 use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, TraceSink};
+use softsku_telemetry::{nearest_rank, select_nearest_rank};
 
 /// Simulation inputs beyond the graph and the per-tier SKUs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -304,9 +304,26 @@ impl<'a> MeshSim<'a> {
         skus: &[ServerConfig],
         sink: &mut TraceSink,
     ) -> Result<(MeshReport, Vec<RequestSample>), MeshError> {
+        self.run_instrumented_in(skus, sink, &self.segment_table()?)
+    }
+
+    /// An empty segment table for this simulator's (validated)
+    /// configuration.
+    pub(crate) fn segment_table(&self) -> Result<SegmentTable, MeshError> {
+        SegmentTable::new(&self.config)
+    }
+
+    /// [`MeshSim::run_instrumented`] through `table`, one of this
+    /// simulator's [`MeshSim::segment_table`]s: the tiers whose cone of
+    /// calibrations the table has already seen reuse its segments.
+    pub(crate) fn run_instrumented_in(
+        &self,
+        skus: &[ServerConfig],
+        sink: &mut TraceSink,
+        table: &SegmentTable,
+    ) -> Result<(MeshReport, Vec<RequestSample>), MeshError> {
         let cals = self.calibrate(skus)?;
-        let table = SegmentTable::new(&self.config)?;
-        let (fwd, response, report) = self.run_calibrated(&cals, &table);
+        let (fwd, response, report) = self.run_calibrated(&cals, table);
         let arrival = &fwd.roots.arrival;
         let span_ids = if sink.is_enabled() {
             record_trace(self.graph, &fwd, &response, sink)
@@ -340,6 +357,40 @@ impl<'a> MeshSim<'a> {
         self.run_calibrated(cals, table).2
     }
 
+    /// The end-to-end p99 [`MeshSim::run_shared`] would report, bit for
+    /// bit, without the report: forward, finish and backward passes, then
+    /// one O(n) nearest-rank selection — no sort, attribution or tier
+    /// stats. The graph-p99 tuner's score.
+    pub(crate) fn p99_shared(&self, cals: &[TierCal], table: &SegmentTable) -> f64 {
+        let fwd = self.forward(cals, table);
+        let (response, _) = fwd.backward(&fwd.finish());
+        // Latencies are nonnegative, so `total_cmp` order is the bit order
+        // the report's sort uses.
+        let mut latencies: Vec<f64> = fwd
+            .roots
+            .arrival
+            .iter()
+            .zip(&response)
+            .map(|(&a, &r)| r - a)
+            .collect();
+        select_nearest_rank(&mut latencies, 0.99).unwrap_or(f64::NAN)
+    }
+
+    /// Keeps only the segments of `assignments` in `table`.
+    pub(crate) fn retain_segments(&self, table: &SegmentTable, assignments: &[&[TierCal]]) {
+        table.keep_only(&self.wiring, assignments);
+    }
+
+    /// The forward pass of one calibrated assignment through `table`.
+    fn forward<'t>(&'t self, cals: &[TierCal], table: &'t SegmentTable) -> Forward<'t> {
+        debug_assert_eq!(
+            table.config(),
+            &self.config,
+            "a segment table serves only the configuration it was drawn for"
+        );
+        table.forward(self.graph, &self.wiring, cals)
+    }
+
     /// The forward pass through `table`, the backward pass, and the
     /// report; also returns the forward pass and every job's response for
     /// the trace and the request samples.
@@ -348,7 +399,7 @@ impl<'a> MeshSim<'a> {
         cals: &[TierCal],
         table: &'t SegmentTable,
     ) -> (Forward<'t>, Vec<f64>, MeshReport) {
-        let fwd = table.forward(self.graph, &self.wiring, &self.config, cals);
+        let fwd = self.forward(cals, table);
         let finish = fwd.finish();
         let (response, critical) = fwd.backward(&finish);
         let report = self.summarize(&fwd, &finish, &response, &critical, cals);
@@ -918,8 +969,8 @@ mod tests {
         let graph = social_network().unwrap();
         let sim = MeshSim::new(&graph, small_config()).unwrap();
         let cals = sim.calibrate(&production_skus(&graph)).unwrap();
-        let table = SegmentTable::new(sim.config()).unwrap();
-        let fwd = table.forward(&graph, &sim.wiring, sim.config(), &cals);
+        let table = sim.segment_table().unwrap();
+        let fwd = sim.forward(&cals, &table);
         let finish = fwd.finish();
         let (response, critical) = fwd.backward(&finish);
         let (parent, rtt) = fwd.links();

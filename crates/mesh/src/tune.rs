@@ -14,8 +14,9 @@
 //! * [`MeshObjective::PerTierMips`] — the paper's per-service rule: each
 //!   tier independently takes the candidate with the highest solo MIPS.
 //! * [`MeshObjective::GraphP99`] — the joint rule: every cross-tier
-//!   assignment is simulated through the graph and the lowest end-to-end
-//!   p99 wins.
+//!   assignment is simulated through the graph and scored by its
+//!   end-to-end p99 alone; the lowest wins, and only the winner gets a
+//!   full [`MeshReport`].
 //!
 //! Assignments are enumerated by the core scheduler's
 //! [`plan_assignments`] (canonical mixed-radix order, identity-derived
@@ -205,43 +206,64 @@ impl<'a> MeshTuner<'a> {
     ///
     /// Simulation and calibration errors.
     pub fn tune(&self, objective: MeshObjective, workers: usize) -> Result<TunedMesh, MeshError> {
+        let sim = MeshSim::new(self.graph, self.config)?;
+        self.tune_in(objective, workers, &sim, &sim.segment_table()?)
+    }
+
+    /// [`MeshTuner::tune`] on `sim`, a simulator of the tuner's graph and
+    /// configuration, through `table`, an empty table of `sim`'s
+    /// (`tier_passes` counts its segments). The caller keeps the table, so
+    /// later runs of the same configuration reuse the tune's segments.
+    pub(crate) fn tune_in(
+        &self,
+        objective: MeshObjective,
+        workers: usize,
+        sim: &MeshSim<'_>,
+        table: &SegmentTable,
+    ) -> Result<TunedMesh, MeshError> {
+        debug_assert_eq!(sim.config(), &self.config);
         match objective {
-            MeshObjective::GraphP99 => self.tune_graph_p99(workers),
-            MeshObjective::PerTierMips => self.tune_per_tier_mips(workers),
+            MeshObjective::GraphP99 => self.tune_graph_p99(workers, sim, table),
+            MeshObjective::PerTierMips => self.tune_per_tier_mips(workers, sim, table),
         }
     }
 
-    fn tune_graph_p99(&self, workers: usize) -> Result<TunedMesh, MeshError> {
-        let sim = MeshSim::new(self.graph, self.config)?;
-        // One table for the whole tune: an assignment re-simulates only
-        // the tiers whose cone of calibrations no earlier one has seen.
-        let table = SegmentTable::new(&self.config)?;
+    fn tune_graph_p99(
+        &self,
+        workers: usize,
+        sim: &MeshSim<'_>,
+        table: &SegmentTable,
+    ) -> Result<TunedMesh, MeshError> {
         // Calibration inputs depend on one tier's (or one colocated
         // pair's) candidates, not on the whole assignment.
         let mips = self.candidate_mips(workers)?;
         let retention = self.pair_retention(workers)?;
         let plan = self.plan();
-        let reports = run_tasks(&plan, workers, |unit| {
+        // One table for the whole tune: an assignment re-simulates only
+        // the tiers whose cone of calibrations no earlier one has seen,
+        // and is scored by its p99 alone.
+        let p99s = run_tasks(&plan, workers, |unit| {
             let cals = self
-                .measured_cals(&sim, &mips, &retention, &unit.choice)
+                .measured_cals(sim, &mips, &retention, &unit.choice)
                 .map_err(to_usku)?;
-            Ok(sim.run_shared(&cals, &table))
+            Ok(sim.p99_shared(&cals, table))
         })?;
 
         // Lowest p99 wins; ties resolve to the earliest plan index, so
         // the verdict is total and deterministic.
         let mut best = 0usize;
-        for (i, report) in reports.iter().enumerate() {
-            if report.p99_s < reports[best].p99_s {
+        for (i, &p99) in p99s.iter().enumerate() {
+            if p99 < p99s[best] {
                 best = i;
             }
         }
         let choice = &plan[best].choice;
-        let selections = self.selections_for(choice);
+        // Only the winner gets a full report; its segments are all cached.
+        let cals = self.measured_cals(sim, &mips, &retention, choice)?;
         Ok(TunedMesh {
             objective: MeshObjective::GraphP99,
-            selections,
-            report: reports[best].clone(),
+            selections: self.selections_for(choice),
+            report: sim.run_shared(&cals, table),
             evaluated: plan.len(),
             tier_passes: table.passes(),
         })
@@ -264,8 +286,12 @@ impl<'a> MeshTuner<'a> {
         plan_assignments(self.config.seed, self.graph.name(), &dims)
     }
 
-    fn tune_per_tier_mips(&self, workers: usize) -> Result<TunedMesh, MeshError> {
-        let sim = MeshSim::new(self.graph, self.config)?;
+    fn tune_per_tier_mips(
+        &self,
+        workers: usize,
+        sim: &MeshSim<'_>,
+        table: &SegmentTable,
+    ) -> Result<TunedMesh, MeshError> {
         let mips = self.candidate_mips(workers)?;
         // Strictly-greater wins, in candidate order, so ties keep the
         // earliest candidate.
@@ -282,8 +308,8 @@ impl<'a> MeshTuner<'a> {
             })
             .collect();
         let selections = self.selections_for(&choice);
-        let skus = self.assignment_configs(&choice);
-        let report = sim.run(&skus)?;
+        let cals = sim.calibrate(&self.assignment_configs(&choice))?;
+        let report = sim.run_shared(&cals, table);
         Ok(TunedMesh {
             objective: MeshObjective::PerTierMips,
             selections,
@@ -309,22 +335,31 @@ impl<'a> MeshTuner<'a> {
     }
 
     /// [`tier_mips`] of every (tier, candidate), as `[tier][candidate]`.
+    /// Units run candidate-major, `(t0,c0), (t1,c0), …`, so concurrent
+    /// workers take different tiers' cold production windows instead of
+    /// waiting on the same tier's.
     fn candidate_mips(&self, workers: usize) -> Result<Vec<Vec<(f64, f64)>>, MeshError> {
-        let units: Vec<(usize, usize)> = self
-            .candidates
-            .iter()
-            .enumerate()
-            .flat_map(|(t, cands)| (0..cands.len()).map(move |c| (t, c)))
+        let widest = self.candidates.iter().map(Vec::len).max().unwrap_or(0);
+        let units: Vec<(usize, usize)> = (0..widest)
+            .flat_map(|c| {
+                (0..self.candidates.len())
+                    .filter(move |&t| c < self.candidates[t].len())
+                    .map(move |t| (t, c))
+            })
             .collect();
-        let mut flat = run_tasks(&units, workers, |&(t, c)| {
+        let flat = run_tasks(&units, workers, |&(t, c)| {
             tier_mips(self.graph, &self.config, t, &self.candidates[t][c].config).map_err(to_usku)
-        })?
-        .into_iter();
-        Ok(self
+        })?;
+        let mut mips: Vec<Vec<(f64, f64)>> = self
             .candidates
             .iter()
-            .map(|cands| flat.by_ref().take(cands.len()).collect())
-            .collect())
+            .map(|cands| Vec::with_capacity(cands.len()))
+            .collect();
+        // Each tier's units arrive in ascending candidate order.
+        for (&(t, _), m) in units.iter().zip(flat) {
+            mips[t].push(m);
+        }
+        Ok(mips)
     }
 
     /// [`pair_retention`] of every colocated pair `(a, b)`, in placement
@@ -459,21 +494,23 @@ mod tests {
     }
 
     #[test]
-    fn shared_segments_reproduce_every_assignment_bit_for_bit() {
+    fn shared_segments_and_p99_scores_reproduce_every_assignment() {
         // Every plan unit of every preset, calibrated from per-candidate
         // measurements and run in plan order through one table, against a
         // fresh simulation of the same assignment. A cone key missing an
         // ancestor's calibration (social_network's store reads five) or
         // keyed on labels rather than calibrations (colocation_mix's web
         // reads feed's SKU through retention) hands some unit another
-        // assignment's segment.
+        // assignment's segment. The tuner ranks units by `p99_shared` and
+        // reports only the winner, so each score must also be the full
+        // report's p99, bit for bit, or another assignment could win.
         let mut config = tuner_config();
         config.requests = 300;
         for graph in [social_network(), media(), colocation_mix()] {
             let graph = graph.unwrap();
             let tuner = MeshTuner::with_default_candidates(&graph, config).unwrap();
             let sim = MeshSim::new(&graph, config).unwrap();
-            let table = SegmentTable::new(&config).unwrap();
+            let table = sim.segment_table().unwrap();
             let mips = tuner.candidate_mips(2).unwrap();
             let retention = tuner.pair_retention(2).unwrap();
             for unit in tuner.plan() {
@@ -483,6 +520,13 @@ mod tests {
                     .unwrap();
                 let shared = sim.run_shared(&cals, &table);
                 let fresh = sim.run(&skus).unwrap();
+                assert_eq!(
+                    sim.p99_shared(&cals, &table).to_bits(),
+                    shared.p99_s.to_bits(),
+                    "{} assignment {:?} scores another p99",
+                    graph.name(),
+                    unit.choice
+                );
                 assert_eq!(
                     format!("{shared:?}"),
                     format!("{fresh:?}"),

@@ -72,7 +72,10 @@ pub use json::Json;
 pub use keys::{KeyKind, LedgerDomain, LedgerKey};
 pub use ods::{Ods, SeriesKey, TierPoint, TierSpec};
 pub use slo::{Exemplar, SloEvaluator, SloSpec, SloStatus};
-pub use stats::{nearest_rank, welch_test, QuantileSketch, RunningStats, Summary, WelchResult};
+pub use stats::{
+    nearest_rank, select_nearest_rank, welch_test, QuantileSketch, RunningStats, Summary,
+    WelchResult,
+};
 pub use streams::{stream_seed, IdentitySeed, StreamFamily, StreamRegistry};
 pub use trace::{AttrValue, SpanHandle, TraceCounter, TraceSink, TraceSpan};
 

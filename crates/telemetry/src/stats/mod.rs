@@ -30,7 +30,7 @@ pub use autocorr::{autocorrelation, effective_sample_size};
 pub use bootstrap::{bootstrap_mean_ci, BootstrapCi};
 pub use mad::MadFilter;
 pub use normal::standard_normal;
-pub use sketch::{nearest_rank, QuantileSketch, DEFAULT_SKETCH_K};
+pub use sketch::{nearest_rank, select_nearest_rank, QuantileSketch, DEFAULT_SKETCH_K};
 pub use student_t::{t_cdf, t_quantile};
 pub use summary::{RunningStats, Summary};
 pub use welch::{welch_test, WelchResult};

@@ -200,16 +200,28 @@ impl Default for QuantileSketch {
     }
 }
 
-/// Exact nearest-rank quantile over a full sample set — the reference the
-/// sketch is tested against, and the same formula the mesh percentile code
-/// uses (`sorted[ceil(q·n).clamp(1, n) - 1]`).
-pub fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
+/// Zero-based index of the nearest-rank `q`-quantile among `n` ordered
+/// values (`ceil(q·n).clamp(1, n) - 1`); `None` when `n` is 0. The one
+/// copy of the rank formula: the sorted and the selection paths both call it.
+fn nearest_rank_index(n: usize, q: f64) -> Option<usize> {
+    if n == 0 {
         return None;
     }
-    let n = sorted.len();
-    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
-    Some(sorted[rank - 1])
+    Some(((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n) - 1)
+}
+
+/// Exact nearest-rank quantile over a full sample set — the reference the
+/// sketch is tested against, and the mesh's percentile formula.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
+    nearest_rank_index(sorted.len(), q).map(|i| sorted[i])
+}
+
+/// [`nearest_rank`] of `values` in [`f64::total_cmp`] order without a full
+/// sort: one O(n) selection, which reorders `values`. Equal to sorting by
+/// `total_cmp` and calling [`nearest_rank`], bit for bit.
+pub fn select_nearest_rank(values: &mut [f64], q: f64) -> Option<f64> {
+    let i = nearest_rank_index(values.len(), q)?;
+    Some(*values.select_nth_unstable_by(i, f64::total_cmp).1)
 }
 
 #[cfg(test)]
@@ -345,7 +357,27 @@ mod tests {
         base
     }
 
+    #[test]
+    fn selection_handles_empty_and_single_sets() {
+        assert_eq!(select_nearest_rank(&mut [], 0.5), None);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(select_nearest_rank(&mut [7.5], q), Some(7.5));
+        }
+    }
+
     proptest! {
+        #[test]
+        fn selection_equals_sort_then_nearest_rank(
+            draws in prop::collection::vec(0u8..6, 1..80), qi in 0usize..4
+        ) {
+            // Six distinct values over up to 80 draws: ties are the norm.
+            let q = [0.0, 0.5, 0.99, 1.0][qi];
+            let mut values: Vec<f64> = draws.iter().map(|&d| (f64::from(d) - 2.0) * 0.25).collect();
+            let sorted_pick = exact(&values, q);
+            let selected = select_nearest_rank(&mut values, q).expect("non-empty");
+            prop_assert_eq!(selected.to_bits(), sorted_pick.to_bits());
+        }
+
         #[test]
         fn sketch_quantiles_stay_within_rank_error_of_exact(
             seq in 0u64..16, n in 100usize..4_000, k in 1usize..4

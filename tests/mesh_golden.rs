@@ -1,14 +1,17 @@
 //! Mesh golden digests: every bit of full `MeshReport`s — each
 //! `TierStats` field and every critical-path share, not just the p99 —
 //! plus the request samples and the Chrome trace of instrumented runs,
-//! pinned at seed 21. A refactor of the request-graph simulator must
-//! leave all of them unchanged.
+//! and whole SLO-gated canary campaigns, pinned at seed 21. A refactor of
+//! the request-graph simulator must leave all of them unchanged.
 
 use softsku::mesh::{
-    colocation_mix, media, social_network, Edge, MeshConfig, MeshObjective, MeshReport, MeshSim,
-    MeshTuner, RequestSample, ServiceGraph, Tier,
+    colocation_mix, media, social_network, Edge, MeshCanary, MeshCanaryConfig, MeshCanaryReport,
+    MeshConfig, MeshObjective, MeshReport, MeshSim, MeshTuner, RequestSample, ServiceGraph, Tier,
+    TierSelection,
 };
-use softsku::telemetry::trace::TraceSink;
+use softsku::telemetry::slo::{SloEvaluator, SloSpec};
+use softsku::telemetry::trace::{AttrValue, TraceSink};
+use softsku::telemetry::{LedgerKey, Ods, SeriesKey};
 use softsku::workloads::Microservice;
 
 /// FNV-1a over the canonical bit patterns of a result.
@@ -80,6 +83,44 @@ impl Digest {
             }
             self.u64(s.span_id.unwrap_or(u64::MAX));
         }
+    }
+
+    /// A whole campaign: the verdict, both reports, the tuned candidate,
+    /// the `slo.*` ledger and the rendered Chrome trace.
+    fn campaign(&mut self, r: &MeshCanaryReport, ods: &Ods, sink: &TraceSink) {
+        for label in r.tuned.labels() {
+            self.str(label);
+        }
+        self.u64(r.tuned.evaluated as u64);
+        self.u64(r.tuned.tier_passes as u64);
+        self.report(&r.tuned.report);
+        self.report(&r.baseline);
+        self.report(&r.canary);
+        self.f64(r.threshold_s);
+        self.u64(u64::from(r.promoted));
+        self.u64(r.alerts);
+        self.u64(u64::from(r.max_sustained));
+        self.u64(r.blocked_at_s.map_or(u64::MAX, f64::to_bits));
+        self.u64(r.exemplars.len() as u64);
+        for e in &r.exemplars {
+            self.f64(e.t_s);
+            self.f64(e.latency_s);
+            self.u64(e.span_id);
+        }
+        for s in &r.deployed {
+            self.str(&s.label);
+        }
+        for key in ods.keys().filter(|k| k.metric().starts_with("slo.")) {
+            self.str(key.entity());
+            self.str(key.metric());
+            let points = ods.raw_points(key);
+            self.u64(points.len() as u64);
+            for &(t, v) in points {
+                self.f64(t);
+                self.f64(v);
+            }
+        }
+        self.str(&sink.chrome_trace().render());
     }
 }
 
@@ -203,4 +244,160 @@ fn empty_downstream_tier_is_pinned() {
     let mut d = Digest::new();
     d.report(&report);
     assert_eq!(d.0, 0x136914d0aaa58ed4);
+}
+
+/// A small `social_network` canary scenario, clean or with 20 % of
+/// requests 4x slower.
+fn canary_config(regressed: bool) -> MeshConfig {
+    MeshConfig {
+        requests: 300,
+        window_insns: 60_000,
+        regress_frac: if regressed { 0.2 } else { 0.0 },
+        regress_scale: if regressed { 4.0 } else { 1.0 },
+        seed: 21,
+        ..MeshConfig::default()
+    }
+}
+
+fn canary_digest(config: MeshConfig, workers: usize) -> (MeshCanaryReport, u64) {
+    let graph = social_network().unwrap();
+    let canary = MeshCanary::new(&graph, config, MeshCanaryConfig::default()).unwrap();
+    let mut ods = Ods::unbounded();
+    let mut sink = TraceSink::new();
+    let report = canary.run(workers, &mut ods, &mut sink).unwrap();
+    assert!(
+        ods.keys().any(|k| k.metric().starts_with("slo.")),
+        "the gate ledgers slo.* points"
+    );
+    let mut d = Digest::new();
+    d.campaign(&report, &ods, &sink);
+    (report, d.0)
+}
+
+#[test]
+fn clean_social_network_canary_campaign_is_pinned() {
+    let (report, digest) = canary_digest(canary_config(false), 2);
+    assert!(report.promoted);
+    assert_eq!(digest, 0xc4784eed9774c0f4);
+}
+
+#[test]
+fn regressed_social_network_canary_campaign_is_pinned() {
+    let (report, digest) = canary_digest(canary_config(true), 2);
+    assert!(!report.promoted);
+    assert_eq!(digest, 0x3625a7c73a936bbf);
+}
+
+/// `MeshCanary::run` spelled out through the public API, call by call:
+/// the clean baseline, the tune, the instrumented canary and the
+/// burn-rate loop, with the same ledger appends and trace leaf.
+fn composed_campaign(
+    graph: &ServiceGraph,
+    config: MeshConfig,
+    workers: usize,
+) -> (MeshCanaryReport, Ods, TraceSink) {
+    let gate = MeshCanaryConfig::default();
+    let mut ods = Ods::unbounded();
+    let mut sink = TraceSink::new();
+    let mut clean = config;
+    clean.regress_frac = 0.0;
+    clean.regress_scale = 1.0;
+    let prod_skus = production_skus(graph);
+    let baseline = MeshSim::new(graph, clean).unwrap().run(&prod_skus).unwrap();
+    let tuned = MeshTuner::with_default_candidates(graph, clean)
+        .unwrap()
+        .tune(gate.objective, workers)
+        .unwrap();
+    let cand_skus: Vec<_> = tuned.selections.iter().map(|s| s.config.clone()).collect();
+    let (canary, samples) = MeshSim::new(graph, config)
+        .unwrap()
+        .run_instrumented(&cand_skus, &mut sink)
+        .unwrap();
+
+    let threshold_s = gate.threshold_margin * baseline.p99_s;
+    let fast_w = gate.fast_requests / config.arrival_rate_hz;
+    let slow_w = gate.slow_requests / config.arrival_rate_hz;
+    let spec = SloSpec::new(graph.name(), threshold_s, gate.target, fast_w, slow_w).unwrap();
+    let mut slo = SloEvaluator::new(spec);
+    let (mut blocked_at_s, mut exemplars, mut max_sustained) = (None, Vec::new(), 0u32);
+    for s in &samples {
+        slo.observe(s.finish_s, s.latency_s, s.span_id).unwrap();
+        let status = slo.evaluate(s.finish_s, &mut ods, &mut sink).unwrap();
+        max_sustained = max_sustained.max(status.sustained);
+        if blocked_at_s.is_none() && status.sustained >= gate.sustain {
+            blocked_at_s = Some(status.t_s);
+            exemplars = status.exemplars;
+        }
+    }
+    let promoted = blocked_at_s.is_none();
+    if promoted {
+        exemplars = slo.exemplars().to_vec();
+    }
+    let t_end = samples.last().map_or(0.0, |s| s.finish_s);
+    ods.append(
+        &SeriesKey::keyed(graph.name(), LedgerKey::SloGuardP99),
+        t_end,
+        canary.p99_s / baseline.p99_s - 1.0,
+    )
+    .unwrap();
+    if let Some(t) = blocked_at_s {
+        ods.append(
+            &SeriesKey::keyed(graph.name(), LedgerKey::SloRetune),
+            t_end.max(t),
+            slo.burn_rate(t, fast_w),
+        )
+        .unwrap();
+        let h = sink.leaf(LedgerKey::SloWindow.name(), "canary.blocked", t, 0.0);
+        sink.attr(h, "graph", AttrValue::Str(graph.name().to_string()));
+        sink.attr(h, "threshold_s", AttrValue::F64(threshold_s));
+        sink.attr(h, "sustained", AttrValue::Int(i64::from(gate.sustain)));
+    }
+    let deployed = if promoted {
+        tuned.selections.clone()
+    } else {
+        graph
+            .tiers()
+            .iter()
+            .zip(prod_skus)
+            .map(|(t, config)| TierSelection {
+                tier: t.name.clone(),
+                label: "prod".to_string(),
+                config,
+            })
+            .collect()
+    };
+    let report = MeshCanaryReport {
+        tuned,
+        baseline,
+        canary,
+        threshold_s,
+        promoted,
+        alerts: slo.alerts(),
+        max_sustained,
+        blocked_at_s,
+        exemplars,
+        deployed,
+    };
+    (report, ods, sink)
+}
+
+/// The campaign computes nothing its public parts would not: it equals
+/// their call-by-call composition, clean and regressed, at 1 and 2
+/// workers.
+#[test]
+fn canary_campaign_equals_its_public_composition() {
+    let graph = social_network().unwrap();
+    for regressed in [false, true] {
+        let config = canary_config(regressed);
+        for workers in [1usize, 2] {
+            let (report, ods, sink) = composed_campaign(&graph, config, workers);
+            let mut composed = Digest::new();
+            composed.campaign(&report, &ods, &sink);
+            assert_eq!(
+                canary_digest(config, workers).1,
+                composed.0,
+                "regressed={regressed} at {workers} workers"
+            );
+        }
+    }
 }

@@ -6,8 +6,11 @@
 //! error rather than a `capacity overflow` panic.
 
 use softsku::mesh::{
-    media, social_network, MeshConfig, MeshError, MeshObjective, MeshSim, MeshTuner,
+    media, social_network, MeshCanary, MeshCanaryConfig, MeshConfig, MeshError, MeshObjective,
+    MeshSim, MeshTuner,
 };
+use softsku::telemetry::trace::TraceSink;
+use softsku::telemetry::Ods;
 
 fn overflowing_config() -> MeshConfig {
     MeshConfig {
@@ -45,7 +48,7 @@ fn overflowing_arrival_times_are_a_config_error() {
 
 /// A request count whose job table cannot be indexed by `u32` (requests ×
 /// root-to-tier paths) is a config error before anything is allocated,
-/// for the simulator and both tuner objectives alike.
+/// for the simulator, both tuner objectives and the canary campaign alike.
 #[test]
 fn job_tables_beyond_u32_are_a_config_error() {
     let graph = social_network().unwrap();
@@ -68,6 +71,9 @@ fn job_tables_beyond_u32_are_a_config_error() {
                 Err(MeshError::Config(_))
             ));
         }
+        let canary = MeshCanary::new(&graph, config, MeshCanaryConfig::default()).unwrap();
+        let campaign = canary.run(1, &mut Ods::unbounded(), &mut TraceSink::new());
+        assert!(matches!(campaign, Err(MeshError::Config(_))));
     }
     let fits = MeshConfig {
         requests: (u32::MAX / 8) as usize,

@@ -15,9 +15,17 @@
 //! never-reused lines, i.e. infinite distance). Between control points the
 //! survival function is interpolated log-log-linearly, which matches the
 //! power-law reuse behaviour observed in server workloads.
+//!
+//! Sampling inverts the survival function at a uniform draw `u`. The exact
+//! inversion ([`ReuseDistanceDist::distance_at_survival`]) costs one `ln`
+//! and one `exp`; [`ReuseDistanceDist::invert`] first reads a guarded
+//! [`InversionTable`] whose cells each store a distance only when every
+//! draw in the cell provably inverts to it, and falls back to the exact
+//! path elsewhere, so the two agree bit for bit on every draw.
 
 use crate::error::ArchSimError;
 use rand::Rng;
+use std::sync::{Arc, OnceLock};
 
 /// A reuse-distance distribution over distinct-line (or distinct-page)
 /// stack distances.
@@ -39,7 +47,7 @@ use rand::Rng;
 /// assert!(d.miss_ratio(2048) < 0.30);
 /// assert!(d.miss_ratio(1 << 21) >= 0.01); // only cold misses remain
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ReuseDistanceDist {
     /// Survival control points `(distance, P(D >= distance))`, strictly
     /// increasing in distance, strictly decreasing in probability, and
@@ -51,14 +59,137 @@ pub struct ReuseDistanceDist {
     footprint: u64,
     /// Per-segment inversion constants for [`Self::distance_at_survival`].
     ///
-    /// Sampling is the engine's hottest transcendental path (one inversion
-    /// per structure access); the four logarithms per segment are pure
-    /// functions of the control points, so they are evaluated once here —
-    /// with the *same expressions* the per-sample code used — and the
-    /// per-sample cost drops to one `ln` and one `exp`. Bit-identical to
-    /// recomputing inline because IEEE-754 operations are deterministic and
-    /// the expression structure is unchanged.
+    /// The four logarithms per segment are pure functions of the control
+    /// points, so they are evaluated once here, leaving the exact inversion
+    /// one `ln` and one `exp` per draw. Most draws skip even those through
+    /// the inversion table in `derived`.
     segs: Vec<SampleSeg>,
+    /// Data derived lazily from the fields above and shared by clones: the
+    /// inversion table and the first compaction. Equality, fingerprints
+    /// and memo keys ignore it.
+    derived: Arc<Derived>,
+}
+
+/// Content equality: control points, cold fraction and footprint. The
+/// segment constants and the derived data are functions of these.
+impl PartialEq for ReuseDistanceDist {
+    fn eq(&self, other: &Self) -> bool {
+        self.points == other.points
+            && self.cold_fraction == other.cold_fraction
+            && self.footprint == other.footprint
+    }
+}
+
+/// Lazily built data of one distribution, shared by its clones.
+#[derive(Default)]
+struct Derived {
+    table: OnceLock<InversionTable>,
+    /// The first requested compaction, keyed by its factor's bits.
+    compacted: OnceLock<(u64, ReuseDistanceDist)>,
+}
+
+/// Prints nothing of the lazy state, so a distribution's `Debug` output
+/// does not depend on whether it has been sampled.
+impl std::fmt::Debug for Derived {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Derived").finish_non_exhaustive()
+    }
+}
+
+/// Where [`ReuseDistanceDist::distance_at_survival`]'s branches send a
+/// draw, before the interpolated case is rounded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    /// `u < cold_fraction`.
+    Cold,
+    /// `u >= 1`.
+    One,
+    /// Segment `i`'s short-circuit `p1 <= u`: the near end `d1`.
+    Near(usize),
+    /// Segment `i`'s interpolated distance `x`, before rounding.
+    Interp(usize, f64),
+}
+
+/// Cell value of a draw that the table does not resolve.
+pub(crate) const MISS: u32 = u32::MAX;
+
+/// Cell value of a cold draw, equal to `trace::COLD`. Distances are at
+/// least 1.
+const TABLE_COLD: u32 = 0;
+
+/// Relative margin around a cell's end-point distances. Every interior
+/// `x` sits within a few ulps (relative ~1e-9 at worst) of the exact,
+/// monotone curve between them, so the margin dwarfs the rounding error.
+const MARGIN: f64 = 1e-6;
+
+/// A guarded inversion table over survival draws `u ∈ [0, 1)`.
+///
+/// Cell `k` covers every `f64` in `[k / CELLS, next_down((k + 1) / CELLS)]`;
+/// `u * CELLS` multiplies by a power of two, so it is exact and its
+/// truncation names the cell with no rounding. A cell stores a value only
+/// when both of its ends take the same branch of the exact inversion (cold,
+/// the same segment's short-circuit, or the same segment's interpolation)
+/// and, for an interpolated cell, when the ends' distances widened by
+/// a relative 1e-6 still round and clamp to one distance. Every comparison on
+/// that path is monotone in `u`, so the interior takes the same branch, and
+/// its `x` lies between the ends' up to rounding error far inside the
+/// margin: every draw in a stored cell inverts to the stored value. Other
+/// cells, and distances at or above `u32::MAX`, hold a miss marker and
+/// fall back to [`ReuseDistanceDist::distance_at_survival`].
+#[derive(Debug, Clone)]
+pub struct InversionTable {
+    cells: Box<[u32]>,
+    misses: usize,
+}
+
+impl InversionTable {
+    /// Number of cells.
+    pub const CELLS: usize = 1 << 12;
+
+    /// The first and last `f64` that cell `k` covers.
+    pub fn cell_bounds(k: usize) -> (f64, f64) {
+        let lo = k as f64 / Self::CELLS as f64;
+        let end = (k + 1) as f64 / Self::CELLS as f64;
+        (lo, f64::from_bits(end.to_bits() - 1))
+    }
+
+    /// What cell `k` resolves its draws to: `Some(None)` for cold,
+    /// `Some(Some(d))` for distance `d`, `None` when its draws fall back
+    /// to the exact inversion.
+    pub fn cell(&self, k: usize) -> Option<Option<u64>> {
+        match self.cells[k] {
+            MISS => None,
+            TABLE_COLD => Some(None),
+            d => Some(Some(u64::from(d))),
+        }
+    }
+
+    /// Share of cells — and so of uniform draws — that fall back to the
+    /// exact inversion.
+    pub fn fallback_share(&self) -> f64 {
+        self.misses as f64 / Self::CELLS as f64
+    }
+
+    fn build(dist: &ReuseDistanceDist) -> Self {
+        let cells: Box<[u32]> = cell_ends()
+            .iter()
+            .map(|&ends| dist.cell_value(ends))
+            .collect();
+        let misses = cells.iter().filter(|&&c| c == MISS).count();
+        InversionTable { cells, misses }
+    }
+
+    /// The cell value for draw `u`: [`TABLE_COLD`], a distance, or
+    /// [`MISS`] (also for `u` outside `[0, 1)` and NaN).
+    #[inline]
+    pub(crate) fn lookup(&self, u: f64) -> u32 {
+        if u >= 0.0 {
+            if let Some(&c) = self.cells.get((u * Self::CELLS as f64) as usize) {
+                return c;
+            }
+        }
+        MISS
+    }
 }
 
 /// Precomputed inversion constants for one survival segment `[d1, d2]`.
@@ -80,6 +211,36 @@ struct SampleSeg {
     d1: u64,
     /// `d2.saturating_sub(1).max(d1)` (clamp ceiling).
     dmax: u64,
+}
+
+impl SampleSeg {
+    /// Clamps a rounded interpolated distance into the segment.
+    #[inline]
+    fn clamp(&self, d: u64) -> u64 {
+        d.clamp(self.d1, self.dmax)
+    }
+}
+
+/// A cell end: the draw and its `adj`.
+#[derive(Clone, Copy)]
+struct CellEnd {
+    u: f64,
+    adj_u: f64,
+}
+
+/// Both ends of every cell with their `adj`, computed once per process:
+/// `adj` depends only on the draw, so every table build shares it and
+/// pays one `exp` per interpolated end instead of an `ln` and an `exp`.
+fn cell_ends() -> &'static [[CellEnd; 2]] {
+    static ENDS: OnceLock<Box<[[CellEnd; 2]]>> = OnceLock::new();
+    ENDS.get_or_init(|| {
+        (0..InversionTable::CELLS)
+            .map(|k| {
+                let (lo, hi) = InversionTable::cell_bounds(k);
+                [lo, hi].map(|u| CellEnd { u, adj_u: adj(u) })
+            })
+            .collect()
+    })
 }
 
 fn build_segs(points: &[(u64, f64)], cold_fraction: f64) -> Vec<SampleSeg> {
@@ -168,6 +329,7 @@ impl ReuseDistanceDist {
             cold_fraction,
             footprint,
             segs,
+            derived: Arc::default(),
         })
     }
 
@@ -198,9 +360,9 @@ impl ReuseDistanceDist {
 
     /// Feeds the distribution's defining content — control points, cold
     /// fraction, footprint — into `sink` as 64-bit words, for content
-    /// fingerprinting. The derived `SampleSeg` table is excluded: it is a
-    /// pure function of these inputs, so two distributions that feed the
-    /// same words sample identically.
+    /// fingerprinting. The segment constants and the inversion table are
+    /// excluded: they are pure functions of these inputs, so two
+    /// distributions that feed the same words sample identically.
     pub fn fingerprint_words(&self, sink: &mut impl FnMut(u64)) {
         sink(self.points.len() as u64);
         for &(d, p) in &self.points {
@@ -234,19 +396,51 @@ impl ReuseDistanceDist {
     /// Samples a reuse distance. `None` means a cold access (a line never
     /// seen before). Distances are in `[1, footprint)`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<u64> {
-        let u: f64 = rng.gen();
-        self.distance_at_survival(u)
+        self.invert(rng.gen())
+    }
+
+    /// Inverse survival through the [`InversionTable`]: bit-identical to
+    /// [`Self::distance_at_survival`] for every `u`, and free of `ln`/`exp`
+    /// for draws in a stored cell. Builds the table on first use.
+    #[inline]
+    pub fn invert(&self, u: f64) -> Option<u64> {
+        match self.inversion_table().lookup(u) {
+            MISS => self.distance_at_survival(u),
+            TABLE_COLD => None,
+            d => Some(u64::from(d)),
+        }
+    }
+
+    /// The distribution's inversion table, built on first use and shared
+    /// with every clone.
+    pub fn inversion_table(&self) -> &InversionTable {
+        self.derived
+            .table
+            .get_or_init(|| InversionTable::build(self))
     }
 
     /// Inverse survival: the distance `d` with `P(D >= d) = u`, or `None`
-    /// when `u` falls in the cold mass. Exposed for tests and for the
-    /// deterministic stratified sampler in the trace generator.
+    /// when `u` falls in the cold mass. The exact oracle that
+    /// [`Self::invert`] and its table reproduce.
     pub fn distance_at_survival(&self, u: f64) -> Option<u64> {
+        match self.step(u, || adj(u)) {
+            Step::Cold => None,
+            Step::One => Some(1),
+            Step::Near(i) => Some(self.segs[i].d1),
+            Step::Interp(i, x) => Some(self.segs[i].clamp(x.round() as u64)),
+        }
+    }
+
+    /// The branch the exact inversion takes for `u`, and for the
+    /// interpolated branch the distance before rounding; `adj_u` yields
+    /// `adj(u)`.
+    #[inline]
+    fn step(&self, u: f64, adj_u: impl FnOnce() -> f64) -> Step {
         if u < self.cold_fraction {
-            return None;
+            return Step::Cold;
         }
         if u >= 1.0 {
-            return Some(1);
+            return Step::One;
         }
         // Find the segment whose survival range contains u. Survival is
         // decreasing in distance, so search from the high-probability end.
@@ -258,26 +452,64 @@ impl ReuseDistanceDist {
         }
         let seg = &self.segs[i];
         if seg.p1 <= u {
-            return Some(seg.d1);
+            return Step::Near(i);
         }
         // Invert the log-log interpolation within [d1, d2] using the
-        // precomputed segment constants (same expressions, hoisted).
-        let t = (adj(u) - seg.lp1) / seg.dlp;
+        // precomputed segment constants.
+        let t = (adj_u() - seg.lp1) / seg.dlp;
         let ld = seg.ld1 + t * seg.dld;
-        let d = ld.exp().round() as u64;
-        Some(d.clamp(seg.d1, seg.dmax))
+        Step::Interp(i, ld.exp())
+    }
+
+    /// The table value of the cell whose first and last draws are `lo`
+    /// and `hi`; see [`InversionTable`] for why it is exact.
+    fn cell_value(&self, [lo, hi]: [CellEnd; 2]) -> u32 {
+        let step = |end: CellEnd| self.step(end.u, || end.adj_u);
+        let d = match (step(lo), step(hi)) {
+            (Step::Cold, Step::Cold) => return TABLE_COLD,
+            (Step::Near(i), Step::Near(j)) if i == j => self.segs[i].d1,
+            (Step::Interp(i, a), Step::Interp(j, b))
+                if i == j && a.is_finite() && b.is_finite() =>
+            {
+                let seg = &self.segs[i];
+                let low = seg.clamp((a.min(b) * (1.0 - MARGIN)).round() as u64);
+                let high = seg.clamp((a.max(b) * (1.0 + MARGIN)).round() as u64);
+                if low != high {
+                    return MISS;
+                }
+                low
+            }
+            _ => return MISS,
+        };
+        u32::try_from(d).unwrap_or(MISS)
     }
 
     /// Returns a copy with all control distances divided by `factor`
     /// (clamped to at least 1). Models huge-page compaction: when 512
     /// consecutive 4 KiB pages collapse into one 2 MiB page, page-level
     /// reuse distances shrink by the workload's spatial-locality factor.
+    ///
+    /// The first factor's result is kept and shared by every clone of this
+    /// distribution, with its inversion table, so trace generators built
+    /// from one stream spec compact it once.
     #[must_use]
     pub fn compacted(&self, factor: f64) -> Self {
         assert!(
             factor >= 1.0,
             "compaction factor must be >= 1, got {factor}"
         );
+        let (bits, first) = self
+            .derived
+            .compacted
+            .get_or_init(|| (factor.to_bits(), self.compact(factor)));
+        if *bits == factor.to_bits() {
+            first.clone()
+        } else {
+            self.compact(factor)
+        }
+    }
+
+    fn compact(&self, factor: f64) -> Self {
         let mut pts: Vec<(u64, f64)> = Vec::new();
         let mut last = 1u64;
         for &(d, p) in &self.points[1..self.points.len() - 1] {

@@ -19,7 +19,7 @@
 
 use crate::fingerprint::Fnv128;
 use crate::ranklist::RankList;
-use crate::reuse::ReuseDistanceDist;
+use crate::reuse::{ReuseDistanceDist, MISS};
 use crate::stream::{InstructionMix, PageProfile, StreamSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +33,8 @@ pub struct StackMapper {
 }
 
 /// The distance [`StackMapper::sample_column`] records for a cold access.
-/// Sampled distances are at least 1, so 0 is free.
+/// Sampled distances are at least 1, so 0 is free; the inversion table
+/// stores cold cells as 0 too.
 pub const COLD: u64 = 0;
 
 /// Pre-warm ceiling: stacks larger than this start truncated; sampled
@@ -79,15 +80,17 @@ impl StackMapper {
 
     /// Resolves each survival draw to its reuse distance, in order, into
     /// `distances` ([`COLD`] for a cold access). The first phase of
-    /// [`StackMapper::map_column`]: each inversion is independent of the
-    /// others, so their `ln`/`exp` calls overlap.
+    /// [`StackMapper::map_column`]: most draws are one read of the
+    /// distribution's inversion table, whose cold value is [`COLD`]; the
+    /// rest take the exact inversion, and each is independent of the others,
+    /// so their `ln`/`exp` calls overlap.
     pub fn sample_column(&self, draws: &[f64], distances: &mut Vec<u64>) {
+        let table = self.dist.inversion_table();
         distances.clear();
-        distances.extend(
-            draws
-                .iter()
-                .map(|&u| self.dist.distance_at_survival(u).unwrap_or(COLD)),
-        );
+        distances.extend(draws.iter().map(|&u| match table.lookup(u) {
+            MISS => self.dist.distance_at_survival(u).unwrap_or(COLD),
+            d => u64::from(d),
+        }));
     }
 
     /// Moves each distance's id to the front of the stack, in order,

@@ -2,12 +2,13 @@
 //! simulator's component loops.
 //!
 //! Part 0 times `TraceGenerator::new`, the fixed cost every cold window
-//! pays before its first event, and splits trace generation into reuse-
-//! distance sampling, move-to-front and the whole batch fill. Part 1 measures raw window-simulation
-//! throughput with the memo off — every run is a genuine evaluation —
-//! across batch sizes, and asserts at runtime that every batch size
-//! produces bit-identical reports (the batched tick is a pure performance
-//! control). Part 2 measures the pass memo: the cost of a cold evaluation
+//! pays before its first event, and splits trace generation into
+//! inversion-table build, reuse-distance sampling (checked draw by draw
+//! against the exact inversion), move-to-front and the whole batch fill.
+//! Part 1 measures raw window-simulation throughput with the memo off —
+//! every run is a genuine evaluation — across batch sizes, and asserts at
+//! runtime that every batch size produces bit-identical reports (the
+//! batched tick is a pure performance control). Part 2 measures the pass memo: the cost of a cold evaluation
 //! against a repeat of it, which is the price `AbEnvironment::fork`
 //! replicas pay (or skip) when they re-measure their parent's operating
 //! points, and against a window at another load, which takes the cold
@@ -25,7 +26,7 @@ use softsku_archsim::platform::PlatformSpec;
 use softsku_archsim::ranklist::RankList;
 use softsku_archsim::reuse::ReuseDistanceDist;
 use softsku_archsim::tlb::LruSet;
-use softsku_archsim::trace::{EventBatch, HugePageMix, StackMapper, TraceGenerator};
+use softsku_archsim::trace::{EventBatch, HugePageMix, StackMapper, TraceGenerator, COLD};
 use softsku_telemetry::stats::{t_quantile, welch_test, Summary};
 use softsku_telemetry::{Json, Stopwatch};
 use softsku_workloads::{Microservice, PlatformKind};
@@ -208,39 +209,74 @@ fn tracegen_new_us(reps: u64) -> Result<f64, BoxError> {
     Ok(us)
 }
 
-/// Splits Web/Skylake18's trace-generation cost into its two mapper
-/// phases and the whole fill. Each of the stream's four reuse
-/// distributions maps `accesses` uniform draws in 4096-draw columns:
-/// `StackMapper::sample_column` (distance inversion) and
+/// Splits Web/Skylake18's trace-generation cost into table build, its two
+/// mapper phases and the whole fill. The stream's four reuse distributions
+/// and the two compacted page distributions its generator samples first
+/// build their inversion tables (timed together as `table_build_us`), so
+/// the per-access figures below exclude table construction. Each of the
+/// four distributions then maps `accesses` uniform draws in 4096-draw
+/// columns: `StackMapper::sample_column` (distance inversion) and
 /// `StackMapper::touch_column` (move-to-front) are timed apart and reported
-/// per access. `fill_ns_per_event` times `TraceGenerator::fill_batch`, which
-/// adds the RNG decode loop, over `accesses` events.
+/// per access, and every timed draw's distance is checked, untimed, against
+/// the exact inversion. `fill_ns_per_event` times
+/// `TraceGenerator::fill_batch`, which adds the RNG decode loop, over
+/// `accesses` events.
 fn tracegen_split(accesses: usize) -> Result<Json, BoxError> {
     const COLUMN: usize = 4096;
     let stream = Microservice::Web.profile(PlatformKind::Skylake18)?.stream;
     let mut rng = SmallRng::seed_from_u64(BASE_SEED);
     let draws: Vec<f64> = (0..accesses).map(|_| rng.gen()).collect();
-    let (mut sample_s, mut mtf_s) = (0.0, 0.0);
     let dists = [
-        &stream.code_reuse,
-        &stream.data_reuse,
-        &stream.code_page_reuse,
-        &stream.data_page_reuse,
+        ("code_reuse", stream.code_reuse.clone()),
+        ("data_reuse", stream.data_reuse.clone()),
+        ("code_page_reuse", stream.code_page_reuse.clone()),
+        ("data_page_reuse", stream.data_page_reuse.clone()),
+        (
+            "code_page_huge",
+            stream
+                .code_page_reuse
+                .compacted(stream.pages.code_compaction.max(1.0)),
+        ),
+        (
+            "data_page_huge",
+            stream
+                .data_page_reuse
+                .compacted(stream.pages.data_compaction.max(1.0)),
+        ),
     ];
-    for dist in dists {
+    let clock = Stopwatch::start();
+    for (_, dist) in &dists {
+        black_box(dist.inversion_table());
+    }
+    let table_build_us = clock.elapsed_s() * 1e6;
+    let mut fallback = Json::obj();
+    for (name, dist) in &dists {
+        fallback = fallback.set(name, Json::Num(dist.inversion_table().fallback_share()));
+    }
+
+    let (mut sample_s, mut mtf_s) = (0.0, 0.0);
+    let mapped_dists = &dists[..4];
+    for (name, dist) in mapped_dists {
         let mut mapper = StackMapper::new(dist.clone());
         let mut column = Vec::with_capacity(COLUMN);
         for chunk in draws.chunks(COLUMN) {
             let clock = Stopwatch::start();
             mapper.sample_column(chunk, &mut column);
             sample_s += clock.elapsed_s();
+            for (&u, &d) in chunk.iter().zip(&column) {
+                assert_eq!(
+                    d,
+                    dist.distance_at_survival(u).unwrap_or(COLD),
+                    "{name}: table inversion of {u:e} differs from the exact inversion"
+                );
+            }
             let clock = Stopwatch::start();
             mapper.touch_column(&mut column);
             mtf_s += clock.elapsed_s();
             black_box(&column);
         }
     }
-    let mapped = (accesses * dists.len()) as f64;
+    let mapped = (accesses * mapped_dists.len()) as f64;
     let sample_ns = sample_s * 1e9 / mapped;
     let mtf_ns = mtf_s * 1e9 / mapped;
 
@@ -256,13 +292,17 @@ fn tracegen_split(accesses: usize) -> Result<Json, BoxError> {
     black_box(&batch);
     let fill_ns = clock.elapsed_s() * 1e9 / accesses.max(1) as f64;
     println!(
-        "== trace generation ({}): sample {sample_ns:.1} ns/access, move-to-front \
-         {mtf_ns:.1} ns/access, fill {fill_ns:.1} ns/event ==",
+        "== trace generation ({}): tables {table_build_us:.0} µs, sample {sample_ns:.1} \
+         ns/access (table = exact on every draw), move-to-front {mtf_ns:.1} ns/access, \
+         fill {fill_ns:.1} ns/event ==",
         Microservice::Web
     );
     Ok(Json::obj()
         .set("service", Json::Str(Microservice::Web.to_string()))
         .set("accesses_per_stream", Json::Int(accesses as i64))
+        .set("table_build_us", Json::Num(table_build_us))
+        .set("table_fallback_share", fallback)
+        .set("table_matches_exact", Json::Bool(true))
         .set("sample_ns_per_access", Json::Num(sample_ns))
         .set("mtf_ns_per_access", Json::Num(mtf_ns))
         .set("fill_ns_per_event", Json::Num(fill_ns)))

@@ -393,7 +393,8 @@ impl Step<'_> {
         let service_dist = ServiceDist::LogNormal {
             mean: cal.service_s,
             cv2: self.cfg.service_cv2,
-        };
+        }
+        .sampler();
 
         let children = if tier.hit_rate > 0.0 {
             0

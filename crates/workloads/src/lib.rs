@@ -41,7 +41,7 @@ pub mod spec2006;
 pub use error::WorkloadError;
 pub use loadgen::{CodeEvolution, CodePush, LoadGenerator};
 pub use microservices::{Microservice, WorkloadProfile};
-pub use queuesim::{simulate_queue, ServiceDist, TailLatency};
+pub use queuesim::{simulate_queue, ServiceDist, ServiceSampler, TailLatency};
 pub use request::{RequestBreakdown, RequestProfile};
 // Re-export the platform enum callers need to pick a deployment target.
 pub use softsku_archsim::platform::PlatformKind;

@@ -59,25 +59,31 @@ pub enum ServiceDist {
 
 impl ServiceDist {
     /// Draws one service time. The deterministic cases (including a
-    /// log-normal with `cv2 ≤ 0`) return without touching `rng`.
+    /// log-normal with `cv2 ≤ 0`) return without touching `rng`. Loops
+    /// that draw many times should hoist [`ServiceDist::sampler`].
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match *self {
-            ServiceDist::Exponential { mean } => {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                -mean * u.ln()
-            }
-            ServiceDist::Deterministic { time } => time,
+        self.sampler().sample(rng)
+    }
+
+    /// The distribution with its per-draw constants precomputed: the
+    /// log-normal's `mu` and `sigma` are evaluated once here instead of on
+    /// every draw, with the same expressions, so draws are bit-identical
+    /// to [`ServiceDist::sample`]'s.
+    pub fn sampler(&self) -> ServiceSampler {
+        let kind = match *self {
+            ServiceDist::Exponential { mean } => SamplerKind::Exponential { mean },
+            ServiceDist::Deterministic { time } => SamplerKind::Fixed(time),
+            ServiceDist::LogNormal { mean, cv2 } if cv2 <= 0.0 => SamplerKind::Fixed(mean),
+            // Parameterize so that E[X] = mean and Var[X]/E[X]^2 = cv2.
             ServiceDist::LogNormal { mean, cv2 } => {
-                if cv2 <= 0.0 {
-                    return mean;
-                }
-                // Parameterize so that E[X] = mean and Var[X]/E[X]^2 = cv2.
                 let sigma2 = (1.0 + cv2).ln();
-                let mu = mean.ln() - sigma2 / 2.0;
-                let z = standard_normal(rng);
-                (mu + sigma2.sqrt() * z).exp()
+                SamplerKind::LogNormal {
+                    mu: mean.ln() - sigma2 / 2.0,
+                    sigma: sigma2.sqrt(),
+                }
             }
-        }
+        };
+        ServiceSampler { kind }
     }
 
     fn mean(&self) -> f64 {
@@ -85,6 +91,43 @@ impl ServiceDist {
             ServiceDist::Exponential { mean } => mean,
             ServiceDist::Deterministic { time } => time,
             ServiceDist::LogNormal { mean, .. } => mean,
+        }
+    }
+}
+
+/// A [`ServiceDist`] ready to draw from; see [`ServiceDist::sampler`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServiceSampler {
+    kind: SamplerKind,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SamplerKind {
+    Exponential {
+        mean: f64,
+    },
+    /// A fixed service time that draws nothing.
+    Fixed(f64),
+    /// `exp(mu + sigma · z)` for a standard normal `z`.
+    LogNormal {
+        mu: f64,
+        sigma: f64,
+    },
+}
+
+impl ServiceSampler {
+    /// Draws one service time.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        match self.kind {
+            SamplerKind::Exponential { mean } => {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                -mean * u.ln()
+            }
+            SamplerKind::Fixed(time) => time,
+            SamplerKind::LogNormal { mu, sigma } => {
+                let z = standard_normal(rng);
+                (mu + sigma * z).exp()
+            }
         }
     }
 }
@@ -145,6 +188,7 @@ pub fn simulate_queue(
     let mut rng = SmallRng::seed_from_u64(seed);
     let arrival_rate = rho * servers as f64 / service.mean();
 
+    let sampler = service.sampler();
     let mut queue = FcfsServers::new(servers);
     let mut t = 0.0f64;
     let warmup = jobs / 10;
@@ -152,7 +196,7 @@ pub fn simulate_queue(
     for i in 0..jobs {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         t += -u.ln() / arrival_rate;
-        let s = service.sample(&mut rng);
+        let s = sampler.sample(&mut rng);
         let finish = queue.admit(t, s) + s;
         if i >= warmup {
             sojourns.push(finish - t);
@@ -265,6 +309,21 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 2.5).abs() < 0.05, "mean {mean}");
+    }
+
+    #[test]
+    fn hoisted_lognormal_draws_match_the_inline_formula() {
+        for (mean, cv2) in [(2.5, 1.5), (3e-4, 2.0), (1.0, 1e-9), (1.0, f64::NAN)] {
+            let sampler = ServiceDist::LogNormal { mean, cv2 }.sampler();
+            let mut a = SmallRng::seed_from_u64(4);
+            let mut b = SmallRng::seed_from_u64(4);
+            for _ in 0..1000 {
+                let sigma2 = (1.0 + cv2).ln();
+                let mu = mean.ln() - sigma2 / 2.0;
+                let inline = (mu + sigma2.sqrt() * standard_normal(&mut a)).exp();
+                assert_eq!(sampler.sample(&mut b).to_bits(), inline.to_bits());
+            }
+        }
     }
 
     #[test]

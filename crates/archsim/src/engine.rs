@@ -14,7 +14,7 @@ use crate::prefetch::{PrefetchEffect, PrefetcherConfig};
 use crate::stream::{BranchProfile, StreamSpec};
 use crate::tlb::TlbHierarchy;
 use crate::tmam::TmamBreakdown;
-use crate::trace::{EventBatch, HugePageMix, TraceGenerator, TraceKey};
+use crate::trace::{EventBatch, Halves, HugePageMix, TraceGenerator, TraceKey};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -205,22 +205,44 @@ const DEFAULT_BATCH_EVENTS: usize = 4096;
 /// repopulates its working set within one round.
 const PASS_MEMO_CAP: usize = 1 << 16;
 
-/// One pass-memo entry: empty until the first window with its key finishes
-/// its passes. That window holds the slot's lock while it simulates, so
-/// concurrent windows with the same key wait for its counters instead of
-/// simulating copies.
-type PassSlot = Arc<Mutex<Option<Counters>>>;
+/// One pass-memo entry: one half of a window's counters, empty until the
+/// first window with its key finishes that half's passes. That window
+/// holds the slot's lock while it simulates, so concurrent windows with the
+/// same key wait for its counters instead of simulating copies.
+type PassSlot = Arc<Mutex<Option<PassHalf>>>;
 
-/// Process-wide memo of [`WindowSim::run`]'s counters, keyed by
-/// [`Engine::pass_key`]: everything the structure passes read. µSKU's A/B
-/// arms run one workload on identical hardware with one engine seed (paper
+/// One half of a window's pass counters, as [`PASS_MEMO`] keeps it.
+#[derive(Clone, Copy)]
+struct PassHalf {
+    counters: Counters,
+    /// In builds with debug assertions, the input fingerprints
+    /// ([`Engine::inputs_fingerprint`]) of the last [`AUDITED_INPUTS`]
+    /// windows known to yield `counters`: the window that simulated the
+    /// half, then each hit the audit in [`Engine::window_counters`]
+    /// checked.
+    #[cfg(debug_assertions)]
+    audited: [u64; AUDITED_INPUTS],
+}
+
+/// Process-wide memo of [`WindowSim::run`]'s counters, split at the
+/// line/page seam: each window claims one slot under [`Engine::line_key`],
+/// everything the cache and branch passes read, and one under
+/// [`Engine::page_key`], everything the TLB passes read. µSKU's A/B arms
+/// run one workload on identical hardware with one engine seed (paper
 /// Sec. 5), and most knobs change timing, not the access stream, so the
 /// passes of every load point, every prefetcher or uncore setting and every
 /// co-runner's bandwidth repeat a window the process already simulated.
-/// A hit skips building structures and generating the trace; only the
-/// analytic steps 4–5 of [`Engine::evaluate`] run. The map's mutex is held
-/// only to claim a [`PassSlot`].
+/// THP and SHP act only through the TLBs (Figs. 11 and 18), so their
+/// settings share one line half; LLC-way and CDP settings share one page
+/// half. A window simulates only the halves it misses, and a full hit runs
+/// only the analytic steps 4–5 of [`Engine::evaluate`]. The map's mutex is
+/// held only to claim the two [`PassSlot`]s.
 static PASS_MEMO: OnceLock<Mutex<HashMap<u128, PassSlot>>> = OnceLock::new();
+
+/// Input sets each pass-memo half remembers as checked, in builds with
+/// debug assertions (see the audit in [`Engine::window_counters`]).
+#[cfg(debug_assertions)]
+const AUDITED_INPUTS: usize = 16;
 
 /// Code ids share the unified L2/LLC with data ids; tag them apart.
 const CODE_TAG: u64 = 1 << 62;
@@ -238,18 +260,27 @@ const STRUCT_MEMO_CAP: usize = 32;
 /// clone is bit-identical to a rebuild.
 #[derive(Clone)]
 struct WarmStructures {
+    caches: WarmCaches,
+    tlb: TlbHierarchy,
+}
+
+/// The caches of a [`WarmStructures`]: what the line half of a window's
+/// passes drives. They are filled from the two line distributions alone,
+/// and the TLBs from the two page distributions alone.
+#[derive(Clone)]
+struct WarmCaches {
     l1i: SetAssocCache,
     l1d: SetAssocCache,
     l2: SetAssocCache,
     llc: SharedLlc,
-    tlb: TlbHierarchy,
 }
 
 /// Process-wide snapshot cache of pre-filled structure hierarchies, keyed
 /// by a content fingerprint of everything that shapes them. It serves the
-/// pass-memo misses: a new trace (THP, SHP, a fresh seed) or a switch
-/// schedule inside the window on a hierarchy shape the process has already
-/// built restores a clone instead of replaying the pre-fill.
+/// line-half misses: a fresh seed or a switch schedule inside the window
+/// on a hierarchy shape the process has already built restores a clone
+/// instead of replaying the pre-fill. A window that simulates only its
+/// page half builds just the TLBs, which cost a few thousand accesses.
 static STRUCT_MEMO: OnceLock<Mutex<HashMap<u128, WarmStructures>>> = OnceLock::new();
 
 /// The window-level simulator for one (platform config, workload) pair.
@@ -284,10 +315,11 @@ impl Engine {
     }
 
     /// Enables or disables the process-wide memos for this engine (default
-    /// on): the pass memo and the warm-structure snapshots. Identity tests
-    /// and throughput benchmarks turn them off to force a full evaluation —
-    /// structures built, trace generated and passes run; memo hits are
-    /// bit-identical to evaluation, so production callers never need to.
+    /// on): both halves of the pass memo and the warm-structure snapshots.
+    /// Identity tests and throughput benchmarks turn them off to force a
+    /// full evaluation — structures built, trace generated and passes run;
+    /// memo hits are bit-identical to evaluation, so production callers
+    /// never need to.
     pub fn with_memo(mut self, enabled: bool) -> Self {
         self.use_memo = enabled;
         self
@@ -325,23 +357,28 @@ impl Engine {
         &self.spec
     }
 
-    /// 128-bit content key of one window's structure passes: everything
-    /// [`WindowSim::run`] reads. That is the structure key at the resolved
-    /// LLC `share`, the trace key (generator inputs, the resolved `huge`
-    /// mix, the seed, warm-up plus window events), the branch predictor's
-    /// inputs, and the `schedule`. The schedule's switch period is already
-    /// clipped to the window, so a window with no switch inside it keys no
-    /// core frequency or load. `batch_events` is excluded: results are
-    /// bit-identical at every batch size. Collisions at 128 bits are
-    /// negligible against the ~1e5 distinct windows a long sweep evaluates.
+    /// 128-bit content key of the line half of one window's passes:
+    /// everything the cache passes, the L2/LLC merge, the branch pass and
+    /// the class tallies read. That is the cache geometries, the enabled
+    /// ways, the CDP split or natural code share and the resolved LLC
+    /// `share` (which shape the warm caches), the line half of the trace
+    /// key (the mix, the two line distributions, the seed, warm-up plus
+    /// window events), the branch predictor's inputs, and the `schedule`.
+    /// The huge-page mix is absent: it moves no RNG step and no line, so
+    /// THP and SHP settings share one line half. The schedule's switch
+    /// period is already clipped to the window, so a window with no switch
+    /// inside it keys no core frequency or load. `batch_events` is
+    /// excluded: results are bit-identical at every batch size. Collisions
+    /// at 128 bits are negligible against the ~1e5 distinct windows a long
+    /// sweep evaluates.
     ///
     /// Every input struct is destructured without `..`, so a field added to
     /// any of them fails to compile here until it is keyed or excluded with
     /// a reason; the memo cannot silently serve stale counters.
-    fn pass_key(&self, schedule: &Schedule, share: f64, huge: HugePageMix) -> u128 {
+    fn line_key(&self, schedule: &Schedule, share: f64) -> u128 {
         let mut h = Fnv128::new();
-        // Domain separator against the structure and trace keys hashed in.
-        h.push(0x5041_5353); // "PASS"
+        // Domain separator against the page, structure and trace keys.
+        h.push(0x4c49_4e45); // "LINE"
         let Engine {
             config,
             spec,
@@ -355,10 +392,8 @@ impl Engine {
         } = self;
         let ServerConfig {
             platform,
-            // Enabled ways and the CDP split shape the warm structures:
-            // keyed by `structure_key`.
-            llc_ways_enabled: _,
-            cdp: _,
+            llc_ways_enabled,
+            cdp,
             // Core frequency reaches the passes only through the switch
             // period in `schedule`; the core count only through `share`.
             core_freq_ghz: _,
@@ -366,20 +401,19 @@ impl Engine {
             // Prefetchers and uncore frequency act only in steps 4–5.
             uncore_freq_ghz: _,
             prefetchers: _,
-            // Page knobs reach the passes only through `huge` (keyed by the
-            // trace key); SHP pressure acts in step 4.
+            // Page knobs act on the page half through the huge-page mix,
+            // and SHP pressure in step 4.
             thp: _,
             shp_pages: _,
             machine_memory_bytes: _,
         } = config;
         let PlatformSpec {
+            l1i,
+            l1d,
+            l2,
+            llc,
             btb_entries,
-            // Geometries shape the warm structures: keyed by
-            // `structure_key`.
-            l1i: _,
-            l1d: _,
-            l2: _,
-            llc: _,
+            // TLB geometries shape the page half only.
             itlb: _,
             dtlb: _,
             stlb_entries: _,
@@ -404,17 +438,17 @@ impl Engine {
         } = platform;
         let StreamSpec {
             branch,
-            // The generator inputs (mix, reuse distributions, page
-            // compaction) are keyed by the trace key; the reuse
-            // distributions and the natural code share also by
-            // `structure_key`.
+            natural_code_llc_share,
+            // The mix and the two line distributions are keyed by the line
+            // trace key; the line distributions also set the cache
+            // pre-fill depths.
             mix: _,
             code_reuse: _,
             data_reuse: _,
+            // The page distributions and compactions feed the page half.
             code_page_reuse: _,
             data_page_reuse: _,
             pages: _,
-            natural_code_llc_share: _,
             // The switch rate and pollution enter through `schedule`; its
             // direct cost is priced in step 5.
             context_switch: _,
@@ -447,13 +481,136 @@ impl Engine {
             // Chunking is a pure performance control.
             batch_events: _,
         } = *schedule;
-        h.push_u128(self.structure_key(share));
-        h.push_u128(TraceKey::new(spec, huge, *seed, total).0);
+        for g in [l1i, l1d, l2, llc] {
+            push_cache_geometry(&mut h, g);
+        }
+        h.push(u64::from(*llc_ways_enabled));
+        push_llc_split(&mut h, *cdp, *natural_code_llc_share);
+        h.push_f64(share);
+        h.push_u128(TraceKey::lines(spec, *seed, total).0);
         // The seed also seeds the branch predictor's sampling stream.
         h.push(*seed);
         h.push_f64(base_mispredict);
         h.push(u64::from(branch_working_set));
         h.push(u64::from(*btb_entries));
+        h.push(warmup);
+        h.push(insns_per_switch);
+        h.push_f64(pollution);
+        h.finish()
+    }
+
+    /// 128-bit content key of the page half of one window's passes:
+    /// everything the ITLB, DTLB and STLB passes and the DTLB load/store
+    /// split read. That is the TLB geometries (which, with the page
+    /// distributions, shape the warm TLBs), the page half of the trace key
+    /// (the mix, the two page distributions and their compactions, the
+    /// resolved `huge` mix, the seed, warm-up plus window events), and the
+    /// `schedule`. The caches, the LLC share and the line distributions are
+    /// absent, so LLC-way and CDP settings share one page half. As in
+    /// [`Engine::line_key`], every input is destructured without `..`.
+    fn page_key(&self, schedule: &Schedule, huge: HugePageMix) -> u128 {
+        let mut h = Fnv128::new();
+        // Domain separator against the line, structure and trace keys.
+        h.push(0x5041_4745); // "PAGE"
+        let Engine {
+            config,
+            spec,
+            seed,
+            // Enters through `schedule.warmup`.
+            warmup_override: _,
+            // Pure performance controls.
+            batch_events: _,
+            use_memo: _,
+        } = self;
+        let ServerConfig {
+            platform,
+            // Ways, the CDP split, the core count and the clocks shape the
+            // line half, place switches through `schedule`, or act in steps
+            // 4–5; none reaches a TLB.
+            llc_ways_enabled: _,
+            cdp: _,
+            core_freq_ghz: _,
+            active_cores: _,
+            uncore_freq_ghz: _,
+            prefetchers: _,
+            // Page knobs reach the TLBs only through `huge` (keyed by the
+            // page trace key); SHP pressure acts in step 4.
+            thp: _,
+            shp_pages: _,
+            machine_memory_bytes: _,
+        } = config;
+        let PlatformSpec {
+            itlb,
+            dtlb,
+            stlb_entries,
+            // Cache geometries and the BTB shape the line half only.
+            l1i: _,
+            l1d: _,
+            l2: _,
+            llc: _,
+            btb_entries: _,
+            // Core counts, latencies, widths, clocks and the memory system
+            // place switches or price the counters in steps 4–5.
+            sockets: _,
+            cores_per_socket: _,
+            kind: _,
+            microarchitecture: _,
+            smt: _,
+            page_walk_cycles: _,
+            issue_width: _,
+            mispredict_penalty_cycles: _,
+            core_freq_range_ghz: _,
+            uncore_freq_range_ghz: _,
+            avx_freq_tax_ghz: _,
+            avx_fp_threshold: _,
+            mem_unloaded_latency_ns: _,
+            mem_peak_bw_gbps: _,
+            supports_rdt: _,
+        } = platform;
+        let StreamSpec {
+            // The mix, the page distributions and compactions are keyed by
+            // the page trace key; the page distributions also set the TLB
+            // pre-fill depths.
+            mix: _,
+            code_page_reuse: _,
+            data_page_reuse: _,
+            pages: _,
+            // The line distributions, the LLC split and the branch profile
+            // feed the line half.
+            code_reuse: _,
+            data_reuse: _,
+            natural_code_llc_share: _,
+            branch: _,
+            // The switch rate and pollution enter through `schedule`.
+            context_switch: _,
+            // Contention enters the line half through `share`.
+            llc_contention: _,
+            // A display label, and traits that price the counters in steps
+            // 4–5.
+            name: _,
+            prefetch: _,
+            mlp: _,
+            smt_gain: _,
+            base_cpi_scale: _,
+            writeback_factor: _,
+            burstiness: _,
+            extra_mem_lines_per_ki: _,
+            extra_traffic_prefetch_fraction: _,
+            frontend_exposure: _,
+        } = spec;
+        let Schedule {
+            warmup,
+            total,
+            insns_per_switch,
+            pollution,
+            // Chunking is a pure performance control.
+            batch_events: _,
+        } = *schedule;
+        for t in [itlb, dtlb] {
+            push_tlb_geometry(&mut h, t);
+        }
+        h.push(u64::from(*stlb_entries));
+        h.push_u128(TraceKey::pages(spec, huge, *seed, total).0);
         h.push(warmup);
         h.push(insns_per_switch);
         h.push_f64(pollution);
@@ -466,11 +623,11 @@ impl Engine {
     /// distributions (whose footprints set the pre-fill depths). Knobs that
     /// leave the hierarchy untouched — THP, SHP, frequencies, the seed —
     /// are deliberately absent so their settings share one snapshot. As in
-    /// [`Engine::pass_key`], the inputs are destructured without `..` and
+    /// [`Engine::line_key`], the inputs are destructured without `..` and
     /// each omitted field is named with its reason.
     fn structure_key(&self, share: f64) -> u128 {
         let mut h = Fnv128::new();
-        // Domain separator against the pass and trace keys.
+        // Domain separator against the pass-memo and trace keys.
         h.push(0x5741_524d); // "WARM"
         let ServerConfig {
             platform,
@@ -516,22 +673,10 @@ impl Engine {
             supports_rdt: _,
         } = platform;
         for g in [l1i, l1d, l2, llc] {
-            let CacheGeometry {
-                capacity_bytes,
-                ways,
-                // Hit latency prices an access; it does not shape contents.
-                latency_cycles: _,
-            } = *g;
-            h.push(capacity_bytes);
-            h.push(u64::from(ways));
+            push_cache_geometry(&mut h, g);
         }
         for t in [itlb, dtlb] {
-            let TlbGeometry {
-                entries_4k,
-                entries_2m,
-            } = *t;
-            h.push(u64::from(entries_4k));
-            h.push(u64::from(entries_2m));
+            push_tlb_geometry(&mut h, t);
         }
         h.push(u64::from(*stlb_entries));
         h.push(u64::from(*llc_ways_enabled));
@@ -560,20 +705,7 @@ impl Engine {
             extra_traffic_prefetch_fraction: _,
             frontend_exposure: _,
         } = &self.spec;
-        match *cdp {
-            Some(CdpPartition {
-                data_ways,
-                code_ways,
-            }) => {
-                h.push(1);
-                h.push(u64::from(data_ways));
-                h.push(u64::from(code_ways));
-            }
-            None => {
-                h.push(0);
-                h.push_f64(*natural_code_llc_share);
-            }
-        }
+        push_llc_split(&mut h, *cdp, *natural_code_llc_share);
         h.push_f64(share);
         for dist in [code_reuse, data_reuse, code_page_reuse, data_page_reuse] {
             dist.fingerprint_words(&mut |w| h.push(w));
@@ -582,14 +714,11 @@ impl Engine {
     }
 
     /// Returns the pre-filled structure hierarchy for this engine's config
-    /// at the given LLC share — from the process-wide snapshot cache when
-    /// the memo is enabled, built from scratch otherwise. A restored
-    /// snapshot is bit-identical to a rebuild (construction and pre-fill
-    /// are deterministic), so this only trades wall time.
+    /// at the given LLC share from the process-wide snapshot cache, built
+    /// and kept on a miss. A restored snapshot is bit-identical to a
+    /// rebuild (construction and pre-fill are deterministic), so this only
+    /// trades wall time.
     fn structures_for(&self, share: f64) -> Result<WarmStructures, ArchSimError> {
-        if !self.use_memo {
-            return build_warm_structures(&self.config, &self.spec, share);
-        }
         let key = self.structure_key(share);
         let memo = STRUCT_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
         if let Ok(guard) = memo.lock() {
@@ -607,21 +736,33 @@ impl Engine {
         Ok(warm)
     }
 
-    /// The counters of this window's structure passes: from [`PASS_MEMO`]
-    /// when an earlier window with the same [`Engine::pass_key`] ran them,
-    /// otherwise simulated — structures restored or built, trace generated
-    /// chunk by chunk — and, with the memo on, kept for later windows. A
-    /// poisoned map or slot (a thread panicked mid-simulation) only
-    /// bypasses the memo; a failed build leaves the slot empty.
-    fn window_counters(
+    /// Simulates the `halves` of this window's passes: structures restored
+    /// (from [`STRUCT_MEMO`] when `memo` is set) or built, and the trace
+    /// generated chunk by chunk with only those halves' mappers. Returns
+    /// the line half's counters and the page half's; a half not simulated
+    /// reads all zero. A window that simulates only its page half builds
+    /// just the TLBs.
+    fn simulate_halves(
         &self,
         schedule: &Schedule,
         share: f64,
         huge: HugePageMix,
-    ) -> Result<Counters, ArchSimError> {
-        let simulate = || -> Result<Counters, ArchSimError> {
-            let mut sim = WindowSim {
-                warm: self.structures_for(share)?,
+        halves: Halves,
+        memo: bool,
+    ) -> Result<(Counters, Counters), ArchSimError> {
+        let (caches, tlb) = if halves.lines {
+            let warm = if memo {
+                self.structures_for(share)?
+            } else {
+                build_warm_structures(&self.config, &self.spec, share)?
+            };
+            (Some(warm.caches), halves.pages.then_some(warm.tlb))
+        } else {
+            (None, Some(build_warm_tlb(&self.config, &self.spec)?))
+        };
+        let sim = WindowSim {
+            lines: caches.map(|warm| LineSim {
+                warm,
                 bpu: BranchPredictor::new(
                     self.spec.branch.base_mispredict,
                     self.spec.branch.branch_working_set,
@@ -631,31 +772,143 @@ impl Engine {
                     self.seed,
                     softsku_telemetry::StreamFamily::EngineSampling,
                 )),
-            };
-            let mut gen = TraceGenerator::new(&self.spec, huge, self.seed);
-            Ok(sim.run(schedule, &mut gen))
+                counters: Counters::default(),
+                l1i_miss: Vec::new(),
+                l1d_miss: Vec::new(),
+            }),
+            pages: tlb.map(|tlb| PageSim {
+                tlb,
+                counters: Counters::default(),
+                itlb_miss: Vec::new(),
+                dtlb_miss: Vec::new(),
+            }),
+        };
+        let mut gen = TraceGenerator::for_halves(&self.spec, huge, self.seed, halves);
+        Ok(sim.run(schedule, &mut gen))
+    }
+
+    /// The counters of this window's structure passes, assembled from its
+    /// line half and its page half. With the memo on, each half comes from
+    /// [`PASS_MEMO`] when an earlier window with the same key ran it; the
+    /// window simulates only the halves it misses, and keeps them for
+    /// later windows. A poisoned map or slot (a thread panicked
+    /// mid-simulation) only bypasses the memo; a failed build leaves the
+    /// slots as they were.
+    fn window_counters(
+        &self,
+        schedule: &Schedule,
+        share: f64,
+        huge: HugePageMix,
+    ) -> Result<Counters, ArchSimError> {
+        let simulate = |halves, memo| self.simulate_halves(schedule, share, huge, halves, memo);
+        let full = || -> Result<Counters, ArchSimError> {
+            let (lines, pages) = simulate(Halves::BOTH, self.use_memo)?;
+            Ok(merge_halves(lines, pages))
         };
         if !self.use_memo {
-            return simulate();
+            return full();
         }
-        let key = self.pass_key(schedule, share, huge);
-        let Ok(mut map) = PASS_MEMO.get_or_init(Mutex::default).lock() else {
-            return simulate();
+        let line_key = self.line_key(schedule, share);
+        let page_key = self.page_key(schedule, huge);
+        #[cfg(debug_assertions)]
+        let inputs = self.inputs_fingerprint(schedule, share, huge);
+        let simulated = |counters| PassHalf {
+            counters,
+            #[cfg(debug_assertions)]
+            audited: [inputs; AUDITED_INPUTS],
         };
-        if map.len() >= PASS_MEMO_CAP && !map.contains_key(&key) {
+        let Ok(mut map) = PASS_MEMO.get_or_init(Mutex::default).lock() else {
+            return full();
+        };
+        if map.len() >= PASS_MEMO_CAP
+            && !(map.contains_key(&line_key) && map.contains_key(&page_key))
+        {
             map.clear();
         }
-        let slot = Arc::clone(map.entry(key).or_default());
+        let line_slot = Arc::clone(map.entry(line_key).or_default());
+        let page_slot = Arc::clone(map.entry(page_key).or_default());
         drop(map);
-        let Ok(mut counters) = slot.lock() else {
-            return simulate();
+        // Every window locks its line slot before its page slot, so no two
+        // windows can each hold a slot the other waits for.
+        let Ok(mut line) = line_slot.lock() else {
+            return full();
         };
-        if let Some(c) = *counters {
-            return Ok(c);
-        }
-        let c = simulate()?;
-        *counters = Some(c);
-        Ok(c)
+        let Ok(mut page) = page_slot.lock() else {
+            return full();
+        };
+        #[cfg(debug_assertions)]
+        let hits = (line.is_some(), page.is_some());
+        let (lines, pages) = match (*line, *page) {
+            (Some(lines), Some(pages)) => (lines, pages),
+            (memo_lines, memo_pages) => {
+                let (lines, pages) = simulate(
+                    Halves {
+                        lines: memo_lines.is_none(),
+                        pages: memo_pages.is_none(),
+                    },
+                    true,
+                )?;
+                (
+                    memo_lines.unwrap_or(simulated(lines)),
+                    memo_pages.unwrap_or(simulated(pages)),
+                )
+            }
+        };
+        // The audit, in builds with debug assertions: a half this window
+        // took from the memo is simulated again with the memos off the
+        // first time it serves this window's input set (one of its last
+        // `AUDITED_INPUTS`), and must match exactly. A pass half writes only
+        // integer counts, so `==` is bitwise here. A key that omits an
+        // input its passes read thus fails at its first stale hit, whatever
+        // order threads take; hits that repeat a checked input set — other
+        // loads, fork replicas, the other arm of an A/B test — cost
+        // nothing. The slots stay locked, so concurrent windows with the
+        // same inputs wait for the verdict instead of repeating it.
+        #[cfg(debug_assertions)]
+        let (lines, pages) = {
+            let (mut lines, mut pages) = (lines, pages);
+            let unchecked = |hit: bool, half: &PassHalf| hit && !half.audited.contains(&inputs);
+            let audit = Halves {
+                lines: unchecked(hits.0, &lines),
+                pages: unchecked(hits.1, &pages),
+            };
+            if audit.lines || audit.pages {
+                let (fresh_lines, fresh_pages) = simulate(audit, false)?;
+                for (name, audited, half, fresh) in [
+                    ("line", audit.lines, &mut lines, fresh_lines),
+                    ("page", audit.pages, &mut pages, fresh_pages),
+                ] {
+                    if audited {
+                        assert_eq!(
+                            half.counters, fresh,
+                            "stale pass-memo {name} half: a hit differs from evaluation"
+                        );
+                        half.audited.rotate_right(1);
+                        half.audited[0] = inputs;
+                    }
+                }
+            }
+            (lines, pages)
+        };
+        *line = Some(lines);
+        *page = Some(pages);
+        drop(page);
+        drop(line);
+        Ok(merge_halves(lines.counters, pages.counters))
+    }
+
+    /// Fingerprint of everything a window's passes could read: the whole
+    /// engine (config, spec, seed, warm-up override and batch size), the
+    /// schedule, the LLC share and the huge-page mix. It is taken from
+    /// their `Debug` output, which covers every field, so unlike the memo
+    /// keys it lists nothing that could fall out of date. Load and a
+    /// co-runner's bandwidth reach the passes only through the schedule.
+    #[cfg(debug_assertions)]
+    fn inputs_fingerprint(&self, schedule: &Schedule, share: f64, huge: HugePageMix) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        format!("{self:?} {schedule:?} {share:?} {huge:?}").hash(&mut h);
+        h.finish()
     }
 
     /// Simulates `instructions` instructions at `load_fraction` of peak
@@ -688,7 +941,12 @@ impl Engine {
     /// window), uncore frequency, prefetchers, the co-runner's bandwidth —
     /// share one run of the passes through a process-wide memo (see
     /// `PASS_MEMO` in this module); so do `AbEnvironment::fork` replicas
-    /// re-measuring their parent's operating points.
+    /// re-measuring their parent's operating points. The memo holds the
+    /// passes as two halves. Windows that differ only in THP or SHP settings
+    /// share the line half (caches, branch predictor) and simulate only
+    /// their TLBs; windows that differ only in LLC ways, the CDP split or
+    /// the LLC share share the page half (TLBs) and simulate only their
+    /// caches.
     ///
     /// # Errors
     ///
@@ -976,6 +1234,7 @@ impl Engine {
 }
 
 /// Where a window's chunk boundaries fall.
+#[derive(Debug)]
 struct Schedule {
     /// Warm-up events; statistics reset before event `warmup`.
     warmup: u64,
@@ -1074,62 +1333,80 @@ where
     });
 }
 
-/// Miss lists reused across a window's chunks: chunk-relative event
-/// indices for the code side, chunk-relative slot indices for the data
-/// side.
-#[derive(Default)]
-struct MissLists {
-    l1i: Vec<u32>,
-    l1d: Vec<u32>,
-    itlb: Vec<u32>,
-    dtlb: Vec<u32>,
+/// One window's mutable state, split at the line/page seam: each half is
+/// `None` when the window takes it from the pass memo.
+struct WindowSim {
+    lines: Option<LineSim>,
+    pages: Option<PageSim>,
 }
 
-/// One window's mutable state: the pre-filled structures, the branch
-/// predictor, and the engine sampling stream it draws from.
-struct WindowSim {
-    warm: WarmStructures,
+/// The line half of a window: the pre-filled caches, the branch predictor
+/// and the engine sampling stream it draws from, the half's counters, and
+/// its first-level miss lists (chunk-relative event indices for the code
+/// side, chunk-relative slot indices for the data side), reused across
+/// chunks.
+struct LineSim {
+    warm: WarmCaches,
     bpu: BranchPredictor,
     rng: rand::rngs::SmallRng,
+    counters: Counters,
+    l1i_miss: Vec<u32>,
+    l1d_miss: Vec<u32>,
+}
+
+/// The page half of a window: the pre-filled TLB hierarchy, the half's
+/// counters, and its first-level miss lists.
+struct PageSim {
+    tlb: TlbHierarchy,
+    counters: Counters,
+    itlb_miss: Vec<u32>,
+    dtlb_miss: Vec<u32>,
 }
 
 impl WindowSim {
-    /// Drives every structure over the window's events and returns the
-    /// measured counters.
+    /// Drives the window's simulated halves over its events and returns
+    /// the line half's measured counters and the page half's (all zero for
+    /// a half not simulated).
     ///
     /// The window runs on two threads (see [`pipeline`]): a scoped thread
     /// runs the generator's code half one chunk ahead, while this thread
     /// maps each chunk's data half and then runs the structure passes over
     /// it. The code half alone consumes the generator's RNG, in per-event
     /// order, and each half's mappers see their accesses in order, so the
-    /// batches are exactly [`TraceGenerator::fill_batch`]'s.
-    fn run(&mut self, schedule: &Schedule, gen: &mut TraceGenerator) -> Counters {
+    /// batches are exactly [`TraceGenerator::fill_batch`]'s in every column
+    /// the simulated halves read.
+    ///
+    /// The line and page passes touch disjoint state — the caches, BPU and
+    /// sampling stream against the TLBs — and each applies its own warm-up
+    /// reset and context-switch flushes at the same chunk bounds, so each
+    /// half's counters are the same whether or not the other half runs.
+    fn run(mut self, schedule: &Schedule, gen: &mut TraceGenerator) -> (Counters, Counters) {
         let (code, data) = gen.halves();
-        let mut c = Counters::default();
-        let mut misses = MissLists::default();
         pipeline(
             schedule.chunks(),
             schedule.batch_events.min(schedule.total) as usize,
             |batch, n| code.fill(batch, n),
             |chunk, batch| {
                 data.fill(batch);
-                self.pass(schedule, chunk, batch, &mut c, &mut misses);
+                if let Some(lines) = &mut self.lines {
+                    lines.pass(schedule, &chunk, batch);
+                }
+                if let Some(pages) = &mut self.pages {
+                    pages.pass(schedule, &chunk, batch);
+                }
             },
         );
-        // Fill TLB/branch aggregate stats into counters.
-        let (_, itlb_miss, itlb_walk) = self.warm.tlb.itlb_stats();
-        let (_, dtlb_miss, dtlb_walk) = self.warm.tlb.dtlb_stats();
-        c.itlb_misses = itlb_miss;
-        c.itlb_walks = itlb_walk;
-        c.dtlb_misses = dtlb_miss;
-        c.dtlb_walks = dtlb_walk;
-        let (_, _, btb) = self.bpu.stats();
-        c.btb_misses = btb;
-        c
+        (
+            self.lines.map_or_else(Counters::default, LineSim::finish),
+            self.pages.map_or_else(Counters::default, PageSim::finish),
+        )
     }
+}
 
-    /// Runs the structure passes over one chunk's events, `chunk` of the
-    /// window, adding to `c`.
+impl LineSim {
+    /// Runs the line half's passes over one chunk's events, `chunk` of the
+    /// window: the class tallies, L1i, L1d, the L2/LLC merge, the branch
+    /// pass and the cache flushes.
     ///
     /// The per-event probe chain is restructured into per-structure passes
     /// over the SoA chunk. Bit-identity with the per-event loop holds
@@ -1142,38 +1419,20 @@ impl WindowSim {
     /// per-event probe order. [`Schedule::chunks`] clamps chunk bounds so
     /// the warm-up reset and context-switch flushes land between the same
     /// events as in the per-event loop.
-    fn pass(
-        &mut self,
-        schedule: &Schedule,
-        chunk: Range<u64>,
-        ch: &EventBatch,
-        c: &mut Counters,
-        misses: &mut MissLists,
-    ) {
-        let WindowSim {
-            warm:
-                WarmStructures {
-                    l1i,
-                    l1d,
-                    l2,
-                    llc,
-                    tlb,
-                },
+    fn pass(&mut self, schedule: &Schedule, chunk: &Range<u64>, ch: &EventBatch) {
+        let LineSim {
+            warm: WarmCaches { l1i, l1d, l2, llc },
             bpu,
             rng,
+            counters: c,
+            l1i_miss: i1_miss,
+            l1d_miss: d1_miss,
         } = self;
-        let MissLists {
-            l1i: i1_miss,
-            l1d: d1_miss,
-            itlb: itlb_miss,
-            dtlb: dtlb_miss,
-        } = misses;
         if chunk.start == schedule.warmup {
             l1i.reset_stats();
             l1d.reset_stats();
             l2.reset_stats();
             llc.reset_stats();
-            tlb.reset_stats();
             bpu.reset_stats();
             *c = Counters::default();
         }
@@ -1202,13 +1461,6 @@ impl WindowSim {
         }
         c.l1i_misses += i1_miss.len() as u64;
 
-        itlb_miss.clear();
-        for (k, &page) in ch.code_pages.iter().enumerate() {
-            if !tlb.probe_code_l1(page, ch.code_huge[k]) {
-                itlb_miss.push(k as u32);
-            }
-        }
-
         d1_miss.clear();
         for (s, &line) in ch.data_lines.iter().enumerate() {
             if !l1d.access(line) {
@@ -1216,18 +1468,6 @@ impl WindowSim {
             }
         }
         c.l1d_misses += d1_miss.len() as u64;
-
-        dtlb_miss.clear();
-        for (s, &page) in ch.data_pages.iter().enumerate() {
-            if !tlb.probe_data_l1(page, ch.data_huge[s]) {
-                dtlb_miss.push(s as u32);
-                if ch.data_is_store[s] {
-                    c.dtlb_store_misses += 1;
-                } else {
-                    c.dtlb_load_misses += 1;
-                }
-            }
-        }
 
         // Ordered fix-up over the shared L2 (and the LLC, probed right
         // after it per missing event): event-ordered merge of the
@@ -1264,7 +1504,70 @@ impl WindowSim {
             }
         }
 
-        // Same event-ordered merge for the shared STLB.
+        // Branch pass: the BPU carries no state between draws, so
+        // replaying the chunk's branch count consumes the engine
+        // sampling stream in exactly the per-event order.
+        for _ in 0..branches {
+            if bpu.predict(rng) {
+                c.branch_mispredicts += 1;
+            }
+        }
+
+        // Context-switch pollution after the event at the switch point.
+        if schedule.switches_after(chunk) {
+            let poll = schedule.pollution;
+            l1i.flush_fraction(poll);
+            l1d.flush_fraction(poll);
+            l2.flush_fraction(poll * 0.5);
+        }
+    }
+
+    /// The line half's counters, with the BTB misses filled in.
+    fn finish(self) -> Counters {
+        let mut c = self.counters;
+        let (_, _, btb) = self.bpu.stats();
+        c.btb_misses = btb;
+        c
+    }
+}
+
+impl PageSim {
+    /// Runs the page half's passes over one chunk's events: the ITLB and
+    /// DTLB sweeps (splitting DTLB misses into loads and stores), the
+    /// event-ordered STLB merge and the TLB flush, at the same chunk bounds
+    /// as [`LineSim::pass`].
+    fn pass(&mut self, schedule: &Schedule, chunk: &Range<u64>, ch: &EventBatch) {
+        let PageSim {
+            tlb,
+            counters: c,
+            itlb_miss,
+            dtlb_miss,
+        } = self;
+        if chunk.start == schedule.warmup {
+            tlb.reset_stats();
+            *c = Counters::default();
+        }
+
+        itlb_miss.clear();
+        for (k, &page) in ch.code_pages.iter().enumerate() {
+            if !tlb.probe_code_l1(page, ch.code_huge[k]) {
+                itlb_miss.push(k as u32);
+            }
+        }
+
+        dtlb_miss.clear();
+        for (s, &page) in ch.data_pages.iter().enumerate() {
+            if !tlb.probe_data_l1(page, ch.data_huge[s]) {
+                dtlb_miss.push(s as u32);
+                if ch.data_is_store[s] {
+                    c.dtlb_store_misses += 1;
+                } else {
+                    c.dtlb_load_misses += 1;
+                }
+            }
+        }
+
+        // Event-ordered merge for the shared STLB, as for the L2.
         let (mut ci, mut di) = (0usize, 0usize);
         while ci < itlb_miss.len() || di < dtlb_miss.len() {
             let ce = itlb_miss.get(ci).copied().unwrap_or(u32::MAX);
@@ -1282,27 +1585,74 @@ impl WindowSim {
             }
         }
 
-        // Branch pass: the BPU carries no state between draws, so
-        // replaying the chunk's branch count consumes the engine
-        // sampling stream in exactly the per-event order.
-        for _ in 0..branches {
-            if bpu.predict(rng) {
-                c.branch_mispredicts += 1;
-            }
-        }
-
-        // Context-switch pollution after the event at the switch point.
-        if schedule.switches_after(&chunk) {
-            let poll = schedule.pollution;
-            l1i.flush_fraction(poll);
-            l1d.flush_fraction(poll);
-            l2.flush_fraction(poll * 0.5);
-            tlb.flush_fraction(poll);
+        if schedule.switches_after(chunk) {
+            tlb.flush_fraction(schedule.pollution);
         }
     }
+
+    /// The page half's counters, with the TLB aggregates filled in.
+    fn finish(self) -> Counters {
+        let mut c = self.counters;
+        let (_, itlb_miss, itlb_walk) = self.tlb.itlb_stats();
+        let (_, dtlb_miss, dtlb_walk) = self.tlb.dtlb_stats();
+        c.itlb_misses = itlb_miss;
+        c.itlb_walks = itlb_walk;
+        c.dtlb_misses = dtlb_miss;
+        c.dtlb_walks = dtlb_walk;
+        c
+    }
 }
+
+/// Joins a window's two pass halves into its counters: the TLB counters
+/// from `pages`, everything else from `lines`. `pages` is destructured
+/// without `..`, so a counter added to [`Counters`] fails to compile here
+/// until it is assigned to a half.
+fn merge_halves(lines: Counters, pages: Counters) -> Counters {
+    let Counters {
+        itlb_misses,
+        itlb_walks,
+        dtlb_misses,
+        dtlb_load_misses,
+        dtlb_store_misses,
+        dtlb_walks,
+        // The line half: class tallies, cache misses and the branch pass.
+        instructions: _,
+        code_accesses: _,
+        l1i_misses: _,
+        l2_code_misses: _,
+        llc_code_misses: _,
+        data_accesses: _,
+        loads: _,
+        stores: _,
+        l1d_misses: _,
+        l2_data_misses: _,
+        llc_data_misses: _,
+        branches: _,
+        branch_mispredicts: _,
+        btb_misses: _,
+        fp_ops: _,
+        // Set by steps 4–5 of `Engine::evaluate`; zero in both halves.
+        cycles: _,
+        context_switches: _,
+        mem_demand_lines: _,
+        mem_prefetch_lines: _,
+        mem_writeback_lines: _,
+        mem_extra_lines: _,
+    } = pages;
+    Counters {
+        itlb_misses,
+        itlb_walks,
+        dtlb_misses,
+        dtlb_load_misses,
+        dtlb_store_misses,
+        dtlb_walks,
+        ..lines
+    }
+}
+
 /// Builds the cache/TLB hierarchy and pre-fills it with steady-state MRU
-/// contents.
+/// contents: [`build_warm_caches`] and [`build_warm_tlb`], which read
+/// disjoint inputs.
 ///
 /// The stack mappers start at steady state (pre-warmed stacks), but a cold
 /// cache would need millions of accesses before lines at LLC-scale reuse
@@ -1319,6 +1669,20 @@ fn build_warm_structures(
     spec: &StreamSpec,
     share: f64,
 ) -> Result<WarmStructures, ArchSimError> {
+    Ok(WarmStructures {
+        caches: build_warm_caches(cfg, spec, share)?,
+        tlb: build_warm_tlb(cfg, spec)?,
+    })
+}
+
+/// The pre-filled caches: a function of the cache geometries, the enabled
+/// ways, the CDP split or natural code share, the LLC share and the two
+/// line distributions.
+fn build_warm_caches(
+    cfg: &ServerConfig,
+    spec: &StreamSpec,
+    share: f64,
+) -> Result<WarmCaches, ArchSimError> {
     use crate::trace::prewarm_len;
     let plat = &cfg.platform;
     let mut l1i = SetAssocCache::from_geometry(&plat.l1i, plat.l1i.ways, 1.0)?;
@@ -1333,7 +1697,6 @@ fn build_warm_structures(
             share,
         )?,
     };
-    let mut tlb = TlbHierarchy::new(&plat.itlb, &plat.dtlb, plat.stlb_entries)?;
 
     let code_pw = prewarm_len(&spec.code_reuse);
     let data_pw = prewarm_len(&spec.data_reuse);
@@ -1360,8 +1723,20 @@ fn build_warm_structures(
     for id in data_pw.saturating_sub(plat.l1d.lines())..data_pw {
         l1d.access(id);
     }
-    // TLBs: seed the 4 KiB sides (the dominant arrays) with the top pages
-    // of each page stream; accesses insert into the STLB too.
+    l1i.reset_stats();
+    l1d.reset_stats();
+    l2.reset_stats();
+    llc.reset_stats();
+    Ok(WarmCaches { l1i, l1d, l2, llc })
+}
+
+/// The pre-filled TLBs: a function of the TLB geometries and the two page
+/// distributions. The 4 KiB sides (the dominant arrays) are seeded with
+/// the top pages of each page stream; accesses insert into the STLB too.
+fn build_warm_tlb(cfg: &ServerConfig, spec: &StreamSpec) -> Result<TlbHierarchy, ArchSimError> {
+    use crate::trace::prewarm_len;
+    let plat = &cfg.platform;
+    let mut tlb = TlbHierarchy::new(&plat.itlb, &plat.dtlb, plat.stlb_entries)?;
     let cp_pw = prewarm_len(&spec.code_page_reuse);
     let dp_pw = prewarm_len(&spec.data_page_reuse);
     let seedn = plat.stlb_entries as u64 / 2;
@@ -1371,18 +1746,49 @@ fn build_warm_structures(
     for id in dp_pw.saturating_sub(seedn)..dp_pw {
         let _ = tlb.access_data(id, false);
     }
-    l1i.reset_stats();
-    l1d.reset_stats();
-    l2.reset_stats();
-    llc.reset_stats();
     tlb.reset_stats();
-    Ok(WarmStructures {
-        l1i,
-        l1d,
-        l2,
-        llc,
-        tlb,
-    })
+    Ok(tlb)
+}
+
+/// Hashes what shapes a cache's contents: capacity and ways. Hit latency
+/// prices an access; it does not shape contents.
+fn push_cache_geometry(h: &mut Fnv128, g: &CacheGeometry) {
+    let CacheGeometry {
+        capacity_bytes,
+        ways,
+        latency_cycles: _,
+    } = *g;
+    h.push(capacity_bytes);
+    h.push(u64::from(ways));
+}
+
+/// Hashes a first-level TLB's geometry.
+fn push_tlb_geometry(h: &mut Fnv128, t: &TlbGeometry) {
+    let TlbGeometry {
+        entries_4k,
+        entries_2m,
+    } = *t;
+    h.push(u64::from(entries_4k));
+    h.push(u64::from(entries_2m));
+}
+
+/// Hashes how the LLC splits between code and data: the CDP partition, or
+/// without one the natural code share.
+fn push_llc_split(h: &mut Fnv128, cdp: Option<CdpPartition>, natural_code_llc_share: f64) {
+    match cdp {
+        Some(CdpPartition {
+            data_ways,
+            code_ways,
+        }) => {
+            h.push(1);
+            h.push(u64::from(data_ways));
+            h.push(u64::from(code_ways));
+        }
+        None => {
+            h.push(0);
+            h.push_f64(natural_code_llc_share);
+        }
+    }
 }
 
 /// Base (no-stall) CPI from the instruction mix: per-class issue costs on a
@@ -1591,8 +1997,8 @@ mod tests {
         assert!(half.bandwidth_gbps < full.bandwidth_gbps);
     }
 
-    /// The trace key of an engine's windows of `events` events.
-    fn trace_key(e: &Engine, events: u64) -> TraceKey {
+    /// The huge-page mix an engine's windows resolve to.
+    fn huge_mix(e: &Engine) -> HugePageMix {
         let cfg = e.config();
         let policy = PagePolicy::resolve(
             &e.spec().pages,
@@ -1601,11 +2007,19 @@ mod tests {
             cfg.thp_traits(),
             cfg.machine_memory_bytes,
         );
-        let huge = HugePageMix {
+        HugePageMix {
             code_huge_fraction: policy.huge_code_fraction,
             data_huge_fraction: policy.huge_data_fraction,
-        };
-        TraceKey::new(e.spec(), huge, 7, events)
+        }
+    }
+
+    /// The line and page trace keys of an engine's windows of `events`
+    /// events.
+    fn trace_keys(e: &Engine, events: u64) -> (TraceKey, TraceKey) {
+        (
+            TraceKey::lines(e.spec(), 7, events),
+            TraceKey::pages(e.spec(), huge_mix(e), 7, events),
+        )
     }
 
     /// One named knob setting.
@@ -1614,7 +2028,7 @@ mod tests {
     #[test]
     fn only_page_knobs_change_the_trace_key() {
         let stock = ServerConfig::stock(PlatformSpec::skylake18());
-        let base = trace_key(&engine_with(stock.clone()), 1000);
+        let (lines, pages) = trace_keys(&engine_with(stock.clone()), 1000);
         let shares: [Knob; 6] = [
             ("core_freq", |c| c.core_freq_ghz = 1.6),
             ("uncore_freq", |c| c.uncore_freq_ghz = 1.4),
@@ -1633,8 +2047,14 @@ mod tests {
         for (name, knob) in shares {
             let mut cfg = stock.clone();
             knob(&mut cfg);
-            assert_eq!(trace_key(&engine_with(cfg), 1000), base, "{name}");
+            assert_eq!(
+                trace_keys(&engine_with(cfg), 1000),
+                (lines, pages),
+                "{name}"
+            );
         }
+        // The page knobs move only the page half: every coin is drawn
+        // whether or not it lands huge.
         let splits: [Knob; 2] = [
             ("thp", |c| c.thp = ThpMode::NeverOn),
             ("shp", |c| c.shp_pages = 200),
@@ -1642,8 +2062,179 @@ mod tests {
         for (name, knob) in splits {
             let mut cfg = stock.clone();
             knob(&mut cfg);
-            assert_ne!(trace_key(&engine_with(cfg), 1000), base, "{name}");
+            let (l, p) = trace_keys(&engine_with(cfg), 1000);
+            assert_eq!(l, lines, "{name}");
+            assert_ne!(p, pages, "{name}");
         }
+    }
+
+    /// Everything the line and page keys are built from.
+    struct PassInputs {
+        config: ServerConfig,
+        spec: StreamSpec,
+        seed: u64,
+        warmup_override: Option<u64>,
+        schedule: Schedule,
+        share: f64,
+        huge: HugePageMix,
+    }
+
+    /// One named change to the pass inputs.
+    type Perturb = (&'static str, fn(&mut PassInputs));
+
+    /// The line and page keys of the stock inputs after `perturb`. The
+    /// engine is built field by field, so a perturbation may leave a spec
+    /// that `Engine::new` would reject (a mix no longer summing to 1).
+    fn pass_keys_after(perturb: fn(&mut PassInputs)) -> (u128, u128) {
+        let mut k = PassInputs {
+            config: ServerConfig::stock(PlatformSpec::skylake18()),
+            spec: test_spec(),
+            seed: 7,
+            warmup_override: None,
+            schedule: Schedule {
+                warmup: 50_000,
+                total: 200_000,
+                batch_events: 4096,
+                insns_per_switch: 30_000,
+                pollution: 0.3,
+            },
+            share: 0.8,
+            huge: HugePageMix {
+                code_huge_fraction: 0.1,
+                data_huge_fraction: 0.6,
+            },
+        };
+        perturb(&mut k);
+        let engine = Engine {
+            config: k.config,
+            spec: k.spec,
+            seed: k.seed,
+            batch_events: DEFAULT_BATCH_EVENTS,
+            warmup_override: k.warmup_override,
+            use_memo: true,
+        };
+        (
+            engine.line_key(&k.schedule, k.share),
+            engine.page_key(&k.schedule, k.huge),
+        )
+    }
+
+    fn other_dist() -> ReuseDistanceDist {
+        ReuseDistanceDist::single_knee(32, 0.1, 0.01, 5_000).unwrap()
+    }
+
+    /// Which inputs key which half of the pass memo. The mix, the seed and
+    /// the schedule fix the RNG sequence and the chunk bounds, so they key
+    /// both halves. The cache geometry, the LLC split and share, the line
+    /// distributions and the BPU key only the line half. The TLB geometry,
+    /// the page distributions and compactions and the huge-page mix key
+    /// only the page half. Knobs that act in steps 4–5, or that reach the
+    /// passes only through the schedule, the share or the huge mix, key
+    /// neither directly.
+    #[test]
+    fn pass_keys_cover_exactly_what_each_half_reads() {
+        let (lines, pages) = pass_keys_after(|_| {});
+        let both: [Perturb; 7] = [
+            ("seed", |k| k.seed = 8),
+            ("mix.branch", |k| k.spec.mix.branch += 0.01),
+            ("mix.load", |k| k.spec.mix.load += 0.01),
+            ("warmup", |k| k.schedule.warmup = 40_000),
+            ("total", |k| k.schedule.total = 200_001),
+            ("switch period", |k| k.schedule.insns_per_switch = 31_000),
+            ("pollution", |k| k.schedule.pollution = 0.4),
+        ];
+        let line_half: [Perturb; 13] = [
+            ("llc_ways", |k| k.config.llc_ways_enabled = 6),
+            ("cdp", |k| k.config.cdp = CdpPartition::new(8, 3, 11).ok()),
+            ("share", |k| k.share = 0.5),
+            ("l1i", |k| k.config.platform.l1i.capacity_bytes *= 2),
+            ("l1d", |k| k.config.platform.l1d.ways += 1),
+            ("l2", |k| k.config.platform.l2.capacity_bytes *= 2),
+            ("llc", |k| k.config.platform.llc.capacity_bytes *= 2),
+            ("btb_entries", |k| k.config.platform.btb_entries += 1),
+            ("code_reuse", |k| k.spec.code_reuse = other_dist()),
+            ("data_reuse", |k| k.spec.data_reuse = other_dist()),
+            ("natural_code_llc_share", |k| {
+                k.spec.natural_code_llc_share = 0.5
+            }),
+            ("base_mispredict", |k| k.spec.branch.base_mispredict = 0.05),
+            ("branch_working_set", |k| {
+                k.spec.branch.branch_working_set = 4000
+            }),
+        ];
+        let page_half: [Perturb; 9] = [
+            ("itlb", |k| k.config.platform.itlb.entries_4k *= 2),
+            ("dtlb", |k| k.config.platform.dtlb.entries_2m *= 2),
+            ("stlb_entries", |k| k.config.platform.stlb_entries *= 2),
+            ("code_page_reuse", |k| k.spec.code_page_reuse = other_dist()),
+            ("data_page_reuse", |k| k.spec.data_page_reuse = other_dist()),
+            ("code_compaction", |k| k.spec.pages.code_compaction = 64.0),
+            ("data_compaction", |k| k.spec.pages.data_compaction = 16.0),
+            ("code_huge_fraction", |k| k.huge.code_huge_fraction = 0.2),
+            ("data_huge_fraction", |k| k.huge.data_huge_fraction = 0.5),
+        ];
+        let neither: [Perturb; 15] = [
+            ("core_freq", |k| k.config.core_freq_ghz = 1.6),
+            ("uncore_freq", |k| k.config.uncore_freq_ghz = 1.4),
+            ("active_cores", |k| k.config.active_cores = 8),
+            ("prefetchers", |k| {
+                k.config.prefetchers = PrefetcherConfig::all_off()
+            }),
+            ("thp", |k| k.config.thp = ThpMode::NeverOn),
+            ("shp", |k| k.config.shp_pages = 200),
+            ("page_walk_cycles", |k| {
+                k.config.platform.page_walk_cycles += 1
+            }),
+            ("llc latency", |k| k.config.platform.llc.latency_cycles += 1),
+            ("taken_rate", |k| k.spec.branch.taken_rate = 0.5),
+            ("context_switch", |k| {
+                k.spec.context_switch.rate_per_sec = 9e4
+            }),
+            ("llc_contention", |k| k.spec.llc_contention = 0.5),
+            ("madvise_fraction", |k| k.spec.pages.madvise_fraction = 0.9),
+            ("base_cpi_scale", |k| k.spec.base_cpi_scale = 1.1),
+            ("batch size", |k| k.schedule.batch_events = 64),
+            ("warmup_override", |k| k.warmup_override = Some(1)),
+        ];
+        let groups: [(&[Perturb], bool, bool); 4] = [
+            (&both, true, true),
+            (&line_half, true, false),
+            (&page_half, false, true),
+            (&neither, false, false),
+        ];
+        for (group, keys_lines, keys_pages) in groups {
+            for &(name, perturb) in group {
+                let (l, p) = pass_keys_after(perturb);
+                assert_eq!(l != lines, keys_lines, "{name} vs the line key");
+                assert_eq!(p != pages, keys_pages, "{name} vs the page key");
+            }
+        }
+    }
+
+    /// A window whose page half comes from the memo and whose line half is
+    /// simulated, and the reverse, match a memo-off evaluation bit for
+    /// bit; so do the halves simulated alone against a full simulation.
+    #[test]
+    fn each_half_simulates_as_in_a_full_window() {
+        let e = engine_with(ServerConfig::stock(PlatformSpec::skylake18()));
+        let schedule = Schedule {
+            warmup: 20_000,
+            total: 80_000,
+            batch_events: 4096,
+            insns_per_switch: 15_000,
+            pollution: 0.3,
+        };
+        let huge = huge_mix(&e);
+        let full = e
+            .simulate_halves(&schedule, 0.7, huge, Halves::BOTH, false)
+            .unwrap();
+        let only = |lines, pages| {
+            e.simulate_halves(&schedule, 0.7, huge, Halves { lines, pages }, false)
+                .unwrap()
+        };
+        assert_eq!(only(true, false), (full.0, Counters::default()));
+        assert_eq!(only(false, true), (Counters::default(), full.1));
+        assert!(full.0.l1d_misses > 0 && full.1.dtlb_misses > 0);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! the chunk's RNG draws in per-event order into per-mapper columns, then
 //! each mapper samples its column's distances and applies them. The
 //! generator splits into a code half, which owns the RNG, and a data half,
-//! so the engine can run them on two threads. `TraceKey` hashes everything
-//! the generator reads, so the engine can key a window's trace without
-//! generating it.
+//! so the engine can run them on two threads. Across that split runs a
+//! second seam, between lines and pages: a generator can map only its
+//! line half or only its page half (`Halves`), and `TraceKey` hashes
+//! everything each half reads, so the engine can key either half of a
+//! window's trace without generating it.
 
 use crate::fingerprint::Fnv128;
 use crate::ranklist::RankList;
@@ -313,39 +315,59 @@ impl EventBatch {
     }
 }
 
-/// Content key of a generator's output: everything [`TraceGenerator::new`]
-/// reads, plus the event count. Two windows with equal keys consume the
-/// identical event sequence, whatever load, frequencies, core count, LLC
-/// ways, CDP split or prefetchers they simulate it under. The engine's
-/// pass key hashes it in.
+/// The two halves of a generator's output, split at the line/page seam:
+/// the line half (code and data lines) and the page half (code and data
+/// pages, with their huge-page coins). The RNG sequence, the classes and
+/// the data slots do not depend on which halves are mapped, so a generator
+/// that maps only one half fills that half's columns exactly as a full
+/// generator does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Halves {
+    /// Map code and data lines.
+    pub(crate) lines: bool,
+    /// Map code and data pages.
+    pub(crate) pages: bool,
+}
+
+impl Halves {
+    /// Both halves: a full generator.
+    pub(crate) const BOTH: Halves = Halves {
+        lines: true,
+        pages: true,
+    };
+}
+
+/// Content key of one half of a generator's output: everything that half
+/// reads, plus the event count. Two windows with equal line (page) keys
+/// map the identical line (page) columns, whatever load, frequencies, core
+/// count, LLC ways, CDP split or prefetchers they simulate them under. The
+/// engine's line and page keys hash them in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TraceKey(pub(crate) u128);
 
 impl TraceKey {
-    /// Keys the first `events` events of `TraceGenerator::new(spec, huge,
-    /// seed)`. The mix, page profile and huge-page mix are destructured
-    /// without `..`, so a field added to any of them fails to compile here
-    /// until it is keyed or excluded with a reason.
-    pub(crate) fn new(spec: &StreamSpec, huge: HugePageMix, seed: u64, events: u64) -> Self {
-        let mut h = Fnv128::new();
-        // Domain separator against the engine's other memo keys.
-        h.push(0x5452_4345); // "TRCE"
-        let InstructionMix {
-            branch,
-            fp,
-            arith,
-            load,
-            store,
-        } = spec.mix;
-        for share in [branch, fp, arith, load, store] {
-            h.push_f64(share);
+    /// Keys the line columns of the first `events` events of
+    /// `TraceGenerator::new(spec, _, seed)`: the mix and seed fix the RNG
+    /// sequence, and the two line distributions map it. The huge-page mix
+    /// is absent: every coin is drawn whether or not it lands huge, so the
+    /// RNG sequence does not depend on it.
+    pub(crate) fn lines(spec: &StreamSpec, seed: u64, events: u64) -> Self {
+        // Domain separator against the page key and the engine's keys.
+        let mut h = Self::sequence(0x4c54_5243, spec, seed, events); // "LTRC"
+        for dist in [&spec.code_reuse, &spec.data_reuse] {
+            dist.fingerprint_words(&mut |w| h.push(w));
         }
-        for dist in [
-            &spec.code_reuse,
-            &spec.data_reuse,
-            &spec.code_page_reuse,
-            &spec.data_page_reuse,
-        ] {
+        TraceKey(h.finish())
+    }
+
+    /// Keys the page columns of the first `events` events of
+    /// `TraceGenerator::new(spec, huge, seed)`. The page profile and
+    /// huge-page mix are destructured without `..`, so a field added to
+    /// either fails to compile here until it is keyed or excluded with a
+    /// reason.
+    pub(crate) fn pages(spec: &StreamSpec, huge: HugePageMix, seed: u64, events: u64) -> Self {
+        let mut h = Self::sequence(0x5054_5243, spec, seed, events); // "PTRC"
+        for dist in [&spec.code_page_reuse, &spec.data_page_reuse] {
             dist.fingerprint_words(&mut |w| h.push(w));
         }
         let PageProfile {
@@ -365,9 +387,27 @@ impl TraceKey {
         } = huge;
         h.push_f64(code_huge_fraction);
         h.push_f64(data_huge_fraction);
+        TraceKey(h.finish())
+    }
+
+    /// A hasher fed what fixes the RNG sequence, which both halves read:
+    /// the mix (destructured without `..`), the seed and the event count.
+    fn sequence(domain: u64, spec: &StreamSpec, seed: u64, events: u64) -> Fnv128 {
+        let mut h = Fnv128::new();
+        h.push(domain);
+        let InstructionMix {
+            branch,
+            fp,
+            arith,
+            load,
+            store,
+        } = spec.mix;
+        for share in [branch, fp, arith, load, store] {
+            h.push_f64(share);
+        }
         h.push(seed);
         h.push(events);
-        TraceKey(h.finish())
+        h
     }
 }
 
@@ -449,15 +489,16 @@ impl PageDraws {
 /// The half of a [`TraceGenerator`] that owns its RNG: the mix thresholds,
 /// the huge-page mix, and the code-line and code-page mappers. It consumes
 /// every draw of a chunk in per-event order, maps the code side, and leaves
-/// the data side's draws decoded in the batch for [`DataHalf`].
+/// the data side's draws decoded in the batch for [`DataHalf`]. A mapper is
+/// `None` when its [`Halves`] half is not mapped.
 #[derive(Debug, Clone)]
 pub(crate) struct CodeHalf {
     rng: SmallRng,
     // Cumulative mix thresholds, ordered branch/fp/arith/load/store.
     thresholds: [f64; 4],
     huge: HugePageMix,
-    lines: StackMapper,
-    pages: PageMappers,
+    lines: Option<StackMapper>,
+    pages: Option<PageMappers>,
     // Decoded draw columns reused across chunks.
     line_draws: Vec<f64>,
     page_draws: PageDraws,
@@ -465,11 +506,12 @@ pub(crate) struct CodeHalf {
 
 /// The half of a [`TraceGenerator`] that maps data accesses: the data-line
 /// and data-page mappers. It draws nothing itself; it maps the draws
-/// [`CodeHalf::fill`] decoded into the batch.
+/// [`CodeHalf::fill`] decoded into the batch. As in [`CodeHalf`], a mapper
+/// is `None` when its half is not mapped.
 #[derive(Debug, Clone)]
 pub(crate) struct DataHalf {
-    lines: StackMapper,
-    pages: PageMappers,
+    lines: Option<StackMapper>,
+    pages: Option<PageMappers>,
 }
 
 impl CodeHalf {
@@ -497,7 +539,7 @@ impl CodeHalf {
     /// in per-event order (class, code line, code-huge coin, code page,
     /// then for loads/stores data-huge coin, data page, data line) and
     /// routes each survival draw to its mapper's column. The mappers then
-    /// run over their columns.
+    /// run over their columns; an unmapped half leaves its columns empty.
     pub(crate) fn fill(&mut self, batch: &mut EventBatch, n: usize) {
         batch.clear();
         self.line_draws.clear();
@@ -518,24 +560,29 @@ impl CodeHalf {
                 batch.data_line_draws.push(self.rng.gen());
             }
         }
-        self.lines
-            .map_column(&self.line_draws, &mut batch.code_lines);
-        self.pages
-            .map(&batch.code_huge, &self.page_draws, &mut batch.code_pages);
+        if let Some(lines) = &mut self.lines {
+            lines.map_column(&self.line_draws, &mut batch.code_lines);
+        }
+        if let Some(pages) = &mut self.pages {
+            pages.map(&batch.code_huge, &self.page_draws, &mut batch.code_pages);
+        }
     }
 }
 
 impl DataHalf {
     /// Maps the data-side draws [`CodeHalf::fill`] left in `batch` to data
-    /// lines and pages.
+    /// lines and pages, skipping an unmapped half.
     pub(crate) fn fill(&mut self, batch: &mut EventBatch) {
-        self.lines
-            .map_column(&batch.data_line_draws, &mut batch.data_lines);
-        self.pages.map(
-            &batch.data_huge,
-            &batch.data_page_draws,
-            &mut batch.data_pages,
-        );
+        if let Some(lines) = &mut self.lines {
+            lines.map_column(&batch.data_line_draws, &mut batch.data_lines);
+        }
+        if let Some(pages) = &mut self.pages {
+            pages.map(
+                &batch.data_huge,
+                &batch.data_page_draws,
+                &mut batch.data_pages,
+            );
+        }
     }
 }
 
@@ -551,6 +598,21 @@ impl TraceGenerator {
     /// Builds a generator for `spec` under huge-page coverage `huge`,
     /// deterministically seeded.
     pub fn new(spec: &StreamSpec, huge: HugePageMix, seed: u64) -> Self {
+        Self::for_halves(spec, huge, seed, Halves::BOTH)
+    }
+
+    /// A generator that builds and runs only the mappers of the `halves`
+    /// it maps. Its batches match [`TraceGenerator::new`]'s in every column
+    /// of a mapped half, and in the classes, coins and data slots; the
+    /// columns of an unmapped half stay empty.
+    pub(crate) fn for_halves(
+        spec: &StreamSpec,
+        huge: HugePageMix,
+        seed: u64,
+        halves: Halves,
+    ) -> Self {
+        let lines = |dist: &ReuseDistanceDist| halves.lines.then(|| StackMapper::new(dist.clone()));
+        let pages = |dist, compaction| halves.pages.then(|| PageMappers::new(dist, compaction));
         let m = &spec.mix;
         let t1 = m.branch;
         let t2 = t1 + m.fp;
@@ -561,14 +623,14 @@ impl TraceGenerator {
                 rng: SmallRng::seed_from_u64(seed),
                 thresholds: [t1, t2, t3, t4],
                 huge,
-                lines: StackMapper::new(spec.code_reuse.clone()),
-                pages: PageMappers::new(&spec.code_page_reuse, spec.pages.code_compaction),
+                lines: lines(&spec.code_reuse),
+                pages: pages(&spec.code_page_reuse, spec.pages.code_compaction),
                 line_draws: Vec::new(),
                 page_draws: PageDraws::default(),
             },
             data: DataHalf {
-                lines: StackMapper::new(spec.data_reuse.clone()),
-                pages: PageMappers::new(&spec.data_page_reuse, spec.pages.data_compaction),
+                lines: lines(&spec.data_reuse),
+                pages: pages(&spec.data_page_reuse, spec.pages.data_compaction),
             },
         }
     }
@@ -583,24 +645,33 @@ impl TraceGenerator {
     /// Generates the next instruction event: the per-event oracle that
     /// [`TraceGenerator::fill_batch`] reproduces.
     pub fn next_event(&mut self) -> InsnEvent {
+        const FULL: &str = "generators built by `new` map both halves";
         let TraceGenerator { code, data } = self;
         let class = code.next_class();
-        let code_line = code.lines.access(&mut code.rng);
+        let code_line = code.lines.as_mut().expect(FULL).access(&mut code.rng);
         let code_huge = code.rng.gen::<f64>() < code.huge.code_huge_fraction;
         let code_page = PageAccess {
-            page: code.pages.access(code_huge, &mut code.rng),
+            page: code
+                .pages
+                .as_mut()
+                .expect(FULL)
+                .access(code_huge, &mut code.rng),
             is_huge: code_huge,
         };
         let data = match class {
             InsnClass::Load | InsnClass::Store => {
                 let data_huge = code.rng.gen::<f64>() < code.huge.data_huge_fraction;
                 let page = PageAccess {
-                    page: data.pages.access(data_huge, &mut code.rng),
+                    page: data
+                        .pages
+                        .as_mut()
+                        .expect(FULL)
+                        .access(data_huge, &mut code.rng),
                     is_huge: data_huge,
                 };
                 Some(DataAccess {
                     is_store: class == InsnClass::Store,
-                    line: data.lines.access(&mut code.rng),
+                    line: data.lines.as_mut().expect(FULL).access(&mut code.rng),
                     page,
                 })
             }
@@ -859,6 +930,48 @@ mod tests {
         assert!(same < 100);
     }
 
+    /// Generators that map one half fill that half's columns, and the
+    /// classes, coins and data slots, exactly as a full generator does,
+    /// and leave the other half's columns empty.
+    #[test]
+    fn half_generators_fill_their_columns_as_a_full_one() {
+        let mix = HugePageMix {
+            code_huge_fraction: 0.4,
+            data_huge_fraction: 0.7,
+        };
+        let only =
+            |lines, pages| TraceGenerator::for_halves(&spec(), mix, 21, Halves { lines, pages });
+        let mut full = TraceGenerator::new(&spec(), mix, 21);
+        let (mut lines, mut pages) = (only(true, false), only(false, true));
+        let mut batch = [0, 1, 2].map(|_| EventBatch::with_capacity(256));
+        for chunk in [7usize, 256, 13] {
+            for (gen, b) in [&mut full, &mut lines, &mut pages]
+                .into_iter()
+                .zip(&mut batch)
+            {
+                gen.fill_batch(b, chunk);
+            }
+            let [f, l, p] = &batch;
+            for half in [l, p] {
+                assert_eq!(half.classes, f.classes);
+                assert_eq!(half.code_huge, f.code_huge);
+                assert_eq!(half.data_event, f.data_event);
+                assert_eq!(half.data_is_store, f.data_is_store);
+                assert_eq!(half.data_huge, f.data_huge);
+            }
+            assert_eq!(
+                (&l.code_lines, &l.data_lines),
+                (&f.code_lines, &f.data_lines)
+            );
+            assert_eq!(
+                (&p.code_pages, &p.data_pages),
+                (&f.code_pages, &f.data_pages)
+            );
+            assert!(l.code_pages.is_empty() && l.data_pages.is_empty());
+            assert!(p.code_lines.is_empty() && p.data_lines.is_empty());
+        }
+    }
+
     /// Everything a [`TraceKey`] is built from.
     struct KeyInputs {
         spec: StreamSpec,
@@ -870,8 +983,8 @@ mod tests {
     /// One named change to the key inputs.
     type Perturb = (&'static str, fn(&mut KeyInputs));
 
-    /// The key of the base inputs after `perturb`.
-    fn key_after(perturb: fn(&mut KeyInputs)) -> TraceKey {
+    /// The line and page keys of the base inputs after `perturb`.
+    fn keys_after(perturb: fn(&mut KeyInputs)) -> (TraceKey, TraceKey) {
         let mut k = KeyInputs {
             spec: spec(),
             huge: HugePageMix {
@@ -882,7 +995,10 @@ mod tests {
             events: 1000,
         };
         perturb(&mut k);
-        TraceKey::new(&k.spec, k.huge, k.seed, k.events)
+        (
+            TraceKey::lines(&k.spec, k.seed, k.events),
+            TraceKey::pages(&k.spec, k.huge, k.seed, k.events),
+        )
     }
 
     fn other_dist() -> ReuseDistanceDist {
@@ -891,33 +1007,36 @@ mod tests {
 
     #[test]
     fn trace_key_covers_exactly_what_new_reads() {
-        let base = key_after(|_| {});
-        let keyed: [Perturb; 15] = [
+        let (lines, pages) = keys_after(|_| {});
+        // The mix and seed fix the RNG sequence, so they key both halves;
+        // each distribution and page trait keys only the half it maps.
+        // Inputs `new` never reads — CPI calibration, branch/prefetch/
+        // context-switch profiles, and the page traits that act only
+        // through the resolved huge-page mix — key neither. (The engine's
+        // knobs reach the trace only through that mix; see
+        // `engine::tests::only_page_knobs_change_the_trace_key`.)
+        let both: [Perturb; 7] = [
             ("mix.branch", |k| k.spec.mix.branch += 0.01),
             ("mix.fp", |k| k.spec.mix.fp += 0.01),
             ("mix.arith", |k| k.spec.mix.arith += 0.01),
             ("mix.load", |k| k.spec.mix.load += 0.01),
             ("mix.store", |k| k.spec.mix.store += 0.01),
+            ("seed", |k| k.seed = 6),
+            ("events", |k| k.events = 1001),
+        ];
+        let line_half: [Perturb; 2] = [
             ("code_reuse", |k| k.spec.code_reuse = other_dist()),
             ("data_reuse", |k| k.spec.data_reuse = other_dist()),
+        ];
+        let page_half: [Perturb; 6] = [
             ("code_page_reuse", |k| k.spec.code_page_reuse = other_dist()),
             ("data_page_reuse", |k| k.spec.data_page_reuse = other_dist()),
             ("code_compaction", |k| k.spec.pages.code_compaction = 32.0),
             ("data_compaction", |k| k.spec.pages.data_compaction = 8.0),
             ("code_huge_fraction", |k| k.huge.code_huge_fraction = 0.2),
             ("data_huge_fraction", |k| k.huge.data_huge_fraction = 0.5),
-            ("seed", |k| k.seed = 6),
-            ("events", |k| k.events = 1001),
         ];
-        for (name, perturb) in keyed {
-            assert_ne!(key_after(perturb), base, "{name} must change the trace key");
-        }
-        // Inputs `new` never reads — CPI calibration, branch/prefetch/
-        // context-switch profiles, and the page traits that act only
-        // through the resolved huge-page mix — must share the trace. (The
-        // engine's knobs reach the trace only through that mix; see
-        // `engine::tests::only_page_knobs_change_the_trace_key`.)
-        let unkeyed: [Perturb; 7] = [
+        let neither: [Perturb; 7] = [
             ("base_cpi_scale", |k| k.spec.base_cpi_scale = 1.1),
             ("name", |k| k.spec.name = "other".to_string()),
             ("mlp", |k| k.spec.mlp = 5.0),
@@ -928,12 +1047,18 @@ mod tests {
             }),
             ("madvise_fraction", |k| k.spec.pages.madvise_fraction = 0.9),
         ];
-        for (name, perturb) in unkeyed {
-            assert_eq!(
-                key_after(perturb),
-                base,
-                "{name} must not change the trace key"
-            );
+        let groups: [(&[Perturb], bool, bool); 4] = [
+            (&both, true, true),
+            (&line_half, true, false),
+            (&page_half, false, true),
+            (&neither, false, false),
+        ];
+        for (group, keys_lines, keys_pages) in groups {
+            for &(name, perturb) in group {
+                let (l, p) = keys_after(perturb);
+                assert_eq!(l != lines, keys_lines, "{name} vs the line key");
+                assert_eq!(p != pages, keys_pages, "{name} vs the page key");
+            }
         }
     }
 }

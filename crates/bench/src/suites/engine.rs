@@ -8,11 +8,15 @@
 //! Part 1 measures raw window-simulation throughput with the memo off —
 //! every run is a genuine evaluation — across batch sizes, and asserts at
 //! runtime that every batch size produces bit-identical reports (the
-//! batched tick is a pure performance control). Part 2 measures the pass memo: the cost of a cold evaluation
-//! against a repeat of it, which is the price `AbEnvironment::fork`
-//! replicas pay (or skip) when they re-measure their parent's operating
-//! points, and against a window at another load, which takes the cold
-//! window's counters from the pass memo. Part 3 (full mode) times the
+//! batched tick is a pure performance control). Each part builds its
+//! workload profile once, so its engines share the profile's inversion
+//! tables and no timed window pays for building them. Part 2 measures the
+//! pass memo: the cost of a cold evaluation against a repeat of it, which
+//! is the price `AbEnvironment::fork` replicas pay (or skip) when they
+//! re-measure their parent's operating points, against a window at another
+//! load, which takes the cold window's counters from the pass memo, and
+//! against a window at another THP setting, which takes only the line half
+//! from the memo and simulates the page half. Part 3 (full mode) times the
 //! memo-independent components the engine is built from — rank list,
 //! caches, TLB, stack mapper, trace generator, A/B statistics — as
 //! fixed-iteration ns/op loops.
@@ -22,6 +26,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softsku_archsim::cache::SetAssocCache;
 use softsku_archsim::engine::{Engine, WindowReport};
+use softsku_archsim::pagemap::ThpMode;
 use softsku_archsim::platform::PlatformSpec;
 use softsku_archsim::ranklist::RankList;
 use softsku_archsim::reuse::ReuseDistanceDist;
@@ -29,7 +34,7 @@ use softsku_archsim::tlb::LruSet;
 use softsku_archsim::trace::{EventBatch, HugePageMix, StackMapper, TraceGenerator, COLD};
 use softsku_telemetry::stats::{t_quantile, welch_test, Summary};
 use softsku_telemetry::{Json, Stopwatch};
-use softsku_workloads::{Microservice, PlatformKind};
+use softsku_workloads::{Microservice, PlatformKind, WorkloadProfile};
 use std::hint::black_box;
 
 /// A report's content as exact bits, for runtime bit-identity checks:
@@ -58,8 +63,9 @@ fn signature(r: &WindowReport) -> Vec<u64> {
     ]
 }
 
-fn engine_for(service: Microservice, seed: u64) -> Result<Engine, BoxError> {
-    let profile = service.profile(PlatformKind::Skylake18)?;
+/// An engine on `profile`'s stock config. The stream is cloned, so every
+/// engine of one profile shares its inversion tables.
+fn engine_for(profile: &WorkloadProfile, seed: u64) -> Result<Engine, BoxError> {
     Ok(Engine::new(
         profile.stock_config.clone(),
         profile.stream.clone(),
@@ -72,11 +78,12 @@ fn engine_for(service: Microservice, seed: u64) -> Result<Engine, BoxError> {
 fn throughput(window: u64, evals: u64, batch_sizes: &[usize]) -> Result<Json, BoxError> {
     let service = Microservice::Web;
     println!("== engine throughput: {service}, {window} instruction window, {evals} evals ==");
+    let profile = service.profile(PlatformKind::Skylake18)?;
 
     // Reference signatures at the default batch size, one per seed.
     let mut reference = Vec::new();
     for seed in 0..evals {
-        let report = engine_for(service, BASE_SEED + seed)?
+        let report = engine_for(&profile, BASE_SEED + seed)?
             .with_memo(false)
             .run_window(window, 0.9)?;
         reference.push(signature(&report));
@@ -88,7 +95,7 @@ fn throughput(window: u64, evals: u64, batch_sizes: &[usize]) -> Result<Json, Bo
         let clock = Stopwatch::start();
         let mut signatures = Vec::new();
         for seed in 0..evals {
-            let report = engine_for(service, BASE_SEED + seed)?
+            let report = engine_for(&profile, BASE_SEED + seed)?
                 .with_memo(false)
                 .with_batch_size(batch)
                 .run_window(window, 0.9)?;
@@ -134,11 +141,15 @@ fn throughput(window: u64, evals: u64, batch_sizes: &[usize]) -> Result<Json, Bo
 /// cost difference between an `AbEnvironment::fork` replica re-warming a
 /// measurement and re-using its parent's structure passes; then the same
 /// engine at another load, which re-uses them too (every point of a load
-/// curve, every prefetcher or uncore setting).
+/// curve, every prefetcher or uncore setting); then the same window at
+/// another THP setting, which re-uses the line half and simulates only the
+/// page half (every THP or SHP setting at one seed).
 fn memo_economics(window: u64, hits: usize) -> Result<Json, BoxError> {
     // A tuple no other part of this process evaluates, so the first call is
     // guaranteed cold.
-    let engine = engine_for(Microservice::Feed2, BASE_SEED + 9001)?;
+    let profile = Microservice::Feed2.profile(PlatformKind::Skylake18)?;
+    let seed = BASE_SEED + 9001;
+    let engine = engine_for(&profile, seed)?;
 
     let clock = Stopwatch::start();
     let cold = engine.run_colocated(window, 0.85, 3.0, Some(0.7))?;
@@ -161,28 +172,60 @@ fn memo_economics(window: u64, hits: usize) -> Result<Json, BoxError> {
     let clock = Stopwatch::start();
     let second_load = engine.run_colocated(window, 0.6, 3.0, Some(0.7))?;
     let pass_hit_s = clock.elapsed_s();
-    let evaluated = engine_for(Microservice::Feed2, BASE_SEED + 9001)?
-        .with_memo(false)
-        .run_colocated(window, 0.6, 3.0, Some(0.7))?;
+    let evaluated =
+        engine_for(&profile, seed)?
+            .with_memo(false)
+            .run_colocated(window, 0.6, 3.0, Some(0.7))?;
     assert_eq!(
         signature(&second_load),
         signature(&evaluated),
         "a pass-memo hit at another load must be bit-identical to a full evaluation"
     );
 
+    let mut never = profile.stock_config.clone();
+    never.thp = if never.thp == ThpMode::NeverOn {
+        ThpMode::AlwaysOn
+    } else {
+        ThpMode::NeverOn
+    };
+    let thp_engine = |memo: bool| -> Result<Engine, BoxError> {
+        Ok(Engine::new(never.clone(), profile.stream.clone(), seed)?.with_memo(memo))
+    };
+    let thp_on_memo = thp_engine(true)?;
+    let clock = Stopwatch::start();
+    let line_hit = thp_on_memo.run_colocated(window, 0.85, 3.0, Some(0.7))?;
+    let line_hit_s = clock.elapsed_s();
+    let evaluated = thp_engine(false)?.run_colocated(window, 0.85, 3.0, Some(0.7))?;
+    assert_eq!(
+        signature(&line_hit),
+        signature(&evaluated),
+        "a window that takes its line half from the memo must be bit-identical to a full \
+         evaluation"
+    );
+    assert_eq!(
+        (
+            line_hit.counters.l1d_misses,
+            line_hit.counters.llc_data_misses
+        ),
+        (cold.counters.l1d_misses, cold.counters.llc_data_misses),
+        "another THP setting must reuse the cold window's line half"
+    );
+
     let speedup = cold_s / hit_s.max(1e-12);
     println!(
         "== pass memo: cold {:.1} ms, hit {:.4} ms ({speedup:.0}x; fork replicas skip re-warm-up); \
-         hit at another load {:.4} ms ==",
+         hit at another load {:.4} ms; line half only, at another THP setting, {:.1} ms ==",
         cold_s * 1e3,
         hit_s * 1e3,
-        pass_hit_s * 1e3
+        pass_hit_s * 1e3,
+        line_hit_s * 1e3
     );
     Ok(Json::obj()
         .set("window_instructions", Json::Int(window as i64))
         .set("cold_eval_ms", Json::Num(cold_s * 1e3))
         .set("memo_hit_ms", Json::Num(hit_s * 1e3))
         .set("pass_hit_ms", Json::Num(pass_hit_s * 1e3))
+        .set("line_hit_ms", Json::Num(line_hit_s * 1e3))
         .set("hit_reps", Json::Int(hits as i64))
         .set("speedup", Json::Num(speedup))
         .set("bit_identical", Json::Bool(true)))

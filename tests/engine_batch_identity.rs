@@ -16,14 +16,19 @@
 //!    another load, uncore frequency, prefetcher setting or co-runner
 //!    bandwidth — is bit-identical to one that runs its own passes; and a
 //!    window whose passes differ (a context switch placed by the core
-//!    frequency, another LLC share, another huge-page mix) misses it.
+//!    frequency, another LLC share) misses it.
+//! 5. The memo is split at the line/page seam, and a window that takes
+//!    one half from it and simulates the other is bit-identical too: THP
+//!    and SHP settings share the line half (with or without context
+//!    switches inside the window), and LLC-way and CDP settings share the
+//!    page half.
 //!
 //! The process-wide memos are shared by every test in this binary, so each
 //! pass-memo test uses its own seed.
 
 use proptest::prelude::*;
 use softsku::archsim::engine::{Engine, ServerConfig, WindowReport};
-use softsku::archsim::{PrefetcherConfig, StreamSpec, ThpMode};
+use softsku::archsim::{CdpPartition, PrefetcherConfig, StreamSpec, ThpMode};
 use softsku::cluster::{AbEnvironment, EnvConfig, SimServer};
 use softsku::workloads::{Microservice, PlatformKind, WorkloadProfile};
 
@@ -279,20 +284,89 @@ fn pass_memo_core_frequency_with_switches_inside_the_window_matches_evaluation()
     );
 }
 
-/// A THP change alters the huge-page mix, so it keys a different trace:
-/// it must miss the pass memo, run its own passes, and still match.
+/// A THP change alters the huge-page mix, which only the TLBs see: the
+/// window takes the stock window's line half from the pass memo, runs its
+/// own page half, and still matches.
 #[test]
-fn pass_memo_thp_change_runs_its_own_passes() {
+fn pass_memo_thp_change_reuses_the_line_half() {
     let seed = 5103;
     let (stock, _) = memo_on_and_off(&stock_web(), seed, 0.8);
     let mut never = stock_web();
     never.thp = ThpMode::NeverOn;
     let (evaluated_on, evaluated_off) = memo_on_and_off(&never, seed, 0.8);
     assert_eq!(signature(&evaluated_on), signature(&evaluated_off));
+    let caches = |r: &WindowReport| {
+        let c = &r.counters;
+        [
+            c.l1i_misses,
+            c.l2_code_misses,
+            c.llc_code_misses,
+            c.l1d_misses,
+            c.l2_data_misses,
+            c.llc_data_misses,
+            c.branch_mispredicts,
+        ]
+    };
+    assert_eq!(
+        caches(&evaluated_on),
+        caches(&stock),
+        "the line half is shared"
+    );
     assert_ne!(
         evaluated_on.counters.dtlb_misses, stock.counters.dtlb_misses,
-        "THP never must not reuse the THP-always counters"
+        "THP never must not reuse the THP-always TLB counters"
     );
+}
+
+/// Every THP × SHP setting on `stream` at one seed and load matches a
+/// memo-off evaluation; all but the first take their line half from the
+/// pass memo.
+fn thp_shp_sweep_matches_evaluation(stream: &StreamSpec, seed: u64) {
+    for thp in ThpMode::ALL {
+        for shp_pages in [0, 256] {
+            let mut config = stock_web();
+            config.thp = thp;
+            config.shp_pages = shp_pages;
+            let (on, off) = colocated_on_and_off(&config, stream, seed, 0.8, 0.0, None);
+            assert_eq!(signature(&on), signature(&off), "{thp:?}, {shp_pages} SHPs");
+        }
+    }
+}
+
+#[test]
+fn pass_memo_thp_shp_sweep_matches_evaluation() {
+    thp_shp_sweep_matches_evaluation(&web().stream, 5107);
+}
+
+/// The same sweep with switches inside the window: each half applies its
+/// own flushes at the same chunk bounds, so a page half simulated alone
+/// flushes only the TLBs and still matches.
+#[test]
+fn pass_memo_thp_shp_sweep_with_switches_inside_the_window_matches_evaluation() {
+    let mut stream = web().stream;
+    stream.context_switch.rate_per_sec = 150_000.0;
+    stream.context_switch.pollution_fraction = 0.3;
+    thp_shp_sweep_matches_evaluation(&stream, 5108);
+}
+
+/// LLC-way and CDP settings reshape only the caches: each window takes the
+/// stock window's page half from the pass memo, simulates its line half,
+/// and matches.
+#[test]
+fn pass_memo_llc_way_and_cdp_changes_reuse_the_page_half() {
+    let seed = 5109;
+    let (stock, _) = memo_on_and_off(&stock_web(), seed, 0.8);
+    let mut fewer_ways = stock_web();
+    fewer_ways.llc_ways_enabled = 4;
+    let mut cdp = stock_web();
+    let ways = cdp.llc_ways_enabled;
+    cdp.cdp = Some(CdpPartition::new(ways - 2, 2, ways).unwrap());
+    for config in [fewer_ways, cdp] {
+        let (on, off) = memo_on_and_off(&config, seed, 0.8);
+        assert_eq!(signature(&on), signature(&off));
+        assert_eq!(on.counters.dtlb_misses, stock.counters.dtlb_misses);
+        assert_ne!(on.counters.llc_data_misses, stock.counters.llc_data_misses);
+    }
 }
 
 /// A fresh `SimServer` curve evaluates its three load points on three

@@ -11,34 +11,8 @@
 use crate::error::ArchSimError;
 use crate::platform::CacheGeometry;
 
-/// Which hierarchy level serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum HitLevel {
-    /// First-level cache (L1I or L1D, depending on the stream).
-    L1,
-    /// Private unified L2.
-    L2,
-    /// Shared last-level cache.
-    Llc,
-    /// Main memory.
-    Memory,
-}
-
-/// Replacement policy for a set-associative cache.
-///
-/// The engine uses true LRU (the policy the reuse-distance calibration is
-/// exact for). Tree-PLRU — what real L1/L2 arrays implement — is provided
-/// for replacement-policy studies; it requires a power-of-two way count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Replacement {
-    /// True least-recently-used.
-    #[default]
-    Lru,
-    /// Tree pseudo-LRU (binary decision tree over the ways).
-    TreePlru,
-}
-
-/// A set-associative cache with per-set LRU or tree-PLRU replacement.
+/// A set-associative cache with per-set true-LRU replacement (the policy
+/// the reuse-distance calibration is exact for).
 ///
 /// # Example
 ///
@@ -49,78 +23,42 @@ pub enum Replacement {
 /// assert!(!cache.access(42)); // cold miss
 /// assert!(cache.access(42)); // now resident
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     sets: u64,
     ways: u32,
-    replacement: Replacement,
-    /// Flat tag storage, `ways` consecutive slots per set. For LRU: recency
-    /// order within the stride (front = MRU), only the first `occ[set]`
-    /// slots live. For tree-PLRU: fixed way slots (`u64::MAX` = invalid).
-    /// A flat stride keeps each set's ways on one or two cache lines instead
-    /// of a pointer-chased `Vec<Vec<_>>`, which is what the per-access
-    /// position scan and move-to-front shuffle touch.
+    /// Flat tag storage, `ways` consecutive slots per set in recency order
+    /// (front = MRU); only the first `occ[set]` slots are live. A flat
+    /// stride keeps each set's ways on one or two cache lines instead of a
+    /// pointer-chased `Vec<Vec<_>>`, which is what the per-access position
+    /// scan and move-to-front shuffle touch.
     lines: Vec<u64>,
-    /// Per-set live-way count (LRU only; tree-PLRU keeps every slot valid
-    /// or `u64::MAX`).
+    /// Per-set live-way count.
     occ: Vec<u32>,
-    /// Tree-PLRU decision bits per set (unused for LRU).
-    plru_bits: Vec<u32>,
     accesses: u64,
     misses: u64,
 }
 
 impl SetAssocCache {
-    /// Creates a cache with `sets` sets of `ways` ways and LRU replacement.
+    /// Creates a cache with `sets` sets of `ways` ways.
     ///
     /// # Errors
     ///
     /// [`ArchSimError::InvalidGeometry`] if either dimension is zero.
     pub fn new(sets: u64, ways: u32) -> Result<Self, ArchSimError> {
-        Self::with_replacement(sets, ways, Replacement::Lru)
-    }
-
-    /// Creates a cache with an explicit replacement policy.
-    ///
-    /// # Errors
-    ///
-    /// [`ArchSimError::InvalidGeometry`] if either dimension is zero, or if
-    /// tree-PLRU is requested with a non-power-of-two way count.
-    pub fn with_replacement(
-        sets: u64,
-        ways: u32,
-        replacement: Replacement,
-    ) -> Result<Self, ArchSimError> {
         if sets == 0 || ways == 0 {
             return Err(ArchSimError::InvalidGeometry(format!(
                 "cache needs nonzero sets and ways, got {sets}x{ways}"
             )));
         }
-        if replacement == Replacement::TreePlru && !ways.is_power_of_two() {
-            return Err(ArchSimError::InvalidGeometry(format!(
-                "tree-PLRU needs a power-of-two way count, got {ways}"
-            )));
-        }
-        let slots = (sets as usize) * (ways as usize);
-        let (lines, occ) = match replacement {
-            Replacement::Lru => (vec![0u64; slots], vec![0u32; sets as usize]),
-            Replacement::TreePlru => (vec![u64::MAX; slots], vec![ways; sets as usize]),
-        };
         Ok(SetAssocCache {
             sets,
             ways,
-            replacement,
-            lines,
-            occ,
-            plru_bits: vec![0; sets as usize],
+            lines: vec![0; (sets as usize) * (ways as usize)],
+            occ: vec![0; sets as usize],
             accesses: 0,
             misses: 0,
         })
-    }
-
-    /// The replacement policy in effect.
-    pub fn replacement(&self) -> Replacement {
-        self.replacement
     }
 
     /// Builds a cache from a platform [`CacheGeometry`], optionally enabling
@@ -155,117 +93,72 @@ impl SetAssocCache {
     /// on hit.
     pub fn access(&mut self, line: u64) -> bool {
         self.accesses += 1;
-        let set = (mix64(line) % self.sets) as usize;
-        match self.replacement {
-            Replacement::Lru => {
-                let ways = self.ways as usize;
-                let base = set * ways;
-                let occ = self.occ[set] as usize;
-                let slice = &mut self.lines[base..base + occ];
-                if let Some(pos) = slice.iter().position(|&t| t == line) {
-                    // Move to MRU: shift the younger tags down one slot.
-                    slice.copy_within(0..pos, 1);
-                    slice[0] = line;
-                    true
-                } else {
-                    self.misses += 1;
-                    // Fill at MRU; a full set drops its LRU tag off the end
-                    // of the shift.
-                    let occ = if occ == ways { ways } else { occ + 1 };
-                    self.occ[set] = occ as u32;
-                    let slice = &mut self.lines[base..base + occ];
-                    slice.copy_within(0..occ - 1, 1);
-                    slice[0] = line;
-                    false
-                }
-            }
-            Replacement::TreePlru => self.access_plru(set, line),
-        }
-    }
-
-    /// Tree-PLRU lookup: on a hit (or fill) the decision bits along the
-    /// way's root-to-leaf path are flipped to point *away* from it; the
-    /// victim is found by following the bits from the root.
-    fn access_plru(&mut self, set: usize, line: u64) -> bool {
         let ways = self.ways as usize;
+        let set = self.set_of(line);
         let base = set * ways;
-        let slice = &self.lines[base..base + ways];
+        let occ = self.occ[set] as usize;
+        let slice = &mut self.lines[base..base + occ];
         if let Some(pos) = slice.iter().position(|&t| t == line) {
-            self.plru_touch(set, pos);
-            return true;
+            // Move to MRU: shift the younger tags down one slot.
+            slice.copy_within(0..pos, 1);
+            slice[0] = line;
+            true
+        } else {
+            self.misses += 1;
+            // Fill at MRU; a full set drops its LRU tag off the end of the
+            // shift.
+            let occ = if occ == ways { ways } else { occ + 1 };
+            self.occ[set] = occ as u32;
+            let slice = &mut self.lines[base..base + occ];
+            slice.copy_within(0..occ - 1, 1);
+            slice[0] = line;
+            false
         }
-        self.misses += 1;
-        // Prefer an invalid slot before evicting.
-        let victim = match slice.iter().position(|&t| t == u64::MAX) {
-            Some(empty) => empty,
-            None => self.plru_victim(set),
-        };
-        self.lines[base + victim] = line;
-        self.plru_touch(set, victim);
-        false
     }
 
-    /// Follows the decision bits from the root to the PLRU victim way.
-    fn plru_victim(&self, set: usize) -> usize {
-        let mut node = 0usize; // root of the implicit binary tree
-        let mut lo = 0usize;
-        let mut hi = self.ways as usize;
-        let bits = self.plru_bits[set];
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if bits & (1 << node) == 0 {
-                hi = mid;
-                node = 2 * node + 1;
-            } else {
-                lo = mid;
-                node = 2 * node + 2;
-            }
-        }
-        lo
-    }
-
-    /// Flips the path bits so they point away from `way`.
-    fn plru_touch(&mut self, set: usize, way: usize) {
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways as usize;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if way < mid {
-                // Accessed the left half: point the bit right.
-                self.plru_bits[set] |= 1 << node;
-                hi = mid;
-                node = 2 * node + 1;
-            } else {
-                self.plru_bits[set] &= !(1 << node);
-                lo = mid;
-                node = 2 * node + 2;
+    /// Pre-fills an empty cache with distinct `lines` given most recent
+    /// first, leaving exactly the contents that [`SetAssocCache::access`]
+    /// would leave after the same lines in reverse (oldest first), without
+    /// counting them as accesses.
+    ///
+    /// Replayed, each line misses (the lines are distinct) and lands at its
+    /// set's MRU slot, so a set ends up holding the youngest `ways` lines
+    /// that map to it, youngest first. Walking the lines youngest first
+    /// and appending each to its set while the set has a free way builds
+    /// that order directly: one hash per line and no shifts.
+    pub fn fill_mru_first(&mut self, lines: impl IntoIterator<Item = u64>) {
+        debug_assert!(
+            self.occ.iter().all(|&o| o == 0),
+            "fill_mru_first needs an empty cache"
+        );
+        let ways = self.ways as usize;
+        for line in lines {
+            let set = self.set_of(line);
+            let occ = self.occ[set] as usize;
+            if occ < ways {
+                let base = set * ways;
+                debug_assert!(
+                    !self.lines[base..base + occ].contains(&line),
+                    "fill_mru_first needs distinct lines, {line} repeats"
+                );
+                self.lines[base + occ] = line;
+                self.occ[set] += 1;
             }
         }
     }
 
-    /// Invalidates a random `fraction` of resident lines (context-switch
-    /// pollution). Deterministic: drops the LRU tail of each set.
+    /// The set `line` maps to.
+    fn set_of(&self, line: u64) -> usize {
+        (mix64(line) % self.sets) as usize
+    }
+
+    /// Invalidates a `fraction` of resident lines (context-switch
+    /// pollution). Deterministic: truncating each set's occupancy drops
+    /// its LRU tail.
     pub fn flush_fraction(&mut self, fraction: f64) {
         let fraction = fraction.clamp(0.0, 1.0);
-        match self.replacement {
-            Replacement::Lru => {
-                // Truncating occupancy drops the LRU tail of each stride.
-                for occ in &mut self.occ {
-                    *occ = ((*occ as f64) * (1.0 - fraction)).floor() as u32;
-                }
-            }
-            Replacement::TreePlru => {
-                // Invalidate a prefix of each set's way slots.
-                let ways = self.ways as usize;
-                let drop = ((self.ways as f64) * fraction).round() as usize;
-                for set in 0..self.sets as usize {
-                    let base = set * ways;
-                    for slot in &mut self.lines[base..base + drop] {
-                        *slot = u64::MAX;
-                    }
-                }
-            }
+        for occ in &mut self.occ {
+            *occ = ((*occ as f64) * (1.0 - fraction)).floor() as u32;
         }
     }
 
@@ -363,23 +256,17 @@ impl std::fmt::Display for CdpPartition {
     }
 }
 
-/// The shared last-level cache, either unified or CDP-partitioned.
-#[derive(Debug, Clone)]
-pub enum SharedLlc {
-    /// Code and data share all enabled ways (production default).
-    Unified(SetAssocCache),
-    /// Code and data fill disjoint way groups.
-    Partitioned {
-        /// Data-side partition.
-        data: SetAssocCache,
-        /// Code-side partition.
-        code: SetAssocCache,
-    },
+/// The shared last-level cache: code and data fill disjoint partitions,
+/// either an enforced CDP way split or the natural competitive split.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SharedLlc {
+    data: SetAssocCache,
+    code: SetAssocCache,
 }
 
 impl SharedLlc {
-    /// Builds the LLC for `geom` with `ways_enabled` CAT-enabled ways,
-    /// optional CDP partition, and a contention capacity scale.
+    /// Builds the LLC for `geom` with `ways_enabled` CAT-enabled ways split
+    /// by the CDP partition `cdp`, and a contention capacity scale.
     ///
     /// # Errors
     ///
@@ -388,35 +275,27 @@ impl SharedLlc {
     pub fn build(
         geom: &CacheGeometry,
         ways_enabled: u32,
-        cdp: Option<CdpPartition>,
+        cdp: CdpPartition,
         capacity_scale: f64,
     ) -> Result<Self, ArchSimError> {
-        match cdp {
-            None => Ok(SharedLlc::Unified(SetAssocCache::from_geometry(
-                geom,
-                ways_enabled,
-                capacity_scale,
-            )?)),
-            Some(p) => {
-                if p.data_ways + p.code_ways != ways_enabled {
-                    return Err(ArchSimError::InvalidCdpPartition {
-                        data_ways: p.data_ways,
-                        code_ways: p.code_ways,
-                        total_ways: ways_enabled,
-                    });
-                }
-                let data = SetAssocCache::from_geometry(geom, p.data_ways, capacity_scale)?;
-                let code = SetAssocCache::from_geometry(geom, p.code_ways, capacity_scale)?;
-                Ok(SharedLlc::Partitioned { data, code })
-            }
+        if cdp.data_ways + cdp.code_ways != ways_enabled {
+            return Err(ArchSimError::InvalidCdpPartition {
+                data_ways: cdp.data_ways,
+                code_ways: cdp.code_ways,
+                total_ways: ways_enabled,
+            });
         }
+        Ok(SharedLlc {
+            data: SetAssocCache::from_geometry(geom, cdp.data_ways, capacity_scale)?,
+            code: SetAssocCache::from_geometry(geom, cdp.code_ways, capacity_scale)?,
+        })
     }
 
     /// Builds an LLC that models the *natural competitive split* between the
     /// code and data streams under shared LRU: each side gets a
     /// capacity-scaled partition with the full enabled associativity. The
     /// CDP knob replaces this competitive split with an enforced way split
-    /// (see [`SharedLlc::build`] with `Some(partition)`).
+    /// (see [`SharedLlc::build`]).
     ///
     /// # Errors
     ///
@@ -436,50 +315,41 @@ impl SharedLlc {
         let code = SetAssocCache::from_geometry(geom, ways_enabled, capacity_scale * code_share)?;
         let data =
             SetAssocCache::from_geometry(geom, ways_enabled, capacity_scale * (1.0 - code_share))?;
-        Ok(SharedLlc::Partitioned { data, code })
+        Ok(SharedLlc { data, code })
     }
 
     /// Looks up a data line.
     pub fn access_data(&mut self, line: u64) -> bool {
-        match self {
-            SharedLlc::Unified(c) => c.access(line),
-            SharedLlc::Partitioned { data, .. } => data.access(line),
-        }
+        self.data.access(line)
     }
 
     /// Looks up a code line.
     pub fn access_code(&mut self, line: u64) -> bool {
-        match self {
-            SharedLlc::Unified(c) => c.access(line),
-            SharedLlc::Partitioned { code, .. } => code.access(line),
-        }
+        self.code.access(line)
     }
 
-    /// Capacity in lines available to (code, data) fills. For a unified LLC
-    /// the streams share the space; we report an even split as the pre-fill
-    /// budget.
+    /// Pre-fills the empty data partition with distinct lines, most recent
+    /// first (see [`SetAssocCache::fill_mru_first`]).
+    pub fn fill_data_mru_first(&mut self, lines: impl IntoIterator<Item = u64>) {
+        self.data.fill_mru_first(lines);
+    }
+
+    /// Pre-fills the empty code partition with distinct lines, most recent
+    /// first (see [`SetAssocCache::fill_mru_first`]).
+    pub fn fill_code_mru_first(&mut self, lines: impl IntoIterator<Item = u64>) {
+        self.code.fill_mru_first(lines);
+    }
+
+    /// Capacity in lines of the (code, data) partitions.
     pub fn capacities(&self) -> (u64, u64) {
-        match self {
-            SharedLlc::Unified(c) => {
-                let lines = c.sets() * c.ways() as u64;
-                (lines / 2, lines / 2)
-            }
-            SharedLlc::Partitioned { data, code } => (
-                code.sets() * code.ways() as u64,
-                data.sets() * data.ways() as u64,
-            ),
-        }
+        let lines = |c: &SetAssocCache| c.sets() * u64::from(c.ways());
+        (lines(&self.code), lines(&self.data))
     }
 
-    /// Resets statistics on all partitions.
+    /// Resets statistics on both partitions.
     pub fn reset_stats(&mut self) {
-        match self {
-            SharedLlc::Unified(c) => c.reset_stats(),
-            SharedLlc::Partitioned { data, code } => {
-                data.reset_stats();
-                code.reset_stats();
-            }
-        }
+        self.data.reset_stats();
+        self.code.reset_stats();
     }
 }
 
@@ -596,7 +466,7 @@ mod tests {
     fn partitioned_llc_isolates_streams() {
         let spec = PlatformSpec::skylake18();
         let p = CdpPartition::new(6, 5, 11).unwrap();
-        let mut llc = SharedLlc::build(&spec.llc, 11, Some(p), 0.01).unwrap();
+        let mut llc = SharedLlc::build(&spec.llc, 11, p, 0.01).unwrap();
         // Fill the code side well below its partition capacity (~1.8k lines
         // at this scale); the data stream must not evict it.
         for i in 0..800u64 {
@@ -613,34 +483,10 @@ mod tests {
             }
         }
         // A handful of self-conflict misses from hash-overfilled sets are
-        // expected; wholesale eviction (as in the unified case below, < 200
-        // hits) is not.
+        // expected; wholesale eviction by the million data lines is not.
         assert!(
             hits >= 700,
             "data stream must not evict partitioned code: {hits}/800 hits"
-        );
-    }
-
-    #[test]
-    fn unified_llc_lets_data_evict_code() {
-        let spec = PlatformSpec::skylake18();
-        let mut llc = SharedLlc::build(&spec.llc, 11, None, 0.01).unwrap();
-        for i in 0..2_000u64 {
-            llc.access_code(i);
-        }
-        for i in 0..1_000_000u64 {
-            llc.access_data(i + 1_000_000_000);
-        }
-        llc.reset_stats();
-        let mut hits = 0;
-        for i in 0..2_000u64 {
-            if llc.access_code(i) {
-                hits += 1;
-            }
-        }
-        assert!(
-            hits < 200,
-            "data stream should have evicted code, hits = {hits}"
         );
     }
 
@@ -663,75 +509,10 @@ mod tests {
     }
 
     #[test]
-    fn plru_requires_power_of_two_ways_and_behaves_like_a_cache() {
-        assert!(SetAssocCache::with_replacement(16, 11, Replacement::TreePlru).is_err());
-        let mut c = SetAssocCache::with_replacement(1, 4, Replacement::TreePlru).unwrap();
-        assert_eq!(c.replacement(), Replacement::TreePlru);
-        // Fill 4 ways; all resident.
-        for line in 0..4u64 {
-            assert!(!c.access(line));
-        }
-        for line in 0..4u64 {
-            assert!(c.access(line), "line {line} resident");
-        }
-        // A fifth line evicts exactly one of them.
-        assert!(!c.access(99));
-        let resident = (0..4u64)
-            .filter(|&l| {
-                // Probe without polluting: clone per probe.
-                let mut probe = c.clone();
-                probe.access(l)
-            })
-            .count();
-        assert_eq!(resident, 3, "one victim was evicted");
-    }
-
-    #[test]
-    fn plru_miss_ratio_tracks_lru_within_tolerance() {
-        // On a Zipf-ish cyclic pattern, tree-PLRU approximates true LRU.
-        let mut lru = SetAssocCache::with_replacement(256, 8, Replacement::Lru).unwrap();
-        let mut plru = SetAssocCache::with_replacement(256, 8, Replacement::TreePlru).unwrap();
-        let mut state = 7u64;
-        for _ in 0..200_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // Mixture: 75% hot set (1k lines), 25% cold sweep (32k lines).
-            let line = if !state.is_multiple_of(4) {
-                (state >> 20) % 1_000
-            } else {
-                100_000 + (state >> 20) % 32_000
-            };
-            lru.access(line);
-            plru.access(line);
-        }
-        let (l, p) = (lru.miss_ratio(), plru.miss_ratio());
-        assert!(
-            (p - l).abs() / l < 0.10,
-            "PLRU miss ratio {p:.4} vs LRU {l:.4}"
-        );
-        assert!(p >= l * 0.95, "PLRU should not beat LRU materially");
-    }
-
-    #[test]
-    fn plru_flush_invalidates() {
-        let mut c = SetAssocCache::with_replacement(8, 8, Replacement::TreePlru).unwrap();
-        for line in 0..64u64 {
-            c.access(line);
-        }
-        c.flush_fraction(1.0);
-        c.reset_stats();
-        for line in 0..64u64 {
-            c.access(line);
-        }
-        assert!(c.miss_ratio() > 0.99, "full flush: {}", c.miss_ratio());
-    }
-
-    #[test]
     fn cdp_must_match_enabled_ways() {
         let spec = PlatformSpec::skylake18();
         let p = CdpPartition::new(6, 5, 11).unwrap();
         // Enabled ways (8) != partition total (11).
-        assert!(SharedLlc::build(&spec.llc, 8, Some(p), 1.0).is_err());
+        assert!(SharedLlc::build(&spec.llc, 8, p, 1.0).is_err());
     }
 }

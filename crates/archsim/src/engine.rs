@@ -247,41 +247,16 @@ const AUDITED_INPUTS: usize = 16;
 /// Code ids share the unified L2/LLC with data ids; tag them apart.
 const CODE_TAG: u64 = 1 << 62;
 
-/// Entry bound for the warm-structure snapshot cache. Entries are a few
-/// megabytes each (the LLC array dominates), so the bound is small; as
-/// with [`PASS_MEMO`], the map clears wholesale at the bound.
-const STRUCT_MEMO_CAP: usize = 32;
-
-/// Cache/TLB hierarchy in its pre-filled steady state, ready to simulate a
-/// window. Building one replays on the order of the LLC's line count in
-/// LRU accesses (plus the allocations behind it); cloning one is a few
-/// memcpys. Construction and pre-fill are deterministic functions of the
-/// geometry, the LLC share, and the reuse distributions — no RNG — so a
-/// clone is bit-identical to a rebuild.
-#[derive(Clone)]
-struct WarmStructures {
-    caches: WarmCaches,
-    tlb: TlbHierarchy,
-}
-
-/// The caches of a [`WarmStructures`]: what the line half of a window's
-/// passes drives. They are filled from the two line distributions alone,
-/// and the TLBs from the two page distributions alone.
-#[derive(Clone)]
+/// The pre-filled caches: what the line half of a window's passes drives.
+/// They are filled from the two line distributions alone, and the TLBs
+/// from the two page distributions alone.
+#[derive(PartialEq)]
 struct WarmCaches {
     l1i: SetAssocCache,
     l1d: SetAssocCache,
     l2: SetAssocCache,
     llc: SharedLlc,
 }
-
-/// Process-wide snapshot cache of pre-filled structure hierarchies, keyed
-/// by a content fingerprint of everything that shapes them. It serves the
-/// line-half misses: a fresh seed or a switch schedule inside the window
-/// on a hierarchy shape the process has already built restores a clone
-/// instead of replaying the pre-fill. A window that simulates only its
-/// page half builds just the TLBs, which cost a few thousand accesses.
-static STRUCT_MEMO: OnceLock<Mutex<HashMap<u128, WarmStructures>>> = OnceLock::new();
 
 /// The window-level simulator for one (platform config, workload) pair.
 #[derive(Debug)]
@@ -314,12 +289,11 @@ impl Engine {
         })
     }
 
-    /// Enables or disables the process-wide memos for this engine (default
-    /// on): both halves of the pass memo and the warm-structure snapshots.
-    /// Identity tests and throughput benchmarks turn them off to force a
-    /// full evaluation — structures built, trace generated and passes run;
-    /// memo hits are bit-identical to evaluation, so production callers
-    /// never need to.
+    /// Enables or disables the process-wide pass memo for this engine
+    /// (default on). Identity tests and throughput benchmarks turn it off
+    /// to force a full evaluation — structures built, trace generated and
+    /// passes run; memo hits are bit-identical to evaluation, so production
+    /// callers never need to.
     pub fn with_memo(mut self, enabled: bool) -> Self {
         self.use_memo = enabled;
         self
@@ -377,7 +351,7 @@ impl Engine {
     /// a reason; the memo cannot silently serve stale counters.
     fn line_key(&self, schedule: &Schedule, share: f64) -> u128 {
         let mut h = Fnv128::new();
-        // Domain separator against the page, structure and trace keys.
+        // Domain separator against the page and trace keys.
         h.push(0x4c49_4e45); // "LINE"
         let Engine {
             config,
@@ -386,7 +360,7 @@ impl Engine {
             // Enters through `schedule.warmup`.
             warmup_override: _,
             // Pure performance controls: counters are bit-identical at every
-            // batch size and with the memos on or off.
+            // batch size and with the memo on or off.
             batch_events: _,
             use_memo: _,
         } = self;
@@ -510,7 +484,7 @@ impl Engine {
     /// [`Engine::line_key`], every input is destructured without `..`.
     fn page_key(&self, schedule: &Schedule, huge: HugePageMix) -> u128 {
         let mut h = Fnv128::new();
-        // Domain separator against the line, structure and trace keys.
+        // Domain separator against the line and trace keys.
         h.push(0x5041_4745); // "PAGE"
         let Engine {
             config,
@@ -617,149 +591,26 @@ impl Engine {
         h.finish()
     }
 
-    /// Content fingerprint of everything that shapes the pre-filled
-    /// cache/TLB hierarchy: geometries, enabled ways, the CDP partition (or
-    /// the natural code share), the resolved LLC share, and the four reuse
-    /// distributions (whose footprints set the pre-fill depths). Knobs that
-    /// leave the hierarchy untouched — THP, SHP, frequencies, the seed —
-    /// are deliberately absent so their settings share one snapshot. As in
-    /// [`Engine::line_key`], the inputs are destructured without `..` and
-    /// each omitted field is named with its reason.
-    fn structure_key(&self, share: f64) -> u128 {
-        let mut h = Fnv128::new();
-        // Domain separator against the pass-memo and trace keys.
-        h.push(0x5741_524d); // "WARM"
-        let ServerConfig {
-            platform,
-            llc_ways_enabled,
-            cdp,
-            // Clocks and prefetchers act on a window, not on the pre-filled
-            // contents; the core count enters only through `share`.
-            core_freq_ghz: _,
-            uncore_freq_ghz: _,
-            active_cores: _,
-            prefetchers: _,
-            // Page policy routes translations during a window; the pre-fill
-            // seeds the 4 KiB sides whatever the huge-page mix.
-            thp: _,
-            shp_pages: _,
-            machine_memory_bytes: _,
-        } = &self.config;
-        let PlatformSpec {
-            l1i,
-            l1d,
-            l2,
-            llc,
-            itlb,
-            dtlb,
-            stlb_entries,
-            // The hierarchy is shaped by its geometry alone; core counts,
-            // latencies, clocks and the memory system price what it does.
-            kind: _,
-            microarchitecture: _,
-            sockets: _,
-            cores_per_socket: _,
-            smt: _,
-            page_walk_cycles: _,
-            issue_width: _,
-            mispredict_penalty_cycles: _,
-            btb_entries: _,
-            core_freq_range_ghz: _,
-            uncore_freq_range_ghz: _,
-            avx_freq_tax_ghz: _,
-            avx_fp_threshold: _,
-            mem_unloaded_latency_ns: _,
-            mem_peak_bw_gbps: _,
-            supports_rdt: _,
-        } = platform;
-        for g in [l1i, l1d, l2, llc] {
-            push_cache_geometry(&mut h, g);
-        }
-        for t in [itlb, dtlb] {
-            push_tlb_geometry(&mut h, t);
-        }
-        h.push(u64::from(*stlb_entries));
-        h.push(u64::from(*llc_ways_enabled));
-        let StreamSpec {
-            code_reuse,
-            data_reuse,
-            code_page_reuse,
-            data_page_reuse,
-            natural_code_llc_share,
-            // The pre-fill replays each stream's deepest ids by footprint
-            // alone; the remaining traits drive windows, not the snapshot.
-            // (`llc_contention` enters through `share`.)
-            name: _,
-            mix: _,
-            branch: _,
-            prefetch: _,
-            pages: _,
-            context_switch: _,
-            mlp: _,
-            smt_gain: _,
-            base_cpi_scale: _,
-            writeback_factor: _,
-            burstiness: _,
-            llc_contention: _,
-            extra_mem_lines_per_ki: _,
-            extra_traffic_prefetch_fraction: _,
-            frontend_exposure: _,
-        } = &self.spec;
-        push_llc_split(&mut h, *cdp, *natural_code_llc_share);
-        h.push_f64(share);
-        for dist in [code_reuse, data_reuse, code_page_reuse, data_page_reuse] {
-            dist.fingerprint_words(&mut |w| h.push(w));
-        }
-        h.finish()
-    }
-
-    /// Returns the pre-filled structure hierarchy for this engine's config
-    /// at the given LLC share from the process-wide snapshot cache, built
-    /// and kept on a miss. A restored snapshot is bit-identical to a
-    /// rebuild (construction and pre-fill are deterministic), so this only
-    /// trades wall time.
-    fn structures_for(&self, share: f64) -> Result<WarmStructures, ArchSimError> {
-        let key = self.structure_key(share);
-        let memo = STRUCT_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Ok(guard) = memo.lock() {
-            if let Some(warm) = guard.get(&key) {
-                return Ok(warm.clone());
-            }
-        }
-        let warm = build_warm_structures(&self.config, &self.spec, share)?;
-        if let Ok(mut guard) = memo.lock() {
-            if guard.len() >= STRUCT_MEMO_CAP {
-                guard.clear();
-            }
-            guard.insert(key, warm.clone());
-        }
-        Ok(warm)
-    }
-
-    /// Simulates the `halves` of this window's passes: structures restored
-    /// (from [`STRUCT_MEMO`] when `memo` is set) or built, and the trace
+    /// Simulates the `halves` of this window's passes: the caches and the
+    /// TLBs of the simulated halves built and pre-filled, and the trace
     /// generated chunk by chunk with only those halves' mappers. Returns
     /// the line half's counters and the page half's; a half not simulated
-    /// reads all zero. A window that simulates only its page half builds
-    /// just the TLBs.
+    /// reads all zero and builds nothing.
     fn simulate_halves(
         &self,
         schedule: &Schedule,
         share: f64,
         huge: HugePageMix,
         halves: Halves,
-        memo: bool,
     ) -> Result<(Counters, Counters), ArchSimError> {
-        let (caches, tlb) = if halves.lines {
-            let warm = if memo {
-                self.structures_for(share)?
-            } else {
-                build_warm_structures(&self.config, &self.spec, share)?
-            };
-            (Some(warm.caches), halves.pages.then_some(warm.tlb))
-        } else {
-            (None, Some(build_warm_tlb(&self.config, &self.spec)?))
-        };
+        let caches = halves
+            .lines
+            .then(|| build_warm_caches(&self.config, &self.spec, share))
+            .transpose()?;
+        let tlb = halves
+            .pages
+            .then(|| build_warm_tlb(&self.config, &self.spec))
+            .transpose()?;
         let sim = WindowSim {
             lines: caches.map(|warm| LineSim {
                 warm,
@@ -800,9 +651,9 @@ impl Engine {
         share: f64,
         huge: HugePageMix,
     ) -> Result<Counters, ArchSimError> {
-        let simulate = |halves, memo| self.simulate_halves(schedule, share, huge, halves, memo);
+        let simulate = |halves| self.simulate_halves(schedule, share, huge, halves);
         let full = || -> Result<Counters, ArchSimError> {
-            let (lines, pages) = simulate(Halves::BOTH, self.use_memo)?;
+            let (lines, pages) = simulate(Halves::BOTH)?;
             Ok(merge_halves(lines, pages))
         };
         if !self.use_memo {
@@ -841,13 +692,10 @@ impl Engine {
         let (lines, pages) = match (*line, *page) {
             (Some(lines), Some(pages)) => (lines, pages),
             (memo_lines, memo_pages) => {
-                let (lines, pages) = simulate(
-                    Halves {
-                        lines: memo_lines.is_none(),
-                        pages: memo_pages.is_none(),
-                    },
-                    true,
-                )?;
+                let (lines, pages) = simulate(Halves {
+                    lines: memo_lines.is_none(),
+                    pages: memo_pages.is_none(),
+                })?;
                 (
                     memo_lines.unwrap_or(simulated(lines)),
                     memo_pages.unwrap_or(simulated(pages)),
@@ -855,7 +703,7 @@ impl Engine {
             }
         };
         // The audit, in builds with debug assertions: a half this window
-        // took from the memo is simulated again with the memos off the
+        // took from the memo is simulated again with the memo off the
         // first time it serves this window's input set (one of its last
         // `AUDITED_INPUTS`), and must match exactly. A pass half writes only
         // integer counts, so `==` is bitwise here. A key that omits an
@@ -873,7 +721,7 @@ impl Engine {
                 pages: unchecked(hits.1, &pages),
             };
             if audit.lines || audit.pages {
-                let (fresh_lines, fresh_pages) = simulate(audit, false)?;
+                let (fresh_lines, fresh_pages) = simulate(audit)?;
                 for (name, audited, half, fresh) in [
                     ("line", audit.lines, &mut lines, fresh_lines),
                     ("page", audit.pages, &mut pages, fresh_pages),
@@ -1650,34 +1498,22 @@ fn merge_halves(lines: Counters, pages: Counters) -> Counters {
     }
 }
 
-/// Builds the cache/TLB hierarchy and pre-fills it with steady-state MRU
-/// contents: [`build_warm_caches`] and [`build_warm_tlb`], which read
-/// disjoint inputs.
+/// Builds the caches and pre-fills them with steady-state MRU contents: a
+/// function of the cache geometries, the enabled ways, the CDP split or
+/// natural code share, the LLC share and the two line distributions.
 ///
 /// The stack mappers start at steady state (pre-warmed stacks), but a cold
 /// cache would need millions of accesses before lines at LLC-scale reuse
 /// distances could hit: every deep re-reference would be an in-structure
 /// compulsory miss and large-capacity hits would be invisible in a short
-/// window. Seed each structure with the top of the corresponding stream's
-/// LRU stack, deepest-first so recency order matches.
+/// window. So each cache holds the top of the corresponding stream's LRU
+/// stack, as if those ids had just been accessed deepest-first.
 ///
-/// Deterministic — no RNG is consumed — so the result is a pure function
-/// of the geometry, the LLC share, and the reuse distributions, and a
-/// cached clone (see [`STRUCT_MEMO`]) is bit-identical to a rebuild.
-fn build_warm_structures(
-    cfg: &ServerConfig,
-    spec: &StreamSpec,
-    share: f64,
-) -> Result<WarmStructures, ArchSimError> {
-    Ok(WarmStructures {
-        caches: build_warm_caches(cfg, spec, share)?,
-        tlb: build_warm_tlb(cfg, spec)?,
-    })
-}
-
-/// The pre-filled caches: a function of the cache geometries, the enabled
-/// ways, the CDP split or natural code share, the LLC share and the two
-/// line distributions.
+/// A stream's pre-warmed stack holds `pw - 1, pw - 2, …, 0`, most recent
+/// first. Each cache is filled straight from that order with
+/// [`SetAssocCache::fill_mru_first`]. The ids are distinct and the caches
+/// start empty, so the state is exactly what replaying them deepest-first
+/// through `access` leaves, at one set-index hash per id.
 fn build_warm_caches(
     cfg: &ServerConfig,
     spec: &StreamSpec,
@@ -1689,7 +1525,7 @@ fn build_warm_caches(
     let mut l1d = SetAssocCache::from_geometry(&plat.l1d, plat.l1d.ways, 1.0)?;
     let mut l2 = SetAssocCache::from_geometry(&plat.l2, plat.l2.ways, 1.0)?;
     let mut llc = match cfg.cdp {
-        Some(p) => SharedLlc::build(&plat.llc, cfg.llc_ways_enabled, Some(p), share)?,
+        Some(p) => SharedLlc::build(&plat.llc, cfg.llc_ways_enabled, p, share)?,
         None => SharedLlc::natural_split(
             &plat.llc,
             cfg.llc_ways_enabled,
@@ -1700,33 +1536,20 @@ fn build_warm_caches(
 
     let code_pw = prewarm_len(&spec.code_reuse);
     let data_pw = prewarm_len(&spec.data_reuse);
+    // The `depth` most recent ids of a stream, most recent first.
+    let top = |pw: u64, depth: u64| (pw.saturating_sub(depth)..pw).rev();
     let (code_cap, data_cap) = llc.capacities();
-    for id in code_pw.saturating_sub(code_cap)..code_pw {
-        llc.access_code(id);
-    }
-    for id in data_pw.saturating_sub(data_cap)..data_pw {
-        llc.access_data(id);
-    }
-    // L2 is unified: interleave the two streams' MRU halves.
-    let half = plat.l2.lines() / 2;
-    for i in (1..=half).rev() {
-        if i <= code_pw {
-            l2.access((code_pw - i) | CODE_TAG);
-        }
-        if i <= data_pw {
-            l2.access(data_pw - i);
-        }
-    }
-    for id in code_pw.saturating_sub(plat.l1i.lines())..code_pw {
-        l1i.access(id);
-    }
-    for id in data_pw.saturating_sub(plat.l1d.lines())..data_pw {
-        l1d.access(id);
-    }
-    l1i.reset_stats();
-    l1d.reset_stats();
-    l2.reset_stats();
-    llc.reset_stats();
+    llc.fill_code_mru_first(top(code_pw, code_cap));
+    llc.fill_data_mru_first(top(data_pw, data_cap));
+    // L2 is unified: it holds the two streams' MRU halves interleaved,
+    // the data id more recent than the code id at each depth.
+    l2.fill_mru_first((1..=plat.l2.lines() / 2).flat_map(|i| {
+        let data = (i <= data_pw).then(|| data_pw - i);
+        let code = (i <= code_pw).then(|| (code_pw - i) | CODE_TAG);
+        data.into_iter().chain(code)
+    }));
+    l1i.fill_mru_first(top(code_pw, plat.l1i.lines()));
+    l1d.fill_mru_first(top(data_pw, plat.l1d.lines()));
     Ok(WarmCaches { l1i, l1d, l2, llc })
 }
 
@@ -2226,15 +2049,117 @@ mod tests {
         };
         let huge = huge_mix(&e);
         let full = e
-            .simulate_halves(&schedule, 0.7, huge, Halves::BOTH, false)
+            .simulate_halves(&schedule, 0.7, huge, Halves::BOTH)
             .unwrap();
         let only = |lines, pages| {
-            e.simulate_halves(&schedule, 0.7, huge, Halves { lines, pages }, false)
+            e.simulate_halves(&schedule, 0.7, huge, Halves { lines, pages })
                 .unwrap()
         };
         assert_eq!(only(true, false), (full.0, Counters::default()));
         assert_eq!(only(false, true), (Counters::default(), full.1));
         assert!(full.0.l1d_misses > 0 && full.1.dtlb_misses > 0);
+    }
+
+    /// The reference pre-fill: the caches of [`build_warm_caches`], filled
+    /// by replaying each stream's pre-fill ids deepest-first through
+    /// `access`, then cleared of the replay's statistics.
+    fn replayed_warm_caches(cfg: &ServerConfig, spec: &StreamSpec, share: f64) -> WarmCaches {
+        use crate::trace::prewarm_len;
+        let plat = &cfg.platform;
+        let mut l1i = SetAssocCache::from_geometry(&plat.l1i, plat.l1i.ways, 1.0).unwrap();
+        let mut l1d = SetAssocCache::from_geometry(&plat.l1d, plat.l1d.ways, 1.0).unwrap();
+        let mut l2 = SetAssocCache::from_geometry(&plat.l2, plat.l2.ways, 1.0).unwrap();
+        let mut llc = match cfg.cdp {
+            Some(p) => SharedLlc::build(&plat.llc, cfg.llc_ways_enabled, p, share),
+            None => SharedLlc::natural_split(
+                &plat.llc,
+                cfg.llc_ways_enabled,
+                spec.natural_code_llc_share.clamp(0.05, 0.95),
+                share,
+            ),
+        }
+        .unwrap();
+        let code_pw = prewarm_len(&spec.code_reuse);
+        let data_pw = prewarm_len(&spec.data_reuse);
+        let (code_cap, data_cap) = llc.capacities();
+        for id in code_pw.saturating_sub(code_cap)..code_pw {
+            llc.access_code(id);
+        }
+        for id in data_pw.saturating_sub(data_cap)..data_pw {
+            llc.access_data(id);
+        }
+        let half = plat.l2.lines() / 2;
+        for i in (1..=half).rev() {
+            if i <= code_pw {
+                l2.access((code_pw - i) | CODE_TAG);
+            }
+            if i <= data_pw {
+                l2.access(data_pw - i);
+            }
+        }
+        for id in code_pw.saturating_sub(plat.l1i.lines())..code_pw {
+            l1i.access(id);
+        }
+        for id in data_pw.saturating_sub(plat.l1d.lines())..data_pw {
+            l1d.access(id);
+        }
+        l1i.reset_stats();
+        l1d.reset_stats();
+        l2.reset_stats();
+        llc.reset_stats();
+        WarmCaches { l1i, l1d, l2, llc }
+    }
+
+    /// The direct fill leaves every cache exactly as the replayed pre-fill
+    /// does, across platforms, LLC splits, enabled ways and shares. The
+    /// line footprints run from above every pre-fill depth down to below
+    /// the L1's, so the LLC and L1 fills start mid-stream or at id 0 and
+    /// the L2 interleave runs out of one stream or both.
+    #[test]
+    fn warm_caches_match_the_replayed_prefill() {
+        let knee = |footprint: u64| {
+            ReuseDistanceDist::single_knee(footprint / 4, 0.1, 0.01, footprint).unwrap()
+        };
+        // (code, data) line footprints: above every depth (the test spec);
+        // below the LLC partitions and the L2 half on some platforms; below
+        // the L1s.
+        let footprints = [None, Some((3_000, 60_000)), Some((300, 400))];
+        for platform in [
+            PlatformSpec::skylake18(),
+            PlatformSpec::skylake20(),
+            PlatformSpec::broadwell16(),
+        ] {
+            let full = platform.llc.ways;
+            let reduced = full / 2;
+            let cases = [
+                (full, None, 1.0),
+                (reduced, None, 0.4),
+                (full, CdpPartition::new(1, full - 1, full).ok(), 0.7),
+                (
+                    reduced,
+                    CdpPartition::new(reduced - 1, 1, reduced).ok(),
+                    0.25,
+                ),
+            ];
+            for footprint in footprints {
+                let mut spec = test_spec();
+                if let Some((code, data)) = footprint {
+                    spec.code_reuse = knee(code);
+                    spec.data_reuse = knee(data);
+                }
+                for (ways, cdp, share) in cases {
+                    let mut cfg = ServerConfig::stock(platform.clone());
+                    cfg.llc_ways_enabled = ways;
+                    cfg.cdp = cdp;
+                    let built = build_warm_caches(&cfg, &spec, share).unwrap();
+                    assert!(
+                        built == replayed_warm_caches(&cfg, &spec, share),
+                        "{:?} {ways} ways {cdp:?} share {share} footprints {footprint:?}",
+                        platform.kind
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,29 @@ use softsku_archsim::ranklist::RankList;
 use softsku_archsim::reuse::ReuseDistanceDist;
 use softsku_archsim::tlb::LruSet;
 use softsku_archsim::trace::StackMapper;
+use std::collections::HashSet;
+
+/// The engine tags code ids apart from data ids in the unified L2 this way.
+const CODE_TAG: u64 = 1 << 62;
+
+/// Distinct-id pre-fill sequences, oldest first: `raw` with repeats
+/// dropped, and the L2's shape — the MRU ends of a `code_len`-line and a
+/// `data_len`-line stream interleaved, code ids tagged, data after code at
+/// each depth.
+fn prefill_sequences(raw: Vec<u64>, code_len: u64, data_len: u64) -> [Vec<u64>; 2] {
+    let mut seen = HashSet::new();
+    let distinct = raw.into_iter().filter(|&id| seen.insert(id)).collect();
+    let mut interleaved = Vec::new();
+    for i in (1..=code_len.max(data_len)).rev() {
+        if i <= code_len {
+            interleaved.push((code_len - i) | CODE_TAG);
+        }
+        if i <= data_len {
+            interleaved.push(data_len - i);
+        }
+    }
+    [distinct, interleaved]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -94,6 +117,32 @@ proptest! {
             recency.insert(0, a);
             recency.truncate(ways as usize);
             prop_assert_eq!(cache.access(a), model_hit, "line {}", a);
+        }
+    }
+
+    /// Filling an empty cache with distinct lines most recent first leaves
+    /// the whole state — every set's tags in MRU→LRU order, occupancy and
+    /// the unused slots — that replaying the lines oldest first through
+    /// `access` leaves once its statistics are reset. The sequences run
+    /// from under one line per set to several times the capacity, so sets
+    /// both stay partly empty and overflow.
+    #[test]
+    fn mru_first_fill_matches_access_replay(
+        sets in 1u64..64,
+        ways in 1u32..16,
+        raw in proptest::collection::vec(any::<u64>(), 0..3000),
+        code_len in 0u64..2000,
+        data_len in 0u64..2000,
+    ) {
+        for oldest_first in prefill_sequences(raw, code_len, data_len) {
+            let mut replayed = SetAssocCache::new(sets, ways).unwrap();
+            for &id in &oldest_first {
+                replayed.access(id);
+            }
+            replayed.reset_stats();
+            let mut filled = SetAssocCache::new(sets, ways).unwrap();
+            filled.fill_mru_first(oldest_first.iter().rev().copied());
+            prop_assert_eq!(filled, replayed, "{} lines", oldest_first.len());
         }
     }
 

@@ -4,16 +4,17 @@
 //! traced — and reports the tracing overhead as a percentage of lifecycle
 //! wall time, after asserting both runs produced bit-identical reports (the
 //! observability contract: a disabled-or-enabled sink never perturbs
-//! results). Part 2 measures raw [`TraceSink`] span throughput, the cost
-//! floor for instrumenting hotter loops. Part 3 races an [`Ods`] with
-//! retention tiers against [`Ods::unbounded`] on a long append stream whose
-//! horizon forces continuous eviction and tier cascades — the retention
-//! tax, paid to keep a fleet-lifetime ledger on bounded memory.
+//! results). Part 2 measures raw [`TraceSink`] span throughput on the mesh
+//! canary's hop shape, record plus drop — the cost floor for instrumenting
+//! hotter loops. Part 3 races an [`Ods`] with retention tiers against
+//! [`Ods::unbounded`] on a long append stream whose horizon forces
+//! continuous eviction and tier cascades — the retention tax, paid to keep
+//! a fleet-lifetime ledger on bounded memory.
 
 use super::{drifting_config, BoxError, BASE_SEED};
 use softsku_knobs::Knob;
 use softsku_rollout::RolloutPipeline;
-use softsku_telemetry::trace::TraceSink;
+use softsku_telemetry::trace::{AttrValue, TraceSink};
 use softsku_telemetry::{Json, Ods, SeriesKey, Stopwatch, TierSpec};
 use softsku_workloads::{Microservice, PlatformKind};
 
@@ -86,26 +87,33 @@ fn trace_overhead() -> Result<Json, BoxError> {
         ))
 }
 
-/// Part 2: raw span-recording throughput.
+/// Part 2: raw span-recording throughput, on the mesh canary's hop shape
+/// (one leaf span plus three attributes, as `record_trace` writes per
+/// job), without reserving room first. The timed span covers building,
+/// filling and dropping the sink, so the per-span cost includes freeing
+/// what recording allocated.
 fn span_throughput(spans: usize) -> Json {
-    let mut sink = TraceSink::new();
     let clock = Stopwatch::start();
+    let mut sink = TraceSink::new();
     for i in 0..spans {
         let t = i as f64;
-        let h = sink.open("bench", "span", t);
-        sink.leaf("bench", "leaf", t, 0.5);
-        sink.close(h, t + 1.0);
+        let h = sink.leaf("bench.hop", "tier", t, 0.5);
+        sink.attr(h, "req", AttrValue::Int(i as i64));
+        sink.attr(h, "wait_s", AttrValue::F64(0.25));
+        sink.attr(h, "service_s", AttrValue::F64(t));
     }
+    let recorded = sink.spans().len();
+    drop(sink);
     let wall_s = clock.elapsed_s();
-    let rate = (2 * spans) as f64 / wall_s.max(1e-9);
+    let ns_per_span = 1e9 * wall_s / recorded as f64;
     println!(
-        "== trace sink: {} spans in {wall_s:.3} s ({rate:.0} spans/s) ==",
-        2 * spans
+        "== trace sink: {recorded} spans (leaf + 3 attributes) recorded and dropped in \
+         {wall_s:.3} s ({ns_per_span:.0} ns/span) =="
     );
     Json::obj()
-        .set("spans", Json::Int(2 * spans as i64))
+        .set("spans", Json::Int(recorded as i64))
         .set("wall_s", Json::Num(wall_s))
-        .set("spans_per_s", Json::Num(rate))
+        .set("ns_per_span", Json::Num(ns_per_span))
 }
 
 /// Part 3: tiered-retention append throughput vs an unbounded store, on a

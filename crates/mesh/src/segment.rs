@@ -196,6 +196,47 @@ pub(crate) struct Segment {
     sums: TierSums,
 }
 
+#[cfg(debug_assertions)]
+impl Segment {
+    /// Bitwise equality of every field. Destructured without `..`, so a
+    /// new field fails to compile until it is compared.
+    fn same_bits(&self, other: &Segment) -> bool {
+        let Segment {
+            wait,
+            service,
+            finish,
+            parent,
+            req,
+            arrival,
+            rtt_back,
+            sums:
+                TierSums {
+                    jobs,
+                    done,
+                    wait_s,
+                    service_s,
+                },
+        } = self;
+        let bits = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .map(|x| x.to_bits())
+                .eq(b.iter().map(|x| x.to_bits()))
+        };
+        bits(wait, &other.wait)
+            && bits(service, &other.service)
+            && bits(finish, &other.finish)
+            && parent == &other.parent
+            && req == &other.req
+            && bits(arrival, &other.arrival)
+            && bits(rtt_back, &other.rtt_back)
+            && (*jobs, *done) == (other.sums.jobs, other.sums.done)
+            && bits(
+                &[*wait_s, *service_s],
+                &[other.sums.wait_s, other.sums.service_s],
+            )
+    }
+}
+
 /// The cone key of tier `t`: the tier index, then the [`TierCal`] bits
 /// of every tier in its cone.
 fn cone_key(t: usize, cone: &[usize], cals: &[TierCal]) -> Vec<u64> {
@@ -223,6 +264,11 @@ pub(crate) struct SegmentTable {
     roots: Roots,
     slots: Mutex<HashMap<Vec<u64>, SegmentSlot>>,
     passes: AtomicUsize,
+    /// In builds with debug assertions, the `(tier, assignment
+    /// fingerprint)` input sets whose served segment is known to match a
+    /// fresh simulation (see the audit in [`SegmentTable::segment`]).
+    #[cfg(debug_assertions)]
+    audited: Mutex<HashSet<(usize, u64)>>,
 }
 
 impl SegmentTable {
@@ -237,6 +283,8 @@ impl SegmentTable {
             roots: Roots::draw(cfg)?,
             slots: Mutex::default(),
             passes: AtomicUsize::new(0),
+            #[cfg(debug_assertions)]
+            audited: Mutex::default(),
         })
     }
 
@@ -261,11 +309,24 @@ impl SegmentTable {
         if let Ok(mut map) = self.slots.lock() {
             map.retain(|key, _| keep.contains(key));
         }
+        // A dropped slot may be simulated again from another input set,
+        // so every input set is audited afresh.
+        #[cfg(debug_assertions)]
+        if let Ok(mut audited) = self.audited.lock() {
+            audited.clear();
+        }
     }
 
-    /// The segment for `key`, simulated by `compute` on first use. The
-    /// map's lock is held only to claim the slot.
-    fn segment(&self, key: Vec<u64>, compute: impl FnOnce() -> Segment) -> Arc<Segment> {
+    /// Tier `t`'s segment under the calibrations `cals` (`cone` is its
+    /// cone), simulated by `compute` on first use. The map's lock is held
+    /// only to claim the slot.
+    fn segment(
+        &self,
+        t: usize,
+        cone: &[usize],
+        cals: &[TierCal],
+        compute: impl Fn() -> Segment,
+    ) -> Arc<Segment> {
         let counted = || {
             self.passes.fetch_add(1, Ordering::Relaxed);
             Arc::new(compute())
@@ -273,9 +334,40 @@ impl SegmentTable {
         let Ok(mut map) = self.slots.lock() else {
             return counted();
         };
-        let slot = Arc::clone(map.entry(key).or_default());
+        let slot = Arc::clone(map.entry(cone_key(t, cone, cals)).or_default());
         drop(map);
-        Arc::clone(slot.get_or_init(counted))
+        let mut simulated = false;
+        let seg = Arc::clone(slot.get_or_init(|| {
+            simulated = true;
+            counted()
+        }));
+        // The audit, in builds with debug assertions: a segment served
+        // from the table is simulated again the first time it serves an
+        // input set — the tier and the whole assignment — and must match
+        // bit for bit. The callers' segments were audited before this
+        // tier's (topological order), so the fresh simulation reads true
+        // inputs. A cone key that omits a calibration the segment reads
+        // thus fails at its first stale hit, whichever order threads take;
+        // replays of an audited assignment cost nothing.
+        #[cfg(debug_assertions)]
+        {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            format!("{cals:?}").hash(&mut h);
+            let inputs = (t, h.finish());
+            // Only a failed audit poisons the set; the panic reported it.
+            let unaudited = match self.audited.lock() {
+                Ok(mut audited) => audited.insert(inputs),
+                Err(_) => false,
+            };
+            if unaudited && !simulated {
+                assert!(
+                    seg.same_bits(&compute()),
+                    "stale segment-table hit: tier {t}'s segment differs from simulation"
+                );
+            }
+        }
+        seg
     }
 
     /// One assignment's forward pass: every tier's segment, in
@@ -291,8 +383,7 @@ impl SegmentTable {
         let mut offset = vec![0usize; n];
         let mut next = self.config.requests;
         for &t in graph.topo_order() {
-            let key = cone_key(t, &wiring[t].cone, cals);
-            let seg = self.segment(key, || {
+            let seg = self.segment(t, &wiring[t].cone, cals, || {
                 let step = Step {
                     graph,
                     wiring,
@@ -520,12 +611,13 @@ impl Forward<'_> {
     }
 
     /// The backward response pass over the child blocks, last job first.
-    pub(crate) fn backward(&self, finish: &[f64]) -> (Vec<f64>, Vec<u32>) {
+    /// `finish` becomes the response vector in place.
+    pub(crate) fn backward(&self, finish: Vec<f64>) -> (Vec<f64>, Vec<u32>) {
         let blocks = self.graph.topo_order().iter().rev().map(|&t| {
             let seg = &self.segs[t];
             (self.offset[t], &seg.parent[..], &seg.rtt_back[..])
         });
-        backward_pass(finish.to_vec(), blocks)
+        backward_pass(finish, blocks)
     }
 
     /// Creation facts of job `j`: its tier, request, arrival and return

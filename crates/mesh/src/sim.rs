@@ -43,6 +43,7 @@ use softsku_telemetry::ods::{Ods, SeriesKey};
 use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, TraceSink};
 use softsku_telemetry::{nearest_rank, select_nearest_rank};
+use std::fmt::Write;
 
 /// Simulation inputs beyond the graph and the per-tier SKUs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -363,7 +364,7 @@ impl<'a> MeshSim<'a> {
     /// stats. The graph-p99 tuner's score.
     pub(crate) fn p99_shared(&self, cals: &[TierCal], table: &SegmentTable) -> f64 {
         let fwd = self.forward(cals, table);
-        let (response, _) = fwd.backward(&fwd.finish());
+        let (response, _) = fwd.backward(fwd.finish());
         // Latencies are nonnegative, so `total_cmp` order is the bit order
         // the report's sort uses.
         let mut latencies: Vec<f64> = fwd
@@ -401,7 +402,7 @@ impl<'a> MeshSim<'a> {
     ) -> (Forward<'t>, Vec<f64>, MeshReport) {
         let fwd = self.forward(cals, table);
         let finish = fwd.finish();
-        let (response, critical) = fwd.backward(&finish);
+        let (response, critical) = fwd.backward(finish.clone());
         let report = self.summarize(&fwd, &finish, &response, &critical, cals);
         (fwd, response, report)
     }
@@ -605,6 +606,11 @@ fn tail_start(sorted_latencies: &[f64], q: f64) -> usize {
 /// span per hop on the `hops` track, in canonical order (requests by
 /// index, hops by job creation order). Returns the span id recorded for
 /// each root request (`None` when sampling dropped its span).
+///
+/// The trace's shape is known up front — one span and one attribute per
+/// request, one span and three attributes per job — so the sink reserves
+/// it before the first span, and the request names are formatted into
+/// one reused buffer.
 fn record_trace(
     graph: &ServiceGraph,
     fwd: &Forward<'_>,
@@ -612,18 +618,23 @@ fn record_trace(
     sink: &mut TraceSink,
 ) -> Vec<Option<u64>> {
     let arrival = &fwd.roots.arrival;
+    let jobs = response.len();
+    sink.reserve(arrival.len() + jobs, arrival.len() + 3 * jobs);
     let req_track = sink.track("requests");
     sink.set_track(req_track);
     let mut req_ids: Vec<Option<u64>> = vec![None; arrival.len()];
+    let mut name = String::new();
     for (r, &start) in arrival.iter().enumerate() {
-        let before = sink.spans().len();
+        name.clear();
+        // Formatting into a `String` cannot fail.
+        let _ = write!(name, "r{r}");
         let h = sink.leaf(
             LedgerKey::MeshRequest.name(),
-            &format!("r{r}"),
+            &name,
             start,
             response[r] - start,
         );
-        if sink.spans().len() > before {
+        if h.is_recorded() {
             req_ids[r] = sink.spans().last().map(|s| s.id);
         }
         sink.attr(h, "latency_s", AttrValue::F64(response[r] - start));
@@ -787,13 +798,13 @@ mod tests {
         let req_spans = sink
             .spans()
             .iter()
-            .filter(|s| s.cat == LedgerKey::MeshRequest.name())
+            .filter(|s| sink.cat(s) == LedgerKey::MeshRequest.name())
             .count();
         assert_eq!(req_spans as u64, report.injected);
         let hop_spans = sink
             .spans()
             .iter()
-            .filter(|s| s.cat == LedgerKey::MeshHop.name())
+            .filter(|s| sink.cat(s) == LedgerKey::MeshHop.name())
             .count();
         let total_jobs: u64 = report.tiers.iter().map(|t| t.jobs).sum();
         assert_eq!(hop_spans as u64, total_jobs);
@@ -884,7 +895,7 @@ mod tests {
         for s in &samples {
             let id = s.span_id.expect("unsampled sink records every span");
             let span = sink.spans().iter().find(|sp| sp.id == id).unwrap();
-            assert_eq!(span.name, format!("r{}", s.req));
+            assert_eq!(sink.name(span), format!("r{}", s.req));
             assert!((span.dur_s - s.latency_s).abs() < 1e-12);
         }
     }
@@ -972,7 +983,7 @@ mod tests {
         let table = sim.segment_table().unwrap();
         let fwd = sim.forward(&cals, &table);
         let finish = fwd.finish();
-        let (response, critical) = fwd.backward(&finish);
+        let (response, critical) = fwd.backward(finish.clone());
         let (parent, rtt) = fwd.links();
         assert_eq!(critical, children_scan(&parent, &rtt, &finish, &response));
     }

@@ -172,19 +172,15 @@ fn cmd_tune(args: &Args) -> Result<(), BoxError> {
     Ok(())
 }
 
-fn attr<'a>(span: &'a TraceSpan, key: &str) -> Option<&'a AttrValue> {
-    span.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn attr_str<'a>(span: &'a TraceSpan, key: &str) -> Option<&'a str> {
-    match attr(span, key) {
+fn attr_str<'a>(sink: &'a TraceSink, span: &TraceSpan, key: &str) -> Option<&'a str> {
+    match sink.find_attr(span, key) {
         Some(AttrValue::Str(s)) => Some(s.as_str()),
         _ => None,
     }
 }
 
-fn attr_f64(span: &TraceSpan, key: &str) -> Option<f64> {
-    match attr(span, key) {
+fn attr_f64(sink: &TraceSink, span: &TraceSpan, key: &str) -> Option<f64> {
+    match sink.find_attr(span, key) {
         Some(AttrValue::F64(v)) => Some(*v),
         _ => None,
     }
@@ -211,13 +207,13 @@ fn cmd_cpi(sink: &TraceSink) {
     let mut wins = 0usize;
     let mut attributed = 0usize;
     for span in sink.spans() {
-        if span.cat != "abtest" || attr_str(span, "verdict") != Some("better") {
+        if sink.cat(span) != "abtest" || attr_str(sink, span, "verdict") != Some("better") {
             continue;
         }
         wins += 1;
         let bound = match (
-            attr_str(span, "tmam.relieved"),
-            attr_f64(span, "tmam.relieved_drop"),
+            attr_str(sink, span, "tmam.relieved"),
+            attr_f64(sink, span, "tmam.relieved_drop"),
         ) {
             (Some(b), Some(d)) => {
                 attributed += 1;
@@ -227,11 +223,11 @@ fn cmd_cpi(sink: &TraceSink) {
         };
         println!(
             "{:<8} {:<10} {:<22} {:>7.2}% {:>9.2e}  {}",
-            attr_str(span, "service").unwrap_or("?"),
-            attr_str(span, "knob").unwrap_or("?"),
-            span.name,
-            100.0 * attr_f64(span, "gain").unwrap_or(0.0),
-            attr_f64(span, "p_value").unwrap_or(f64::NAN),
+            attr_str(sink, span, "service").unwrap_or("?"),
+            attr_str(sink, span, "knob").unwrap_or("?"),
+            sink.name(span),
+            100.0 * attr_f64(sink, span, "gain").unwrap_or(0.0),
+            attr_f64(sink, span, "p_value").unwrap_or(f64::NAN),
             bound,
         );
     }

@@ -202,6 +202,10 @@ pub struct SloEvaluator {
     /// Good/bad observations (value 1.0 = bad), raw for ≥ the slow window.
     samples: Ods,
     sample_key: SeriesKey,
+    /// The ledger series [`SloEvaluator::evaluate`] appends to, built once.
+    fast_key: SeriesKey,
+    slow_key: SeriesKey,
+    alert_key: SeriesKey,
     exemplars: Vec<Exemplar>,
     sustained: u32,
     alerts: u64,
@@ -224,6 +228,9 @@ impl SloEvaluator {
         .expect("validated spec implies a valid tier configuration");
         let sample_key = SeriesKey::new(&spec.name, "bad_sample");
         SloEvaluator {
+            fast_key: SeriesKey::keyed(&spec.name, LedgerKey::SloBurnFast),
+            slow_key: SeriesKey::keyed(&spec.name, LedgerKey::SloBurnSlow),
+            alert_key: SeriesKey::keyed(&spec.name, LedgerKey::SloAlert),
             spec,
             samples,
             sample_key,
@@ -331,15 +338,12 @@ impl SloEvaluator {
         let burn_fast = self.burn_rate(t_s, self.spec.fast_window_s);
         let burn_slow = self.burn_rate(t_s, self.spec.slow_window_s);
         let alerting = burn_fast >= self.spec.fast_burn && burn_slow >= self.spec.slow_burn;
-        let fast_key = SeriesKey::new(&self.spec.name, LedgerKey::SloBurnFast.name());
-        let slow_key = SeriesKey::new(&self.spec.name, LedgerKey::SloBurnSlow.name());
-        ledger.append(&fast_key, t_s, burn_fast)?;
-        ledger.append(&slow_key, t_s, burn_slow)?;
+        ledger.append(&self.fast_key, t_s, burn_fast)?;
+        ledger.append(&self.slow_key, t_s, burn_slow)?;
         if alerting {
             self.sustained += 1;
             self.alerts += 1;
-            let alert_key = SeriesKey::new(&self.spec.name, LedgerKey::SloAlert.name());
-            ledger.append(&alert_key, t_s, burn_fast)?;
+            ledger.append(&self.alert_key, t_s, burn_fast)?;
             let h = sink.leaf(LedgerKey::SloWindow.name(), &self.spec.name, t_s, 0.0);
             sink.attr(h, "burn_fast", AttrValue::F64(burn_fast));
             sink.attr(h, "burn_slow", AttrValue::F64(burn_slow));
@@ -467,12 +471,12 @@ mod tests {
             .windows(2)
             .all(|w| w[0].latency_s >= w[1].latency_s));
         let span = &sink.spans()[sink.spans().len() - 1];
-        assert_eq!(span.cat, LedgerKey::SloWindow.name());
-        assert!(span.attrs.iter().any(|(k, _)| k == "exemplar_0"));
+        assert_eq!(sink.cat(span), LedgerKey::SloWindow.name());
+        assert!(sink.attrs(span).any(|(k, _)| k == "exemplar_0"));
         let got_id = status.exemplars[0].span_id;
         assert!(
-            span.attrs
-                .contains(&("exemplar_0".into(), AttrValue::Int(got_id as i64))),
+            sink.attrs(span)
+                .any(|kv| kv == ("exemplar_0", &AttrValue::Int(got_id as i64))),
             "span attrs must carry the slowest exemplar id"
         );
     }

@@ -63,9 +63,21 @@ impl AttrValue {
     }
 }
 
+/// A string in a sink's text arena: the bytes `start..start + len`.
+#[derive(Debug, Clone, Copy)]
+struct Text {
+    start: u32,
+    len: u32,
+}
+
+/// Marks "no attribute" in a span's attribute links.
+const NO_ATTR: u32 = u32::MAX;
+
 /// One recorded span: a named interval on a track's sim-time axis, with a
-/// parent link and ordered attributes.
-#[derive(Debug, Clone, PartialEq)]
+/// parent link and ordered attributes. Its category, name and attributes
+/// live in the recording sink's arenas; read them through
+/// [`TraceSink::cat`], [`TraceSink::name`] and [`TraceSink::attrs`].
+#[derive(Debug, Clone, Copy)]
 pub struct TraceSpan {
     /// Record-order id (stable across replays — recording happens in
     /// canonical plan order on the orchestration thread).
@@ -74,16 +86,25 @@ pub struct TraceSpan {
     pub parent: Option<u64>,
     /// The track (virtual timeline) this span lies on.
     pub track: u32,
-    /// Span category (`abtest`, `compose`, `rollout`, `drift`, …).
-    pub cat: String,
-    /// Display name.
-    pub name: String,
     /// Sim-time start, seconds (on the track's own axis).
     pub start_s: f64,
     /// Sim-time duration, seconds (0.0 for instant events).
     pub dur_s: f64,
-    /// Structured attributes in insertion order.
-    pub attrs: Vec<(String, AttrValue)>,
+    cat: Text,
+    name: Text,
+    /// First and last of the span's attributes in the sink's attribute
+    /// store, [`NO_ATTR`] when it has none.
+    first_attr: u32,
+    last_attr: u32,
+}
+
+/// One attribute in a sink's attribute store: its key, its value, and
+/// the span's next attribute in insertion order ([`NO_ATTR`] at the end).
+#[derive(Debug, Clone)]
+struct Attr {
+    key: Text,
+    next: u32,
+    value: AttrValue,
 }
 
 /// One counter sample: a named scalar at a sim-time instant, exported as a
@@ -133,10 +154,20 @@ struct SpanSampler {
 /// A sink is either *enabled* (records everything) or *disabled*
 /// ([`TraceSink::disabled`] — every call is a cheap no-op, so untraced
 /// pipelines pay only a branch).
+///
+/// Spans are stored flat: every category, name and attribute key is
+/// appended to one text arena, and every attribute to one sink-wide store
+/// in which each span's attributes form a linked list in insertion order.
+/// Recording a span therefore allocates nothing once the stores have
+/// room ([`TraceSink::reserve`]), and dropping the sink frees a handful
+/// of buffers plus one per [`AttrValue::Str`], however many spans it
+/// holds.
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     enabled: bool,
     spans: Vec<TraceSpan>,
+    text: String,
+    attrs: Vec<Attr>,
     counters: Vec<TraceCounter>,
     tracks: Vec<String>,
     current_track: u32,
@@ -157,6 +188,8 @@ impl TraceSink {
         TraceSink {
             enabled: true,
             spans: Vec::new(),
+            text: String::new(),
+            attrs: Vec::new(),
             counters: Vec::new(),
             tracks: vec!["main".to_string()],
             current_track: 0,
@@ -218,18 +251,7 @@ impl TraceSink {
         if !self.enabled {
             return SpanHandle::NONE;
         }
-        let idx = self.spans.len();
-        let parent = self.stack.last().map(|&i| self.spans[i].id);
-        self.spans.push(TraceSpan {
-            id: idx as u64,
-            parent,
-            track: self.current_track,
-            cat: cat.to_string(),
-            name: name.to_string(),
-            start_s,
-            dur_s: 0.0,
-            attrs: Vec::new(),
-        });
+        let idx = self.push_span(cat, name, start_s, 0.0);
         self.stack.push(idx);
         SpanHandle(idx)
     }
@@ -264,29 +286,74 @@ impl TraceSink {
                 return SpanHandle::NONE;
             }
         }
+        SpanHandle(self.push_span(cat, name, start_s, dur_s.max(0.0)))
+    }
+
+    /// Attaches one attribute to a span, after any it already carries.
+    pub fn attr(&mut self, h: SpanHandle, key: &str, value: AttrValue) {
+        let SpanHandle(idx) = h;
+        // A disabled sink holds no spans, and `SpanHandle::NONE` indexes
+        // past any store.
+        if idx >= self.spans.len() {
+            return;
+        }
+        let at = u32::try_from(self.attrs.len()).expect("a trace holds under 2^32 attributes");
+        let key = self.push_text(key);
+        self.attrs.push(Attr {
+            key,
+            next: NO_ATTR,
+            value,
+        });
+        let span = &mut self.spans[idx];
+        match span.last_attr {
+            NO_ATTR => span.first_attr = at,
+            last => self.attrs[last as usize].next = at,
+        }
+        span.last_attr = at;
+    }
+
+    /// Appends one span to the store and returns its index (= its id).
+    fn push_span(&mut self, cat: &str, name: &str, start_s: f64, dur_s: f64) -> usize {
         let idx = self.spans.len();
         let parent = self.stack.last().map(|&i| self.spans[i].id);
+        let (cat, name) = (self.push_text(cat), self.push_text(name));
         self.spans.push(TraceSpan {
             id: idx as u64,
             parent,
             track: self.current_track,
-            cat: cat.to_string(),
-            name: name.to_string(),
             start_s,
-            dur_s: dur_s.max(0.0),
-            attrs: Vec::new(),
+            dur_s,
+            cat,
+            name,
+            first_attr: NO_ATTR,
+            last_attr: NO_ATTR,
         });
-        SpanHandle(idx)
+        idx
     }
 
-    /// Attaches one attribute to a span.
-    pub fn attr(&mut self, h: SpanHandle, key: &str, value: AttrValue) {
-        let SpanHandle(idx) = h;
-        if !self.enabled || !h.is_recorded() {
-            return;
+    /// Appends `s` to the text arena.
+    fn push_text(&mut self, s: &str) -> Text {
+        let start = self.text.len();
+        self.text.push_str(s);
+        let end = u32::try_from(self.text.len()).expect("a trace holds under 4 GiB of text");
+        Text {
+            start: start as u32,
+            len: end - start as u32,
         }
-        if let Some(span) = self.spans.get_mut(idx) {
-            span.attrs.push((key.to_string(), value));
+    }
+
+    /// The text behind a handle from this sink's arena.
+    fn text(&self, t: Text) -> &str {
+        &self.text[t.start as usize..(t.start + t.len) as usize]
+    }
+
+    /// Makes room for `spans` more spans carrying `attrs` more attributes
+    /// in total, so a caller that knows its trace's shape records it
+    /// without regrowing the stores. No-op on a disabled sink.
+    pub fn reserve(&mut self, spans: usize, attrs: usize) {
+        if self.enabled {
+            self.spans.reserve(spans);
+            self.attrs.reserve(attrs);
         }
     }
 
@@ -303,9 +370,41 @@ impl TraceSink {
         });
     }
 
-    /// Every recorded span, in record (= canonical) order.
+    /// Every recorded span, in record (= canonical) order. Read a span's
+    /// text and attributes through [`TraceSink::cat`],
+    /// [`TraceSink::name`], [`TraceSink::attrs`] and
+    /// [`TraceSink::find_attr`].
     pub fn spans(&self) -> &[TraceSpan] {
         &self.spans
+    }
+
+    /// A span's category. `span` must come from this sink's
+    /// [`TraceSink::spans`].
+    pub fn cat(&self, span: &TraceSpan) -> &str {
+        self.text(span.cat)
+    }
+
+    /// A span's display name. `span` must come from this sink's
+    /// [`TraceSink::spans`].
+    pub fn name(&self, span: &TraceSpan) -> &str {
+        self.text(span.name)
+    }
+
+    /// A span's attributes in insertion order, including any attached
+    /// after later spans were recorded. `span` must come from this sink's
+    /// [`TraceSink::spans`].
+    pub fn attrs<'a>(&'a self, span: &TraceSpan) -> impl Iterator<Item = (&'a str, &'a AttrValue)> {
+        let mut at = span.first_attr;
+        std::iter::from_fn(move || {
+            let attr = self.attrs.get(at as usize)?;
+            at = attr.next;
+            Some((self.text(attr.key), &attr.value))
+        })
+    }
+
+    /// A span's first attribute under `key`, if any.
+    pub fn find_attr(&self, span: &TraceSpan, key: &str) -> Option<&AttrValue> {
+        self.attrs(span).find(|&(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Every recorded counter sample, in record order.
@@ -348,13 +447,13 @@ impl TraceSink {
             if let Some(p) = span.parent {
                 args = args.set("parent_id", Json::Int(p as i64));
             }
-            for (k, v) in &span.attrs {
+            for (k, v) in self.attrs(span) {
                 args = args.set(k, v.to_json());
             }
             events.push(
                 Json::obj()
-                    .set("name", Json::Str(span.name.clone()))
-                    .set("cat", Json::Str(span.cat.clone()))
+                    .set("name", Json::Str(self.name(span).to_string()))
+                    .set("cat", Json::Str(self.cat(span).to_string()))
                     .set("ph", Json::Str("X".into()))
                     .set("ts", Json::Num(span.start_s * 1e6))
                     .set("dur", Json::Num(span.dur_s * 1e6))
@@ -407,12 +506,12 @@ impl TraceSink {
             self.tracks
                 .get(span.track as usize)
                 .map_or("?", String::as_str),
-            span.cat,
-            span.name,
+            self.cat(span),
+            self.name(span),
             span.start_s,
             span.dur_s,
         ));
-        for (k, v) in &span.attrs {
+        for (k, v) in self.attrs(span) {
             let rendered = match v {
                 AttrValue::Str(s) => s.clone(),
                 AttrValue::F64(x) => format!("{x:.4}"),
@@ -431,6 +530,7 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn disabled_sink_records_nothing() {
@@ -511,7 +611,7 @@ mod tests {
             (
                 sink.spans()
                     .iter()
-                    .map(|s| s.name.clone())
+                    .map(|s| sink.name(s).to_string())
                     .collect::<Vec<_>>(),
                 sink.sampled_out(),
             )
@@ -569,5 +669,80 @@ mod tests {
         let tree = sink.render_tree();
         assert!(tree.contains("phase lifecycle"));
         assert!(tree.contains("\n  [main] event deployed"));
+    }
+
+    /// One span as a reference model records it.
+    type ModelSpan = (String, String, Vec<(String, AttrValue)>);
+
+    proptest! {
+        #[test]
+        fn accessors_return_each_spans_text_and_attributes_in_insertion_order(
+            keep_one_in in 1u32..4,
+            ops in prop::collection::vec((0u8..4, 0usize..64, 0u8..5, -3i64..3), 1..160),
+        ) {
+            // Texts of mixed lengths, the empty string and multi-byte
+            // characters, so arena slices must land on exact boundaries.
+            const TEXT: [&str; 5] = ["", "abtest", "ü", "mesh.hop", "r12345"];
+            let mut sink = TraceSink::new().with_sampling(keep_one_in, 7);
+            let mut model: Vec<ModelSpan> = Vec::new();
+            // Every handle handed out, recorded or sampled out, with its
+            // model index when recorded.
+            let mut handles: Vec<(SpanHandle, Option<usize>)> = Vec::new();
+            let mut open: Vec<SpanHandle> = Vec::new();
+            for (i, &(kind, pick, text, int)) in ops.iter().enumerate() {
+                let (cat, name) = (TEXT[text as usize], TEXT[(text as usize + pick) % 5]);
+                match kind {
+                    0 | 1 => {
+                        let h = if kind == 0 {
+                            sink.open(cat, name, i as f64)
+                        } else {
+                            sink.leaf(cat, name, i as f64, 1.0)
+                        };
+                        if kind == 0 {
+                            open.push(h);
+                        }
+                        let recorded = h.is_recorded().then(|| {
+                            model.push((cat.to_string(), name.to_string(), Vec::new()));
+                            model.len() - 1
+                        });
+                        handles.push((h, recorded));
+                    }
+                    2 => {
+                        if let Some(h) = open.pop() {
+                            sink.close(h, i as f64);
+                        }
+                    }
+                    _ => {
+                        let Some(&(h, recorded)) = handles.get(pick % handles.len().max(1)) else {
+                            continue;
+                        };
+                        let value = match int.rem_euclid(4) {
+                            0 => AttrValue::Str(name.to_string()),
+                            1 => AttrValue::F64(int as f64 * 0.5),
+                            2 => AttrValue::Int(int),
+                            _ => AttrValue::Bool(int > 0),
+                        };
+                        sink.attr(h, cat, value.clone());
+                        if let Some(m) = recorded {
+                            model[m].2.push((cat.to_string(), value));
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(sink.spans().len(), model.len());
+            for (span, (cat, name, attrs)) in sink.spans().iter().zip(&model) {
+                prop_assert_eq!(sink.cat(span), cat.as_str());
+                prop_assert_eq!(sink.name(span), name.as_str());
+                let got: Vec<(String, AttrValue)> = sink
+                    .attrs(span)
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect();
+                prop_assert_eq!(&got, attrs);
+                for key in TEXT {
+                    let first = attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                    prop_assert_eq!(sink.find_attr(span, key), first);
+                }
+            }
+        }
     }
 }

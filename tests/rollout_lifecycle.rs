@@ -66,6 +66,13 @@ fn deterministic_view(r: &LifecycleReport) -> String {
     )
 }
 
+/// FNV-1a over a string's bytes.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn series_len(ods: &Ods, service: &str, metric: &str) -> usize {
     ods.len(&SeriesKey::new(service, metric))
 }
@@ -149,6 +156,14 @@ fn full_cycle_deploys_drifts_retunes_and_replays_bit_identically() {
     let export = sink.chrome_trace().render();
     assert_eq!(export, sink_eight.chrome_trace().render());
     assert!(export.contains("\"traceEvents\""));
+    // Pinned bytes of the export and the span tree: several tracks,
+    // attributes attached after child spans (the root's final `state`)
+    // and string attributes, so a change to how spans are stored must
+    // leave both renderings unchanged.
+    assert_eq!(
+        (fnv(&export), fnv(&sink.render_tree())),
+        (0x6794_b69a_25d7_3841, 0xe733_1596_998f_1115)
+    );
 
     // The span tree covers the whole story: the lifecycle root, one phase
     // span per step (tune through the re-tuned second cycle), the A/B test
@@ -157,8 +172,8 @@ fn full_cycle_deploys_drifts_retunes_and_replays_bit_identically() {
     let span_names = |cat: &str| -> Vec<&str> {
         sink.spans()
             .iter()
-            .filter(|s| s.cat == cat)
-            .map(|s| s.name.as_str())
+            .filter(|s| sink.cat(s) == cat)
+            .map(|s| sink.name(s))
             .collect()
     };
     assert_eq!(span_names("lifecycle"), ["lifecycle Web"]);
@@ -190,8 +205,8 @@ fn full_cycle_deploys_drifts_retunes_and_replays_bit_identically() {
     let relieved = sink
         .spans()
         .iter()
-        .filter(|s| s.cat == "abtest")
-        .filter(|s| s.attrs.iter().any(|(k, _)| k == "tmam.relieved"))
+        .filter(|s| sink.cat(s) == "abtest")
+        .filter(|s| sink.attrs(s).any(|(k, _)| k == "tmam.relieved"))
         .count();
     assert!(
         relieved >= 1,

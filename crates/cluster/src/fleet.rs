@@ -338,14 +338,19 @@ impl StagedFleet {
         })
     }
 
-    /// Moves the candidate group to `fraction` of the fleet (rounded up),
-    /// clamped so the baseline holdback group survives. Returns the actual
-    /// candidate replica count.
-    pub fn stage_to(&mut self, fraction: f64) -> usize {
+    /// The candidate replica count a stage at `fraction` of the fleet
+    /// targets: rounded up, clamped so the baseline holdback group
+    /// survives.
+    pub fn replicas_for(&self, fraction: f64) -> usize {
         let replicas = self.config.replicas;
         let want = (fraction.clamp(0.0, 1.0) * replicas as f64).ceil() as usize;
-        self.candidate_replicas = want.min(replicas - self.holdback());
-        self.candidate_replicas
+        want.min(replicas - self.holdback())
+    }
+
+    /// Moves the candidate group to `replicas_for(fraction)` replicas
+    /// ([`StagedFleet::replicas_for`]). Returns that count.
+    pub fn stage_to(&mut self, fraction: f64) -> usize {
+        self.stage_replicas(self.replicas_for(fraction))
     }
 
     /// Moves the candidate group to exactly `count` replicas (clamped so
@@ -622,6 +627,8 @@ mod tests {
         assert_eq!(fleet.stage_to(1.0), 99);
         assert_eq!(fleet.holdback(), 1);
         fleet.rollback();
+        // The target is pure: asking does not stage.
+        assert_eq!(fleet.replicas_for(0.25), 25);
         assert_eq!(fleet.candidate_replicas(), 0);
     }
 

@@ -352,31 +352,48 @@ fn interp(mips: &[f64; 3], load: f64) -> f64 {
 }
 
 /// Hashes a configuration (plus code-push state) into a cache key.
+/// `ServerConfig` is destructured without `..`, so a field added to it must
+/// be keyed here; a field left out would serve a curve evaluated under
+/// another value of it. The platform is keyed by its `kind`: every
+/// `PlatformSpec` in use is `PlatformKind::spec`'s.
 fn config_key(c: &ServerConfig, push_scale: f64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
     let mut mix = |v: u64| {
         h ^= v;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     };
-    mix(c.core_freq_ghz.to_bits());
-    mix(c.uncore_freq_ghz.to_bits());
-    mix(c.active_cores as u64);
-    mix(c.llc_ways_enabled as u64);
-    match c.cdp {
+    let ServerConfig {
+        platform,
+        core_freq_ghz,
+        uncore_freq_ghz,
+        active_cores,
+        llc_ways_enabled,
+        cdp,
+        prefetchers: pf,
+        thp,
+        shp_pages,
+        machine_memory_bytes,
+    } = c;
+    mix(platform.kind as u64);
+    mix(core_freq_ghz.to_bits());
+    mix(uncore_freq_ghz.to_bits());
+    mix(*active_cores as u64);
+    mix(*llc_ways_enabled as u64);
+    match cdp {
         None => mix(0),
         Some(p) => mix(1 | ((p.data_ways as u64) << 8) | ((p.code_ways as u64) << 16)),
     }
-    let pf = &c.prefetchers;
     mix(pf.l2_stream as u64
         | (pf.l2_adjacent as u64) << 1
         | (pf.dcu as u64) << 2
         | (pf.dcu_ip as u64) << 3);
-    mix(match c.thp {
+    mix(match thp {
         softsku_archsim::ThpMode::Madvise => 11,
         softsku_archsim::ThpMode::AlwaysOn => 12,
         softsku_archsim::ThpMode::NeverOn => 13,
     });
-    mix(c.shp_pages as u64);
+    mix(*shp_pages as u64);
+    mix(*machine_memory_bytes);
     mix(push_scale.to_bits());
     h
 }
@@ -483,6 +500,28 @@ mod tests {
         // One configuration, one evaluated load curve: every repeat query
         // was served from the cache rather than re-running the engine.
         assert_eq!(s.cache.len(), 1);
+    }
+
+    #[test]
+    fn reconfiguring_machine_memory_reevaluates_the_curve() {
+        // Over-reserved SHPs: the excess pressures memory in proportion to
+        // the machine's DRAM, so the same knobs on a smaller machine run
+        // slower.
+        let profile = Microservice::Web.profile(PlatformKind::Skylake18).unwrap();
+        let mut big = profile.production_config.clone();
+        big.shp_pages = 4_000;
+        let mut small = big.clone();
+        small.machine_memory_bytes = 16 << 30;
+        let mut s = SimServer::with_window(profile.clone(), big, 7, TEST_WINDOW).unwrap();
+        let before = s.mips(1.0).unwrap();
+        s.reconfigure(small.clone(), false).unwrap();
+        let after = s.mips(1.0).unwrap();
+        let fresh = SimServer::with_window(profile, small, 7, TEST_WINDOW)
+            .unwrap()
+            .mips(1.0)
+            .unwrap();
+        assert_eq!(after.to_bits(), fresh.to_bits());
+        assert!(after < before, "{after} vs {before}");
     }
 
     #[test]

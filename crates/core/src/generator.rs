@@ -65,8 +65,7 @@ impl<'a> SoftSkuGenerator<'a> {
     ) -> Result<SoftSku, UskuError> {
         let config = outcome.best_config.clone();
         let label = KnobSetting::Thp(config.thp); // provenance label only
-        let needs_reboot = config.active_cores != production.active_cores
-            || config.shp_pages != production.shp_pages;
+        let needs_reboot = Knob::reboot_between(production, &config);
 
         let vs_prod = self
             .tester
@@ -77,8 +76,7 @@ impl<'a> SoftSkuGenerator<'a> {
             _ => vs_prod.relative_diff().unwrap_or(0.0),
         };
 
-        let needs_reboot_stock =
-            config.active_cores != stock.active_cores || config.shp_pages != stock.shp_pages;
+        let needs_reboot_stock = Knob::reboot_between(stock, &config);
         let vs_stock = self
             .tester
             .run_config(env, stock, &config, needs_reboot_stock, label)?;

@@ -23,8 +23,8 @@
 //!
 //! Extensions from the paper's Sec. 7 are included: exhaustive and
 //! hill-climbing searches ([`search`]), a QPS metric for services where
-//! MIPS is invalid ([`metric`]), and a perf-per-watt objective
-//! ([`objective`]).
+//! MIPS is invalid, and a perf-per-watt metric ([`metric`]) over the
+//! server power model ([`objective`]).
 //!
 //! Every search shards its A/B tests across a worker pool ([`scheduler`])
 //! — each test on its own forked environment replica with a seed derived
@@ -66,7 +66,7 @@ pub use generator::{SoftSku, SoftSkuGenerator};
 pub use input::{InputFile, SweepConfig};
 pub use map::DesignSpaceMap;
 pub use metric::PerformanceMetric;
-pub use objective::{Objective, PowerModel};
+pub use objective::PowerModel;
 pub use profile::{ArmCpiStacks, CpiStack, TmamBound, ALL_BOUNDS};
 pub use scheduler::{
     default_workers, derive_assignment_seed, derive_joint_seed, derive_seed, plan_assignments,

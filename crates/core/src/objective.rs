@@ -1,24 +1,14 @@
-//! Optimization objectives beyond raw throughput (paper Sec. 7).
+//! Server power for the energy objective (paper Sec. 7).
 //!
 //! "With support to also measure system power/energy, µSKU can be extended
 //! to perform energy- or power-efficiency optimization rather than
-//! optimizing only for performance." This module provides that extension: a
-//! simple server power model (static platform power plus an
-//! activity-dependent core term cubic in frequency and a linear uncore
-//! term) and an [`Objective`] that converts a measured operating point into
-//! the scalar the A/B decision should maximize.
+//! optimizing only for performance." This module provides the power half
+//! of that extension: a simple server power model (static platform power
+//! plus an activity-dependent core term cubic in frequency and a linear
+//! uncore term). [`crate::metric::PerformanceMetric::MipsPerWatt`] divides
+//! throughput by it.
 
 use softsku_archsim::engine::{ServerConfig, WindowReport};
-
-/// What the tuner maximizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Objective {
-    /// Raw throughput (the paper's prototype behaviour).
-    #[default]
-    Throughput,
-    /// Throughput per watt (the Sec. 7 energy extension).
-    PerfPerWatt,
-}
 
 /// Simple server power model; coefficients are representative of a 2-socket
 /// class datacenter node and documented in DESIGN.md.
@@ -59,22 +49,6 @@ impl PowerModel {
     }
 }
 
-impl Objective {
-    /// Scalar score for an operating point (higher is better).
-    pub fn score(
-        self,
-        model: &PowerModel,
-        config: &ServerConfig,
-        report: &WindowReport,
-        load: f64,
-    ) -> f64 {
-        match self {
-            Objective::Throughput => report.mips_total,
-            Objective::PerfPerWatt => report.mips_total / model.watts(config, report, load),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,10 +86,9 @@ mod tests {
         let model = PowerModel::default();
         let (cfg_hi, rep_hi) = report_for(2.2);
         let (cfg_lo, rep_lo) = report_for(1.8);
-        let tput_ratio = Objective::Throughput.score(&model, &cfg_hi, &rep_hi, 0.6)
-            / Objective::Throughput.score(&model, &cfg_lo, &rep_lo, 0.6);
-        let ppw_ratio = Objective::PerfPerWatt.score(&model, &cfg_hi, &rep_hi, 0.6)
-            / Objective::PerfPerWatt.score(&model, &cfg_lo, &rep_lo, 0.6);
+        let tput_ratio = rep_hi.mips_total / rep_lo.mips_total;
+        let ppw_ratio = (rep_hi.mips_total / model.watts(&cfg_hi, &rep_hi, 0.6))
+            / (rep_lo.mips_total / model.watts(&cfg_lo, &rep_lo, 0.6));
         assert!(tput_ratio > 1.0);
         assert!(
             ppw_ratio < tput_ratio,

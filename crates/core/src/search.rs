@@ -137,8 +137,7 @@ pub fn exhaustive_sweep(
     let proto = &*proto;
     let runs = run_replicas(&plan, schedule.workers.get(), |unit: &JointUnit| {
         let mut env = proto.fork(unit.seed);
-        let needs_reboot = unit.config.active_cores != baseline.active_cores
-            || unit.config.shp_pages != baseline.shp_pages;
+        let needs_reboot = Knob::reboot_between(baseline, &unit.config);
         // detlint::allow(panic_path): plan_exhaustive emits only non-empty
         // joint units; an empty one is a planner bug worth aborting on.
         let label = *unit.settings.last().expect("joint units are non-empty");

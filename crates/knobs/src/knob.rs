@@ -61,6 +61,14 @@ impl Knob {
     pub fn requires_reboot(self) -> bool {
         matches!(self, Knob::CoreCount | Knob::Shp)
     }
+
+    /// Whether moving a server between configurations `a` and `b` costs a
+    /// reboot: some knob that [`Knob::requires_reboot`] is set differently.
+    pub fn reboot_between(a: &ServerConfig, b: &ServerConfig) -> bool {
+        Knob::ALL.into_iter().any(|k| {
+            k.requires_reboot() && KnobSetting::read_from(k, a) != KnobSetting::read_from(k, b)
+        })
+    }
 }
 
 impl std::fmt::Display for Knob {
@@ -194,6 +202,31 @@ mod tests {
         assert!(Knob::Shp.requires_reboot());
         assert!(!Knob::CoreFrequency.requires_reboot());
         assert!(!Knob::Thp.requires_reboot());
+    }
+
+    #[test]
+    fn a_config_pair_needs_a_reboot_iff_a_reboot_knob_differs() {
+        let stock = base();
+        assert!(!Knob::reboot_between(&stock, &stock));
+        let moves = [
+            KnobSetting::CoreFrequencyGhz(1.8),
+            KnobSetting::UncoreFrequencyGhz(1.5),
+            KnobSetting::CoreCount(8),
+            KnobSetting::Cdp(Some(CdpPartition::new(6, 5, 11).unwrap())),
+            KnobSetting::Prefetcher(PrefetcherConfig::dcu_only()),
+            KnobSetting::Thp(ThpMode::NeverOn),
+            KnobSetting::ShpPages(300),
+        ];
+        assert_eq!(moves.map(|m| m.knob()), Knob::ALL, "one move per knob");
+        for setting in moves {
+            // `stock` with only this one knob moved.
+            let k = setting.knob();
+            assert_ne!(KnobSetting::read_from(k, &stock), setting, "{k}");
+            let mut moved = stock.clone();
+            setting.apply(&mut moved).unwrap();
+            assert_eq!(Knob::reboot_between(&stock, &moved), k.requires_reboot());
+            assert_eq!(Knob::reboot_between(&moved, &stock), k.requires_reboot());
+        }
     }
 
     #[test]

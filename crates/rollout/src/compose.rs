@@ -446,8 +446,7 @@ impl SkuComposer {
                     .finish(),
             })
             .collect();
-        let needs_reboot = candidate.active_cores != baseline.active_cores
-            || candidate.shp_pages != baseline.shp_pages;
+        let needs_reboot = Knob::reboot_between(baseline, candidate);
         let probe_cpi = sink.is_enabled();
         let runs = run_replicas(&units, self.workers.get(), |unit: &ValidationUnit| {
             let mut env = proto.fork(unit.seed);

@@ -322,14 +322,6 @@ struct Runtime {
     recovery_start: Option<f64>,
 }
 
-impl Runtime {
-    fn stage_target(&self, fraction: f64) -> usize {
-        let replicas = self.fleet.replicas();
-        let want = (fraction.clamp(0.0, 1.0) * replicas as f64).ceil() as usize;
-        want.min(replicas - self.fleet.holdback())
-    }
-}
-
 /// Drives many services' staged rollouts concurrently under a chaos
 /// campaign. See the module docs for the mechanism inventory.
 #[derive(Debug, Clone)]
@@ -417,8 +409,8 @@ impl FleetCoordinator {
             let mut fleet = plan.fleet;
             fleet.set_domain(plan.domain.clone());
             let mut rollout = StagedRollout::new(cfg.rollout.clone());
-            let first = rollout.begin().unwrap_or(0.0);
-            let mut rt = Runtime {
+            let target = fleet.replicas_for(rollout.begin().unwrap_or(0.0));
+            let rt = Runtime {
                 name: plan.name,
                 fleet,
                 candidate: plan.candidate,
@@ -428,7 +420,7 @@ impl FleetCoordinator {
                 domain_name: plan.domain.to_string(),
                 rollout,
                 phase: ServicePhase::Ramping,
-                target: 0,
+                target,
                 exposures_left: cfg.budget.total_exposures,
                 strikes: 0,
                 pending_promote: false,
@@ -439,7 +431,6 @@ impl FleetCoordinator {
                 promoted: 0,
                 recovery_start: None,
             };
-            rt.target = rt.stage_target(first);
             runtimes.push(std::sync::Mutex::new(rt));
         }
 
@@ -632,7 +623,7 @@ impl FleetCoordinator {
                             .deploy_candidate(rt.candidate.clone(), rt.needs_reboot)?;
                         rt.rollout = StagedRollout::new(cfg.rollout.clone());
                         let first = rt.rollout.begin().unwrap_or(0.0);
-                        rt.target = rt.stage_target(first);
+                        rt.target = rt.fleet.replicas_for(first);
                         rt.phase = ServicePhase::Ramping;
                         rt.pending_promote = false;
                         rt.retries += 1;
@@ -711,11 +702,11 @@ impl FleetCoordinator {
                             // Clean stages ledger their guarded p99 margin
                             // too, so `skuctl slo` charts the headroom a
                             // promotion had, not only the breaches.
-                            if report.baseline_p99_s > 0.0 && report.candidate_p99_s > 0.0 {
+                            if let Some(margin) = report.p99_margin() {
                                 ledger.append(
                                     &SeriesKey::keyed(&rt.name, LedgerKey::SloGuardP99),
                                     t,
-                                    report.candidate_p99_s / report.baseline_p99_s - 1.0,
+                                    margin,
                                 )?;
                             }
                             rt.pending_promote = true;
@@ -733,11 +724,11 @@ impl FleetCoordinator {
                                 t,
                                 stage as f64,
                             )?;
-                            if report.baseline_p99_s > 0.0 && report.candidate_p99_s > 0.0 {
+                            if let Some(margin) = report.p99_margin() {
                                 ledger.append(
                                     &SeriesKey::keyed(&rt.name, LedgerKey::SloGuardP99),
                                     t,
-                                    report.candidate_p99_s / report.baseline_p99_s - 1.0,
+                                    margin,
                                 )?;
                             }
                             let leaf =
@@ -788,7 +779,7 @@ impl FleetCoordinator {
                     rt.pending_promote = false;
                     match rt.rollout.promote() {
                         Some(fraction) => {
-                            rt.target = rt.stage_target(fraction);
+                            rt.target = rt.fleet.replicas_for(fraction);
                             rt.promoted += 1;
                             ledger.append(
                                 &SeriesKey::keyed(&rt.name, LedgerKey::CoordinatorPromote),

@@ -11,7 +11,7 @@
 //! through registered stream families, so the whole report is a pure
 //! function of `(config, seed)`.
 
-use crate::compose::{ComposerConfig, Composition, SkuComposer};
+use crate::compose::{ComposerConfig, Composition, CompositionDecision, SkuComposer};
 use crate::drift::{DeployedSku, DriftConfig, DriftMonitor, DriftOutcome, RetuneRequest};
 use crate::error::RolloutError;
 use crate::rollout::{RolloutConfig, RolloutReport, StagedRollout};
@@ -21,7 +21,7 @@ use softsku_knobs::Knob;
 use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, TraceSink};
 use softsku_telemetry::Ods;
-use softsku_workloads::{Microservice, PlatformKind};
+use softsku_workloads::{Microservice, PlatformKind, WorkloadProfile};
 use std::num::NonZeroUsize;
 use usku::abtest::AbTestConfig;
 use usku::map::DesignSpaceMap;
@@ -189,6 +189,38 @@ fn render_cycle(out: &mut String, label: &str, cycle: &CycleReport) {
     }
 }
 
+/// The `lifecycle` track (`track`) and its synthetic clock: `done` counts
+/// completed phases.
+struct PhaseClock {
+    track: u32,
+    done: f64,
+}
+
+impl PhaseClock {
+    /// Runs one lifecycle phase inside a `phase` span named `name` on the
+    /// lifecycle track. `work` records on track `track` when one is named
+    /// (tuning picks its own tracks). An error propagates at once and
+    /// leaves the phase span open, uncounted.
+    fn phase<T>(
+        &mut self,
+        sink: &mut TraceSink,
+        name: &str,
+        track: Option<&str>,
+        work: impl FnOnce(&mut TraceSink) -> Result<T, RolloutError>,
+    ) -> Result<T, RolloutError> {
+        let span = sink.open("phase", name, self.done);
+        if let Some(track) = track {
+            let id = sink.track(track);
+            sink.set_track(id);
+        }
+        let out = work(sink)?;
+        sink.set_track(self.track);
+        sink.close(span, self.done + 1.0);
+        self.done += 1.0;
+        Ok(out)
+    }
+}
+
 /// Runs the full lifecycle for one service.
 #[derive(Debug)]
 pub struct RolloutPipeline {
@@ -252,17 +284,20 @@ impl RolloutPipeline {
             "base_seed",
             AttrValue::Str(format!("{:#018x}", self.config.base_seed)),
         );
-        let mut phases = 0.0;
-        let result = self.run_inner(service, platform, knobs, sink, lifecycle_track, &mut phases);
+        let mut clock = PhaseClock {
+            track: lifecycle_track,
+            done: 0.0,
+        };
+        let result = self.run_inner(service, platform, knobs, sink, &mut clock);
         sink.set_track(lifecycle_track);
         if let Ok(r) = &result {
             sink.attr(root, "deployed", AttrValue::Bool(r.deployed()));
         }
-        sink.close(root, phases);
+        sink.close(root, clock.done);
         result
     }
 
-    /// The lifecycle body; `phases` counts completed phase spans on the
+    /// The lifecycle body; `clock` counts completed phase spans on the
     /// `lifecycle` track's synthetic axis.
     fn run_inner(
         &self,
@@ -270,46 +305,54 @@ impl RolloutPipeline {
         platform: PlatformKind,
         knobs: &[Knob],
         sink: &mut TraceSink,
-        lifecycle_track: u32,
-        phases: &mut f64,
+        clock: &mut PhaseClock,
     ) -> Result<LifecycleReport, RolloutError> {
         let cfg = &self.config;
         let profile = service.profile(platform)?;
-        let baseline = profile.production_config.clone();
-        let mut tuning = Vec::new();
-        let mut rollout_ods = Ods::rollout_ledger();
 
         // 1. Tune: the core fleet tuner sweeps the knob subset.
-        let ph = sink.open("phase", "tune", *phases);
-        let (map, ods) = self.tune(service, platform, knobs, cfg.base_seed, sink)?;
-        sink.set_track(lifecycle_track);
-        sink.close(ph, *phases + 1.0);
-        *phases += 1.0;
-        tuning.push(ods);
+        let (map, ods) = clock.phase(sink, "tune", None, |sink| {
+            self.tune(service, platform, knobs, cfg.base_seed, sink)
+        })?;
 
         // 2. Compose the winners and validate jointly.
-        let ph = sink.open("phase", "compose", *phases);
-        let track = sink.track("compose#0");
-        sink.set_track(track);
-        let composition = self.compose(service, platform, &baseline, &map, cfg.base_seed, sink)?;
-        sink.set_track(lifecycle_track);
-        sink.close(ph, *phases + 1.0);
-        *phases += 1.0;
+        let composition = clock.phase(sink, "compose", Some("compose#0"), |sink| {
+            let baseline = &profile.production_config;
+            self.compose(service, platform, baseline, &map, cfg.base_seed, sink)
+        })?;
+        let mut report = LifecycleReport {
+            service,
+            platform,
+            initial: CycleReport {
+                composition,
+                rollout: None,
+            },
+            drift: None,
+            retuned: None,
+            tuning: vec![ods],
+            rollout_ods: Ods::rollout_ledger(),
+        };
+        self.deploy_and_watch(&mut report, profile, sink, clock)?;
+        Ok(report)
+    }
 
-        if composition.decision == crate::compose::CompositionDecision::Baseline {
-            return Ok(LifecycleReport {
-                service,
-                platform,
-                initial: CycleReport {
-                    composition,
-                    rollout: None,
-                },
-                drift: None,
-                retuned: None,
-                tuning,
-                rollout_ods,
-            });
+    /// Steps 3–5 of the lifecycle, filling `report` in: the staged rollout
+    /// of the initial composition, the drift watch, and the re-tuned
+    /// cycle. Stops early when the composition fell back to the baseline,
+    /// when the rollout rolled back, or when drift did not fire.
+    fn deploy_and_watch(
+        &self,
+        report: &mut LifecycleReport,
+        profile: WorkloadProfile,
+        sink: &mut TraceSink,
+        clock: &mut PhaseClock,
+    ) -> Result<(), RolloutError> {
+        if report.initial.composition.decision == CompositionDecision::Baseline {
+            return Ok(());
         }
+        let cfg = &self.config;
+        let (service, platform) = (report.service, report.platform);
+        let baseline = profile.production_config.clone();
 
         // 3. Staged rollout on the service's replica fleet.
         let fleet_seed = IdentitySeed::new(cfg.base_seed)
@@ -318,130 +361,83 @@ impl RolloutPipeline {
             .field(&platform.to_string())
             .finish();
         let mut fleet = StagedFleet::new(
-            profile.clone(),
+            profile,
             baseline.clone(),
-            composition.config.clone(),
+            report.initial.composition.config.clone(),
             cfg.staged,
             fleet_seed,
         )?;
-        let mut rollout = StagedRollout::new(cfg.rollout.clone());
-        let ph = sink.open("phase", "rollout", *phases);
-        let track = sink.track("fleet");
-        sink.set_track(track);
-        let report = rollout.execute_traced(&mut fleet, service.name(), &mut rollout_ods, sink)?;
-        sink.set_track(lifecycle_track);
-        sink.close(ph, *phases + 1.0);
-        *phases += 1.0;
-        let deployed_knobs = composition.deployed_knobs();
-        let initial = CycleReport {
-            composition,
-            rollout: Some(report),
+        let roll_out = |fleet: &mut StagedFleet, ods: &mut Ods, sink: &mut TraceSink| {
+            StagedRollout::new(cfg.rollout.clone()).execute_traced(fleet, service.name(), ods, sink)
         };
-        if !initial.deployed() {
-            return Ok(LifecycleReport {
-                service,
-                platform,
-                initial,
-                drift: None,
-                retuned: None,
-                tuning,
-                rollout_ods,
-            });
+        let rollout = clock.phase(sink, "rollout", Some("fleet"), |sink| {
+            roll_out(&mut fleet, &mut report.rollout_ods, sink)
+        })?;
+        report.initial.rollout = Some(rollout);
+        if !report.initial.deployed() {
+            return Ok(());
         }
 
         // 4. Drift watch on the live fleet (code pushes keep landing).
         let sku = DeployedSku {
             service,
             platform,
-            knobs: deployed_knobs,
+            knobs: report.initial.composition.deployed_knobs(),
             base_seed: cfg.base_seed,
         };
         let monitor = DriftMonitor::new(cfg.drift);
-        let ph = sink.open("phase", "drift", *phases);
-        let track = sink.track("fleet");
-        sink.set_track(track);
-        let drift = monitor.watch_traced(&mut fleet, &sku, &mut rollout_ods, sink)?;
-        sink.set_track(lifecycle_track);
-        sink.close(ph, *phases + 1.0);
-        *phases += 1.0;
-        let Some(request) = drift.retune.clone() else {
-            return Ok(LifecycleReport {
-                service,
-                platform,
-                initial,
-                drift: Some(drift),
-                retuned: None,
-                tuning,
-                rollout_ods,
-            });
+        let drift = clock.phase(sink, "drift", Some("fleet"), |sink| {
+            monitor.watch_traced(&mut fleet, &sku, &mut report.rollout_ods, sink)
+        })?;
+        let retune = drift.retune.clone();
+        report.drift = Some(drift);
+        let Some(request) = retune else {
+            return Ok(());
         };
 
         // 5. Scoped re-tune against current code, then re-deploy through
         // the same staged guardrails on the same live fleet.
-        let ph = sink.open("phase", "re-tune", *phases);
-        let (remap, ods) = self.tune(
-            request.service,
-            request.platform,
-            &request.knobs,
-            request.base_seed,
-            sink,
-        )?;
-        sink.set_track(lifecycle_track);
-        sink.close(ph, *phases + 1.0);
-        *phases += 1.0;
-        tuning.push(ods);
-        let ph = sink.open("phase", "re-compose", *phases);
-        let track = sink.track("compose#1");
-        sink.set_track(track);
-        let recomposition = self.compose(
-            service,
-            platform,
-            &baseline,
-            &remap,
-            request.base_seed,
-            sink,
-        )?;
-        sink.set_track(lifecycle_track);
-        sink.close(ph, *phases + 1.0);
-        *phases += 1.0;
-        let winners = remap.winners().len();
-        let cycle = if recomposition.decision == crate::compose::CompositionDecision::Baseline {
+        let (remap, ods) = clock.phase(sink, "re-tune", None, |sink| {
+            self.tune(
+                request.service,
+                request.platform,
+                &request.knobs,
+                request.base_seed,
+                sink,
+            )
+        })?;
+        report.tuning.push(ods);
+        let composition = clock.phase(sink, "re-compose", Some("compose#1"), |sink| {
+            self.compose(
+                service,
+                platform,
+                &baseline,
+                &remap,
+                request.base_seed,
+                sink,
+            )
+        })?;
+        let mut cycle = CycleReport {
+            composition,
+            rollout: None,
+        };
+        if cycle.composition.decision == CompositionDecision::Baseline {
             // Nothing validated; the fleet stays rolled back to baseline.
             fleet.rollback();
-            CycleReport {
-                composition: recomposition,
-                rollout: None,
-            }
         } else {
-            let needs_reboot = recomposition.config.active_cores != baseline.active_cores
-                || recomposition.config.shp_pages != baseline.shp_pages;
-            fleet.deploy_candidate(recomposition.config.clone(), needs_reboot)?;
-            let mut redo = StagedRollout::new(cfg.rollout.clone());
-            let ph = sink.open("phase", "re-rollout", *phases);
-            let track = sink.track("fleet");
-            sink.set_track(track);
-            let report = redo.execute_traced(&mut fleet, service.name(), &mut rollout_ods, sink)?;
-            sink.set_track(lifecycle_track);
-            sink.close(ph, *phases + 1.0);
-            *phases += 1.0;
-            CycleReport {
-                composition: recomposition,
-                rollout: Some(report),
-            }
-        };
-        Ok(LifecycleReport {
-            service,
-            platform,
-            initial,
-            drift: Some(drift),
-            retuned: Some(RetunedCycle {
-                request,
-                winners,
-                cycle,
-            }),
-            tuning,
-            rollout_ods,
-        })
+            let config = cycle.composition.config.clone();
+            fleet.deploy_candidate(config.clone(), Knob::reboot_between(&baseline, &config))?;
+            let rollout = clock.phase(sink, "re-rollout", Some("fleet"), |sink| {
+                roll_out(&mut fleet, &mut report.rollout_ods, sink)
+            })?;
+            cycle.rollout = Some(rollout);
+        }
+        report.retuned = Some(RetunedCycle {
+            request,
+            winners: remap.winners().len(),
+            cycle,
+        });
+        Ok(())
     }
 
     /// One tuning campaign; returns the design-space map and its telemetry.

@@ -151,11 +151,21 @@ pub struct StageReport {
     pub violation: Option<StageViolation>,
 }
 
+impl StageReport {
+    /// The guarded p99 margin `candidate_p99 / baseline_p99 − 1`, when the
+    /// stage produced a comparable p99 pair (both positive) — the value
+    /// every `slo.guard_p99` ledger entry records.
+    pub fn p99_margin(&self) -> Option<f64> {
+        (self.baseline_p99_s > 0.0 && self.candidate_p99_s > 0.0)
+            .then(|| self.candidate_p99_s / self.baseline_p99_s - 1.0)
+    }
+}
+
 /// Outcome of one rollout execution.
 #[derive(Debug)]
 pub struct RolloutReport {
-    /// Terminal state: [`RolloutState::Deployed`] or
-    /// [`RolloutState::RolledBack`].
+    /// Terminal state of a driven machine: [`RolloutState::Deployed`] or
+    /// [`RolloutState::RolledBack`] (see [`StagedRollout::execute`]).
     pub state: RolloutState,
     /// Per-stage observations, in stage order (the last entry carries the
     /// violation on rollback).
@@ -195,10 +205,8 @@ pub enum StepDecision {
 }
 
 /// Per-stage guardrail accumulator: the MAD screen, both groups' running
-/// statistics, and the hard-strikes fast path. Both the blocking
-/// ([`StagedRollout::execute`]) and stepwise ([`StagedRollout::step`])
-/// paths feed samples through this one type, so their verdicts are
-/// bit-identical by construction.
+/// statistics, and the hard-strikes fast path. [`StagedRollout::step`]
+/// feeds every sample through it, whichever driver calls `step`.
 #[derive(Debug)]
 struct StageObserver {
     mad: MadFilter,
@@ -231,7 +239,9 @@ impl StageObserver {
     }
 
     /// Feeds one sample; returns `true` when the stage is over (tick
-    /// budget spent or the hard-strikes fast path fired).
+    /// budget spent or the hard-strikes fast path fired). The budget is
+    /// checked after counting the sample, so every stage observes at
+    /// least one tick, even at `ticks_per_stage == 0`.
     fn push(&mut self, config: &RolloutConfig, sample: &StagedSample) -> bool {
         self.ticks += 1;
         let done = self.ticks >= config.ticks_per_stage;
@@ -351,9 +361,9 @@ fn stage_end_verdict(
 pub struct StagedRollout {
     config: RolloutConfig,
     state: RolloutState,
-    /// The in-flight stage accumulator of the stepwise path; `None` when
-    /// driven through the blocking [`StagedRollout::execute`] path or when
-    /// no stage is under observation.
+    /// The accumulator of the stage under observation; `None` when no
+    /// stage is (pending, terminal, or a clean stage awaiting
+    /// [`StagedRollout::promote`]).
     observer: Option<StageObserver>,
 }
 
@@ -372,24 +382,22 @@ impl StagedRollout {
         self.state
     }
 
-    /// The guardrail configuration driving this rollout.
-    pub fn config(&self) -> &RolloutConfig {
-        &self.config
-    }
-
     /// Begins stepwise observation: `Pending` → `Canary { stage: 0 }`.
     /// Returns the first stage's fleet fraction (stage the fleet toward it
     /// and start feeding samples through [`StagedRollout::step`]), or
-    /// `None` when the machine is not pending or has no stages.
+    /// `None` when the machine is not pending. A pending machine with no
+    /// stages has nothing to canary and goes straight to `Deployed`.
     pub fn begin(&mut self) -> Option<f64> {
-        match self.state {
-            RolloutState::Pending if !self.config.stages.is_empty() => {
-                self.state = RolloutState::Canary { stage: 0 };
-                self.observer = Some(StageObserver::new(&self.config));
-                Some(self.config.stages[0])
-            }
-            _ => None,
+        if self.state != RolloutState::Pending {
+            return None;
         }
+        let Some(&first) = self.config.stages.first() else {
+            self.state = RolloutState::Deployed;
+            return None;
+        };
+        self.state = RolloutState::Canary { stage: 0 };
+        self.observer = Some(StageObserver::new(&self.config));
+        Some(first)
     }
 
     /// The fleet fraction of the stage currently under observation.
@@ -458,10 +466,20 @@ impl StagedRollout {
     /// Executes the staged rollout on `fleet`, recording every transition
     /// to the `rollout.*` ledger in `ods` under entity `service`.
     ///
+    /// A driver over the stepwise machine, making the calls the fleet
+    /// coordinator makes: [`StagedRollout::begin`], then
+    /// [`StagedFleet::tick`] + [`StagedRollout::step`] until the stage
+    /// ends, then [`StagedRollout::promote`].
+    ///
     /// Series written: `rollout.stage` (fraction at each stage start),
     /// `rollout.promote` (stage index on promotion), `rollout.violation`
     /// (relative diff when a guardrail fires), `rollout.rollback` (stage
-    /// index), and `rollout.deployed` (1.0 on full deployment).
+    /// index), and `rollout.deployed` (1.0 on full deployment). A machine
+    /// with no stages deploys at once and writes only `rollout.deployed`.
+    ///
+    /// Only a [`RolloutState::Pending`] machine is driven: on one that has
+    /// begun (a second `execute`, say) this ticks and records nothing and
+    /// reports the current state with no stages.
     ///
     /// # Errors
     ///
@@ -495,6 +513,13 @@ impl StagedRollout {
         ods: &mut Ods,
         sink: &mut TraceSink,
     ) -> Result<RolloutReport, RolloutError> {
+        let mut stages = Vec::with_capacity(self.config.stages.len());
+        if self.state != RolloutState::Pending {
+            return Ok(RolloutReport {
+                state: self.state,
+                stages,
+            });
+        }
         let root = sink.open("rollout", &format!("rollout {service}"), fleet.time_s());
         sink.attr(root, "service", AttrValue::Str(service.to_string()));
         sink.attr(
@@ -502,9 +527,9 @@ impl StagedRollout {
             "stages",
             AttrValue::Int(self.config.stages.len() as i64),
         );
-        let mut stages = Vec::with_capacity(self.config.stages.len());
-        for (idx, &fraction) in self.config.stages.iter().enumerate() {
-            self.state = RolloutState::Canary { stage: idx };
+        let mut next = self.begin();
+        while let Some(fraction) = next {
+            let idx = stages.len();
             let staged = fleet.stage_to(fraction);
             let stage_start = fleet.time_s();
             ods.append(
@@ -517,7 +542,13 @@ impl StagedRollout {
                 &format!("stage {idx}"),
                 stage_start,
             );
-            let report = self.observe_stage(fleet, fraction, staged)?;
+            let report = loop {
+                match self.step(&fleet.tick()?, staged)? {
+                    StepDecision::Observing => {}
+                    StepDecision::StageClean { report, .. }
+                    | StepDecision::RolledBack { report, .. } => break report,
+                }
+            };
             let now = fleet.time_s();
             sink.attr(span, "fraction", AttrValue::F64(fraction));
             sink.attr(
@@ -541,12 +572,11 @@ impl StagedRollout {
             // The tail-guard verdict lands in the ledger whenever the
             // stage produced a comparable p99 pair — clean stages too,
             // so `skuctl slo` can chart the guarded margin over time.
-            if report.baseline_p99_s > 0.0 && report.candidate_p99_s > 0.0 {
-                let p99_diff = report.candidate_p99_s / report.baseline_p99_s - 1.0;
+            if let Some(margin) = report.p99_margin() {
                 ods.append(
                     &SeriesKey::keyed(service, LedgerKey::SloGuardP99),
                     now,
-                    p99_diff,
+                    margin,
                 )?;
                 sink.attr(
                     span,
@@ -579,7 +609,6 @@ impl StagedRollout {
                 sink.attr(ev, "stage", AttrValue::Int(idx as i64));
                 sink.attr(ev, "relative_diff", AttrValue::F64(diff));
                 sink.close(span, t);
-                self.state = RolloutState::RolledBack { stage: idx };
                 sink.attr(root, "state", AttrValue::Str("rolled-back".to_string()));
                 sink.close(root, t);
                 return Ok(RolloutReport {
@@ -595,8 +624,8 @@ impl StagedRollout {
             let ev = sink.leaf(LedgerKey::RolloutEvent.name(), "promote", now, 0.0);
             sink.attr(ev, "stage", AttrValue::Int(idx as i64));
             sink.close(span, now);
+            next = self.promote();
         }
-        self.state = RolloutState::Deployed;
         let t = fleet.time_s();
         ods.append(
             &SeriesKey::keyed(service, LedgerKey::RolloutDeployed),
@@ -610,24 +639,6 @@ impl StagedRollout {
             state: self.state,
             stages,
         })
-    }
-
-    /// Observes one stage for `ticks_per_stage` ticks and applies the
-    /// guardrails.
-    fn observe_stage(
-        &self,
-        fleet: &mut StagedFleet,
-        fraction: f64,
-        staged: usize,
-    ) -> Result<StageReport, RolloutError> {
-        let mut observer = StageObserver::new(&self.config);
-        while observer.ticks < self.config.ticks_per_stage {
-            let sample: StagedSample = fleet.tick()?;
-            if observer.push(&self.config, &sample) {
-                break;
-            }
-        }
-        observer.finish(&self.config, fraction, staged)
     }
 }
 
@@ -706,5 +717,119 @@ mod tests {
         assert!(report.stages.iter().all(|s| s.baseline_p99_s == 0.0));
         let key = SeriesKey::keyed("web", LedgerKey::SloGuardP99);
         assert_eq!(ods.len(&key), 0, "no guard, no verdict series");
+    }
+
+    /// Walks `rollout` through `begin`/`step`/`promote` by hand, writing the
+    /// `rollout.*` ledger entries `execute` documents.
+    fn drive_by_hand(
+        rollout: &mut StagedRollout,
+        fleet: &mut StagedFleet,
+        ods: &mut Ods,
+    ) -> RolloutReport {
+        let key = |k| SeriesKey::keyed("web", k);
+        let mut stages = Vec::new();
+        let mut next = rollout.begin();
+        while let Some(fraction) = next {
+            let RolloutState::Canary { stage } = rollout.state() else {
+                panic!("begin/promote return a fraction only while canarying");
+            };
+            let staged = fleet.stage_to(fraction);
+            ods.append(&key(LedgerKey::RolloutStage), fleet.time_s(), fraction)
+                .unwrap();
+            let report = loop {
+                match rollout.step(&fleet.tick().unwrap(), staged).unwrap() {
+                    StepDecision::Observing => {}
+                    StepDecision::StageClean { report, .. }
+                    | StepDecision::RolledBack { report, .. } => break report,
+                }
+            };
+            if let Some(margin) = report.p99_margin() {
+                ods.append(&key(LedgerKey::SloGuardP99), fleet.time_s(), margin)
+                    .unwrap();
+            }
+            let (violated, diff) = (report.violation.is_some(), report.relative_diff);
+            stages.push(report);
+            if violated {
+                fleet.rollback();
+                let t = fleet.time_s();
+                ods.append(&key(LedgerKey::RolloutViolation), t, diff)
+                    .unwrap();
+                ods.append(&key(LedgerKey::RolloutRollback), t, stage as f64)
+                    .unwrap();
+                return RolloutReport {
+                    state: rollout.state(),
+                    stages,
+                };
+            }
+            ods.append(
+                &key(LedgerKey::RolloutPromote),
+                fleet.time_s(),
+                stage as f64,
+            )
+            .unwrap();
+            next = rollout.promote();
+        }
+        ods.append(&key(LedgerKey::RolloutDeployed), fleet.time_s(), 1.0)
+            .unwrap();
+        RolloutReport {
+            state: rollout.state(),
+            stages,
+        }
+    }
+
+    #[test]
+    fn execute_is_the_stepwise_walk() {
+        for (tail_mult, deploys) in [(1.0, true), (2.0, false)] {
+            let mut by_hand_fleet = staged_fleet(31, tail_mult);
+            let mut by_hand_ods = Ods::rollout_ledger();
+            let by_hand = drive_by_hand(
+                &mut StagedRollout::new(RolloutConfig::fast_test()),
+                &mut by_hand_fleet,
+                &mut by_hand_ods,
+            );
+            let mut fleet = staged_fleet(31, tail_mult);
+            let mut ods = Ods::rollout_ledger();
+            let executed = StagedRollout::new(RolloutConfig::fast_test())
+                .execute(&mut fleet, "web", &mut ods)
+                .unwrap();
+            assert_eq!(executed.deployed(), deploys, "tail x{tail_mult}");
+            assert_eq!(format!("{executed:?}"), format!("{by_hand:?}"));
+            assert_eq!(format!("{ods:?}"), format!("{by_hand_ods:?}"));
+            assert_eq!(fleet.time_s(), by_hand_fleet.time_s());
+        }
+    }
+
+    #[test]
+    fn a_zero_tick_stage_still_observes_the_fleet() {
+        let mut fleet = staged_fleet(31, 1.0);
+        let mut cfg = RolloutConfig::fast_test();
+        cfg.ticks_per_stage = 0;
+        let mut ods = Ods::rollout_ledger();
+        let report = StagedRollout::new(cfg)
+            .execute(&mut fleet, "web", &mut ods)
+            .unwrap();
+        assert!(!report.stages.is_empty());
+        for s in &report.stages {
+            assert!(s.ticks >= 1, "a stage decided on no evidence: {s:?}");
+        }
+    }
+
+    #[test]
+    fn no_stages_deploy_at_once_and_a_finished_machine_stays_put() {
+        let mut fleet = staged_fleet(31, 1.0);
+        let mut cfg = RolloutConfig::fast_test();
+        cfg.stages.clear();
+        let mut rollout = StagedRollout::new(cfg);
+        let mut ods = Ods::rollout_ledger();
+        let report = rollout.execute(&mut fleet, "web", &mut ods).unwrap();
+        assert!(report.deployed() && report.stages.is_empty());
+        let deployed = SeriesKey::keyed("web", LedgerKey::RolloutDeployed);
+        assert_eq!(ods.len(&deployed), 1);
+        // A second execute on the finished machine ticks and records
+        // nothing and reports where the machine stands.
+        let again = rollout.execute(&mut fleet, "web", &mut ods).unwrap();
+        assert!(again.deployed() && again.stages.is_empty());
+        assert_eq!(ods.len(&deployed), 1);
+        assert_eq!(fleet.time_s(), 0.0);
     }
 }

@@ -12,7 +12,7 @@
 //! lower.
 
 use softsku::archsim::engine::Engine;
-use softsku::usku::{Objective, PowerModel};
+use softsku::usku::PowerModel;
 use softsku::workloads::{Microservice, PlatformKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,10 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.core_freq_ghz = f;
         let engine = Engine::new(cfg.clone(), profile.stream.clone(), 42)?;
         let report = engine.run_window(250_000, profile.peak_utilization)?;
-        let tput = Objective::Throughput.score(&model, &cfg, &report, profile.peak_utilization);
-        let ppw = Objective::PerfPerWatt.score(&model, &cfg, &report, profile.peak_utilization);
         let watts = model.watts(&cfg, &report, profile.peak_utilization);
-        rows.push((f, tput, ppw, watts));
+        rows.push((f, report.mips_total, report.mips_total / watts, watts));
     }
     let max_tput = rows.iter().map(|r| r.1).fold(f64::MIN, f64::max);
     let max_ppw = rows.iter().map(|r| r.2).fold(f64::MIN, f64::max);

@@ -13,7 +13,7 @@ use softsku::rollout::{
     ServicePhase, ServicePlan,
 };
 use softsku::telemetry::streams::IdentitySeed;
-use softsku::telemetry::{LedgerKey, SeriesKey};
+use softsku::telemetry::{LedgerDomain, LedgerKey, SeriesKey, TraceSink};
 use softsku::workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
 
@@ -277,4 +277,139 @@ fn canary_budget_paces_the_ramp() {
         paced.ticks,
         open.ticks
     );
+}
+
+/// FNV-1a over a string's bytes.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The demo campaign at `seed` under `cfg`, run once with a recording sink
+/// and once untraced at `workers`. The two reports must render the same
+/// `Debug`: tracing observes the campaign, it never steers it.
+fn run_demo_traced(seed: u64, cfg: &CoordinatorConfig, workers: usize) -> TraceSink {
+    let coordinator =
+        FleetCoordinator::new(cfg.clone()).with_workers(NonZeroUsize::new(workers).unwrap());
+    let (topology, chaos, plans) = demo_campaign(seed).unwrap();
+    let mut sink = TraceSink::new();
+    let traced = coordinator
+        .run_traced(&topology, chaos, plans, seed, &mut sink)
+        .unwrap();
+    let (topology, chaos, plans) = demo_campaign(seed).unwrap();
+    let untraced = coordinator.run(&topology, chaos, plans, seed).unwrap();
+    assert_eq!(
+        format!("{traced:?}"),
+        format!("{untraced:?}"),
+        "seed {seed}: tracing changed the report or ledger"
+    );
+    sink
+}
+
+/// The three traced campaigns the trace tests replay. Together they fire
+/// every coordinator reaction and the quarantine spans: seed 21, seed 1
+/// (every reaction but `exhausted`), and seed 1 with a 20-exposure budget
+/// (adds `exhausted`).
+fn traced_campaigns() -> [(u64, CoordinatorConfig); 3] {
+    let mut starved = CoordinatorConfig::fast_test();
+    starved.budget.total_exposures = 20;
+    [
+        (21, CoordinatorConfig::fast_test()),
+        (1, CoordinatorConfig::fast_test()),
+        (1, starved),
+    ]
+}
+
+/// The coordinator's trace is pinned byte for byte (Chrome export and span
+/// tree) at 1 and 8 workers, and each traced run reports exactly what the
+/// untraced run does.
+#[test]
+fn coordinator_trace_is_pinned_and_tracing_changes_nothing() {
+    let pinned = [
+        (42, 0x9324_e510_765d_c212, 0x5f51_923c_12b1_3e16),
+        (69, 0x04c8_7b83_0954_d328, 0x5977_e962_c62c_b271),
+        (54, 0x5904_b718_6386_066f, 0x1628_38d8_15a6_864e),
+    ];
+    for ((seed, cfg), (spans, chrome, tree)) in traced_campaigns().into_iter().zip(pinned) {
+        for workers in [1, 8] {
+            let sink = run_demo_traced(seed, &cfg, workers);
+            assert_eq!(
+                (
+                    sink.spans().len(),
+                    fnv(&sink.chrome_trace().render()),
+                    fnv(&sink.render_tree())
+                ),
+                (spans, chrome, tree),
+                "seed {seed}, {workers} workers"
+            );
+        }
+    }
+}
+
+/// Every `coordinator.event` leaf names a registered `coordinator.*` key
+/// (prefix dropped), and every reaction key has exactly as many leaves as
+/// ledger points summed over entities. Quarantine periods are spans of
+/// their own category, not event leaves.
+#[test]
+fn coordinator_event_leaves_match_the_ledger() {
+    let prefix = LedgerDomain::Coordinator.prefix();
+    let reactions: Vec<LedgerKey> = LedgerKey::ALL
+        .into_iter()
+        .filter(|k| k.domain() == LedgerDomain::Coordinator)
+        .filter(|k| {
+            !matches!(
+                k,
+                LedgerKey::CoordinatorEvent | LedgerKey::CoordinatorQuarantine
+            )
+        })
+        .collect();
+    let mut fired = std::collections::BTreeSet::new();
+    let mut quarantine_spans = 0;
+    for (seed, cfg) in traced_campaigns() {
+        let (topology, chaos, plans) = demo_campaign(seed).unwrap();
+        let mut sink = TraceSink::new();
+        let report = FleetCoordinator::new(cfg)
+            .with_workers(NonZeroUsize::new(2).unwrap())
+            .run_traced(&topology, chaos, plans, seed, &mut sink)
+            .unwrap();
+        let leaves: Vec<&str> = sink
+            .spans()
+            .iter()
+            .filter(|s| sink.cat(s) == LedgerKey::CoordinatorEvent.name())
+            .map(|s| sink.name(s))
+            .collect();
+        for leaf in &leaves {
+            assert!(
+                reactions
+                    .iter()
+                    .any(|k| k.name() == format!("{prefix}{leaf}")),
+                "seed {seed}: leaf {leaf:?} names no coordinator reaction key"
+            );
+        }
+        for key in &reactions {
+            let points: usize = report
+                .ledger
+                .keys()
+                .filter(|k| k.metric() == key.name())
+                .map(|k| report.ledger.len(k))
+                .sum();
+            let short = &key.name()[prefix.len()..];
+            let count = leaves.iter().filter(|&&l| l == short).count();
+            assert_eq!(
+                count, points,
+                "seed {seed}: {short} leaves vs ledger points"
+            );
+            if count > 0 {
+                fired.insert(short.to_string());
+            }
+        }
+        quarantine_spans += sink
+            .spans()
+            .iter()
+            .filter(|s| sink.cat(s) == LedgerKey::CoordinatorQuarantine.name())
+            .count();
+    }
+    assert_eq!(fired.len(), reactions.len(), "reactions fired: {fired:?}");
+    assert!(quarantine_spans > 0, "no quarantine span recorded");
 }

@@ -141,7 +141,7 @@ impl SimServer {
     ///
     /// Engine errors on first evaluation of a configuration.
     pub fn mips(&mut self, load: f64) -> Result<f64, ClusterError> {
-        let curve = self.curve_for(self.config.clone())?;
+        let curve = self.curve()?;
         Ok(interp(&curve.mips, load))
     }
 
@@ -250,7 +250,7 @@ impl SimServer {
     ///
     /// Engine errors on first evaluation of a configuration.
     pub fn peak_report(&mut self) -> Result<WindowReport, ClusterError> {
-        Ok(self.curve_for(self.config.clone())?.peak_report.clone())
+        Ok(self.curve()?.peak_report.clone())
     }
 
     /// Applies a code push: the binary changed, perturbing base CPI and
@@ -269,29 +269,22 @@ impl SimServer {
         self.push_cpi_scale
     }
 
-    fn curve_for(&mut self, config: ServerConfig) -> Result<&LoadCurve, ClusterError> {
-        let key = config_key(&config, self.push_cpi_scale);
+    /// The load curve of the current configuration, evaluated on first use.
+    fn curve(&mut self) -> Result<&LoadCurve, ClusterError> {
+        let key = config_key(&self.config, self.push_cpi_scale);
         if !self.cache.contains_key(&key) {
             // The three load-grid evaluations are independent; run them in
             // parallel. Unless a context switch lands inside the window they
             // share one run of the structure passes: the first to reach the
             // engine's pass memo runs them while the other two wait.
-            let profile = &self.profile;
-            let push_scale = self.push_cpi_scale;
-            let seed = self.seed;
-            let window = self.window_insns;
-            let eval = |load: f64| -> Result<WindowReport, ClusterError> {
-                let mut stream = profile.stream.clone();
-                stream.base_cpi_scale *= push_scale;
-                let engine = Engine::new(config.clone(), stream, seed)?;
-                Ok(engine.run_window(window, load)?)
-            };
+            let this = &*self;
             let results: Vec<Result<WindowReport, ClusterError>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = LOAD_GRID
                     .iter()
                     .map(|&g| {
-                        let eval = &eval;
-                        scope.spawn(move || eval(g * profile.peak_utilization))
+                        scope.spawn(move || {
+                            this.evaluate(&this.config, g * this.profile.peak_utilization)
+                        })
                     })
                     .collect();
                 // detlint::allow(panic_path): join() only fails if the worker

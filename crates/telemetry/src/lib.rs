@@ -14,8 +14,8 @@
 //! µSKU's A/B tester decides significance with 95 % confidence intervals over
 //! tens of thousands of counter samples; the [`stats`] module provides the
 //! underlying machinery (Welford summaries, Student-t quantiles, Welch's
-//! unequal-variance t-test, bootstrap intervals, and autocorrelation-aware
-//! effective sample sizes).
+//! unequal-variance t-test, and autocorrelation-aware effective sample
+//! sizes).
 //!
 //! The [`streams`] module is the workspace's seed-stream registry: every
 //! derived RNG stream family, its XOR mask, and the debug-mode

@@ -9,7 +9,6 @@
 //! * [`RunningStats`] / [`Summary`] — single-pass Welford accumulation.
 //! * [`t_cdf`] / [`t_quantile`] — Student-t CDF and quantiles (no table lookups).
 //! * [`welch_test`] — Welch's unequal-variance two-sample t-test.
-//! * [`bootstrap_mean_ci`] — percentile bootstrap intervals for non-normal metrics.
 //! * [`MadFilter`] — rolling median-absolute-deviation outlier rejection,
 //!   screening corrupted telemetry before it reaches the accumulators.
 //! * [`standard_normal`] — the one Box–Muller normal draw every seeded
@@ -18,7 +17,6 @@
 //!   sample spacing that makes the independence assumption honest.
 
 mod autocorr;
-mod bootstrap;
 mod mad;
 mod normal;
 mod sketch;
@@ -27,7 +25,6 @@ mod summary;
 mod welch;
 
 pub use autocorr::{autocorrelation, effective_sample_size};
-pub use bootstrap::{bootstrap_mean_ci, BootstrapCi};
 pub use mad::MadFilter;
 pub use normal::standard_normal;
 pub use sketch::{nearest_rank, select_nearest_rank, QuantileSketch, DEFAULT_SKETCH_K};

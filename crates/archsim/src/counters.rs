@@ -1,10 +1,8 @@
 //! Raw performance-counter state produced by a simulation window.
 //!
-//! These are the "hardware events" the EMON-like sampler exposes to µSKU:
-//! everything downstream (MPKI, IPC, TMAM, bandwidth) is derived from this
-//! struct exactly the way the paper derives its metrics from counters.
-
-use std::collections::BTreeMap;
+//! These are the "hardware events" a window counts: everything downstream
+//! (MPKI, IPC, TMAM, bandwidth) is derived from this struct exactly the way
+//! the paper derives its metrics from EMON counters.
 
 /// Event counts accumulated over one simulation window.
 ///
@@ -187,27 +185,6 @@ impl Counters {
         self.mem_writeback_lines += other.mem_writeback_lines;
         self.mem_extra_lines += other.mem_extra_lines;
     }
-
-    /// Exposes the counters as named event rates, the oracle interface the
-    /// EMON-like sampler consumes.
-    pub fn event_map(&self) -> BTreeMap<&'static str, f64> {
-        let mut m = BTreeMap::new();
-        m.insert("instructions", self.instructions as f64);
-        m.insert("cycles", self.cycles);
-        m.insert("l1i_miss", self.l1i_misses as f64);
-        m.insert("l1d_miss", self.l1d_misses as f64);
-        m.insert("l2_code_miss", self.l2_code_misses as f64);
-        m.insert("l2_data_miss", self.l2_data_misses as f64);
-        m.insert("llc_code_miss", self.llc_code_misses as f64);
-        m.insert("llc_data_miss", self.llc_data_misses as f64);
-        m.insert("itlb_miss", self.itlb_misses as f64);
-        m.insert("dtlb_miss", self.dtlb_misses as f64);
-        m.insert("branches", self.branches as f64);
-        m.insert("branch_mispredicts", self.branch_mispredicts as f64);
-        m.insert("fp_ops", self.fp_ops as f64);
-        m.insert("mem_lines", self.mem_total_lines());
-        m
-    }
 }
 
 #[cfg(test)]
@@ -257,14 +234,5 @@ mod tests {
             (a.ipc() - 0.5).abs() < 1e-12,
             "ratios preserved under merge"
         );
-    }
-
-    #[test]
-    fn event_map_has_core_events() {
-        let m = sample().event_map();
-        for key in ["instructions", "cycles", "llc_code_miss", "mem_lines"] {
-            assert!(m.contains_key(key), "missing {key}");
-        }
-        assert_eq!(m["instructions"], 10_000.0);
     }
 }

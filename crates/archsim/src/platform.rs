@@ -79,11 +79,6 @@ impl CacheGeometry {
         self.capacity_bytes / (self.ways as u64 * CACHE_LINE_BYTES)
     }
 
-    /// Capacity of a single way in bytes.
-    pub fn way_bytes(&self) -> u64 {
-        self.capacity_bytes / self.ways as u64
-    }
-
     /// Capacity expressed in cache lines.
     pub fn lines(&self) -> u64 {
         self.capacity_bytes / CACHE_LINE_BYTES
@@ -277,16 +272,6 @@ impl PlatformSpec {
         self.sockets * self.cores_per_socket
     }
 
-    /// Theoretical peak IPC (the paper cites 5.0 for Skylake's retirement
-    /// bandwidth when counting fused µops; we expose the issue width and the
-    /// quoted peak separately).
-    pub fn theoretical_peak_ipc(&self) -> f64 {
-        match self.kind {
-            PlatformKind::Skylake18 | PlatformKind::Skylake20 => 5.0,
-            PlatformKind::Broadwell16 => 4.0,
-        }
-    }
-
     /// Validates a core frequency request against the supported range.
     ///
     /// # Errors
@@ -363,7 +348,6 @@ mod tests {
     #[test]
     fn geometry_derivations() {
         let llc = PlatformSpec::skylake18().llc;
-        assert_eq!(llc.way_bytes() * llc.ways as u64, llc.capacity_bytes);
         assert_eq!(llc.lines() * CACHE_LINE_BYTES, llc.capacity_bytes);
         assert_eq!(
             llc.sets() * llc.ways as u64 * CACHE_LINE_BYTES,

@@ -6,7 +6,7 @@ use softsku_archsim::pagemap::ThpMode;
 use softsku_archsim::platform::PlatformKind;
 use softsku_archsim::prefetch::PrefetcherConfig;
 use softsku_workloads::Microservice;
-use usku::{AbTestConfig, InputFile, PerformanceMetric, SweepConfig, Usku, UskuConfig};
+use usku::{AbTestConfig, InputFile, Usku, UskuConfig};
 
 /// The three µSKU evaluation targets (paper Sec. 5).
 pub fn eval_targets() -> [(Microservice, PlatformKind, &'static str); 3] {
@@ -281,14 +281,4 @@ pub fn fig19(full: bool) -> String {
     }
     out.push_str("  (shape under test: every target gains; Web gains most, Ads1 least)\n");
     out
-}
-
-/// Convenience: the default µSKU metric used in the evaluation.
-pub fn eval_metric() -> PerformanceMetric {
-    PerformanceMetric::Mips
-}
-
-/// Convenience: the evaluation sweep strategy.
-pub fn eval_sweep() -> SweepConfig {
-    SweepConfig::Independent
 }

@@ -11,15 +11,16 @@
 //! dark), code-push waves that erode several services' tuned gains at
 //! once, canary-replica crashes, and stuck stage transitions.
 //!
-//! Determinism mirrors [`crate::hazards`]: every fault family draws from
-//! its own registered [`StreamFamily`] stream, so the same
-//! `(topology, config, seed)` triple always yields the same campaign and
-//! disabling one family never perturbs another's timeline.
+//! Determinism mirrors [`crate::hazards`]: every fault family is a
+//! [`PoissonArrivals`] process on its own registered [`StreamFamily`]
+//! stream, so the same `(topology, config, seed)` triple always yields the
+//! same campaign and disabling one family never perturbs another's
+//! timeline.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use softsku_telemetry::streams::{StreamFamily, StreamRegistry};
 use softsku_telemetry::LedgerKey;
+use softsku_workloads::loadgen::PoissonArrivals;
 use std::fmt;
 
 /// One named failure domain: a rack inside a platform pool.
@@ -91,11 +92,6 @@ impl FleetTopology {
     /// The pool name at `index` (canonical order).
     pub fn pool_name(&self, index: usize) -> Option<&str> {
         self.pools.get(index).map(|(name, _)| name.as_str())
-    }
-
-    /// The canonical index of the named pool.
-    pub fn pool_index(&self, name: &str) -> Option<usize> {
-        self.pools.iter().position(|(n, _)| n == name)
     }
 
     /// Every domain (rack) in canonical order: pools in declaration order,
@@ -378,14 +374,10 @@ impl ChaosEvent {
 pub struct ChaosSchedule {
     topology: FleetTopology,
     config: ChaosConfig,
-    brownout_rng: SmallRng,
-    wave_rng: SmallRng,
-    crash_rng: SmallRng,
-    stall_rng: SmallRng,
-    next_brownout_t: f64,
-    next_wave_t: f64,
-    next_crash_t: f64,
-    next_stall_t: f64,
+    brownouts: PoissonArrivals,
+    waves: PoissonArrivals,
+    crashes: PoissonArrivals,
+    stalls: PoissonArrivals,
     /// Per-pool brownout end time, depth, and darkness.
     brownout_until: Vec<f64>,
     brownout_depth: Vec<f64>,
@@ -401,27 +393,23 @@ impl ChaosSchedule {
     pub fn new(topology: &FleetTopology, config: ChaosConfig, seed: u64) -> Self {
         let config = config.validated();
         let mut streams = StreamRegistry::new(seed);
-        let mut brownout_rng = SmallRng::seed_from_u64(streams.derive(StreamFamily::ChaosBrownout));
-        let mut wave_rng = SmallRng::seed_from_u64(streams.derive(StreamFamily::ChaosPushWave));
-        let mut crash_rng = SmallRng::seed_from_u64(streams.derive(StreamFamily::ChaosCanaryCrash));
-        let mut stall_rng = SmallRng::seed_from_u64(streams.derive(StreamFamily::ChaosStall));
-        let next_brownout_t = daily_gap(&mut brownout_rng, config.brownout_rate_per_day);
-        let next_wave_t = daily_gap(&mut wave_rng, config.push_wave_rate_per_day);
-        let next_crash_t = daily_gap(&mut crash_rng, config.canary_crash_rate_per_day);
-        let next_stall_t = daily_gap(&mut stall_rng, config.stall_rate_per_day);
+        let mut daily = |rate, family| PoissonArrivals::new(rate, 86_400.0, streams.derive(family));
+        let brownouts = daily(config.brownout_rate_per_day, StreamFamily::ChaosBrownout);
+        let waves = daily(config.push_wave_rate_per_day, StreamFamily::ChaosPushWave);
+        let crashes = daily(
+            config.canary_crash_rate_per_day,
+            StreamFamily::ChaosCanaryCrash,
+        );
+        let stalls = daily(config.stall_rate_per_day, StreamFamily::ChaosStall);
         let pools = topology.pool_count().max(1);
         let domains = topology.domain_count().max(1);
         ChaosSchedule {
             topology: topology.clone(),
             config,
-            brownout_rng,
-            wave_rng,
-            crash_rng,
-            stall_rng,
-            next_brownout_t,
-            next_wave_t,
-            next_crash_t,
-            next_stall_t,
+            brownouts,
+            waves,
+            crashes,
+            stalls,
             brownout_until: vec![f64::NEG_INFINITY; pools],
             brownout_depth: vec![0.0; pools],
             brownout_dark: vec![false; pools],
@@ -448,10 +436,11 @@ impl ChaosSchedule {
         let pools = self.topology.pool_count();
         let domains = self.topology.domain_count();
 
-        while self.next_brownout_t <= t && pools > 0 {
-            let pool = self.brownout_rng.gen_range(0..pools);
-            let dark = self.brownout_rng.gen::<f64>() < self.config.blackout_prob;
-            let until = self.next_brownout_t + self.config.brownout_duration_s;
+        while let Some(at_s) = self.brownouts.due(t).filter(|_| pools > 0) {
+            let rng = self.brownouts.rng();
+            let pool = rng.gen_range(0..pools);
+            let dark = rng.gen::<f64>() < self.config.blackout_prob;
+            let until = at_s + self.config.brownout_duration_s;
             if until > self.brownout_until[pool] {
                 self.brownout_until[pool] = until;
                 self.brownout_depth[pool] = self.config.brownout_depth;
@@ -459,50 +448,47 @@ impl ChaosSchedule {
             }
             events.push(ChaosEvent::Brownout {
                 pool,
-                at_s: self.next_brownout_t,
+                at_s,
                 until_s: until,
                 depth: self.config.brownout_depth,
                 dark,
             });
-            self.next_brownout_t +=
-                daily_gap(&mut self.brownout_rng, self.config.brownout_rate_per_day);
+            self.brownouts.advance();
         }
 
-        while self.next_wave_t <= t && pools > 0 {
-            let pool = self.wave_rng.gen_range(0..pools);
+        while let Some(at_s) = self.waves.due(t).filter(|_| pools > 0) {
+            let pool = self.waves.rng().gen_range(0..pools);
             events.push(ChaosEvent::PushWave {
                 pool,
-                at_s: self.next_wave_t,
+                at_s,
                 erosion: self.config.push_wave_erosion,
             });
-            self.next_wave_t += daily_gap(&mut self.wave_rng, self.config.push_wave_rate_per_day);
+            self.waves.advance();
         }
 
-        while self.next_crash_t <= t && domains > 0 {
-            let domain = self.crash_rng.gen_range(0..domains);
-            let until = self.next_crash_t + self.config.canary_crash_outage_s;
+        while let Some(at_s) = self.crashes.due(t).filter(|_| domains > 0) {
+            let domain = self.crashes.rng().gen_range(0..domains);
             events.push(ChaosEvent::CanaryCrash {
                 domain,
-                at_s: self.next_crash_t,
-                until_s: until,
+                at_s,
+                until_s: at_s + self.config.canary_crash_outage_s,
                 replicas: self.config.canary_crash_replicas,
             });
-            self.next_crash_t +=
-                daily_gap(&mut self.crash_rng, self.config.canary_crash_rate_per_day);
+            self.crashes.advance();
         }
 
-        while self.next_stall_t <= t && domains > 0 {
-            let domain = self.stall_rng.gen_range(0..domains);
-            let until = self.next_stall_t + self.config.stall_duration_s;
+        while let Some(at_s) = self.stalls.due(t).filter(|_| domains > 0) {
+            let domain = self.stalls.rng().gen_range(0..domains);
+            let until = at_s + self.config.stall_duration_s;
             if until > self.stall_until[domain] {
                 self.stall_until[domain] = until;
             }
             events.push(ChaosEvent::StageStall {
                 domain,
-                at_s: self.next_stall_t,
+                at_s,
                 until_s: until,
             });
-            self.next_stall_t += daily_gap(&mut self.stall_rng, self.config.stall_rate_per_day);
+            self.stalls.advance();
         }
 
         events
@@ -557,16 +543,6 @@ impl ChaosSchedule {
     }
 }
 
-/// Exponential inter-arrival gap for a Poisson process at `rate_per_day`,
-/// or infinity when the process is disabled.
-fn daily_gap(rng: &mut SmallRng, rate_per_day: f64) -> f64 {
-    if rate_per_day <= 0.0 {
-        return f64::INFINITY;
-    }
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    -u.ln() * 86_400.0 / rate_per_day
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,8 +565,6 @@ mod tests {
         }
         assert_eq!(t.pool_of_domain(0), Some(0));
         assert_eq!(t.pool_of_domain(2), Some(1));
-        assert_eq!(t.pool_index("skl18"), Some(1));
-        assert_eq!(t.pool_index("missing"), None);
         assert_eq!(domains[2].to_string(), "skl18/r0");
     }
 

@@ -4,8 +4,8 @@
 //! two identical servers (same hardware platform, same fleet, and facing the
 //! same load) that differ only in their knob configuration" (Sec. 4).
 //! [`AbEnvironment`] provides exactly that: two [`SimServer`] arms fed the
-//! same diurnal load with small per-arm imbalance, an EMON-like noisy
-//! measurement channel, and a Poisson code-push process that perturbs both
+//! same diurnal load with small per-arm imbalance, a noisy reading of each
+//! arm's instruction rate, and a Poisson code-push process that perturbs both
 //! arms — the statistical reality µSKU's confidence machinery exists for.
 
 use crate::error::ClusterError;
@@ -14,7 +14,6 @@ use crate::server::SimServer;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use softsku_archsim::engine::ServerConfig;
-use softsku_telemetry::emon::{EventSample, EventSet, MultiplexedSampler, SamplerConfig};
 use softsku_telemetry::stats::standard_normal;
 use softsku_telemetry::streams::{StreamFamily, StreamRegistry};
 use softsku_telemetry::{Ods, SeriesKey};
@@ -49,7 +48,7 @@ pub struct EnvConfig {
     /// Spacing between successive samples, seconds (µSKU spaces samples "to
     /// ensure independence").
     pub sample_spacing_s: f64,
-    /// Relative EMON measurement noise per sample.
+    /// Relative measurement noise of each arm's MIPS reading per sample.
     pub measurement_noise: f64,
     /// Per-arm load-imbalance noise (two machines never see identical load).
     pub arm_imbalance: f64,
@@ -111,10 +110,9 @@ pub struct AbEnvironment {
     time_s: f64,
     rng: SmallRng,
     code_pushes_seen: u64,
-    /// EMON-like samplers: the MIPS channel reads the always-on fixed
-    /// counters; the architectural events are time-multiplexed.
-    sampler_a: MultiplexedSampler,
-    sampler_b: MultiplexedSampler,
+    /// Per-arm measurement-noise draws of the MIPS channel.
+    noise_a: SmallRng,
+    noise_b: SmallRng,
     /// Injected-hazard timeline (inert when the config disables hazards).
     hazards: HazardSchedule,
     /// ODS series of injected hazards and consumer-reported recoveries.
@@ -122,25 +120,6 @@ pub struct AbEnvironment {
     /// Common load of the most recent sample, spikes included (for
     /// guardrail QoS checks between samples).
     last_load: f64,
-}
-
-/// The EMON event set µSKU programs: fixed counters for the throughput
-/// metric, programmable (multiplexed) slots for the architectural events the
-/// characterization reads.
-fn emon_events() -> EventSet {
-    EventSet::new()
-        .fixed("instructions")
-        .fixed("cycles")
-        .programmable("l1i_miss")
-        .programmable("l1d_miss")
-        .programmable("l2_code_miss")
-        .programmable("l2_data_miss")
-        .programmable("llc_code_miss")
-        .programmable("llc_data_miss")
-        .programmable("itlb_miss")
-        .programmable("dtlb_miss")
-        .programmable("branch_mispredicts")
-        .programmable("mem_lines")
 }
 
 impl AbEnvironment {
@@ -178,24 +157,8 @@ impl AbEnvironment {
     /// twice or two families collided.
     fn assemble(arm_a: SimServer, arm_b: SimServer, config: EnvConfig, seed: u64) -> Self {
         let mut streams = StreamRegistry::new(seed);
-        let sampler_cfg = SamplerConfig {
-            programmable_slots: 4,
-            base_noise_rel: config.measurement_noise,
-            seed: streams.derive(StreamFamily::EnvSamplerA),
-        };
-        // detlint::allow(panic_path): the event set is a static literal; its
-        // validity is covered by the emon unit tests.
-        let sampler_a =
-            MultiplexedSampler::new(emon_events(), sampler_cfg).expect("static event set is valid");
-        let sampler_b = MultiplexedSampler::new(
-            emon_events(),
-            SamplerConfig {
-                seed: streams.derive(StreamFamily::EnvSamplerB),
-                ..sampler_cfg
-            },
-        )
-        // detlint::allow(panic_path): same static event set as arm A.
-        .expect("static event set is valid");
+        let noise_a = SmallRng::seed_from_u64(streams.derive(StreamFamily::EnvSamplerA));
+        let noise_b = SmallRng::seed_from_u64(streams.derive(StreamFamily::EnvSamplerB));
         AbEnvironment {
             arm_a,
             arm_b,
@@ -215,8 +178,8 @@ impl AbEnvironment {
             time_s: 0.0,
             rng: SmallRng::seed_from_u64(streams.derive(StreamFamily::EnvArmNoise)),
             code_pushes_seen: 0,
-            sampler_a,
-            sampler_b,
+            noise_a,
+            noise_b,
             hazards: HazardSchedule::new(config.hazards, streams.derive(StreamFamily::EnvHazards)),
             ods: Ods::unbounded(),
             last_load: 1.0,
@@ -229,7 +192,7 @@ impl AbEnvironment {
     /// The replica clones both arms — inheriting the proto-environment's
     /// engine seed ("identical hardware") and its warmed load-curve caches,
     /// which is what makes forking cheap — while every *noise* stream (load
-    /// imbalance, diurnal AR(1) noise, EMON measurement noise, code pushes,
+    /// imbalance, diurnal AR(1) noise, measurement noise, code pushes,
     /// hazards) is re-seeded from `seed`, and the clock, push counter, and
     /// hazard/recovery ledger restart from zero. The replica's behaviour is
     /// therefore a pure function of `(proto construction, seed)`: two forks
@@ -349,12 +312,9 @@ impl AbEnvironment {
             .clamp(0.05, 1.2);
         let lb = (load * (1.0 + self.config.arm_imbalance * standard_normal(&mut self.rng)))
             .clamp(0.05, 1.2);
-        // The MIPS channel reads the fixed "instructions" counter through
-        // the EMON-like sampler (measurement noise lives there).
-        let true_a = self.arm_a.mips(la)?;
-        let true_b = self.arm_b.mips(lb)?;
-        let mut ma = fixed_counter(&mut self.sampler_a, "instructions", true_a);
-        let mut mb = fixed_counter(&mut self.sampler_b, "instructions", true_b);
+        let noise = self.config.measurement_noise;
+        let mut ma = measure(self.arm_a.mips(la)?, noise, &mut self.noise_a);
+        let mut mb = measure(self.arm_b.mips(lb)?, noise, &mut self.noise_b);
         if let Some((arm, factor)) = tick.corrupt {
             self.record_event("hazards", "injected.outlier");
             match arm {
@@ -374,41 +334,6 @@ impl AbEnvironment {
     /// injected outage or back off between retries.
     pub fn wait(&mut self, seconds: f64) {
         self.time_s += seconds.max(0.0);
-    }
-
-    /// One full EMON rotation over an arm's architectural counters at the
-    /// current load: fixed counters exact-ish, programmable ones multiplexed
-    /// and noisier (paper Sec. 2.2's measurement methodology).
-    ///
-    /// # Errors
-    ///
-    /// Engine errors on first evaluation of a new configuration.
-    pub fn counter_rotation(&mut self, arm: Arm) -> Result<Vec<EventSample>, ClusterError> {
-        let load = self.load.load_at(self.time_s);
-        let report = {
-            let server = self.arm_mut(arm);
-            let _ = server.mips(load)?; // ensure the curve exists
-            server.peak_report()?
-        };
-        let window_s = report.counters.cycles / (report.effective_core_freq_ghz * 1e9);
-        let events = report.counters.event_map();
-        let sampler = match arm {
-            Arm::A => &mut self.sampler_a,
-            Arm::B => &mut self.sampler_b,
-        };
-        Ok(sampler
-            .sample_rotation(|name| events.get(name).copied().unwrap_or(0.0) / window_s.max(1e-12)))
-    }
-
-    /// QPS of an arm at the current mean load (the ODS-style fleet metric
-    /// used for long-horizon validation).
-    ///
-    /// # Errors
-    ///
-    /// Engine errors on first evaluation of a new configuration.
-    pub fn qps_now(&mut self, arm: Arm) -> Result<f64, ClusterError> {
-        let load = self.load.load_at(self.time_s);
-        self.arm_mut(arm).qps(load)
     }
 
     /// Whether an arm currently satisfies QoS at peak load.
@@ -459,14 +384,14 @@ impl AbEnvironment {
     }
 }
 
-/// Reads one fixed counter through the sampler.
-fn fixed_counter(sampler: &mut MultiplexedSampler, name: &str, truth: f64) -> f64 {
-    sampler
-        .sample_rotation(|event| if event == name { truth } else { 0.0 })
-        .into_iter()
-        .find(|s| s.event == name)
-        .map(|s| s.value)
-        .unwrap_or(truth)
+/// One noisy reading of an arm's true instruction rate: the retired-
+/// instructions counter µSKU reads (paper Sec. 4) with relative Gaussian
+/// noise `noise`. A zero rate or zero noise reads exactly, without a draw.
+fn measure(truth: f64, noise: f64, rng: &mut SmallRng) -> f64 {
+    if truth == 0.0 || noise == 0.0 {
+        return truth;
+    }
+    truth * (1.0 + noise * standard_normal(rng))
 }
 
 #[cfg(test)]
@@ -561,20 +486,6 @@ mod tests {
             e.sample_pair().unwrap();
         }
         assert!(e.code_pushes_seen() > 10);
-    }
-
-    #[test]
-    fn counter_rotation_reports_multiplexed_events() {
-        let mut e = env();
-        let samples = e.counter_rotation(Arm::A).unwrap();
-        assert!(samples
-            .iter()
-            .any(|s| s.event == "instructions" && s.dwell_fraction == 1.0));
-        let mux: Vec<_> = samples.iter().filter(|s| s.dwell_fraction < 1.0).collect();
-        assert!(mux.len() >= 8, "architectural events are multiplexed");
-        for s in &samples {
-            assert!(s.value >= 0.0);
-        }
     }
 
     #[test]

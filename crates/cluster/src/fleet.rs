@@ -514,11 +514,6 @@ impl StagedFleet {
         self.candidate_replicas
     }
 
-    /// Fraction of the fleet on the candidate configuration.
-    pub fn candidate_fraction(&self) -> f64 {
-        self.candidate_replicas as f64 / self.config.replicas as f64
-    }
-
     /// Cumulative drift-erosion factor on the candidate's throughput.
     pub fn candidate_drift(&self) -> f64 {
         self.candidate_drift

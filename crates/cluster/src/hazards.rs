@@ -12,14 +12,14 @@
 //! byte-for-byte.
 //!
 //! Each hazard family draws from its own RNG stream, so enabling one family
-//! never perturbs another's timeline — the same independence trick
-//! [`CodeEvolution`](softsku_workloads::loadgen::CodeEvolution) uses for
-//! code pushes.
+//! never perturbs another's timeline. Crashes and spikes arrive as
+//! [`PoissonArrivals`], the process code pushes use too.
 
 use crate::env::Arm;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softsku_telemetry::streams::{StreamFamily, StreamRegistry};
+use softsku_workloads::loadgen::PoissonArrivals;
 
 /// Hazard-injection knobs, carried inside
 /// [`EnvConfig`](crate::env::EnvConfig).
@@ -184,15 +184,13 @@ pub struct Tick {
 #[derive(Debug, Clone)]
 pub struct HazardSchedule {
     config: HazardConfig,
-    crash_rng: SmallRng,
+    crashes: PoissonArrivals,
     sample_rng: SmallRng,
-    spike_rng: SmallRng,
+    spikes: PoissonArrivals,
     knob_rng: SmallRng,
-    next_crash_t: f64,
     /// End-of-outage time per arm (`[A, B]`); an arm is down while `t` is
     /// below its entry.
     down_until: [f64; 2],
-    next_spike_t: f64,
     spike_until: f64,
 }
 
@@ -210,19 +208,16 @@ impl HazardSchedule {
     pub fn new(config: HazardConfig, seed: u64) -> Self {
         let config = config.validated();
         let mut streams = StreamRegistry::new(seed);
-        let mut crash_rng = SmallRng::seed_from_u64(streams.derive(StreamFamily::HazardCrash));
-        let mut spike_rng = SmallRng::seed_from_u64(streams.derive(StreamFamily::HazardSpike));
-        let next_crash_t = sample_gap(&mut crash_rng, config.crash_rate_per_hour);
-        let next_spike_t = sample_gap(&mut spike_rng, config.spike_rate_per_hour);
+        let mut hourly = |rate, family| PoissonArrivals::new(rate, 3600.0, streams.derive(family));
+        let crashes = hourly(config.crash_rate_per_hour, StreamFamily::HazardCrash);
+        let spikes = hourly(config.spike_rate_per_hour, StreamFamily::HazardSpike);
         HazardSchedule {
             config,
-            crash_rng,
+            crashes,
             sample_rng: SmallRng::seed_from_u64(streams.derive(StreamFamily::HazardTelemetry)),
-            spike_rng,
+            spikes,
             knob_rng: SmallRng::seed_from_u64(streams.derive(StreamFamily::HazardKnob)),
-            next_crash_t,
             down_until: [f64::NEG_INFINITY; 2],
-            next_spike_t,
             spike_until: f64::NEG_INFINITY,
         }
     }
@@ -238,14 +233,14 @@ impl HazardSchedule {
     pub fn tick(&mut self, t: f64) -> Tick {
         // Crash arrivals strictly up to t; each picks a victim arm.
         let mut crashes: [Option<f64>; 2] = [None, None];
-        while self.next_crash_t <= t {
-            let victim = if self.crash_rng.gen::<bool>() { 1 } else { 0 };
-            let until = self.next_crash_t + self.config.crash_outage_s;
+        while let Some(at_s) = self.crashes.due(t) {
+            let victim = usize::from(self.crashes.rng().gen::<bool>());
+            let until = at_s + self.config.crash_outage_s;
             if until > self.down_until[victim] {
                 self.down_until[victim] = until;
                 crashes[victim] = Some(until);
             }
-            self.next_crash_t += sample_gap(&mut self.crash_rng, self.config.crash_rate_per_hour);
+            self.crashes.advance();
         }
         let down_until = [
             (t < self.down_until[0]).then_some(self.down_until[0]),
@@ -254,13 +249,13 @@ impl HazardSchedule {
 
         // Spike arrivals; overlapping spikes extend the active window.
         let mut spike_started = None;
-        while self.next_spike_t <= t {
-            let until = self.next_spike_t + self.config.spike_duration_s;
+        while let Some(at_s) = self.spikes.due(t) {
+            let until = at_s + self.config.spike_duration_s;
             if until > self.spike_until {
                 self.spike_until = until;
                 spike_started = Some((until, self.config.spike_magnitude));
             }
-            self.next_spike_t += sample_gap(&mut self.spike_rng, self.config.spike_rate_per_hour);
+            self.spikes.advance();
         }
         let load_multiplier = if t < self.spike_until {
             1.0 + self.config.spike_magnitude
@@ -362,16 +357,6 @@ impl HazardSchedule {
         }
         events
     }
-}
-
-/// Exponential inter-arrival gap for a Poisson process at `rate_per_hour`,
-/// or infinity when the process is disabled.
-fn sample_gap(rng: &mut SmallRng, rate_per_hour: f64) -> f64 {
-    if rate_per_hour <= 0.0 {
-        return f64::INFINITY;
-    }
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    -u.ln() * 3600.0 / rate_per_hour
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! * [`server::SimServer`] — one server (workload × platform × knob config)
 //!   exposing MIPS/QPS/latency/QoS with cached engine evaluations.
 //! * [`env::AbEnvironment`] — the two-arm A/B substrate with common diurnal
-//!   load, per-arm imbalance, EMON-grade measurement noise, reboot costs,
+//!   load, per-arm imbalance, per-arm MIPS measurement noise, reboot costs,
 //!   and fleet-wide code pushes.
 //! * [`fleet::ValidationFleet`] — the long-horizon ODS-backed QPS comparison
 //!   the soft-SKU generator uses to confirm a deployed configuration's win.

@@ -12,9 +12,7 @@
 
 use crate::error::ClusterError;
 use softsku_archsim::engine::{Engine, ServerConfig, WindowReport};
-use softsku_telemetry::streams::{stream_seed, StreamFamily};
 use softsku_workloads::loadgen::CodePush;
-use softsku_workloads::queuesim::{simulate_queue, ServiceDist, TailLatency};
 use softsku_workloads::request::mmc_wait_factor;
 use softsku_workloads::WorkloadProfile;
 use std::collections::HashMap;
@@ -185,55 +183,6 @@ impl SimServer {
         }
     }
 
-    /// Sojourn-time percentiles at `load` from the event-driven queue
-    /// simulation: the request's running portion is the service time
-    /// (heavy-tailed log-normal), the worker pool is the server set, and the
-    /// configuration's speed ratio scales the work.
-    ///
-    /// # Errors
-    ///
-    /// Engine errors on first evaluation of a configuration.
-    pub fn latency_tail(&mut self, load: f64) -> Result<TailLatency, ClusterError> {
-        let mips = self.mips(load)?;
-        let speed = (mips / self.production_mips).max(1e-3);
-        let base = self.profile.request.avg_latency_s;
-        let running_frac = self.profile.request.breakdown.map_or(1.0, |b| b.running);
-        let service_s = base * running_frac / speed;
-        let servers = (self.config.active_cores * self.config.platform.smt).max(1);
-        let rho = (load * self.profile.peak_utilization).clamp(0.05, 0.98);
-        let blocked_s = base * (1.0 - running_frac);
-        let tail = simulate_queue(
-            servers,
-            rho,
-            ServiceDist::LogNormal {
-                mean: service_s.max(1e-9),
-                cv2: 2.0,
-            },
-            20_000,
-            stream_seed(self.seed, StreamFamily::ServerQueue),
-        );
-        // Blocked time (downstream I/O) adds on top of the local sojourn.
-        Ok(TailLatency {
-            mean: tail.mean + blocked_s,
-            p50: tail.p50 + blocked_s,
-            p95: tail.p95 + blocked_s,
-            p99: tail.p99 + blocked_s,
-        })
-    }
-
-    /// Whether the p99 SLO holds at `load` (tail-based QoS; stricter than
-    /// the mean-based [`SimServer::qos_ok`]). The p99 budget is the QoS
-    /// ceiling times the tail allowance implied by the paper's
-    /// latency-constrained operation (3× the mean SLO).
-    ///
-    /// # Errors
-    ///
-    /// Engine errors on first evaluation of a configuration.
-    pub fn qos_tail_ok(&mut self, load: f64) -> Result<bool, ClusterError> {
-        let tail = self.latency_tail(load)?;
-        Ok(tail.p99 <= self.profile.request.qos_latency_s() * 3.0)
-    }
-
     /// Whether the SLO holds at `load`.
     ///
     /// # Errors
@@ -262,11 +211,6 @@ impl SimServer {
         let raw = (self.push_cpi_scale * push.cpi_scale).clamp(0.8, 1.25);
         self.push_cpi_scale = (raw * 200.0).round() / 200.0;
         self.cache.clear();
-    }
-
-    /// Cumulative code-push CPI multiplier (diagnostic).
-    pub fn push_cpi_scale(&self) -> f64 {
-        self.push_cpi_scale
     }
 
     /// The load curve of the current configuration, evaluated on first use.
@@ -515,26 +459,6 @@ mod tests {
             .unwrap();
         assert_eq!(after.to_bits(), fresh.to_bits());
         assert!(after < before, "{after} vs {before}");
-    }
-
-    #[test]
-    fn tail_latency_is_ordered_and_binds_before_the_mean() {
-        let mut s = web_server();
-        let tail = s.latency_tail(1.0).unwrap();
-        assert!(tail.p50 <= tail.p95 && tail.p95 <= tail.p99);
-        assert!(tail.p99 > tail.mean);
-        // The mean-based QoS holds at peak; slow the server drastically and
-        // the tail check must fail at least as early as the mean check.
-        let mut slow = s.config().clone();
-        slow.core_freq_ghz = 1.6;
-        slow.llc_ways_enabled = 2;
-        s.reconfigure(slow, false).unwrap();
-        if s.qos_ok(1.0).unwrap() {
-            // Mean may survive; the tail is the stricter constraint.
-            let _ = s.qos_tail_ok(1.0).unwrap();
-        } else {
-            assert!(!s.qos_tail_ok(1.0).unwrap());
-        }
     }
 
     #[test]

@@ -68,18 +68,16 @@ impl PerformanceMetric {
             PerformanceMetric::Mips => Ok((pair.a_mips, pair.b_mips)),
             PerformanceMetric::Qps => {
                 // QPS derives from the same throughput measurement through
-                // each arm's path length; the pair sample already carries the
-                // correlated noise.
-                let qa = env.qps_now(Arm::A)?;
-                let qb = env.qps_now(Arm::B)?;
-                // Scale by the same relative noise the MIPS channel saw.
-                let mean_a = pair.a_mips;
-                let mean_b = pair.b_mips;
-                let base_a = env.arm_mut(Arm::A).mips(pair.load)?;
-                let base_b = env.arm_mut(Arm::B).mips(pair.load)?;
-                let na = if base_a > 0.0 { mean_a / base_a } else { 1.0 };
-                let nb = if base_b > 0.0 { mean_b / base_b } else { 1.0 };
-                Ok((qa * na, qb * nb))
+                // each arm's path length: both arms are read at the load the
+                // pair sample faced, scaled by the relative noise the MIPS
+                // channel saw.
+                let mut qps = |arm: Arm, measured: f64| -> Result<f64, UskuError> {
+                    let server = env.arm_mut(arm);
+                    let base = server.mips(pair.load)?;
+                    let noise = if base > 0.0 { measured / base } else { 1.0 };
+                    Ok(server.qps(pair.load)? * noise)
+                };
+                Ok((qps(Arm::A, pair.a_mips)?, qps(Arm::B, pair.b_mips)?))
             }
             PerformanceMetric::MipsPerWatt => {
                 let model = PowerModel::default();

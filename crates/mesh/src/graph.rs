@@ -72,13 +72,6 @@ impl Tier {
         self.hit_rate = hit_rate;
         self
     }
-
-    /// Sets the placement domain.
-    #[must_use]
-    pub fn in_domain(mut self, domain: FailureDomain) -> Self {
-        self.domain = domain;
-        self
-    }
 }
 
 /// One RPC edge: the tier at `from` calls the tier at `to` once per

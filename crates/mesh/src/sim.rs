@@ -9,7 +9,7 @@
 //!    ratio rescales the tier's per-hop service budget
 //!    ([`Tier::base_service_s`](crate::graph::Tier)) — the same
 //!    speed-scaling recipe as
-//!    [`SimServer::latency_tail`](softsku_cluster::SimServer), applied to
+//!    [`SimServer::latency`](softsku_cluster::SimServer), applied to
 //!    one RPC's worth of compute instead of the service's whole
 //!    production request (downstream time is modeled explicitly by the
 //!    graph). Colocated tiers are additionally slowed by `1 / retention`

@@ -2,10 +2,10 @@
 //!
 //! The paper measures production microservices with two internal tools:
 //!
-//! * **EMON** — Intel's performance-monitoring tool that time-multiplexes a
-//!   large set of hardware events over a limited number of physical counter
-//!   slots ([`emon`] reproduces the sampling/multiplexing behaviour, noise
-//!   included).
+//! * **EMON** — Intel's performance-counter tool. µSKU reads one of its
+//!   counters, retired instructions; the A/B environment
+//!   (`softsku_cluster::env`) models that reading as one noisy draw per arm
+//!   and sample.
 //! * **ODS** — Facebook's Operational Data Store, a fleet-wide time-series
 //!   system used for long-horizon QPS validation ([`ods`] reproduces the
 //!   append/query/downsample surface the experiments need, as one store
@@ -14,8 +14,7 @@
 //! µSKU's A/B tester decides significance with 95 % confidence intervals over
 //! tens of thousands of counter samples; the [`stats`] module provides the
 //! underlying machinery (Welford summaries, Student-t quantiles, Welch's
-//! unequal-variance t-test, and autocorrelation-aware effective sample
-//! sizes).
+//! unequal-variance t-test, and MAD outlier screening).
 //!
 //! The [`streams`] module is the workspace's seed-stream registry: every
 //! derived RNG stream family, its XOR mask, and the debug-mode
@@ -55,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod emon;
 pub mod error;
 pub mod json;
 pub mod keys;
@@ -66,7 +64,6 @@ pub mod streams;
 pub mod trace;
 
 pub use clock::Stopwatch;
-pub use emon::{EventSet, MultiplexedSampler, SamplerConfig};
 pub use error::TelemetryError;
 pub use json::Json;
 pub use keys::{KeyKind, LedgerDomain, LedgerKey};

@@ -59,6 +59,13 @@ use crate::trace::{AttrValue, TraceSink};
 /// over-threshold requests still inside the slow window).
 pub const MAX_EXEMPLARS: usize = 8;
 
+/// Fast-window burn-rate alert threshold (the SRE-handbook 14.4: a burn
+/// that would exhaust a 30-day budget in about two days).
+const FAST_BURN: f64 = 14.4;
+
+/// Slow-window burn-rate alert threshold (the SRE-handbook 6.0).
+const SLOW_BURN: f64 = 6.0;
+
 /// One tail exemplar: a bad request's sim-time, latency, and the trace
 /// span id that lets a human jump to its subtree in the Chrome export.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,16 +94,11 @@ pub struct SloSpec {
     pub fast_window_s: f64,
     /// Slow evaluation window, seconds (confirms the burn is sustained).
     pub slow_window_s: f64,
-    /// Fast-window burn-rate alert threshold (SRE convention: high, e.g.
-    /// 14 — a burn that would exhaust the budget in hours).
-    pub fast_burn: f64,
-    /// Slow-window burn-rate alert threshold (lower, e.g. 6).
-    pub slow_burn: f64,
 }
 
 impl SloSpec {
-    /// Builds a spec with the SRE-handbook default burn thresholds
-    /// (fast 14.4, slow 6.0).
+    /// Builds a spec; alerts use the SRE-handbook burn thresholds (fast
+    /// 14.4, slow 6.0).
     ///
     /// # Errors
     ///
@@ -116,24 +118,9 @@ impl SloSpec {
             target,
             fast_window_s,
             slow_window_s,
-            fast_burn: 14.4,
-            slow_burn: 6.0,
         };
         spec.validate()?;
         Ok(spec)
-    }
-
-    /// Overrides the burn-rate alert thresholds.
-    ///
-    /// # Errors
-    ///
-    /// [`TelemetryError::InvalidSamplerConfig`] when either threshold is
-    /// non-positive or non-finite.
-    pub fn with_burn_thresholds(mut self, fast: f64, slow: f64) -> Result<Self, TelemetryError> {
-        self.fast_burn = fast;
-        self.slow_burn = slow;
-        self.validate()?;
-        Ok(self)
     }
 
     /// The error budget: the tolerated bad fraction, `1 − target`.
@@ -162,13 +149,6 @@ impl SloSpec {
                 "fast window {} must be shorter than slow window {}",
                 self.fast_window_s, self.slow_window_s
             ));
-        }
-        for (label, b) in [("fast", self.fast_burn), ("slow", self.slow_burn)] {
-            if !b.is_finite() || b <= 0.0 {
-                return bad(format!(
-                    "slo {label} burn threshold must be positive, got {b}"
-                ));
-            }
         }
         Ok(())
     }
@@ -337,7 +317,7 @@ impl SloEvaluator {
     ) -> Result<SloStatus, TelemetryError> {
         let burn_fast = self.burn_rate(t_s, self.spec.fast_window_s);
         let burn_slow = self.burn_rate(t_s, self.spec.slow_window_s);
-        let alerting = burn_fast >= self.spec.fast_burn && burn_slow >= self.spec.slow_burn;
+        let alerting = burn_fast >= FAST_BURN && burn_slow >= SLOW_BURN;
         ledger.append(&self.fast_key, t_s, burn_fast)?;
         ledger.append(&self.slow_key, t_s, burn_slow)?;
         if alerting {
@@ -386,7 +366,6 @@ mod tests {
         assert!(SloSpec::new("w", 0.05, 0.0, 30.0, 120.0).is_err());
         assert!(SloSpec::new("w", 0.05, 0.99, 120.0, 30.0).is_err());
         assert!(SloSpec::new("w", 0.05, 0.99, 30.0, 30.0).is_err());
-        assert!(spec().with_burn_thresholds(0.0, 6.0).is_err());
         assert!((spec().error_budget() - 0.01).abs() < 1e-12);
     }
 

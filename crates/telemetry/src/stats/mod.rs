@@ -13,10 +13,7 @@
 //!   screening corrupted telemetry before it reaches the accumulators.
 //! * [`standard_normal`] — the one Box–Muller normal draw every seeded
 //!   noise model shares.
-//! * [`autocorrelation`] / [`effective_sample_size`] — used to pick the
-//!   sample spacing that makes the independence assumption honest.
 
-mod autocorr;
 mod mad;
 mod normal;
 mod sketch;
@@ -24,7 +21,6 @@ mod student_t;
 mod summary;
 mod welch;
 
-pub use autocorr::{autocorrelation, effective_sample_size};
 pub use mad::MadFilter;
 pub use normal::standard_normal;
 pub use sketch::{nearest_rank, select_nearest_rank, QuantileSketch, DEFAULT_SKETCH_K};

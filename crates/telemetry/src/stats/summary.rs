@@ -255,18 +255,6 @@ impl Summary {
         let half = t * self.std_err();
         Ok((self.mean - half, self.mean + half))
     }
-
-    /// Half-width of the confidence interval relative to the mean
-    /// (`t * sem / |mean|`), µSKU's convergence criterion.
-    ///
-    /// Returns `f64::INFINITY` when the mean is zero or n < 2.
-    pub fn relative_ci_half_width(&self, confidence: f64) -> Result<f64, TelemetryError> {
-        let (lo, hi) = self.mean_ci(confidence)?;
-        if self.mean == 0.0 || self.count < 2 {
-            return Ok(f64::INFINITY);
-        }
-        Ok(((hi - lo) / 2.0 / self.mean).abs())
-    }
 }
 
 #[cfg(test)]
@@ -333,11 +321,11 @@ mod tests {
     fn ci_shrinks_with_samples() {
         let few: Vec<f64> = (0..10).map(|i| 100.0 + (i % 3) as f64).collect();
         let many: Vec<f64> = (0..1000).map(|i| 100.0 + (i % 3) as f64).collect();
-        let sf = Summary::from_samples(&few).unwrap();
-        let sm = Summary::from_samples(&many).unwrap();
-        assert!(
-            sm.relative_ci_half_width(0.95).unwrap() < sf.relative_ci_half_width(0.95).unwrap()
-        );
+        let width = |xs: &[f64]| {
+            let (lo, hi) = Summary::from_samples(xs).unwrap().mean_ci(0.95).unwrap();
+            hi - lo
+        };
+        assert!(width(&many) < width(&few));
     }
 
     #[test]
@@ -352,6 +340,5 @@ mod tests {
     fn single_sample_ci_degenerates() {
         let s = Summary::from_samples(&[42.0]).unwrap();
         assert_eq!(s.mean_ci(0.95).unwrap(), (42.0, 42.0));
-        assert_eq!(s.relative_ci_half_width(0.95).unwrap(), f64::INFINITY);
     }
 }

@@ -44,9 +44,9 @@ use std::fmt;
 /// simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StreamFamily {
-    /// EMON-like sampler noise, A/B arm A (`cluster::env`).
+    /// MIPS measurement noise, A/B arm A (`cluster::env`).
     EnvSamplerA,
-    /// EMON-like sampler noise, A/B arm B (`cluster::env`).
+    /// MIPS measurement noise, A/B arm B (`cluster::env`).
     EnvSamplerB,
     /// Common diurnal load AR(1) noise (`cluster::env`).
     EnvCommonLoad,
@@ -74,8 +74,8 @@ pub enum StreamFamily {
     /// The colocation pair's second engine (`cluster::colocation`); the
     /// first engine uses the base seed itself.
     ColocationPairB,
-    /// Queueing-model service-time draws for tail latency
-    /// (`cluster::server`).
+    /// Queueing-model service-time draws of the retired server tail-latency
+    /// model. No longer derived; the mask stays reserved.
     ServerQueue,
     /// Long-horizon validation fleet seed (`usku::usku`).
     UskuValidation,
@@ -104,9 +104,8 @@ pub enum StreamFamily {
     RolloutGroupNoise,
     /// Base seed of a drift-triggered scoped re-tune (`rollout::drift`).
     RolloutRetune,
-    /// Span-sampling keep/drop draws of the observability trace layer
-    /// (`telemetry::trace`); only ever consulted for high-volume leaf
-    /// spans, never for simulated results.
+    /// Keep/drop draws of the retired leaf-span sampler of the trace layer.
+    /// No longer derived; the mask stays reserved.
     ObsSpanSampling,
     /// Pool-wide load-brownout arrivals of the rollout-layer chaos
     /// campaign (`cluster::domains`).

@@ -35,9 +35,6 @@
 //! ```
 
 use crate::json::Json;
-use crate::streams::{stream_seed, StreamFamily};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// One structured span attribute value.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,8 +118,8 @@ pub struct TraceCounter {
     pub value: f64,
 }
 
-/// Handle to an open (or just-recorded) span; invalid handles from a
-/// disabled sink or a sampled-out leaf make every later call a no-op.
+/// Handle to an open (or just-recorded) span; the invalid handle a disabled
+/// sink hands out makes every later call a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanHandle(usize);
 
@@ -134,18 +131,6 @@ impl SpanHandle {
     pub fn is_recorded(self) -> bool {
         self != SpanHandle::NONE
     }
-}
-
-/// Deterministic keep/drop sampler for high-volume leaf spans.
-///
-/// Draws are made at record time, on the orchestration thread, in plan
-/// order — so the kept subset is itself a pure function of `(seed, record
-/// sequence)` and bit-identical across worker counts. Seeded through
-/// [`StreamFamily::ObsSpanSampling`].
-#[derive(Debug, Clone)]
-struct SpanSampler {
-    keep_one_in: u32,
-    rng: SmallRng,
 }
 
 /// Collects spans and counters; the handle threaded through the scheduler,
@@ -172,8 +157,6 @@ pub struct TraceSink {
     tracks: Vec<String>,
     current_track: u32,
     stack: Vec<usize>,
-    sampler: Option<SpanSampler>,
-    sampled_out: u64,
 }
 
 impl Default for TraceSink {
@@ -194,8 +177,6 @@ impl TraceSink {
             tracks: vec!["main".to_string()],
             current_track: 0,
             stack: Vec::new(),
-            sampler: None,
-            sampled_out: 0,
         }
     }
 
@@ -212,20 +193,6 @@ impl TraceSink {
     /// expensive attribute collection (e.g. per-arm CPI capture).
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Enables deterministic 1-in-`keep_one_in` sampling of *leaf* spans
-    /// ([`TraceSink::leaf`]); `open`/`close` span pairs and counters are
-    /// never sampled out. The keep/drop stream derives from `base_seed`
-    /// through [`StreamFamily::ObsSpanSampling`]. `keep_one_in` of 0 or 1
-    /// keeps everything.
-    #[must_use]
-    pub fn with_sampling(mut self, keep_one_in: u32, base_seed: u64) -> Self {
-        self.sampler = (keep_one_in > 1).then(|| SpanSampler {
-            keep_one_in,
-            rng: SmallRng::seed_from_u64(stream_seed(base_seed, StreamFamily::ObsSpanSampling)),
-        });
-        self
     }
 
     /// Registers (or finds) a named track and returns its id.
@@ -272,19 +239,11 @@ impl TraceSink {
         }
     }
 
-    /// Records a complete child span in one call (subject to sampling when
-    /// configured). The span nests under the currently open span but does
-    /// not itself go on the stack.
+    /// Records a complete child span in one call. The span nests under the
+    /// currently open span but does not itself go on the stack.
     pub fn leaf(&mut self, cat: &str, name: &str, start_s: f64, dur_s: f64) -> SpanHandle {
         if !self.enabled {
             return SpanHandle::NONE;
-        }
-        if let Some(sampler) = &mut self.sampler {
-            // One draw per leaf, in record order: deterministic.
-            if sampler.rng.gen_range(0..sampler.keep_one_in) != 0 {
-                self.sampled_out += 1;
-                return SpanHandle::NONE;
-            }
         }
         SpanHandle(self.push_span(cat, name, start_s, dur_s.max(0.0)))
     }
@@ -415,11 +374,6 @@ impl TraceSink {
     /// Registered track names, indexed by track id.
     pub fn tracks(&self) -> &[String] {
         &self.tracks
-    }
-
-    /// Leaf spans dropped by the sampler so far.
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out
     }
 
     /// Exports the trace in Chrome trace-event JSON (the object form with
@@ -600,32 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_deterministic_and_spares_structural_spans() {
-        let run = |seed: u64| {
-            let mut sink = TraceSink::new().with_sampling(4, seed);
-            let root = sink.open("phase", "root", 0.0);
-            for i in 0..100 {
-                sink.leaf("abtest", &format!("t{i}"), i as f64, 1.0);
-            }
-            sink.close(root, 100.0);
-            (
-                sink.spans()
-                    .iter()
-                    .map(|s| sink.name(s).to_string())
-                    .collect::<Vec<_>>(),
-                sink.sampled_out(),
-            )
-        };
-        let (a, dropped_a) = run(7);
-        let (b, _) = run(7);
-        assert_eq!(a, b, "same seed, same kept subset");
-        assert!(dropped_a > 0, "sampling must drop something at 1-in-4");
-        assert!(a.contains(&"root".to_string()), "open/close spans survive");
-        let (c, _) = run(8);
-        assert_ne!(a, c, "different seeds keep different subsets");
-    }
-
-    #[test]
     fn chrome_trace_shape_and_determinism() {
         let mut sink = TraceSink::new();
         let t = sink.track("tune");
@@ -677,17 +605,15 @@ mod tests {
     proptest! {
         #[test]
         fn accessors_return_each_spans_text_and_attributes_in_insertion_order(
-            keep_one_in in 1u32..4,
             ops in prop::collection::vec((0u8..4, 0usize..64, 0u8..5, -3i64..3), 1..160),
         ) {
             // Texts of mixed lengths, the empty string and multi-byte
             // characters, so arena slices must land on exact boundaries.
             const TEXT: [&str; 5] = ["", "abtest", "ü", "mesh.hop", "r12345"];
-            let mut sink = TraceSink::new().with_sampling(keep_one_in, 7);
+            let mut sink = TraceSink::new();
             let mut model: Vec<ModelSpan> = Vec::new();
-            // Every handle handed out, recorded or sampled out, with its
-            // model index when recorded.
-            let mut handles: Vec<(SpanHandle, Option<usize>)> = Vec::new();
+            // Every handle handed out, with its model index.
+            let mut handles: Vec<(SpanHandle, usize)> = Vec::new();
             let mut open: Vec<SpanHandle> = Vec::new();
             for (i, &(kind, pick, text, int)) in ops.iter().enumerate() {
                 let (cat, name) = (TEXT[text as usize], TEXT[(text as usize + pick) % 5]);
@@ -701,11 +627,8 @@ mod tests {
                         if kind == 0 {
                             open.push(h);
                         }
-                        let recorded = h.is_recorded().then(|| {
-                            model.push((cat.to_string(), name.to_string(), Vec::new()));
-                            model.len() - 1
-                        });
-                        handles.push((h, recorded));
+                        model.push((cat.to_string(), name.to_string(), Vec::new()));
+                        handles.push((h, model.len() - 1));
                     }
                     2 => {
                         if let Some(h) = open.pop() {
@@ -713,7 +636,7 @@ mod tests {
                         }
                     }
                     _ => {
-                        let Some(&(h, recorded)) = handles.get(pick % handles.len().max(1)) else {
+                        let Some(&(h, m)) = handles.get(pick % handles.len().max(1)) else {
                             continue;
                         };
                         let value = match int.rem_euclid(4) {
@@ -723,9 +646,7 @@ mod tests {
                             _ => AttrValue::Bool(int > 0),
                         };
                         sink.attr(h, cat, value.clone());
-                        if let Some(m) = recorded {
-                            model[m].2.push((cat.to_string(), value));
-                        }
+                        model[m].2.push((cat.to_string(), value));
                     }
                 }
             }

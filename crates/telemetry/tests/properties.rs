@@ -2,7 +2,7 @@
 //! decisions depend on.
 
 use proptest::prelude::*;
-use softsku_telemetry::stats::{effective_sample_size, t_quantile, welch_test, Summary};
+use softsku_telemetry::stats::{t_quantile, welch_test, Summary};
 use softsku_telemetry::{stream_seed, IdentitySeed, Ods, SeriesKey, StreamFamily};
 
 proptest! {
@@ -44,14 +44,6 @@ proptest! {
         let r2 = welch_test(&a2, &b2);
         prop_assert!((r1.t_statistic - r2.t_statistic).abs() < 1e-8);
         prop_assert!((r1.p_value - r2.p_value).abs() < 1e-8);
-    }
-
-    /// Effective sample size never exceeds 2n and never drops below 1.
-    #[test]
-    fn ess_bounds(xs in proptest::collection::vec(-10.0f64..10.0, 3..300)) {
-        let ess = effective_sample_size(&xs).unwrap();
-        prop_assert!(ess >= 1.0);
-        prop_assert!(ess <= 2.0 * xs.len() as f64);
     }
 
     /// ODS range queries partition the series: every point falls in exactly

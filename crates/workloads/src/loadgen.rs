@@ -3,7 +3,9 @@
 //! µSKU runs against *production* traffic, which is why its statistics must
 //! survive (paper Sec. 4): diurnal load swings, transient fluctuations, and
 //! code pushes every few hours that perturb the service's performance
-//! baseline. This module generates all three, deterministically.
+//! baseline. This module generates all three, deterministically, and the
+//! seeded Poisson arrival process ([`PoissonArrivals`]) that code pushes,
+//! injected hazards and chaos faults share.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -81,53 +83,109 @@ pub struct CodePush {
     pub miss_scale: f64,
 }
 
+/// A seeded Poisson arrival process: it owns its RNG and its next arrival
+/// time, and the first gap is drawn at construction.
+///
+/// Arrivals carry marks (a victim, a pool, a push's size) that callers draw
+/// from [`PoissonArrivals::rng`] around [`PoissonArrivals::advance`], so
+/// one stream serves both and each caller keeps its own draw order.
+///
+/// # Example
+///
+/// ```
+/// use softsku_workloads::loadgen::PoissonArrivals;
+///
+/// // Two arrivals per hour on average.
+/// let mut crashes = PoissonArrivals::new(2.0, 3_600.0, 7);
+/// let mut seen = 0;
+/// while let Some(at_s) = crashes.due(36_000.0) {
+///     assert!(at_s <= 36_000.0);
+///     seen += 1;
+///     crashes.advance();
+/// }
+/// assert!(seen > 0);
+/// // A non-positive rate never arrives.
+/// assert_eq!(PoissonArrivals::new(0.0, 3_600.0, 7).due(1e12), None);
+/// ```
+#[derive(Debug, Clone)]
+pub struct PoissonArrivals {
+    rng: SmallRng,
+    rate: f64,
+    period_s: f64,
+    next_t: f64,
+}
+
+impl PoissonArrivals {
+    /// A process with `rate` mean arrivals per `period_s` seconds, seeded
+    /// with `seed`. A rate that is not positive disables it.
+    pub fn new(rate: f64, period_s: f64, seed: u64) -> Self {
+        let mut arrivals = PoissonArrivals {
+            rng: SmallRng::seed_from_u64(seed),
+            rate,
+            period_s,
+            next_t: 0.0,
+        };
+        arrivals.next_t = arrivals.gap();
+        arrivals
+    }
+
+    /// The next arrival time when it lands at or before `t`. A disabled
+    /// process is never due, even at `t = ∞`.
+    pub fn due(&self, t: f64) -> Option<f64> {
+        (self.next_t <= t && self.next_t.is_finite()).then_some(self.next_t)
+    }
+
+    /// Moves the next arrival one exponential gap later.
+    pub fn advance(&mut self) {
+        self.next_t += self.gap();
+    }
+
+    /// The process's RNG, for drawing each arrival's marks.
+    pub fn rng(&mut self) -> &mut SmallRng {
+        &mut self.rng
+    }
+
+    /// One exponential inter-arrival gap, or infinity when disabled.
+    fn gap(&mut self) -> f64 {
+        if self.rate <= 0.0 {
+            return f64::INFINITY;
+        }
+        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+        -u.ln() * self.period_s / self.rate
+    }
+}
+
 /// Poisson process of code pushes.
 #[derive(Debug, Clone)]
 pub struct CodeEvolution {
-    rate_per_hour: f64,
     magnitude: f64,
-    rng: SmallRng,
-    next_push_t: f64,
+    pushes: PoissonArrivals,
 }
 
 impl CodeEvolution {
     /// Creates a push process with `rate_per_hour` mean pushes per hour and
     /// perturbation `magnitude` (relative sd of each multiplier).
     pub fn new(rate_per_hour: f64, magnitude: f64, seed: u64) -> Self {
-        let mut ev = CodeEvolution {
-            rate_per_hour: rate_per_hour.max(0.0),
+        CodeEvolution {
             magnitude: magnitude.clamp(0.0, 0.2),
-            rng: SmallRng::seed_from_u64(seed),
-            next_push_t: 0.0,
-        };
-        ev.next_push_t = ev.sample_gap();
-        ev
+            pushes: PoissonArrivals::new(rate_per_hour, 3600.0, seed),
+        }
     }
 
     /// Returns the push, if any, that lands before time `t` seconds; at most
     /// one per call (call repeatedly to drain).
     pub fn push_before(&mut self, t: f64) -> Option<CodePush> {
-        if self.rate_per_hour == 0.0 || t < self.next_push_t {
-            return None;
-        }
-        self.next_push_t += self.sample_gap();
+        self.pushes.due(t)?;
+        self.pushes.advance();
         let jitter = |rng: &mut SmallRng, sd: f64| {
             let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
             let u2: f64 = rng.gen();
             1.0 + sd * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
         };
         Some(CodePush {
-            cpi_scale: jitter(&mut self.rng, self.magnitude).clamp(0.9, 1.1),
-            miss_scale: jitter(&mut self.rng, self.magnitude).clamp(0.9, 1.1),
+            cpi_scale: jitter(self.pushes.rng(), self.magnitude).clamp(0.9, 1.1),
+            miss_scale: jitter(self.pushes.rng(), self.magnitude).clamp(0.9, 1.1),
         })
-    }
-
-    fn sample_gap(&mut self) -> f64 {
-        if self.rate_per_hour == 0.0 {
-            return f64::INFINITY;
-        }
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        -u.ln() * 3600.0 / self.rate_per_hour
     }
 }
 

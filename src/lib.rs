@@ -11,7 +11,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`telemetry`] | `softsku-telemetry` | statistics, EMON-like sampling, ODS-like time series |
+//! | [`telemetry`] | `softsku-telemetry` | statistics, ODS-like time series, sim-time traces, SLO engine |
 //! | [`archsim`] | `softsku-archsim` | platforms, caches/CAT/CDP, TLBs, prefetchers, memory, TMAM engine |
 //! | [`knobs`] | `softsku-knobs` | the seven-knob design space |
 //! | [`workloads`] | `softsku-workloads` | the seven microservices + SPEC CPU2006 references |

@@ -299,21 +299,23 @@ pub struct ReplicaRun {
 ///
 /// Errors are also deterministic: every unit either completes or the pool
 /// drains early, and the error reported is the one at the lowest plan
-/// index, not the first to lose a race.
+/// index, not the first to lose a race. The error type is the closure's
+/// own, so each caller keeps its crate's error variants.
 ///
 /// # Errors
 ///
 /// Returns the lowest-plan-index error produced by `run_one`, if any.
-pub fn run_tasks<T, R, F>(units: &[T], workers: usize, run_one: F) -> Result<Vec<R>, UskuError>
+pub fn run_tasks<T, R, E, F>(units: &[T], workers: usize, run_one: F) -> Result<Vec<R>, E>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> Result<R, UskuError> + Sync,
+    E: Send,
+    F: Fn(&T) -> Result<R, E> + Sync,
 {
     let workers = workers.max(1).min(units.len().max(1));
     let cursor = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
-    let slots: Mutex<Vec<Option<Result<R, UskuError>>>> =
+    let slots: Mutex<Vec<Option<Result<R, E>>>> =
         Mutex::new((0..units.len()).map(|_| None).collect());
 
     std::thread::scope(|scope| {
@@ -982,5 +984,42 @@ mod tests {
         let rendered = fleet.render();
         assert!(rendered.contains("fleet tuning"));
         assert!(rendered.contains("Web"));
+    }
+
+    #[test]
+    fn run_tasks_returns_plan_order_and_the_lowest_index_error() {
+        let units: Vec<usize> = (0..16).collect();
+        for workers in [1, 2, 8] {
+            let squares = run_tasks(&units, workers, |&i| Ok::<_, String>(i * i)).unwrap();
+            assert_eq!(squares, units.iter().map(|i| i * i).collect::<Vec<_>>());
+        }
+        let serial = run_tasks(&units, 1, |&i| match i {
+            1 | 3 => Err(format!("unit {i}")),
+            _ => Ok(i),
+        });
+        assert_eq!(serial, Err("unit 1".to_string()));
+        // Unit 1 fails only after unit 3 has: the later failure loses
+        // anyway.
+        let unit3_failed = (std::sync::Mutex::new(false), std::sync::Condvar::new());
+        for workers in [2, 8] {
+            *unit3_failed.0.lock().unwrap() = false;
+            let raced = run_tasks(&units, workers, |&i| {
+                let (flag, signal) = &unit3_failed;
+                match i {
+                    1 => {
+                        let guard = flag.lock().unwrap();
+                        drop(signal.wait_while(guard, |failed| !*failed).unwrap());
+                        Err(format!("unit {i}"))
+                    }
+                    3 => {
+                        *flag.lock().unwrap() = true;
+                        signal.notify_all();
+                        Err(format!("unit {i}"))
+                    }
+                    _ => Ok(i),
+                }
+            });
+            assert_eq!(raced, Err("unit 1".to_string()), "{workers} workers");
+        }
     }
 }

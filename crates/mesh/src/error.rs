@@ -20,8 +20,6 @@ pub enum MeshError {
     Workload(WorkloadError),
     /// Telemetry recording failed (non-monotone ledger append).
     Telemetry(TelemetryError),
-    /// The parallel scheduler failed while evaluating assignments.
-    Scheduler(usku::UskuError),
 }
 
 impl fmt::Display for MeshError {
@@ -32,7 +30,6 @@ impl fmt::Display for MeshError {
             MeshError::Cluster(e) => write!(f, "cluster simulation failed: {e}"),
             MeshError::Workload(e) => write!(f, "workload profile failed: {e}"),
             MeshError::Telemetry(e) => write!(f, "telemetry recording failed: {e}"),
-            MeshError::Scheduler(e) => write!(f, "assignment evaluation failed: {e}"),
         }
     }
 }
@@ -44,7 +41,6 @@ impl std::error::Error for MeshError {
             MeshError::Cluster(e) => Some(e),
             MeshError::Workload(e) => Some(e),
             MeshError::Telemetry(e) => Some(e),
-            MeshError::Scheduler(e) => Some(e),
         }
     }
 }
@@ -64,11 +60,5 @@ impl From<WorkloadError> for MeshError {
 impl From<TelemetryError> for MeshError {
     fn from(e: TelemetryError) -> Self {
         MeshError::Telemetry(e)
-    }
-}
-
-impl From<usku::UskuError> for MeshError {
-    fn from(e: usku::UskuError) -> Self {
-        MeshError::Scheduler(e)
     }
 }

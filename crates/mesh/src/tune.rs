@@ -28,7 +28,7 @@ use crate::graph::ServiceGraph;
 use crate::segment::SegmentTable;
 use crate::sim::{pair_retention, tier_mips, MeshConfig, MeshReport, MeshSim, TierCal};
 use softsku_archsim::engine::ServerConfig;
-use usku::{plan_assignments, run_tasks, AssignmentUnit, UskuError};
+use usku::{plan_assignments, run_tasks, AssignmentUnit};
 
 /// One candidate soft SKU for a tier: a label (the assignment-plan
 /// identity) and the configuration it denotes.
@@ -243,10 +243,8 @@ impl<'a> MeshTuner<'a> {
         // the tiers whose cone of calibrations no earlier one has seen,
         // and is scored by its p99 alone.
         let p99s = run_tasks(&plan, workers, |unit| {
-            let cals = self
-                .measured_cals(sim, &mips, &retention, &unit.choice)
-                .map_err(to_usku)?;
-            Ok(sim.p99_shared(&cals, table))
+            self.measured_cals(sim, &mips, &retention, &unit.choice)
+                .map(|cals| sim.p99_shared(&cals, table))
         })?;
 
         // Lowest p99 wins; ties resolve to the earliest plan index, so
@@ -348,7 +346,7 @@ impl<'a> MeshTuner<'a> {
             })
             .collect();
         let flat = run_tasks(&units, workers, |&(t, c)| {
-            tier_mips(self.graph, &self.config, t, &self.candidates[t][c].config).map_err(to_usku)
+            tier_mips(self.graph, &self.config, t, &self.candidates[t][c].config)
         })?;
         let mut mips: Vec<Vec<(f64, f64)>> = self
             .candidates
@@ -375,13 +373,13 @@ impl<'a> MeshTuner<'a> {
                 let units: Vec<(usize, usize)> = (0..self.candidates[a].len())
                     .flat_map(|ca| (0..self.candidates[b].len()).map(move |cb| (ca, cb)))
                     .collect();
-                Ok(run_tasks(&units, workers, |&(ca, cb)| {
+                run_tasks(&units, workers, |&(ca, cb)| {
                     let skus = (
                         &self.candidates[a][ca].config,
                         &self.candidates[b][cb].config,
                     );
-                    pair_retention(self.graph, (a, b), skus).map_err(to_usku)
-                })?)
+                    pair_retention(self.graph, (a, b), skus)
+                })
             })
             .collect()
     }
@@ -406,21 +404,6 @@ impl<'a> MeshTuner<'a> {
                 config: self.candidates[t][c].config.clone(),
             })
             .collect()
-    }
-}
-
-/// Maps mesh errors into the scheduler's error type for `run_tasks`
-/// closures; structure-preserving where the variants line up.
-fn to_usku(e: MeshError) -> UskuError {
-    match e {
-        MeshError::Cluster(inner) => UskuError::Cluster(inner),
-        MeshError::Workload(inner) => UskuError::Workload(inner),
-        MeshError::Telemetry(inner) => UskuError::Stats(inner),
-        MeshError::Scheduler(inner) => inner,
-        MeshError::Graph(msg) | MeshError::Config(msg) => UskuError::InputParse {
-            line: 0,
-            detail: msg,
-        },
     }
 }
 
@@ -544,5 +527,28 @@ mod tests {
         assert!(MeshTuner::new(&graph, tuner_config(), vec![]).is_err());
         let empty_tier: Vec<Vec<SkuCandidate>> = graph.tiers().iter().map(|_| Vec::new()).collect();
         assert!(MeshTuner::new(&graph, tuner_config(), empty_tier).is_err());
+    }
+
+    #[test]
+    fn an_invalid_candidate_fails_the_tune_as_a_cluster_error() {
+        let graph = colocation_mix().unwrap();
+        let mut candidates = MeshTuner::with_default_candidates(&graph, tuner_config())
+            .unwrap()
+            .candidates()
+            .to_vec();
+        let mut broken = candidates[0][0].config.clone();
+        broken.llc_ways_enabled = 0;
+        assert!(broken.validate().is_err());
+        candidates[0].push(SkuCandidate {
+            label: "no-llc".to_string(),
+            config: broken,
+        });
+        let tuner = MeshTuner::new(&graph, tuner_config(), candidates).unwrap();
+        for objective in [MeshObjective::GraphP99, MeshObjective::PerTierMips] {
+            match tuner.tune(objective, 2) {
+                Err(MeshError::Cluster(_)) => {}
+                other => panic!("{objective:?}: expected MeshError::Cluster, got {other:?}"),
+            }
+        }
     }
 }

@@ -35,7 +35,7 @@ pub enum Suite {
     Sweep,
     /// The rollout lifecycle and staged-fleet throughput ([`rollout`]).
     Rollout,
-    /// Tracing overhead and retention throughput ([`obs`]).
+    /// Span throughput and retention throughput ([`obs`]).
     Obs,
     /// Batched engine throughput, the pass memo, and component loops
     /// ([`engine`]).

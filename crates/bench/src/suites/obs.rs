@@ -1,93 +1,20 @@
-//! Observability layer: tracing overhead and retention throughput.
+//! Observability layer: tracing cost and retention throughput.
 //!
-//! Part 1 (full mode) runs the full rollout lifecycle twice — untraced and
-//! traced — and reports the tracing overhead as a percentage of lifecycle
-//! wall time, after asserting both runs produced bit-identical reports (the
-//! observability contract: a disabled-or-enabled sink never perturbs
-//! results). Part 2 measures raw [`TraceSink`] span throughput on the mesh
-//! canary's hop shape, record plus drop — the cost floor for instrumenting
-//! hotter loops. Part 3 races an [`Ods`] with retention tiers against
-//! [`Ods::unbounded`] on a long append stream whose horizon forces
-//! continuous eviction and tier cascades — the retention tax, paid to keep
-//! a fleet-lifetime ledger on bounded memory.
+//! Part 1 measures raw [`TraceSink`] span throughput on the mesh canary's
+//! hop shape, record plus drop — the per-span cost of tracing, and the
+//! cost floor for instrumenting hotter loops. Part 2 races an [`Ods`] with
+//! retention tiers against [`Ods::unbounded`] on a long append stream whose
+//! horizon forces continuous eviction and tier cascades — the retention
+//! tax, paid to keep a fleet-lifetime ledger on bounded memory.
+//!
+//! That tracing never perturbs results is checked in tier-1, by
+//! `tests/rollout_lifecycle.rs`, not here.
 
-use super::{drifting_config, BoxError, BASE_SEED};
-use softsku_knobs::Knob;
-use softsku_rollout::RolloutPipeline;
+use super::BoxError;
 use softsku_telemetry::trace::{AttrValue, TraceSink};
 use softsku_telemetry::{Json, Ods, SeriesKey, Stopwatch, TierSpec};
-use softsku_workloads::{Microservice, PlatformKind};
 
-/// Measured untraced/traced repetitions per mode (the reported wall is the
-/// minimum over these, the standard noise floor estimator).
-const LIFECYCLE_REPS: usize = 3;
-
-/// Part 1: lifecycle tracing overhead, traced vs untraced.
-///
-/// An earlier version timed one cold untraced run against one warm traced
-/// run and reported a negative "overhead": the untraced run paid the whole
-/// process warm-up (allocator growth, page faults, engine memo population)
-/// and the traced run inherited a hot process. Runs are now like-for-like:
-/// one discarded warm-up run first, then alternating untraced/traced
-/// repetitions with the minimum wall per mode.
-fn trace_overhead() -> Result<Json, BoxError> {
-    let service = Microservice::Web;
-    let platform = PlatformKind::Skylake18;
-    let knobs = [Knob::Thp, Knob::Shp];
-
-    // Warm-up: pay all one-time process costs before either measured mode,
-    // so neither side is charged for them. Timing discarded.
-    let warm = RolloutPipeline::new(drifting_config(BASE_SEED)).run(service, platform, &knobs)?;
-
-    let mut untraced_s = f64::INFINITY;
-    let mut traced_s = f64::INFINITY;
-    let mut sink = TraceSink::new();
-    for _ in 0..LIFECYCLE_REPS {
-        let clock = Stopwatch::start();
-        let untraced =
-            RolloutPipeline::new(drifting_config(BASE_SEED)).run(service, platform, &knobs)?;
-        untraced_s = untraced_s.min(clock.elapsed_s());
-
-        sink = TraceSink::new();
-        let clock = Stopwatch::start();
-        let traced = RolloutPipeline::new(drifting_config(BASE_SEED))
-            .run_traced(service, platform, &knobs, &mut sink)?;
-        traced_s = traced_s.min(clock.elapsed_s());
-
-        assert_eq!(
-            untraced.render(),
-            traced.render(),
-            "tracing must not perturb lifecycle results"
-        );
-        assert_eq!(
-            warm.render(),
-            untraced.render(),
-            "repeated lifecycles must be deterministic"
-        );
-    }
-
-    let overhead_pct = 100.0 * (traced_s - untraced_s) / untraced_s.max(1e-9);
-    println!(
-        "== lifecycle: untraced {untraced_s:.2} s, traced {traced_s:.2} s \
-         ({overhead_pct:+.1} % overhead over {LIFECYCLE_REPS} interleaved reps, \
-         {} spans, {} counters) ==",
-        sink.spans().len(),
-        sink.counters().len()
-    );
-    Ok(Json::obj()
-        .set("untraced_wall_s", Json::Num(untraced_s))
-        .set("traced_wall_s", Json::Num(traced_s))
-        .set("overhead_pct", Json::Num(overhead_pct))
-        .set("reps", Json::Int(LIFECYCLE_REPS as i64))
-        .set("spans", Json::Int(sink.spans().len() as i64))
-        .set("counters", Json::Int(sink.counters().len() as i64))
-        .set(
-            "export_bytes",
-            Json::Int(sink.chrome_trace().render().len() as i64),
-        ))
-}
-
-/// Part 2: raw span-recording throughput, on the mesh canary's hop shape
+/// Part 1: raw span-recording throughput, on the mesh canary's hop shape
 /// (one leaf span plus three attributes, as `record_trace` writes per
 /// job), without reserving room first. The timed span covers building,
 /// filling and dropping the sink, so the per-span cost includes freeing
@@ -116,7 +43,7 @@ fn span_throughput(spans: usize) -> Json {
         .set("ns_per_span", Json::Num(ns_per_span))
 }
 
-/// Part 3: tiered-retention append throughput vs an unbounded store, on a
+/// Part 2: tiered-retention append throughput vs an unbounded store, on a
 /// stream long enough that every append evicts and cascades.
 fn retention_throughput(appends: usize) -> Result<Json, BoxError> {
     // A bench-local series name, deliberately outside every registered
@@ -175,14 +102,14 @@ fn retention_throughput(appends: usize) -> Result<Json, BoxError> {
         ))
 }
 
-/// Runs the suite: span and retention throughput at a tenth of full size
-/// when `smoke`; full size plus the lifecycle tracing overhead otherwise.
+/// Runs the suite: span and retention throughput, at a tenth of full size
+/// when `smoke`.
 ///
 /// # Errors
 ///
-/// Returns the first store or pipeline error.
+/// Returns the first store error.
 pub fn run(smoke: bool, _hw: usize) -> Result<Json, BoxError> {
-    let mut payload = Json::obj()
+    Ok(Json::obj()
         .set(
             "span_throughput",
             span_throughput(if smoke { 50_000 } else { 500_000 }),
@@ -190,9 +117,5 @@ pub fn run(smoke: bool, _hw: usize) -> Result<Json, BoxError> {
         .set(
             "retention",
             retention_throughput(if smoke { 100_000 } else { 1_000_000 })?,
-        );
-    if !smoke {
-        payload = payload.set("lifecycle", trace_overhead()?);
-    }
-    Ok(payload)
+        ))
 }

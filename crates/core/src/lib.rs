@@ -69,10 +69,9 @@ pub use metric::PerformanceMetric;
 pub use objective::PowerModel;
 pub use profile::{ArmCpiStacks, CpiStack, TmamBound, ALL_BOUNDS};
 pub use scheduler::{
-    default_workers, derive_assignment_seed, derive_joint_seed, derive_seed, plan_assignments,
-    plan_exhaustive, plan_independent, run_replicas, run_tasks, trace_test_span, AssignmentUnit,
-    FleetOutcome, FleetTuner, JointUnit, ReplicaOutput, ReplicaRun, Schedule, ServiceTuning,
-    TestUnit,
+    default_workers, derive_joint_seed, derive_seed, odometer, plan_exhaustive, plan_independent,
+    run_tasks, run_trials, trace_test_span, FleetOutcome, FleetTuner, ReplicaRun, Schedule,
+    ServiceTuning, Trial, TrialTarget,
 };
 pub use search::{exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome};
 pub use usku::{AbTestConfigurator, Usku, UskuConfig, UskuReport};

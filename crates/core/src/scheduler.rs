@@ -68,55 +68,78 @@ pub fn derive_joint_seed(base: u64, service: &str, settings: &[KnobSetting]) -> 
     h.finish()
 }
 
-/// One schedulable A/B test of an independent sweep: a candidate setting
-/// plus the replica seed derived from its identity.
+/// One planned A/B test: the candidate configuration, measured against
+/// its target's baseline on a replica forked from the target's proto at
+/// the seed derived from the test's identity.
 #[derive(Debug, Clone)]
-pub struct TestUnit {
-    /// The candidate setting to test against the baseline.
-    pub setting: KnobSetting,
-    /// Replica seed ([`derive_seed`]).
-    pub seed: u64,
-}
-
-/// One schedulable test of an exhaustive sweep: a whole joint configuration.
-#[derive(Debug, Clone)]
-pub struct JointUnit {
-    /// The joint candidate configuration.
+pub struct Trial {
+    /// Index of the [`TrialTarget`] the trial runs against.
+    pub target: usize,
+    /// The candidate configuration.
     pub config: ServerConfig,
-    /// The constituent setting of every swept knob, in sweep order.
-    pub settings: Vec<KnobSetting>,
-    /// Replica seed ([`derive_joint_seed`]).
+    /// Whether moving from the baseline to `config` needs a reboot.
+    pub needs_reboot: bool,
+    /// The setting the result is labelled with in the design-space map.
+    pub label: KnobSetting,
+    /// Replica seed ([`derive_seed`], [`derive_joint_seed`] or the
+    /// composer's validation seed).
     pub seed: u64,
 }
 
-/// Plans the independent sweep in canonical order: knobs in the order
-/// given, candidates in knob-space order, skipping the baseline's own value
-/// of each knob (it is the control).
+/// What a [`Trial`] runs against: the tester with its stopping rules and
+/// metric, the warmed proto environment every replica forks from, and the
+/// baseline configuration the candidate is compared with.
+#[derive(Debug, Clone, Copy)]
+pub struct TrialTarget<'a> {
+    /// The A/B tester.
+    pub tester: &'a AbTester,
+    /// The proto environment; each trial runs on its own fork.
+    pub proto: &'a AbEnvironment,
+    /// The control configuration.
+    pub baseline: &'a ServerConfig,
+}
+
+/// Plans the independent sweep in canonical order against target 0: knobs
+/// in the order given, candidates in knob-space order, skipping the
+/// baseline's own value of each knob (it is the control). Each trial
+/// reboots exactly when its knob [`Knob::requires_reboot`].
+///
+/// # Errors
+///
+/// [`UskuError::Knob`] for a candidate that does not apply to `baseline`
+/// (a configurator bug, not a verdict).
 pub fn plan_independent(
     baseline: &ServerConfig,
     space: &KnobSpace,
     knobs: &[Knob],
     service: &str,
     base_seed: u64,
-) -> Vec<TestUnit> {
+) -> Result<Vec<Trial>, UskuError> {
     let mut plan = Vec::new();
     for &knob in knobs {
         for &setting in space.candidates(knob) {
             if KnobSetting::read_from(knob, baseline) == setting {
                 continue;
             }
-            plan.push(TestUnit {
-                setting,
+            let mut config = baseline.clone();
+            setting.apply(&mut config).map_err(UskuError::Knob)?;
+            plan.push(Trial {
+                target: 0,
+                config,
+                needs_reboot: knob.requires_reboot(),
+                label: setting,
                 seed: derive_seed(base_seed, service, knob, &setting.to_string()),
             });
         }
     }
-    plan
+    Ok(plan)
 }
 
-/// Plans the exhaustive cross-product sweep in canonical (mixed-radix)
-/// order, bounded by `budget`: joint configurations that fail to apply, and
-/// the all-baseline point, are skipped without spending budget.
+/// Plans the exhaustive cross-product sweep against target 0 in canonical
+/// (mixed-radix) order, bounded by `budget`: joint configurations that fail
+/// to apply, and the all-baseline point, are skipped without spending
+/// budget. Each trial comes with its constituent setting of every swept
+/// knob, in sweep order, and is labelled with the last of them.
 pub fn plan_exhaustive(
     baseline: &ServerConfig,
     space: &KnobSpace,
@@ -124,11 +147,11 @@ pub fn plan_exhaustive(
     budget: usize,
     service: &str,
     base_seed: u64,
-) -> Vec<JointUnit> {
+) -> Vec<(Trial, Vec<KnobSetting>)> {
     let candidate_lists: Vec<&[KnobSetting]> = knobs.iter().map(|&k| space.candidates(k)).collect();
     let radices: Vec<usize> = candidate_lists.iter().map(|list| list.len()).collect();
     let mut plan = Vec::new();
-    odometer(&radices, |indices| {
+    odometer(&radices, &mut |indices| {
         let mut config = baseline.clone();
         let mut settings = Vec::with_capacity(knobs.len());
         for (list, &i) in candidate_lists.iter().zip(indices) {
@@ -143,12 +166,18 @@ pub fn plan_exhaustive(
         if plan.len() >= budget {
             return ControlFlow::Break(());
         }
-        let seed = derive_joint_seed(base_seed, service, &settings);
-        plan.push(JointUnit {
+        // A config that differs from the baseline swept at least one knob.
+        let Some(&label) = settings.last() else {
+            return ControlFlow::Continue(());
+        };
+        let trial = Trial {
+            target: 0,
+            needs_reboot: Knob::reboot_between(baseline, &config),
             config,
-            settings,
-            seed,
-        });
+            label,
+            seed: derive_joint_seed(base_seed, service, &settings),
+        };
+        plan.push((trial, settings));
         ControlFlow::Continue(())
     });
     plan
@@ -157,7 +186,11 @@ pub fn plan_exhaustive(
 /// Visits every index vector of the mixed-radix space `radices` in canonical
 /// order, first dimension fastest, until `visit` breaks. A zero radix
 /// empties the space; no dimensions yield the one empty index vector.
-fn odometer(radices: &[usize], mut visit: impl FnMut(&[usize]) -> ControlFlow<()>) {
+///
+/// [`plan_exhaustive`] walks knob candidates with it, and the mesh tuner
+/// walks per-tier SKU candidates with it. `visit` is a trait object, so
+/// one compiled copy serves both crates.
+pub fn odometer(radices: &[usize], visit: &mut dyn FnMut(&[usize]) -> ControlFlow<()>) {
     if radices.contains(&0) {
         return;
     }
@@ -181,96 +214,7 @@ fn odometer(radices: &[usize], mut visit: impl FnMut(&[usize]) -> ControlFlow<()
     }
 }
 
-/// One planned joint assignment across several named dimensions (tiers of a
-/// service graph, services of a fleet): the chosen candidate index per
-/// dimension plus the replica seed derived from the assignment's identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AssignmentUnit {
-    /// Chosen candidate index per dimension, in dimension order.
-    pub choice: Vec<usize>,
-    /// Replica seed ([`derive_assignment_seed`]).
-    pub seed: u64,
-}
-
-/// Seed for one joint assignment: the scheduler's [`IdentitySeed`] scheme
-/// folded over `(scope, dimension, candidate-label)` for every dimension in
-/// order — a pure function of *what* is assigned, never of plan position or
-/// worker scheduling.
-pub fn derive_assignment_seed(base: u64, scope: &str, labels: &[(&str, &str)]) -> u64 {
-    let mut h = IdentitySeed::new(base).field(scope);
-    for (dimension, label) in labels {
-        h = h.field(dimension).field(label);
-    }
-    h.finish()
-}
-
-/// Plans the full cross product of per-dimension candidates in canonical
-/// mixed-radix order (first dimension fastest, matching
-/// [`plan_exhaustive`]), one [`AssignmentUnit`] per joint assignment.
-///
-/// This is the graph-objective planning primitive: an end-to-end objective
-/// (the mesh crate's graph p99) cannot score dimensions independently, so
-/// its tuner enumerates joint assignments here and shards them over
-/// [`run_tasks`] — same canonical-order merge, same bit-identity across
-/// worker counts. An empty dimension empties the whole plan (its cross
-/// product is empty); no dimensions yield the single empty assignment.
-pub fn plan_assignments(
-    base: u64,
-    scope: &str,
-    dims: &[(String, Vec<String>)],
-) -> Vec<AssignmentUnit> {
-    let radices: Vec<usize> = dims
-        .iter()
-        .map(|(_, candidates)| candidates.len())
-        .collect();
-    let mut plan = Vec::new();
-    odometer(&radices, |choice| {
-        let labels: Vec<(&str, &str)> = dims
-            .iter()
-            .zip(choice)
-            .map(|((name, candidates), &i)| (name.as_str(), candidates[i].as_str()))
-            .collect();
-        plan.push(AssignmentUnit {
-            choice: choice.to_vec(),
-            seed: derive_assignment_seed(base, scope, &labels),
-        });
-        ControlFlow::Continue(())
-    });
-    plan
-}
-
-/// What a replica closure hands back to the scheduler: the A/B verdict,
-/// the simulated time and hazard events the replica consumed, and (when
-/// tracing asked for it) the per-arm CPI stacks captured after the test.
-#[derive(Debug)]
-pub struct ReplicaOutput {
-    /// The A/B verdict the replica produced.
-    pub result: AbTestResult,
-    /// Simulated machine-seconds the replica consumed.
-    pub sim_time_s: f64,
-    /// The replica's injected-hazard and recovery event counts
-    /// ([`AbEnvironment::hazard_counts`]).
-    pub hazard_counts: Vec<(String, u64)>,
-    /// Per-arm CPI stacks ([`ArmCpiStacks::capture`]), probed only when a
-    /// trace consumer wants them — results are identical either way since
-    /// the probe is a read-only cache lookup.
-    pub cpi: Option<ArmCpiStacks>,
-}
-
-impl ReplicaOutput {
-    /// An output with no CPI profile attached, charged with the replica's
-    /// clock and hazard ledger as they stand after the test.
-    pub fn new(result: AbTestResult, env: &AbEnvironment) -> Self {
-        ReplicaOutput {
-            result,
-            sim_time_s: env.time_s(),
-            hazard_counts: env.hazard_counts(),
-            cpi: None,
-        }
-    }
-}
-
-/// Completed run of one scheduled unit.
+/// Completed run of one [`Trial`].
 #[derive(Debug)]
 pub struct ReplicaRun {
     /// The A/B verdict the replica produced.
@@ -281,7 +225,9 @@ pub struct ReplicaRun {
     pub hazard_counts: Vec<(String, u64)>,
     /// Real wall-clock seconds the test took on its worker.
     pub wall_s: f64,
-    /// Per-arm CPI stacks, when the closure probed them.
+    /// Per-arm CPI stacks ([`ArmCpiStacks::capture`]), probed only when a
+    /// trace consumer wants them — results are identical either way since
+    /// the probe is a read-only cache lookup.
     pub cpi: Option<ArmCpiStacks>,
 }
 
@@ -292,10 +238,9 @@ pub struct ReplicaRun {
 /// plan-indexed slots; nothing about the output depends on scheduling.
 ///
 /// This is the determinism-preserving primitive every parallel consumer in
-/// the workspace builds on: [`run_replicas`] wraps it for A/B replicas, and
-/// the rollout coordinator drives concurrent staged fleets through it
-/// directly (its per-service runtimes are not A/B tests, so the result type
-/// is generic).
+/// the workspace builds on: [`run_trials`] wraps it for A/B tests, and
+/// the rollout coordinator and the mesh tuner drive their own units through
+/// it directly (they are not A/B tests, so the result type is generic).
 ///
 /// Errors are also deterministic: every unit either completes or the pool
 /// drains early, and the error reported is the one at the lowest plan
@@ -355,32 +300,50 @@ where
     Ok(runs)
 }
 
-/// [`run_tasks`] specialized to A/B replicas: wraps each unit's
-/// [`ReplicaOutput`] into a [`ReplicaRun`] with the wall-clock seconds its
-/// worker spent on it.
+/// Runs planned A/B `trials` on a pool of `workers` and returns one
+/// [`ReplicaRun`] per trial, in plan order ([`run_tasks`]). Each trial
+/// forks its target's proto at the trial's seed, runs the tester's
+/// [`AbTester::run_config`] on the fork, charges the replica's simulated
+/// time and hazard counts, and — only when `probe_cpi` is set — captures
+/// the per-arm CPI stacks. Callers warm each proto ([`warm_baseline`])
+/// before the pool starts.
 ///
 /// # Errors
 ///
-/// Returns the lowest-plan-index error produced by `run_one`, if any.
-pub fn run_replicas<T, F>(
-    units: &[T],
+/// Returns the lowest-plan-index tester or environment error, if any.
+pub fn run_trials(
+    targets: &[TrialTarget<'_>],
+    trials: &[Trial],
     workers: usize,
-    run_one: F,
-) -> Result<Vec<ReplicaRun>, UskuError>
-where
-    T: Sync,
-    F: Fn(&T) -> Result<ReplicaOutput, UskuError> + Sync,
-{
-    run_tasks(units, workers, |unit| {
+    probe_cpi: bool,
+) -> Result<Vec<ReplicaRun>, UskuError> {
+    run_tasks(trials, workers, |trial| {
         // tune.wall_s telemetry only: reported to ODS, never fed into a
         // result.
         let clock = Stopwatch::start();
-        run_one(unit).map(|out| ReplicaRun {
-            result: out.result,
-            sim_time_s: out.sim_time_s,
-            hazard_counts: out.hazard_counts,
+        let target = &targets[trial.target];
+        let mut env = target.proto.fork(trial.seed);
+        let result = target.tester.run_config(
+            &mut env,
+            target.baseline,
+            &trial.config,
+            trial.needs_reboot,
+            trial.label,
+        )?;
+        // Charge the replica before the (read-only) CPI probe so traced
+        // and untraced runs report identical numbers.
+        let (sim_time_s, hazard_counts) = (env.time_s(), env.hazard_counts());
+        let cpi = if probe_cpi {
+            ArmCpiStacks::capture(&mut env)
+        } else {
+            None
+        };
+        Ok(ReplicaRun {
+            result,
+            sim_time_s,
+            hazard_counts,
             wall_s: clock.elapsed_s(),
-            cpi: out.cpi,
+            cpi,
         })
     })
 }
@@ -588,7 +551,7 @@ impl FleetOutcome {
 /// This is the fleet-scale front-end the ROADMAP's north star asks for: the
 /// full independent-sweep test matrix of all targets (each service with its
 /// constraint-gated knob set and its recommended metric) is flattened into
-/// one global plan and executed by [`run_replicas`] — so a long Web sweep
+/// one global plan and executed by [`run_trials`] — so a long Web sweep
 /// overlaps with short Cache sweeps instead of serializing behind them.
 /// Per-test replica seeds are derived from `(service, knob, setting)`, so
 /// fleet results are bit-identical to tuning each service alone.
@@ -676,18 +639,13 @@ impl FleetTuner {
             knobs: Vec<Knob>,
             proto: AbEnvironment,
         }
-        /// One entry of the flattened fleet-wide plan.
-        struct FleetUnit {
-            target_idx: usize,
-            unit: TestUnit,
-        }
 
         // tune.wall_s telemetry only: reported to ODS for operators, never
         // fed into a simulated result.
         let clock = Stopwatch::start();
         let mut prepared = Vec::with_capacity(targets.len());
-        let mut plan: Vec<FleetUnit> = Vec::new();
-        for (target_idx, &(service, platform)) in targets.iter().enumerate() {
+        let mut plan: Vec<Trial> = Vec::new();
+        for (target, &(service, platform)) in targets.iter().enumerate() {
             let profile = service.profile(platform)?;
             let baseline = profile.production_config.clone();
             let space = KnobSpace::for_platform(&baseline.platform, profile.constraints);
@@ -705,8 +663,9 @@ impl FleetTuner {
             );
             let mut proto = AbEnvironment::new(profile, self.env, env_seed)?;
             warm_baseline(&mut proto, &baseline);
-            let units = plan_independent(&baseline, &space, &knobs, service.name(), self.base_seed);
-            plan.extend(units.into_iter().map(|unit| FleetUnit { target_idx, unit }));
+            let trials =
+                plan_independent(&baseline, &space, &knobs, service.name(), self.base_seed)?;
+            plan.extend(trials.into_iter().map(|trial| Trial { target, ..trial }));
             prepared.push(Target {
                 service,
                 platform,
@@ -717,22 +676,15 @@ impl FleetTuner {
             });
         }
 
-        let prepared_ref = &prepared;
-        let probe_cpi = sink.is_enabled();
-        let runs = run_replicas(&plan, self.workers.get(), |fu: &FleetUnit| {
-            let target = &prepared_ref[fu.target_idx];
-            let mut env = target.proto.fork(fu.unit.seed);
-            let result = target
-                .tester
-                .run(&mut env, &target.baseline, fu.unit.setting)?;
-            // Charge the replica before the (read-only) CPI probe so traced
-            // and untraced runs report identical numbers.
-            let mut out = ReplicaOutput::new(result, &env);
-            if probe_cpi {
-                out.cpi = ArmCpiStacks::capture(&mut env);
-            }
-            Ok(out)
-        })?;
+        let trial_targets: Vec<TrialTarget<'_>> = prepared
+            .iter()
+            .map(|t| TrialTarget {
+                tester: &t.tester,
+                proto: &t.proto,
+                baseline: &t.baseline,
+            })
+            .collect();
+        let runs = run_trials(&trial_targets, &plan, self.workers.get(), sink.is_enabled())?;
 
         // Reassemble per target in canonical order and lay down the ODS
         // tuning counters (one point per test, indexed by plan position).
@@ -743,11 +695,11 @@ impl FleetTuner {
             .collect();
         let mut wall: Vec<f64> = vec![0.0; prepared.len()];
         let mut per_target_idx: Vec<usize> = vec![0; prepared.len()];
-        for (fu, run) in plan.iter().zip(&runs) {
-            let target = &prepared[fu.target_idx];
+        for (trial, run) in plan.iter().zip(&runs) {
+            let target = &prepared[trial.target];
             let entity = format!("{}@{}", target.service, target.platform);
-            let idx = per_target_idx[fu.target_idx];
-            per_target_idx[fu.target_idx] += 1;
+            let idx = per_target_idx[trial.target];
+            per_target_idx[trial.target] += 1;
             ods.append(
                 &SeriesKey::keyed(&entity, LedgerKey::TuneWallS),
                 idx as f64,
@@ -763,8 +715,8 @@ impl FleetTuner {
             )
             // detlint::allow(panic_path): same monotone index as above.
             .expect("plan index is monotone per series");
-            wall[fu.target_idx] += run.wall_s;
-            let outcome = &mut outcomes[fu.target_idx];
+            wall[trial.target] += run.wall_s;
+            let outcome = &mut outcomes[trial.target];
             outcome.charge(run);
             outcome.map.record(run.result.clone());
         }
@@ -775,12 +727,12 @@ impl FleetTuner {
         if sink.is_enabled() {
             let mut cursor: Vec<f64> = vec![0.0; prepared.len()];
             let mut open: Option<(usize, SpanHandle)> = None;
-            for (fu, run) in plan.iter().zip(&runs) {
-                if open.map(|(t, _)| t) != Some(fu.target_idx) {
+            for (trial, run) in plan.iter().zip(&runs) {
+                if open.map(|(t, _)| t) != Some(trial.target) {
                     if let Some((t, h)) = open.take() {
                         sink.close(h, outcomes[t].sim_time_s);
                     }
-                    let target = &prepared[fu.target_idx];
+                    let target = &prepared[trial.target];
                     let entity = format!("{}@{}", target.service.name(), target.platform);
                     let track = sink.track(&format!("tune:{entity}"));
                     sink.set_track(track);
@@ -791,19 +743,19 @@ impl FleetTuner {
                         AttrValue::Str(target.service.name().to_string()),
                     );
                     sink.attr(h, "platform", AttrValue::Str(target.platform.to_string()));
-                    open = Some((fu.target_idx, h));
+                    open = Some((trial.target, h));
                 }
-                let target = &prepared[fu.target_idx];
+                let target = &prepared[trial.target];
                 trace_test_span(
                     sink,
                     target.service.name(),
                     &target.platform.to_string(),
                     run,
-                    fu.unit.seed,
-                    cursor[fu.target_idx],
+                    trial.seed,
+                    cursor[trial.target],
                     self.abtest.confidence,
                 );
-                cursor[fu.target_idx] += run.sim_time_s;
+                cursor[trial.target] += run.sim_time_s;
             }
             if let Some((t, h)) = open.take() {
                 sink.close(h, outcomes[t].sim_time_s);
@@ -870,19 +822,27 @@ mod tests {
         let (_, env, baseline, space) = setup();
         let knobs = [Knob::Thp, Knob::Shp];
         let service = env.profile().service.name();
-        let plan = plan_independent(&baseline, &space, &knobs, service, 5);
-        let replay = plan_independent(&baseline, &space, &knobs, service, 5);
+        let plan = plan_independent(&baseline, &space, &knobs, service, 5).unwrap();
+        let replay = plan_independent(&baseline, &space, &knobs, service, 5).unwrap();
         assert_eq!(plan.len(), replay.len());
         for (a, b) in plan.iter().zip(&replay) {
-            assert_eq!(a.setting, b.setting);
+            assert_eq!(a.label, b.label);
+            assert_eq!(a.config, b.config);
             assert_eq!(a.seed, b.seed);
         }
-        // The baseline's own settings are the control and never planned.
-        for unit in &plan {
+        for trial in &plan {
+            // The baseline's own settings are the control and never planned.
             assert_ne!(
-                KnobSetting::read_from(unit.setting.knob(), &baseline),
-                unit.setting
+                KnobSetting::read_from(trial.label.knob(), &baseline),
+                trial.label
             );
+            // The candidate is the baseline plus the labelled setting, and
+            // reboots exactly when its knob does (AbTester::run's rule).
+            let mut config = baseline.clone();
+            trial.label.apply(&mut config).unwrap();
+            assert_eq!(trial.config, config);
+            assert_eq!(trial.needs_reboot, trial.label.knob().requires_reboot());
+            assert_eq!(trial.target, 0);
         }
         // Seeds are pairwise distinct across the plan.
         let mut seeds: Vec<u64> = plan.iter().map(|u| u.seed).collect();
@@ -892,43 +852,25 @@ mod tests {
     }
 
     #[test]
-    fn assignment_plan_is_canonical_and_identity_seeded() {
-        let dims = vec![
-            ("front".to_string(), vec!["a".to_string(), "b".to_string()]),
-            ("cache".to_string(), vec!["x".to_string(), "y".to_string()]),
-        ];
-        let plan = plan_assignments(9, "demo-graph", &dims);
-        assert_eq!(plan.len(), 4);
+    fn odometer_assignment_plan_is_canonical() {
+        let collect = |radices: &[usize]| {
+            let mut plan: Vec<Vec<usize>> = Vec::new();
+            odometer(radices, &mut |choice| {
+                plan.push(choice.to_vec());
+                ControlFlow::Continue(())
+            });
+            plan
+        };
         // Mixed-radix canonical order, first dimension fastest.
-        let choices: Vec<Vec<usize>> = plan.iter().map(|u| u.choice.clone()).collect();
         assert_eq!(
-            choices,
+            collect(&[2, 2]),
             vec![vec![0, 0], vec![1, 0], vec![0, 1], vec![1, 1]]
-        );
-        // Seeds replay and depend on identity, not plan position.
-        let replay = plan_assignments(9, "demo-graph", &dims);
-        assert_eq!(plan, replay);
-        let mut seeds: Vec<u64> = plan.iter().map(|u| u.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 4, "assignment seeds are pairwise distinct");
-        assert_ne!(
-            plan[0].seed,
-            plan_assignments(10, "demo-graph", &dims)[0].seed
-        );
-        assert_ne!(
-            plan[0].seed,
-            plan_assignments(9, "other-graph", &dims)[0].seed
-        );
-        assert_eq!(
-            plan[1].seed,
-            derive_assignment_seed(9, "demo-graph", &[("front", "b"), ("cache", "x")])
         );
         // Degenerate shapes: an empty dimension empties the plan; no
         // dimensions yield the single empty assignment.
-        let empty = vec![("front".to_string(), Vec::new())];
-        assert!(plan_assignments(9, "demo-graph", &empty).is_empty());
-        assert_eq!(plan_assignments(9, "demo-graph", &[]).len(), 1);
+        assert!(collect(&[0]).is_empty());
+        assert!(collect(&[2, 0]).is_empty());
+        assert_eq!(collect(&[]), vec![Vec::<usize>::new()]);
     }
 
     #[test]
@@ -937,9 +879,14 @@ mod tests {
         let service = env.profile().service.name();
         let plan = plan_exhaustive(&baseline, &space, &[Knob::Thp], 2, service, 5);
         assert!(plan.len() <= 2);
-        for unit in &plan {
-            assert_eq!(unit.settings.len(), 1);
-            assert_ne!(unit.config, baseline);
+        for (trial, settings) in &plan {
+            assert_eq!(settings.len(), 1);
+            assert_ne!(trial.config, baseline);
+            assert_eq!(trial.label, settings[0]);
+            assert_eq!(
+                trial.needs_reboot,
+                Knob::reboot_between(&baseline, &trial.config)
+            );
         }
         // Unbudgeted, THP's cross product is every candidate but the
         // baseline's own (the all-baseline point is skipped), first knob
@@ -984,6 +931,55 @@ mod tests {
         let rendered = fleet.render();
         assert!(rendered.contains("fleet tuning"));
         assert!(rendered.contains("Web"));
+    }
+
+    #[test]
+    fn fleet_tuner_on_one_target_matches_the_independent_sweep() {
+        let (service, platform) = (Microservice::Web, PlatformKind::Skylake18);
+        let knobs = vec![Knob::Thp, Knob::Shp];
+        let base_seed = 11;
+        for workers in [1, 2] {
+            let workers = NonZeroUsize::new(workers).unwrap();
+            let fleet =
+                FleetTuner::new(AbTestConfig::fast_test(), EnvConfig::fast_test(), base_seed)
+                    .with_knobs(knobs.clone())
+                    .with_workers(workers)
+                    .tune(&[(service, platform)])
+                    .unwrap();
+            let tuned = &fleet.services[0].outcome;
+
+            // The proto, tester and knob subset FleetTuner builds.
+            let profile = service.profile(platform).unwrap();
+            let baseline = profile.production_config.clone();
+            let space = KnobSpace::for_platform(&baseline.platform, profile.constraints);
+            let mut active = space.active_knobs();
+            active.retain(|k| knobs.contains(k));
+            let env_seed = derive_seed(
+                base_seed,
+                service.name(),
+                Knob::CoreFrequency,
+                &format!("fleet-proto@{platform}"),
+            );
+            let mut proto = AbEnvironment::new(profile, EnvConfig::fast_test(), env_seed).unwrap();
+            let tester = AbTester::new(
+                AbTestConfig::fast_test(),
+                PerformanceMetric::recommended_for(service),
+            );
+            let swept = crate::search::independent_sweep(
+                &tester,
+                &mut proto,
+                &baseline,
+                &space,
+                &active,
+                Schedule::new(base_seed).with_workers(workers),
+            )
+            .unwrap();
+
+            assert_eq!(tuned.map.render(), swept.map.render(), "{workers} workers");
+            assert_eq!(tuned.best_config, swept.best_config);
+            assert_eq!(tuned.selected, swept.selected);
+            assert_eq!(tuned.sim_time_s.to_bits(), swept.sim_time_s.to_bits());
+        }
     }
 
     #[test]

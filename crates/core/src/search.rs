@@ -17,8 +17,8 @@ use crate::abtest::{AbTester, Verdict};
 use crate::error::UskuError;
 use crate::map::DesignSpaceMap;
 use crate::scheduler::{
-    plan_exhaustive, plan_independent, run_replicas, warm_baseline, JointUnit, ReplicaOutput,
-    ReplicaRun, Schedule, TestUnit,
+    plan_exhaustive, plan_independent, run_trials, warm_baseline, ReplicaRun, Schedule, Trial,
+    TrialTarget,
 };
 use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::AbEnvironment;
@@ -133,21 +133,12 @@ pub fn exhaustive_sweep(
 ) -> Result<SearchOutcome, UskuError> {
     let service = proto.profile().service.name().to_string();
     let plan = plan_exhaustive(baseline, space, knobs, budget, &service, schedule.base_seed);
-    warm_baseline(proto, baseline);
-    let proto = &*proto;
-    let runs = run_replicas(&plan, schedule.workers.get(), |unit: &JointUnit| {
-        let mut env = proto.fork(unit.seed);
-        let needs_reboot = Knob::reboot_between(baseline, &unit.config);
-        // detlint::allow(panic_path): plan_exhaustive emits only non-empty
-        // joint units; an empty one is a planner bug worth aborting on.
-        let label = *unit.settings.last().expect("joint units are non-empty");
-        let result = tester.run_config(&mut env, baseline, &unit.config, needs_reboot, label)?;
-        Ok(ReplicaOutput::new(result, &env))
-    })?;
+    let (trials, settings): (Vec<_>, Vec<_>) = plan.into_iter().unzip();
+    let runs = run_against(tester, proto, baseline, &trials, schedule)?;
     let mut out = SearchOutcome::start(baseline);
-    for (unit, run) in plan.iter().zip(runs) {
+    for (settings, run) in settings.into_iter().zip(runs) {
         out.charge(&run);
-        out.map.record_joint(unit.settings.clone(), run.result);
+        out.map.record_joint(settings, run.result);
     }
     if let Some((joint, gain)) = out.map.best_joint() {
         let mut config = baseline.clone();
@@ -240,14 +231,25 @@ fn sweep_against(
     schedule: Schedule,
 ) -> Result<Vec<ReplicaRun>, UskuError> {
     let service = proto.profile().service.name().to_string();
-    let plan = plan_independent(base, space, knobs, &service, schedule.base_seed);
+    let trials = plan_independent(base, space, knobs, &service, schedule.base_seed)?;
+    run_against(tester, proto, base, &trials, schedule)
+}
+
+/// Warms `proto` at `base` and runs `trials` against that one target.
+fn run_against(
+    tester: &AbTester,
+    proto: &mut AbEnvironment,
+    base: &ServerConfig,
+    trials: &[Trial],
+    schedule: Schedule,
+) -> Result<Vec<ReplicaRun>, UskuError> {
     warm_baseline(proto, base);
-    let proto = &*proto;
-    run_replicas(&plan, schedule.workers.get(), |unit: &TestUnit| {
-        let mut env = proto.fork(unit.seed);
-        let result = tester.run(&mut env, base, unit.setting)?;
-        Ok(ReplicaOutput::new(result, &env))
-    })
+    let target = TrialTarget {
+        tester,
+        proto,
+        baseline: base,
+    };
+    run_trials(&[target], trials, schedule.workers.get(), false)
 }
 
 /// Composes per-knob winners onto the baseline (the independent strategy's

@@ -18,20 +18,21 @@
 //!   end-to-end p99 alone; the lowest wins, and only the winner gets a
 //!   full [`MeshReport`].
 //!
-//! Assignments are enumerated by the core scheduler's
-//! [`plan_assignments`] (canonical mixed-radix order, identity-derived
-//! seeds) and evaluated by [`run_tasks`], so the tuning verdict is
-//! bit-identical for any worker count.
+//! Assignments are enumerated by the core scheduler's [`odometer`]
+//! (canonical mixed-radix order, first tier fastest) and evaluated by
+//! [`run_tasks`], so the tuning verdict is bit-identical for any worker
+//! count.
 
 use crate::error::MeshError;
 use crate::graph::ServiceGraph;
 use crate::segment::SegmentTable;
 use crate::sim::{pair_retention, tier_mips, MeshConfig, MeshReport, MeshSim, TierCal};
 use softsku_archsim::engine::ServerConfig;
-use usku::{plan_assignments, run_tasks, AssignmentUnit};
+use std::ops::ControlFlow;
+use usku::{odometer, run_tasks};
 
-/// One candidate soft SKU for a tier: a label (the assignment-plan
-/// identity) and the configuration it denotes.
+/// One candidate soft SKU for a tier: a label (its name in the tier's
+/// selection) and the configuration it denotes.
 #[derive(Debug, Clone)]
 pub struct SkuCandidate {
     /// Candidate label (unique within a tier's list).
@@ -242,8 +243,8 @@ impl<'a> MeshTuner<'a> {
         // One table for the whole tune: an assignment re-simulates only
         // the tiers whose cone of calibrations no earlier one has seen,
         // and is scored by its p99 alone.
-        let p99s = run_tasks(&plan, workers, |unit| {
-            self.measured_cals(sim, &mips, &retention, &unit.choice)
+        let p99s = run_tasks(&plan, workers, |choice| {
+            self.measured_cals(sim, &mips, &retention, choice)
                 .map(|cals| sim.p99_shared(&cals, table))
         })?;
 
@@ -255,7 +256,7 @@ impl<'a> MeshTuner<'a> {
                 best = i;
             }
         }
-        let choice = &plan[best].choice;
+        let choice = &plan[best];
         // Only the winner gets a full report; its segments are all cached.
         let cals = self.measured_cals(sim, &mips, &retention, choice)?;
         Ok(TunedMesh {
@@ -267,21 +268,16 @@ impl<'a> MeshTuner<'a> {
         })
     }
 
-    /// Every cross-tier assignment, in the scheduler's canonical order.
-    fn plan(&self) -> Vec<AssignmentUnit> {
-        let dims: Vec<(String, Vec<String>)> = self
-            .graph
-            .tiers()
-            .iter()
-            .zip(&self.candidates)
-            .map(|(tier, cands)| {
-                (
-                    tier.name.clone(),
-                    cands.iter().map(|c| c.label.clone()).collect(),
-                )
-            })
-            .collect();
-        plan_assignments(self.config.seed, self.graph.name(), &dims)
+    /// Every cross-tier assignment (a candidate index per tier), in the
+    /// scheduler's canonical order.
+    fn plan(&self) -> Vec<Vec<usize>> {
+        let radices: Vec<usize> = self.candidates.iter().map(Vec::len).collect();
+        let mut plan = Vec::new();
+        odometer(&radices, &mut |choice| {
+            plan.push(choice.to_vec());
+            ControlFlow::Continue(())
+        });
+        plan
     }
 
     fn tune_per_tier_mips(
@@ -496,10 +492,10 @@ mod tests {
             let table = sim.segment_table().unwrap();
             let mips = tuner.candidate_mips(2).unwrap();
             let retention = tuner.pair_retention(2).unwrap();
-            for unit in tuner.plan() {
-                let skus = tuner.assignment_configs(&unit.choice);
+            for choice in tuner.plan() {
+                let skus = tuner.assignment_configs(&choice);
                 let cals = tuner
-                    .measured_cals(&sim, &mips, &retention, &unit.choice)
+                    .measured_cals(&sim, &mips, &retention, &choice)
                     .unwrap();
                 let shared = sim.run_shared(&cals, &table);
                 let fresh = sim.run(&skus).unwrap();
@@ -508,14 +504,14 @@ mod tests {
                     shared.p99_s.to_bits(),
                     "{} assignment {:?} scores another p99",
                     graph.name(),
-                    unit.choice
+                    choice
                 );
                 assert_eq!(
                     format!("{shared:?}"),
                     format!("{fresh:?}"),
                     "{} assignment {:?}",
                     graph.name(),
-                    unit.choice
+                    choice
                 );
             }
         }

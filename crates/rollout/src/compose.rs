@@ -19,8 +19,7 @@ use std::num::NonZeroUsize;
 use usku::abtest::{AbTestConfig, AbTestResult, AbTester};
 use usku::map::DesignSpaceMap;
 use usku::metric::PerformanceMetric;
-use usku::profile::ArmCpiStacks;
-use usku::scheduler::{run_replicas, trace_test_span, warm_baseline, ReplicaOutput};
+use usku::scheduler::{run_trials, trace_test_span, warm_baseline, Trial, TrialTarget};
 
 /// Validation parameters of the composer.
 #[derive(Debug, Clone, Copy)]
@@ -139,11 +138,6 @@ pub struct SkuComposer {
     config: ComposerConfig,
     base_seed: u64,
     workers: NonZeroUsize,
-}
-
-/// One validation replica: its derived seed.
-struct ValidationUnit {
-    seed: u64,
 }
 
 impl SkuComposer {
@@ -436,8 +430,13 @@ impl SkuComposer {
     ) -> Result<CandidateValidation, RolloutError> {
         let service = proto.profile().service.name();
         let platform = proto.profile().platform.to_string();
-        let units: Vec<ValidationUnit> = (0..self.config.replicas.max(1))
-            .map(|i| ValidationUnit {
+        let needs_reboot = Knob::reboot_between(baseline, candidate);
+        let trials: Vec<Trial> = (0..self.config.replicas.max(1))
+            .map(|i| Trial {
+                target: 0,
+                config: candidate.clone(),
+                needs_reboot,
+                label,
                 seed: IdentitySeed::new(self.base_seed)
                     .field(service)
                     .field("compose.validate")
@@ -446,22 +445,13 @@ impl SkuComposer {
                     .finish(),
             })
             .collect();
-        let needs_reboot = Knob::reboot_between(baseline, candidate);
-        let probe_cpi = sink.is_enabled();
-        let runs = run_replicas(&units, self.workers.get(), |unit: &ValidationUnit| {
-            let mut env = proto.fork(unit.seed);
-            let result =
-                self.tester
-                    .run_config(&mut env, baseline, candidate, needs_reboot, label)?;
-            // The replica is charged before the (read-only) CPI probe, so
-            // traced and untraced runs report identical numbers.
-            let mut out = ReplicaOutput::new(result, &env);
-            if probe_cpi {
-                out.cpi = ArmCpiStacks::capture(&mut env);
-            }
-            Ok(out)
-        })
-        .map_err(RolloutError::Usku)?;
+        let target = TrialTarget {
+            tester: &self.tester,
+            proto,
+            baseline,
+        };
+        let runs = run_trials(&[target], &trials, self.workers.get(), sink.is_enabled())
+            .map_err(RolloutError::Usku)?;
 
         let sim_time_s: f64 = runs.iter().map(|r| r.sim_time_s).sum();
         let mut gains: Vec<f64> = runs
@@ -470,7 +460,7 @@ impl SkuComposer {
             .collect();
         gains.sort_by(f64::total_cmp);
         let better_votes = gains.len();
-        let accepted = better_votes * 2 > units.len();
+        let accepted = better_votes * 2 > trials.len();
         // Lower median of the winning replicas' gains: a conservative,
         // order-independent point estimate.
         let gain = if accepted {
@@ -485,15 +475,15 @@ impl SkuComposer {
             sink.attr(span, "accepted", AttrValue::Bool(accepted));
             sink.attr(span, "gain", AttrValue::F64(gain));
             sink.attr(span, "better_votes", AttrValue::Int(better_votes as i64));
-            sink.attr(span, "replicas", AttrValue::Int(units.len() as i64));
+            sink.attr(span, "replicas", AttrValue::Int(trials.len() as i64));
             let mut t = *cursor;
-            for (unit, run) in units.iter().zip(&runs) {
+            for (trial, run) in trials.iter().zip(&runs) {
                 trace_test_span(
                     sink,
                     service,
                     &platform,
                     run,
-                    unit.seed,
+                    trial.seed,
                     t,
                     self.tester.config().confidence,
                 );
@@ -509,7 +499,7 @@ impl SkuComposer {
             accepted,
             gain,
             better_votes,
-            replicas: units.len(),
+            replicas: trials.len(),
             results,
             sim_time_s,
         })

@@ -19,14 +19,17 @@
 //! skuctl slo    [flags]   # SLO-gated mesh canary: burn-rate timeline, exemplar spans
 //! skuctl keys             # dump the ledger-key registry
 //!
-//! flags: --service <name>  microservice to tune          [web]
-//!        --seed <u64>      base seed                     [21]
-//!        --workers <n>     scheduler workers             [machine width]
-//!        --out <path>      export path                   [trace.json]
+//! flags: --service <name>  spans|cpi|ledger|export: microservice to tune  [web]
+//!        --seed <u64>      every scenario command: base seed              [21]
+//!        --workers <n>     every scenario command: scheduler workers      [machine width]
+//!        --out <path>      export|slo: export path                        [trace.json]
 //!        --fast            tune: small A/B budgets, one validation day
 //!        --render-map      tune: also print the design-space map
 //!        --smoke           print a trailing "smoke ok" marker for CI
 //! ```
+//!
+//! A flag the chosen command does not read is rejected (usage, exit 2),
+//! never silently ignored.
 //!
 //! The `tune` input file format (paper Sec. 4):
 //!
@@ -52,9 +55,25 @@ use usku::{InputFile, Usku, UskuConfig};
 
 type BoxError = Box<dyn std::error::Error>;
 
-const USAGE: &str = "usage: skuctl <spans|cpi|ledger|export|chaos|mesh|slo|keys> \
-[--service <name>] [--seed <u64>] [--workers <n>] [--out <path>] [--smoke]\n       \
-skuctl tune <file.usku> [--fast] [--render-map] [--smoke]";
+const USAGE: &str = "usage: skuctl tune <file.usku> [--fast] [--render-map] [--smoke]
+       skuctl <spans|cpi|ledger> [--service <name>] [--seed <u64>] [--workers <n>] [--smoke]
+       skuctl export [--service <name>] [--seed <u64>] [--workers <n>] [--out <path>] [--smoke]
+       skuctl <chaos|mesh> [--seed <u64>] [--workers <n>] [--smoke]
+       skuctl slo [--seed <u64>] [--workers <n>] [--out <path>] [--smoke]
+       skuctl keys [--smoke]";
+
+/// The flags `command` reads, or `None` for an unknown command.
+fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "tune" => &["--fast", "--render-map", "--smoke"],
+        "spans" | "cpi" | "ledger" => &["--service", "--seed", "--workers", "--smoke"],
+        "export" => &["--service", "--seed", "--workers", "--out", "--smoke"],
+        "chaos" | "mesh" => &["--seed", "--workers", "--smoke"],
+        "slo" => &["--seed", "--workers", "--out", "--smoke"],
+        "keys" => &["--smoke"],
+        _ => return None,
+    })
+}
 
 /// Parsed command line.
 struct Args {
@@ -70,9 +89,12 @@ struct Args {
     smoke: bool,
 }
 
-fn parse_args() -> Result<Args, BoxError> {
-    let mut args = std::env::args().skip(1);
+/// Parses the arguments after the program name.
+fn parse_args(argv: &[String]) -> Result<Args, BoxError> {
+    let mut args = argv.iter().cloned();
     let command = args.next().ok_or(USAGE)?;
+    let accepted =
+        accepted_flags(&command).ok_or_else(|| format!("unknown command {command}\n{USAGE}"))?;
     let input = if command == "tune" {
         args.next()
             .ok_or_else(|| format!("tune needs an input file\n{USAGE}"))?
@@ -95,6 +117,9 @@ fn parse_args() -> Result<Args, BoxError> {
             args.next()
                 .ok_or_else(|| format!("{flag} needs a value\n{USAGE}").into())
         };
+        if !accepted.contains(&flag.as_str()) {
+            return Err(format!("{} does not take {flag}\n{USAGE}", parsed.command).into());
+        }
         match flag.as_str() {
             "--service" => parsed.service = Microservice::from_name(&value("--service")?)?,
             "--seed" => parsed.seed = value("--seed")?.parse()?,
@@ -106,7 +131,7 @@ fn parse_args() -> Result<Args, BoxError> {
             "--fast" => parsed.fast = true,
             "--render-map" => parsed.render_map = true,
             "--smoke" => parsed.smoke = true,
-            other => return Err(format!("unknown flag {other}\n{USAGE}").into()),
+            other => unreachable!("accepted_flags lists {other}, which is not handled"),
         }
     }
     Ok(parsed)
@@ -582,7 +607,8 @@ fn cmd_keys() {
 }
 
 fn main() -> Result<(), BoxError> {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("{e}");
@@ -600,13 +626,116 @@ fn main() -> Result<(), BoxError> {
         "mesh" => cmd_mesh(&args)?,
         "slo" => cmd_slo(&args)?,
         "keys" => cmd_keys(),
-        other => {
-            eprintln!("unknown command {other}\n{USAGE}");
-            std::process::exit(2);
-        }
+        other => unreachable!("parse_args admits no command {other}"),
     }
     if args.smoke {
         println!("smoke ok");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, BoxError> {
+        let owned: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&owned)
+    }
+
+    #[test]
+    fn accepts_every_flag_each_command_reads() {
+        let tune = parse(&["tune", "web.usku", "--render-map", "--fast", "--smoke"]).unwrap();
+        assert_eq!(tune.input, "web.usku");
+        assert!(tune.fast && tune.render_map && tune.smoke);
+        for command in ["spans", "cpi", "ledger", "export"] {
+            let args = parse(&[
+                command,
+                "--service",
+                "ads1",
+                "--seed",
+                "7",
+                "--workers",
+                "2",
+            ]);
+            let args = args.unwrap();
+            assert_eq!(args.service, Microservice::Ads1);
+            assert_eq!((args.seed, args.workers.get()), (7, 2));
+        }
+        for command in ["export", "slo"] {
+            assert_eq!(parse(&[command, "--out", "t.json"]).unwrap().out, "t.json");
+        }
+        for command in ["chaos", "mesh", "slo"] {
+            assert!(parse(&[command, "--seed", "21", "--workers", "1", "--smoke"]).is_ok());
+        }
+        assert!(parse(&["keys", "--smoke"]).unwrap().smoke);
+    }
+
+    #[test]
+    fn tune_rejects_workers() {
+        assert!(parse(&["tune", "web.usku", "--workers", "1"]).is_err());
+    }
+
+    #[test]
+    fn tune_rejects_seed() {
+        assert!(parse(&["tune", "web.usku", "--fast", "--seed", "3"]).is_err());
+    }
+
+    #[test]
+    fn tune_rejects_service() {
+        assert!(parse(&["tune", "web.usku", "--service", "web"]).is_err());
+    }
+
+    #[test]
+    fn tune_rejects_out() {
+        assert!(parse(&["tune", "web.usku", "--out", "t.json"]).is_err());
+    }
+
+    #[test]
+    fn scenario_commands_reject_fast() {
+        for command in [
+            "spans", "cpi", "ledger", "export", "chaos", "mesh", "slo", "keys",
+        ] {
+            assert!(parse(&[command, "--fast"]).is_err(), "{command}");
+        }
+    }
+
+    #[test]
+    fn scenario_commands_reject_render_map() {
+        for command in [
+            "spans", "cpi", "ledger", "export", "chaos", "mesh", "slo", "keys",
+        ] {
+            assert!(parse(&[command, "--render-map"]).is_err(), "{command}");
+        }
+    }
+
+    #[test]
+    fn commands_that_write_no_export_reject_out() {
+        for command in ["spans", "cpi", "ledger", "chaos", "mesh", "keys"] {
+            assert!(parse(&[command, "--out", "t.json"]).is_err(), "{command}");
+        }
+    }
+
+    #[test]
+    fn commands_that_tune_no_named_service_reject_service() {
+        for command in ["chaos", "mesh", "slo", "keys"] {
+            assert!(parse(&[command, "--service", "web"]).is_err(), "{command}");
+        }
+    }
+
+    #[test]
+    fn keys_rejects_seed_and_workers() {
+        assert!(parse(&["keys", "--seed", "21"]).is_err());
+        assert!(parse(&["keys", "--workers", "2"]).is_err());
+    }
+
+    #[test]
+    fn rejects_an_unknown_command_flag_or_positional() {
+        assert!(parse(&[]).is_err());
+        assert!(parse(&["nosuch"]).is_err());
+        assert!(parse(&["tune"]).is_err());
+        assert!(parse(&["spans", "--sed", "21"]).is_err());
+        assert!(parse(&["spans", "extra"]).is_err());
+        assert!(parse(&["spans", "--seed"]).is_err());
+    }
 }

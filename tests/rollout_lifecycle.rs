@@ -1,10 +1,10 @@
 //! End-to-end rollout lifecycle (ISSUE acceptance): a seeded run drives
 //! tune → compose → staged canary rollout → injected code-push drift →
 //! automatic scoped re-tune, replays bit-identically across worker counts
-//! — including its trace: the serialized Chrome trace-event export of the
-//! whole span tree is bit-identical across 1 and 8 workers — and a
-//! guardrail violation injected into a staged fleet rolls the candidate
-//! back instead of promoting it.
+//! and with tracing on or off — including its trace: the serialized Chrome
+//! trace-event export of the whole span tree is bit-identical across 1 and
+//! 8 workers — and a guardrail violation injected into a staged fleet
+//! rolls the candidate back instead of promoting it.
 
 use softsku::cluster::{StagedFleet, StagedFleetConfig};
 use softsku::knobs::Knob;
@@ -149,6 +149,21 @@ fn full_cycle_deploys_drifts_retunes_and_replays_bit_identically() {
     let (eight, sink_eight) = run_cycle(8);
     assert_eq!(deterministic_view(&report), deterministic_view(&eight));
     assert_eq!(report.render(), eight.render());
+
+    // Tracing never perturbs results: the untraced lifecycle, whose A/B
+    // replicas skip the CPI probe and record no spans, reports the same
+    // bits as the traced one.
+    let untraced = RolloutPipeline::new(
+        tiny_config(SEED).with_workers(NonZeroUsize::new(2).expect("two workers")),
+    )
+    .run(
+        Microservice::Web,
+        PlatformKind::Skylake18,
+        &[Knob::Thp, Knob::Shp],
+    )
+    .expect("the untraced lifecycle runs clean");
+    assert_eq!(deterministic_view(&report), deterministic_view(&untraced));
+    assert_eq!(report.render(), untraced.render());
 
     // So is the trace: spans are recorded post-merge on the orchestration
     // thread in canonical plan order, so the serialized Chrome export is

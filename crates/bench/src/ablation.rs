@@ -16,8 +16,8 @@ use softsku_cluster::{AbEnvironment, EnvConfig};
 use softsku_knobs::{Knob, KnobSetting};
 use softsku_workloads::{Microservice, PlatformKind};
 use usku::{
-    exhaustive_sweep, hill_climb, independent_sweep, AbTestConfig, AbTester, InputFile,
-    PerformanceMetric, Schedule, SweepConfig, Usku, UskuConfig,
+    additive_prediction, exhaustive_sweep, hill_climb, independent_sweep, AbTestConfig, AbTester,
+    InputFile, PerformanceMetric, Schedule, SelectedGain, SweepConfig, Usku, UskuConfig,
 };
 
 /// A proto environment and a search schedule, both seeded from `seed`.
@@ -181,7 +181,7 @@ pub fn knob_interactions() -> String {
     let (mut e, sched) = env(Microservice::Web, PlatformKind::Broadwell16, 401);
     let ind =
         independent_sweep(&tester, &mut e, &production, &space, &knobs, sched).expect("sweep runs");
-    let additive: f64 = ind.selected.iter().map(|(_, _, g)| g).sum();
+    let additive = additive_prediction(&ind.selected).expect("independent gains add");
 
     // Measure the independent composition jointly.
     let joint_label = KnobSetting::Thp(production.thp);
@@ -193,7 +193,14 @@ pub fn knob_interactions() -> String {
     let (mut e2, sched) = env(Microservice::Web, PlatformKind::Broadwell16, 402);
     let exh = exhaustive_sweep(&tester, &mut e2, &production, &space, &knobs, 80, sched)
         .expect("sweep runs");
-    let exh_gain = exh.selected.first().map(|(_, _, g)| *g).unwrap_or(0.0);
+    let exh_gain = exh
+        .selected
+        .iter()
+        .find_map(|s| match s.gain {
+            SelectedGain::Joint(g) => Some(g),
+            _ => None,
+        })
+        .unwrap_or(0.0);
 
     out.push_str(&format!(
         "  independent winners composed: measured {} (additive prediction {})

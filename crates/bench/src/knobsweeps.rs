@@ -256,13 +256,8 @@ pub fn fig19(full: bool) -> String {
             paper[i].0,
             paper[i].1
         ));
-        for (knob, setting, gain) in &report.soft_sku.selections {
-            out.push_str(&format!(
-                "      {:<16} -> {:<24} ({} individually)\n",
-                knob.to_string(),
-                setting.to_string(),
-                pct(*gain)
-            ));
+        for selection in &report.soft_sku.selections {
+            out.push_str(&format!("      {selection:.1}\n"));
         }
         if let Some(v) = &report.validation {
             out.push_str(&format!(

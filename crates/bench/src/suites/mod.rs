@@ -44,8 +44,7 @@ pub enum Suite {
     Chaos,
     /// The request-graph simulator and joint tuner ([`mesh`]).
     Mesh,
-    /// Sketch appends, burn-rate evaluation, and the guardrail tax
-    /// ([`slo`]).
+    /// Sketch appends and burn-rate evaluation ([`slo`]).
     Slo,
 }
 

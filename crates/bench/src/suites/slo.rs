@@ -1,4 +1,4 @@
-//! SLO engine: sketch appends, burn-rate evaluation, guardrail tax.
+//! SLO engine: sketch appends and burn-rate evaluation.
 //!
 //! Part 1 measures raw [`QuantileSketch`] append throughput — the cost
 //! floor for latency observation on the rollout hot path — and asserts the
@@ -7,24 +7,13 @@
 //! within the guaranteed rank-error band of exact nearest-rank. Part 2
 //! measures [`SloEvaluator`] observe+evaluate throughput with the ledger
 //! and trace sink attached, the per-tick tax a monitored fleet pays for
-//! multi-window burn-rate alerting. Part 3 (full mode) runs the full
-//! rollout lifecycle with the latency tail guard enabled and disabled and
-//! reports the guardrail overhead, after asserting both runs produce
-//! bit-identical reports (the guard observes the latency channel; it must
-//! not perturb a healthy rollout).
+//! multi-window burn-rate alerting.
 
-use super::{BoxError, BASE_SEED};
-use softsku_knobs::Knob;
-use softsku_rollout::{PipelineConfig, RolloutPipeline};
+use super::BoxError;
 use softsku_telemetry::trace::TraceSink;
 use softsku_telemetry::{
     nearest_rank, Json, LedgerKey, Ods, QuantileSketch, SeriesKey, SloEvaluator, SloSpec, Stopwatch,
 };
-use softsku_workloads::{Microservice, PlatformKind};
-
-/// Measured repetitions per lifecycle mode (the reported wall is the
-/// minimum over these, the standard noise floor estimator).
-const LIFECYCLE_REPS: usize = 3;
 
 /// Deterministic synthetic latency stream: a lognormal-ish body with a
 /// sparse heavy tail, from a splitmix-style integer mix (no RNG state to
@@ -151,73 +140,14 @@ fn slo_eval_throughput(evals: usize) -> Result<Json, BoxError> {
         .set("burn_points", Json::Int(burn_points as i64)))
 }
 
-/// Part 3: lifecycle wall with the latency tail guard on vs off.
-///
-/// The guard sketches the latency channel every tick and compares stage
-/// p99s; on a healthy rollout it must neither fire nor perturb results,
-/// so its entire cost is the sketch-append tax measured in Part 1 — the
-/// overhead must stay within noise of the unguarded wall. The lifecycle
-/// here runs without drift injection: under sustained drift the guard
-/// *correctly* fires on the drift-inflated retuned canary (rolls it
-/// back), which is the detection scenario, not the quiet-cost one.
-fn guardrail_overhead() -> Result<Json, BoxError> {
-    let service = Microservice::Web;
-    let platform = PlatformKind::Skylake18;
-    let knobs = [Knob::Thp, Knob::Shp];
-
-    let guarded_config = || PipelineConfig::fast_test(BASE_SEED);
-    let unguarded_config = || {
-        let mut config = guarded_config();
-        config.rollout.tail_guard = None;
-        config
-    };
-
-    // Warm-up: pay one-time process costs before either measured mode.
-    let warm = RolloutPipeline::new(guarded_config()).run(service, platform, &knobs)?;
-
-    let mut guarded_s = f64::INFINITY;
-    let mut unguarded_s = f64::INFINITY;
-    for _ in 0..LIFECYCLE_REPS {
-        let clock = Stopwatch::start();
-        let unguarded = RolloutPipeline::new(unguarded_config()).run(service, platform, &knobs)?;
-        unguarded_s = unguarded_s.min(clock.elapsed_s());
-
-        let clock = Stopwatch::start();
-        let guarded = RolloutPipeline::new(guarded_config()).run(service, platform, &knobs)?;
-        guarded_s = guarded_s.min(clock.elapsed_s());
-
-        assert_eq!(
-            unguarded.render(),
-            guarded.render(),
-            "a non-firing tail guard must not perturb lifecycle results"
-        );
-        assert_eq!(
-            warm.render(),
-            guarded.render(),
-            "repeated lifecycles must be deterministic"
-        );
-    }
-
-    let overhead_pct = 100.0 * (guarded_s - unguarded_s) / unguarded_s.max(1e-9);
-    println!(
-        "== guardrail: unguarded {unguarded_s:.3} s, guarded {guarded_s:.3} s \
-         ({overhead_pct:+.1} % overhead over {LIFECYCLE_REPS} interleaved reps) ==",
-    );
-    Ok(Json::obj()
-        .set("unguarded_wall_s", Json::Num(unguarded_s))
-        .set("guarded_wall_s", Json::Num(guarded_s))
-        .set("overhead_pct", Json::Num(overhead_pct))
-        .set("reps", Json::Int(LIFECYCLE_REPS as i64)))
-}
-
-/// Runs the suite: sketch and evaluator throughput at a tenth of full size
-/// when `smoke`; full size plus the guardrail overhead otherwise.
+/// Runs the suite: sketch and evaluator throughput, at a tenth of full
+/// size when `smoke`.
 ///
 /// # Errors
 ///
-/// Returns the first SLO-spec, ledger, or pipeline error.
+/// Returns the first SLO-spec or ledger error.
 pub fn run(smoke: bool, _hw: usize) -> Result<Json, BoxError> {
-    let mut payload = Json::obj()
+    Ok(Json::obj()
         .set(
             "sketch",
             sketch_throughput(if smoke { 100_000 } else { 1_000_000 }),
@@ -225,9 +155,5 @@ pub fn run(smoke: bool, _hw: usize) -> Result<Json, BoxError> {
         .set(
             "slo_eval",
             slo_eval_throughput(if smoke { 20_000 } else { 200_000 })?,
-        );
-    if !smoke {
-        payload = payload.set("guardrail", guardrail_overhead()?);
-    }
-    Ok(payload)
+        ))
 }

@@ -8,9 +8,9 @@
 //! hand-tuned production servers for prolonged durations … to validate that
 //! the soft SKU offers a stable advantage."
 
-use crate::abtest::{AbTester, Verdict};
+use crate::abtest::AbTester;
 use crate::error::UskuError;
-use crate::search::SearchOutcome;
+use crate::search::{SearchOutcome, Selection};
 use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::{AbEnvironment, ValidationFleet, ValidationOutcome};
 use softsku_knobs::{Knob, KnobSetting};
@@ -21,21 +21,13 @@ use softsku_workloads::WorkloadProfile;
 pub struct SoftSku {
     /// The composed server configuration.
     pub config: ServerConfig,
-    /// Per-knob selections and the individual gains measured for them.
-    pub selections: Vec<(Knob, KnobSetting, f64)>,
+    /// The search's selections, each with the gain the strategy measured
+    /// for it.
+    pub selections: Vec<Selection>,
     /// Measured composite gain over the hand-tuned production baseline.
     pub gain_vs_production: f64,
     /// Measured composite gain over the stock configuration.
     pub gain_vs_stock: f64,
-}
-
-impl SoftSku {
-    /// Sum of the individual per-knob gains — compared against the measured
-    /// composite gain, this quantifies the paper's "gains are not strictly
-    /// additive" observation.
-    pub fn additive_prediction(&self) -> f64 {
-        self.selections.iter().map(|(_, _, g)| g).sum()
-    }
 }
 
 /// Builds, measures, and validates soft SKUs.
@@ -70,21 +62,13 @@ impl<'a> SoftSkuGenerator<'a> {
         let vs_prod = self
             .tester
             .run_config(env, production, &config, needs_reboot, label)?;
-        let gain_vs_production = match vs_prod.verdict {
-            Verdict::Better { gain } => gain,
-            Verdict::Worse { loss } => loss,
-            _ => vs_prod.relative_diff().unwrap_or(0.0),
-        };
+        let gain_vs_production = vs_prod.relative_diff().unwrap_or(0.0);
 
         let needs_reboot_stock = Knob::reboot_between(stock, &config);
         let vs_stock = self
             .tester
             .run_config(env, stock, &config, needs_reboot_stock, label)?;
-        let gain_vs_stock = match vs_stock.verdict {
-            Verdict::Better { gain } => gain,
-            Verdict::Worse { loss } => loss,
-            _ => vs_stock.relative_diff().unwrap_or(0.0),
-        };
+        let gain_vs_stock = vs_stock.relative_diff().unwrap_or(0.0);
 
         Ok(SoftSku {
             config,
@@ -128,7 +112,7 @@ mod tests {
     use crate::abtest::AbTestConfig;
     use crate::metric::PerformanceMetric;
     use crate::scheduler::Schedule;
-    use crate::search::independent_sweep;
+    use crate::search::{additive_prediction, independent_sweep};
     use softsku_cluster::EnvConfig;
     use softsku_knobs::{KnobSpace, WorkloadConstraints};
     use softsku_workloads::{Microservice, PlatformKind};
@@ -165,7 +149,7 @@ mod tests {
         );
         assert!(!sku.selections.is_empty());
         // Additivity is approximate, not exact.
-        assert!(sku.additive_prediction() > 0.0);
+        assert!(additive_prediction(&sku.selections).is_some_and(|sum| sum > 0.0));
 
         // Long-horizon validation holds up.
         let validation = generator

@@ -73,5 +73,8 @@ pub use scheduler::{
     run_tasks, run_trials, trace_test_span, FleetOutcome, FleetTuner, ReplicaRun, Schedule,
     ServiceTuning, Trial, TrialTarget,
 };
-pub use search::{exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome};
+pub use search::{
+    additive_prediction, exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome,
+    SelectedGain, Selection,
+};
 pub use usku::{AbTestConfigurator, Usku, UskuConfig, UskuReport};

@@ -533,13 +533,8 @@ impl FleetOutcome {
                 s.wall_s,
                 s.outcome.selected.len()
             ));
-            for (knob, setting, gain) in &s.outcome.selected {
-                out.push_str(&format!(
-                    "      {:<16} -> {:<24} ({:+.2}%)\n",
-                    knob.to_string(),
-                    setting.to_string(),
-                    gain * 100.0
-                ));
+            for selection in &s.outcome.selected {
+                out.push_str(&format!("      {selection}\n"));
             }
         }
         out

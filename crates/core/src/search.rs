@@ -24,6 +24,95 @@ use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::AbEnvironment;
 use softsku_knobs::{Knob, KnobSetting, KnobSpace};
 use softsku_telemetry::streams::IdentitySeed;
+use std::fmt;
+
+/// What a selected setting's gain means. Every variant is relative to the
+/// *original baseline*; they differ in what was measured.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SelectedGain {
+    /// The setting's own A/B gain, measured alone against the baseline
+    /// (the independent sweep).
+    Individual(f64),
+    /// The gain of the whole joint configuration the setting is part of,
+    /// shared by every selected setting (the exhaustive sweep).
+    Joint(f64),
+    /// One accepted hill-climbing move: its gain over the configuration it
+    /// was measured against, and the accepted configuration's gain over the
+    /// baseline (the product of every `1 + marginal` so far, minus 1).
+    Step {
+        /// Gain over the then-current configuration.
+        marginal: f64,
+        /// Gain of the configuration after this move.
+        cumulative: f64,
+    },
+}
+
+/// Formats as `+5.57% individually`, `+5.57% jointly` or
+/// `+3.10% step, +8.20% cumulative`, at the caller's precision (2 decimals
+/// by default).
+impl fmt::Display for SelectedGain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = f.precision().unwrap_or(2);
+        match *self {
+            SelectedGain::Individual(g) => write!(f, "{:+.p$}% individually", g * 100.0),
+            SelectedGain::Joint(g) => write!(f, "{:+.p$}% jointly", g * 100.0),
+            SelectedGain::Step {
+                marginal,
+                cumulative,
+            } => write!(
+                f,
+                "{:+.p$}% step, {:+.p$}% cumulative",
+                marginal * 100.0,
+                cumulative * 100.0
+            ),
+        }
+    }
+}
+
+/// One applied setting of a search's composed configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Selection {
+    /// The applied setting.
+    pub setting: KnobSetting,
+    /// What selecting it gained.
+    pub gain: SelectedGain,
+}
+
+impl Selection {
+    /// The knob the setting belongs to.
+    pub fn knob(&self) -> Knob {
+        self.setting.knob()
+    }
+}
+
+/// Formats as one report line, `knob -> setting (gain)`, passing the
+/// caller's precision on to the gain.
+impl fmt::Display for Selection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = f.precision().unwrap_or(2);
+        write!(
+            f,
+            "{:<16} -> {:<24} ({:.p$})",
+            self.knob().to_string(),
+            self.setting.to_string(),
+            self.gain
+        )
+    }
+}
+
+/// Sum of the selections' individual gains — compared against the measured
+/// composite gain, this quantifies the paper's "gains are not strictly
+/// additive" observation. `None` unless every gain is
+/// [`SelectedGain::Individual`]: joint and step gains do not add.
+pub fn additive_prediction(selections: &[Selection]) -> Option<f64> {
+    selections
+        .iter()
+        .map(|s| match s.gain {
+            SelectedGain::Individual(g) => Some(g),
+            _ => None,
+        })
+        .sum()
+}
 
 /// Outcome of a search: the design-space map plus the selected composite
 /// configuration.
@@ -33,14 +122,9 @@ pub struct SearchOutcome {
     pub map: DesignSpaceMap,
     /// The composed best configuration.
     pub best_config: ServerConfig,
-    /// Per-knob winning settings actually applied. The `f64` is always a
-    /// gain relative to the *original baseline*: the measured per-knob gain
-    /// for the independent sweep, the joint-configuration gain for the
-    /// exhaustive sweep, and the cumulative gain of the accepted
-    /// configuration for hill climbing (each step measures against the
-    /// then-current config; the cumulative product is reported so the three
-    /// strategies' numbers are comparable).
-    pub selected: Vec<(Knob, KnobSetting, f64)>,
+    /// The settings applied to the baseline to reach `best_config`, in the
+    /// order they were applied.
+    pub selected: Vec<Selection>,
     /// Simulated machine-seconds the search's replicas consumed, summed in
     /// plan order.
     pub sim_time_s: f64,
@@ -147,7 +231,10 @@ pub fn exhaustive_sweep(
             // detlint::allow(panic_path): every planned setting was
             // validated against the same baseline when the plan was built.
             s.apply(&mut config).expect("planned settings are valid");
-            selected.push((s.knob(), *s, gain));
+            selected.push(Selection {
+                setting: *s,
+                gain: SelectedGain::Joint(gain),
+            });
         }
         (out.best_config, out.selected) = (config, selected);
     }
@@ -162,7 +249,8 @@ pub fn exhaustive_sweep(
 /// configuration, its replica seeds derived under the step's own base seed
 /// `IdentitySeed(base).field("hill_climb").field(step)`. The accepted move
 /// is the first `Better` verdict with the strictly largest gain, in plan
-/// order.
+/// order. Every accepted move is selected as a [`SelectedGain::Step`], in
+/// acceptance order, so a knob moved twice appears twice.
 ///
 /// # Errors
 ///
@@ -178,8 +266,8 @@ pub fn hill_climb(
 ) -> Result<SearchOutcome, UskuError> {
     let mut out = SearchOutcome::start(baseline);
     // Each step's A/B test measures against the *current* config; the
-    // cumulative product converts step gains into gains vs. the original
-    // baseline, matching the `selected` semantics of the other strategies.
+    // running product converts step gains into gains vs. the original
+    // baseline.
     let mut cumulative_factor = 1.0f64;
 
     for step in 0..max_steps {
@@ -201,7 +289,7 @@ pub fn hill_climb(
             }
             out.map.record(run.result);
         }
-        let Some((setting, gain)) = best_move else {
+        let Some((setting, marginal)) = best_move else {
             break;
         };
         // detlint::allow(panic_path): the move was applied to a clone of
@@ -209,13 +297,14 @@ pub fn hill_climb(
         setting
             .apply(&mut out.best_config)
             .expect("previously validated move");
-        cumulative_factor *= 1.0 + gain;
-        // Replace any earlier selection of the same knob; the stored gain is
-        // the cumulative gain vs. the original baseline at the time this
-        // move was accepted.
-        out.selected.retain(|(k, _, _)| *k != setting.knob());
-        out.selected
-            .push((setting.knob(), setting, cumulative_factor - 1.0));
+        cumulative_factor *= 1.0 + marginal;
+        out.selected.push(Selection {
+            setting,
+            gain: SelectedGain::Step {
+                marginal,
+                cumulative: cumulative_factor - 1.0,
+            },
+        });
     }
     Ok(out)
 }
@@ -258,13 +347,16 @@ pub(crate) fn compose(
     baseline: &ServerConfig,
     map: &DesignSpaceMap,
     knobs: &[Knob],
-) -> (ServerConfig, Vec<(Knob, KnobSetting, f64)>) {
+) -> (ServerConfig, Vec<Selection>) {
     let mut config = baseline.clone();
     let mut selected = Vec::new();
     for &knob in knobs {
         if let Some((setting, gain)) = map.best_setting(knob) {
             if setting.apply(&mut config).is_ok() {
-                selected.push((knob, setting, gain));
+                selected.push(Selection {
+                    setting,
+                    gain: SelectedGain::Individual(gain),
+                });
             }
         }
     }
@@ -304,7 +396,7 @@ mod tests {
             Schedule::new(21),
         )
         .unwrap();
-        let knobs: Vec<Knob> = out.selected.iter().map(|(k, _, _)| *k).collect();
+        let knobs: Vec<Knob> = out.selected.iter().map(Selection::knob).collect();
         assert!(knobs.contains(&Knob::Shp), "selected: {:?}", out.selected);
         assert!(knobs.contains(&Knob::Thp), "selected: {:?}", out.selected);
         // The composed config carries both winners.
@@ -381,8 +473,10 @@ mod tests {
         assert_eq!(out.map.test_count(), joints.len());
         // The winner reported by the sweep is the joint-ledger winner.
         if let Some((best, gain)) = out.map.best_joint() {
-            let sel_gain = out.selected.first().expect("winner selected").2;
-            assert!((gain - sel_gain).abs() < 1e-12);
+            assert_eq!(out.selected.len(), best.settings.len());
+            for s in &out.selected {
+                assert_eq!(s.gain, SelectedGain::Joint(gain), "{s:?}");
+            }
             let mut cfg = baseline.clone();
             for s in &best.settings {
                 s.apply(&mut cfg).unwrap();
@@ -404,23 +498,31 @@ mod tests {
             Schedule::new(21),
         )
         .unwrap();
-        assert_eq!(
-            out.selected.len(),
-            2,
-            "two-step climb accepts two distinct knobs: {:?}",
-            out.selected
+        let cumulative: Vec<f64> = out
+            .selected
+            .iter()
+            .map(|s| match s.gain {
+                SelectedGain::Step { cumulative, .. } => cumulative,
+                other => panic!("hill climbing selects steps, got {other:?}"),
+            })
+            .collect();
+        let [first, last] = cumulative[..] else {
+            panic!("two-step climb accepts two moves: {:?}", out.selected);
+        };
+        assert_ne!(
+            out.selected[0].knob(),
+            out.selected[1].knob(),
+            "the two moves are on distinct knobs"
         );
-        let first = out.selected[0].2;
-        let last = out.selected[1].2;
         assert!(first > 0.0 && last > 0.0);
         assert!(
             last > first,
             "cumulative gain grows across accepted steps: {first} then {last}"
         );
-        // Cross-check against ground truth: the last accepted move's stored
-        // gain is the best_config's true gain vs. the original baseline
-        // (within A/B measurement noise) — not the step-2 marginal, which is
-        // several points smaller.
+        // Cross-check against ground truth: the last accepted move's
+        // cumulative gain is the best_config's true gain vs. the original
+        // baseline (within A/B measurement noise) — not the step-2
+        // marginal, which is several points smaller.
         let profile = Microservice::Web.profile(PlatformKind::Skylake18).unwrap();
         let mut base_srv =
             softsku_cluster::SimServer::with_window(profile.clone(), baseline.clone(), 21, 60_000)

@@ -7,7 +7,9 @@ use crate::generator::{SoftSku, SoftSkuGenerator};
 use crate::input::{InputFile, SweepConfig};
 use crate::map::DesignSpaceMap;
 use crate::scheduler::Schedule;
-use crate::search::{add_counts, exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome};
+use crate::search::{
+    add_counts, additive_prediction, exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome,
+};
 use softsku_cluster::{AbEnvironment, EnvConfig, ValidationOutcome};
 use softsku_knobs::{Knob, KnobSpace};
 use softsku_telemetry::streams::{stream_seed, StreamFamily};
@@ -240,20 +242,18 @@ impl UskuReport {
             self.search_time_s / 3600.0
         ));
         out.push_str("  selections:\n");
-        for (knob, setting, gain) in &self.soft_sku.selections {
-            out.push_str(&format!(
-                "    {:<16} -> {:<24} ({:+.2}% individually)\n",
-                knob.to_string(),
-                setting.to_string(),
-                gain * 100.0
-            ));
+        for selection in &self.soft_sku.selections {
+            out.push_str(&format!("    {selection}\n"));
         }
         out.push_str(&format!(
-            "  soft SKU vs production: {:+.2}%   vs stock: {:+.2}%   (additive prediction {:+.2}%)\n",
+            "  soft SKU vs production: {:+.2}%   vs stock: {:+.2}%",
             self.soft_sku.gain_vs_production * 100.0,
             self.soft_sku.gain_vs_stock * 100.0,
-            self.soft_sku.additive_prediction() * 100.0
         ));
+        if let Some(sum) = additive_prediction(&self.soft_sku.selections) {
+            out.push_str(&format!("   (additive prediction {:+.2}%)", sum * 100.0));
+        }
+        out.push('\n');
         if let Some(v) = &self.validation {
             out.push_str(&format!(
                 "  fleet validation: {:+.2}% QPS over {} code pushes (stable: {})\n",

@@ -19,8 +19,6 @@ pub enum TelemetryError {
         /// Number of samples actually supplied.
         got: usize,
     },
-    /// A quantile outside `[0, 1]` was requested.
-    InvalidQuantile(f64),
     /// A confidence level outside `(0, 1)` was requested.
     InvalidConfidence(f64),
     /// A time-series append went backwards in time.
@@ -51,9 +49,6 @@ impl fmt::Display for TelemetryError {
             TelemetryError::EmptySamples => write!(f, "no samples provided"),
             TelemetryError::InsufficientSamples { required, got } => {
                 write!(f, "need at least {required} samples, got {got}")
-            }
-            TelemetryError::InvalidQuantile(q) => {
-                write!(f, "quantile {q} outside [0, 1]")
             }
             TelemetryError::InvalidConfidence(c) => {
                 write!(f, "confidence level {c} outside (0, 1)")
@@ -87,7 +82,6 @@ mod tests {
                 required: 2,
                 got: 0,
             },
-            TelemetryError::InvalidQuantile(1.5),
             TelemetryError::InvalidConfidence(0.0),
             TelemetryError::NonMonotonicTimestamp {
                 last: 5.0,

@@ -8,8 +8,8 @@
 //!   and sample.
 //! * **ODS** — Facebook's Operational Data Store, a fleet-wide time-series
 //!   system used for long-horizon QPS validation ([`ods`] reproduces the
-//!   append/query/downsample surface the experiments need, as one store
-//!   with optional raw → downsampled retention tiers).
+//!   append/range/mean surface the experiments need, as one store with
+//!   optional raw → downsampled retention tiers).
 //!
 //! µSKU's A/B tester decides significance with 95 % confidence intervals over
 //! tens of thousands of counter samples; the [`stats`] module provides the

@@ -31,7 +31,6 @@
 //! so the store is deterministic.
 
 use crate::error::TelemetryError;
-use crate::stats::nearest_rank;
 use std::collections::BTreeMap;
 
 /// Identifies one time series: an entity (host, tier) and a metric name.
@@ -131,9 +130,9 @@ struct Series {
 /// In-memory time-series store: per-series monotone timestamps, a raw
 /// tier, and optional downsampled retention tiers.
 ///
-/// The queries ([`Ods::range`], [`Ods::mean_in`], [`Ods::percentile_in`],
-/// [`Ods::downsample`]) read the raw tier only; on an [`Ods::unbounded`]
-/// store that is every point. [`Ods::stitched`] reads every tier.
+/// The queries ([`Ods::range`], [`Ods::mean_in`]) read the raw tier only;
+/// on an [`Ods::unbounded`] store that is every point. [`Ods::stitched`]
+/// reads every tier.
 ///
 /// # Example
 ///
@@ -509,74 +508,6 @@ impl Ods {
         }
         Ok(pts.iter().map(|&(_, v)| v).sum::<f64>() / pts.len() as f64)
     }
-
-    /// Nearest-rank percentile (`q` in `[0, 1]`) of raw values in
-    /// `[start, end)`, see [`nearest_rank`]. Values are ordered by
-    /// [`f64::total_cmp`], so a stored NaN sorts last instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`Ods::range`], plus [`TelemetryError::InvalidQuantile`] and
-    /// [`TelemetryError::EmptySamples`].
-    pub fn percentile_in(
-        &self,
-        key: &SeriesKey,
-        start: f64,
-        end: f64,
-        q: f64,
-    ) -> Result<f64, TelemetryError> {
-        if !(0.0..=1.0).contains(&q) {
-            return Err(TelemetryError::InvalidQuantile(q));
-        }
-        let mut values: Vec<f64> = self
-            .range(key, start, end)?
-            .iter()
-            .map(|&(_, v)| v)
-            .collect();
-        values.sort_by(f64::total_cmp);
-        nearest_rank(&values, q).ok_or(TelemetryError::EmptySamples)
-    }
-
-    /// Downsamples the raw tier of a series into buckets of width `bucket`,
-    /// returning one `(bucket_start, mean)` pair per non-empty bucket.
-    ///
-    /// # Errors
-    ///
-    /// * [`TelemetryError::UnknownSeries`] for a missing series.
-    /// * [`TelemetryError::InvalidSamplerConfig`] for a non-positive bucket.
-    pub fn downsample(&self, key: &SeriesKey, bucket: f64) -> Result<Vec<Point>, TelemetryError> {
-        if bucket.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(TelemetryError::InvalidSamplerConfig(format!(
-                "bucket width must be positive, got {bucket}"
-            )));
-        }
-        let points = &self
-            .series
-            .get(key)
-            .ok_or_else(|| TelemetryError::UnknownSeries(key.to_string()))?
-            .raw;
-        let mut out: Vec<Point> = Vec::new();
-        let mut cur_bucket = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for &(t, v) in points {
-            let b = (t / bucket).floor() * bucket;
-            if b != cur_bucket {
-                if n > 0 {
-                    out.push((cur_bucket, sum / n as f64));
-                }
-                cur_bucket = b;
-                sum = 0.0;
-                n = 0;
-            }
-            sum += v;
-            n += 1;
-        }
-        if n > 0 {
-            out.push((cur_bucket, sum / n as f64));
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -644,23 +575,6 @@ mod tests {
         let (ods, key) = filled();
         let mean = ods.mean_in(&key, 0.0, 100.0).unwrap();
         assert!((mean - 4.5).abs() < 1e-12);
-        // Nearest rank over ten copies of 0..=9: rank ceil(0.5·100) = 50.
-        assert_eq!(ods.percentile_in(&key, 0.0, 100.0, 0.5).unwrap(), 4.0);
-        assert_eq!(ods.percentile_in(&key, 0.0, 100.0, 0.91).unwrap(), 9.0);
-        assert_eq!(ods.percentile_in(&key, 0.0, 100.0, 1.0).unwrap(), 9.0);
-        assert_eq!(ods.percentile_in(&key, 0.0, 100.0, 0.0).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn percentile_orders_nan_values_instead_of_panicking() {
-        let mut ods = Ods::unbounded();
-        let k = key();
-        for (t, v) in [(0.0, 3.0), (1.0, f64::NAN), (2.0, 1.0), (3.0, 2.0)] {
-            ods.append(&k, t, v).unwrap();
-        }
-        assert_eq!(ods.percentile_in(&k, 0.0, 10.0, 0.0).unwrap(), 1.0);
-        assert_eq!(ods.percentile_in(&k, 0.0, 10.0, 0.75).unwrap(), 3.0);
-        assert!(ods.percentile_in(&k, 0.0, 10.0, 1.0).unwrap().is_nan());
     }
 
     #[test]
@@ -682,10 +596,6 @@ mod tests {
         assert!(matches!(
             ods.range(&missing, 0.0, 1.0),
             Err(TelemetryError::UnknownSeries(_))
-        ));
-        assert!(matches!(
-            ods.percentile_in(&key, 0.0, 1.0, 1.5),
-            Err(TelemetryError::InvalidQuantile(_))
         ));
     }
 
@@ -709,22 +619,6 @@ mod tests {
             ods.mean_in(&key, 5.0, 5.0),
             Err(TelemetryError::EmptySamples)
         ));
-        assert!(matches!(
-            ods.percentile_in(&key, 5.0, 5.0, 0.5),
-            Err(TelemetryError::EmptySamples)
-        ));
-    }
-
-    #[test]
-    fn downsample_means_buckets() {
-        let (ods, key) = filled();
-        let ds = ods.downsample(&key, 10.0).unwrap();
-        assert_eq!(ds.len(), 10);
-        for &(start, mean) in &ds {
-            assert_eq!(start % 10.0, 0.0);
-            assert!((mean - 4.5).abs() < 1e-12);
-        }
-        assert!(ods.downsample(&key, 0.0).is_err());
     }
 
     #[test]

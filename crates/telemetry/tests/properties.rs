@@ -60,27 +60,6 @@ proptest! {
         let first = ods.range(&key, 0.0, mid as f64).unwrap().len();
         let second = ods.range(&key, mid as f64, n as f64).unwrap().len();
         prop_assert_eq!(first + second, n);
-        // Downsampling into unit buckets returns every point.
-        let ds = ods.downsample(&key, 1.0).unwrap();
-        prop_assert_eq!(ds.len(), n);
-    }
-
-    /// ODS percentiles are order statistics: p0 ≤ p50 ≤ p100, and p100 is
-    /// the max.
-    #[test]
-    fn ods_percentiles_are_ordered(values in proptest::collection::vec(-50.0f64..50.0, 1..150)) {
-        let mut ods = Ods::unbounded();
-        let key = SeriesKey::new("prop", "q");
-        for (i, &v) in values.iter().enumerate() {
-            ods.append(&key, i as f64, v).unwrap();
-        }
-        let end = values.len() as f64;
-        let p0 = ods.percentile_in(&key, 0.0, end, 0.0).unwrap();
-        let p50 = ods.percentile_in(&key, 0.0, end, 0.5).unwrap();
-        let p100 = ods.percentile_in(&key, 0.0, end, 1.0).unwrap();
-        prop_assert!(p0 <= p50 && p50 <= p100);
-        let max = values.iter().cloned().fold(f64::MIN, f64::max);
-        prop_assert!((p100 - max).abs() < 1e-12);
     }
 
     /// Stream derivation is injective over the family registry for every

@@ -50,16 +50,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper's headline for Ads1: ~+2.5% vs both stock and production,
     // with the CDP knob as the main contributor.
-    if let Some((_, setting, gain)) = report
+    if let Some(cdp) = report
         .soft_sku
         .selections
         .iter()
-        .find(|(k, _, _)| *k == Knob::Cdp)
+        .find(|s| s.knob() == Knob::Cdp)
     {
         println!(
-            "CDP winner: {} ({:+.2}%) — the paper found {{9, 2}} at +2.5%",
-            setting,
-            gain * 100.0
+            "CDP winner: {} ({}) — the paper found {{9, 2}} at +2.5%",
+            cdp.setting, cdp.gain
         );
     }
     Ok(())

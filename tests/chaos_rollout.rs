@@ -413,3 +413,31 @@ fn coordinator_event_leaves_match_the_ledger() {
     assert_eq!(fired.len(), reactions.len(), "reactions fired: {fired:?}");
     assert!(quarantine_spans > 0, "no quarantine span recorded");
 }
+
+/// The demo campaign's fleet noise streams are pinned directly: the
+/// coordinator's report (and so perfbench's chaos digest) does not depend
+/// on the fleet seeds, and the build's determinism test only compares
+/// worker counts with each other. Each plan's fleet, a quarter staged,
+/// ticks a fixed number of times; the digest covers every sample's QPS
+/// and latency bits.
+#[test]
+fn demo_campaign_fleet_streams_are_pinned() {
+    const TICKS: usize = 24;
+    let (_, _, mut plans) = demo_campaign(SEED).unwrap();
+    let mut bits = String::new();
+    for plan in &mut plans {
+        plan.fleet.stage_to(0.25);
+        for _ in 0..TICKS {
+            let s = plan.fleet.tick().unwrap();
+            for v in [
+                Some(s.baseline_qps),
+                s.candidate_qps,
+                Some(s.baseline_latency_s),
+                s.candidate_latency_s,
+            ] {
+                bits.push_str(&format!("{:x},", v.map_or(u64::MAX, f64::to_bits)));
+            }
+        }
+    }
+    assert_eq!(fnv(&bits), 0xb712_9302_bc55_328e, "fleet digest moved");
+}

@@ -9,7 +9,9 @@ use softsku::cluster::{AbEnvironment, EnvConfig, HazardConfig};
 use softsku::knobs::{Knob, KnobSpace};
 use softsku::usku::metric::PerformanceMetric;
 use softsku::usku::scheduler::Schedule;
-use softsku::usku::search::{exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome};
+use softsku::usku::search::{
+    exhaustive_sweep, hill_climb, independent_sweep, SearchOutcome, SelectedGain,
+};
 use softsku::usku::{AbTestConfig, AbTester};
 use softsku::workloads::{Microservice, PlatformKind};
 use std::num::NonZeroUsize;
@@ -70,7 +72,7 @@ fn hill_climb_with(workers: usize) -> SearchOutcome {
 }
 
 /// Bit-level equality of two outcomes: every verdict and sample count (via
-/// the rendered map), every selection (knob, setting, exact gain), the
+/// the rendered map), every selection (setting, gain kind, exact gain), the
 /// composed configuration, the simulated time, and the hazard ledger.
 fn assert_identical(a: &SearchOutcome, b: &SearchOutcome, what: &str) {
     assert_eq!(a.map.render(), b.map.render(), "{what}: maps diverged");
@@ -90,13 +92,24 @@ fn assert_identical(a: &SearchOutcome, b: &SearchOutcome, what: &str) {
         "{what}: selection count diverged"
     );
     for (sa, sb) in a.selected.iter().zip(&b.selected) {
-        assert_eq!(sa.0, sb.0, "{what}: selected knob diverged");
-        assert_eq!(sa.1, sb.1, "{what}: selected setting diverged");
+        assert_eq!(sa.setting, sb.setting, "{what}: selected setting diverged");
         assert_eq!(
-            sa.2.to_bits(),
-            sb.2.to_bits(),
+            gain_bits(sa.gain),
+            gain_bits(sb.gain),
             "{what}: selected gain not bit-identical"
         );
+    }
+}
+
+/// A selected gain's kind and the bits of every field it carries.
+fn gain_bits(gain: SelectedGain) -> (&'static str, Vec<u64>) {
+    match gain {
+        SelectedGain::Individual(g) => ("individual", vec![g.to_bits()]),
+        SelectedGain::Joint(g) => ("joint", vec![g.to_bits()]),
+        SelectedGain::Step {
+            marginal,
+            cumulative,
+        } => ("step", vec![marginal.to_bits(), cumulative.to_bits()]),
     }
 }
 
@@ -147,4 +160,32 @@ fn hill_climb_is_bit_identical_across_worker_counts() {
     assert_identical(&one, &two, "hill climb, 1 vs 2 workers");
     assert_identical(&one, &eight, "hill climb, 1 vs 8 workers");
     assert!(!one.selected.is_empty(), "the climb accepted a move");
+}
+
+/// The climb records one step per accepted move, and the steps compose:
+/// the product of every `1 + marginal`, minus 1, is the last cumulative
+/// gain bit for bit, at any worker count.
+#[test]
+fn hill_climb_steps_multiply_to_the_cumulative_gain() {
+    for workers in [1, 2] {
+        let out = hill_climb_with(workers);
+        let steps: Vec<(f64, f64)> = out
+            .selected
+            .iter()
+            .map(|s| match s.gain {
+                SelectedGain::Step {
+                    marginal,
+                    cumulative,
+                } => (marginal, cumulative),
+                other => panic!("hill climbing selects steps, got {other:?}"),
+            })
+            .collect();
+        assert!(
+            steps.len() >= 2,
+            "{workers} workers: the climb accepts at least two moves: {steps:?}"
+        );
+        let product = steps.iter().fold(1.0f64, |acc, &(m, _)| acc * (1.0 + m)) - 1.0;
+        let (_, last) = steps[steps.len() - 1];
+        assert_eq!(product.to_bits(), last.to_bits(), "{workers} workers");
+    }
 }

@@ -3,8 +3,9 @@
 //! automatic scoped re-tune, replays bit-identically across worker counts
 //! and with tracing on or off — including its trace: the serialized Chrome
 //! trace-event export of the whole span tree is bit-identical across 1 and
-//! 8 workers — and a guardrail violation injected into a staged fleet
-//! rolls the candidate back instead of promoting it.
+//! 8 workers — a guardrail violation injected into a staged fleet rolls
+//! the candidate back instead of promoting it, and a tail guard that never
+//! fires leaves the lifecycle report unchanged.
 
 use softsku::cluster::{StagedFleet, StagedFleetConfig};
 use softsku::knobs::Knob;
@@ -274,4 +275,54 @@ fn guardrail_violation_rolls_the_candidate_back() {
         series_len(&ods, "web", LedgerKey::RolloutDeployed.name()),
         0
     );
+}
+
+/// A tail guard that never fires must not perturb the lifecycle: the
+/// default fast-test pipeline, whose guard is armed and samples every
+/// stage's p99s, renders the same report as the pipeline with the guard
+/// off.
+#[test]
+fn non_firing_tail_guard_leaves_the_lifecycle_unchanged() {
+    let run = |config: PipelineConfig| {
+        RolloutPipeline::new(config)
+            .run(
+                Microservice::Web,
+                PlatformKind::Skylake18,
+                &[Knob::Thp, Knob::Shp],
+            )
+            .expect("the lifecycle pipeline runs clean")
+    };
+    let guarded_config = PipelineConfig::fast_test(SEED);
+    assert!(
+        guarded_config.rollout.tail_guard.is_some(),
+        "the default arms a tail guard"
+    );
+    let mut unguarded_config = guarded_config.clone();
+    unguarded_config.rollout.tail_guard = None;
+    let guarded = run(guarded_config);
+    let unguarded = run(unguarded_config);
+
+    let stages: Vec<_> = [
+        guarded.initial.rollout.as_ref(),
+        guarded
+            .retuned
+            .as_ref()
+            .and_then(|r| r.cycle.rollout.as_ref()),
+    ]
+    .into_iter()
+    .flatten()
+    .flat_map(|r| &r.stages)
+    .collect();
+    assert!(
+        !stages.is_empty(),
+        "the guarded run reaches a staged rollout"
+    );
+    for stage in stages {
+        assert!(
+            stage.candidate_p99_s > 0.0,
+            "the guard sampled the stage's tail"
+        );
+        assert_ne!(stage.violation, Some(StageViolation::TailRegression));
+    }
+    assert_eq!(guarded.render(), unguarded.render());
 }

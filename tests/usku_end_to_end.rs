@@ -5,7 +5,7 @@
 //! `repro fig19` harness).
 
 use softsku::knobs::Knob;
-use softsku::usku::{InputFile, Usku, UskuConfig, Verdict};
+use softsku::usku::{additive_prediction, InputFile, Usku, UskuConfig, Verdict};
 
 fn fast(input: InputFile, validate_days: f64) -> UskuConfig {
     let mut cfg = UskuConfig::fast_test();
@@ -43,14 +43,14 @@ fn web_skylake_soft_sku_beats_production_and_stock() {
         .soft_sku
         .selections
         .iter()
-        .map(|(k, _, _)| *k)
+        .map(|s| s.knob())
         .collect();
     assert!(knobs.contains(&Knob::Cdp), "CDP should win on Web-Skylake");
     assert!(knobs.contains(&Knob::Shp), "SHP 300 should win");
 
     // Additivity is approximate (paper Sec. 7): the composite differs from
     // the sum of individual gains.
-    let additive = report.soft_sku.additive_prediction();
+    let additive = additive_prediction(&report.soft_sku.selections).expect("independent gains add");
     assert!(additive > 0.0);
 
     // Fleet validation confirms a stable QPS win across code pushes.
@@ -153,4 +153,24 @@ fn reports_are_deterministic_given_a_seed() {
     assert_eq!(a.map.sample_count(), b.map.sample_count());
     assert!((a.soft_sku.gain_vs_production - b.soft_sku.gain_vs_production).abs() < 1e-12);
     assert_eq!(a.render(), b.render());
+}
+
+/// `skuctl tune examples/inputs/web_exhaustive.usku --fast`: the exhaustive
+/// sweep measures one joint gain, so every selection line carries that one
+/// gain labelled as joint, and no additive prediction is summed from it.
+#[test]
+fn exhaustive_report_labels_every_selection_with_the_one_joint_gain() {
+    let input = InputFile::parse(include_str!("../examples/inputs/web_exhaustive.usku")).unwrap();
+    let cfg = fast(input.clone(), 1.0);
+    let text = Usku::with_config(input, cfg).run().unwrap().render();
+    assert!(!text.contains("individually"), "{text}");
+    assert!(!text.contains("additive prediction"), "{text}");
+    let gains: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains(" -> "))
+        .map(|l| l.rsplit_once(" (").expect("a labelled gain").1)
+        .collect();
+    assert!(gains.len() >= 2, "the joint winner sets two knobs:\n{text}");
+    assert!(gains[0].ends_with("% jointly)"), "{text}");
+    assert!(gains.iter().all(|g| *g == gains[0]), "{text}");
 }

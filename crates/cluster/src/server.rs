@@ -217,45 +217,16 @@ impl SimServer {
     fn curve(&mut self) -> Result<&LoadCurve, ClusterError> {
         let key = config_key(&self.config, self.push_cpi_scale);
         if !self.cache.contains_key(&key) {
-            // The three load-grid evaluations are independent; run them in
-            // parallel. Unless a context switch lands inside the window they
-            // share one run of the structure passes: the first to reach the
-            // engine's pass memo runs them while the other two wait.
-            let this = &*self;
-            let results: Vec<Result<WindowReport, ClusterError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = LOAD_GRID
-                    .iter()
-                    .map(|&g| {
-                        scope.spawn(move || {
-                            this.evaluate(&this.config, g * this.profile.peak_utilization)
-                        })
-                    })
-                    .collect();
-                // detlint::allow(panic_path): join() only fails if the worker
-                // panicked; re-raising that panic is the correct response.
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("evaluation thread panicked"))
-                    .collect()
-            });
-            let mut mips = [0.0; 3];
-            let mut peak_report = None;
-            for (i, result) in results.into_iter().enumerate() {
-                let report = result?;
-                mips[i] = report.mips_total;
-                if i == LOAD_GRID.len() - 1 {
-                    peak_report = Some(report);
-                }
-            }
-            self.cache.insert(
-                key,
-                LoadCurve {
-                    mips,
-                    // detlint::allow(panic_path): LOAD_GRID has a fixed,
-                    // non-zero length, so the last iteration always sets it.
-                    peak_report: peak_report.expect("grid is non-empty"),
-                },
-            );
+            // The load-grid points run in order on this thread. Points that
+            // share structure passes (all three, unless a context switch
+            // lands inside the window) are pass-memo hits after the first,
+            // and a cold point already runs on two threads inside the
+            // engine, so threads per point would only add start-up cost.
+            let [low, mid, peak] =
+                LOAD_GRID.map(|g| self.evaluate(&self.config, g * self.profile.peak_utilization));
+            let (low, mid, peak_report) = (low?, mid?, peak?);
+            let mips = [low.mips_total, mid.mips_total, peak_report.mips_total];
+            self.cache.insert(key, LoadCurve { mips, peak_report });
         }
         // detlint::allow(panic_path): the entry was inserted two statements
         // up under this very key.

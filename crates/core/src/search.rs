@@ -92,10 +92,11 @@ impl fmt::Display for Selection {
         let p = f.precision().unwrap_or(2);
         write!(
             f,
-            "{:<16} -> {:<24} ({:.p$})",
+            "{:<16} -> {:<w$} ({:.p$})",
             self.knob().to_string(),
             self.setting.to_string(),
-            self.gain
+            self.gain,
+            w = KnobSetting::LABEL_WIDTH
         )
     }
 }

@@ -103,8 +103,8 @@ const RULES: [(&str, &str, &str); 11] = [
     ),
     (
         detlint::RULE_LOCK_DISCIPLINE,
-        "mutex guard misuse around runtime slots",
-        "Worker slots are Vec<Mutex<Runtime>>: each lock is expected to be\n\
+        "mutex guard misuse around worker-pool slots",
+        "Worker-pool slots sit behind a Mutex: each lock is expected to be\n\
          short-lived and disjoint. This pass flags taking the same lock\n\
          twice while a guard is live (self-deadlock) and holding a guard\n\
          across a call to another workspace function (lock-ordering risk\n\

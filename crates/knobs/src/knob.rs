@@ -97,6 +97,11 @@ pub enum KnobSetting {
 }
 
 impl KnobSetting {
+    /// Characters in the longest label a [`KnobSpace`](crate::KnobSpace)
+    /// sweeps, "prefetch: L2 hardware & DCU on". Tables size their setting
+    /// column to it, so every row's next column lines up.
+    pub const LABEL_WIDTH: usize = 30;
+
     /// The knob this setting belongs to.
     pub fn knob(&self) -> Knob {
         match self {

@@ -181,6 +181,22 @@ fn freq_steps(lo: f64, hi: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use softsku_archsim::platform::PlatformKind;
+
+    #[test]
+    fn label_width_is_the_longest_swept_label() {
+        let longest = PlatformKind::ALL
+            .into_iter()
+            .flat_map(|kind| {
+                let space =
+                    KnobSpace::for_platform(&kind.spec(), WorkloadConstraints::permissive());
+                Knob::ALL.map(|k| space.candidates(k).to_vec())
+            })
+            .flatten()
+            .map(|setting| setting.to_string().len())
+            .max();
+        assert_eq!(longest, Some(KnobSetting::LABEL_WIDTH));
+    }
 
     #[test]
     fn skylake_space_matches_paper() {

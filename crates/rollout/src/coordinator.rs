@@ -4,7 +4,8 @@
 //! The paper's "@scale" campaigns (Sec. 6) run per-platform soft-SKU
 //! rollouts across a heterogeneous fleet. [`FleetCoordinator`] is that
 //! layer: it drives every service's [`StagedRollout`] concurrently on one
-//! shared deterministic worker pool ([`usku::scheduler::run_tasks`]), with
+//! deterministic worker pool per campaign
+//! ([`usku::scheduler::with_worker_pool`]), with
 //! the fleet-scale safety mechanisms a single-service state machine cannot
 //! provide:
 //!
@@ -34,7 +35,7 @@
 //!
 //! **Determinism.** Chaos arrives from [`ChaosSchedule`] (pure in
 //! `(topology, config, seed)`); each service's fleet draws from its own
-//! private streams; fleets tick in parallel behind disjoint mutexes but
+//! private streams; fleets tick in parallel, each on one worker, but
 //! every decision — staging, promotion, breaker, quarantine — happens on
 //! the orchestration thread in canonical plan order. The whole
 //! [`CoordinatorReport`] is therefore bit-identical across worker counts,
@@ -49,8 +50,7 @@ use softsku_cluster::{
 use softsku_telemetry::trace::{AttrValue, SpanHandle, TraceSink};
 use softsku_telemetry::{LedgerDomain, LedgerKey, Ods, SeriesKey};
 use std::num::NonZeroUsize;
-use std::sync::Mutex;
-use usku::scheduler::run_tasks;
+use usku::scheduler::{run_tasks, with_worker_pool};
 
 /// Per-service exposure budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -472,48 +472,34 @@ impl FleetCoordinator {
         // blast-radius allocation walks.
         let mut runtimes = plans
             .into_iter()
-            .map(|plan| Runtime::new(plan, topology, cfg).map(Mutex::new))
+            .map(|plan| Runtime::new(plan, topology, cfg))
             .collect::<Result<Vec<_>, _>>()?;
         let schedule = ChaosSchedule::new(topology, chaos, seed);
         let mut campaign = Campaign::new(cfg, schedule, tick_s, sink);
-        while campaign.report.ticks < cfg.max_ticks {
-            campaign.advance();
-            campaign.inject(&mut runtimes)?;
-            campaign.decide(&mut runtimes)?;
-            let samples = self.tick_fleets(&runtimes)?;
-            campaign.merge(&mut runtimes, &samples)?;
-            campaign.breaker()?;
-            if runtimes.iter_mut().all(|m| runtime(m).phase.terminal()) {
-                break;
+        // Phase 3 of every tick runs on this one pool: the runtimes go to
+        // the pool for the fleet ticks and come back, in plan order, for
+        // the phases that decide on the orchestration thread.
+        let workers = self.workers.get().min(runtimes.len());
+        let tick = |rt: &mut Runtime| rt.fleet.tick();
+        with_worker_pool(workers, tick, |pool| {
+            while campaign.report.ticks < cfg.max_ticks {
+                campaign.advance();
+                campaign.inject(&mut runtimes)?;
+                campaign.decide(&mut runtimes)?;
+                let samples = pool.round(&mut runtimes).map_err(RolloutError::Cluster)?;
+                campaign.merge(&mut runtimes, &samples)?;
+                campaign.breaker()?;
+                if runtimes.iter().all(|rt| rt.phase.terminal()) {
+                    break;
+                }
             }
-        }
+            Ok::<_, RolloutError>(())
+        })?;
         let report = campaign.finish(runtimes);
         sink.attr(root, "converged", AttrValue::Bool(report.converged()));
         sink.close(root, report.sim_time_s);
         Ok(report)
     }
-
-    /// Phase 3 of a tick: the fleets tick in parallel on the shared
-    /// deterministic pool. Each worker locks a disjoint runtime; samples
-    /// come back in plan order regardless of scheduling.
-    fn tick_fleets(&self, runtimes: &[Mutex<Runtime>]) -> Result<Vec<StagedSample>, RolloutError> {
-        run_tasks(runtimes, self.workers.get(), |m| {
-            // Workers touch disjoint indices; poisoning requires a prior
-            // panic.
-            // detlint::allow(lock_discipline): each worker locks a disjoint slot; the guard must span the tick
-            let rt = &mut *m.lock().expect(NO_POISON);
-            rt.fleet.tick()
-        })
-        .map_err(RolloutError::Cluster)
-    }
-}
-
-const NO_POISON: &str = "no worker panics hold a runtime lock";
-
-/// The runtime behind an orchestration-thread slot: no worker holds a lock
-/// outside the parallel tick.
-fn runtime(m: &mut Mutex<Runtime>) -> &mut Runtime {
-    m.get_mut().expect(NO_POISON)
 }
 
 /// The coordinator loop's state: the report under construction (tick
@@ -616,7 +602,7 @@ impl<'a> Campaign<'a> {
     /// Phase 1, chaos injection in canonical family order: every fault is
     /// a ledger entry (entity = affected pool or domain) and a span, and
     /// brownout episodes that have lifted close as recoveries.
-    fn inject(&mut self, runtimes: &mut [Mutex<Runtime>]) -> Result<(), RolloutError> {
+    fn inject(&mut self, runtimes: &mut [Runtime]) -> Result<(), RolloutError> {
         let t = self.report.sim_time_s;
         for event in self.schedule.tick(t) {
             let idx = match event {
@@ -638,11 +624,7 @@ impl<'a> Campaign<'a> {
             self.sink.attr(leaf, "magnitude", magnitude);
             match event {
                 ChaosEvent::PushWave { pool, erosion, .. } => {
-                    for rt in runtimes
-                        .iter_mut()
-                        .map(runtime)
-                        .filter(|rt| rt.pool == pool)
-                    {
+                    for rt in runtimes.iter_mut().filter(|rt| rt.pool == pool) {
                         rt.fleet.apply_push_wave(erosion);
                     }
                 }
@@ -652,11 +634,7 @@ impl<'a> Campaign<'a> {
                     replicas,
                     ..
                 } => {
-                    for rt in runtimes
-                        .iter_mut()
-                        .map(runtime)
-                        .filter(|rt| rt.domain == domain)
-                    {
+                    for rt in runtimes.iter_mut().filter(|rt| rt.domain == domain) {
                         rt.fleet.crash_candidates(replicas, until_s);
                     }
                 }
@@ -715,7 +693,7 @@ impl<'a> Campaign<'a> {
     /// Phase 2, pre-tick decisions in canonical order: breaker clear, load
     /// multipliers, dark-pool degradation, quarantine expiry, and
     /// budget-metered exposure growth under the blast-radius cap.
-    fn decide(&mut self, runtimes: &mut [Mutex<Runtime>]) -> Result<(), RolloutError> {
+    fn decide(&mut self, runtimes: &mut [Runtime]) -> Result<(), RolloutError> {
         let (cfg, tick, t) = (self.cfg, self.report.ticks, self.report.sim_time_s);
         if matches!(self.frozen_until, Some(until) if tick >= until) {
             self.frozen_until = None;
@@ -723,10 +701,10 @@ impl<'a> Campaign<'a> {
         }
         let frozen = self.frozen_until.is_some();
         let mut blast: usize = runtimes
-            .iter_mut()
-            .map(|m| runtime(m).fleet.candidate_replicas())
+            .iter()
+            .map(|rt| rt.fleet.candidate_replicas())
             .sum();
-        for rt in runtimes.iter_mut().map(runtime) {
+        for rt in runtimes.iter_mut() {
             rt.fleet
                 .set_external_load(self.schedule.load_multiplier(rt.pool, t));
             let dark = self.schedule.pool_dark(rt.pool, t);
@@ -796,12 +774,12 @@ impl<'a> Campaign<'a> {
     /// promotion gating, rollback → breaker/quarantine/demotion.
     fn merge(
         &mut self,
-        runtimes: &mut [Mutex<Runtime>],
+        runtimes: &mut [Runtime],
         samples: &[StagedSample],
     ) -> Result<(), RolloutError> {
         let t = self.report.sim_time_s;
         let frozen = self.frozen_until.is_some();
-        for (rt, sample) in runtimes.iter_mut().map(runtime).zip(samples) {
+        for (rt, sample) in runtimes.iter_mut().zip(samples) {
             if rt.phase != ServicePhase::Ramping {
                 continue;
             }
@@ -920,12 +898,9 @@ impl<'a> Campaign<'a> {
 
     /// The finished report: every service's standing, the fleet's rollback
     /// total, and the recovery books.
-    fn finish(mut self, runtimes: Vec<Mutex<Runtime>>) -> CoordinatorReport {
+    fn finish(mut self, runtimes: Vec<Runtime>) -> CoordinatorReport {
         let report = &mut self.report;
-        report.services = runtimes
-            .into_iter()
-            .map(|m| m.into_inner().expect(NO_POISON).summary())
-            .collect();
+        report.services = runtimes.into_iter().map(Runtime::summary).collect();
         report.rollbacks = report.services.iter().map(|s| s.rollbacks).sum();
         report.recoveries = self.recoveries.len() as u64;
         if !self.recoveries.is_empty() {

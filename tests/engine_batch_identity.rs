@@ -369,11 +369,12 @@ fn pass_memo_llc_way_and_cdp_changes_reuse_the_page_half() {
     }
 }
 
-/// A fresh `SimServer` curve evaluates its three load points on three
-/// threads: one runs the shared structure passes while the other two wait
-/// for its counters. Every point matches a memo-off evaluation.
+/// A fresh `SimServer` curve evaluates its three load points in order on
+/// one thread: the first runs the shared structure passes and the other
+/// two take its counters from the pass memo. Every point matches a
+/// memo-off evaluation.
 #[test]
-fn pass_memo_concurrent_curve_points_match_evaluation() {
+fn pass_memo_curve_points_match_evaluation() {
     let seed = 5104;
     let profile = web();
     // Stock Web reserves no SHPs, unlike the production config the server
@@ -384,7 +385,7 @@ fn pass_memo_concurrent_curve_points_match_evaluation() {
     let peak = server.peak_report().unwrap();
     for grid in [0.5, 0.75, 1.0] {
         let load = grid * profile.peak_utilization;
-        // Memo on: the counters the concurrent curve evaluation stored.
+        // Memo on: the counters the curve evaluation stored.
         let (served, evaluated) = memo_on_and_off(&config, seed, load);
         assert_eq!(signature(&served), signature(&evaluated), "grid {grid}");
         if grid == 1.0 {

@@ -42,8 +42,8 @@ impl<'a> SoftSkuGenerator<'a> {
         SoftSkuGenerator { tester }
     }
 
-    /// Composes the search outcome into a soft SKU and measures it against
-    /// both the production and stock baselines (paper Fig. 19).
+    /// Measures the configuration the search composed against both the
+    /// production and stock baselines (paper Fig. 19).
     ///
     /// # Errors
     ///

@@ -17,9 +17,10 @@
 //! 3. [`abtest::AbTester`] — warm-up discard, spaced noisy samples, Welch
 //!    95 % tests, ~30 k-sample give-up, QoS and reboot gating.
 //! 4. [`map::DesignSpaceMap`] — per-knob results and winners.
-//! 5. [`generator::SoftSkuGenerator`] — composes winners, measures the
-//!    composite vs stock and production, and validates the deployment at
-//!    fleet scale via ODS-style QPS comparison.
+//! 5. [`generator::SoftSkuGenerator`] — measures `outcome.best_config`,
+//!    which [`search::compose`] composed from the search's selections,
+//!    vs stock and production, and validates the deployment at fleet
+//!    scale via ODS-style QPS comparison. It composes nothing itself.
 //!
 //! Extensions from the paper's Sec. 7 are included: exhaustive and
 //! hill-climbing searches ([`search`]), a QPS metric for services where

@@ -6,6 +6,7 @@
 //! performant knob configurations."
 
 use crate::abtest::{AbTestResult, Verdict};
+use crate::search::{SelectedGain, Selection};
 use softsku_knobs::{Knob, KnobSetting};
 use std::collections::BTreeMap;
 
@@ -94,39 +95,43 @@ impl DesignSpaceMap {
     }
 
     /// The most performant *significantly better* setting for a knob, if any
-    /// setting beat the baseline.
+    /// setting beat the baseline. Ties keep the earliest-recorded setting,
+    /// the rule [`DesignSpaceMap::best_joint`] follows.
     pub fn best_setting(&self, knob: Knob) -> Option<(KnobSetting, f64)> {
-        self.results(knob)
-            .iter()
-            .filter_map(|r| r.verdict.gain().map(|g| (r.setting, g)))
-            // detlint::allow(panic_path): gains come from Verdict::gain(),
-            // which only ever yields finite values.
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("gains are finite"))
-    }
-
-    /// The per-knob winners: for every knob with a significantly better
-    /// setting, that setting and its measured gain, in knob order (the map
-    /// is keyed by a `BTreeMap`, so the order is canonical and independent
-    /// of recording order). This is the input the rollout crate's
-    /// `SkuComposer` starts from.
-    pub fn winners(&self) -> Vec<(Knob, KnobSetting, f64)> {
-        self.per_knob
-            .keys()
-            .filter_map(|&knob| self.best_setting(knob).map(|(s, g)| (knob, s, g)))
-            .collect()
-    }
-
-    /// The single best per-knob winner across the whole map — the strongest
-    /// claim a *one-knob* SKU could make. Ties keep the earliest knob in
-    /// knob order.
-    pub fn best_single(&self) -> Option<(Knob, KnobSetting, f64)> {
-        let mut best: Option<(Knob, KnobSetting, f64)> = None;
-        for w in self.winners() {
-            if best.is_none_or(|b| w.2 > b.2) {
-                best = Some(w);
+        let mut best: Option<(KnobSetting, f64)> = None;
+        for r in self.results(knob) {
+            if let Some(gain) = r.verdict.gain() {
+                if best.is_none_or(|(_, g)| gain > g) {
+                    best = Some((r.setting, gain));
+                }
             }
         }
         best
+    }
+
+    /// The winner of each of `knobs` that has one, in the given order: its
+    /// best setting, selected with its [`SelectedGain::Individual`] gain.
+    pub fn winners_of(&self, knobs: impl IntoIterator<Item = Knob>) -> Vec<Selection> {
+        let best = knobs.into_iter().filter_map(|knob| self.best_setting(knob));
+        best.map(individual).collect()
+    }
+
+    /// The per-knob winners of every knob in the map, in knob order (the map
+    /// is keyed by a `BTreeMap`, so the order is canonical and independent
+    /// of recording order). This is the input the rollout crate's
+    /// `SkuComposer` starts from.
+    pub fn winners(&self) -> Vec<Selection> {
+        self.winners_of(self.knobs())
+    }
+
+    /// The per-knob winners by descending gain; a stable sort keeps knob
+    /// order on ties. The head is the strongest claim a *one-knob* SKU could
+    /// make, and the earliest knob among equal claims.
+    pub fn ranked_winners(&self) -> Vec<Selection> {
+        let mut best: Vec<(KnobSetting, f64)> =
+            self.knobs().filter_map(|k| self.best_setting(k)).collect();
+        best.sort_by(|a, b| b.1.total_cmp(&a.1));
+        best.into_iter().map(individual).collect()
     }
 
     /// Total A/B tests recorded, joint configurations included.
@@ -206,6 +211,15 @@ impl DesignSpaceMap {
             }
         }
         out
+    }
+}
+
+/// A per-knob best setting as a selection: measured alone, so its gain is
+/// individual.
+fn individual((setting, gain): (KnobSetting, f64)) -> Selection {
+    Selection {
+        setting,
+        gain: SelectedGain::Individual(gain),
     }
 }
 
@@ -349,6 +363,23 @@ mod tests {
     }
 
     #[test]
+    fn best_setting_ties_keep_the_earliest_setting() {
+        let mut map = DesignSpaceMap::new();
+        map.record(result(
+            KnobSetting::ShpPages(300),
+            Verdict::Better { gain: 0.05 },
+            100,
+        ));
+        map.record(result(
+            KnobSetting::ShpPages(400),
+            Verdict::Better { gain: 0.05 },
+            100,
+        ));
+        let (setting, _) = map.best_setting(Knob::Shp).unwrap();
+        assert_eq!(setting, KnobSetting::ShpPages(300));
+    }
+
+    #[test]
     fn winners_come_out_in_knob_order_with_best_single_on_top() {
         let mut map = DesignSpaceMap::new();
         map.record(result(
@@ -365,13 +396,16 @@ mod tests {
         let winners = map.winners();
         assert_eq!(winners.len(), 2, "NoDifference is not a winner");
         // Knob order, not recording or gain order.
-        assert_eq!(winners[0].0, Knob::CoreFrequency);
-        assert_eq!(winners[1].0, Knob::Shp);
-        let (knob, setting, gain) = map.best_single().unwrap();
-        assert_eq!(knob, Knob::Shp);
-        assert_eq!(setting, KnobSetting::ShpPages(300));
+        assert_eq!(winners[0].knob(), Knob::CoreFrequency);
+        assert_eq!(winners[1].knob(), Knob::Shp);
+        let best = map.ranked_winners()[0];
+        assert_eq!(best.knob(), Knob::Shp);
+        assert_eq!(best.setting, KnobSetting::ShpPages(300));
+        let SelectedGain::Individual(gain) = best.gain else {
+            panic!("a per-knob winner is measured alone: {best:?}");
+        };
         assert!((gain - 0.06).abs() < 1e-12);
-        assert!(DesignSpaceMap::new().best_single().is_none());
+        assert!(DesignSpaceMap::new().ranked_winners().is_empty());
     }
 
     #[test]

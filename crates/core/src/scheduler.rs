@@ -950,8 +950,8 @@ impl FleetTuner {
 
         let mut services = Vec::with_capacity(prepared.len());
         for ((target, mut outcome), wall_s) in prepared.into_iter().zip(outcomes).zip(wall) {
-            (outcome.best_config, outcome.selected) =
-                compose(&target.baseline, &outcome.map, &target.knobs);
+            outcome.selected = outcome.map.winners_of(target.knobs.iter().copied());
+            outcome.best_config = compose(&target.baseline, &outcome.selected)?;
             services.push(ServiceTuning {
                 service: target.service,
                 platform: target.platform,

@@ -170,13 +170,13 @@ pub(crate) fn add_counts(into: &mut Vec<(String, u64)>, from: &[(String, u64)]) 
 /// Independent per-knob sweep (the paper's deployed strategy).
 ///
 /// Each candidate setting of each knob is A/B-tested against the production
-/// baseline; the per-knob winners are presumed additive and composed by the
-/// soft-SKU generator.
+/// baseline; the per-knob winners are presumed additive and composed by
+/// [`compose`] in `knobs` order.
 ///
 /// # Errors
 ///
 /// Propagates tester/environment errors (deterministically: the failing
-/// unit at the lowest plan index wins).
+/// unit at the lowest plan index wins) and [`compose`]'s knob errors.
 pub fn independent_sweep(
     tester: &AbTester,
     proto: &mut AbEnvironment,
@@ -191,7 +191,8 @@ pub fn independent_sweep(
         out.charge(&run);
         out.map.record(run.result);
     }
-    (out.best_config, out.selected) = compose(baseline, &out.map, knobs);
+    out.selected = out.map.winners_of(knobs.iter().copied());
+    out.best_config = compose(baseline, &out.selected)?;
     Ok(out)
 }
 
@@ -206,7 +207,7 @@ pub fn independent_sweep(
 ///
 /// # Errors
 ///
-/// Propagates tester/environment errors.
+/// Propagates tester/environment errors and [`compose`]'s knob errors.
 pub fn exhaustive_sweep(
     tester: &AbTester,
     proto: &mut AbEnvironment,
@@ -226,18 +227,15 @@ pub fn exhaustive_sweep(
         out.map.record_joint(settings, run.result);
     }
     if let Some((joint, gain)) = out.map.best_joint() {
-        let mut config = baseline.clone();
-        let mut selected = Vec::with_capacity(joint.settings.len());
-        for s in &joint.settings {
-            // detlint::allow(panic_path): every planned setting was
-            // validated against the same baseline when the plan was built.
-            s.apply(&mut config).expect("planned settings are valid");
-            selected.push(Selection {
-                setting: *s,
+        out.selected = joint
+            .settings
+            .iter()
+            .map(|&setting| Selection {
+                setting,
                 gain: SelectedGain::Joint(gain),
-            });
-        }
-        (out.best_config, out.selected) = (config, selected);
+            })
+            .collect();
+        out.best_config = compose(baseline, &out.selected)?;
     }
     Ok(out)
 }
@@ -255,7 +253,7 @@ pub fn exhaustive_sweep(
 ///
 /// # Errors
 ///
-/// Propagates tester/environment errors.
+/// Propagates tester/environment errors and [`compose`]'s knob errors.
 pub fn hill_climb(
     tester: &AbTester,
     proto: &mut AbEnvironment,
@@ -293,19 +291,16 @@ pub fn hill_climb(
         let Some((setting, marginal)) = best_move else {
             break;
         };
-        // detlint::allow(panic_path): the move was applied to a clone of
-        // this very config when it was planned; apply cannot fail.
-        setting
-            .apply(&mut out.best_config)
-            .expect("previously validated move");
         cumulative_factor *= 1.0 + marginal;
-        out.selected.push(Selection {
+        let selection = Selection {
             setting,
             gain: SelectedGain::Step {
                 marginal,
                 cumulative: cumulative_factor - 1.0,
             },
-        });
+        };
+        out.best_config = compose(&out.best_config, &[selection])?;
+        out.selected.push(selection);
     }
     Ok(out)
 }
@@ -342,26 +337,24 @@ fn run_against(
     run_trials(&[target], trials, schedule.workers.get(), false)
 }
 
-/// Composes per-knob winners onto the baseline (the independent strategy's
-/// additive assumption). Shared with the [`crate::scheduler::FleetTuner`].
-pub(crate) fn compose(
+/// Applies `selections` to `baseline` in the given order: the one routine
+/// that turns a search's winners into a configuration, used by every
+/// strategy, the [`crate::scheduler::FleetTuner`] and the rollout crate's
+/// `SkuComposer`.
+///
+/// # Errors
+///
+/// [`UskuError::Knob`] when a selection does not apply on top of the ones
+/// before it.
+pub fn compose(
     baseline: &ServerConfig,
-    map: &DesignSpaceMap,
-    knobs: &[Knob],
-) -> (ServerConfig, Vec<Selection>) {
+    selections: &[Selection],
+) -> Result<ServerConfig, UskuError> {
     let mut config = baseline.clone();
-    let mut selected = Vec::new();
-    for &knob in knobs {
-        if let Some((setting, gain)) = map.best_setting(knob) {
-            if setting.apply(&mut config).is_ok() {
-                selected.push(Selection {
-                    setting,
-                    gain: SelectedGain::Individual(gain),
-                });
-            }
-        }
+    for s in selections {
+        s.setting.apply(&mut config)?;
     }
-    (config, selected)
+    Ok(config)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use crate::error::RolloutError;
 use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::AbEnvironment;
 use softsku_knobs::{Knob, KnobSetting};
+use softsku_telemetry::nearest_rank;
 use softsku_telemetry::streams::IdentitySeed;
 use softsku_telemetry::trace::{AttrValue, TraceSink};
 use std::num::NonZeroUsize;
@@ -20,6 +21,7 @@ use usku::abtest::{AbTestConfig, AbTestResult, AbTester};
 use usku::map::DesignSpaceMap;
 use usku::metric::PerformanceMetric;
 use usku::scheduler::{run_trials, trace_test_span, warm_baseline, Trial, TrialTarget};
+use usku::search::{compose, Selection};
 
 /// Validation parameters of the composer.
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +104,7 @@ pub struct Composition {
     /// Measured gain of the deployed configuration (0.0 for baseline).
     pub measured_gain: f64,
     /// The per-knob winners the map claimed, in knob order.
-    pub winners: Vec<(Knob, KnobSetting, f64)>,
+    pub winners: Vec<Selection>,
     /// Every joint validation run, in decision order.
     pub validations: Vec<CandidateValidation>,
 }
@@ -171,11 +173,15 @@ impl SkuComposer {
     /// winner are measured; the composition deploys only if it is accepted
     /// and keeps [`ComposerConfig::min_composed_fraction`] of the single
     /// knob's measured gain — otherwise winners are retried alone in
-    /// descending claimed-gain order until one validates.
+    /// descending claimed-gain order until one validates. Every candidate
+    /// configuration is built by [`usku::search::compose`], the rule the
+    /// searches and the fleet tuner compose with.
     ///
     /// # Errors
     ///
-    /// Tester/environment errors; rejections are decisions, not errors.
+    /// Tester/environment errors, and [`usku::UskuError::Knob`] when a
+    /// winner does not apply to `baseline`; rejections are decisions, not
+    /// errors.
     pub fn compose(
         &self,
         proto: &mut AbEnvironment,
@@ -233,33 +239,26 @@ impl SkuComposer {
         sink: &mut TraceSink,
         cursor: &mut f64,
     ) -> Result<Composition, RolloutError> {
-        let winners = map.winners();
-        let mut validations = Vec::new();
-        if winners.is_empty() {
-            return Ok(Composition {
-                decision: CompositionDecision::Baseline,
-                config: baseline.clone(),
-                measured_gain: 0.0,
-                winners,
-                validations,
-            });
-        }
-
-        let mut composed = baseline.clone();
-        for (_, setting, _) in &winners {
-            setting
-                .apply(&mut composed)
-                .map_err(usku::UskuError::Knob)?;
-        }
-        let composed_label = winners[winners.len() - 1].1;
-        let composed_name = winners
+        let mut out = Composition {
+            decision: CompositionDecision::Baseline,
+            config: baseline.clone(),
+            measured_gain: 0.0,
+            winners: map.winners(),
+            validations: Vec::new(),
+        };
+        let Some(composed_label) = out.winners.last().map(|w| w.setting) else {
+            return Ok(out);
+        };
+        let composed = compose(baseline, &out.winners)?;
+        let composed_name = out
+            .winners
             .iter()
-            .map(|(_, s, _)| s.to_string())
+            .map(|w| w.setting.to_string())
             .collect::<Vec<_>>()
             .join(" + ");
         warm_baseline(proto, baseline);
 
-        let composed_v = self.validate(
+        let v = self.validate(
             proto,
             baseline,
             &composed,
@@ -268,145 +267,47 @@ impl SkuComposer {
             sink,
             cursor,
         )?;
-        let composed_accepted = composed_v.accepted;
-        let composed_gain = composed_v.gain;
-        validations.push(composed_v);
+        let (composed_accepted, composed_gain) = (v.accepted, v.gain);
+        out.validations.push(v);
+        let knobs = out.winners.iter().map(Selection::knob).collect();
 
-        if winners.len() == 1 {
+        if out.winners.len() == 1 {
             // One winner: the composition and the per-knob SKU coincide.
-            let decision = if composed_accepted {
-                CompositionDecision::Composed {
-                    knobs: vec![winners[0].0],
-                }
-            } else {
-                CompositionDecision::Baseline
-            };
-            return Ok(self.finish(
-                decision,
-                baseline,
-                composed,
-                composed_gain,
-                winners,
-                validations,
-            ));
+            if composed_accepted {
+                let decision = CompositionDecision::Composed { knobs };
+                (out.decision, out.config, out.measured_gain) = (decision, composed, composed_gain);
+            }
+            return Ok(out);
         }
 
         // Interaction detection: measure the strongest single claim under
-        // the same validation regime and compare measured gains.
-        let (bk, bs, _) = map.best_single().expect("winners exist");
-        let single_v = self.validate_single(proto, baseline, bs, sink, cursor)?;
-        let single_accepted = single_v.accepted;
-        let single_gain = single_v.gain;
-        validations.push(single_v);
-
-        let composed_holds = composed_accepted
-            && (!single_accepted
-                || composed_gain >= self.config.min_composed_fraction * single_gain);
-        if composed_holds {
-            let knobs = winners.iter().map(|(k, _, _)| *k).collect();
-            return Ok(self.finish(
-                CompositionDecision::Composed { knobs },
-                baseline,
-                composed,
-                composed_gain,
-                winners,
-                validations,
-            ));
-        }
-        if single_accepted {
-            let mut config = baseline.clone();
-            bs.apply(&mut config).map_err(usku::UskuError::Knob)?;
-            return Ok(self.finish(
-                CompositionDecision::PerKnobFallback {
-                    knob: bk,
-                    setting: bs,
-                },
-                baseline,
-                config,
-                single_gain,
-                winners,
-                validations,
-            ));
-        }
-
-        // The best single claim failed too; retry the remaining winners in
-        // descending claimed-gain order (stable sort keeps knob order on
-        // ties, so the scan order is canonical).
-        let mut ranked = winners.clone();
-        ranked.sort_by(|a, b| b.2.total_cmp(&a.2));
-        for (knob, setting, _) in ranked {
-            if setting == bs {
-                continue; // already measured above
+        // the same validation regime and compare measured gains; when the
+        // composition does not hold, deploy the first winner, in ranked
+        // order, that validates alone.
+        for (i, w) in map.ranked_winners().into_iter().enumerate() {
+            let single = compose(baseline, &[w])?;
+            let name = w.setting.to_string();
+            let v = self.validate(proto, baseline, &single, w.setting, &name, sink, cursor)?;
+            let (accepted, gain) = (v.accepted, v.gain);
+            out.validations.push(v);
+            if i == 0
+                && composed_accepted
+                && (!accepted || composed_gain >= self.config.min_composed_fraction * gain)
+            {
+                let decision = CompositionDecision::Composed { knobs };
+                (out.decision, out.config, out.measured_gain) = (decision, composed, composed_gain);
+                return Ok(out);
             }
-            let v = self.validate_single(proto, baseline, setting, sink, cursor)?;
-            let accepted = v.accepted;
-            let gain = v.gain;
-            validations.push(v);
             if accepted {
-                let mut config = baseline.clone();
-                setting.apply(&mut config).map_err(usku::UskuError::Knob)?;
-                return Ok(self.finish(
-                    CompositionDecision::PerKnobFallback { knob, setting },
-                    baseline,
-                    config,
-                    gain,
-                    winners,
-                    validations,
-                ));
+                let decision = CompositionDecision::PerKnobFallback {
+                    knob: w.knob(),
+                    setting: w.setting,
+                };
+                (out.decision, out.config, out.measured_gain) = (decision, single, gain);
+                return Ok(out);
             }
         }
-        Ok(self.finish(
-            CompositionDecision::Baseline,
-            baseline,
-            baseline.clone(),
-            0.0,
-            winners,
-            validations,
-        ))
-    }
-
-    fn finish(
-        &self,
-        decision: CompositionDecision,
-        baseline: &ServerConfig,
-        config: ServerConfig,
-        measured_gain: f64,
-        winners: Vec<(Knob, KnobSetting, f64)>,
-        validations: Vec<CandidateValidation>,
-    ) -> Composition {
-        let config = if decision == CompositionDecision::Baseline {
-            baseline.clone()
-        } else {
-            config
-        };
-        Composition {
-            decision,
-            config,
-            measured_gain,
-            winners,
-            validations,
-        }
-    }
-
-    fn validate_single(
-        &self,
-        proto: &AbEnvironment,
-        baseline: &ServerConfig,
-        setting: KnobSetting,
-        sink: &mut TraceSink,
-        cursor: &mut f64,
-    ) -> Result<CandidateValidation, RolloutError> {
-        let mut config = baseline.clone();
-        setting.apply(&mut config).map_err(usku::UskuError::Knob)?;
-        self.validate(
-            proto,
-            baseline,
-            &config,
-            setting,
-            &setting.to_string(),
-            sink,
-            cursor,
-        )
+        Ok(out)
     }
 
     /// Validates one candidate configuration on `replicas` forked
@@ -463,10 +364,9 @@ impl SkuComposer {
         let accepted = better_votes * 2 > trials.len();
         // Lower median of the winning replicas' gains: a conservative,
         // order-independent point estimate.
-        let gain = if accepted {
-            gains[(better_votes - 1) / 2]
-        } else {
-            0.0
+        let gain = match nearest_rank(&gains, 0.5) {
+            Some(g) if accepted => g,
+            _ => 0.0,
         };
 
         if sink.is_enabled() {

@@ -15,9 +15,9 @@ use crate::stream::{BranchProfile, StreamSpec};
 use crate::tlb::TlbHierarchy;
 use crate::tmam::TmamBreakdown;
 use crate::trace::{EventBatch, Halves, HugePageMix, TraceGenerator, TraceKey};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
 
 /// Everything the seven µSKU knobs can change about a server, plus the
 /// platform it runs on.
@@ -235,8 +235,13 @@ struct PassHalf {
 /// THP and SHP act only through the TLBs (Figs. 11 and 18), so their
 /// settings share one line half; LLC-way and CDP settings share one page
 /// half. A window simulates only the halves it misses, and a full hit runs
-/// only the analytic steps 4–5 of [`Engine::evaluate`]. The map's mutex is
-/// held only to claim the two [`PassSlot`]s.
+/// only the analytic steps 4–5 of [`Engine::evaluate`]. A load grid
+/// ([`Engine::run_grid`]) claims the slots of all its points at once and
+/// simulates every half it misses on one trace; it locks all its line
+/// slots in key order, then all its page slots in key order, so a single
+/// window (a one-point grid) locks its line slot first too, and no two
+/// callers can each hold a slot the other waits for. The map's mutex is
+/// held only to claim the slots.
 static PASS_MEMO: OnceLock<Mutex<HashMap<u128, PassSlot>>> = OnceLock::new();
 
 /// Input sets each pass-memo half remembers as checked, in builds with
@@ -250,7 +255,7 @@ const CODE_TAG: u64 = 1 << 62;
 /// The pre-filled caches: what the line half of a window's passes drives.
 /// They are filled from the two line distributions alone, and the TLBs
 /// from the two page distributions alone.
-#[derive(PartialEq)]
+#[derive(Clone, PartialEq)]
 struct WarmCaches {
     l1i: SetAssocCache,
     l1d: SetAssocCache,
@@ -591,158 +596,221 @@ impl Engine {
         h.finish()
     }
 
-    /// Simulates the `halves` of this window's passes: the caches and the
-    /// TLBs of the simulated halves built and pre-filled, and the trace
-    /// generated chunk by chunk with only those halves' mappers. Returns
-    /// the line half's counters and the page half's; a half not simulated
-    /// reads all zero and builds nothing.
+    /// Simulates pass sets that share one trace: for each `(schedule,
+    /// halves)` of `passes`, the `halves` of that schedule's passes. Each
+    /// half's structures are built and pre-filled once, since they depend
+    /// on neither load nor schedule, and copied into every pass set that
+    /// simulates that half. One generator, mapping only the halves some set
+    /// simulates, feeds them all. Returns each set's line half counters and
+    /// page half counters, in `passes` order; a half not simulated reads
+    /// all zero. A list that simulates nothing builds, generates and
+    /// spawns nothing.
     fn simulate_halves(
         &self,
-        schedule: &Schedule,
+        passes: &[(&Schedule, Halves)],
         share: f64,
         huge: HugePageMix,
-        halves: Halves,
-    ) -> Result<(Counters, Counters), ArchSimError> {
-        let caches = halves
+    ) -> Result<Vec<(Counters, Counters)>, ArchSimError> {
+        let (mut line_sets, mut page_sets) = (0, 0);
+        for (_, halves) in passes {
+            line_sets += usize::from(halves.lines);
+            page_sets += usize::from(halves.pages);
+        }
+        let mapped = Halves {
+            lines: line_sets > 0,
+            pages: page_sets > 0,
+        };
+        if !(mapped.lines || mapped.pages) {
+            return Ok(vec![Default::default(); passes.len()]);
+        }
+        let mut caches = mapped
             .lines
             .then(|| build_warm_caches(&self.config, &self.spec, share))
             .transpose()?;
-        let tlb = halves
+        let mut tlb = mapped
             .pages
             .then(|| build_warm_tlb(&self.config, &self.spec))
             .transpose()?;
-        let sim = WindowSim {
-            lines: caches.map(|warm| LineSim {
-                warm,
-                bpu: BranchPredictor::new(
-                    self.spec.branch.base_mispredict,
-                    self.spec.branch.branch_working_set,
-                    self.config.platform.btb_entries,
-                ),
-                rng: rand_for(softsku_telemetry::stream_seed(
-                    self.seed,
-                    softsku_telemetry::StreamFamily::EngineSampling,
-                )),
-                counters: Counters::default(),
-                l1i_miss: Vec::new(),
-                l1d_miss: Vec::new(),
-            }),
-            pages: tlb.map(|tlb| PageSim {
-                tlb,
-                counters: Counters::default(),
-                itlb_miss: Vec::new(),
-                dtlb_miss: Vec::new(),
-            }),
-        };
-        let mut gen = TraceGenerator::for_halves(&self.spec, huge, self.seed, halves);
-        Ok(sim.run(schedule, &mut gen))
+        let sets = passes
+            .iter()
+            .map(|&(schedule, halves)| PassSet {
+                schedule,
+                lines: halves
+                    .lines
+                    .then(|| hand_out(&mut caches, &mut line_sets))
+                    .flatten()
+                    .map(|warm| LineSim::new(warm, self)),
+                pages: halves
+                    .pages
+                    .then(|| hand_out(&mut tlb, &mut page_sets))
+                    .flatten()
+                    .map(PageSim::new),
+            })
+            .collect();
+        let mut gen = TraceGenerator::for_halves(&self.spec, huge, self.seed, mapped);
+        Ok(WindowSim { sets }.run(&mut gen))
     }
 
-    /// The counters of this window's structure passes, assembled from its
-    /// line half and its page half. With the memo on, each half comes from
+    /// The counters of a grid's structure passes, one per schedule of
+    /// `schedules` (the grid's points, which share one trace), each
+    /// assembled from its line half and its page half. Points with equal
+    /// schedules share one pass set. With the memo on, each half comes from
     /// [`PASS_MEMO`] when an earlier window with the same key ran it; the
-    /// window simulates only the halves it misses, and keeps them for
-    /// later windows. A poisoned map or slot (a thread panicked
-    /// mid-simulation) only bypasses the memo; a failed build leaves the
-    /// slots as they were.
+    /// grid simulates only the halves it misses, all in one
+    /// [`Engine::simulate_halves`] call, and keeps them for later windows.
+    /// A poisoned map or slot (a thread panicked mid-simulation) only
+    /// bypasses the memo; a failed build leaves the slots as they were.
     fn window_counters(
         &self,
-        schedule: &Schedule,
+        schedules: &[Schedule],
         share: f64,
         huge: HugePageMix,
-    ) -> Result<Counters, ArchSimError> {
-        let simulate = |halves| self.simulate_halves(schedule, share, huge, halves);
-        let full = || -> Result<Counters, ArchSimError> {
-            let (lines, pages) = simulate(Halves::BOTH)?;
-            Ok(merge_halves(lines, pages))
+    ) -> Result<Vec<Counters>, ArchSimError> {
+        let mut sets: Vec<&Schedule> = Vec::with_capacity(schedules.len());
+        let point_sets: Vec<usize> = schedules
+            .iter()
+            .map(|schedule| {
+                sets.iter().position(|&s| s == schedule).unwrap_or_else(|| {
+                    sets.push(schedule);
+                    sets.len() - 1
+                })
+            })
+            .collect();
+        let per_point = |halves: &[(Counters, Counters)]| {
+            point_sets
+                .iter()
+                .map(|&k| merge_halves(halves[k].0, halves[k].1))
+                .collect()
+        };
+        let simulate = |passes: &[(&Schedule, Halves)]| self.simulate_halves(passes, share, huge);
+        let full = || -> Result<Vec<Counters>, ArchSimError> {
+            let passes: Vec<_> = sets.iter().map(|&s| (s, Halves::BOTH)).collect();
+            Ok(per_point(&simulate(&passes)?))
         };
         if !self.use_memo {
             return full();
         }
-        let line_key = self.line_key(schedule, share);
-        let page_key = self.page_key(schedule, huge);
+        let keys: Vec<(u128, u128)> = sets
+            .iter()
+            .map(|s| (self.line_key(s, share), self.page_key(s, huge)))
+            .collect();
         #[cfg(debug_assertions)]
-        let inputs = self.inputs_fingerprint(schedule, share, huge);
-        let simulated = |counters| PassHalf {
+        let inputs: Vec<u64> = sets
+            .iter()
+            .map(|s| self.inputs_fingerprint(s, share, huge))
+            .collect();
+        let simulated = |_set: usize, counters| PassHalf {
             counters,
             #[cfg(debug_assertions)]
-            audited: [inputs; AUDITED_INPUTS],
+            audited: [inputs[_set]; AUDITED_INPUTS],
         };
         let Ok(mut map) = PASS_MEMO.get_or_init(Mutex::default).lock() else {
             return full();
         };
         if map.len() >= PASS_MEMO_CAP
-            && !(map.contains_key(&line_key) && map.contains_key(&page_key))
+            && !keys
+                .iter()
+                .all(|(line, page)| map.contains_key(line) && map.contains_key(page))
         {
             map.clear();
         }
-        let line_slot = Arc::clone(map.entry(line_key).or_default());
-        let page_slot = Arc::clone(map.entry(page_key).or_default());
+        let mut claim = |key: u128| (key, Arc::clone(map.entry(key).or_default()));
+        let line_slots: BTreeMap<u128, PassSlot> = keys.iter().map(|k| claim(k.0)).collect();
+        let page_slots: BTreeMap<u128, PassSlot> = keys.iter().map(|k| claim(k.1)).collect();
         drop(map);
-        // Every window locks its line slot before its page slot, so no two
-        // windows can each hold a slot the other waits for.
-        let Ok(mut line) = line_slot.lock() else {
+        // Every caller locks all its line slots in key order, then all its
+        // page slots in key order. A single window is a one-point grid, so
+        // it takes its line slot before its page slot. One total order
+        // over all slots means no two callers can each hold a slot the
+        // other waits for.
+        let Some(mut line_guards) = lock_in_key_order(&line_slots) else {
             return full();
         };
-        let Ok(mut page) = page_slot.lock() else {
+        let Some(mut page_guards) = lock_in_key_order(&page_slots) else {
             return full();
         };
+        // Each set's halves: from the memo, or simulated now, all misses
+        // on one trace.
+        let mut halves: Vec<(Option<PassHalf>, Option<PassHalf>)> = keys
+            .iter()
+            .map(|(line, page)| (*line_guards[line], *page_guards[page]))
+            .collect();
+        let (missed, passes): (Vec<usize>, Vec<(&Schedule, Halves)>) = halves
+            .iter()
+            .enumerate()
+            .filter_map(|(k, (lines, pages))| {
+                let miss = Halves {
+                    lines: lines.is_none(),
+                    pages: pages.is_none(),
+                };
+                (miss.lines || miss.pages).then_some((k, (sets[k], miss)))
+            })
+            .unzip();
+        for (&k, (lines, pages)) in missed.iter().zip(simulate(&passes)?) {
+            let (memo_lines, memo_pages) = &mut halves[k];
+            memo_lines.get_or_insert(simulated(k, lines));
+            memo_pages.get_or_insert(simulated(k, pages));
+        }
+        // The audit, in builds with debug assertions: a half the grid took
+        // from the memo is simulated again with the memo off the first time
+        // it serves a point's input set (one of its last `AUDITED_INPUTS`),
+        // and must match exactly; a half simulated just now already lists
+        // its input set, and the grid's audits share one trace. A pass half
+        // writes only integer counts, so `==` is bitwise here. A key that
+        // omits an input its passes read thus fails at its first stale
+        // hit, whatever order threads take; hits that repeat a checked
+        // input set — other loads, fork replicas, the other arm of an A/B
+        // test — cost nothing. The slots stay locked, so concurrent windows
+        // with the same inputs wait for the verdict instead of repeating
+        // it.
         #[cfg(debug_assertions)]
-        let hits = (line.is_some(), page.is_some());
-        let (lines, pages) = match (*line, *page) {
-            (Some(lines), Some(pages)) => (lines, pages),
-            (memo_lines, memo_pages) => {
-                let (lines, pages) = simulate(Halves {
-                    lines: memo_lines.is_none(),
-                    pages: memo_pages.is_none(),
-                })?;
-                (
-                    memo_lines.unwrap_or(simulated(lines)),
-                    memo_pages.unwrap_or(simulated(pages)),
-                )
-            }
-        };
-        // The audit, in builds with debug assertions: a half this window
-        // took from the memo is simulated again with the memo off the
-        // first time it serves this window's input set (one of its last
-        // `AUDITED_INPUTS`), and must match exactly. A pass half writes only
-        // integer counts, so `==` is bitwise here. A key that omits an
-        // input its passes read thus fails at its first stale hit, whatever
-        // order threads take; hits that repeat a checked input set — other
-        // loads, fork replicas, the other arm of an A/B test — cost
-        // nothing. The slots stay locked, so concurrent windows with the
-        // same inputs wait for the verdict instead of repeating it.
-        #[cfg(debug_assertions)]
-        let (lines, pages) = {
-            let (mut lines, mut pages) = (lines, pages);
-            let unchecked = |hit: bool, half: &PassHalf| hit && !half.audited.contains(&inputs);
-            let audit = Halves {
-                lines: unchecked(hits.0, &lines),
-                pages: unchecked(hits.1, &pages),
+        {
+            let unchecked = |k: usize, half: &Option<PassHalf>| {
+                half.is_some_and(|h| !h.audited.contains(&inputs[k]))
             };
-            if audit.lines || audit.pages {
-                let (fresh_lines, fresh_pages) = simulate(audit)?;
-                for (name, audited, half, fresh) in [
-                    ("line", audit.lines, &mut lines, fresh_lines),
-                    ("page", audit.pages, &mut pages, fresh_pages),
-                ] {
-                    if audited {
+            let (audited, passes): (Vec<usize>, Vec<(&Schedule, Halves)>) = halves
+                .iter()
+                .enumerate()
+                .filter_map(|(k, (lines, pages))| {
+                    let audit = Halves {
+                        lines: unchecked(k, lines),
+                        pages: unchecked(k, pages),
+                    };
+                    (audit.lines || audit.pages).then_some((k, (sets[k], audit)))
+                })
+                .unzip();
+            for (&k, (fresh_lines, fresh_pages)) in audited.iter().zip(simulate(&passes)?) {
+                let (lines, pages) = &mut halves[k];
+                for (name, half, fresh) in
+                    [("line", lines, fresh_lines), ("page", pages, fresh_pages)]
+                {
+                    if let Some(half) = half.as_mut().filter(|h| !h.audited.contains(&inputs[k])) {
                         assert_eq!(
                             half.counters, fresh,
                             "stale pass-memo {name} half: a hit differs from evaluation"
                         );
                         half.audited.rotate_right(1);
-                        half.audited[0] = inputs;
+                        half.audited[0] = inputs[k];
                     }
                 }
             }
-            (lines, pages)
-        };
-        *line = Some(lines);
-        *page = Some(pages);
-        drop(page);
-        drop(line);
-        Ok(merge_halves(lines.counters, pages.counters))
+        }
+        for ((line, page), &(lines, pages)) in keys.iter().zip(&halves) {
+            if let Some(guard) = line_guards.get_mut(line) {
+                **guard = lines;
+            }
+            if let Some(guard) = page_guards.get_mut(page) {
+                **guard = pages;
+            }
+        }
+        drop(page_guards);
+        drop(line_guards);
+        let counters = |half: Option<PassHalf>| half.map(|h| h.counters).unwrap_or_default();
+        let halves: Vec<_> = halves
+            .into_iter()
+            .map(|(lines, pages)| (counters(lines), counters(pages)))
+            .collect();
+        Ok(per_point(&halves))
     }
 
     /// Fingerprint of everything a window's passes could read: the whole
@@ -778,6 +846,32 @@ impl Engine {
         self.run_colocated(instructions, load_fraction, 0.0, None)
     }
 
+    /// Simulates one window of `instructions` instructions at each load of
+    /// `loads` (fractions of peak offered load) and returns the reports in
+    /// `loads` order, each bit-identical to [`Engine::run_window`] at its
+    /// load. The points share one trace: load reaches the structure passes
+    /// only through the context-switch period, so the points whose passes
+    /// differ (switches inside the window, at load-dependent periods) are
+    /// simulated together, one pass set per distinct period fed by one
+    /// trace generation, and points with equal passes share one pass set.
+    /// With the memo on, the grid claims every pass-memo slot of its points
+    /// before simulating the halves it misses.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Engine::run_window`] at any point. Every load is checked
+    /// before anything is keyed or simulated.
+    pub fn run_grid<const N: usize>(
+        &self,
+        instructions: u64,
+        loads: [f64; N],
+    ) -> Result<[WindowReport; N], ArchSimError> {
+        let reports = self.evaluate(instructions, &loads, 0.0, None)?;
+        Ok(reports
+            .try_into()
+            .expect("`evaluate` returns one report per load"))
+    }
+
     /// Simulates a window while sharing the socket with a co-runner: the
     /// co-runner contributes `background_bw_gbps` of memory traffic to the
     /// loaded-latency queue, and `llc_share` (when given) overrides this
@@ -794,7 +888,7 @@ impl Engine {
     /// share the line half (caches, branch predictor) and simulate only
     /// their TLBs; windows that differ only in LLC ways, the CDP split or
     /// the LLC share share the page half (TLBs) and simulate only their
-    /// caches.
+    /// caches. A window is a one-point [`Engine::run_grid`].
     ///
     /// # Errors
     ///
@@ -810,6 +904,37 @@ impl Engine {
         background_bw_gbps: f64,
         llc_share: Option<f64>,
     ) -> Result<WindowReport, ArchSimError> {
+        let mut reports = self.evaluate(
+            instructions,
+            &[load_fraction],
+            background_bw_gbps,
+            llc_share,
+        )?;
+        Ok(reports
+            .pop()
+            .expect("`evaluate` returns one report per load"))
+    }
+
+    /// Warm-up instructions before a window of `instructions`. The pre-fill
+    /// supplies steady-state contents; the warm-up only needs to mix the
+    /// interleaved structures.
+    fn warmup(&self, instructions: u64) -> u64 {
+        self.warmup_override.unwrap_or_else(|| {
+            ((instructions as f64 * WARMUP_FRACTION) as u64).clamp(50_000, 400_000)
+        })
+    }
+
+    /// The grid simulation behind [`Engine::run_grid`] and
+    /// [`Engine::run_colocated`], one report per load of `loads`, in order:
+    /// every argument is checked first, and the rest is a pure function of
+    /// the inputs.
+    fn evaluate(
+        &self,
+        instructions: u64,
+        loads: &[f64],
+        background_bw_gbps: f64,
+        llc_share: Option<f64>,
+    ) -> Result<Vec<WindowReport>, ArchSimError> {
         if let Some(s) = llc_share {
             if !(s > 0.0 && s <= 1.0) {
                 return Err(ArchSimError::InvalidFraction {
@@ -830,10 +955,11 @@ impl Engine {
                 value: instructions as f64,
             });
         }
-        for (name, value) in [
-            ("load_fraction", load_fraction),
-            ("background_bw_gbps", background_bw_gbps),
-        ] {
+        let arguments = loads
+            .iter()
+            .map(|&load| ("load_fraction", load))
+            .chain([("background_bw_gbps", background_bw_gbps)]);
+        for (name, value) in arguments {
             if !value.is_finite() {
                 return Err(ArchSimError::InvalidWindowArgument {
                     name: name.to_string(),
@@ -841,31 +967,8 @@ impl Engine {
                 });
             }
         }
-        self.evaluate(instructions, load_fraction, background_bw_gbps, llc_share)
-    }
-
-    /// Warm-up instructions before a window of `instructions`. The pre-fill
-    /// supplies steady-state contents; the warm-up only needs to mix the
-    /// interleaved structures.
-    fn warmup(&self, instructions: u64) -> u64 {
-        self.warmup_override.unwrap_or_else(|| {
-            ((instructions as f64 * WARMUP_FRACTION) as u64).clamp(50_000, 400_000)
-        })
-    }
-
-    /// The window simulation behind [`Engine::run_colocated`]; a pure
-    /// function of its inputs.
-    fn evaluate(
-        &self,
-        instructions: u64,
-        load_fraction: f64,
-        background_bw_gbps: f64,
-        llc_share: Option<f64>,
-    ) -> Result<WindowReport, ArchSimError> {
         let cfg = &self.config;
         let spec = &self.spec;
-        let plat = &cfg.platform;
-        let load = load_fraction.clamp(0.05, 1.0);
 
         // ------------------------------------------------------------------
         // 1. Resolve derived policies.
@@ -878,14 +981,12 @@ impl Engine {
             cfg.thp_traits(),
             cfg.machine_memory_bytes,
         );
-        let pf = PrefetchEffect::resolve(cfg.prefetchers, &spec.prefetch);
-        let memory = MemoryModel::new(plat, cfg.uncore_freq_ghz);
 
         // Per-core effective LLC share under multi-core contention. The LLC
         // is per-socket, so only cores within a socket contend. A co-runner
         // override replaces the same-workload contention estimate.
         let n = cfg.active_cores as f64;
-        let contending = n.min(plat.cores_per_socket as f64);
+        let contending = n.min(cfg.platform.cores_per_socket as f64);
         let share = match llc_share {
             Some(s) => s,
             None => 1.0 / (1.0 + (contending - 1.0) * spec.llc_contention),
@@ -894,11 +995,31 @@ impl Engine {
             code_huge_fraction: policy.huge_code_fraction,
             data_huge_fraction: policy.huge_data_fraction,
         };
+        let loads: Vec<f64> = loads.iter().map(|l| l.clamp(0.05, 1.0)).collect();
+        let schedules: Vec<Schedule> = loads
+            .iter()
+            .map(|&load| self.schedule(instructions, freq, load))
+            .collect();
 
+        // ------------------------------------------------------------------
+        // 2–3. Drive the pre-filled structures over the grid's trace — or
+        //      take the counters of earlier windows with the same passes.
+        // ------------------------------------------------------------------
+        let counters = self.window_counters(&schedules, share, huge)?;
+        loads
+            .iter()
+            .zip(counters)
+            .map(|(&load, c)| self.price(c, load, freq, &policy, background_bw_gbps))
+            .collect()
+    }
+
+    /// Where a window's chunk boundaries fall at `load` (already clamped)
+    /// and core frequency `freq`.
+    fn schedule(&self, instructions: u64, freq: f64, load: f64) -> Schedule {
         // Context-switch injection interval (instructions); uses a nominal
         // IPC guess of 1 — only the *pollution placement* depends on it, the
-        // direct cost is computed analytically below.
-        let cs_rate = spec.context_switch.rate_per_sec * load;
+        // direct cost is computed analytically in step 5.
+        let cs_rate = self.spec.context_switch.rate_per_sec * load;
         let insns_per_switch = if cs_rate > 0.0 {
             ((freq * 1e9) / cs_rate).max(1_000.0) as u64
         } else {
@@ -906,7 +1027,7 @@ impl Engine {
         };
         let warmup = self.warmup(instructions);
         let total = instructions + warmup;
-        let schedule = Schedule {
+        Schedule {
             warmup,
             total,
             batch_events: self.batch_events as u64,
@@ -918,14 +1039,27 @@ impl Engine {
             } else {
                 u64::MAX
             },
-            pollution: spec.context_switch.pollution_fraction,
-        };
+            pollution: self.spec.context_switch.pollution_fraction,
+        }
+    }
 
-        // ------------------------------------------------------------------
-        // 2–3. Drive the pre-filled structures over the window's trace — or
-        //      take the counters of an earlier window with the same passes.
-        // ------------------------------------------------------------------
-        let mut c = self.window_counters(&schedule, share, huge)?;
+    /// Steps 4–5 of an evaluation: prices one point's pass counters `c` at
+    /// `load` (already clamped) and core frequency `freq` into its report.
+    fn price(
+        &self,
+        mut c: Counters,
+        load: f64,
+        freq: f64,
+        policy: &PagePolicy,
+        background_bw_gbps: f64,
+    ) -> Result<WindowReport, ArchSimError> {
+        let cfg = &self.config;
+        let spec = &self.spec;
+        let plat = &cfg.platform;
+        let pf = PrefetchEffect::resolve(cfg.prefetchers, &spec.prefetch);
+        let memory = MemoryModel::new(plat, cfg.uncore_freq_ghz);
+        let n = cfg.active_cores as f64;
+        let cs_rate = spec.context_switch.rate_per_sec * load;
 
         // ------------------------------------------------------------------
         // 4. Prefetch coverage + SHP pressure transforms (aggregate).
@@ -1082,7 +1216,7 @@ impl Engine {
 }
 
 /// Where a window's chunk boundaries fall.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Schedule {
     /// Warm-up events; statistics reset before event `warmup`.
     warmup: u64,
@@ -1097,32 +1231,53 @@ struct Schedule {
     pollution: f64,
 }
 
+/// The chunks of one trace that feeds a pass set per schedule of
+/// `schedules`, as event ranges, in order, computed lazily. The schedules
+/// cover the same events. Each chunk ends at the first boundary any of
+/// them places there, so a chunk never crosses a warm-up reset and ends
+/// exactly at every schedule's context-switch points (the flush lands
+/// after that event). A pass set flushes only at its own switch points
+/// ([`Schedule::switches_after`]), and bit-identity holds at any chunking
+/// that keeps these bounds (DESIGN §13.2), so each set's counters are
+/// those of its schedule's own chunks. One window's chunks are the union
+/// over one schedule.
+fn chunks<'a>(schedules: &'a [&'a Schedule]) -> impl Iterator<Item = Range<u64>> + Send + 'a {
+    let total = schedules.first().map_or(0, |s| s.total);
+    debug_assert!(schedules.iter().all(|s| s.total == total));
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        if i >= total {
+            return None;
+        }
+        let end = schedules
+            .iter()
+            .map(|s| s.chunk_end(i))
+            .min()
+            .unwrap_or(total);
+        let chunk = i..end;
+        i = end;
+        Some(chunk)
+    })
+}
+
 impl Schedule {
-    /// The window's chunks as event ranges, in order, computed lazily.
-    /// A chunk never crosses the warm-up reset, and ends exactly at a
-    /// context-switch point (the flush lands after that event).
-    fn chunks(&self) -> impl Iterator<Item = Range<u64>> + Send + '_ {
-        let mut i = 0;
-        std::iter::from_fn(move || {
-            if i >= self.total {
-                return None;
-            }
-            let mut end = self.total.min(i.saturating_add(self.batch_events));
-            if i < self.warmup {
-                end = end.min(self.warmup);
-            }
-            if self.insns_per_switch != u64::MAX {
-                let next_switch = if i == 0 {
-                    self.insns_per_switch
-                } else {
-                    i.div_ceil(self.insns_per_switch) * self.insns_per_switch
-                };
-                end = end.min(next_switch.saturating_add(1));
-            }
-            let chunk = i..end;
-            i = end;
-            Some(chunk)
-        })
+    /// Where the chunk starting at event `i` ends under this schedule
+    /// alone: at most `batch_events` later, at the warm-up reset, or just
+    /// after the next context-switch point.
+    fn chunk_end(&self, i: u64) -> u64 {
+        let mut end = self.total.min(i.saturating_add(self.batch_events));
+        if i < self.warmup {
+            end = end.min(self.warmup);
+        }
+        if self.insns_per_switch != u64::MAX {
+            let next_switch = if i == 0 {
+                self.insns_per_switch
+            } else {
+                i.div_ceil(self.insns_per_switch) * self.insns_per_switch
+            };
+            end = end.min(next_switch.saturating_add(1));
+        }
+        end
     }
 
     /// True when a context switch lands on the chunk's last event, so its
@@ -1181,9 +1336,15 @@ where
     });
 }
 
-/// One window's mutable state, split at the line/page seam: each half is
+/// The pass sets one trace feeds, one per schedule.
+struct WindowSim<'a> {
+    sets: Vec<PassSet<'a>>,
+}
+
+/// One schedule's mutable state, split at the line/page seam: each half is
 /// `None` when the window takes it from the pass memo.
-struct WindowSim {
+struct PassSet<'a> {
+    schedule: &'a Schedule,
     lines: Option<LineSim>,
     pages: Option<PageSim>,
 }
@@ -1211,47 +1372,77 @@ struct PageSim {
     dtlb_miss: Vec<u32>,
 }
 
-impl WindowSim {
-    /// Drives the window's simulated halves over its events and returns
-    /// the line half's measured counters and the page half's (all zero for
-    /// a half not simulated).
+impl WindowSim<'_> {
+    /// Drives every pass set's simulated halves over the trace and returns
+    /// each set's line half counters and page half counters, in set order
+    /// (all zero for a half not simulated).
     ///
-    /// The window runs on two threads (see [`pipeline`]): a scoped thread
+    /// The trace runs on two threads (see [`pipeline`]): a scoped thread
     /// runs the generator's code half one chunk ahead, while this thread
-    /// maps each chunk's data half and then runs the structure passes over
-    /// it. The code half alone consumes the generator's RNG, in per-event
-    /// order, and each half's mappers see their accesses in order, so the
-    /// batches are exactly [`TraceGenerator::fill_batch`]'s in every column
-    /// the simulated halves read.
+    /// maps each chunk's data half and then runs every set's structure
+    /// passes over it. The code half alone consumes the generator's RNG,
+    /// in per-event order, and each half's mappers see their accesses in
+    /// order, so the batches are exactly [`TraceGenerator::fill_batch`]'s
+    /// in every column the simulated halves read. The chunks end at every
+    /// set's boundaries ([`chunks`]).
     ///
-    /// The line and page passes touch disjoint state — the caches, BPU and
-    /// sampling stream against the TLBs — and each applies its own warm-up
-    /// reset and context-switch flushes at the same chunk bounds, so each
-    /// half's counters are the same whether or not the other half runs.
-    fn run(mut self, schedule: &Schedule, gen: &mut TraceGenerator) -> (Counters, Counters) {
+    /// The sets, and each set's line and page passes, touch disjoint state
+    /// — the caches, BPU and sampling stream against the TLBs — and each
+    /// applies its own warm-up reset and context-switch flushes, so each
+    /// half's counters are the same whether or not any other half runs.
+    fn run(mut self, gen: &mut TraceGenerator) -> Vec<(Counters, Counters)> {
+        let schedules: Vec<&Schedule> = self.sets.iter().map(|set| set.schedule).collect();
+        let capacity = schedules.first().map_or(0, |s| s.batch_events.min(s.total));
         let (code, data) = gen.halves();
         pipeline(
-            schedule.chunks(),
-            schedule.batch_events.min(schedule.total) as usize,
+            chunks(&schedules),
+            capacity as usize,
             |batch, n| code.fill(batch, n),
             |chunk, batch| {
                 data.fill(batch);
-                if let Some(lines) = &mut self.lines {
-                    lines.pass(schedule, &chunk, batch);
-                }
-                if let Some(pages) = &mut self.pages {
-                    pages.pass(schedule, &chunk, batch);
+                for set in &mut self.sets {
+                    if let Some(lines) = &mut set.lines {
+                        lines.pass(set.schedule, &chunk, batch);
+                    }
+                    if let Some(pages) = &mut set.pages {
+                        pages.pass(set.schedule, &chunk, batch);
+                    }
                 }
             },
         );
-        (
-            self.lines.map_or_else(Counters::default, LineSim::finish),
-            self.pages.map_or_else(Counters::default, PageSim::finish),
-        )
+        self.sets
+            .into_iter()
+            .map(|set| {
+                (
+                    set.lines.map_or_else(Counters::default, LineSim::finish),
+                    set.pages.map_or_else(Counters::default, PageSim::finish),
+                )
+            })
+            .collect()
     }
 }
 
 impl LineSim {
+    /// A line half over the pre-filled caches `warm`, with `engine`'s
+    /// branch predictor and sampling stream.
+    fn new(warm: WarmCaches, engine: &Engine) -> Self {
+        LineSim {
+            warm,
+            bpu: BranchPredictor::new(
+                engine.spec.branch.base_mispredict,
+                engine.spec.branch.branch_working_set,
+                engine.config.platform.btb_entries,
+            ),
+            rng: rand_for(softsku_telemetry::stream_seed(
+                engine.seed,
+                softsku_telemetry::StreamFamily::EngineSampling,
+            )),
+            counters: Counters::default(),
+            l1i_miss: Vec::new(),
+            l1d_miss: Vec::new(),
+        }
+    }
+
     /// Runs the line half's passes over one chunk's events, `chunk` of the
     /// window: the class tallies, L1i, L1d, the L2/LLC merge, the branch
     /// pass and the cache flushes.
@@ -1264,7 +1455,7 @@ impl LineSim {
     /// per-event access subsequence, and (c) the *shared* structures
     /// (unified L2, unified STLB) are driven by an event-ordered merge of
     /// the first-level misses, code before data within an event — the
-    /// per-event probe order. [`Schedule::chunks`] clamps chunk bounds so
+    /// per-event probe order. [`chunks`] clamps chunk bounds so
     /// the warm-up reset and context-switch flushes land between the same
     /// events as in the per-event loop.
     fn pass(&mut self, schedule: &Schedule, chunk: &Range<u64>, ch: &EventBatch) {
@@ -1380,6 +1571,16 @@ impl LineSim {
 }
 
 impl PageSim {
+    /// A page half over the pre-filled TLB hierarchy `tlb`.
+    fn new(tlb: TlbHierarchy) -> Self {
+        PageSim {
+            tlb,
+            counters: Counters::default(),
+            itlb_miss: Vec::new(),
+            dtlb_miss: Vec::new(),
+        }
+    }
+
     /// Runs the page half's passes over one chunk's events: the ITLB and
     /// DTLB sweeps (splitting DTLB misses into loads and stores), the
     /// event-ordered STLB merge and the TLB flush, at the same chunk bounds
@@ -1448,6 +1649,29 @@ impl PageSim {
         c.dtlb_misses = dtlb_miss;
         c.dtlb_walks = dtlb_walk;
         c
+    }
+}
+
+/// Locks every slot of `slots` in key order; `None` if one is poisoned.
+fn lock_in_key_order(
+    slots: &BTreeMap<u128, PassSlot>,
+) -> Option<BTreeMap<u128, MutexGuard<'_, Option<PassHalf>>>> {
+    let mut guards = BTreeMap::new();
+    for (&key, slot) in slots {
+        let guard = slot.lock().ok()?;
+        guards.insert(key, guard);
+    }
+    Some(guards)
+}
+
+/// One pass set's copy of structures that `left` pass sets still need:
+/// the last one takes `built`, the others clone it.
+fn hand_out<T: Clone>(built: &mut Option<T>, left: &mut usize) -> Option<T> {
+    *left -= 1;
+    if *left == 0 {
+        built.take()
+    } else {
+        built.clone()
     }
 }
 
@@ -2036,28 +2260,54 @@ mod tests {
 
     /// A window whose page half comes from the memo and whose line half is
     /// simulated, and the reverse, match a memo-off evaluation bit for
-    /// bit; so do the halves simulated alone against a full simulation.
+    /// bit; so do the halves simulated alone against a full simulation,
+    /// and pass sets that share one trace against each simulated on its
+    /// own, whichever halves each set simulates.
     #[test]
     fn each_half_simulates_as_in_a_full_window() {
         let e = engine_with(ServerConfig::stock(PlatformSpec::skylake18()));
-        let schedule = Schedule {
+        let schedule = |insns_per_switch| Schedule {
             warmup: 20_000,
             total: 80_000,
             batch_events: 4096,
-            insns_per_switch: 15_000,
+            insns_per_switch,
             pollution: 0.3,
         };
+        let (every_15k, every_22k) = (schedule(15_000), schedule(22_000));
         let huge = huge_mix(&e);
-        let full = e
-            .simulate_halves(&schedule, 0.7, huge, Halves::BOTH)
-            .unwrap();
-        let only = |lines, pages| {
-            e.simulate_halves(&schedule, 0.7, huge, Halves { lines, pages })
-                .unwrap()
-        };
-        assert_eq!(only(true, false), (full.0, Counters::default()));
-        assert_eq!(only(false, true), (Counters::default(), full.1));
+        let simulate =
+            |passes: &[(&Schedule, Halves)]| e.simulate_halves(passes, 0.7, huge).unwrap();
+        let halves = |lines, pages| Halves { lines, pages };
+        let full = simulate(&[(&every_15k, Halves::BOTH)])[0];
+        assert_eq!(
+            simulate(&[(&every_15k, halves(true, false))]),
+            [(full.0, Counters::default())]
+        );
+        assert_eq!(
+            simulate(&[(&every_15k, halves(false, true))]),
+            [(Counters::default(), full.1)]
+        );
         assert!(full.0.l1d_misses > 0 && full.1.dtlb_misses > 0);
+        let other = simulate(&[(&every_22k, Halves::BOTH)])[0];
+        assert_ne!(other, full, "the periods flush at other events");
+        assert_eq!(
+            simulate(&[(&every_15k, Halves::BOTH), (&every_22k, Halves::BOTH)]),
+            [full, other]
+        );
+        assert_eq!(
+            simulate(&[
+                (&every_22k, halves(false, true)),
+                (&every_15k, halves(true, false)),
+            ]),
+            [
+                (Counters::default(), other.1),
+                (full.0, Counters::default())
+            ]
+        );
+        assert_eq!(
+            simulate(&[(&every_15k, halves(false, false))]),
+            [Default::default()]
+        );
     }
 
     /// The reference pre-fill: the caches of [`build_warm_caches`], filled
@@ -2192,7 +2442,7 @@ mod tests {
     #[test]
     fn chunks_stop_at_the_warmup_reset_and_after_each_switch() {
         let schedule = small_schedule();
-        let chunks: Vec<_> = schedule.chunks().collect();
+        let chunks: Vec<_> = chunks(&[&schedule]).collect();
         let mut next = 0;
         for chunk in &chunks {
             assert_eq!(chunk.start, next, "chunks tile the window");
@@ -2210,12 +2460,40 @@ mod tests {
         assert_eq!(flushed, [25, 50, 75]);
     }
 
+    /// One trace's chunks end at every schedule's switch points, and each
+    /// schedule flushes only after its own.
+    #[test]
+    fn shared_chunks_stop_after_every_schedules_switches() {
+        let every_25 = small_schedule();
+        let every_40 = Schedule {
+            insns_per_switch: 40,
+            ..small_schedule()
+        };
+        let chunks: Vec<_> = chunks(&[&every_25, &every_40]).collect();
+        let mut next = 0;
+        for chunk in &chunks {
+            assert_eq!(chunk.start, next, "chunks tile the window");
+            assert!(chunk.end > chunk.start && chunk.end - chunk.start <= 7);
+            next = chunk.end;
+        }
+        assert_eq!(next, 100);
+        let flushed = |schedule: &Schedule| -> Vec<u64> {
+            chunks
+                .iter()
+                .filter(|c| schedule.switches_after(c))
+                .map(|c| c.end - 1)
+                .collect()
+        };
+        assert_eq!(flushed(&every_25), [25, 50, 75]);
+        assert_eq!(flushed(&every_40), [40, 80]);
+    }
+
     #[test]
     fn pipeline_delivers_every_chunk_in_order_on_recycled_batches() {
         let schedule = small_schedule();
         let mut seen = Vec::new();
         pipeline(
-            schedule.chunks(),
+            chunks(&[&schedule]),
             7,
             |batch, n| {
                 batch.clear();
@@ -2226,7 +2504,7 @@ mod tests {
                 seen.push(chunk);
             },
         );
-        assert_eq!(seen, schedule.chunks().collect::<Vec<_>>());
+        assert_eq!(seen, chunks(&[&schedule]).collect::<Vec<_>>());
     }
 
     #[test]
@@ -2236,7 +2514,7 @@ mod tests {
         let mut consumed = 0;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pipeline(
-                schedule.chunks(),
+                chunks(&[&schedule]),
                 7,
                 |_, _| {
                     filled += 1;
@@ -2257,7 +2535,7 @@ mod tests {
         let schedule = small_schedule();
         let result = std::panic::catch_unwind(|| {
             pipeline(
-                schedule.chunks(),
+                chunks(&[&schedule]),
                 7,
                 |_, _| {},
                 |chunk, _| {

@@ -16,7 +16,10 @@
 //! re-measure their parent's operating points, against a window at another
 //! load, which takes the cold window's counters from the pass memo, and
 //! against a window at another THP setting, which takes only the line half
-//! from the memo and simulates the page half. Part 3 (full mode) times the
+//! from the memo and simulates the page half; and it times a cold
+//! three-point load grid whose points switch context inside the window, one
+//! shared trace, against its three points as cold single windows. Part 3
+//! (full mode) times the
 //! memo-independent components the engine is built from — rank list,
 //! caches, TLB, stack mapper, trace generator, A/B statistics — as
 //! fixed-iteration ns/op loops.
@@ -211,14 +214,19 @@ fn memo_economics(window: u64, hits: usize) -> Result<Json, BoxError> {
         "another THP setting must reuse the cold window's line half"
     );
 
+    let (grid_s, grid_serial_s) = grid_economics(&profile, seed, window)?;
+
     let speedup = cold_s / hit_s.max(1e-12);
     println!(
         "== pass memo: cold {:.1} ms, hit {:.4} ms ({speedup:.0}x; fork replicas skip re-warm-up); \
-         hit at another load {:.4} ms; line half only, at another THP setting, {:.1} ms ==",
+         hit at another load {:.4} ms; line half only, at another THP setting, {:.1} ms; \
+         three-point switching grid {:.1} ms vs {:.1} ms as three windows ==",
         cold_s * 1e3,
         hit_s * 1e3,
         pass_hit_s * 1e3,
-        line_hit_s * 1e3
+        line_hit_s * 1e3,
+        grid_s * 1e3,
+        grid_serial_s * 1e3
     );
     Ok(Json::obj()
         .set("window_instructions", Json::Int(window as i64))
@@ -226,9 +234,54 @@ fn memo_economics(window: u64, hits: usize) -> Result<Json, BoxError> {
         .set("memo_hit_ms", Json::Num(hit_s * 1e3))
         .set("pass_hit_ms", Json::Num(pass_hit_s * 1e3))
         .set("line_hit_ms", Json::Num(line_hit_s * 1e3))
+        .set("grid_ms", Json::Num(grid_s * 1e3))
+        .set("grid_serial_ms", Json::Num(grid_serial_s * 1e3))
         .set("hit_reps", Json::Int(hits as i64))
         .set("speedup", Json::Num(speedup))
         .set("bit_identical", Json::Bool(true)))
+}
+
+/// A curve's three load points on `profile`'s stock config, with context
+/// switches frequent enough to land inside the window at three different
+/// periods: the seconds of one cold `run_grid` (three pass sets on one
+/// trace), each point asserted bit-identical to a memo-off window, and of
+/// the same three points as cold single windows at another seed.
+fn grid_economics(
+    profile: &WorkloadProfile,
+    seed: u64,
+    window: u64,
+) -> Result<(f64, f64), BoxError> {
+    let mut stream = profile.stream.clone();
+    stream.context_switch.rate_per_sec = 150_000.0;
+    stream.context_switch.pollution_fraction = 0.3;
+    let engine = |seed: u64, memo: bool| -> Result<Engine, BoxError> {
+        Ok(Engine::new(profile.stock_config.clone(), stream.clone(), seed)?.with_memo(memo))
+    };
+    let loads = [0.5, 0.75, 1.0].map(|g| g * profile.peak_utilization);
+    // Seeds no other part of this process evaluates, so every point is cold.
+    let (grid_seed, serial_seed) = (seed + 1, seed + 2);
+
+    let grid_engine = engine(grid_seed, true)?;
+    let clock = Stopwatch::start();
+    let grid = grid_engine.run_grid(window, loads)?;
+    let grid_s = clock.elapsed_s();
+
+    let serial_engine = engine(serial_seed, true)?;
+    let clock = Stopwatch::start();
+    for load in loads {
+        black_box(serial_engine.run_window(window, load)?);
+    }
+    let grid_serial_s = clock.elapsed_s();
+
+    let evaluated = engine(grid_seed, false)?;
+    for (&load, point) in loads.iter().zip(&grid) {
+        assert_eq!(
+            signature(point),
+            signature(&evaluated.run_window(window, load)?),
+            "a grid point must be bit-identical to a memo-off window"
+        );
+    }
+    Ok((grid_s, grid_serial_s))
 }
 
 /// The per-window fixed cost of `TraceGenerator::new` on Web/Skylake18's

@@ -93,7 +93,8 @@ impl SimServer {
         // configuration at peak load (see DESIGN.md on Table 2 consistency).
         let prod = server.profile.production_config.clone();
         let prod_mips = server
-            .evaluate(&prod, server.profile.peak_utilization)?
+            .engine(&prod)?
+            .run_window(server.window_insns, server.profile.peak_utilization)?
             .mips_total;
         server.production_mips = prod_mips;
         server.insn_per_query = prod_mips * 1e6 / server.profile.request.peak_qps;
@@ -217,14 +218,16 @@ impl SimServer {
     fn curve(&mut self) -> Result<&LoadCurve, ClusterError> {
         let key = config_key(&self.config, self.push_cpi_scale);
         if !self.cache.contains_key(&key) {
-            // The load-grid points run in order on this thread. Points that
-            // share structure passes (all three, unless a context switch
-            // lands inside the window) are pass-memo hits after the first,
-            // and a cold point already runs on two threads inside the
-            // engine, so threads per point would only add start-up cost.
-            let [low, mid, peak] =
-                LOAD_GRID.map(|g| self.evaluate(&self.config, g * self.profile.peak_utilization));
-            let (low, mid, peak_report) = (low?, mid?, peak?);
+            // The load-grid points are one `run_grid` call on this thread.
+            // Points that share structure passes (all three, unless a
+            // context switch lands inside the window) run them once, and
+            // the others share one trace generation; a cold grid already
+            // runs on two threads inside the engine, so threads per point
+            // would only add start-up cost.
+            let peak = self.profile.peak_utilization;
+            let [low, mid, peak_report] = self
+                .engine(&self.config)?
+                .run_grid(self.window_insns, LOAD_GRID.map(|g| g * peak))?;
             let mips = [low.mips_total, mid.mips_total, peak_report.mips_total];
             self.cache.insert(key, LoadCurve { mips, peak_report });
         }
@@ -233,11 +236,12 @@ impl SimServer {
         Ok(self.cache.get(&key).expect("inserted above"))
     }
 
-    fn evaluate(&self, config: &ServerConfig, load: f64) -> Result<WindowReport, ClusterError> {
+    /// An engine for `config` on this server's workload, code pushes
+    /// included.
+    fn engine(&self, config: &ServerConfig) -> Result<Engine, ClusterError> {
         let mut stream = self.profile.stream.clone();
         stream.base_cpi_scale *= self.push_cpi_scale;
-        let engine = Engine::new(config.clone(), stream, self.seed)?;
-        Ok(engine.run_window(self.window_insns, load)?)
+        Ok(Engine::new(config.clone(), stream, self.seed)?)
     }
 }
 

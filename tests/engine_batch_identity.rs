@@ -22,6 +22,11 @@
 //!    and SHP settings share the line half (with or without context
 //!    switches inside the window), and LLC-way and CDP settings share the
 //!    page half.
+//! 6. A load grid (`Engine::run_grid`) whose points place context
+//!    switches inside the window at different periods simulates them on
+//!    one shared trace, and each point is bit-identical to its own window
+//!    at every batch size; grids and single windows that claim
+//!    overlapping pass-memo slots on many threads finish and match too.
 //!
 //! The process-wide memos are shared by every test in this binary, so each
 //! pass-memo test uses its own seed.
@@ -31,6 +36,7 @@ use softsku::archsim::engine::{Engine, ServerConfig, WindowReport};
 use softsku::archsim::{CdpPartition, PrefetcherConfig, StreamSpec, ThpMode};
 use softsku::cluster::{AbEnvironment, EnvConfig, SimServer};
 use softsku::workloads::{Microservice, PlatformKind, WorkloadProfile};
+use std::sync::Barrier;
 
 /// Every field of a report as exact bits: `u64` counters verbatim, `f64`
 /// fields as raw IEEE-754 patterns. Equality of signatures is bit-identity
@@ -369,10 +375,9 @@ fn pass_memo_llc_way_and_cdp_changes_reuse_the_page_half() {
     }
 }
 
-/// A fresh `SimServer` curve evaluates its three load points in order on
-/// one thread: the first runs the shared structure passes and the other
-/// two take its counters from the pass memo. Every point matches a
-/// memo-off evaluation.
+/// A fresh `SimServer` curve evaluates its three load points as one grid:
+/// with no switch inside the window they share one pass set, which the
+/// grid simulates once. Every point matches a memo-off evaluation.
 #[test]
 fn pass_memo_curve_points_match_evaluation() {
     let seed = 5104;
@@ -391,5 +396,143 @@ fn pass_memo_curve_points_match_evaluation() {
         if grid == 1.0 {
             assert_eq!(signature(&peak), signature(&evaluated));
         }
+    }
+}
+
+/// Web's stream with context switches frequent enough to land inside a
+/// `SHARED_WINDOW` window at every load of a curve's grid, each load at
+/// its own period.
+fn switching_web() -> StreamSpec {
+    let mut stream = web().stream;
+    stream.context_switch.rate_per_sec = 150_000.0;
+    stream.context_switch.pollution_fraction = 0.3;
+    stream
+}
+
+/// A `SimServer` curve's load grid on Web.
+fn curve_loads() -> [f64; 3] {
+    [0.5, 0.75, 1.0].map(|g| g * web().peak_utilization)
+}
+
+/// `stream` on `config` at `seed` with the memo on or off.
+fn engine_on(config: &ServerConfig, stream: &StreamSpec, seed: u64, memo: bool) -> Engine {
+    Engine::new(config.clone(), stream.clone(), seed)
+        .unwrap()
+        .with_memo(memo)
+}
+
+/// A grid whose three points flush at three different periods simulates
+/// them as three pass sets on one trace, chunked at the union of their
+/// boundaries. Each point matches its own memo-off window at batch sizes
+/// 1, 7 and 4096, memo off (every pass set simulated) and memo on (a
+/// fresh seed, so every pass set is a miss).
+#[test]
+fn grid_with_switches_inside_the_window_matches_single_windows() {
+    let seed = 5110;
+    let stream = switching_web();
+    let loads = curve_loads();
+    let single: Vec<Vec<u64>> = loads
+        .iter()
+        .map(|&load| {
+            signature(
+                &engine_on(&stock_web(), &stream, seed, false)
+                    .run_window(SHARED_WINDOW, load)
+                    .unwrap(),
+            )
+        })
+        .collect();
+    // The l1i-miss counts differ pairwise: every point flushes at its own
+    // period, so no two points share a pass set.
+    let l1i_misses = |s: &Vec<u64>| s[3];
+    assert!(
+        l1i_misses(&single[0]) != l1i_misses(&single[1])
+            && l1i_misses(&single[1]) != l1i_misses(&single[2])
+            && l1i_misses(&single[0]) != l1i_misses(&single[2]),
+        "every grid point must switch inside the window at its own period"
+    );
+    for batch in [1, 7, 4096] {
+        let grid = engine_on(&stock_web(), &stream, seed, false)
+            .with_batch_size(batch)
+            .run_grid(SHARED_WINDOW, loads)
+            .unwrap();
+        assert_eq!(
+            grid.map(|r| signature(&r)).to_vec(),
+            single,
+            "batch {batch}"
+        );
+    }
+    let grid = engine_on(&stock_web(), &stream, seed, true)
+        .run_grid(SHARED_WINDOW, loads)
+        .unwrap();
+    assert_eq!(grid.map(|r| signature(&r)).to_vec(), single, "memo on");
+}
+
+/// Eight threads run grids and single windows whose pass-memo slots
+/// overlap: the same curve in two point orders, a two-point grid, single
+/// windows at grid loads, and a THP-never grid and window that share the
+/// line slots but not the page slots. Every caller claims its slots in one
+/// global order, so all of them finish, and every report matches a
+/// memo-off window.
+#[test]
+fn grids_and_windows_on_overlapping_slots_finish_and_match() {
+    let seed = 5111;
+    let stream = switching_web();
+    let [a, b, c] = curve_loads();
+    let mut never = stock_web();
+    never.thp = ThpMode::NeverOn;
+    let configs = [stock_web(), never];
+    let evaluated = |config: usize, load: f64| {
+        signature(
+            &engine_on(&configs[config], &stream, seed, false)
+                .run_window(SHARED_WINDOW, load)
+                .unwrap(),
+        )
+    };
+    // (config, loads, whether one grid call runs them all).
+    let callers: [(usize, &[f64], bool); 8] = [
+        (0, &[a, b, c], true),
+        (0, &[c, b, a], true),
+        (0, &[a], false),
+        (0, &[c], false),
+        (1, &[a, b, c], true),
+        (1, &[b], false),
+        (0, &[b, a], true),
+        (0, &[b], false),
+    ];
+    let barrier = Barrier::new(callers.len());
+    let results: Vec<Vec<(usize, f64, Vec<u64>)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = callers
+            .iter()
+            .map(|&(config, loads, grid)| {
+                let (barrier, stream, configs) = (&barrier, &stream, &configs);
+                s.spawn(move || {
+                    let engine = engine_on(&configs[config], stream, seed, true);
+                    barrier.wait();
+                    let reports: Vec<WindowReport> = match (grid, loads) {
+                        (true, &[x, y, z]) => {
+                            engine.run_grid(SHARED_WINDOW, [x, y, z]).unwrap().to_vec()
+                        }
+                        (true, &[x, y]) => engine.run_grid(SHARED_WINDOW, [x, y]).unwrap().to_vec(),
+                        _ => loads
+                            .iter()
+                            .map(|&load| engine.run_window(SHARED_WINDOW, load).unwrap())
+                            .collect(),
+                    };
+                    loads
+                        .iter()
+                        .zip(&reports)
+                        .map(|(&load, r)| (config, load, signature(r)))
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (config, load, served) in results.into_iter().flatten() {
+        assert_eq!(
+            served,
+            evaluated(config, load),
+            "config {config}, load {load}"
+        );
     }
 }

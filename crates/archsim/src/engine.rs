@@ -1582,9 +1582,10 @@ impl PageSim {
     }
 
     /// Runs the page half's passes over one chunk's events: the ITLB and
-    /// DTLB sweeps (splitting DTLB misses into loads and stores), the
-    /// event-ordered STLB merge and the TLB flush, at the same chunk bounds
-    /// as [`LineSim::pass`].
+    /// DTLB sweeps over the page ranks (splitting DTLB misses into loads
+    /// and stores), the event-ordered STLB merge over the missing pages'
+    /// ids and the TLB flush, at the same chunk bounds as
+    /// [`LineSim::pass`].
     fn pass(&mut self, schedule: &Schedule, chunk: &Range<u64>, ch: &EventBatch) {
         let PageSim {
             tlb,
@@ -1598,15 +1599,15 @@ impl PageSim {
         }
 
         itlb_miss.clear();
-        for (k, &page) in ch.code_pages.iter().enumerate() {
-            if !tlb.probe_code_l1(page, ch.code_huge[k]) {
+        for (k, &rank) in ch.code_page_ranks.iter().enumerate() {
+            if !tlb.probe_code_l1(rank, ch.code_huge[k]) {
                 itlb_miss.push(k as u32);
             }
         }
 
         dtlb_miss.clear();
-        for (s, &page) in ch.data_pages.iter().enumerate() {
-            if !tlb.probe_data_l1(page, ch.data_huge[s]) {
+        for (s, &rank) in ch.data_page_ranks.iter().enumerate() {
+            if !tlb.probe_data_l1(rank, ch.data_huge[s]) {
                 dtlb_miss.push(s as u32);
                 if ch.data_is_store[s] {
                     c.dtlb_store_misses += 1;
@@ -1779,22 +1780,21 @@ fn build_warm_caches(
 
 /// The pre-filled TLBs: a function of the TLB geometries and the two page
 /// distributions. The 4 KiB sides (the dominant arrays) are seeded with
-/// the top pages of each page stream; accesses insert into the STLB too.
+/// the top pages of each page stream, half the STLB's entries each
+/// ([`TlbHierarchy::prefilled`]).
 fn build_warm_tlb(cfg: &ServerConfig, spec: &StreamSpec) -> Result<TlbHierarchy, ArchSimError> {
     use crate::trace::prewarm_len;
     let plat = &cfg.platform;
-    let mut tlb = TlbHierarchy::new(&plat.itlb, &plat.dtlb, plat.stlb_entries)?;
-    let cp_pw = prewarm_len(&spec.code_page_reuse);
-    let dp_pw = prewarm_len(&spec.data_page_reuse);
-    let seedn = plat.stlb_entries as u64 / 2;
-    for id in cp_pw.saturating_sub(seedn)..cp_pw {
-        let _ = tlb.access_code(id, false);
-    }
-    for id in dp_pw.saturating_sub(seedn)..dp_pw {
-        let _ = tlb.access_data(id, false);
-    }
-    tlb.reset_stats();
-    Ok(tlb)
+    let seedn = u64::from(plat.stlb_entries) / 2;
+    // The `seedn` most recent ids of a stream, deepest first.
+    let top = |pw: u64| pw.saturating_sub(seedn)..pw;
+    TlbHierarchy::prefilled(
+        &plat.itlb,
+        &plat.dtlb,
+        plat.stlb_entries,
+        top(prewarm_len(&spec.code_page_reuse)),
+        top(prewarm_len(&spec.data_page_reuse)),
+    )
 }
 
 /// Hashes what shapes a cache's contents: capacity and ways. Hit latency

@@ -5,17 +5,24 @@
 //! DTLB MPKI (paper Figs. 11 and 18). The model follows the Intel layout:
 //! separate first-level ITLB/DTLB arrays per page size, a unified
 //! second-level STLB, and a page walk on a full miss.
+//!
+//! Each first-level array is fully associative, LRU, and fed by exactly one
+//! page stack ([`crate::trace::StackMapper`]), so it is modelled by the
+//! depth of that stack it holds ([`DepthLru`]): by LRU inclusion an access
+//! hits exactly when its stack distance is within that depth. Only the
+//! STLB, which merges four streams, keeps real page ids ([`LruSet`]).
 
 use crate::error::ArchSimError;
 use crate::platform::TlbGeometry;
+use std::ops::Range;
 
 /// A minimal open-addressing hash table from page keys to slab indices.
 ///
-/// TLB lookups are on the engine's per-instruction path (two per memory
-/// instruction); `std::collections::HashMap`'s SipHash dominates their
-/// cost. This table uses the splitmix64 finalizer with linear probing and
-/// backward-shift deletion (no tombstones), sized to a ≤50% load factor so
-/// probe chains stay short. Behaviour is a plain map: no iteration order is
+/// STLB lookups run on every first-level TLB miss (~2 % of translations)
+/// and in the pre-fill; `std::collections::HashMap`'s SipHash would
+/// dominate their cost. This table uses the splitmix64 finalizer with
+/// linear probing and backward-shift deletion (no tombstones), sized to a
+/// ≤50% load factor so probe chains stay short. Behaviour is a plain map: no iteration order is
 /// exposed, so determinism is structural.
 #[derive(Debug, Clone)]
 struct ProbeMap {
@@ -217,8 +224,7 @@ impl LruSet {
     /// Drops approximately `fraction` of entries, LRU-first (context-switch
     /// shootdown pollution).
     pub fn flush_fraction(&mut self, fraction: f64) {
-        let drop = ((self.map.len as f64) * fraction.clamp(0.0, 1.0)).round() as usize;
-        for _ in 0..drop {
+        for _ in 0..flushed(self.map.len, fraction) {
             let lru = self.tail;
             if lru == NONE {
                 break;
@@ -259,6 +265,95 @@ impl LruSet {
     }
 }
 
+/// A fully-associative LRU array fed by one stack-distance stream,
+/// modelled by how deep into that stream's LRU stack it holds.
+///
+/// By LRU inclusion (Mattson et al., 1970), such an array holds exactly the
+/// `held` most recent distinct ids of its stream: it starts holding the top
+/// of the stack (or nothing), a hit moves an id it holds to the front of
+/// both, a miss brings the new front id in and evicts the deepest held one
+/// once full, and a flush drops the deepest. So an access hits iff its
+/// 1-based stack distance (`rank`) is at most `held`, and nothing but
+/// `held` needs storing. An access that touches a new id — a cold one, or
+/// one deeper than the stream's live history — has rank
+/// [`NEW_RANK`](crate::trace::NEW_RANK) and misses: an array is smaller
+/// than that rank.
+///
+/// # Example
+///
+/// ```
+/// use softsku_archsim::tlb::DepthLru;
+///
+/// let mut tlb = DepthLru::new(2).unwrap();
+/// assert!(!tlb.access(u32::MAX)); // a cold id: now holds 1
+/// assert!(!tlb.access(u32::MAX)); // another: holds 2
+/// assert!(tlb.access(2));         // the older id is at distance 2
+/// assert!(!tlb.access(3));        // a third is deeper than the array
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DepthLru {
+    entries: u32,
+    held: u32,
+}
+
+impl DepthLru {
+    /// An empty array of `entries` entries.
+    ///
+    /// # Errors
+    ///
+    /// As [`DepthLru::prefilled`].
+    pub fn new(entries: u32) -> Result<Self, ArchSimError> {
+        Self::prefilled(entries, 0)
+    }
+
+    /// An array of `entries` entries that has just been fed the `ids` most
+    /// recent distinct ids of its stream, deepest first: it holds
+    /// `min(entries, ids)` of them.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchSimError::InvalidGeometry`] for zero entries, or for
+    /// `u32::MAX`, which would hold [`NEW_RANK`](crate::trace::NEW_RANK).
+    pub fn prefilled(entries: u32, ids: u64) -> Result<Self, ArchSimError> {
+        if entries == 0 || entries == crate::trace::NEW_RANK {
+            return Err(ArchSimError::InvalidGeometry(format!(
+                "TLB array entries must be in 1..{}, got {entries}",
+                crate::trace::NEW_RANK
+            )));
+        }
+        let held = u32::try_from(ids).unwrap_or(u32::MAX).min(entries);
+        Ok(DepthLru { entries, held })
+    }
+
+    /// Number of resident entries: the stack depth held.
+    pub fn held(&self) -> u32 {
+        self.held
+    }
+
+    /// One access at stack distance `rank`: `true` on a hit; a miss brings
+    /// the accessed id in.
+    #[inline]
+    pub fn access(&mut self, rank: u32) -> bool {
+        if rank <= self.held {
+            true
+        } else {
+            self.held = (self.held + 1).min(self.entries);
+            false
+        }
+    }
+
+    /// Drops `fraction` of the held entries, deepest first, rounded as
+    /// [`LruSet::flush_fraction`] rounds.
+    pub fn flush_fraction(&mut self, fraction: f64) {
+        self.held -= flushed(self.held as usize, fraction) as u32;
+    }
+}
+
+/// How many of `len` entries a `fraction` flush drops.
+fn flushed(len: usize, fraction: f64) -> usize {
+    ((len as f64) * fraction.clamp(0.0, 1.0)).round() as usize
+}
+
 /// Where a translation was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TlbOutcome {
@@ -272,35 +367,45 @@ pub enum TlbOutcome {
 
 /// One first-level TLB pair (4 KiB + 2 MiB arrays) plus a shared STLB
 /// reference is modelled by [`TlbHierarchy`]; this struct is one side
-/// (instruction or data).
+/// (instruction or data). Each array is fed by its own page stack, so it is
+/// a [`DepthLru`] probed with stack distances.
 #[derive(Debug, Clone)]
 struct FirstLevelTlb {
-    small: LruSet,
-    huge: LruSet,
+    small: DepthLru,
+    huge: DepthLru,
 }
 
 impl FirstLevelTlb {
-    fn new(geom: &TlbGeometry) -> Result<Self, ArchSimError> {
+    /// The side with its 4 KiB array fed the `small_ids` most recent ids of
+    /// its stream and its 2 MiB array empty.
+    fn new(geom: &TlbGeometry, small_ids: u64) -> Result<Self, ArchSimError> {
         Ok(FirstLevelTlb {
-            small: LruSet::new(geom.entries_4k as usize)?,
-            huge: LruSet::new(geom.entries_2m as usize)?,
+            small: DepthLru::prefilled(geom.entries_4k, small_ids)?,
+            huge: DepthLru::new(geom.entries_2m)?,
         })
     }
 
-    fn access(&mut self, page: u64, hugepage: bool) -> bool {
+    fn access(&mut self, rank: u32, hugepage: bool) -> bool {
         if hugepage {
-            self.huge.access(page)
+            self.huge.access(rank)
         } else {
-            self.small.access(page)
+            self.small.access(rank)
         }
+    }
+
+    fn flush_fraction(&mut self, fraction: f64) {
+        self.small.flush_fraction(fraction);
+        self.huge.flush_fraction(fraction);
     }
 }
 
 /// Instruction + data TLBs with a unified STLB.
 ///
-/// Page numbers are 4 KiB-granular ids; huge-page translations are looked up
-/// under the id of the containing 2 MiB region (computed by the caller via
-/// the workload's compaction factor).
+/// First-level probes take the access's stack distance in its page stream
+/// (see [`DepthLru`]); STLB probes take page numbers: 4 KiB-granular ids,
+/// with huge-page translations looked up under the id of the containing
+/// 2 MiB region (computed by the caller via the workload's compaction
+/// factor).
 #[derive(Debug, Clone)]
 pub struct TlbHierarchy {
     itlb: FirstLevelTlb,
@@ -316,20 +421,39 @@ pub struct TlbHierarchy {
 }
 
 impl TlbHierarchy {
-    /// Builds the hierarchy from platform geometries.
+    /// Builds the hierarchy from platform geometries as if the 4 KiB pages `code` and then `data`
+    /// had been translated, each in ascending order, and zeroes the
+    /// statistics. Each range must be the top of its page stack — its most
+    /// recent ids, the most recent last — so that the first-level arrays
+    /// hold stack depths. Every id is distinct and the arrays start empty,
+    /// so each one misses the first level and goes into the STLB, in that
+    /// order; the 2 MiB arrays stay empty. Empty ranges give an empty
+    /// hierarchy.
     ///
     /// # Errors
     ///
-    /// [`ArchSimError::InvalidGeometry`] for zero-sized arrays.
-    pub fn new(
+    /// [`ArchSimError::InvalidGeometry`] for zero-sized (or, in the first
+    /// level, `u32::MAX`-entry) arrays.
+    pub fn prefilled(
         itlb: &TlbGeometry,
         dtlb: &TlbGeometry,
         stlb_entries: u32,
+        code: Range<u64>,
+        data: Range<u64>,
     ) -> Result<Self, ArchSimError> {
+        let itlb = FirstLevelTlb::new(itlb, code.end.saturating_sub(code.start))?;
+        let dtlb = FirstLevelTlb::new(dtlb, data.end.saturating_sub(data.start))?;
+        let mut stlb = LruSet::new(stlb_entries as usize)?;
+        for id in code {
+            stlb.access(stlb_key(id, false, true));
+        }
+        for id in data {
+            stlb.access(stlb_key(id, false, false));
+        }
         Ok(TlbHierarchy {
-            itlb: FirstLevelTlb::new(itlb)?,
-            dtlb: FirstLevelTlb::new(dtlb)?,
-            stlb: LruSet::new(stlb_entries as usize)?,
+            itlb,
+            dtlb,
+            stlb,
             itlb_accesses: 0,
             itlb_misses: 0,
             itlb_walks: 0,
@@ -339,35 +463,16 @@ impl TlbHierarchy {
         })
     }
 
-    /// Translates an instruction fetch.
-    pub fn access_code(&mut self, page: u64, hugepage: bool) -> TlbOutcome {
-        if self.probe_code_l1(page, hugepage) {
-            TlbOutcome::L1Hit
-        } else {
-            self.probe_stlb_code(page, hugepage)
-        }
-    }
-
-    /// Translates a data access.
-    pub fn access_data(&mut self, page: u64, hugepage: bool) -> TlbOutcome {
-        if self.probe_data_l1(page, hugepage) {
-            TlbOutcome::L1Hit
-        } else {
-            self.probe_stlb_data(page, hugepage)
-        }
-    }
-
-    /// First-level-only instruction probe; returns `true` on an ITLB hit.
+    /// First-level instruction probe at stack distance `rank` in the code
+    /// page stream `hugepage` picks; returns `true` on an ITLB hit.
     ///
     /// The batched engine drives the independent first-level arrays over a
     /// whole event batch, then replays only the misses against the shared
     /// STLB in event order (interleaved with the data side) via
-    /// [`TlbHierarchy::probe_stlb_code`]. Splitting an access this way is
-    /// observably identical to [`TlbHierarchy::access_code`]: the first
-    /// level and STLB see the same key sequences either way.
-    pub fn probe_code_l1(&mut self, page: u64, hugepage: bool) -> bool {
+    /// [`TlbHierarchy::probe_stlb_code`].
+    pub fn probe_code_l1(&mut self, rank: u32, hugepage: bool) -> bool {
         self.itlb_accesses += 1;
-        if self.itlb.access(tagged(page, hugepage), hugepage) {
+        if self.itlb.access(rank, hugepage) {
             true
         } else {
             self.itlb_misses += 1;
@@ -375,10 +480,11 @@ impl TlbHierarchy {
         }
     }
 
-    /// First-level-only data probe; returns `true` on a DTLB hit.
-    pub fn probe_data_l1(&mut self, page: u64, hugepage: bool) -> bool {
+    /// First-level data probe at stack distance `rank` in the data page
+    /// stream `hugepage` picks; returns `true` on a DTLB hit.
+    pub fn probe_data_l1(&mut self, rank: u32, hugepage: bool) -> bool {
         self.dtlb_accesses += 1;
-        if self.dtlb.access(tagged(page, hugepage), hugepage) {
+        if self.dtlb.access(rank, hugepage) {
             true
         } else {
             self.dtlb_misses += 1;
@@ -386,7 +492,8 @@ impl TlbHierarchy {
         }
     }
 
-    /// STLB lookup for an instruction translation that missed the ITLB.
+    /// STLB lookup for an instruction translation of `page` that missed the
+    /// ITLB.
     pub fn probe_stlb_code(&mut self, page: u64, hugepage: bool) -> TlbOutcome {
         if self.stlb.access(stlb_key(page, hugepage, true)) {
             TlbOutcome::StlbHit
@@ -396,7 +503,7 @@ impl TlbHierarchy {
         }
     }
 
-    /// STLB lookup for a data translation that missed the DTLB.
+    /// STLB lookup for a data translation of `page` that missed the DTLB.
     pub fn probe_stlb_data(&mut self, page: u64, hugepage: bool) -> TlbOutcome {
         if self.stlb.access(stlb_key(page, hugepage, false)) {
             TlbOutcome::StlbHit
@@ -408,10 +515,8 @@ impl TlbHierarchy {
 
     /// Context-switch pollution across all arrays.
     pub fn flush_fraction(&mut self, fraction: f64) {
-        self.itlb.small.flush_fraction(fraction);
-        self.itlb.huge.flush_fraction(fraction);
-        self.dtlb.small.flush_fraction(fraction);
-        self.dtlb.huge.flush_fraction(fraction);
+        self.itlb.flush_fraction(fraction);
+        self.dtlb.flush_fraction(fraction);
         self.stlb.flush_fraction(fraction);
     }
 
@@ -436,11 +541,6 @@ impl TlbHierarchy {
     }
 }
 
-/// Distinguish small/huge ids sharing numeric space.
-fn tagged(page: u64, hugepage: bool) -> u64 {
-    (page << 1) | hugepage as u64
-}
-
 fn stlb_key(page: u64, hugepage: bool, code: bool) -> u64 {
     (page << 2) | ((hugepage as u64) << 1) | code as u64
 }
@@ -452,7 +552,7 @@ mod tests {
 
     fn hierarchy() -> TlbHierarchy {
         let spec = PlatformSpec::skylake18();
-        TlbHierarchy::new(&spec.itlb, &spec.dtlb, spec.stlb_entries).unwrap()
+        TlbHierarchy::prefilled(&spec.itlb, &spec.dtlb, spec.stlb_entries, 0..0, 0..0).unwrap()
     }
 
     #[test]
@@ -499,26 +599,85 @@ mod tests {
         assert!(LruSet::new(0).is_err());
     }
 
+    /// Stack distances of `pages` in one page stream, as a page mapper
+    /// records them: 1-based, `u32::MAX` for a page not seen before.
+    fn ranks(pages: impl IntoIterator<Item = u64>) -> Vec<u32> {
+        let mut stack: Vec<u64> = Vec::new(); // front = most recent
+        pages
+            .into_iter()
+            .map(|page| {
+                let rank = match stack.iter().position(|&p| p == page) {
+                    Some(pos) => {
+                        stack.remove(pos);
+                        pos as u32 + 1
+                    }
+                    None => u32::MAX,
+                };
+                stack.insert(0, page);
+                rank
+            })
+            .collect()
+    }
+
+    /// A full data translation: the first level, then the STLB on a miss.
+    fn access_data(tlb: &mut TlbHierarchy, rank: u32, page: u64, hugepage: bool) {
+        if !tlb.probe_data_l1(rank, hugepage) {
+            let _ = tlb.probe_stlb_data(page, hugepage);
+        }
+    }
+
+    /// Translates `pages`, one data stream, through `tlb`.
+    fn access_data_stream(tlb: &mut TlbHierarchy, pages: &[u64], hugepage: bool) {
+        for (&page, rank) in pages.iter().zip(ranks(pages.iter().copied())) {
+            access_data(tlb, rank, page, hugepage);
+        }
+    }
+
+    #[test]
+    fn depth_lru_matches_lru_set() {
+        let mut depth = DepthLru::new(16).unwrap();
+        let mut set = LruSet::new(16).unwrap();
+        let mut state = 7u64;
+        let keys: Vec<u64> = (0..5000)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 40) % 40
+            })
+            .collect();
+        for (i, (&key, rank)) in keys.iter().zip(ranks(keys.iter().copied())).enumerate() {
+            if i % 700 == 699 {
+                depth.flush_fraction(0.3);
+                set.flush_fraction(0.3);
+            }
+            assert_eq!(
+                depth.access(rank),
+                set.access(key),
+                "divergence on key {key}"
+            );
+            assert_eq!(depth.held() as usize, set.len());
+        }
+    }
+
+    #[test]
+    fn depth_lru_rejects_degenerate_entries() {
+        assert!(DepthLru::new(0).is_err());
+        assert!(DepthLru::new(u32::MAX).is_err());
+        assert_eq!(DepthLru::prefilled(64, 1 << 40).unwrap().held(), 64);
+    }
+
     #[test]
     fn small_pages_thrash_huge_pages_do_not() {
         let mut tlb = hierarchy();
         // Working set of 512 distinct 4 KiB data pages > 64-entry DTLB.
-        for rep in 0..4 {
-            for p in 0..512u64 {
-                let _ = tlb.access_data(p, false);
-                let _ = rep;
-            }
-        }
+        let sweep: Vec<u64> = (0..4).flat_map(|_| 0..512u64).collect();
+        access_data_stream(&mut tlb, &sweep, false);
         let (_, misses_small, _) = tlb.dtlb_stats();
         assert!(misses_small > 500, "4K pages must thrash: {misses_small}");
 
         // Same footprint as 2 MiB pages: 512 pages / 512 ≈ 1–2 huge pages.
         let mut tlb2 = hierarchy();
-        for _ in 0..4 {
-            for p in 0..512u64 {
-                let _ = tlb2.access_data(p / 512, true);
-            }
-        }
+        let huge: Vec<u64> = sweep.iter().map(|p| p / 512).collect();
+        access_data_stream(&mut tlb2, &huge, true);
         let (_, misses_huge, _) = tlb2.dtlb_stats();
         assert!(
             misses_huge < 10,
@@ -530,11 +689,8 @@ mod tests {
     fn stlb_catches_first_level_misses() {
         let mut tlb = hierarchy();
         // 256 pages: miss the 64-entry DTLB but fit the 1536-entry STLB.
-        for _ in 0..4 {
-            for p in 0..256u64 {
-                let _ = tlb.access_data(p, false);
-            }
-        }
+        let sweep: Vec<u64> = (0..4).flat_map(|_| 0..256u64).collect();
+        access_data_stream(&mut tlb, &sweep, false);
         let (_, misses, walks) = tlb.dtlb_stats();
         assert!(misses > 256);
         // After the first cold pass, walks should stop.
@@ -547,8 +703,10 @@ mod tests {
     #[test]
     fn code_and_data_sides_are_independent_at_l1() {
         let mut tlb = hierarchy();
-        for p in 0..32u64 {
-            let _ = tlb.access_code(p, false);
+        for (p, rank) in (0..32u64).zip(ranks(0..32u64)) {
+            if !tlb.probe_code_l1(rank, false) {
+                let _ = tlb.probe_stlb_code(p, false);
+            }
         }
         let (ia, im, _) = tlb.itlb_stats();
         let (da, _, _) = tlb.dtlb_stats();
@@ -560,15 +718,38 @@ mod tests {
     #[test]
     fn flush_injects_misses() {
         let mut tlb = hierarchy();
-        for p in 0..32u64 {
-            let _ = tlb.access_data(p, false);
+        let twice: Vec<u64> = (0..2).flat_map(|_| 0..32u64).collect();
+        let (first, second) = twice.split_at(32);
+        let rank = ranks(twice.iter().copied());
+        for (&p, &r) in first.iter().zip(&rank) {
+            access_data(&mut tlb, r, p, false);
         }
         tlb.reset_stats();
         tlb.flush_fraction(1.0);
-        for p in 0..32u64 {
-            let _ = tlb.access_data(p, false);
+        for (&p, &r) in second.iter().zip(&rank[32..]) {
+            access_data(&mut tlb, r, p, false);
         }
         let (_, misses, _) = tlb.dtlb_stats();
         assert_eq!(misses, 32);
+    }
+
+    #[test]
+    fn prefill_holds_the_stack_top_and_seeds_the_stlb() {
+        let spec = PlatformSpec::skylake18();
+        let mut tlb =
+            TlbHierarchy::prefilled(&spec.itlb, &spec.dtlb, spec.stlb_entries, 0..100, 0..10)
+                .unwrap();
+        // The 128-entry ITLB holds all 100 seeded ids, the DTLB all 10.
+        assert!(tlb.probe_code_l1(100, false));
+        assert!(!tlb.probe_code_l1(101, false));
+        assert!(tlb.probe_data_l1(10, false));
+        assert!(!tlb.probe_data_l1(11, false));
+        assert!(!tlb.probe_data_l1(1, true), "2 MiB arrays start empty");
+        // Every seeded id is in the STLB under its side's key.
+        assert_eq!(tlb.probe_stlb_code(0, false), TlbOutcome::StlbHit);
+        assert_eq!(tlb.probe_stlb_data(9, false), TlbOutcome::StlbHit);
+        assert_eq!(tlb.probe_stlb_data(10, false), TlbOutcome::Walk);
+        assert_eq!(tlb.itlb_stats(), (2, 1, 0));
+        assert_eq!(tlb.dtlb_stats(), (3, 2, 1));
     }
 }

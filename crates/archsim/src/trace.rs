@@ -4,9 +4,10 @@
 //! [`RankList`]) over every line/page a workload has touched; each access
 //! samples a reuse distance from the workload's distribution and performs a
 //! move-to-front at that rank, yielding a concrete id whose stream
-//! reproduces the distribution. [`TraceGenerator`] composes four mappers
-//! (code lines, data lines, code pages, data pages) with the instruction
-//! mix to emit per-instruction events for the cache/TLB/branch simulators —
+//! reproduces the distribution. [`TraceGenerator`] composes six mappers
+//! (code lines, data lines, and a 4 KiB + 2 MiB pair for each of the code
+//! and data page streams) with the instruction mix to emit per-instruction
+//! events for the cache/TLB/branch simulators —
 //! one at a time via [`TraceGenerator::next_event`], or into reusable
 //! structure-of-arrays buffers via [`TraceGenerator::fill_batch`] for the
 //! engine's batched tick. A batch is filled column-wise: one loop decodes
@@ -17,7 +18,9 @@
 //! second seam, between lines and pages: a generator can map only its
 //! line half or only its page half (`Halves`), and `TraceKey` hashes
 //! everything each half reads, so the engine can key either half of a
-//! window's trace without generating it.
+//! window's trace without generating it. Page mappers also record each
+//! access's stack distance, which is all a first-level TLB probe reads
+//! ([`crate::tlb::DepthLru`]).
 
 use crate::fingerprint::Fnv128;
 use crate::ranklist::RankList;
@@ -38,6 +41,11 @@ pub struct StackMapper {
 /// Sampled distances are at least 1, so 0 is free; the inversion table
 /// stores cold cells as 0 too.
 pub const COLD: u64 = 0;
+
+/// The rank [`StackMapper::map_column_ranked`] records for an access that
+/// touches a new id: a cold draw, or a distance beyond the live history.
+/// It is deeper than any array a stream feeds, so it always misses.
+pub const NEW_RANK: u32 = u32::MAX;
 
 /// Pre-warm ceiling: stacks larger than this start truncated; sampled
 /// distances beyond the live stack are treated as cold (they would miss
@@ -111,6 +119,25 @@ impl StackMapper {
     pub fn map_column(&mut self, draws: &[f64], ids: &mut Vec<u64>) {
         self.sample_column(draws, ids);
         self.touch_column(ids);
+    }
+
+    /// [`StackMapper::map_column`] that also records, into `ranks`, each
+    /// access's 1-based stack distance before its move-to-front: the
+    /// sampled distance when it names a live id, and [`NEW_RANK`] when the
+    /// access touches a new id.
+    pub fn map_column_ranked(&mut self, draws: &[f64], ids: &mut Vec<u64>, ranks: &mut Vec<u32>) {
+        self.sample_column(draws, ids);
+        ranks.clear();
+        ranks.extend(ids.iter_mut().map(|slot| {
+            let distance = *slot;
+            let live = distance != COLD && distance as usize <= self.stack.len();
+            *slot = self.touch(distance);
+            if live {
+                u32::try_from(distance).unwrap_or(NEW_RANK)
+            } else {
+                NEW_RANK
+            }
+        }));
     }
 
     /// Touches the id at reuse distance `distance`, or a new id for
@@ -239,6 +266,9 @@ pub struct EventBatch {
     pub code_lines: Vec<u64>,
     /// Code page id per event (granularity per `code_huge`).
     pub code_pages: Vec<u64>,
+    /// Stack distance of each code page in its page stream
+    /// ([`StackMapper::map_column_ranked`]).
+    pub code_page_ranks: Vec<u32>,
     /// True where the code page is 2 MiB-backed.
     pub code_huge: Vec<bool>,
     /// Owning event index for each data access (loads/stores, event order).
@@ -249,6 +279,8 @@ pub struct EventBatch {
     pub data_lines: Vec<u64>,
     /// Data page id per data access.
     pub data_pages: Vec<u64>,
+    /// Stack distance of each data page in its page stream.
+    pub data_page_ranks: Vec<u32>,
     /// True where the data page is 2 MiB-backed.
     pub data_huge: Vec<bool>,
     /// Data-line survival draws, one per data access, decoded by the code
@@ -265,11 +297,13 @@ impl EventBatch {
             classes: Vec::with_capacity(n),
             code_lines: Vec::with_capacity(n),
             code_pages: Vec::with_capacity(n),
+            code_page_ranks: Vec::with_capacity(n),
             code_huge: Vec::with_capacity(n),
             data_event: Vec::with_capacity(n),
             data_is_store: Vec::with_capacity(n),
             data_lines: Vec::with_capacity(n),
             data_pages: Vec::with_capacity(n),
+            data_page_ranks: Vec::with_capacity(n),
             data_huge: Vec::with_capacity(n),
             data_line_draws: Vec::with_capacity(n),
             data_page_draws: PageDraws::with_capacity(n),
@@ -304,11 +338,13 @@ impl EventBatch {
         self.classes.clear();
         self.code_lines.clear();
         self.code_pages.clear();
+        self.code_page_ranks.clear();
         self.code_huge.clear();
         self.data_event.clear();
         self.data_is_store.clear();
         self.data_lines.clear();
         self.data_pages.clear();
+        self.data_page_ranks.clear();
         self.data_huge.clear();
         self.data_line_draws.clear();
         self.data_page_draws.clear();
@@ -417,9 +453,11 @@ impl TraceKey {
 struct PageMappers {
     small: StackMapper,
     huge: StackMapper,
-    // Id columns reused across chunks.
+    // Id and rank columns reused across chunks.
     small_ids: Vec<u64>,
     huge_ids: Vec<u64>,
+    small_ranks: Vec<u32>,
+    huge_ranks: Vec<u32>,
 }
 
 impl PageMappers {
@@ -429,6 +467,8 @@ impl PageMappers {
             huge: StackMapper::new(dist.compacted(compaction.max(1.0))),
             small_ids: Vec::new(),
             huge_ids: Vec::new(),
+            small_ranks: Vec::new(),
+            huge_ranks: Vec::new(),
         }
     }
 
@@ -442,17 +482,30 @@ impl PageMappers {
     }
 
     /// Maps a chunk's page draws, each already routed to its mapper's
-    /// column, and writes the ids into `pages` in access order: access `k`
-    /// takes the next id of the mapper `flags[k]` picks.
-    fn map(&mut self, flags: &[bool], draws: &PageDraws, pages: &mut Vec<u64>) {
-        self.small.map_column(&draws.small, &mut self.small_ids);
-        self.huge.map_column(&draws.huge, &mut self.huge_ids);
-        let (mut small, mut huge) = (self.small_ids.iter(), self.huge_ids.iter());
+    /// column, and writes the ids into `pages` and their stack distances
+    /// into `ranks` in access order: access `k` takes the next id and rank
+    /// of the mapper `flags[k]` picks.
+    fn map(
+        &mut self,
+        flags: &[bool],
+        draws: &PageDraws,
+        pages: &mut Vec<u64>,
+        ranks: &mut Vec<u32>,
+    ) {
+        self.small
+            .map_column_ranked(&draws.small, &mut self.small_ids, &mut self.small_ranks);
+        self.huge
+            .map_column_ranked(&draws.huge, &mut self.huge_ids, &mut self.huge_ranks);
+        let mut small = self.small_ids.iter().zip(&self.small_ranks);
+        let mut huge = self.huge_ids.iter().zip(&self.huge_ranks);
         pages.clear();
-        pages.extend(flags.iter().map(|&h| {
-            let id = if h { huge.next() } else { small.next() };
-            *id.expect("one routed draw per page access")
-        }));
+        ranks.clear();
+        for &h in flags {
+            let next = if h { huge.next() } else { small.next() };
+            let (&id, &rank) = next.expect("one routed draw per page access");
+            pages.push(id);
+            ranks.push(rank);
+        }
     }
 }
 
@@ -539,32 +592,51 @@ impl CodeHalf {
     /// in per-event order (class, code line, code-huge coin, code page,
     /// then for loads/stores data-huge coin, data page, data line) and
     /// routes each survival draw to its mapper's column. The mappers then
-    /// run over their columns; an unmapped half leaves its columns empty.
+    /// run over their columns. An unmapped half still takes its draws' RNG
+    /// steps but stores none of them, and leaves its columns empty.
     pub(crate) fn fill(&mut self, batch: &mut EventBatch, n: usize) {
         batch.clear();
         self.line_draws.clear();
         self.page_draws.clear();
+        let (lines, pages) = (self.lines.is_some(), self.pages.is_some());
         for i in 0..n {
             let class = self.next_class();
             batch.classes.push(class);
-            self.line_draws.push(self.rng.gen());
+            let line_draw = self.rng.gen();
+            if lines {
+                self.line_draws.push(line_draw);
+            }
             let code_huge = self.rng.gen::<f64>() < self.huge.code_huge_fraction;
             batch.code_huge.push(code_huge);
-            self.page_draws.push(code_huge, self.rng.gen());
+            let page_draw = self.rng.gen();
+            if pages {
+                self.page_draws.push(code_huge, page_draw);
+            }
             if matches!(class, InsnClass::Load | InsnClass::Store) {
                 let data_huge = self.rng.gen::<f64>() < self.huge.data_huge_fraction;
                 batch.data_event.push(i as u32);
                 batch.data_is_store.push(class == InsnClass::Store);
                 batch.data_huge.push(data_huge);
-                batch.data_page_draws.push(data_huge, self.rng.gen());
-                batch.data_line_draws.push(self.rng.gen());
+                let page_draw = self.rng.gen();
+                if pages {
+                    batch.data_page_draws.push(data_huge, page_draw);
+                }
+                let line_draw = self.rng.gen();
+                if lines {
+                    batch.data_line_draws.push(line_draw);
+                }
             }
         }
         if let Some(lines) = &mut self.lines {
             lines.map_column(&self.line_draws, &mut batch.code_lines);
         }
         if let Some(pages) = &mut self.pages {
-            pages.map(&batch.code_huge, &self.page_draws, &mut batch.code_pages);
+            pages.map(
+                &batch.code_huge,
+                &self.page_draws,
+                &mut batch.code_pages,
+                &mut batch.code_page_ranks,
+            );
         }
     }
 }
@@ -581,6 +653,7 @@ impl DataHalf {
                 &batch.data_huge,
                 &batch.data_page_draws,
                 &mut batch.data_pages,
+                &mut batch.data_page_ranks,
             );
         }
     }
@@ -967,9 +1040,84 @@ mod tests {
                 (&p.code_pages, &p.data_pages),
                 (&f.code_pages, &f.data_pages)
             );
+            assert_eq!(
+                (&p.code_page_ranks, &p.data_page_ranks),
+                (&f.code_page_ranks, &f.data_page_ranks)
+            );
             assert!(l.code_pages.is_empty() && l.data_pages.is_empty());
+            assert!(l.code_page_ranks.is_empty() && l.data_page_ranks.is_empty());
             assert!(p.code_lines.is_empty() && p.data_lines.is_empty());
         }
+    }
+
+    /// Every page access's rank is its id's 1-based distance in a plain
+    /// LRU stack over the ids its mapper produced (pre-warm included), and
+    /// [`NEW_RANK`] for an id never seen: the mappers' stacks, seen from
+    /// their output. Ids a bounded stack drops never come back, so the
+    /// model needs no bound.
+    #[test]
+    fn page_ranks_are_stack_distances() {
+        let mix = HugePageMix {
+            code_huge_fraction: 0.3,
+            data_huge_fraction: 0.5,
+        };
+        let spec = spec();
+        let mut gen = TraceGenerator::new(&spec, mix, 17);
+        let stack =
+            |dist: &ReuseDistanceDist| -> Vec<u64> { (0..prewarm_len(dist)).rev().collect() };
+        let compacted = |dist: &ReuseDistanceDist, c: f64| dist.compacted(c.max(1.0));
+        // Code 4 KiB, code 2 MiB, data 4 KiB, data 2 MiB, most recent first.
+        let mut stacks = [
+            stack(&spec.code_page_reuse),
+            stack(&compacted(
+                &spec.code_page_reuse,
+                spec.pages.code_compaction,
+            )),
+            stack(&spec.data_page_reuse),
+            stack(&compacted(
+                &spec.data_page_reuse,
+                spec.pages.data_compaction,
+            )),
+        ];
+        let check = |stack: &mut Vec<u64>, id: u64, rank: u32| {
+            let expect = match stack.iter().position(|&x| x == id) {
+                Some(pos) => {
+                    stack.remove(pos);
+                    pos as u32 + 1
+                }
+                None => NEW_RANK,
+            };
+            stack.insert(0, id);
+            assert_eq!(rank, expect, "rank of page {id}");
+        };
+        let mut batch = EventBatch::with_capacity(512);
+        let (mut new_ranks, mut accesses) = (0, 0);
+        for _ in 0..8 {
+            gen.fill_batch(&mut batch, 512);
+            for k in 0..batch.len() {
+                let side = usize::from(batch.code_huge[k]);
+                check(
+                    &mut stacks[side],
+                    batch.code_pages[k],
+                    batch.code_page_ranks[k],
+                );
+            }
+            for s in 0..batch.data_pages.len() {
+                let side = 2 + usize::from(batch.data_huge[s]);
+                check(
+                    &mut stacks[side],
+                    batch.data_pages[s],
+                    batch.data_page_ranks[s],
+                );
+            }
+            let ranks = batch.code_page_ranks.iter().chain(&batch.data_page_ranks);
+            new_ranks += ranks.clone().filter(|&&r| r == NEW_RANK).count();
+            accesses += ranks.count();
+        }
+        assert!(
+            new_ranks > 0 && new_ranks < accesses / 2,
+            "{new_ranks} of {accesses}"
+        );
     }
 
     /// Everything a [`TraceKey`] is built from.

@@ -18,8 +18,10 @@
 //! against a window at another THP setting, which takes only the line half
 //! from the memo and simulates the page half; and it times a cold
 //! three-point load grid whose points switch context inside the window, one
-//! shared trace, against its three points as cold single windows. Part 3
-//! (full mode) times the
+//! shared trace, against its three points as cold single windows. A
+//! runtime cross-check replays one window's page columns through real LRU
+//! first-level TLB arrays and asserts that every hit matches the engine's
+//! stack-distance probe. Part 3 (full mode) times the
 //! memo-independent components the engine is built from — rank list,
 //! caches, TLB, stack mapper, trace generator, A/B statistics — as
 //! fixed-iteration ns/op loops.
@@ -29,12 +31,14 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softsku_archsim::cache::SetAssocCache;
 use softsku_archsim::engine::{Engine, WindowReport};
-use softsku_archsim::pagemap::ThpMode;
+use softsku_archsim::pagemap::{PagePolicy, ThpMode};
 use softsku_archsim::platform::PlatformSpec;
 use softsku_archsim::ranklist::RankList;
 use softsku_archsim::reuse::ReuseDistanceDist;
-use softsku_archsim::tlb::LruSet;
-use softsku_archsim::trace::{EventBatch, HugePageMix, StackMapper, TraceGenerator, COLD};
+use softsku_archsim::tlb::{LruSet, TlbHierarchy};
+use softsku_archsim::trace::{
+    prewarm_len, EventBatch, HugePageMix, StackMapper, TraceGenerator, COLD,
+};
 use softsku_telemetry::stats::{t_quantile, welch_test, Summary};
 use softsku_telemetry::{Json, Stopwatch};
 use softsku_workloads::{Microservice, PlatformKind, WorkloadProfile};
@@ -404,6 +408,100 @@ fn tracegen_split(accesses: usize) -> Result<Json, BoxError> {
         .set("fill_ns_per_event", Json::Num(fill_ns)))
 }
 
+/// Replays the page columns of one Web/Skylake18 window of `events` events
+/// at the stock huge-page mix through the engine's [`TlbHierarchy`], which
+/// probes its first-level arrays with stack distances, and through four
+/// real [`LruSet`] first-level arrays fed the page ids, both pre-filled as
+/// the engine pre-fills them and flushed after every 4096 events. Asserts
+/// that every first-level probe agrees and returns the probe count.
+fn tlb_ranks_match_lru(events: usize) -> Result<usize, BoxError> {
+    const COLUMN: usize = 4096;
+    const FLUSH: f64 = 0.3;
+    let profile = Microservice::Web.profile(PlatformKind::Skylake18)?;
+    let (cfg, stream) = (&profile.stock_config, &profile.stream);
+    let plat = &cfg.platform;
+    let policy = PagePolicy::resolve(
+        &stream.pages,
+        cfg.thp,
+        cfg.shp_pages,
+        cfg.thp_traits(),
+        cfg.machine_memory_bytes,
+    );
+    let mix = HugePageMix {
+        code_huge_fraction: policy.huge_code_fraction,
+        data_huge_fraction: policy.huge_data_fraction,
+    };
+    // The engine's pre-fill: each 4 KiB stream's top half-STLB of ids.
+    let top = |dist: &ReuseDistanceDist| {
+        let pw = prewarm_len(dist);
+        pw.saturating_sub(u64::from(plat.stlb_entries) / 2)..pw
+    };
+    let (code, data) = (top(&stream.code_page_reuse), top(&stream.data_page_reuse));
+    let mut tlb = TlbHierarchy::prefilled(
+        &plat.itlb,
+        &plat.dtlb,
+        plat.stlb_entries,
+        code.clone(),
+        data.clone(),
+    )?;
+    let lru = |entries: u32, ids: std::ops::Range<u64>| -> Result<LruSet, BoxError> {
+        let mut array = LruSet::new(entries as usize)?;
+        for id in ids {
+            array.access(id);
+        }
+        Ok(array)
+    };
+    // Code 4 KiB, code 2 MiB, data 4 KiB, data 2 MiB.
+    let mut arrays = [
+        lru(plat.itlb.entries_4k, code)?,
+        lru(plat.itlb.entries_2m, 0..0)?,
+        lru(plat.dtlb.entries_4k, data)?,
+        lru(plat.dtlb.entries_2m, 0..0)?,
+    ];
+
+    let mut gen = TraceGenerator::new(stream, mix, BASE_SEED);
+    let mut batch = EventBatch::with_capacity(COLUMN);
+    let (mut left, mut probes) = (events, 0);
+    while left > 0 {
+        let n = left.min(COLUMN);
+        gen.fill_batch(&mut batch, n);
+        for k in 0..n {
+            let huge = batch.code_huge[k];
+            let hit = arrays[usize::from(huge)].access(batch.code_pages[k]);
+            assert_eq!(
+                tlb.probe_code_l1(batch.code_page_ranks[k], huge),
+                hit,
+                "ITLB probe at stack distance {} disagrees with an LRU array",
+                batch.code_page_ranks[k]
+            );
+        }
+        for s in 0..batch.data_pages.len() {
+            let huge = batch.data_huge[s];
+            let hit = arrays[2 + usize::from(huge)].access(batch.data_pages[s]);
+            assert_eq!(
+                tlb.probe_data_l1(batch.data_page_ranks[s], huge),
+                hit,
+                "DTLB probe at stack distance {} disagrees with an LRU array",
+                batch.data_page_ranks[s]
+            );
+        }
+        probes += n + batch.data_pages.len();
+        tlb.flush_fraction(FLUSH);
+        for array in &mut arrays {
+            array.flush_fraction(FLUSH);
+        }
+        left -= n;
+    }
+    let (_, itlb_misses, _) = tlb.itlb_stats();
+    let (_, dtlb_misses, _) = tlb.dtlb_stats();
+    println!(
+        "== first-level TLB ({}): {probes} stack-distance probes match LRU arrays \
+         ({itlb_misses} ITLB and {dtlb_misses} DTLB misses) ==",
+        Microservice::Web
+    );
+    Ok(probes)
+}
+
 /// Times `iterations` calls of `op` and returns one result row.
 fn ns_per_op(name: &str, iterations: u64, mut op: impl FnMut()) -> Json {
     let clock = Stopwatch::start();
@@ -502,6 +600,11 @@ pub fn run(smoke: bool, _hw: usize) -> Result<Json, BoxError> {
             "tracegen_split",
             tracegen_split(if smoke { 100_000 } else { 1_000_000 })?,
         )
+        .set(
+            "tlb_rank_probes",
+            Json::Int(tlb_ranks_match_lru(window as usize)? as i64),
+        )
+        .set("tlb_ranks_match_lru", Json::Bool(true))
         .set("throughput", throughput(window, evals, batch_sizes)?)
         .set(
             "memo",

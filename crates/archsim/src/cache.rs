@@ -201,7 +201,7 @@ impl SetAssocCache {
 
 /// Avalanching 64-bit hash (splitmix64 finalizer) used for set indexing, so
 /// sequential line ids spread uniformly over sets.
-fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -12,6 +12,7 @@
 //! hits exactly when its stack distance is within that depth. Only the
 //! STLB, which merges four streams, keeps real page ids ([`LruSet`]).
 
+use crate::cache::mix64;
 use crate::error::ArchSimError;
 use crate::platform::TlbGeometry;
 use std::ops::Range;
@@ -50,12 +51,9 @@ impl ProbeMap {
 
     #[inline]
     fn hash(&self, key: u64) -> usize {
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         // detlint::allow(seed_trunc): table-slot index, not a seed stream;
         // the mask bounds the value below 2^32 so the cast is lossless.
-        ((z ^ (z >> 31)) & self.mask as u64) as usize
+        (mix64(key) & self.mask as u64) as usize
     }
 
     #[inline]

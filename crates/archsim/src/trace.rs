@@ -127,8 +127,14 @@ impl StackMapper {
     /// access touches a new id.
     pub fn map_column_ranked(&mut self, draws: &[f64], ids: &mut Vec<u64>, ranks: &mut Vec<u32>) {
         self.sample_column(draws, ids);
+        self.touch_column_ranked(ids, ranks);
+    }
+
+    /// [`StackMapper::touch_column`] that also records each access's rank
+    /// into `ranks`. The second phase of [`StackMapper::map_column_ranked`].
+    pub fn touch_column_ranked(&mut self, column: &mut [u64], ranks: &mut Vec<u32>) {
         ranks.clear();
-        ranks.extend(ids.iter_mut().map(|slot| {
+        ranks.extend(column.iter_mut().map(|slot| {
             let distance = *slot;
             let live = distance != COLD && distance as usize <= self.stack.len();
             *slot = self.touch(distance);

@@ -315,10 +315,13 @@ fn tracegen_new_us(reps: u64) -> Result<f64, BoxError> {
 /// build their inversion tables (timed together as `table_build_us`), so
 /// the per-access figures below exclude table construction. Each of the
 /// four distributions then maps `accesses` uniform draws in 4096-draw
-/// columns: `StackMapper::sample_column` (distance inversion) and
-/// `StackMapper::touch_column` (move-to-front) are timed apart and reported
-/// per access, and every timed draw's distance is checked, untimed, against
-/// the exact inversion. `fill_ns_per_event` times
+/// columns: `StackMapper::sample_column` (distance inversion) and the
+/// move-to-front phase are timed apart and reported per access, and every
+/// timed draw's distance is checked, untimed, against the exact inversion.
+/// The move-to-front phase is the one the engine runs for each stream:
+/// `StackMapper::touch_column` for the line streams and
+/// `StackMapper::touch_column_ranked`, which also records stack distances
+/// for the first-level TLBs, for the page streams. `fill_ns_per_event` times
 /// `TraceGenerator::fill_batch`, which adds the RNG decode loop, over
 /// `accesses` events.
 fn tracegen_split(accesses: usize) -> Result<Json, BoxError> {
@@ -357,8 +360,10 @@ fn tracegen_split(accesses: usize) -> Result<Json, BoxError> {
     let (mut sample_s, mut mtf_s) = (0.0, 0.0);
     let mapped_dists = &dists[..4];
     for (name, dist) in mapped_dists {
+        let ranked = name.ends_with("page_reuse");
         let mut mapper = StackMapper::new(dist.clone());
         let mut column = Vec::with_capacity(COLUMN);
+        let mut ranks = Vec::with_capacity(COLUMN);
         for chunk in draws.chunks(COLUMN) {
             let clock = Stopwatch::start();
             mapper.sample_column(chunk, &mut column);
@@ -371,9 +376,13 @@ fn tracegen_split(accesses: usize) -> Result<Json, BoxError> {
                 );
             }
             let clock = Stopwatch::start();
-            mapper.touch_column(&mut column);
+            if ranked {
+                mapper.touch_column_ranked(&mut column, &mut ranks);
+            } else {
+                mapper.touch_column(&mut column);
+            }
             mtf_s += clock.elapsed_s();
-            black_box(&column);
+            black_box((&column, &ranks));
         }
     }
     let mapped = (accesses * mapped_dists.len()) as f64;

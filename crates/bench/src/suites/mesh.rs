@@ -28,7 +28,6 @@ fn bench_config(smoke: bool) -> MeshConfig {
         arrival_rate_hz: 900.0,
         horizon_s: f64::INFINITY,
         window_insns: if smoke { 60_000 } else { 120_000 },
-        service_cv2: 2.0,
         regress_frac: 0.0,
         regress_scale: 1.0,
         seed: BASE_SEED,

@@ -172,13 +172,14 @@ impl ValidationFleet {
     }
 }
 
+/// Seconds of simulated time between a [`StagedFleet`]'s QPS samples.
+pub const TICK_S: f64 = 600.0;
+
 /// Parameters of a staged canary fleet.
 #[derive(Debug, Clone, Copy)]
 pub struct StagedFleetConfig {
     /// Total replicas serving this service.
     pub replicas: usize,
-    /// Seconds of simulated time between QPS samples.
-    pub tick_s: f64,
     /// Engine sampling window, instructions.
     pub window_insns: u64,
     /// Relative measurement noise of a single replica's QPS report; a
@@ -199,7 +200,6 @@ impl StagedFleetConfig {
     pub fn fast_test() -> Self {
         StagedFleetConfig {
             replicas: 100,
-            tick_s: 600.0,
             window_insns: 50_000,
             noise_rel: 0.01,
             pushes_per_hour: 0.25,
@@ -332,7 +332,6 @@ impl StagedFleet {
             down_until_s: f64::NEG_INFINITY,
             config: StagedFleetConfig {
                 replicas: config.replicas.max(2),
-                tick_s: config.tick_s.max(1.0),
                 ..config
             },
         })
@@ -439,7 +438,7 @@ impl StagedFleet {
     ///
     /// Engine errors on configuration evaluation.
     pub fn tick(&mut self) -> Result<StagedSample, ClusterError> {
-        self.time_s += self.config.tick_s;
+        self.time_s += TICK_S;
         while let Some(push) = self.evolution.push_before(self.time_s) {
             self.baseline.apply_code_push(push);
             self.candidate.apply_code_push(push);
@@ -794,7 +793,7 @@ mod tests {
         let mut fleet = staged_setup(cfg, 19);
         assert_eq!(fleet.stage_replicas(10), 10);
         let t = fleet.time_s();
-        fleet.crash_candidates(4, t + 2.5 * cfg.tick_s);
+        fleet.crash_candidates(4, t + 2.5 * TICK_S);
         let during = fleet.tick().unwrap();
         assert_eq!(during.candidate_replicas, 6);
         assert_eq!(fleet.crashed_candidates(), 4);
@@ -803,7 +802,7 @@ mod tests {
         assert_eq!(after.candidate_replicas, 10, "outage must lift");
         assert_eq!(fleet.crashed_candidates(), 0);
         // Crashing more replicas than are staged blanks the whole group.
-        fleet.crash_candidates(50, fleet.time_s() + 1.5 * cfg.tick_s);
+        fleet.crash_candidates(50, fleet.time_s() + 1.5 * TICK_S);
         let blank = fleet.tick().unwrap();
         assert_eq!(blank.candidate_replicas, 0);
         assert!(blank.candidate_qps.is_none());

@@ -56,6 +56,8 @@ pub use colocation::{
 pub use domains::{ChaosConfig, ChaosEvent, ChaosSchedule, FailureDomain, FleetTopology};
 pub use env::{AbEnvironment, Arm, EnvConfig, PairSample};
 pub use error::ClusterError;
-pub use fleet::{StagedFleet, StagedFleetConfig, StagedSample, ValidationFleet, ValidationOutcome};
+pub use fleet::{
+    StagedFleet, StagedFleetConfig, StagedSample, ValidationFleet, ValidationOutcome, TICK_S,
+};
 pub use hazards::{HazardConfig, HazardEvent, HazardSchedule};
 pub use server::SimServer;

@@ -15,7 +15,6 @@ use softsku_archsim::engine::{Engine, ServerConfig, WindowReport};
 use softsku_workloads::loadgen::CodePush;
 use softsku_workloads::request::mmc_wait_factor;
 use softsku_workloads::WorkloadProfile;
-use std::collections::HashMap;
 
 /// Load grid the engine is evaluated on (fractions of the service's peak
 /// utilization); samples interpolate between the grid points.
@@ -39,7 +38,9 @@ pub struct SimServer {
     insn_per_query: f64,
     /// MIPS of the production configuration at peak load (speedup baseline).
     production_mips: f64,
-    cache: HashMap<u64, LoadCurve>,
+    /// Load curves of the configurations evaluated since the last code
+    /// push, matched on the exact configuration.
+    cache: Vec<(ServerConfig, LoadCurve)>,
     /// Cumulative multiplier from code pushes.
     push_cpi_scale: f64,
 }
@@ -86,7 +87,7 @@ impl SimServer {
             window_insns,
             insn_per_query: 0.0,
             production_mips: 0.0,
-            cache: HashMap::new(),
+            cache: Vec::new(),
             push_cpi_scale: 1.0,
         };
         // Calibrate the on-server path length against the production
@@ -206,9 +207,8 @@ impl SimServer {
     /// Applies a code push: the binary changed, perturbing base CPI and
     /// invalidating every cached measurement.
     pub fn apply_code_push(&mut self, push: CodePush) {
-        // Quantize to 0.5% steps: binaries differ discretely, and quantized
-        // states let the evaluation cache be reused when a later push lands
-        // near a previously-seen performance level.
+        // Quantize to 0.5% steps: binaries differ discretely. Every cached
+        // curve was measured on the old binary, so the cache empties.
         let raw = (self.push_cpi_scale * push.cpi_scale).clamp(0.8, 1.25);
         self.push_cpi_scale = (raw * 200.0).round() / 200.0;
         self.cache.clear();
@@ -216,8 +216,10 @@ impl SimServer {
 
     /// The load curve of the current configuration, evaluated on first use.
     fn curve(&mut self) -> Result<&LoadCurve, ClusterError> {
-        let key = config_key(&self.config, self.push_cpi_scale);
-        if !self.cache.contains_key(&key) {
+        let hit = self.cache.iter().position(|(c, _)| *c == self.config);
+        let i = if let Some(i) = hit {
+            i
+        } else {
             // The load-grid points are one `run_grid` call on this thread.
             // Points that share structure passes (all three, unless a
             // context switch lands inside the window) run them once, and
@@ -229,11 +231,11 @@ impl SimServer {
                 .engine(&self.config)?
                 .run_grid(self.window_insns, LOAD_GRID.map(|g| g * peak))?;
             let mips = [low.mips_total, mid.mips_total, peak_report.mips_total];
-            self.cache.insert(key, LoadCurve { mips, peak_report });
-        }
-        // detlint::allow(panic_path): the entry was inserted two statements
-        // up under this very key.
-        Ok(self.cache.get(&key).expect("inserted above"))
+            let curve = LoadCurve { mips, peak_report };
+            self.cache.push((self.config.clone(), curve));
+            self.cache.len() - 1
+        };
+        Ok(&self.cache[i].1)
     }
 
     /// An engine for `config` on this server's workload, code pushes
@@ -261,53 +263,6 @@ fn interp(mips: &[f64; 3], load: f64) -> f64 {
     // Slight overload: extrapolate the last segment.
     let t = (l - LOAD_GRID[1]) / (LOAD_GRID[2] - LOAD_GRID[1]);
     mips[1] + t * (mips[2] - mips[1])
-}
-
-/// Hashes a configuration (plus code-push state) into a cache key.
-/// `ServerConfig` is destructured without `..`, so a field added to it must
-/// be keyed here; a field left out would serve a curve evaluated under
-/// another value of it. The platform is keyed by its `kind`: every
-/// `PlatformSpec` in use is `PlatformKind::spec`'s.
-fn config_key(c: &ServerConfig, push_scale: f64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    let ServerConfig {
-        platform,
-        core_freq_ghz,
-        uncore_freq_ghz,
-        active_cores,
-        llc_ways_enabled,
-        cdp,
-        prefetchers: pf,
-        thp,
-        shp_pages,
-        machine_memory_bytes,
-    } = c;
-    mix(platform.kind as u64);
-    mix(core_freq_ghz.to_bits());
-    mix(uncore_freq_ghz.to_bits());
-    mix(*active_cores as u64);
-    mix(*llc_ways_enabled as u64);
-    match cdp {
-        None => mix(0),
-        Some(p) => mix(1 | ((p.data_ways as u64) << 8) | ((p.code_ways as u64) << 16)),
-    }
-    mix(pf.l2_stream as u64
-        | (pf.l2_adjacent as u64) << 1
-        | (pf.dcu as u64) << 2
-        | (pf.dcu_ip as u64) << 3);
-    mix(match thp {
-        softsku_archsim::ThpMode::Madvise => 11,
-        softsku_archsim::ThpMode::AlwaysOn => 12,
-        softsku_archsim::ThpMode::NeverOn => 13,
-    });
-    mix(*shp_pages as u64);
-    mix(*machine_memory_bytes);
-    mix(push_scale.to_bits());
-    h
 }
 
 #[cfg(test)]
@@ -434,6 +389,19 @@ mod tests {
             .unwrap();
         assert_eq!(after.to_bits(), fresh.to_bits());
         assert!(after < before, "{after} vs {before}");
+    }
+
+    #[test]
+    fn reconfiguring_platform_latency_reevaluates_the_curve() {
+        // Same platform kind, different memory latency: the curve must be
+        // the new configuration's, not the production one's.
+        let mut s = web_server();
+        let before = s.mips(1.0).unwrap();
+        let mut slow_memory = s.profile().production_config.clone();
+        slow_memory.platform.mem_unloaded_latency_ns *= 2.0;
+        s.reconfigure(slow_memory, false).unwrap();
+        let after = s.mips(1.0).unwrap();
+        assert_ne!(after.to_bits(), before.to_bits());
     }
 
     #[test]

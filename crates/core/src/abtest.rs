@@ -34,28 +34,29 @@ pub struct AbTestConfig {
     /// Sample budget; reaching it ⇒ "no statistically significant
     /// difference" (the paper's ~30 000-observation rule).
     pub max_samples: usize,
-    /// Confidence level for the Welch test (the paper uses 95 %).
-    pub confidence: f64,
     /// Relative difference below which two settings are considered
     /// practically indistinguishable even if statistically significant.
     pub min_effect: f64,
     /// How many samples between statistical checks.
     pub batch: usize,
-    /// Retries for a transiently failing knob application (exponential
-    /// backoff between attempts) before the test is declared inconclusive.
-    pub max_retries: usize,
     /// Base backoff between knob-apply retries, seconds (doubled per retry).
     pub backoff_base_s: f64,
     /// Rolling window of the MAD outlier filter (accepted samples tracked
     /// per arm).
     pub mad_window: usize,
-    /// MAD multiples beyond which a sample is rejected as corrupted. ~8 is
-    /// inert on clean data (a ≳5σ event) but catches injected outliers.
-    pub mad_k: f64,
-    /// Consecutive candidate-only QoS failures that trigger a rollback to
-    /// production (the guardrail ignores spikes that hurt both arms).
-    pub qos_guardrail_k: usize,
 }
+
+/// Retries for a transiently failing knob application (exponential backoff
+/// between attempts) before the test is declared inconclusive.
+const MAX_RETRIES: usize = 6;
+
+/// MAD multiples beyond which a sample is rejected as corrupted. ~8 is
+/// inert on clean data (a ≳5σ event) but catches injected outliers.
+const MAD_K: f64 = 8.0;
+
+/// Consecutive candidate-only QoS failures that trigger a rollback to
+/// production (the guardrail ignores spikes that hurt both arms).
+const QOS_GUARDRAIL_K: usize = 3;
 
 impl Default for AbTestConfig {
     fn default() -> Self {
@@ -63,14 +64,10 @@ impl Default for AbTestConfig {
             warmup_samples: 12,
             min_samples: 120,
             max_samples: 30_000,
-            confidence: 0.95,
             min_effect: 0.0015,
             batch: 60,
-            max_retries: 6,
             backoff_base_s: 60.0,
             mad_window: 64,
-            mad_k: 8.0,
-            qos_guardrail_k: 3,
         }
     }
 }
@@ -82,14 +79,10 @@ impl AbTestConfig {
             warmup_samples: 4,
             min_samples: 60,
             max_samples: 2_000,
-            confidence: 0.95,
             min_effect: 0.002,
             batch: 30,
-            max_retries: 6,
             backoff_base_s: 30.0,
             mad_window: 48,
-            mad_k: 8.0,
-            qos_guardrail_k: 3,
         }
     }
 
@@ -314,8 +307,8 @@ impl AbTester {
 
         let mut acc_a = RunningStats::new();
         let mut acc_b = RunningStats::new();
-        let mut mad_a = MadFilter::new(self.config.mad_window, self.config.mad_k);
-        let mut mad_b = MadFilter::new(self.config.mad_window, self.config.mad_k);
+        let mut mad_a = MadFilter::new(self.config.mad_window, MAD_K);
+        let mut mad_b = MadFilter::new(self.config.mad_window, MAD_K);
         let mut attempts = 0usize;
         let mut rejected_outliers = 0usize;
         // Initial warm-up, and re-warm after every outage: an arm that just
@@ -409,7 +402,7 @@ impl AbTester {
             } else {
                 qos_strikes = 0;
             }
-            if qos_strikes >= self.config.qos_guardrail_k.max(1) {
+            if qos_strikes >= QOS_GUARDRAIL_K {
                 // Best-effort rollback; the verdict stands either way.
                 let _ = self.reconfigure_with_retry(env, Arm::B, baseline_config, false);
                 env.record_event("recovery", "qos_rollback");
@@ -430,7 +423,7 @@ impl AbTester {
             let sb = acc_b.summary()?;
             let w = welch_test(&sb, &sa); // candidate minus baseline
             let rel = sb.mean() / sa.mean() - 1.0;
-            let significant = w.significant_at(self.config.confidence);
+            let significant = w.significant();
 
             if significant && rel.abs() >= self.config.min_effect {
                 let verdict = if rel > 0.0 {
@@ -452,7 +445,7 @@ impl AbTester {
 
             // Converged-to-equality check: the CI on the relative difference
             // is narrower than the minimum effect we care about.
-            let (lo, hi) = w.diff_ci(&sb, &sa, self.config.confidence);
+            let (lo, hi) = w.diff_ci(&sb, &sa);
             let half_rel = ((hi - lo) / 2.0 / sa.mean()).abs();
             if half_rel < self.config.min_effect || n >= self.config.max_samples {
                 return Ok(AbTestResult {
@@ -484,7 +477,7 @@ impl AbTester {
         config: &softsku_archsim::engine::ServerConfig,
         needs_reboot: bool,
     ) -> Result<bool, UskuError> {
-        for attempt in 0..=self.config.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             match env.reconfigure(arm, config.clone(), needs_reboot) {
                 Ok(()) => {
                     if attempt > 0 {

@@ -556,7 +556,6 @@ pub fn trace_test_span(
     run: &ReplicaRun,
     seed: u64,
     start_s: f64,
-    confidence: f64,
 ) -> SpanHandle {
     if !sink.is_enabled() {
         return SpanHandle::NONE;
@@ -575,7 +574,7 @@ pub fn trace_test_span(
         sink.attr(h, "p_value", AttrValue::F64(w.p_value));
         if let (Some(b), Some(c)) = (&r.baseline, &r.candidate) {
             if b.mean() != 0.0 {
-                let (lo, hi) = w.diff_ci(c, b, confidence);
+                let (lo, hi) = w.diff_ci(c, b);
                 sink.attr(h, "ci_lo", AttrValue::F64(lo / b.mean()));
                 sink.attr(h, "ci_hi", AttrValue::F64(hi / b.mean()));
             }
@@ -939,7 +938,6 @@ impl FleetTuner {
                     run,
                     trial.seed,
                     cursor[trial.target],
-                    self.abtest.confidence,
                 );
                 cursor[trial.target] += run.sim_time_s;
             }

@@ -45,6 +45,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Critical child of a job no child beat; job 0 is a root, never a child.
 pub(crate) const NO_CHILD: u32 = 0;
 
+/// Squared coefficient of variation of every tier's lognormal service
+/// times.
+const SERVICE_CV2: f64 = 2.0;
+
 /// Per-tier wiring the passes index by tier.
 #[derive(Debug, Clone)]
 pub(crate) struct TierWiring {
@@ -483,7 +487,7 @@ impl Step<'_> {
         let mut servers = FcfsServers::new(tier.concurrency);
         let service_dist = ServiceDist::LogNormal {
             mean: cal.service_s,
-            cv2: self.cfg.service_cv2,
+            cv2: SERVICE_CV2,
         }
         .sampler();
 

@@ -58,8 +58,6 @@ pub struct MeshConfig {
     pub horizon_s: f64,
     /// Engine window per calibration evaluation, instructions.
     pub window_insns: u64,
-    /// Squared coefficient of variation of tier service times.
-    pub service_cv2: f64,
     /// Fraction of requests hit by the injected tail regression; `0.0`
     /// disables the injection and leaves every draw bit-identical to a
     /// config without it. Fates come from their own seeded stream
@@ -81,7 +79,6 @@ impl Default for MeshConfig {
             arrival_rate_hz: 900.0,
             horizon_s: f64::INFINITY,
             window_insns: 120_000,
-            service_cv2: 2.0,
             regress_frac: 0.0,
             regress_scale: 1.0,
             seed: 42,
@@ -104,12 +101,6 @@ impl MeshConfig {
             return Err(MeshError::Config(format!(
                 "horizon {} must be positive",
                 self.horizon_s
-            )));
-        }
-        if !(self.service_cv2.is_finite() && self.service_cv2 >= 0.0) {
-            return Err(MeshError::Config(format!(
-                "service cv² {} must be nonnegative and finite",
-                self.service_cv2
             )));
         }
         if self.window_insns < 10_000 {
@@ -669,7 +660,6 @@ mod tests {
             arrival_rate_hz: 900.0,
             horizon_s: f64::INFINITY,
             window_insns: 60_000,
-            service_cv2: 2.0,
             regress_frac: 0.0,
             regress_scale: 1.0,
             seed: 11,

@@ -414,7 +414,6 @@ mod tests {
             arrival_rate_hz: 900.0,
             horizon_s: f64::INFINITY,
             window_insns: 60_000,
-            service_cv2: 2.0,
             regress_frac: 0.0,
             regress_scale: 1.0,
             seed: 21,

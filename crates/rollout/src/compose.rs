@@ -378,15 +378,7 @@ impl SkuComposer {
             sink.attr(span, "replicas", AttrValue::Int(trials.len() as i64));
             let mut t = *cursor;
             for (trial, run) in trials.iter().zip(&runs) {
-                trace_test_span(
-                    sink,
-                    service,
-                    &platform,
-                    run,
-                    trial.seed,
-                    t,
-                    self.tester.config().confidence,
-                );
+                trace_test_span(sink, service, &platform, run, trial.seed, t);
                 t += run.sim_time_s;
             }
             sink.close(span, *cursor + sim_time_s);

@@ -17,7 +17,7 @@
 //! * **Blast-radius cap** — fleet-wide ceiling on concurrently exposed
 //!   candidate replicas, allocated in canonical service order.
 //! * **Circuit breaker** — when `breaker_rollbacks` rollbacks land within
-//!   `breaker_window_ticks`, every promotion and every exposure grow
+//!   a 24-tick sliding window, every promotion and every exposure grow
 //!   freezes for `breaker_freeze_ticks` (correlated failure is fleet-wide
 //!   news, not a per-service incident).
 //! * **Quarantine with exponential backoff** — a rolled-back service waits
@@ -45,7 +45,8 @@ use crate::error::RolloutError;
 use crate::rollout::{RolloutConfig, StageReport, StagedRollout, StepDecision};
 use softsku_archsim::engine::ServerConfig;
 use softsku_cluster::{
-    ChaosConfig, ChaosEvent, ChaosSchedule, FailureDomain, FleetTopology, StagedFleet, StagedSample,
+    ChaosConfig, ChaosEvent, ChaosSchedule, FailureDomain, FleetTopology, StagedFleet,
+    StagedSample, TICK_S,
 };
 use softsku_telemetry::trace::{AttrValue, SpanHandle, TraceSink};
 use softsku_telemetry::{LedgerDomain, LedgerKey, Ods, SeriesKey};
@@ -73,6 +74,10 @@ impl CanaryBudget {
     }
 }
 
+/// Sliding window, in coordinator ticks, the circuit breaker counts
+/// rollbacks over.
+const BREAKER_WINDOW_TICKS: u64 = 24;
+
 /// Coordinator parameters.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
@@ -82,12 +87,9 @@ pub struct CoordinatorConfig {
     pub budget: CanaryBudget,
     /// Fleet-wide cap on concurrently exposed candidate replicas.
     pub blast_radius: usize,
-    /// Rollbacks within [`CoordinatorConfig::breaker_window_ticks`] that
-    /// trip the circuit breaker.
+    /// Rollbacks within the breaker's 24-tick sliding window that trip
+    /// the circuit breaker.
     pub breaker_rollbacks: usize,
-    /// Sliding window, in coordinator ticks, the breaker counts rollbacks
-    /// over.
-    pub breaker_window_ticks: u64,
     /// Ticks every promotion and exposure grow stays frozen after a trip.
     pub breaker_freeze_ticks: u64,
     /// Base quarantine backoff, in ticks; doubles with each strike.
@@ -106,12 +108,11 @@ impl CoordinatorConfig {
         let mut rollout = RolloutConfig::fast_test();
         rollout.ticks_per_stage = 12;
         rollout.mad_window = 8;
-        // NB: 12-tick stages deliberately starve the tail guard
-        // (`TailGuard::fast_test` wants 16 samples): a p99 estimated from
-        // a dozen heavy-tailed draws is a sample max, and gating
-        // promotions on the ratio of two sample maxes rolls back healthy
-        // services. Campaigns that want the stepwise p99 verdict must run
-        // stages at least `min_samples` ticks long.
+        // NB: 12-tick stages deliberately starve the tail guard (it wants
+        // 16 samples per group): a p99 estimated from a dozen heavy-tailed
+        // draws is a sample max, and gating promotions on the ratio of two
+        // sample maxes rolls back healthy services. Campaigns that want the
+        // stepwise p99 verdict must run stages at least 16 ticks long.
         CoordinatorConfig {
             rollout,
             budget: CanaryBudget {
@@ -120,7 +121,6 @@ impl CoordinatorConfig {
             },
             blast_radius: 200,
             breaker_rollbacks: 2,
-            breaker_window_ticks: 24,
             breaker_freeze_ticks: 12,
             quarantine_backoff_ticks: 12,
             max_strikes: 3,
@@ -464,10 +464,6 @@ impl FleetCoordinator {
         sink.attr(root, "services", AttrValue::Int(plans.len() as i64));
         sink.attr(root, "seed", AttrValue::Str(format!("{seed:#018x}")));
 
-        let tick_s = plans
-            .first()
-            .map(|p| p.fleet.config().tick_s)
-            .unwrap_or(600.0);
         // Runtimes in plan order: the canonical order every merge and every
         // blast-radius allocation walks.
         let mut runtimes = plans
@@ -475,7 +471,7 @@ impl FleetCoordinator {
             .map(|plan| Runtime::new(plan, topology, cfg))
             .collect::<Result<Vec<_>, _>>()?;
         let schedule = ChaosSchedule::new(topology, chaos, seed);
-        let mut campaign = Campaign::new(cfg, schedule, tick_s, sink);
+        let mut campaign = Campaign::new(cfg, schedule, sink);
         // Phase 3 of every tick runs on this one pool: the runtimes go to
         // the pool for the fleet ticks and come back, in plan order, for
         // the phases that decide on the orchestration thread.
@@ -511,7 +507,6 @@ struct Campaign<'a> {
     schedule: ChaosSchedule,
     sink: &'a mut TraceSink,
     report: CoordinatorReport,
-    tick_s: f64,
     /// Completed recovery episodes' lengths, in completion order.
     recoveries: Vec<f64>,
     /// Open brownout episode per pool: (injected_at_s, lifts_at_s). A
@@ -527,12 +522,7 @@ struct Campaign<'a> {
 }
 
 impl<'a> Campaign<'a> {
-    fn new(
-        cfg: &'a CoordinatorConfig,
-        schedule: ChaosSchedule,
-        tick_s: f64,
-        sink: &'a mut TraceSink,
-    ) -> Self {
+    fn new(cfg: &'a CoordinatorConfig, schedule: ChaosSchedule, sink: &'a mut TraceSink) -> Self {
         let pools = schedule.topology().pool_count();
         Campaign {
             cfg,
@@ -552,7 +542,6 @@ impl<'a> Campaign<'a> {
                 mttr_s: 0.0,
                 ledger: Ods::chaos_ledger(),
             },
-            tick_s,
             recoveries: Vec::new(),
             brownout_open: vec![None; pools],
             rollback_ticks: Vec::new(),
@@ -563,7 +552,7 @@ impl<'a> Campaign<'a> {
     /// Starts the next tick on the simulated clock.
     fn advance(&mut self) {
         self.report.ticks += 1;
-        self.report.sim_time_s += self.tick_s;
+        self.report.sim_time_s += TICK_S;
     }
 
     /// Records one coordinator reaction: a `key` point on `entity`, then a
@@ -867,7 +856,7 @@ impl<'a> Campaign<'a> {
         let series = SeriesKey::keyed(&rt.name, key);
         self.report.ledger.append(&series, t, backoff as f64)?;
         let name = format!("quarantine {}", rt.name);
-        let period_s = backoff as f64 * self.tick_s;
+        let period_s = backoff as f64 * TICK_S;
         let span = self.sink.leaf(key.name(), &name, t, period_s);
         self.sink
             .attr(span, "service", AttrValue::Str(rt.name.clone()));
@@ -881,7 +870,7 @@ impl<'a> Campaign<'a> {
     fn breaker(&mut self) -> Result<(), RolloutError> {
         let (cfg, tick, t) = (self.cfg, self.report.ticks, self.report.sim_time_s);
         self.rollback_ticks
-            .retain(|&rb| tick - rb < cfg.breaker_window_ticks);
+            .retain(|&rb| tick - rb < BREAKER_WINDOW_TICKS);
         let in_window = self.rollback_ticks.len();
         if self.frozen_until.is_some() || in_window < cfg.breaker_rollbacks {
             return Ok(());
@@ -1158,11 +1147,10 @@ mod tests {
         // Replay the identical chaos timeline and merge overlapping
         // brownouts per pool exactly as the coordinator does: every episode
         // lifting at or before the campaign's end is one recovery.
-        let tick_s = 600.0;
         let mut schedule = ChaosSchedule::new(&topology, chaos, 7);
         let mut open: Vec<Option<(f64, f64)>> = vec![None; topology.pool_count()];
         let mut expected = Vec::new();
-        let mut t = tick_s;
+        let mut t = TICK_S;
         while t <= report.sim_time_s + 1e-9 {
             for event in schedule.tick(t) {
                 if let ChaosEvent::Brownout {
@@ -1190,7 +1178,7 @@ mod tests {
                     }
                 }
             }
-            t += tick_s;
+            t += TICK_S;
         }
 
         assert!(

@@ -9,7 +9,7 @@
 //! `RolloutRetune` stream family — is enqueued for the fleet tuner.
 
 use crate::error::RolloutError;
-use softsku_cluster::{FailureDomain, StagedFleet};
+use softsku_cluster::{FailureDomain, StagedFleet, TICK_S};
 use softsku_knobs::Knob;
 use softsku_telemetry::stats::{welch_test, RunningStats};
 use softsku_telemetry::streams::{stream_seed, IdentitySeed, StreamFamily};
@@ -24,21 +24,20 @@ pub struct DriftConfig {
     pub window_ticks: usize,
     /// Windows observed before declaring the SKU healthy.
     pub max_windows: usize,
-    /// The deployed SKU must keep this much relative gain: drift fires
-    /// when the *upper* confidence bound of the windowed gain drops below
-    /// it.
-    pub min_gain: f64,
-    /// Confidence level of the gain interval.
-    pub confidence: f64,
     /// Latency threshold of the deployed SKU's availability SLO, seconds:
     /// candidate latency samples above it burn error budget, and a
     /// sustained multi-window burn triggers a re-tune even while the
     /// throughput gain still holds. `0.0` disables the burn trigger.
     pub slo_threshold_s: f64,
-    /// Consecutive alerting SLO evaluations (sustained burn) that fire
-    /// the burn-triggered re-tune.
-    pub slo_sustain: u32,
 }
+
+/// The deployed SKU must keep this much relative gain: drift fires when the
+/// *upper* confidence bound of the windowed gain drops below it.
+const MIN_GAIN: f64 = 0.01;
+
+/// Consecutive alerting SLO evaluations (sustained burn) that fire the
+/// burn-triggered re-tune.
+const SLO_SUSTAIN: u32 = 4;
 
 impl DriftConfig {
     /// Small, fast parameters for tests and smoke runs. The SLO burn
@@ -48,10 +47,7 @@ impl DriftConfig {
         DriftConfig {
             window_ticks: 48,
             max_windows: 6,
-            min_gain: 0.01,
-            confidence: 0.95,
             slo_threshold_s: 0.0,
-            slo_sustain: 4,
         }
     }
 }
@@ -167,17 +163,17 @@ impl DriftMonitor {
         DriftMonitor { config }
     }
 
-    /// The monitor's configuration (readers share its `min_gain` floor).
+    /// The monitor's configuration.
     pub fn config(&self) -> &DriftConfig {
         &self.config
     }
 
     /// Whether a measured window constitutes drift under this monitor's
-    /// floor: the gain's *upper* confidence bound fell below `min_gain`.
+    /// floor: the gain's *upper* confidence bound fell below 1 %.
     /// `skuctl ledger` and the SLO evaluator's sustained-burn path call
     /// this instead of re-implementing the comparison.
     pub fn drifted(&self, window: &WindowGain) -> bool {
-        window.upper_ci < self.config.min_gain
+        window.upper_ci < MIN_GAIN
     }
 
     /// Builds the scoped re-tune order for `sku` after window `window`
@@ -243,17 +239,16 @@ impl DriftMonitor {
         let service = sku.service.name();
         let root = sink.open("drift", &format!("drift {service}"), fleet.time_s());
         sink.attr(root, "service", AttrValue::Str(service.to_string()));
-        sink.attr(root, "min_gain", AttrValue::F64(self.config.min_gain));
+        sink.attr(root, "min_gain", AttrValue::F64(MIN_GAIN));
         // The burn trigger is armed only by a positive threshold; when it
         // is off, no evaluator exists and gain-only runs replay exactly.
         let mut slo = if self.config.slo_threshold_s > 0.0 {
-            let tick_s = fleet.config().tick_s;
             Some(SloEvaluator::new(SloSpec::new(
                 service,
                 self.config.slo_threshold_s,
                 0.99,
-                5.0 * tick_s,
-                20.0 * tick_s,
+                5.0 * TICK_S,
+                20.0 * TICK_S,
             )?))
         } else {
             None
@@ -275,7 +270,7 @@ impl DriftMonitor {
                         eval.observe(sample.time_s, cl, None)?;
                     }
                     let status = eval.evaluate(sample.time_s, ods, sink)?;
-                    if status.sustained >= self.config.slo_sustain.max(1) {
+                    if status.sustained >= SLO_SUSTAIN {
                         let now = sample.time_s;
                         ods.append(
                             &SeriesKey::keyed(service, LedgerKey::SloRetune),
@@ -430,7 +425,7 @@ impl DriftMonitor {
         // `mean_diff = candidate − baseline`; its CI rescaled by the
         // baseline mean is the relative-gain CI.
         let welch = welch_test(&c, &b);
-        let (_, hi) = welch.diff_ci(&c, &b, self.config.confidence);
+        let (_, hi) = welch.diff_ci(&c, &b);
         Ok(WindowGain {
             window,
             gain: c.mean() / b.mean() - 1.0,
@@ -514,8 +509,8 @@ mod tests {
             );
         };
         assert_eq!(window, 0, "burn fires before the first gain window closes");
-        assert!(sustained >= cfg.slo_sustain);
-        assert!(burn_fast > cfg.min_gain, "burn rate is far above 1");
+        assert!(sustained >= SLO_SUSTAIN);
+        assert!(burn_fast > MIN_GAIN, "burn rate is far above 1");
         let retune = out.retune.expect("burn verdict carries a scoped re-tune");
         assert_eq!(retune.service, Microservice::Web);
         assert_eq!(

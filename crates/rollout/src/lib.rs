@@ -57,5 +57,5 @@ pub use error::RolloutError;
 pub use lifecycle::{CycleReport, LifecycleReport, PipelineConfig, RetunedCycle, RolloutPipeline};
 pub use rollout::{
     RolloutConfig, RolloutReport, RolloutState, StageReport, StageViolation, StagedRollout,
-    StepDecision, TailGuard,
+    StepDecision,
 };

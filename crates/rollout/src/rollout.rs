@@ -15,32 +15,24 @@ use softsku_telemetry::stats::{welch_test, MadFilter, QuantileSketch, RunningSta
 use softsku_telemetry::trace::{AttrValue, TraceSink};
 use softsku_telemetry::{LedgerKey, Ods, SeriesKey};
 
-/// Latency-percentile guardrail parameters: canary promotion requires
-/// the candidate's stage p99 to stay within `p99_tolerance` of the
-/// baseline's, on top of the existing Welch guard-loss floor.
-#[derive(Debug, Clone, Copy)]
-pub struct TailGuard {
-    /// Relative p99 regression tolerated: the stage fails when
-    /// `candidate_p99 > baseline_p99 × (1 + p99_tolerance)`.
-    pub p99_tolerance: f64,
-    /// Minimum latency samples *per group* surviving the stage before
-    /// the verdict may fire; starved stages pass the tail check.
-    pub min_samples: u64,
-}
+/// Relative loss the guardrail tolerates: the stage fails when the
+/// candidate is *significantly* below `baseline × (1 − GUARD_LOSS)`.
+const GUARD_LOSS: f64 = 0.02;
 
-impl TailGuard {
-    /// Default tuned for short test stages: per-tick latency samples are
-    /// heavy-tailed, so a small-sample p99 is noisy — the tolerance is
-    /// wide enough that a healthy candidate's sampling jitter never
-    /// trips it, while a genuine 2× tail regression still lands far
-    /// outside it.
-    pub fn fast_test() -> Self {
-        TailGuard {
-            p99_tolerance: 0.60,
-            min_samples: 16,
-        }
-    }
-}
+/// MAD rejection threshold of the per-tick screen, in robust standard
+/// deviations.
+const MAD_K: f64 = 5.0;
+
+/// Relative p99 regression the tail guard tolerates: the stage fails when
+/// `candidate_p99 > baseline_p99 × (1 + P99_TOLERANCE)`. Per-tick latency
+/// samples are heavy-tailed, so a small-sample p99 is noisy; the tolerance
+/// is wide enough that a healthy candidate's sampling jitter never trips
+/// it, while a genuine 2× tail regression still lands far outside it.
+const P99_TOLERANCE: f64 = 0.60;
+
+/// Minimum latency samples *per group* surviving a stage before the tail
+/// verdict may fire; starved stages pass the tail check.
+const TAIL_MIN_SAMPLES: u64 = 16;
 
 /// Guardrail and pacing parameters of a staged rollout.
 #[derive(Debug, Clone)]
@@ -49,21 +41,17 @@ pub struct RolloutConfig {
     pub stages: Vec<f64>,
     /// Fleet ticks observed per stage before the promotion decision.
     pub ticks_per_stage: usize,
-    /// Relative loss the guardrail tolerates: the stage fails when the
-    /// candidate is *significantly* below `baseline × (1 − guard_loss)`.
-    pub guard_loss: f64,
-    /// Welch confidence level of the guardrail test.
-    pub confidence: f64,
     /// MAD screen window over the per-tick relative diffs.
     pub mad_window: usize,
-    /// MAD rejection threshold, in robust standard deviations.
-    pub mad_k: f64,
-    /// Consecutive ticks breaching `3 × guard_loss` that trigger an
-    /// immediate mid-stage rollback (catastrophic-canary fast path).
+    /// Consecutive ticks losing more than three times the 2 % guard loss
+    /// that trigger an immediate mid-stage rollback (catastrophic-canary
+    /// fast path).
     pub max_strikes: usize,
-    /// The latency-percentile guardrail; `None` reverts to the
-    /// throughput-only promotion gate.
-    pub tail_guard: Option<TailGuard>,
+    /// Whether the latency-percentile guardrail runs: promotion also
+    /// requires the candidate's stage p99 to stay within 60 % of the
+    /// baseline's, on top of the Welch guard-loss floor. `false` reverts
+    /// to the throughput-only promotion gate.
+    pub tail_guard: bool,
 }
 
 impl RolloutConfig {
@@ -72,12 +60,9 @@ impl RolloutConfig {
         RolloutConfig {
             stages: vec![0.01, 0.25, 1.0],
             ticks_per_stage: 48,
-            guard_loss: 0.02,
-            confidence: 0.95,
             mad_window: 16,
-            mad_k: 5.0,
             max_strikes: 5,
-            tail_guard: Some(TailGuard::fast_test()),
+            tail_guard: true,
         }
     }
 }
@@ -119,8 +104,8 @@ pub enum StageViolation {
     SignificantLoss,
     /// `max_strikes` consecutive ticks breached the hard floor mid-stage.
     HardStrikes,
-    /// The candidate's stage p99 latency regressed past the
-    /// [`TailGuard`] tolerance at stage end.
+    /// The candidate's stage p99 latency regressed past the tail guard's
+    /// tolerance at stage end.
     TailRegression,
 }
 
@@ -226,7 +211,7 @@ struct StageObserver {
 impl StageObserver {
     fn new(config: &RolloutConfig) -> Self {
         StageObserver {
-            mad: MadFilter::new(config.mad_window, config.mad_k),
+            mad: MadFilter::new(config.mad_window, MAD_K),
             base: RunningStats::new(),
             cand: RunningStats::new(),
             base_lat: QuantileSketch::new(),
@@ -252,14 +237,14 @@ impl StageObserver {
         // screen): the screen exists to reject corrupted throughput
         // telemetry, while the tail guard must see every slow request —
         // screening the tail would hide exactly what it watches for.
-        if config.tail_guard.is_some() {
+        if config.tail_guard {
             self.base_lat.push(sample.baseline_latency_s);
             if let Some(cl) = sample.candidate_latency_s {
                 self.cand_lat.push(cl);
             }
         }
         let diff = cq / sample.baseline_qps - 1.0;
-        if diff < -3.0 * config.guard_loss {
+        if diff < -3.0 * GUARD_LOSS {
             self.strikes += 1;
             if self.strikes >= config.max_strikes {
                 self.violation = Some(StageViolation::HardStrikes);
@@ -296,22 +281,21 @@ impl StageObserver {
         let mut baseline_p99_s = 0.0;
         let mut candidate_p99_s = 0.0;
         let mut violation = self.violation;
-        if let Some(guard) = config.tail_guard {
-            if self.base_lat.count() >= guard.min_samples
-                && self.cand_lat.count() >= guard.min_samples
+        if config.tail_guard
+            && self.base_lat.count() >= TAIL_MIN_SAMPLES
+            && self.cand_lat.count() >= TAIL_MIN_SAMPLES
+        {
+            baseline_p99_s = self.base_lat.quantile(0.99).unwrap_or(0.0);
+            candidate_p99_s = self.cand_lat.quantile(0.99).unwrap_or(0.0);
+            if violation.is_none()
+                && baseline_p99_s > 0.0
+                && candidate_p99_s > baseline_p99_s * (1.0 + P99_TOLERANCE)
             {
-                baseline_p99_s = self.base_lat.quantile(0.99).unwrap_or(0.0);
-                candidate_p99_s = self.cand_lat.quantile(0.99).unwrap_or(0.0);
-                if violation.is_none()
-                    && baseline_p99_s > 0.0
-                    && candidate_p99_s > baseline_p99_s * (1.0 + guard.p99_tolerance)
-                {
-                    violation = Some(StageViolation::TailRegression);
-                }
+                violation = Some(StageViolation::TailRegression);
             }
         }
         if violation.is_none() {
-            violation = stage_end_verdict(config, &self.base, &self.cand)?;
+            violation = stage_end_verdict(&self.base, &self.cand)?;
         }
         Ok(StageReport {
             fraction,
@@ -329,9 +313,8 @@ impl StageObserver {
 }
 
 /// Welch's guardrail at stage end: the candidate fails when it sits
-/// significantly below the shifted baseline `b × (1 − guard_loss)`.
+/// significantly below the shifted baseline `b × (1 − GUARD_LOSS)`.
 fn stage_end_verdict(
-    config: &RolloutConfig,
     base: &RunningStats,
     cand: &RunningStats,
 ) -> Result<Option<StageViolation>, RolloutError> {
@@ -341,7 +324,7 @@ fn stage_end_verdict(
     }
     let b = base.summary()?;
     let c = cand.summary()?;
-    let scale = 1.0 - config.guard_loss;
+    let scale = 1.0 - GUARD_LOSS;
     let floor = softsku_telemetry::stats::Summary::from_moments(
         b.count(),
         b.mean() * scale,
@@ -350,7 +333,7 @@ fn stage_end_verdict(
     // `mean_diff = floor − candidate`: positive when the candidate sits
     // below the guard floor.
     let welch = welch_test(&floor, &c);
-    if welch.mean_diff > 0.0 && welch.significant_at(config.confidence) {
+    if welch.mean_diff > 0.0 && welch.significant() {
         return Ok(Some(StageViolation::SignificantLoss));
     }
     Ok(None)
@@ -708,7 +691,7 @@ mod tests {
         // blind spot the guard exists to close.
         let mut fleet = staged_fleet(31, 2.0);
         let mut cfg = RolloutConfig::fast_test();
-        cfg.tail_guard = None;
+        cfg.tail_guard = false;
         let mut ods = Ods::rollout_ledger();
         let report = StagedRollout::new(cfg)
             .execute(&mut fleet, "web", &mut ods)

@@ -21,20 +21,25 @@ pub struct WelchResult {
     pub p_value: f64,
 }
 
+/// Confidence level of every Welch decision: the A/B tester's verdicts
+/// and intervals, the rollout guardrail and the drift monitor's gain
+/// interval all use the paper's 95 %.
+const CONFIDENCE: f64 = 0.95;
+
 impl WelchResult {
-    /// True when the two-sided test rejects equality at `1 - confidence`
-    /// significance (e.g. `confidence = 0.95` ⇒ α = 0.05).
-    pub fn significant_at(&self, confidence: f64) -> bool {
-        self.p_value < 1.0 - confidence
+    /// True when the two-sided test rejects equality at 95 % confidence
+    /// (α = 0.05).
+    pub fn significant(&self) -> bool {
+        self.p_value < 1.0 - CONFIDENCE
     }
 
-    /// Two-sided confidence interval on the difference of means.
-    pub fn diff_ci(&self, a: &Summary, b: &Summary, confidence: f64) -> (f64, f64) {
+    /// Two-sided 95 % confidence interval on the difference of means.
+    pub fn diff_ci(&self, a: &Summary, b: &Summary) -> (f64, f64) {
         let se = pooled_se(a, b);
         if se == 0.0 || self.degrees_of_freedom <= 0.0 {
             return (self.mean_diff, self.mean_diff);
         }
-        let alpha = 1.0 - confidence;
+        let alpha = 1.0 - CONFIDENCE;
         let t = t_quantile(1.0 - alpha / 2.0, self.degrees_of_freedom);
         (self.mean_diff - t * se, self.mean_diff + t * se)
     }
@@ -114,7 +119,7 @@ mod tests {
         let r = welch_test(&s, &s);
         assert_eq!(r.mean_diff, 0.0);
         assert!(r.p_value > 0.99);
-        assert!(!r.significant_at(0.95));
+        assert!(!r.significant());
     }
 
     #[test]
@@ -122,7 +127,7 @@ mod tests {
         let a = Summary::from_samples(&noisy(100.0, 400, 2.0)).unwrap();
         let b = Summary::from_samples(&noisy(103.0, 400, 2.0)).unwrap();
         let r = welch_test(&a, &b);
-        assert!(r.significant_at(0.95), "p = {}", r.p_value);
+        assert!(r.significant(), "p = {}", r.p_value);
         assert!(r.mean_diff < 0.0);
     }
 
@@ -131,7 +136,7 @@ mod tests {
         let a = Summary::from_samples(&noisy(100.0, 8, 5.0)).unwrap();
         let b = Summary::from_samples(&noisy(100.2, 8, 5.0)).unwrap();
         let r = welch_test(&a, &b);
-        assert!(!r.significant_at(0.95), "p = {}", r.p_value);
+        assert!(!r.significant(), "p = {}", r.p_value);
     }
 
     #[test]
@@ -181,7 +186,7 @@ mod tests {
         let a = Summary::from_samples(&noisy(100.0, 300, 2.0)).unwrap();
         let b = Summary::from_samples(&noisy(102.0, 300, 2.0)).unwrap();
         let r = welch_test(&a, &b);
-        let (lo, hi) = r.diff_ci(&a, &b, 0.95);
+        let (lo, hi) = r.diff_ci(&a, &b);
         assert!(lo <= -2.0 && -2.0 <= hi || (lo + 2.0).abs() < 0.5);
         assert!(lo < hi);
     }

@@ -17,7 +17,6 @@ fn tuner_config() -> MeshConfig {
         arrival_rate_hz: 900.0,
         horizon_s: f64::INFINITY,
         window_insns: 60_000,
-        service_cv2: 2.0,
         regress_frac: 0.0,
         regress_scale: 1.0,
         seed: 21,
@@ -152,7 +151,6 @@ proptest! {
             arrival_rate_hz: 2_000.0,
             horizon_s: 80.0 / 2_000.0 * horizon_frac,
             window_insns: 12_000,
-            service_cv2: 2.0,
             regress_frac: 0.0,
             regress_scale: 1.0,
             seed,

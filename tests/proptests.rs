@@ -18,7 +18,7 @@ fn welch_verdict(xs_a: &[f64], xs_b: &[f64]) -> i8 {
     let (sa, sb) = (a.summary().unwrap(), b.summary().unwrap());
     let w = welch_test(&sb, &sa);
     let rel = sb.mean() / sa.mean() - 1.0;
-    if w.significant_at(0.95) && rel.abs() >= 0.0015 {
+    if w.significant() && rel.abs() >= 0.0015 {
         if rel > 0.0 {
             1
         } else {

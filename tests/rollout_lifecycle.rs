@@ -294,11 +294,11 @@ fn non_firing_tail_guard_leaves_the_lifecycle_unchanged() {
     };
     let guarded_config = PipelineConfig::fast_test(SEED);
     assert!(
-        guarded_config.rollout.tail_guard.is_some(),
+        guarded_config.rollout.tail_guard,
         "the default arms a tail guard"
     );
     let mut unguarded_config = guarded_config.clone();
-    unguarded_config.rollout.tail_guard = None;
+    unguarded_config.rollout.tail_guard = false;
     let guarded = run(guarded_config);
     let unguarded = run(unguarded_config);
 

@@ -11,10 +11,10 @@ use crate::memory::MemoryModel;
 use crate::pagemap::{PagePolicy, ThpMode, ThpPlatformTraits};
 use crate::platform::{CacheGeometry, PlatformKind, PlatformSpec, TlbGeometry, CACHE_LINE_BYTES};
 use crate::prefetch::{PrefetchEffect, PrefetcherConfig};
-use crate::stream::{BranchProfile, StreamSpec};
+use crate::stream::{BranchProfile, InstructionMix, PageProfile, StreamSpec};
 use crate::tlb::TlbHierarchy;
 use crate::tmam::TmamBreakdown;
-use crate::trace::{EventBatch, Halves, HugePageMix, TraceGenerator, TraceKey};
+use crate::trace::{EventBatch, Halves, HugePageMix, TraceGenerator};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
@@ -84,11 +84,9 @@ impl ServerConfig {
             )));
         }
         if let Some(p) = self.cdp {
-            if !self.platform.supports_rdt {
-                // Broadwell in this fleet lacks RDT kernel support only for
-                // *some* extensions; the paper still sweeps CDP on it, so we
-                // allow CDP and only validate the partition shape.
-            }
+            // Broadwell in this fleet lacks RDT kernel support only for
+            // *some* extensions; the paper still sweeps CDP on it, so CDP is
+            // allowed on every platform and only its shape is validated.
             if p.data_ways + p.code_ways != self.llc_ways_enabled {
                 return Err(ArchSimError::InvalidCdpPartition {
                     data_ways: p.data_ways,
@@ -225,13 +223,14 @@ struct PassHalf {
 }
 
 /// Process-wide memo of [`WindowSim::run`]'s counters, split at the
-/// line/page seam: each window claims one slot under [`Engine::line_key`],
-/// everything the cache and branch passes read, and one under
-/// [`Engine::page_key`], everything the TLB passes read. µSKU's A/B arms
-/// run one workload on identical hardware with one engine seed (paper
-/// Sec. 5), and most knobs change timing, not the access stream, so the
-/// passes of every load point, every prefetcher or uncore setting and every
-/// co-runner's bandwidth repeat a window the process already simulated.
+/// line/page seam: each window claims one slot under each of the two keys
+/// [`Engine::pass_keys`] returns, the line key for everything the cache and
+/// branch passes read and the page key for everything the TLB passes read.
+/// µSKU's A/B arms run one workload on identical hardware with one engine
+/// seed (paper Sec. 5), and most knobs change timing, not the access
+/// stream, so the passes of every load point, every prefetcher or uncore
+/// setting and every co-runner's bandwidth repeat a window the process
+/// already simulated.
 /// THP and SHP act only through the TLBs (Figs. 11 and 18), so their
 /// settings share one line half; LLC-way and CDP settings share one page
 /// half. A window simulates only the halves it misses, and a full hit runs
@@ -336,28 +335,23 @@ impl Engine {
         &self.spec
     }
 
-    /// 128-bit content key of the line half of one window's passes:
-    /// everything the cache passes, the L2/LLC merge, the branch pass and
-    /// the class tallies read. That is the cache geometries, the enabled
-    /// ways, the CDP split or natural code share and the resolved LLC
-    /// `share` (which shape the warm caches), the line half of the trace
-    /// key (the mix, the two line distributions, the seed, warm-up plus
-    /// window events), the branch predictor's inputs, and the `schedule`.
-    /// The huge-page mix is absent: it moves no RNG step and no line, so
-    /// THP and SHP settings share one line half. The schedule's switch
-    /// period is already clipped to the window, so a window with no switch
-    /// inside it keys no core frequency or load. `batch_events` is
-    /// excluded: results are bit-identical at every batch size. Collisions
-    /// at 128 bits are negligible against the ~1e5 distinct windows a long
-    /// sweep evaluates.
+    /// The 128-bit content keys of the line half and the page half of one
+    /// window's passes under `schedule`, with the resolved LLC `share` and
+    /// huge-page mix `huge`. The line key covers everything the cache
+    /// passes, the L2/LLC merge, the branch pass and the class tallies
+    /// read; the page key everything the ITLB, DTLB and STLB passes and the
+    /// DTLB load/store split read. Two windows with an equal key simulate
+    /// that half identically, whatever else differs: THP and SHP settings
+    /// share one line half, and LLC-way and CDP settings one page half.
+    /// Collisions at 128 bits are negligible against the ~1e5 distinct
+    /// windows a long sweep evaluates.
     ///
-    /// Every input struct is destructured without `..`, so a field added to
-    /// any of them fails to compile here until it is keyed or excluded with
-    /// a reason; the memo cannot silently serve stale counters.
-    fn line_key(&self, schedule: &Schedule, share: f64) -> u128 {
-        let mut h = Fnv128::new();
-        // Domain separator against the page and trace keys.
-        h.push(0x4c49_4e45); // "LINE"
+    /// Every input struct is destructured once, without `..`, and each
+    /// field goes to the line hasher, the page hasher, both or neither,
+    /// with its reason. A field added to any of them fails to compile here
+    /// until it is routed, so the memo cannot silently serve stale
+    /// counters.
+    fn pass_keys(&self, schedule: &Schedule, share: f64, huge: HugePageMix) -> (u128, u128) {
         let Engine {
             config,
             spec,
@@ -374,17 +368,16 @@ impl Engine {
             llc_ways_enabled,
             cdp,
             // Core frequency reaches the passes only through the switch
-            // period in `schedule`; the core count only through `share`.
+            // period in `schedule`, the core count only through `share`, and
+            // the page knobs only through `huge`. Prefetchers, the uncore
+            // clock and SHP pressure act in steps 4–5.
             core_freq_ghz: _,
             active_cores: _,
-            // Prefetchers and uncore frequency act only in steps 4–5.
-            uncore_freq_ghz: _,
-            prefetchers: _,
-            // Page knobs act on the page half through the huge-page mix,
-            // and SHP pressure in step 4.
             thp: _,
             shp_pages: _,
             machine_memory_bytes: _,
+            uncore_freq_ghz: _,
+            prefetchers: _,
         } = config;
         let PlatformSpec {
             l1i,
@@ -392,15 +385,14 @@ impl Engine {
             l2,
             llc,
             btb_entries,
-            // TLB geometries shape the page half only.
-            itlb: _,
-            dtlb: _,
-            stlb_entries: _,
-            // Core counts reach the passes only through `share`.
+            itlb,
+            dtlb,
+            stlb_entries,
+            // Core counts reach the passes only through `share`. Latencies,
+            // widths, clocks and the memory system price the counters in
+            // steps 4–5.
             sockets: _,
             cores_per_socket: _,
-            // Latencies, widths, clocks and the memory system price the
-            // counters in steps 4–5.
             kind: _,
             microarchitecture: _,
             smt: _,
@@ -413,25 +405,19 @@ impl Engine {
             avx_fp_threshold: _,
             mem_unloaded_latency_ns: _,
             mem_peak_bw_gbps: _,
-            supports_rdt: _,
         } = platform;
         let StreamSpec {
-            branch,
+            mix,
+            code_reuse,
+            data_reuse,
             natural_code_llc_share,
-            // The mix and the two line distributions are keyed by the line
-            // trace key; the line distributions also set the cache
-            // pre-fill depths.
-            mix: _,
-            code_reuse: _,
-            data_reuse: _,
-            // The page distributions and compactions feed the page half.
-            code_page_reuse: _,
-            data_page_reuse: _,
-            pages: _,
-            // The switch rate and pollution enter through `schedule`; its
-            // direct cost is priced in step 5.
+            branch,
+            code_page_reuse,
+            data_page_reuse,
+            pages,
+            // The switch rate and pollution enter through `schedule`, and
+            // contention through `share`.
             context_switch: _,
-            // Contention enters through `share`.
             llc_contention: _,
             // A display label, and traits that price the counters in steps
             // 4–5.
@@ -446,12 +432,31 @@ impl Engine {
             extra_traffic_prefetch_fraction: _,
             frontend_exposure: _,
         } = spec;
+        let InstructionMix {
+            branch: branch_share,
+            fp,
+            arith,
+            load,
+            store,
+        } = *mix;
         let BranchProfile {
             base_mispredict,
             branch_working_set,
             // Taken branches cost nothing beyond the mix's branch share.
             taken_rate: _,
         } = *branch;
+        let PageProfile {
+            code_compaction,
+            data_compaction,
+            // The other page traits reach the passes only through `huge`.
+            madvise_fraction: _,
+            uses_shp: _,
+            shp_target_bytes: _,
+        } = *pages;
+        let HugePageMix {
+            code_huge_fraction,
+            data_huge_fraction,
+        } = huge;
         let Schedule {
             warmup,
             total,
@@ -460,140 +465,59 @@ impl Engine {
             // Chunking is a pure performance control.
             batch_events: _,
         } = *schedule;
+        let (mut line, mut page) = (Fnv128::new(), Fnv128::new());
+        // Domain separators "LINE" and "PAGE": both halves' keys share one
+        // map.
+        line.push(0x4c49_4e45);
+        page.push(0x5041_4745);
+        // Both halves: the mix and the seed fix the RNG sequence (every
+        // class, data slot and draw, and the branch predictor's sampling
+        // stream), and the schedule fixes the warm-up reset, the switch
+        // flushes and the event count.
+        for h in [&mut line, &mut page] {
+            for f in [branch_share, fp, arith, load, store, pollution] {
+                h.push_f64(f);
+            }
+            for word in [*seed, warmup, total, insns_per_switch] {
+                h.push(word);
+            }
+        }
+        // The line half: the line distributions map the line columns, and
+        // with the cache geometries, the enabled ways, the LLC split and
+        // `share` they shape the warm caches; the BTB and the branch profile
+        // drive the branch pass.
+        for dist in [code_reuse, data_reuse] {
+            dist.fingerprint_words(&mut |w| line.push(w));
+        }
         for g in [l1i, l1d, l2, llc] {
-            push_cache_geometry(&mut h, g);
+            push_cache_geometry(&mut line, g);
         }
-        h.push(u64::from(*llc_ways_enabled));
-        push_llc_split(&mut h, *cdp, *natural_code_llc_share);
-        h.push_f64(share);
-        h.push_u128(TraceKey::lines(spec, *seed, total).0);
-        // The seed also seeds the branch predictor's sampling stream.
-        h.push(*seed);
-        h.push_f64(base_mispredict);
-        h.push(u64::from(branch_working_set));
-        h.push(u64::from(*btb_entries));
-        h.push(warmup);
-        h.push(insns_per_switch);
-        h.push_f64(pollution);
-        h.finish()
-    }
-
-    /// 128-bit content key of the page half of one window's passes:
-    /// everything the ITLB, DTLB and STLB passes and the DTLB load/store
-    /// split read. That is the TLB geometries (which, with the page
-    /// distributions, shape the warm TLBs), the page half of the trace key
-    /// (the mix, the two page distributions and their compactions, the
-    /// resolved `huge` mix, the seed, warm-up plus window events), and the
-    /// `schedule`. The caches, the LLC share and the line distributions are
-    /// absent, so LLC-way and CDP settings share one page half. As in
-    /// [`Engine::line_key`], every input is destructured without `..`.
-    fn page_key(&self, schedule: &Schedule, huge: HugePageMix) -> u128 {
-        let mut h = Fnv128::new();
-        // Domain separator against the line and trace keys.
-        h.push(0x5041_4745); // "PAGE"
-        let Engine {
-            config,
-            spec,
-            seed,
-            // Enters through `schedule.warmup`.
-            warmup_override: _,
-            // Pure performance controls.
-            batch_events: _,
-            use_memo: _,
-        } = self;
-        let ServerConfig {
-            platform,
-            // Ways, the CDP split, the core count and the clocks shape the
-            // line half, place switches through `schedule`, or act in steps
-            // 4–5; none reaches a TLB.
-            llc_ways_enabled: _,
-            cdp: _,
-            core_freq_ghz: _,
-            active_cores: _,
-            uncore_freq_ghz: _,
-            prefetchers: _,
-            // Page knobs reach the TLBs only through `huge` (keyed by the
-            // page trace key); SHP pressure acts in step 4.
-            thp: _,
-            shp_pages: _,
-            machine_memory_bytes: _,
-        } = config;
-        let PlatformSpec {
-            itlb,
-            dtlb,
-            stlb_entries,
-            // Cache geometries and the BTB shape the line half only.
-            l1i: _,
-            l1d: _,
-            l2: _,
-            llc: _,
-            btb_entries: _,
-            // Core counts, latencies, widths, clocks and the memory system
-            // place switches or price the counters in steps 4–5.
-            sockets: _,
-            cores_per_socket: _,
-            kind: _,
-            microarchitecture: _,
-            smt: _,
-            page_walk_cycles: _,
-            issue_width: _,
-            mispredict_penalty_cycles: _,
-            core_freq_range_ghz: _,
-            uncore_freq_range_ghz: _,
-            avx_freq_tax_ghz: _,
-            avx_fp_threshold: _,
-            mem_unloaded_latency_ns: _,
-            mem_peak_bw_gbps: _,
-            supports_rdt: _,
-        } = platform;
-        let StreamSpec {
-            // The mix, the page distributions and compactions are keyed by
-            // the page trace key; the page distributions also set the TLB
-            // pre-fill depths.
-            mix: _,
-            code_page_reuse: _,
-            data_page_reuse: _,
-            pages: _,
-            // The line distributions, the LLC split and the branch profile
-            // feed the line half.
-            code_reuse: _,
-            data_reuse: _,
-            natural_code_llc_share: _,
-            branch: _,
-            // The switch rate and pollution enter through `schedule`.
-            context_switch: _,
-            // Contention enters the line half through `share`.
-            llc_contention: _,
-            // A display label, and traits that price the counters in steps
-            // 4–5.
-            name: _,
-            prefetch: _,
-            mlp: _,
-            smt_gain: _,
-            base_cpi_scale: _,
-            writeback_factor: _,
-            burstiness: _,
-            extra_mem_lines_per_ki: _,
-            extra_traffic_prefetch_fraction: _,
-            frontend_exposure: _,
-        } = spec;
-        let Schedule {
-            warmup,
-            total,
-            insns_per_switch,
-            pollution,
-            // Chunking is a pure performance control.
-            batch_events: _,
-        } = *schedule;
+        line.push(u64::from(*llc_ways_enabled));
+        push_llc_split(&mut line, *cdp, *natural_code_llc_share);
+        line.push_f64(share);
+        line.push_f64(base_mispredict);
+        line.push(u64::from(branch_working_set));
+        line.push(u64::from(*btb_entries));
+        // The page half: the page distributions, their compactions and the
+        // huge-page mix map the page columns (every coin is drawn whether or
+        // not it lands huge, so `huge` moves no line), and with the TLB
+        // geometries they shape the warm TLBs.
+        for dist in [code_page_reuse, data_page_reuse] {
+            dist.fingerprint_words(&mut |w| page.push(w));
+        }
+        for f in [
+            code_compaction,
+            data_compaction,
+            code_huge_fraction,
+            data_huge_fraction,
+        ] {
+            page.push_f64(f);
+        }
         for t in [itlb, dtlb] {
-            push_tlb_geometry(&mut h, t);
+            push_tlb_geometry(&mut page, t);
         }
-        h.push(u64::from(*stlb_entries));
-        h.push_u128(TraceKey::pages(spec, huge, *seed, total).0);
-        h.push(warmup);
-        h.push(insns_per_switch);
-        h.push_f64(pollution);
-        h.finish()
+        page.push(u64::from(*stlb_entries));
+        (line.finish(), page.finish())
     }
 
     /// Simulates pass sets that share one trace: for each `(schedule,
@@ -692,7 +616,7 @@ impl Engine {
         }
         let keys: Vec<(u128, u128)> = sets
             .iter()
-            .map(|s| (self.line_key(s, share), self.page_key(s, huge)))
+            .map(|s| self.pass_keys(s, share, huge))
             .collect();
         #[cfg(debug_assertions)]
         let inputs: Vec<u64> = sets
@@ -884,7 +808,9 @@ impl Engine {
     /// share one run of the passes through a process-wide memo (see
     /// `PASS_MEMO` in this module); so do `AbEnvironment::fork` replicas
     /// re-measuring their parent's operating points. The memo holds the
-    /// passes as two halves. Windows that differ only in THP or SHP settings
+    /// passes as two halves, each under its own content key, and one
+    /// routine (`Engine::pass_keys`) decides which window input reaches
+    /// which key. Windows that differ only in THP or SHP settings
     /// share the line half (caches, branch predictor) and simulate only
     /// their TLBs; windows that differ only in LLC ways, the CDP split or
     /// the LLC share share the page half (TLBs) and simulate only their
@@ -2060,22 +1986,17 @@ mod tests {
         }
     }
 
-    /// The line and page trace keys of an engine's windows of `events`
-    /// events.
-    fn trace_keys(e: &Engine, events: u64) -> (TraceKey, TraceKey) {
-        (
-            TraceKey::lines(e.spec(), 7, events),
-            TraceKey::pages(e.spec(), huge_mix(e), 7, events),
-        )
-    }
-
     /// One named knob setting.
     type Knob = (&'static str, fn(&mut ServerConfig));
 
+    /// The resolved huge-page mix is the one channel by which knobs reach
+    /// the page key: `pass_keys_cover_exactly_what_each_half_reads` shows
+    /// that no knob's field keys the page half directly. Only THP and SHP
+    /// move it.
     #[test]
-    fn only_page_knobs_change_the_trace_key() {
+    fn only_page_knobs_move_the_huge_page_mix() {
         let stock = ServerConfig::stock(PlatformSpec::skylake18());
-        let (lines, pages) = trace_keys(&engine_with(stock.clone()), 1000);
+        let mix = huge_mix(&engine_with(stock.clone()));
         let shares: [Knob; 6] = [
             ("core_freq", |c| c.core_freq_ghz = 1.6),
             ("uncore_freq", |c| c.uncore_freq_ghz = 1.4),
@@ -2091,27 +2012,16 @@ mod tests {
                 c.prefetchers = PrefetcherConfig::all_off()
             }),
         ];
-        for (name, knob) in shares {
-            let mut cfg = stock.clone();
-            knob(&mut cfg);
-            assert_eq!(
-                trace_keys(&engine_with(cfg), 1000),
-                (lines, pages),
-                "{name}"
-            );
-        }
-        // The page knobs move only the page half: every coin is drawn
-        // whether or not it lands huge.
         let splits: [Knob; 2] = [
             ("thp", |c| c.thp = ThpMode::NeverOn),
             ("shp", |c| c.shp_pages = 200),
         ];
-        for (name, knob) in splits {
-            let mut cfg = stock.clone();
-            knob(&mut cfg);
-            let (l, p) = trace_keys(&engine_with(cfg), 1000);
-            assert_eq!(l, lines, "{name}");
-            assert_ne!(p, pages, "{name}");
+        for (group, moves) in [(&shares[..], false), (&splits[..], true)] {
+            for &(name, knob) in group {
+                let mut cfg = stock.clone();
+                knob(&mut cfg);
+                assert_eq!(huge_mix(&engine_with(cfg)) != mix, moves, "{name}");
+            }
         }
     }
 
@@ -2160,10 +2070,7 @@ mod tests {
             warmup_override: k.warmup_override,
             use_memo: true,
         };
-        (
-            engine.line_key(&k.schedule, k.share),
-            engine.page_key(&k.schedule, k.huge),
-        )
+        engine.pass_keys(&k.schedule, k.share, k.huge)
     }
 
     fn other_dist() -> ReuseDistanceDist {
@@ -2177,14 +2084,18 @@ mod tests {
     /// the page distributions and compactions and the huge-page mix key
     /// only the page half. Knobs that act in steps 4–5, or that reach the
     /// passes only through the schedule, the share or the huge mix, key
-    /// neither directly.
+    /// neither directly; nor do the display label and the traits that price
+    /// the counters.
     #[test]
     fn pass_keys_cover_exactly_what_each_half_reads() {
         let (lines, pages) = pass_keys_after(|_| {});
-        let both: [Perturb; 7] = [
+        let both: [Perturb; 10] = [
             ("seed", |k| k.seed = 8),
             ("mix.branch", |k| k.spec.mix.branch += 0.01),
+            ("mix.fp", |k| k.spec.mix.fp += 0.01),
+            ("mix.arith", |k| k.spec.mix.arith += 0.01),
             ("mix.load", |k| k.spec.mix.load += 0.01),
+            ("mix.store", |k| k.spec.mix.store += 0.01),
             ("warmup", |k| k.schedule.warmup = 40_000),
             ("total", |k| k.schedule.total = 200_001),
             ("switch period", |k| k.schedule.insns_per_switch = 31_000),
@@ -2220,7 +2131,7 @@ mod tests {
             ("code_huge_fraction", |k| k.huge.code_huge_fraction = 0.2),
             ("data_huge_fraction", |k| k.huge.data_huge_fraction = 0.5),
         ];
-        let neither: [Perturb; 15] = [
+        let neither: [Perturb; 18] = [
             ("core_freq", |k| k.config.core_freq_ghz = 1.6),
             ("uncore_freq", |k| k.config.uncore_freq_ghz = 1.4),
             ("active_cores", |k| k.config.active_cores = 8),
@@ -2240,6 +2151,9 @@ mod tests {
             ("llc_contention", |k| k.spec.llc_contention = 0.5),
             ("madvise_fraction", |k| k.spec.pages.madvise_fraction = 0.9),
             ("base_cpi_scale", |k| k.spec.base_cpi_scale = 1.1),
+            ("name", |k| k.spec.name = "other".to_string()),
+            ("mlp", |k| k.spec.mlp = 5.0),
+            ("prefetch", |k| k.spec.prefetch.accuracy = 0.9),
             ("batch size", |k| k.schedule.batch_events = 64),
             ("warmup_override", |k| k.warmup_override = Some(1)),
         ];

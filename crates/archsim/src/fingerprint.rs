@@ -17,11 +17,6 @@ impl Fnv128 {
         }
     }
 
-    pub(crate) fn push_u128(&mut self, word: u128) {
-        self.push(word as u64);
-        self.push((word >> 64) as u64);
-    }
-
     pub(crate) fn push_f64(&mut self, value: f64) {
         self.push(value.to_bits());
     }

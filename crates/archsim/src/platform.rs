@@ -142,8 +142,6 @@ pub struct PlatformSpec {
     pub mem_unloaded_latency_ns: f64,
     /// Saturation memory bandwidth in GB/s across all channels.
     pub mem_peak_bw_gbps: f64,
-    /// Whether Resource Director Technology (CAT + CDP) is available.
-    pub supports_rdt: bool,
 }
 
 impl PlatformSpec {
@@ -194,7 +192,6 @@ impl PlatformSpec {
             avx_fp_threshold: 0.10,
             mem_unloaded_latency_ns: 85.0,
             mem_peak_bw_gbps: 95.0,
-            supports_rdt: true,
         }
     }
 
@@ -263,7 +260,6 @@ impl PlatformSpec {
             avx_fp_threshold: 0.10,
             mem_unloaded_latency_ns: 88.0,
             mem_peak_bw_gbps: 40.0,
-            supports_rdt: false,
         }
     }
 
@@ -342,7 +338,6 @@ mod tests {
         assert_eq!(b16.total_cores(), 16);
         assert_eq!(b16.l2.capacity_bytes, 256 << 10);
         assert_eq!(b16.llc.ways, 12);
-        assert!(!b16.supports_rdt);
     }
 
     #[test]

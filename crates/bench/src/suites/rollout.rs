@@ -112,7 +112,6 @@ fn composer_speedup(hw: usize) -> Result<Json, BoxError> {
             PerformanceMetric::recommended_for(service),
             ComposerConfig {
                 replicas: 2 * hw.max(2),
-                min_composed_fraction: 0.8,
             },
             BASE_SEED,
         )

@@ -186,12 +186,6 @@ pub struct ChaosConfig {
     pub stall_duration_s: f64,
 }
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
 impl ChaosConfig {
     /// No chaos at all.
     pub fn none() -> Self {

@@ -49,12 +49,6 @@ pub struct HazardConfig {
     pub knob_failure_prob: f64,
 }
 
-impl Default for HazardConfig {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
 impl HazardConfig {
     /// No hazards at all — the seed pipeline's behavior.
     pub fn none() -> Self {

@@ -216,11 +216,6 @@ impl AbTester {
         AbTester { config, metric }
     }
 
-    /// The stopping rules in effect.
-    pub fn config(&self) -> &AbTestConfig {
-        &self.config
-    }
-
     /// Tests `setting` applied on top of `baseline_config` against
     /// `baseline_config` itself.
     ///
@@ -627,7 +622,7 @@ mod tests {
         }
         assert!(r.attempts >= r.samples);
         assert!(
-            r.attempts <= tester().config().attempt_budget(),
+            r.attempts <= AbTestConfig::fast_test().attempt_budget(),
             "attempts {} over budget",
             r.attempts
         );

@@ -29,28 +29,16 @@ pub struct ComposerConfig {
     /// Independent A/B validation replicas per candidate configuration; the
     /// combined verdict needs a strict majority of `Better` outcomes.
     pub replicas: usize,
-    /// The composed SKU must retain at least this fraction of the best
-    /// single knob's *measured* gain, or it is demoted (interaction
-    /// detection).
-    pub min_composed_fraction: f64,
 }
+
+/// The composed SKU must retain at least this fraction of the best single
+/// knob's *measured* gain, or it is demoted (interaction detection).
+const MIN_COMPOSED_FRACTION: f64 = 0.8;
 
 impl ComposerConfig {
     /// Small, fast parameters for tests and smoke runs.
     pub fn fast_test() -> Self {
-        ComposerConfig {
-            replicas: 3,
-            min_composed_fraction: 0.8,
-        }
-    }
-}
-
-impl Default for ComposerConfig {
-    fn default() -> Self {
-        ComposerConfig {
-            replicas: 5,
-            min_composed_fraction: 0.9,
-        }
+        ComposerConfig { replicas: 3 }
     }
 }
 
@@ -171,7 +159,7 @@ impl SkuComposer {
     /// *is* that winner, so a single validation decides between it and the
     /// baseline. With several, both the composition and the best single
     /// winner are measured; the composition deploys only if it is accepted
-    /// and keeps [`ComposerConfig::min_composed_fraction`] of the single
+    /// and keeps `MIN_COMPOSED_FRACTION` (80 %) of the single
     /// knob's measured gain — otherwise winners are retried alone in
     /// descending claimed-gain order until one validates. Every candidate
     /// configuration is built by [`usku::search::compose`], the rule the
@@ -292,7 +280,7 @@ impl SkuComposer {
             out.validations.push(v);
             if i == 0
                 && composed_accepted
-                && (!accepted || composed_gain >= self.config.min_composed_fraction * gain)
+                && (!accepted || composed_gain >= MIN_COMPOSED_FRACTION * gain)
             {
                 let decision = CompositionDecision::Composed { knobs };
                 (out.decision, out.config, out.measured_gain) = (decision, composed, composed_gain);

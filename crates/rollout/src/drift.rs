@@ -52,16 +52,6 @@ impl DriftConfig {
     }
 }
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            window_ticks: 144,
-            max_windows: 20,
-            ..DriftConfig::fast_test()
-        }
-    }
-}
-
 /// Identity of the deployed SKU the monitor watches — also the scope of
 /// any re-tune it enqueues.
 #[derive(Debug, Clone)]
@@ -161,11 +151,6 @@ impl DriftMonitor {
     /// Creates a monitor.
     pub fn new(config: DriftConfig) -> Self {
         DriftMonitor { config }
-    }
-
-    /// The monitor's configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
     }
 
     /// Whether a measured window constitutes drift under this monitor's

@@ -67,15 +67,6 @@ impl RolloutConfig {
     }
 }
 
-impl Default for RolloutConfig {
-    fn default() -> Self {
-        RolloutConfig {
-            ticks_per_stage: 144,
-            ..RolloutConfig::fast_test()
-        }
-    }
-}
-
 /// Where the rollout state machine stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RolloutState {

@@ -107,6 +107,26 @@ impl ServerConfig {
         }
     }
 
+    /// The page policy this configuration resolves to for a workload with
+    /// page traits `pages`, and the huge-page mix that routes its trace's
+    /// translations to the 4 KiB or the 2 MiB stream. [`Engine`] prices a
+    /// window with the policy and generates and keys its trace with the
+    /// mix; every reader of either takes it from here.
+    pub fn resolve_pages(&self, pages: &PageProfile) -> (PagePolicy, HugePageMix) {
+        let policy = PagePolicy::resolve(
+            pages,
+            self.thp,
+            self.shp_pages,
+            self.thp_traits(),
+            self.machine_memory_bytes,
+        );
+        let huge = HugePageMix {
+            code_huge_fraction: policy.huge_code_fraction,
+            data_huge_fraction: policy.huge_data_fraction,
+        };
+        (policy, huge)
+    }
+
     /// Core frequency after the AVX power-budget tax (paper Sec. 6.1: Ads1
     /// runs at 2.0 GHz because AVX eats part of the budget).
     pub fn effective_core_freq_ghz(&self, fp_fraction: f64) -> f64 {
@@ -900,13 +920,7 @@ impl Engine {
         // 1. Resolve derived policies.
         // ------------------------------------------------------------------
         let freq = cfg.effective_core_freq_ghz(spec.mix.fp);
-        let policy = PagePolicy::resolve(
-            &spec.pages,
-            cfg.thp,
-            cfg.shp_pages,
-            cfg.thp_traits(),
-            cfg.machine_memory_bytes,
-        );
+        let (policy, huge) = cfg.resolve_pages(&spec.pages);
 
         // Per-core effective LLC share under multi-core contention. The LLC
         // is per-socket, so only cores within a socket contend. A co-runner
@@ -916,10 +930,6 @@ impl Engine {
         let share = match llc_share {
             Some(s) => s,
             None => 1.0 / (1.0 + (contending - 1.0) * spec.llc_contention),
-        };
-        let huge = HugePageMix {
-            code_huge_fraction: policy.huge_code_fraction,
-            data_huge_fraction: policy.huge_data_fraction,
         };
         let loads: Vec<f64> = loads.iter().map(|l| l.clamp(0.05, 1.0)).collect();
         let schedules: Vec<Schedule> = loads
@@ -1972,18 +1982,7 @@ mod tests {
 
     /// The huge-page mix an engine's windows resolve to.
     fn huge_mix(e: &Engine) -> HugePageMix {
-        let cfg = e.config();
-        let policy = PagePolicy::resolve(
-            &e.spec().pages,
-            cfg.thp,
-            cfg.shp_pages,
-            cfg.thp_traits(),
-            cfg.machine_memory_bytes,
-        );
-        HugePageMix {
-            code_huge_fraction: policy.huge_code_fraction,
-            data_huge_fraction: policy.huge_data_fraction,
-        }
+        e.config().resolve_pages(&e.spec().pages).1
     }
 
     /// One named knob setting.

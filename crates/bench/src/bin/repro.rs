@@ -6,37 +6,38 @@
 //! cargo run -p softsku-bench --release --bin repro -- --full fig19
 //! ```
 
-use softsku_bench::{run_experiment, EXPERIMENTS};
+use softsku_bench::{Experiment, EXPERIMENTS};
 use softsku_telemetry::Stopwatch;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let ids: Vec<String> = args.into_iter().filter(|a| a != "--full").collect();
+    let valid = || {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        ids.join(" ")
+    };
     if ids.is_empty() {
         eprintln!("usage: repro [--full] <experiment-id>... | all");
-        eprintln!("experiments: {}", EXPERIMENTS.join(" "));
+        eprintln!("experiments: {}", valid());
         std::process::exit(2);
     }
-    let selected: Vec<&str> = if ids.iter().any(|a| a == "all") {
+    let selected: Vec<Experiment> = if ids.iter().any(|a| a == "all") {
         EXPERIMENTS.to_vec()
     } else {
         let mut out = Vec::new();
         for id in &ids {
-            if !EXPERIMENTS.contains(&id.as_str()) {
-                eprintln!(
-                    "unknown experiment {id:?}; valid: {}",
-                    EXPERIMENTS.join(" ")
-                );
+            let Some(&experiment) = EXPERIMENTS.iter().find(|&&(known, _)| known == id) else {
+                eprintln!("unknown experiment {id:?}; valid: {}", valid());
                 std::process::exit(2);
-            }
-            out.push(id.as_str());
+            };
+            out.push(experiment);
         }
         out
     };
-    for id in selected {
+    for (id, run) in selected {
         let clock = Stopwatch::start();
-        let output = run_experiment(id, full);
+        let output = run(full);
         println!("==================== {id} ====================");
         println!("{output}");
         println!("  [{id} regenerated in {:.1}s]", clock.elapsed_s());

@@ -15,65 +15,34 @@ pub mod common;
 pub mod knobsweeps;
 pub mod suites;
 
-/// Every experiment id in paper order.
-pub const EXPERIMENTS: [&str; 23] = [
-    "table1",
-    "fig1",
-    "table2",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table3",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "ablations",
-];
+/// One experiment: its id and the routine that regenerates it and returns
+/// its printable output. The flag selects paper-scale budgets for the µSKU
+/// end-to-end runs.
+pub type Experiment = (&'static str, fn(bool) -> String);
 
-/// Runs one experiment by id and returns its printable output.
-///
-/// `full` selects paper-scale budgets for the µSKU end-to-end runs.
-///
-/// # Panics
-///
-/// Panics on an unknown experiment id; `EXPERIMENTS` lists the valid ones.
-pub fn run_experiment(id: &str, full: bool) -> String {
-    match id {
-        "table1" => characterization::table1(),
-        "fig1" => characterization::fig1(),
-        "table2" => characterization::table2(),
-        "fig2" => characterization::fig2(),
-        "fig3" => characterization::fig3(),
-        "fig4" => characterization::fig4(),
-        "fig5" => characterization::fig5(),
-        "fig6" => characterization::fig6(),
-        "fig7" => characterization::fig7(),
-        "fig8" => characterization::fig8(),
-        "fig9" => characterization::fig9(),
-        "fig10" => characterization::fig10(),
-        "fig11" => characterization::fig11(),
-        "fig12" => characterization::fig12(),
-        "table3" => characterization::table3(),
-        "fig13" => knobsweeps::fig13(),
-        "fig14" => knobsweeps::fig14(),
-        "fig15" => knobsweeps::fig15(),
-        "fig16" => knobsweeps::fig16(),
-        "fig17" => knobsweeps::fig17(),
-        "fig18" => knobsweeps::fig18(),
-        "fig19" => knobsweeps::fig19(full),
-        "ablations" => ablation::all(),
-        other => panic!("unknown experiment id {other:?}; valid ids: {EXPERIMENTS:?}"),
-    }
-}
+/// Every experiment in paper order.
+pub const EXPERIMENTS: [Experiment; 23] = [
+    ("table1", |_| characterization::table1()),
+    ("fig1", |_| characterization::fig1()),
+    ("table2", |_| characterization::table2()),
+    ("fig2", |_| characterization::fig2()),
+    ("fig3", |_| characterization::fig3()),
+    ("fig4", |_| characterization::fig4()),
+    ("fig5", |_| characterization::fig5()),
+    ("fig6", |_| characterization::fig6()),
+    ("fig7", |_| characterization::fig7()),
+    ("fig8", |_| characterization::fig8()),
+    ("fig9", |_| characterization::fig9()),
+    ("fig10", |_| characterization::fig10()),
+    ("fig11", |_| characterization::fig11()),
+    ("fig12", |_| characterization::fig12()),
+    ("table3", |_| characterization::table3()),
+    ("fig13", |_| knobsweeps::fig13()),
+    ("fig14", |_| knobsweeps::fig14()),
+    ("fig15", |_| knobsweeps::fig15()),
+    ("fig16", |_| knobsweeps::fig16()),
+    ("fig17", |_| knobsweeps::fig17()),
+    ("fig18", |_| knobsweeps::fig18()),
+    ("fig19", knobsweeps::fig19),
+    ("ablations", |_| ablation::all()),
+];

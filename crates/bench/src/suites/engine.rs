@@ -31,7 +31,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softsku_archsim::cache::SetAssocCache;
 use softsku_archsim::engine::{Engine, WindowReport};
-use softsku_archsim::pagemap::{PagePolicy, ThpMode};
+use softsku_archsim::pagemap::ThpMode;
 use softsku_archsim::platform::PlatformSpec;
 use softsku_archsim::ranklist::RankList;
 use softsku_archsim::reuse::ReuseDistanceDist;
@@ -429,17 +429,7 @@ fn tlb_ranks_match_lru(events: usize) -> Result<usize, BoxError> {
     let profile = Microservice::Web.profile(PlatformKind::Skylake18)?;
     let (cfg, stream) = (&profile.stock_config, &profile.stream);
     let plat = &cfg.platform;
-    let policy = PagePolicy::resolve(
-        &stream.pages,
-        cfg.thp,
-        cfg.shp_pages,
-        cfg.thp_traits(),
-        cfg.machine_memory_bytes,
-    );
-    let mix = HugePageMix {
-        code_huge_fraction: policy.huge_code_fraction,
-        data_huge_fraction: policy.huge_data_fraction,
-    };
+    let (_, mix) = cfg.resolve_pages(&stream.pages);
     // The engine's pre-fill: each 4 KiB stream's top half-STLB of ids.
     let top = |dist: &ReuseDistanceDist| {
         let pw = prewarm_len(dist);

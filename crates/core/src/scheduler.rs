@@ -8,9 +8,9 @@
 //! Real fleets have thousands of such pairs; this module simulates exactly
 //! that scale-out. It plans a sweep's tests, seeds each one's forked
 //! [`AbEnvironment`] replica from the test's identity, and shards the
-//! replicas across a worker pool ([`with_worker_pool`]) whose helper
-//! threads start once and serve every round. The strategies in
-//! [`crate::search`] are built from these pieces.
+//! replicas across the calling thread and scoped helper threads that live
+//! for one [`run_tasks`] call. The strategies in [`crate::search`] are
+//! built from these pieces.
 //!
 //! **Determinism is the contract.** Each test's replica is seeded from
 //! [`derive_seed`]`(base, service, knob, setting)` — a pure function of the
@@ -42,7 +42,7 @@ use std::num::NonZeroUsize;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Derives the replica seed for one scheduled A/B test from the tuning base
 /// seed and the test's identity `(service, knob, setting)`.
@@ -235,19 +235,21 @@ pub struct ReplicaRun {
 
 /// Runs arbitrary `units` on `workers` workers and returns one result per
 /// unit **in plan order**, regardless of which worker ran what or when it
-/// finished. It is the one-round case of [`with_worker_pool`]: the calling
-/// thread is one of the workers, so one worker or one unit starts no
-/// thread.
+/// finished. The calling thread is one of the workers and the others are
+/// scoped threads that live for this one call, so one worker or one unit
+/// starts no thread.
 ///
 /// This is the determinism-preserving primitive every parallel consumer in
 /// the workspace builds on: [`run_trials`] wraps it for A/B tests, and
-/// the rollout composer and the mesh tuner drive their own units through
-/// it directly (they are not A/B tests, so the result type is generic).
+/// `demo_campaign`'s fleet builds and the mesh tuner drive their own units
+/// through it directly (they are not A/B tests, so the result type is
+/// generic).
 ///
-/// Errors are also deterministic: every unit either completes or the pool
-/// drains early, and the error reported is the one at the lowest plan
-/// index, not the first to lose a race. The error type is the closure's
-/// own, so each caller keeps its crate's error variants.
+/// Errors are also deterministic: after a failure no further unit starts,
+/// and the error reported is the one at the lowest plan index, not the
+/// first to lose a race. The error type is the closure's own, so each
+/// caller keeps its crate's error variants. A unit that panicked re-raises
+/// its payload here, once every worker has joined.
 ///
 /// # Errors
 ///
@@ -259,236 +261,61 @@ where
     E: Send,
     F: Fn(&T) -> Result<R, E> + Sync,
 {
-    let mut refs: Vec<&T> = units.iter().collect();
-    with_worker_pool(
-        workers.min(units.len()),
-        |unit: &mut &T| run_one(unit),
-        |pool| pool.round(&mut refs),
-    )
-}
-
-/// Starts a pool of `workers` workers that run `run_one`, hands it to
-/// `body`, and stops it when `body` returns. The calling thread is one of
-/// the workers; the other `workers − 1` are helper threads started here,
-/// once, that park between [`WorkerPool::round`]s. A caller with many
-/// short rounds (the fleet coordinator ticks its fleets once per tick)
-/// pays for its threads once, not once per round.
-pub fn with_worker_pool<U, R, E, O>(
-    workers: usize,
-    run_one: impl Fn(&mut U) -> Result<R, E> + Sync,
-    body: impl FnOnce(&mut WorkerPool<'_, U, R, E>) -> O,
-) -> O
-where
-    U: Send,
-    R: Send,
-    E: Send,
-{
-    let slots: Mutex<Vec<Slot<U, R, E>>> = Mutex::new(Vec::new());
-    // Runs unit `i` of the current round and keeps its outcome (a panic as
-    // its payload) in the unit's slot. `None` once `i` is past the last
-    // unit; otherwise whether the unit succeeded.
+    // One slot per unit: what running it produced, a panic as its payload.
+    // Each lock guards one store and no unit runs under it, so a poisoned
+    // lock still holds valid data.
+    let slots: Vec<Mutex<Option<_>>> = units.iter().map(|_| Mutex::new(None)).collect();
     let run_unit = |i: usize| {
-        let mut unit = {
-            let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
-            slots.get_mut(i)?.unit.take()?
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_one(&mut unit)));
+        let unit = units.get(i)?;
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_one(unit)));
         let ok = matches!(outcome, Ok(Ok(_)));
-        let slot = &mut slots.lock().unwrap_or_else(PoisonError::into_inner)[i];
-        slot.unit = Some(unit);
-        slot.outcome = Some(outcome);
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
         Some(ok)
     };
-    let clock = RoundClock {
-        state: Mutex::new(PoolState {
-            round: 0,
-            busy: 0,
-            closed: false,
-        }),
-        wake: Condvar::new(),
-        idle: Condvar::new(),
-        cursor: AtomicUsize::new(0),
-        failed: AtomicBool::new(false),
-    };
-    let helpers = workers.max(1) - 1;
-    std::thread::scope(|scope| {
-        for _ in 0..helpers {
-            scope.spawn(|| clock.serve(&run_unit));
-        }
-        // Closes the pool however `body` ends, so the scope's join never
-        // waits on a parked helper.
-        let _close = Close(&clock);
-        body(&mut WorkerPool {
-            clock: &clock,
-            slots: &slots,
-            run_unit: &run_unit,
-            helpers,
-        })
-    })
-}
-
-/// A running worker pool ([`with_worker_pool`]).
-pub struct WorkerPool<'a, U, R, E> {
-    clock: &'a RoundClock,
-    slots: &'a Mutex<Vec<Slot<U, R, E>>>,
-    run_unit: &'a (dyn Fn(usize) -> Option<bool> + Sync),
-    helpers: usize,
-}
-
-impl<U, R, E> WorkerPool<'_, U, R, E> {
-    /// Runs every unit of `units` once and returns one result per unit in
-    /// plan order. The units are the pool's for the round: workers claim
-    /// them through a shared atomic cursor (work stealing keeps them busy
-    /// through uneven unit lengths), and every unit is back in `units`, in
-    /// its place, when the round returns — also when it fails.
-    ///
-    /// After a failure no further unit starts, and the lowest-index
-    /// failure is the one reported. A unit that panicked re-raises its
-    /// panic here, once the round's other workers are parked again; units
-    /// from the panicking one on are dropped, not handed back.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-plan-index error produced by `run_one`, if any.
-    pub fn round(&mut self, units: &mut Vec<U>) -> Result<Vec<R>, E> {
-        let slots: Vec<_> = units
-            .drain(..)
-            .map(|unit| Slot {
-                unit: Some(unit),
-                outcome: None,
-            })
-            .collect();
-        *self.slots.lock().unwrap_or_else(PoisonError::into_inner) = slots;
-        self.clock.run(self.helpers, self.run_unit);
-        // detlint::allow(lock_discipline): the guard is a temporary that dies with this statement; `slots` is the taken Vec
-        let slots = std::mem::take(&mut *self.slots.lock().unwrap_or_else(PoisonError::into_inner));
-        let mut results = Vec::with_capacity(slots.len());
-        let mut failure = None;
-        for slot in slots {
-            units.extend(slot.unit);
+    claim_units(workers.min(units.len()), &run_unit);
+    let mut results = Vec::with_capacity(units.len());
+    for slot in slots {
+        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some(Ok(Ok(result))) => results.push(result),
+            Some(Ok(Err(e))) => return Err(e),
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
             // Claims are made in plan order and every claimed unit runs to
-            // the end, so an unstarted unit (`None`) follows a failed one,
-            // which the scan has already met.
-            match slot.outcome {
-                _ if failure.is_some() => {}
-                Some(Ok(Ok(result))) => results.push(result),
-                Some(Ok(Err(e))) => failure = Some(e),
-                Some(Err(panic)) => std::panic::resume_unwind(panic),
-                None => {}
-            }
+            // the end, so an unstarted unit follows a failed one, which the
+            // scan has already returned on.
+            None => {}
         }
-        failure.map_or(Ok(results), Err)
     }
+    Ok(results)
 }
 
-/// One unit's place in a round: the unit while unclaimed and once handed
-/// back, and what running it produced (a panic is kept as its payload).
-struct Slot<U, R, E> {
-    unit: Option<U>,
-    outcome: Option<std::thread::Result<Result<R, E>>>,
-}
-
-/// The pool's rounds: when they start, who is still in one, and the claim
-/// cursor. It knows units only through a `run_unit(i)` callback, so its
-/// code is compiled once, not for every unit type.
+/// The claim loop beneath [`run_tasks`]: the calling thread and `workers −
+/// 1` scoped helpers call `run_unit` on plan indices claimed through one
+/// atomic cursor (work stealing keeps them busy through uneven unit
+/// lengths) until `run_unit` returns `None`, past the last unit, or some
+/// unit has failed (`Some(false)`). It sees units only through `run_unit`,
+/// so it is compiled once, not once per unit type.
 ///
-/// No unit runs under its lock, unit panics are caught, and each locked
-/// update is one store, so a poisoned lock still guards valid data: every
-/// site recovers the guard with `PoisonError::into_inner`.
-struct RoundClock {
-    state: Mutex<PoolState>,
-    /// Helpers park here between rounds.
-    wake: Condvar,
-    /// The owner waits here for the round's last busy helper.
-    idle: Condvar,
-    /// The next unclaimed plan index, and whether a unit has failed.
-    /// Relaxed is enough for both: the owner resets them before it
-    /// publishes a round under `state`'s lock, which a helper takes before
-    /// it reads them, and units and outcomes move under the slots' lock.
-    cursor: AtomicUsize,
-    failed: AtomicBool,
-}
-
-/// What the pool's lock guards.
-struct PoolState {
-    /// Rounds started so far.
-    round: u64,
-    /// Helpers that have not finished the current round.
-    busy: usize,
-    /// Set when the owner leaves: parked helpers exit.
-    closed: bool,
-}
-
-impl RoundClock {
-    /// The owner's side of a round: wake the helpers, work alongside
-    /// them, and return once every helper is parked again.
-    fn run(&self, helpers: usize, run_unit: &(dyn Fn(usize) -> Option<bool> + Sync)) {
-        self.cursor.store(0, Ordering::Relaxed);
-        self.failed.store(false, Ordering::Relaxed);
-        {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.round += 1;
-            state.busy = helpers;
-        }
-        self.wake.notify_all();
-        self.work(run_unit);
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let state = self
-            .idle
-            .wait_while(state, |state| state.busy > 0)
-            .unwrap_or_else(PoisonError::into_inner);
-        drop(state);
-    }
-
-    /// Claims and runs units until the cursor passes the last one or a
-    /// unit has failed.
-    fn work(&self, run_unit: &(dyn Fn(usize) -> Option<bool> + Sync)) {
-        while !self.failed.load(Ordering::Relaxed) {
-            match run_unit(self.cursor.fetch_add(1, Ordering::Relaxed)) {
+/// Relaxed is enough for the cursor and the flag: each claim only needs a
+/// distinct index, and outcomes move through the slots' locks and the
+/// scope's join.
+fn claim_units(workers: usize, run_unit: &(dyn Fn(usize) -> Option<bool> + Sync)) {
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let work = || {
+        while !failed.load(Ordering::Relaxed) {
+            match run_unit(cursor.fetch_add(1, Ordering::Relaxed)) {
                 None => break,
                 Some(true) => {}
-                Some(false) => self.failed.store(true, Ordering::Relaxed),
+                Some(false) => failed.store(true, Ordering::Relaxed),
             }
         }
-    }
-
-    /// A helper's life: work each round once, park between rounds, exit
-    /// when the pool closes.
-    fn serve(&self, run_unit: &(dyn Fn(usize) -> Option<bool> + Sync)) {
-        let mut seen = 0;
-        loop {
-            let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let state = self
-                .wake
-                .wait_while(state, |s| s.round == seen && !s.closed)
-                .unwrap_or_else(PoisonError::into_inner);
-            if state.closed {
-                return;
-            }
-            seen = state.round;
-            drop(state);
-            self.work(run_unit);
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.busy -= 1;
-            if state.busy == 0 {
-                self.idle.notify_one();
-            }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
         }
-    }
-}
-
-/// Closes a pool on drop and wakes its parked helpers to exit.
-struct Close<'a>(&'a RoundClock);
-
-impl Drop for Close<'_> {
-    fn drop(&mut self) {
-        self.0
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
-        self.0.wake.notify_all();
-    }
+        work();
+    });
 }
 
 /// Runs planned A/B `trials` on a pool of `workers` and returns one
@@ -1180,27 +1007,37 @@ mod tests {
         assert_eq!(serial, Err("unit 1".to_string()));
         // Unit 1 fails only after unit 3 has: the later failure loses
         // anyway.
-        let unit3_failed = (std::sync::Mutex::new(false), std::sync::Condvar::new());
+        let unit3_failed = AtomicBool::new(false);
         for workers in [2, 8] {
-            *unit3_failed.0.lock().unwrap() = false;
-            let raced = run_tasks(&units, workers, |&i| {
-                let (flag, signal) = &unit3_failed;
-                match i {
-                    1 => {
-                        let guard = flag.lock().unwrap();
-                        drop(signal.wait_while(guard, |failed| !*failed).unwrap());
-                        Err(format!("unit {i}"))
+            unit3_failed.store(false, Ordering::Relaxed);
+            let raced = run_tasks(&units, workers, |&i| match i {
+                1 => {
+                    while !unit3_failed.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
                     }
-                    3 => {
-                        *flag.lock().unwrap() = true;
-                        signal.notify_all();
-                        Err(format!("unit {i}"))
-                    }
-                    _ => Ok(i),
+                    Err(format!("unit {i}"))
                 }
+                3 => {
+                    unit3_failed.store(true, Ordering::Relaxed);
+                    Err(format!("unit {i}"))
+                }
+                _ => Ok(i),
             });
             assert_eq!(raced, Err("unit 1".to_string()), "{workers} workers");
         }
+        // No unit starts after a failure: at one worker, units 0–3 run and
+        // unit 3's failure stops the claims.
+        let started = AtomicUsize::new(0);
+        let stopped = run_tasks(&units, 1, |&i| {
+            started.fetch_add(1, Ordering::Relaxed);
+            if i == 3 {
+                Err(i)
+            } else {
+                Ok(i)
+            }
+        });
+        assert_eq!(stopped, Err(3));
+        assert_eq!(started.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -1210,56 +1047,6 @@ mod tests {
         let on = |_: &usize| Ok::<_, ()>(std::thread::current().id());
         assert_eq!(run_tasks(&units, 1, on).unwrap(), vec![caller; 4]);
         assert_eq!(run_tasks(&units[..1], 8, on).unwrap(), vec![caller]);
-    }
-
-    #[test]
-    fn pool_rounds_keep_plan_order() {
-        for workers in [1, 2, 8] {
-            let bump = |u: &mut usize| {
-                *u += 1;
-                Ok::<_, ()>(*u * 10)
-            };
-            with_worker_pool(workers, bump, |pool| {
-                // Rounds of several sizes, some smaller than the pool.
-                for (round, len) in [16, 3, 0, 1, 16].into_iter().enumerate() {
-                    let mut units: Vec<usize> = (0..len).map(|i| 100 * round + i).collect();
-                    let out = pool.round(&mut units).unwrap();
-                    let want: Vec<usize> = (0..len).map(|i| 100 * round + i + 1).collect();
-                    assert_eq!(units, want, "{workers} workers, round {round}");
-                    let tens: Vec<usize> = want.iter().map(|u| u * 10).collect();
-                    assert_eq!(out, tens, "{workers} workers, round {round}");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn pool_error_returns_the_lowest_index_error_and_no_later_round_runs() {
-        for workers in [1, 2, 8] {
-            let last_round = AtomicUsize::new(0);
-            let run_one = |&mut (round, i): &mut (usize, usize)| {
-                last_round.fetch_max(round, Ordering::Relaxed);
-                match (round, i) {
-                    (2, 3 | 5) => Err((round, i)),
-                    _ => Ok(i),
-                }
-            };
-            let (outcome, units) = with_worker_pool(workers, run_one, |pool| {
-                let mut units = Vec::new();
-                for round in 0..5 {
-                    units = (0..8).map(|i| (round, i)).collect();
-                    if let Err(e) = pool.round(&mut units) {
-                        return (Err(e), units);
-                    }
-                }
-                (Ok(()), units)
-            });
-            assert_eq!(outcome, Err((2, 3)), "{workers} workers");
-            assert_eq!(last_round.load(Ordering::Relaxed), 2, "{workers} workers");
-            // A failed round still hands every unit back, in place.
-            let want: Vec<(usize, usize)> = (0..8).map(|i| (2, i)).collect();
-            assert_eq!(units, want, "{workers} workers");
-        }
     }
 
     #[test]
@@ -1274,7 +1061,7 @@ mod tests {
                     Ok::<_, ()>(i)
                 })
             });
-            // Returning at all means every helper left its park.
+            // Returning at all means every helper joined.
             let payload = caught.expect_err("the unit panicked");
             assert_eq!(
                 payload.downcast_ref::<String>().map(String::as_str),

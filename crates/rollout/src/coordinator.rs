@@ -3,11 +3,9 @@
 //!
 //! The paper's "@scale" campaigns (Sec. 6) run per-platform soft-SKU
 //! rollouts across a heterogeneous fleet. [`FleetCoordinator`] is that
-//! layer: it drives every service's [`StagedRollout`] concurrently on one
-//! deterministic worker pool per campaign
-//! ([`usku::scheduler::with_worker_pool`]), with
-//! the fleet-scale safety mechanisms a single-service state machine cannot
-//! provide:
+//! layer: it interleaves every service's [`StagedRollout`] in one tick
+//! loop, with the fleet-scale safety mechanisms a single-service state
+//! machine cannot provide:
 //!
 //! * **Canary budgets** ([`CanaryBudget`]) — each service exposes at most
 //!   `growth_per_tick` new replicas per tick and at most `total_exposures`
@@ -35,11 +33,13 @@
 //!
 //! **Determinism.** Chaos arrives from [`ChaosSchedule`] (pure in
 //! `(topology, config, seed)`); each service's fleet draws from its own
-//! private streams; fleets tick in parallel, each on one worker, but
-//! every decision — staging, promotion, breaker, quarantine — happens on
-//! the orchestration thread in canonical plan order. The whole
-//! [`CoordinatorReport`] is therefore bit-identical across worker counts,
-//! pinned by `tests/chaos_rollout.rs`.
+//! private streams; the fleets tick, and every decision — staging,
+//! promotion, breaker, quarantine — happens, on the orchestration thread
+//! in canonical plan order. A fleet tick is a few microseconds of
+//! bookkeeping, less than waking a helper thread would cost, so the loop
+//! starts no thread. The whole [`CoordinatorReport`] is therefore a pure
+//! function of the plans, the topology, the chaos configuration and the
+//! seed, pinned by `tests/chaos_rollout.rs`.
 
 use crate::error::RolloutError;
 use crate::rollout::{RolloutConfig, StageReport, StagedRollout, StepDecision};
@@ -51,7 +51,7 @@ use softsku_cluster::{
 use softsku_telemetry::trace::{AttrValue, SpanHandle, TraceSink};
 use softsku_telemetry::{LedgerDomain, LedgerKey, Ods, SeriesKey};
 use std::num::NonZeroUsize;
-use usku::scheduler::{run_tasks, with_worker_pool};
+use usku::scheduler::run_tasks;
 
 /// Per-service exposure budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -401,22 +401,17 @@ impl Runtime {
 #[derive(Debug, Clone)]
 pub struct FleetCoordinator {
     config: CoordinatorConfig,
-    workers: NonZeroUsize,
 }
 
 impl FleetCoordinator {
-    /// Creates a coordinator using every available hardware thread.
+    /// Creates a coordinator.
     pub fn new(config: CoordinatorConfig) -> Self {
-        FleetCoordinator {
-            config,
-            workers: usku::scheduler::default_workers(),
-        }
+        FleetCoordinator { config }
     }
 
-    /// Overrides the worker-pool size (wall-clock only; the report is
-    /// bit-identical for any value).
-    pub fn with_workers(mut self, workers: NonZeroUsize) -> Self {
-        self.workers = workers;
+    /// Does nothing: the coordinator runs on the calling thread. Kept only
+    /// because the `perfbench/` harness calls it.
+    pub fn with_workers(self, _workers: NonZeroUsize) -> Self {
         self
     }
 
@@ -472,25 +467,20 @@ impl FleetCoordinator {
             .collect::<Result<Vec<_>, _>>()?;
         let schedule = ChaosSchedule::new(topology, chaos, seed);
         let mut campaign = Campaign::new(cfg, schedule, sink);
-        // Phase 3 of every tick runs on this one pool: the runtimes go to
-        // the pool for the fleet ticks and come back, in plan order, for
-        // the phases that decide on the orchestration thread.
-        let workers = self.workers.get().min(runtimes.len());
-        let tick = |rt: &mut Runtime| rt.fleet.tick();
-        with_worker_pool(workers, tick, |pool| {
-            while campaign.report.ticks < cfg.max_ticks {
-                campaign.advance();
-                campaign.inject(&mut runtimes)?;
-                campaign.decide(&mut runtimes)?;
-                let samples = pool.round(&mut runtimes).map_err(RolloutError::Cluster)?;
-                campaign.merge(&mut runtimes, &samples)?;
-                campaign.breaker()?;
-                if runtimes.iter().all(|rt| rt.phase.terminal()) {
-                    break;
-                }
+        while campaign.report.ticks < cfg.max_ticks {
+            campaign.advance();
+            campaign.inject(&mut runtimes)?;
+            campaign.decide(&mut runtimes)?;
+            let samples = runtimes
+                .iter_mut()
+                .map(|rt| rt.fleet.tick())
+                .collect::<Result<Vec<_>, _>>()?;
+            campaign.merge(&mut runtimes, &samples)?;
+            campaign.breaker()?;
+            if runtimes.iter().all(|rt| rt.phase.terminal()) {
+                break;
             }
-            Ok::<_, RolloutError>(())
-        })?;
+        }
         let report = campaign.finish(runtimes);
         sink.attr(root, "converged", AttrValue::Bool(report.converged()));
         sink.close(root, report.sim_time_s);
@@ -501,7 +491,7 @@ impl FleetCoordinator {
 /// The coordinator loop's state: the report under construction (tick
 /// clock, fleet-wide counters, ledger), the trace, and the bookkeeping
 /// behind recoveries and the breaker. Each tick runs the phases inject →
-/// decide → parallel fleet ticks → merge → breaker.
+/// decide → fleet ticks in plan order → merge → breaker.
 struct Campaign<'a> {
     cfg: &'a CoordinatorConfig,
     schedule: ChaosSchedule,
@@ -912,7 +902,7 @@ fn plan_domain_error(plan: &ServicePlan) -> RolloutError {
 /// baselines (so every guardrail trip is attributable to injected chaos,
 /// not organic tuning loss), under [`ChaosConfig::campaign`].
 ///
-/// The four fleets are built on the shared worker pool: each build is a
+/// The four fleets are built in parallel ([`run_tasks`]): each build is a
 /// cold calibration window, and each fleet's seed derives from `(seed,
 /// service, domain)`, so the plans are identical for any worker count.
 ///
@@ -1014,7 +1004,6 @@ mod tests {
             quiet_plan("c", FailureDomain::new("skl18", "r1"), 3),
         ];
         let report = FleetCoordinator::new(CoordinatorConfig::fast_test())
-            .with_workers(NonZeroUsize::new(2).unwrap())
             .run(&topology, ChaosConfig::none(), plans, 3)
             .unwrap();
         assert!(report.converged(), "{}", report.render());
@@ -1050,7 +1039,6 @@ mod tests {
         let mut bad = quiet_plan("bad", FailureDomain::new("skl18", "r0"), 13);
         bad.fleet.inject_tail_regression(2.0);
         let report = FleetCoordinator::new(cfg)
-            .with_workers(NonZeroUsize::new(2).unwrap())
             .run(&topology, ChaosConfig::none(), vec![bad], 13)
             .unwrap();
         let s = &report.services[0];
@@ -1087,7 +1075,6 @@ mod tests {
             quiet_plan("b", FailureDomain::new("skl18", "r0"), 5),
         ];
         let report = FleetCoordinator::new(cfg)
-            .with_workers(NonZeroUsize::new(1).unwrap())
             .run(&topology, ChaosConfig::none(), plans, 5)
             .unwrap();
         assert!(
@@ -1140,7 +1127,6 @@ mod tests {
         };
         let plans = vec![quiet_plan("a", FailureDomain::new("bdw16", "r0"), 7)];
         let report = FleetCoordinator::new(CoordinatorConfig::fast_test())
-            .with_workers(NonZeroUsize::new(1).unwrap())
             .run(&topology, chaos, plans, 7)
             .unwrap();
 

@@ -20,7 +20,7 @@
 //! * [`lifecycle::RolloutPipeline`] — the closed tune → compose → rollout
 //!   → monitor → re-tune cycle.
 //! * [`coordinator::FleetCoordinator`] — many services' staged rollouts
-//!   advanced concurrently on one shared deterministic worker pool, with
+//!   advanced together, tick by tick in canonical service order, with
 //!   per-service canary budgets, a fleet-wide blast-radius cap, a rollback
 //!   circuit breaker, quarantine with exponential backoff, and graceful
 //!   degradation to holdback configs when a failure domain goes dark —

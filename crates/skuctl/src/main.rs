@@ -21,7 +21,7 @@
 //!
 //! flags: --service <name>  spans|cpi|ledger|export: microservice to tune  [web]
 //!        --seed <u64>      every scenario command: base seed              [21]
-//!        --workers <n>     every scenario command: scheduler workers      [machine width]
+//!        --workers <n>     every scenario command but chaos: workers      [machine width]
 //!        --out <path>      export|slo: export path                        [trace.json]
 //!        --fast            tune: small A/B budgets, one validation day
 //!        --render-map      tune: also print the design-space map
@@ -58,7 +58,8 @@ type BoxError = Box<dyn std::error::Error>;
 const USAGE: &str = "usage: skuctl tune <file.usku> [--fast] [--render-map] [--smoke]
        skuctl <spans|cpi|ledger> [--service <name>] [--seed <u64>] [--workers <n>] [--smoke]
        skuctl export [--service <name>] [--seed <u64>] [--workers <n>] [--out <path>] [--smoke]
-       skuctl <chaos|mesh> [--seed <u64>] [--workers <n>] [--smoke]
+       skuctl chaos [--seed <u64>] [--smoke]
+       skuctl mesh [--seed <u64>] [--workers <n>] [--smoke]
        skuctl slo [--seed <u64>] [--workers <n>] [--out <path>] [--smoke]
        skuctl keys [--smoke]";
 
@@ -68,7 +69,8 @@ fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
         "tune" => &["--fast", "--render-map", "--smoke"],
         "spans" | "cpi" | "ledger" => &["--service", "--seed", "--workers", "--smoke"],
         "export" => &["--service", "--seed", "--workers", "--out", "--smoke"],
-        "chaos" | "mesh" => &["--seed", "--workers", "--smoke"],
+        "chaos" => &["--seed", "--smoke"],
+        "mesh" => &["--seed", "--workers", "--smoke"],
         "slo" => &["--seed", "--workers", "--out", "--smoke"],
         "keys" => &["--smoke"],
         _ => return None,
@@ -309,7 +311,6 @@ fn cmd_chaos(args: &Args) -> Result<(), BoxError> {
     let (topology, chaos, plans) = demo_campaign(args.seed)?;
     let mut sink = TraceSink::new();
     let report = FleetCoordinator::new(CoordinatorConfig::fast_test())
-        .with_workers(args.workers)
         .run_traced(&topology, chaos, plans, args.seed, &mut sink)?;
 
     // One timeline row per ledger entry: (time, is-fault, text). The ledger
@@ -665,9 +666,10 @@ mod tests {
         for command in ["export", "slo"] {
             assert_eq!(parse(&[command, "--out", "t.json"]).unwrap().out, "t.json");
         }
-        for command in ["chaos", "mesh", "slo"] {
+        for command in ["mesh", "slo"] {
             assert!(parse(&[command, "--seed", "21", "--workers", "1", "--smoke"]).is_ok());
         }
+        assert!(parse(&["chaos", "--seed", "21", "--smoke"]).is_ok());
         assert!(parse(&["keys", "--smoke"]).unwrap().smoke);
     }
 
@@ -721,6 +723,11 @@ mod tests {
         for command in ["chaos", "mesh", "slo", "keys"] {
             assert!(parse(&[command, "--service", "web"]).is_err(), "{command}");
         }
+    }
+
+    #[test]
+    fn chaos_rejects_workers() {
+        assert!(parse(&["chaos", "--workers", "2"]).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! End-to-end chaos campaign (ISSUE acceptance): a seeded multi-service
 //! rollout under domain-correlated faults completes with zero panics,
 //! every injected fault lands in the `chaos.*` ledger, quarantine backs
-//! off exponentially, and the whole report replays bit-identically across
-//! 1 and 8 workers. Ablations then show each safety mechanism changing a
+//! off exponentially, and the whole report replays bit-identically from
+//! the same seed. Ablations then show each safety mechanism changing a
 //! real outcome: the circuit breaker throttles a correlated rollback
 //! storm, quarantine retries rescue a service that one-strike demotion
 //! would kill, and the canary budget paces an otherwise-instant ramp.
@@ -15,14 +15,12 @@ use softsku::rollout::{
 use softsku::telemetry::streams::IdentitySeed;
 use softsku::telemetry::{LedgerDomain, LedgerKey, SeriesKey, TraceSink};
 use softsku::workloads::{Microservice, PlatformKind};
-use std::num::NonZeroUsize;
 
 const SEED: u64 = 21;
 
-fn run_demo(seed: u64, workers: usize) -> CoordinatorReport {
+fn run_demo(seed: u64) -> CoordinatorReport {
     let (topology, chaos, plans) = demo_campaign(seed).unwrap();
     FleetCoordinator::new(CoordinatorConfig::fast_test())
-        .with_workers(NonZeroUsize::new(workers).unwrap())
         .run(&topology, chaos, plans, seed)
         .unwrap()
 }
@@ -64,21 +62,22 @@ fn waves_only(rate_per_day: f64) -> ChaosConfig {
 
 /// The demo campaign (4 services, 2 pools, all four fault families)
 /// completes without panics, records every fault in the `chaos.*` ledger,
-/// quarantines with exponential backoff, and is bit-identical between a
-/// serial and an 8-worker run.
+/// quarantines with exponential backoff, and replays bit-identically: a
+/// second run from the same seed, on freshly built plans, renders the same
+/// report.
 #[test]
 fn demo_campaign_survives_chaos_bit_identically() {
-    let serial = run_demo(SEED, 1);
-    let wide = run_demo(SEED, 8);
+    let report = run_demo(SEED);
+    let replay = run_demo(SEED);
     assert_eq!(
-        format!("{serial:?}"),
-        format!("{wide:?}"),
-        "coordinator outcomes must not depend on worker count"
+        format!("{report:?}"),
+        format!("{replay:?}"),
+        "coordinator outcomes must replay from the seed"
     );
 
-    assert!(serial.converged(), "{}", serial.render());
-    assert_eq!(serial.services.len(), 4);
-    for (family, injected) in serial.faults.iter().enumerate() {
+    assert!(report.converged(), "{}", report.render());
+    assert_eq!(report.services.len(), 4);
+    for (family, injected) in report.faults.iter().enumerate() {
         assert!(*injected > 0, "fault family {family} never fired");
     }
 
@@ -90,19 +89,19 @@ fn demo_campaign_survives_chaos_bit_identically() {
         LedgerKey::ChaosCanaryCrash.name(),
         LedgerKey::ChaosStall.name(),
     ];
-    for (metric, injected) in families.iter().zip(serial.faults) {
-        let logged: usize = serial
+    for (metric, injected) in families.iter().zip(report.faults) {
+        let logged: usize = report
             .ledger
             .keys()
             .filter(|k| k.metric() == *metric)
-            .map(|k| serial.ledger.len(k))
+            .map(|k| report.ledger.len(k))
             .sum();
         assert_eq!(logged as u64, injected, "{metric} entries");
     }
 
     // Quarantine backs off exponentially: each successive entry for the
     // same service doubles the previous wait.
-    let quarantined: Vec<&SeriesKey> = serial
+    let quarantined: Vec<&SeriesKey> = report
         .ledger
         .keys()
         .filter(|k| k.metric() == LedgerKey::CoordinatorQuarantine.name())
@@ -110,7 +109,7 @@ fn demo_campaign_survives_chaos_bit_identically() {
     assert!(!quarantined.is_empty(), "campaign must quarantine someone");
     let mut saw_backoff_growth = false;
     for key in quarantined {
-        let waits: Vec<f64> = serial
+        let waits: Vec<f64> = report
             .ledger
             .raw_points(key)
             .iter()
@@ -123,7 +122,7 @@ fn demo_campaign_survives_chaos_bit_identically() {
     }
     assert!(saw_backoff_growth, "need at least one repeated quarantine");
     assert!(
-        serial.services.iter().any(|s| s.retries > 0),
+        report.services.iter().any(|s| s.retries > 0),
         "a quarantined service must get a retry"
     );
 }
@@ -168,7 +167,6 @@ fn correlated_push_waves_trip_the_breaker() {
     unguarded_cfg.breaker_rollbacks = usize::MAX;
 
     let guarded = FleetCoordinator::new(guarded_cfg)
-        .with_workers(NonZeroUsize::new(2).unwrap())
         .run(&topology, chaos, plans(), SEED)
         .unwrap();
     assert!(
@@ -189,7 +187,6 @@ fn correlated_push_waves_trip_the_breaker() {
     );
 
     let unguarded = FleetCoordinator::new(unguarded_cfg)
-        .with_workers(NonZeroUsize::new(2).unwrap())
         .run(&topology, chaos, plans(), SEED)
         .unwrap();
     assert_eq!(unguarded.breaker_trips, 0);
@@ -287,11 +284,10 @@ fn fnv(s: &str) -> u64 {
 }
 
 /// The demo campaign at `seed` under `cfg`, run once with a recording sink
-/// and once untraced at `workers`. The two reports must render the same
-/// `Debug`: tracing observes the campaign, it never steers it.
-fn run_demo_traced(seed: u64, cfg: &CoordinatorConfig, workers: usize) -> TraceSink {
-    let coordinator =
-        FleetCoordinator::new(cfg.clone()).with_workers(NonZeroUsize::new(workers).unwrap());
+/// and once untraced. The two reports must render the same `Debug`:
+/// tracing observes the campaign, it never steers it.
+fn run_demo_traced(seed: u64, cfg: &CoordinatorConfig) -> TraceSink {
+    let coordinator = FleetCoordinator::new(cfg.clone());
     let (topology, chaos, plans) = demo_campaign(seed).unwrap();
     let mut sink = TraceSink::new();
     let traced = coordinator
@@ -322,8 +318,7 @@ fn traced_campaigns() -> [(u64, CoordinatorConfig); 3] {
 }
 
 /// The coordinator's trace is pinned byte for byte (Chrome export and span
-/// tree) at 1 and 8 workers, and each traced run reports exactly what the
-/// untraced run does.
+/// tree), and each traced run reports exactly what the untraced run does.
 #[test]
 fn coordinator_trace_is_pinned_and_tracing_changes_nothing() {
     let pinned = [
@@ -332,18 +327,16 @@ fn coordinator_trace_is_pinned_and_tracing_changes_nothing() {
         (54, 0x5904_b718_6386_066f, 0x1628_38d8_15a6_864e),
     ];
     for ((seed, cfg), (spans, chrome, tree)) in traced_campaigns().into_iter().zip(pinned) {
-        for workers in [1, 8] {
-            let sink = run_demo_traced(seed, &cfg, workers);
-            assert_eq!(
-                (
-                    sink.spans().len(),
-                    fnv(&sink.chrome_trace().render()),
-                    fnv(&sink.render_tree())
-                ),
-                (spans, chrome, tree),
-                "seed {seed}, {workers} workers"
-            );
-        }
+        let sink = run_demo_traced(seed, &cfg);
+        assert_eq!(
+            (
+                sink.spans().len(),
+                fnv(&sink.chrome_trace().render()),
+                fnv(&sink.render_tree())
+            ),
+            (spans, chrome, tree),
+            "seed {seed}"
+        );
     }
 }
 
@@ -370,7 +363,6 @@ fn coordinator_event_leaves_match_the_ledger() {
         let (topology, chaos, plans) = demo_campaign(seed).unwrap();
         let mut sink = TraceSink::new();
         let report = FleetCoordinator::new(cfg)
-            .with_workers(NonZeroUsize::new(2).unwrap())
             .run_traced(&topology, chaos, plans, seed, &mut sink)
             .unwrap();
         let leaves: Vec<&str> = sink

@@ -27,6 +27,12 @@ distribution-free 95 % confidence interval from order statistics. A metric
 reads "resolved" only when p < 0.05; otherwise the pairs cannot tell the
 sides apart, whatever the medians say.
 
+A resolved --interleaved round counts as evidence only once a default-mode
+round reproduces it. Single cold processes on a shared host drift between
+rounds: on byte-identical chaos_campaign output one interleaved round has
+read a resolved wall_s ratio of 1.139 that the next interleaved round
+(1.034, unresolved) and two default-mode rounds (0.953) did not repeat.
+
 The last stdout line is one JSON object with the same figures.
 """
 

@@ -11,7 +11,7 @@
 //! winner is at least as good on the tail; it also reports how many tier
 //! segments the joint tune simulated (each distinct cone of upstream
 //! calibrations once) against the assignments × tiers a per-assignment
-//! simulation would run. Part 3 (full mode) re-runs the
+//! simulation would run, and the joint tune's wall (`joint_tune_s`). Part 3 (full mode) re-runs the
 //! joint tune at 1, 2, and 8 workers and asserts the verdicts are
 //! bit-identical — the mesh determinism contract.
 
@@ -96,7 +96,9 @@ fn tuner_comparison(config: MeshConfig, workers: usize) -> Result<Json, BoxError
     let graph = colocation_mix()?;
     let tuner = MeshTuner::with_default_candidates(&graph, config)?;
     let private = tuner.tune(MeshObjective::PerTierMips, workers)?;
+    let clock = Stopwatch::start();
     let joint = tuner.tune(MeshObjective::GraphP99, workers)?;
+    let joint_tune_s = clock.elapsed_s();
     assert!(
         joint.report.p99_s <= private.report.p99_s,
         "joint tuning must not lose to the per-tier rule on its own metric"
@@ -109,7 +111,7 @@ fn tuner_comparison(config: MeshConfig, workers: usize) -> Result<Json, BoxError
         private.evaluated
     );
     println!(
-        "  joint    {:?} p99 {:.3} ms ({} evals, {} of {} tier passes)",
+        "  joint    {:?} p99 {:.3} ms ({} evals, {} of {} tier passes, {joint_tune_s:.3} s)",
         joint.labels(),
         joint.report.p99_s * 1e3,
         joint.evaluated,
@@ -134,6 +136,7 @@ fn tuner_comparison(config: MeshConfig, workers: usize) -> Result<Json, BoxError
             Json::Int((private.evaluated + joint.evaluated) as i64),
         )
         .set("tier_passes", Json::Int(joint.tier_passes as i64))
+        .set("joint_tune_s", Json::Num(joint_tune_s))
         .set(
             "objectives_diverge",
             Json::Bool(joint.labels() != private.labels()),

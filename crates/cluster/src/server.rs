@@ -145,6 +145,27 @@ impl SimServer {
         Ok(interp(&curve.mips, load))
     }
 
+    /// MIPS at the peak-load grid point: a cached curve's top point, or
+    /// else one window at peak load, which caches no curve.
+    ///
+    /// Bit-identical to `mips(1.0)`: `interp` computes `m[1] + 1.0 · (m[2]
+    /// − m[1])`, and by Sterbenz's lemma `m[2] − m[1]` is exact whenever
+    /// `m[2]/2 ≤ m[1] ≤ 2·m[2]`, which the 0.75 and 1.0 load points satisfy
+    /// (MIPS grows with load, at most in proportion), so the sum is `m[2]`.
+    ///
+    /// # Errors
+    ///
+    /// Engine errors when no curve of the configuration is cached.
+    pub fn peak_mips(&self) -> Result<f64, ClusterError> {
+        if let Some((_, curve)) = self.cache.iter().find(|(c, _)| *c == self.config) {
+            return Ok(curve.mips[2]);
+        }
+        Ok(self
+            .engine(&self.config)?
+            .run_window(self.window_insns, self.profile.peak_utilization)?
+            .mips_total)
+    }
+
     /// Queries per second at `load`.
     ///
     /// # Errors
@@ -354,6 +375,40 @@ mod tests {
         });
         let after = s.mips(1.0).unwrap();
         assert!(after < before, "5% CPI regression must reduce MIPS");
+    }
+
+    #[test]
+    fn peak_mips_has_the_bits_of_mips_at_full_load() {
+        // Every service on every platform it runs on: the production
+        // configuration, a reconfigured one (slowest cores, prefetchers
+        // off) and production after a code push. Each is read uncached,
+        // then through `mips(1.0)`'s curve, then from that cached curve.
+        let check = |s: &mut SimServer, what: &str| {
+            let peak = s.peak_mips().unwrap();
+            assert_eq!(peak.to_bits(), s.mips(1.0).unwrap().to_bits(), "{what}");
+            assert_eq!(peak.to_bits(), s.peak_mips().unwrap().to_bits(), "{what}");
+        };
+        for service in Microservice::ALL {
+            for &platform in service.supported_platforms() {
+                let profile = service.profile(platform).unwrap();
+                let prod = profile.production_config.clone();
+                let mut s = SimServer::with_window(profile, prod.clone(), 13, 10_000).unwrap();
+                let what = format!("{} on {platform:?}", service.name());
+                check(&mut s, &format!("{what}, production"));
+                let mut other = prod.clone();
+                other.core_freq_ghz = other.platform.core_freq_range_ghz.0;
+                other.prefetchers = softsku_archsim::prefetch::PrefetcherConfig::all_off();
+                assert_ne!(other, prod);
+                s.reconfigure(other, false).unwrap();
+                check(&mut s, &format!("{what}, reconfigured"));
+                s.reconfigure(prod.clone(), false).unwrap();
+                s.apply_code_push(CodePush {
+                    cpi_scale: 1.05,
+                    miss_scale: 1.0,
+                });
+                check(&mut s, &format!("{what}, after a code push"));
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The forward pass one tier at a time, in shareable *tier segments*.
 //!
-//! A tier's forward work — its FCFS queue, its service, jitter, cache and
-//! RTT draws, and the child jobs it fires downstream — reads only its own
-//! calibration and its ancestors' (the tiers that feed it, transitively).
+//! A tier's forward work — its FCFS queue, its service times, and the
+//! child jobs it fires downstream — reads only its own calibration and
+//! its ancestors' (the tiers that feed it, transitively), plus the
+//! tier's calibration-free draws (service shapes, jitter, cache verdicts
+//! and RTTs), which the table draws once per tier as columns by FCFS
+//! position.
 //! A [`Segment`] is that work's output: the served jobs' wait, service and
 //! finish in job order, the spawned child jobs in creation order, and the
 //! tier's job-order stats sums. Its *cone key* is the tier index plus the
@@ -36,8 +39,9 @@ use crate::sim::{MeshConfig, TierCal};
 use crate::MeshError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use softsku_telemetry::stats::standard_normal;
 use softsku_telemetry::streams::{IdentitySeed, StreamFamily, StreamRegistry};
-use softsku_workloads::queuesim::{FcfsServers, ServiceDist};
+use softsku_workloads::queuesim::{log_normal_params, FcfsServers};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -113,23 +117,44 @@ pub(crate) fn wire(graph: &ServiceGraph, requests: usize) -> Result<Vec<TierWiri
 }
 
 /// What the forward pass draws independently of every calibration: root
-/// arrivals, regression fates, and the per-family stream bases.
+/// arrivals, regression fates, and every tier's [`TierDraws`].
 #[derive(Debug)]
 pub(crate) struct Roots {
     /// Root arrival times, in request order.
     pub(crate) arrival: Vec<f64>,
     slowed: Vec<bool>,
-    service_base: u64,
-    cache_base: u64,
-    rtt_base: u64,
-    jitter_base: u64,
+    /// Each tier's draws, by tier index.
+    draws: Vec<TierDraws>,
+}
+
+/// One tier's calibration-free draws, as columns by FCFS position (the
+/// k-th served job). Each stream's k-th draw always goes to the k-th
+/// served job, and each edge's m-th draw to the m-th cache miss, so every
+/// segment of the tier reads the same columns whatever its calibrations.
+#[derive(Debug, Default)]
+struct TierDraws {
+    /// `sigma · z` of each log-normal service draw; its length is the
+    /// number of jobs the tier serves.
+    shape: Vec<f64>,
+    /// Each cache verdict; empty when the tier has no cache.
+    hit: Vec<bool>,
+    /// `−ln e` of each interference draw; empty unless the tier is
+    /// colocated, the only tiers whose retention can fall below 1.
+    neg_ln_e: Vec<f64>,
+    /// Per out-edge, half of each miss's drawn RTT.
+    half_rtt: Vec<Vec<f64>>,
 }
 
 impl Roots {
-    /// Draws the root arrivals (Poisson at `arrival_rate_hz`) and the
-    /// regression fates. A last arrival that overflows to infinity is a
-    /// [`MeshError::Config`].
-    pub(crate) fn draw(cfg: &MeshConfig) -> Result<Roots, MeshError> {
+    /// Draws the root arrivals (Poisson at `arrival_rate_hz`), the
+    /// regression fates, and every tier's [`TierDraws`] in topological
+    /// order: a tier serves one job per miss of each caller. A last
+    /// arrival that overflows to infinity is a [`MeshError::Config`].
+    pub(crate) fn draw(
+        cfg: &MeshConfig,
+        graph: &ServiceGraph,
+        wiring: &[TierWiring],
+    ) -> Result<Roots, MeshError> {
         let mut streams = StreamRegistry::new(cfg.seed);
         let mut arrival_rng = SmallRng::seed_from_u64(streams.derive(StreamFamily::MeshArrivals));
         let service_base = streams.derive(StreamFamily::MeshService);
@@ -163,13 +188,83 @@ impl Roots {
             let msg = format!("arrival rate {} Hz overflows time", cfg.arrival_rate_hz);
             return Err(MeshError::Config(msg));
         }
+
+        let tiers = graph.tiers();
+        let colocated = |t: usize| {
+            graph
+                .colocation()
+                .is_some_and(|c| c.pairs.iter().any(|&(a, b)| a == t || b == t))
+        };
+        // `sigma` does not depend on the mean, so the shape is drawn
+        // before any calibration.
+        let (_, sigma) = log_normal_params(1.0, SERVICE_CV2);
+        let mut misses = vec![0usize; tiers.len()];
+        let mut draws: Vec<TierDraws> = (0..tiers.len()).map(|_| TierDraws::default()).collect();
+        for &t in graph.topo_order() {
+            let tier = &tiers[t];
+            let served = if t == 0 {
+                cfg.requests
+            } else {
+                wiring[t].feeds.iter().map(|&(c, _)| misses[c]).sum()
+            };
+            let stream = |base: u64| {
+                SmallRng::seed_from_u64(IdentitySeed::new(base).field(&tier.name).finish())
+            };
+            let mut rng = stream(service_base);
+            let shape = (0..served)
+                .map(|_| sigma * standard_normal(&mut rng))
+                .collect();
+            let hit: Vec<bool> = if tier.hit_rate > 0.0 {
+                let mut rng = stream(cache_base);
+                (0..served)
+                    .map(|_| rng.gen_range(0.0..1.0) < tier.hit_rate)
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let neg_ln_e = if colocated(t) {
+                let mut rng = stream(jitter_base);
+                (0..served)
+                    .map(|_| {
+                        let e: f64 = rng.gen_range(f64::EPSILON..1.0);
+                        -e.ln()
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            misses[t] = served - hit.iter().filter(|&&h| h).count();
+            let half_rtt = wiring[t]
+                .out
+                .iter()
+                .map(|&e| {
+                    let edge = graph.edges()[e];
+                    let mut rng = SmallRng::seed_from_u64(
+                        IdentitySeed::new(rtt_base)
+                            .field(&tiers[edge.from].name)
+                            .field(&tiers[edge.to].name)
+                            .finish(),
+                    );
+                    (0..misses[t])
+                        .map(|_| {
+                            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                            let rtt = -edge.rtt_s * u.ln();
+                            rtt / 2.0
+                        })
+                        .collect()
+                })
+                .collect();
+            draws[t] = TierDraws {
+                shape,
+                hit,
+                neg_ln_e,
+                half_rtt,
+            };
+        }
         Ok(Roots {
             arrival,
             slowed,
-            service_base,
-            cache_base,
-            rtt_base,
-            jitter_base,
+            draws,
         })
     }
 }
@@ -276,15 +371,20 @@ pub(crate) struct SegmentTable {
 }
 
 impl SegmentTable {
-    /// An empty table over freshly drawn roots.
+    /// An empty table over freshly drawn roots for `graph` wired as
+    /// `wiring`.
     ///
     /// # Errors
     ///
     /// As [`Roots::draw`].
-    pub(crate) fn new(cfg: &MeshConfig) -> Result<SegmentTable, MeshError> {
+    pub(crate) fn new(
+        cfg: &MeshConfig,
+        graph: &ServiceGraph,
+        wiring: &[TierWiring],
+    ) -> Result<SegmentTable, MeshError> {
         Ok(SegmentTable {
             config: *cfg,
-            roots: Roots::draw(cfg)?,
+            roots: Roots::draw(cfg, graph, wiring)?,
             slots: Mutex::default(),
             passes: AtomicUsize::new(0),
             #[cfg(debug_assertions)]
@@ -423,7 +523,9 @@ struct Step<'a> {
 impl Step<'_> {
     /// Simulates tier `t`: rebuilds its FCFS keys from its callers'
     /// segments, serves them through a `c`-server queue, and fires the
-    /// out-edges of every job whose cache draw misses.
+    /// out-edges of every job whose cache draw misses. The k-th served
+    /// job reads position k of the tier's [`TierDraws`], and the m-th miss
+    /// reads each out-edge's m-th half-RTT.
     fn run(
         &self,
         t: usize,
@@ -431,8 +533,7 @@ impl Step<'_> {
         segs: &[Option<Arc<Segment>>],
         offset: &[usize],
     ) -> Segment {
-        let graph = self.graph;
-        let tier = &graph.tiers()[t];
+        let tier = &self.graph.tiers()[t];
         let roots = self.roots;
 
         // Served jobs in job order: arrival, request, job index.
@@ -457,6 +558,12 @@ impl Step<'_> {
             cols
         };
         let n = arrival.len();
+        let draws = &roots.draws[t];
+        debug_assert_eq!(
+            n,
+            draws.shape.len(),
+            "tier {t} serves one job per miss of each caller"
+        );
 
         // FCFS: serve jobs in (arrival, request, job) order. Positions
         // are in job order, so they break ties exactly as job indices do;
@@ -466,36 +573,9 @@ impl Step<'_> {
             .collect();
         order.sort_unstable();
 
-        let tier_stream =
-            |base: u64| SmallRng::seed_from_u64(IdentitySeed::new(base).field(&tier.name).finish());
-        let mut service_rng = tier_stream(roots.service_base);
-        let mut cache_rng = tier_stream(roots.cache_base);
-        let mut jitter_rng = tier_stream(roots.jitter_base);
-        let out = &self.wiring[t].out;
-        let mut edge_rngs: Vec<SmallRng> = out
-            .iter()
-            .map(|&e| {
-                let edge = graph.edges()[e];
-                SmallRng::seed_from_u64(
-                    IdentitySeed::new(roots.rtt_base)
-                        .field(&graph.tiers()[edge.from].name)
-                        .field(&graph.tiers()[edge.to].name)
-                        .finish(),
-                )
-            })
-            .collect();
         let mut servers = FcfsServers::new(tier.concurrency);
-        let service_dist = ServiceDist::LogNormal {
-            mean: cal.service_s,
-            cv2: SERVICE_CV2,
-        }
-        .sampler();
-
-        let children = if tier.hit_rate > 0.0 {
-            0
-        } else {
-            n * out.len()
-        };
+        let (mu, _) = log_normal_params(cal.service_s, SERVICE_CV2);
+        let children = draws.half_rtt.iter().map(Vec::len).sum();
         let mut seg = Segment {
             wait: vec![0.0; n],
             service: vec![0.0; n],
@@ -511,17 +591,15 @@ impl Step<'_> {
                 service_s: -0.0,
             },
         };
-        for &(_, r, k) in &order {
+        let mut misses = 0;
+        for (pos, &(_, r, k)) in order.iter().enumerate() {
             let k = k as usize;
-            // The service draw never depends on the start time, so it is
-            // drawn before the job is admitted.
-            let mut service = service_dist.sample(&mut service_rng);
+            let mut service = (mu + draws.shape[pos]).exp();
             if cal.retention < 1.0 {
                 // Interference jitter: neighbors on the shared socket
                 // occasionally stall this tier, in proportion to the
                 // throughput the pair measurement says it loses.
-                let e: f64 = jitter_rng.gen_range(f64::EPSILON..1.0);
-                service *= 1.0 + (1.0 - cal.retention) * (-e.ln());
+                service *= 1.0 + (1.0 - cal.retention) * draws.neg_ln_e[pos];
             }
             if roots.slowed[r as usize] {
                 service *= self.cfg.regress_scale;
@@ -534,18 +612,16 @@ impl Step<'_> {
 
             // Cache short-circuit: on a hit, downstream edges stay silent
             // for this request.
-            let hit = tier.hit_rate > 0.0 && cache_rng.gen_range(0.0..1.0) < tier.hit_rate;
-            if hit {
+            if tier.hit_rate > 0.0 && draws.hit[pos] {
                 continue;
             }
-            for (rng, &e) in edge_rngs.iter_mut().zip(out) {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let rtt = -graph.edges()[e].rtt_s * u.ln();
+            for half_rtt in &draws.half_rtt {
                 seg.parent.push(job[k]);
                 seg.req.push(r);
-                seg.arrival.push(finish + rtt / 2.0);
-                seg.rtt_back.push(rtt / 2.0);
+                seg.arrival.push(finish + half_rtt[misses]);
+                seg.rtt_back.push(half_rtt[misses]);
             }
+            misses += 1;
         }
         for k in 0..n {
             seg.sums.done += u64::from(seg.finish[k] <= self.cfg.horizon_s);
@@ -710,4 +786,126 @@ pub(crate) fn backward_pass<'b>(
         }
     }
     (response, critical)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::{colocation_mix, social_network, Edge, Tier};
+    use softsku_cluster::ColocationScenario;
+    use softsku_workloads::Microservice;
+
+    /// The wiring and a fresh table of `graph` at seed 21.
+    fn fresh(graph: &ServiceGraph, requests: usize) -> (Vec<TierWiring>, SegmentTable) {
+        let cfg = MeshConfig {
+            requests,
+            seed: 21,
+            ..MeshConfig::default()
+        };
+        let wiring = wire(graph, requests).unwrap();
+        let table = SegmentTable::new(&cfg, graph, &wiring).unwrap();
+        (wiring, table)
+    }
+
+    fn cals(graph: &ServiceGraph, retention: f64) -> Vec<TierCal> {
+        let cal = TierCal {
+            service_s: 1e-3,
+            retention,
+        };
+        vec![cal; graph.tiers().len()]
+    }
+
+    #[test]
+    fn an_always_hitting_cache_starves_everything_below_it() {
+        let graph = ServiceGraph::new(
+            "shielded",
+            vec![
+                Tier::new("front", Microservice::Web, 2, 1e-3).with_hit_rate(1.0),
+                Tier::new("back", Microservice::Cache1, 4, 0.3e-3),
+                Tier::new("leaf", Microservice::Cache2, 4, 0.3e-3),
+            ],
+            vec![
+                Edge {
+                    from: 0,
+                    to: 1,
+                    rtt_s: 100e-6,
+                },
+                Edge {
+                    from: 1,
+                    to: 2,
+                    rtt_s: 100e-6,
+                },
+            ],
+        )
+        .unwrap();
+        let (wiring, table) = fresh(&graph, 200);
+        let front = &table.roots.draws[0];
+        assert_eq!(front.shape.len(), 200);
+        assert!(front.hit.len() == 200 && front.hit.iter().all(|&h| h));
+        assert_eq!(front.half_rtt.len(), 1, "one RTT column per out-edge");
+        assert!(front.half_rtt[0].is_empty(), "no miss, so no RTT draw");
+        for below in &table.roots.draws[1..] {
+            assert!(below.shape.is_empty() && below.hit.is_empty());
+            assert!(below.half_rtt.iter().all(Vec::is_empty));
+        }
+        let fwd = table.forward(&graph, &wiring, &cals(&graph, 1.0));
+        for t in 1..3 {
+            let sums = fwd.sums(t);
+            assert_eq!((sums.jobs, sums.done), (0, 0));
+            assert_eq!(sums.wait_s.to_bits(), (-0.0f64).to_bits());
+            assert_eq!(sums.service_s.to_bits(), (-0.0f64).to_bits());
+        }
+    }
+
+    #[test]
+    fn columns_are_sized_by_the_callers_misses() {
+        let graph = social_network().unwrap();
+        let (wiring, table) = fresh(&graph, 300);
+        let fwd = table.forward(&graph, &wiring, &cals(&graph, 1.0));
+        let mut leaves = 0;
+        for (t, tier) in graph.tiers().iter().enumerate() {
+            let draws = &table.roots.draws[t];
+            let served = draws.shape.len();
+            assert_eq!(served as u64, fwd.sums(t).jobs, "{}", tier.name);
+            assert_eq!(
+                draws.hit.len(),
+                if tier.hit_rate > 0.0 { served } else { 0 }
+            );
+            let misses = served - draws.hit.iter().filter(|&&h| h).count();
+            assert_eq!(draws.half_rtt.len(), wiring[t].out.len(), "{}", tier.name);
+            assert!(draws.half_rtt.iter().all(|col| col.len() == misses));
+            leaves += usize::from(draws.half_rtt.is_empty());
+        }
+        assert!(leaves > 0, "a leaf tier has no edge columns");
+    }
+
+    #[test]
+    fn only_colocated_tiers_draw_jitter() {
+        // colocation_mix with only web and feed sharing a socket.
+        let mix = colocation_mix().unwrap();
+        let graph = ServiceGraph::new("half_mix", mix.tiers().to_vec(), mix.edges().to_vec())
+            .unwrap()
+            .with_colocation(ColocationScenario::demo(), vec![(0, 1)])
+            .unwrap();
+        let (wiring, table) = fresh(&graph, 300);
+        for (t, draws) in table.roots.draws.iter().enumerate() {
+            let expected = if t < 2 { draws.shape.len() } else { 0 };
+            assert!(!draws.shape.is_empty());
+            assert_eq!(draws.neg_ln_e.len(), expected, "tier {t}");
+        }
+        let plain = social_network().unwrap();
+        let (_, plain_table) = fresh(&plain, 300);
+        assert!(plain_table
+            .roots
+            .draws
+            .iter()
+            .all(|d| d.neg_ln_e.is_empty()));
+        // Only colocated tiers can lose retention, and they read their
+        // column when they do.
+        let mut lossy = cals(&graph, 1.0);
+        lossy[0].retention = 0.5;
+        lossy[1].retention = 0.5;
+        let fwd = table.forward(&graph, &wiring, &lossy);
+        assert!(fwd.sums(0).service_s > 0.0);
+    }
 }

@@ -302,7 +302,7 @@ impl<'a> MeshSim<'a> {
     /// An empty segment table for this simulator's (validated)
     /// configuration.
     pub(crate) fn segment_table(&self) -> Result<SegmentTable, MeshError> {
-        SegmentTable::new(&self.config)
+        SegmentTable::new(&self.config, self.graph, &self.wiring)
     }
 
     /// [`MeshSim::run_instrumented`] through `table`, one of this
@@ -558,9 +558,9 @@ pub(crate) fn tier_mips(
         seed,
         config.window_insns,
     )?;
-    let prod_mips = server.mips(1.0)?;
+    let prod_mips = server.peak_mips()?;
     server.reconfigure(sku.clone(), false)?;
-    Ok((prod_mips, server.mips(1.0)?))
+    Ok((prod_mips, server.peak_mips()?))
 }
 
 /// Engine-coupled throughput retention of the colocated tiers `(a, b)`

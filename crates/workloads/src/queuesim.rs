@@ -74,13 +74,9 @@ impl ServiceDist {
             ServiceDist::Exponential { mean } => SamplerKind::Exponential { mean },
             ServiceDist::Deterministic { time } => SamplerKind::Fixed(time),
             ServiceDist::LogNormal { mean, cv2 } if cv2 <= 0.0 => SamplerKind::Fixed(mean),
-            // Parameterize so that E[X] = mean and Var[X]/E[X]^2 = cv2.
             ServiceDist::LogNormal { mean, cv2 } => {
-                let sigma2 = (1.0 + cv2).ln();
-                SamplerKind::LogNormal {
-                    mu: mean.ln() - sigma2 / 2.0,
-                    sigma: sigma2.sqrt(),
-                }
+                let (mu, sigma) = log_normal_params(mean, cv2);
+                SamplerKind::LogNormal { mu, sigma }
             }
         };
         ServiceSampler { kind }
@@ -93,6 +89,16 @@ impl ServiceDist {
             ServiceDist::LogNormal { mean, .. } => mean,
         }
     }
+}
+
+/// The `(mu, sigma)` of the log-normal with mean `mean` and squared
+/// coefficient of variation `cv2 > 0` (variance / mean²). `sigma` does
+/// not depend on `mean`, so a caller may draw the shape
+/// `sigma · z` before it knows the mean; `(mu + sigma · z).exp()` is then
+/// bit-identical to a [`ServiceSampler`] draw of the same `z`.
+pub fn log_normal_params(mean: f64, cv2: f64) -> (f64, f64) {
+    let sigma2 = (1.0 + cv2).ln();
+    (mean.ln() - sigma2 / 2.0, sigma2.sqrt())
 }
 
 /// A [`ServiceDist`] ready to draw from; see [`ServiceDist::sampler`].
@@ -315,13 +321,20 @@ mod tests {
     fn hoisted_lognormal_draws_match_the_inline_formula() {
         for (mean, cv2) in [(2.5, 1.5), (3e-4, 2.0), (1.0, 1e-9), (1.0, f64::NAN)] {
             let sampler = ServiceDist::LogNormal { mean, cv2 }.sampler();
+            // The mesh draws the shape `sigma · z` with a unit mean's
+            // sigma before it knows the mean.
+            let (mu, _) = log_normal_params(mean, cv2);
+            let (_, unit_sigma) = log_normal_params(1.0, cv2);
             let mut a = SmallRng::seed_from_u64(4);
             let mut b = SmallRng::seed_from_u64(4);
+            let mut c = SmallRng::seed_from_u64(4);
             for _ in 0..1000 {
                 let sigma2 = (1.0 + cv2).ln();
-                let mu = mean.ln() - sigma2 / 2.0;
-                let inline = (mu + sigma2.sqrt() * standard_normal(&mut a)).exp();
+                let mu_inline = mean.ln() - sigma2 / 2.0;
+                let inline = (mu_inline + sigma2.sqrt() * standard_normal(&mut a)).exp();
                 assert_eq!(sampler.sample(&mut b).to_bits(), inline.to_bits());
+                let shaped = (mu + unit_sigma * standard_normal(&mut c)).exp();
+                assert_eq!(shaped.to_bits(), inline.to_bits());
             }
         }
     }
